@@ -86,23 +86,23 @@ class TestTelemetryOffIsFree:
         assert result.telemetry.registry.get(M_EVENTS) is None
 
     def test_untraced_ipc_records_are_exact_five_tuples(self, monkeypatch):
-        """Tracing off → per-task records carry zero extra payload bytes."""
+        """Tracing off → chunk records carry zero extra payload bytes."""
         from repro.engine.backends import process as proc
 
         seen = []
-        original = proc._run_task
+        original = proc._run_tasks
 
-        def spy(task):
-            record = original(task)
+        def spy(tasks):
+            record = original(tasks)
             seen.append(record)
             return record
 
-        monkeypatch.setattr(proc, "_run_task", spy)
+        monkeypatch.setattr(proc, "_run_tasks", spy)
         pattern = get_pattern("triangle")
         data = erdos_renyi(30, 0.2, seed=5)
         config = BenuConfig(num_workers=1, execution_backend="process")
         run_benu(pattern, data, config)
-        records = [r for r in seen if r is not None]
+        records = list(seen)
         assert records
         assert all(len(r) == 5 for r in records)
         # Explicitly: the serialized record IS the bare 5-tuple.
@@ -120,7 +120,7 @@ class TestTelemetryOffIsFree:
                 telemetry=TelemetryConfig(trace=True),
             ),
         )
-        traced = [r for r in seen if r is not None]
+        traced = list(seen)
         assert traced and all(len(r) == 6 for r in traced)
 
     def test_faults_off_is_free(self, monkeypatch):
@@ -138,20 +138,20 @@ class TestTelemetryOffIsFree:
         assert get_injector(None) is NULL_INJECTOR
 
         seen = []
-        original = proc._run_task
+        original = proc._run_tasks
 
-        def spy(task):
-            record = original(task)
+        def spy(tasks):
+            record = original(tasks)
             seen.append(record)
             return record
 
-        monkeypatch.setattr(proc, "_run_task", spy)
+        monkeypatch.setattr(proc, "_run_tasks", spy)
         result = run_benu(
             get_pattern("triangle"),
             erdos_renyi(30, 0.2, seed=5),
             BenuConfig(num_workers=1, execution_backend="process"),
         )
-        records = [r for r in seen if r is not None]
+        records = list(seen)
         assert records and all(
             pickle.dumps(r) == pickle.dumps(tuple(r[:5])) for r in records
         )

@@ -40,7 +40,9 @@ from .sinks import (
     LimitSink,
     ProjectingSink,
     ReservoirSink,
+    RowBlock,
     TranslatingSink,
+    block_emitter,
 )
 from .task_split import generate_tasks, plan_supports_splitting, split_slices
 from .worker import TaskReport, Worker
@@ -94,7 +96,9 @@ __all__ = [
     "LimitSink",
     "ProjectingSink",
     "ReservoirSink",
+    "RowBlock",
     "TranslatingSink",
+    "block_emitter",
     "generate_tasks",
     "plan_supports_splitting",
     "split_slices",

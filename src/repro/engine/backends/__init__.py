@@ -25,10 +25,10 @@ from .base import (
     ExecutionBackend,
     ExecutionRequest,
     WorkerLedger,
+    packs_rows,
     record_run_gauges,
     record_worker_ledgers,
     resolve_tasks,
-    task_sim_seconds,
 )
 from .inline import InlineBackend, InterpretedPlan
 from .process import ProcessBackend
@@ -65,9 +65,9 @@ __all__ = [
     "WorkerLedger",
     "build_store",
     "get_backend",
+    "packs_rows",
     "record_run_gauges",
     "record_worker_ledgers",
     "resolve_tasks",
     "store_vset",
-    "task_sim_seconds",
 ]

@@ -15,9 +15,8 @@ Shared here:
 
 * :func:`resolve_tasks` — task generation under the tracer span every
   backend records;
-* :func:`task_sim_seconds` — the deterministic cost-model clock (the
-  single definition the simulated worker and the process backend both
-  use, so their ``benu_task_sim_seconds`` histograms are comparable);
+* :func:`packs_rows` — the one rule for when a run's matches travel as
+  packed row blocks (:class:`~repro.engine.sinks.RowBlock`);
 * :func:`record_worker_ledgers` / :func:`record_run_gauges` — the
   end-of-run registry population, keeping metric names identical across
   backends by construction.
@@ -26,6 +25,7 @@ Shared here:
 from __future__ import annotations
 
 import abc
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -48,7 +48,7 @@ from ...telemetry.snapshot import (
     H_TASK_SIM_SECONDS,
     M_TASKS,
 )
-from ..config import BenuConfig, SimulationCostModel
+from ..config import BenuConfig
 from ..control import ExecutionControl
 from ..local_task import LocalSearchTask
 from ..task_split import generate_tasks
@@ -144,25 +144,21 @@ def resolve_tasks(request: ExecutionRequest, tracer) -> List[LocalSearchTask]:
     return tasks
 
 
-def task_sim_seconds(
-    counters: TaskCounters,
-    cost_model: SimulationCostModel,
-    db_seconds: float = 0.0,
-) -> float:
-    """Deterministic simulated duration of one task (Section IV-C).
+def packs_rows(request: ExecutionRequest) -> bool:
+    """Whether this run's matches are plain fixed-width int64 rows.
 
-    Every ``get_adj`` is a cache lookup; misses add the DB round-trip
-    time the caller measured into ``db_seconds`` (zero for backends whose
-    workers own the whole graph locally).
+    True for an uncompressed plan (compressed codes carry frozenset
+    slots) over a graph whose vertex ids all fit an ``array('q')``.  Such
+    a run appends matches to packed per-task buffers and hands them on as
+    row blocks; any other run emits one tuple per RES.
     """
-    return (
-        counters.int_ops * cost_model.int_seconds
-        + counters.trc_ops * cost_model.trc_seconds
-        + counters.enu_steps * cost_model.enu_seconds
-        + counters.results * cost_model.result_seconds
-        + counters.dbq_ops * cost_model.cache_hit_seconds
-        + db_seconds
-    )
+    if request.mode != "collect" or request.plan.compressed:
+        return False
+    try:
+        array("q", request.graph.vertices)
+    except (TypeError, OverflowError):
+        return False
+    return True
 
 
 @dataclass

@@ -14,9 +14,9 @@ compiled execution misbehaves.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Optional
+from typing import Callable, FrozenSet, Optional, Tuple
 
-from ...plan.codegen import TaskCounters
+from ...plan.codegen import COUNTER_FIELDS, TaskCounters
 from ...plan.generation import ExecutionPlan
 from ..interpreter import interpret_plan
 from .base import ExecutionRequest
@@ -57,6 +57,10 @@ class InterpretedPlan:
             candidate_override=candidate_override,
             profiler=self.profiler,
         )
+
+    def run_raw(self, *args, **kwargs) -> Tuple[int, ...]:
+        counters = self.run(*args, **kwargs)
+        return tuple(getattr(counters, f) for f in COUNTER_FIELDS)
 
 
 class InlineBackend(SimulatedBackend):

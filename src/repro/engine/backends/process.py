@@ -24,22 +24,24 @@ Design notes
   pull to a wall-clock budget; cold runs use a fixed pulls-per-worker
   fallback.  Chunks of plain unsplit tasks ship as flat ``array('q')``
   start-vertex buffers instead of pickled dataclass lists.
-* Enumeration crosses the process boundary as bounded per-task batches:
-  a worker collects the matches of one (sub)task — task splitting
-  already bounds how many that is — and ships them home with the task's
-  counters; the parent feeds them to the sink (a ``StreamBuffer``, a
-  file, a ``LimitSink``...) in arrival order.  For uncompressed
-  int-vertex plans the matches travel *packed*: one flat ``array('q')``
-  of fixed-width rows per task instead of a pickled list of tuples, so
-  serialization collapses to a single buffer copy (~70x faster than
-  per-tuple pickle opcodes) and the parent unpacks rows back into
-  tuples at the sink boundary.
+* Everything a worker learned in one queue pull comes home as one flat
+  *chunk record*: the tasks' counters as one ``array('q')``, their wall
+  seconds as one ``array('d')``, one kernel delta, and the chunk's
+  matches.  For uncompressed int-vertex plans (``packs_rows``) the
+  matches are *packed* — RES appends each one to a single flat
+  ``array('q')`` of fixed-width rows, serialization collapses to a
+  buffer copy (~70x faster than per-tuple pickle opcodes) — and the
+  parent hands the buffer to the sink's ``emit_block`` as it arrived
+  (:class:`~repro.engine.sinks.RowBlock`; a skewed chunk's buffer is cut
+  into blocks of bounded size first); a row never becomes a tuple on the
+  way.  Compressed codes ship as a list of tuples and reach the sink
+  through ``emit``, in arrival order either way.
 * Control is threaded across the boundary as a shared ``Event``: the
   parent polls its :class:`~repro.engine.control.ExecutionControl` while
   draining results and trips the event on cancel/deadline; workers check
   it at every task boundary and skip the remaining work.
-* Kernel-dispatch counts are measured per task as before/after snapshots
-  of the worker's :data:`~repro.kernels.intersect.STATS`, so every task
+* Kernel-dispatch counts are measured per chunk as before/after snapshots
+  of the worker's :data:`~repro.kernels.intersect.STATS`, so every chunk
   record is self-contained: a pool that restarts its workers (e.g.
   ``maxtasksperchild``) can neither drop nor double-count deltas.
 * DB/cache accounting: every worker owns the whole graph locally, so the
@@ -67,7 +69,12 @@ from ...faults import (
 from ...graph.csr import ATTACH_STATS, CSRAdjacency, ShmAttachStats
 from ...kernels import vectorized as _vec
 from ...kernels.intersect import STATS as KERNEL_STATS, KernelStats
-from ...plan.codegen import COUNTER_FIELDS, TaskCounters, compile_plan
+from ...plan.codegen import (
+    COUNTER_FIELDS,
+    RESULTS,
+    TaskCounters,
+    compile_plan,
+)
 from ...storage.cache import CacheStats
 from ...telemetry.events import (
     EV_TASK_DISPATCHED,
@@ -81,25 +88,32 @@ from ..control import ExecutionInterrupted
 from ..granularity import fallback_chunksize, measured_chunksize
 from ..local_task import LocalSearchTask
 from ..results import BenuResult
+from ..sinks import block_emitter, row_blocks
 from .base import (
     ExecutionBackend,
     ExecutionRequest,
     WorkerLedger,
+    packs_rows,
     record_plan_prediction,
     record_run_gauges,
     record_worker_ledgers,
     resolve_tasks,
-    task_sim_seconds,
 )
 
-#: Result of one task: (counters, kernel Δ, pid, wall seconds, matches|None).
-#: In packed collect mode the matches slot is a flat ``array('q')`` of
-#: fixed-width rows rather than a list of tuples.  When the parent
+#: What one chunk of tasks sends home: (pid, counters, wall seconds,
+#: kernel Δ, matches|None).  ``counters`` is one flat ``array('q')``,
+#: ``len(COUNTER_FIELDS)`` per executed task in task order (a cancel
+#: skips the chunk's tail); ``wall seconds`` one ``array('d')`` entry per
+#: executed task.  In packed collect mode the matches slot is one flat
+#: ``array('q')`` of fixed-width rows (a task's row count is its
+#: ``results`` counter), otherwise a list of tuples.  When the parent
 #: traces, one trailing element is appended — a list of wire-format span
 #: dicts (see ``span_to_wire``) recorded in the worker — so the untraced
-#: record stays the exact 5-tuple it always was (zero extra IPC bytes
-#: when telemetry is off).
-_TaskRecord = Tuple[Tuple[int, ...], Tuple[int, ...], int, float, Optional[list]]
+#: record stays an exact 5-tuple (zero extra IPC bytes when telemetry is
+#: off).
+_ChunkRecord = Tuple[int, array, array, Tuple[int, ...], Union[array, list, None]]
+
+_NUM_COUNTERS = len(COUNTER_FIELDS)
 
 #: One queue pull: (index of the chunk's first task, its tasks).  A chunk
 #: of plain unsplit tasks ships its start vertices as one ``array('q')``
@@ -157,7 +171,7 @@ def _init_worker(
 
     With ``trace`` on, the initializer times itself and parks the span
     (wire format, absolute ``perf_counter`` instants — fork children
-    share the parent's monotonic epoch) for the first task record to
+    share the parent's monotonic epoch) for the first chunk record to
     carry home; the parent stitches it under a per-pid process track.
     """
     t0 = _time.perf_counter() if trace else 0.0
@@ -200,77 +214,81 @@ def _init_worker(
         ]
 
 
-def _run_task(task: LocalSearchTask) -> Optional[_TaskRecord]:
-    """Execute one local search task; return its self-contained record.
+def _run_tasks(tasks: List[LocalSearchTask]) -> _ChunkRecord:
+    """Execute a run of local search tasks; return their one flat record.
 
-    The kernel delta is snapshotted before/after *this task alone*, so
+    The kernel delta is snapshotted before/after *these tasks alone*, so
     summing deltas across all records reconstructs the exact per-kernel
     totals no matter how the queue interleaved the work or how often the
-    pool restarted its workers.  Returns None when the shared cancel
-    event tripped — the task-boundary check of cooperative control.
+    pool restarted its workers.  Once the shared cancel event trips — the
+    task-boundary check of cooperative control — the remaining tasks are
+    skipped and the record covers only those that ran.
     """
     state = _worker_state
     cancel = state["cancel"]
-    if cancel is not None and cancel.is_set():
-        return None
     injector = state.get("injector", NULL_INJECTOR)
-    if injector.enabled:
-        injector.hit(SITE_WORKER_TASK, crash=state.get("crash"))
+    crash = state.get("crash")
+    run = state["compiled"].run_raw
+    get_adj = state["get_adj"]
+    vset = state["vset"]
     matches = None
     emit_cb = None
     if state["collect"]:
         if state["pack"]:
             # Flat fixed-width rows: emit(tuple) flattens straight into
-            # the int64 buffer; the whole task's matches pickle as one
+            # the int64 buffer; the whole chunk's matches pickle as one
             # machine-format byte string instead of per-tuple opcodes.
             matches = array("q")
             emit_cb = matches.extend
         else:
             matches = []
             emit_cb = matches.append
+    spans = None
+    if state["trace"]:
+        # Whatever spans are parked (the init span) ride this record out,
+        # followed by one span per task.
+        spans = state.get("pending_spans") or []
+        state["pending_spans"] = []
+    counters = array("q")
+    walls = array("d")
     kernel_before = KERNEL_STATS.as_tuple()
-    t0 = _time.perf_counter()
-    counters = state["compiled"].run(
-        task.start,
-        state["get_adj"],
-        vset=state["vset"],
-        emit=emit_cb,
-        tcache={},
-        candidate_override=task.candidate_slice,
-    )
-    t1 = _time.perf_counter()
-    wall = t1 - t0
+    for task in tasks:
+        if cancel is not None and cancel.is_set():
+            break
+        if injector.enabled:
+            injector.hit(SITE_WORKER_TASK, crash=crash)
+        t0 = _time.perf_counter()
+        raw = run(
+            task.start,
+            get_adj,
+            vset=vset,
+            emit=emit_cb,
+            tcache={},
+            candidate_override=task.candidate_slice,
+        )
+        t1 = _time.perf_counter()
+        counters.extend(raw)
+        walls.append(t1 - t0)
+        if spans is not None:
+            spans.append(
+                {
+                    "name": f"task[{task.start}]",
+                    "t0": t0,
+                    "t1": t1,
+                    "category": "task",
+                    "args": {"results": raw[RESULTS]},
+                }
+            )
     delta = tuple(
         now - before
         for now, before in zip(KERNEL_STATS.as_tuple(), kernel_before)
     )
-    record = (
-        tuple(getattr(counters, f) for f in COUNTER_FIELDS),
-        delta,
-        os.getpid(),
-        wall,
-        matches,
-    )
-    if not state["trace"]:
-        return record
-    # Drain whatever spans are parked (the init span rides the first
-    # record out) and append this task's own span.
-    spans = state.get("pending_spans") or []
-    state["pending_spans"] = []
-    spans.append(
-        {
-            "name": f"task[{task.start}]",
-            "t0": t0,
-            "t1": t1,
-            "category": "task",
-            "args": {"results": counters.results},
-        }
-    )
-    return record + (spans,)
+    record = (os.getpid(), counters, walls, delta, matches)
+    return record if spans is None else record + (spans,)
 
 
-def _run_chunk(chunk: _TaskChunk) -> Tuple[int, List[Optional[_TaskRecord]]]:
-    """One queue pull's worth of tasks, records kept per task.
+def _run_chunk(chunk: _TaskChunk) -> Tuple[int, Union[_ChunkRecord, str]]:
+    """One queue pull's worth of tasks, shipped home as one record.
 
     Chunking contract: the parent builds explicit chunks and submits them
     with ``imap_unordered(..., chunksize=1)`` — one *pool* task per
@@ -279,7 +297,7 @@ def _run_chunk(chunk: _TaskChunk) -> Tuple[int, List[Optional[_TaskRecord]]]:
     parent's 0.1 s control-poll cadence; doing it here keeps that cadence
     while IPC is still amortized over the chunk.  The chunk's base index
     rides along so the parent can attribute finish events to task ids
-    even though chunks complete out of order, and because every task's
+    even though chunks complete out of order, and because every chunk's
     record is self-contained (its own kernel delta and counters), chunk
     arrival order never affects the final accounting.
 
@@ -297,15 +315,15 @@ def _run_chunk(chunk: _TaskChunk) -> Tuple[int, List[Optional[_TaskRecord]]]:
             get_adj = _worker_state["get_adj"]
             for task in tasks:
                 get_adj(task.start)
-        out = [_run_task(task) for task in tasks]
+        out = _run_tasks(tasks)
         if injector.enabled:
             # The IPC-send site: an injected error here simulates a result
             # message lost between a finished worker and the parent.
             injector.hit(SITE_WORKER_IPC, crash=_worker_state.get("crash"))
     except InjectedFault as exc:
         # The chunk's work is lost.  Ship a lost-chunk marker (a plain
-        # string — healthy chunks keep their exact historical wire shape)
-        # so the parent leaves the chunk pending for the retry pass.
+        # string — healthy chunks keep their exact wire shape) so the
+        # parent leaves the chunk pending for the retry pass.
         return base, str(exc)
     return base, out
 
@@ -371,22 +389,20 @@ class ProcessBackend(ExecutionBackend):
         collected: Optional[list] = (
             [] if config.collect and not request.streaming else None
         )
+        # Where a chunk's matches go: packed rows as one block, anything
+        # else one tuple at a time.  (A collecting run's result list takes
+        # a block through ``extend`` — the block iterates as tuples.)
         if request.streaming:
             emit: Optional[Callable] = request.sink.emit
+            emit_block: Optional[Callable] = block_emitter(request.sink)
         elif collected is not None:
-            emit = collected.append
+            emit, emit_block = collected.append, collected.extend
         else:
-            emit = None
+            emit = emit_block = None
 
-        # Packed match shipping: eligible whenever matches are plain
-        # fixed-width int tuples — uncompressed plans (compressed ones
-        # emit frozensets) over int-vertex graphs.  Decided once here;
-        # workers just honor the flag.
-        pack = (
-            mode == "collect"
-            and not plan.compressed
-            and all(isinstance(v, int) for v in request.graph.vertices)
-        )
+        # Packed match shipping, decided once here; workers just honor
+        # the flag.
+        pack = packs_rows(request)
         match_width = plan.pattern.n
 
         shm = None
@@ -403,30 +419,41 @@ class ProcessBackend(ExecutionBackend):
         # every site below holds the free NULL_INJECTOR.
         faults = resolve_faults(config.faults)
 
-        records: List[_TaskRecord] = []
+        records: List[_ChunkRecord] = []
         attaches = 0
         recovery: Optional[dict] = None
+
+        def consume(base: int, record: _ChunkRecord) -> None:
+            """One arrived chunk: deliver its matches, keep the rest."""
+            matches = record[4]
+            records.append(record[:4] + record[5:])
+            if not matches:
+                pass
+            elif isinstance(matches, array):
+                for block in row_blocks(matches, match_width):
+                    emit_block(block)
+            else:
+                for match in matches:
+                    emit(match)
+            self._account(record, base, events, progress)
+
         try:
             with tracer.span("execution") as exec_span:
                 if num_workers == 1:
                     attaches = self._run_inline(
                         plan, adjacency_backend, payload, mode, tasks,
-                        control, emit, records, trace, events, progress,
-                        pack, match_width, faults,
+                        control, consume, trace, events, pack, faults,
                     )
                 else:
                     recovery = self._run_pool(
                         plan, adjacency_backend, payload, mode, tasks,
-                        control, emit, records, num_workers, trace, events,
-                        progress, pack, match_width,
+                        control, consume, num_workers, trace, events, pack,
                         request.task_cost_hint, config.chunk_target_seconds,
                         faults, config.task_retries,
                     )
                     # Each worker attaches exactly once, in its initializer.
                     if adjacency_backend == "csr":
-                        attaches = len(
-                            {rec[2] for rec in records if rec is not None}
-                        )
+                        attaches = len({record[0] for record in records})
                 exec_span.args["tasks"] = len(tasks)
         finally:
             if shm is not None:
@@ -447,10 +474,14 @@ class ProcessBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def _run_inline(
-        self, plan, adjacency_backend, payload, mode, tasks, control, emit,
-        records, trace, events, progress, pack, match_width, faults=None,
+        self, plan, adjacency_backend, payload, mode, tasks, control,
+        consume, trace, events, pack, faults=None,
     ) -> int:
-        """Degenerate one-worker run in this very process (no fork)."""
+        """Degenerate one-worker run in this very process (no fork).
+
+        Every task is its own chunk, so the control is checked — and a
+        packed block flushed — at every task boundary.
+        """
         attach_base = ATTACH_STATS.attaches
         _init_worker(
             plan, adjacency_backend, payload, mode, None, trace, pack,
@@ -461,15 +492,12 @@ class ProcessBackend(ExecutionBackend):
                 control.check()
             if events.enabled:
                 events.emit(EV_TASK_DISPATCHED, task_id=i)
-            record = _run_task(task)
-            records.append(record)
-            self._deliver(record, emit, match_width)
-            self._account(record, i, events, progress)
+            consume(i, _run_tasks([task]))
         return ATTACH_STATS.attaches - attach_base
 
     def _run_pool(
-        self, plan, adjacency_backend, payload, mode, tasks, control, emit,
-        records, num_workers, trace, events, progress, pack, match_width,
+        self, plan, adjacency_backend, payload, mode, tasks, control,
+        consume, num_workers, trace, events, pack,
         task_cost_hint=None, chunk_target_seconds=0.02,
         faults=None, task_retries: int = 0,
     ) -> dict:
@@ -522,8 +550,7 @@ class ProcessBackend(ExecutionBackend):
                     plan, adjacency_backend, payload, mode, cancel_event,
                     trace, pack, _vec.CROSSOVER, faults, attempt,
                 ),
-                cancel_event, pending, control, emit, records, events,
-                progress, match_width, num_workers,
+                cancel_event, pending, control, consume, num_workers,
             )
             if not pending:
                 break
@@ -561,8 +588,8 @@ class ProcessBackend(ExecutionBackend):
     worker_grace_seconds = 0.5
 
     def _drive_pool(
-        self, ctx, initargs, cancel_event, pending, control, emit, records,
-        events, progress, match_width, num_workers,
+        self, ctx, initargs, cancel_event, pending, control, consume,
+        num_workers,
     ) -> Dict[int, int]:
         """One pool lifecycle over the pending chunks; ack what arrives.
 
@@ -593,7 +620,7 @@ class ProcessBackend(ExecutionBackend):
             try:
                 while pending:
                     try:
-                        base, chunk_records = results.next(timeout=0.1)
+                        base, record = results.next(timeout=0.1)
                     except StopIteration:
                         # Every submitted chunk reported in, but some may
                         # have reported lost-chunk markers.
@@ -615,15 +642,12 @@ class ProcessBackend(ExecutionBackend):
                         # Exactly-once: a stale duplicate of a chunk already
                         # acknowledged on an earlier attempt.
                         continue
-                    if isinstance(chunk_records, str):
+                    if isinstance(record, str):
                         # Injected lost-result marker: the chunk's work is
                         # gone; leave it pending for the retry pass.
                         continue
                     del pending[base]
-                    for offset, record in enumerate(chunk_records):
-                        records.append(record)
-                        self._deliver(record, emit, match_width)
-                        self._account(record, base + offset, events, progress)
+                    consume(base, record)
                     if control is not None:
                         control.check()
             except ExecutionInterrupted:
@@ -674,42 +698,23 @@ class ProcessBackend(ExecutionBackend):
         return tasks
 
     @staticmethod
-    def _deliver(
-        record: Optional[_TaskRecord],
-        emit: Optional[Callable],
-        width: int = 0,
-    ) -> None:
-        if record is None or emit is None:
+    def _account(record: _ChunkRecord, base: int, events, progress) -> None:
+        """Parent-side progress/event bookkeeping for one arrived chunk."""
+        if not (progress.enabled or events.enabled):
             return
-        matches = record[4]
-        if not matches:
-            return
-        if isinstance(matches, array):
-            # Packed rows: unpack the flat buffer back into tuples at
-            # the sink boundary, width ints per match.
-            for i in range(0, len(matches), width):
-                emit(tuple(matches[i : i + width]))
-        else:
-            for match in matches:
-                emit(match)
-
-    @staticmethod
-    def _account(
-        record: Optional[_TaskRecord], task_id: int, events, progress
-    ) -> None:
-        """Parent-side progress/event bookkeeping for one arrived record."""
-        if record is None:  # skipped at the boundary after a cancel
-            return
-        results = record[0][COUNTER_FIELDS.index("results")]
-        progress.task_done(embeddings=results)
-        if events.enabled:
-            events.emit(
-                EV_TASK_FINISHED,
-                task_id=task_id,
-                worker_pid=record[2],
-                embeddings=results,
-                wall_seconds=record[3],
-            )
+        pid, counters, walls = record[:3]
+        for offset, (results, wall) in enumerate(
+            zip(counters[RESULTS::_NUM_COUNTERS], walls)
+        ):
+            progress.task_done(embeddings=results)
+            if events.enabled:
+                events.emit(
+                    EV_TASK_FINISHED,
+                    task_id=base + offset,
+                    worker_pid=pid,
+                    embeddings=results,
+                    wall_seconds=wall,
+                )
 
     # ------------------------------------------------------------------
     def _finalize(
@@ -732,29 +737,33 @@ class ProcessBackend(ExecutionBackend):
                 M_TASK_RETRIES, help="task slices re-executed after a crash"
             ).inc(tasks_retried)
 
-        # Group self-contained task records into per-process ledgers;
-        # worker ids are dense, in order of first result arrival.
+        # Group self-contained chunk records into per-process ledgers;
+        # worker ids are dense, in order of first result arrival.  Counters
+        # stay flat: a column sum per chunk, one TaskCounters per worker.
         worker_index: Dict[int, str] = {}
         ledgers: Dict[str, WorkerLedger] = {}
+        counter_sums: Dict[str, List[int]] = {}
         remote_spans: Dict[int, list] = {}
         kernel_totals = [0] * len(KernelStats.FIELDS)
         for record in records:
-            if record is None:  # skipped at the boundary after a cancel
-                continue
-            raw, delta, pid, wall, _matches = record[:5]
-            if len(record) > 5 and record[5]:
-                remote_spans.setdefault(pid, []).extend(record[5])
+            pid, counters, walls, delta = record[:4]
+            if len(record) > 4:
+                remote_spans.setdefault(pid, []).extend(record[4])
             wid = worker_index.setdefault(pid, str(len(worker_index)))
             ledger = ledgers.setdefault(wid, WorkerLedger(worker_id=wid))
-            counters = TaskCounters.from_tuple(raw)
-            sim = task_sim_seconds(counters, cost_model)
-            ledger.counters = ledger.counters + counters
-            ledger.num_tasks += 1
-            ledger.task_sim_seconds.append(sim)
-            ledger.busy_seconds += sim
-            ledger.wall_seconds += wall
+            sums = counter_sums.setdefault(wid, [0] * _NUM_COUNTERS)
+            for field in range(_NUM_COUNTERS):
+                sums[field] += sum(counters[field::_NUM_COUNTERS])
+            ledger.num_tasks += len(walls)
+            for raw in zip(*[iter(counters)] * _NUM_COUNTERS):
+                sim = cost_model.task_seconds(raw)
+                ledger.task_sim_seconds.append(sim)
+                ledger.busy_seconds += sim
+            ledger.wall_seconds += sum(walls)
             for i, d in enumerate(delta):
                 kernel_totals[i] += d
+        for wid, sums in counter_sums.items():
+            ledgers[wid].counters = TaskCounters.from_tuple(sums)
         # Stitch the workers' own span trees (shipped over the result
         # channel in wire form) under real-pid process tracks.
         for pid, spans in remote_spans.items():
@@ -798,8 +807,12 @@ class ProcessBackend(ExecutionBackend):
         # Measured mean per-task wall cost — the granularity feedback
         # signal a warm re-run (or the service's cost profile) uses to
         # right-size queue pulls.
-        walls = [r[3] for r in records if r is not None]
-        mean_task_wall = sum(walls) / len(walls) if walls else 0.0
+        tasks_run = sum(ledger.num_tasks for ledger in ordered)
+        mean_task_wall = (
+            sum(ledger.wall_seconds for ledger in ordered) / tasks_run
+            if tasks_run
+            else 0.0
+        )
 
         return BenuResult(
             plan=request.plan,

@@ -19,20 +19,23 @@ schedule timeline, a DB payload-size histogram, and — with ``profile=True``
 from __future__ import annotations
 
 import time as _time
+from array import array
 from typing import Callable, List, Optional
 
 from ...kernels.intersect import STATS as KERNEL_STATS, KernelStats
-from ...plan.codegen import compile_plan
+from ...plan.codegen import RESULTS, compile_plan
 from ...storage.kvstore import DistributedKVStore
 from ...telemetry.registry import DEFAULT_BYTES_BUCKETS, MetricsRegistry
 from ...telemetry.snapshot import H_DB_QUERY_BYTES
 from ..results import BenuResult
+from ..sinks import block_emitter, row_blocks
 from ..worker import Worker
 from ...telemetry.events import EV_TASK_DISPATCHED, EV_TASK_FINISHED
 from .base import (
     ExecutionBackend,
     ExecutionRequest,
     WorkerLedger,
+    packs_rows,
     record_plan_prediction,
     record_run_gauges,
     record_worker_ledgers,
@@ -108,8 +111,16 @@ class SimulatedBackend(ExecutionBackend):
         collected: Optional[list] = (
             [] if config.collect and not request.streaming else None
         )
-        if request.streaming:
-            emit: Optional[Callable] = request.sink.emit
+        # A streamed run that packs appends each task's matches to a flat
+        # buffer (RES -> ``array.extend``) and hands the sink one row block
+        # at the task boundary; any other run emits a tuple per RES.
+        emit_block = None
+        if request.streaming and packs_rows(request):
+            emit_block = block_emitter(request.sink)
+            width = plan.pattern.n
+            emit: Optional[Callable] = None
+        elif request.streaming:
+            emit = request.sink.emit
         elif collected is not None:
             emit = collected.append
         else:
@@ -154,15 +165,24 @@ class SimulatedBackend(ExecutionBackend):
                             task_id=i,
                             worker=worker.worker_id,
                         )
-                    report = worker.execute_task(runner, task, vset, emit)
-                    progress.task_done(embeddings=report.counters.results)
+                    if emit_block is None:
+                        raw, sim = worker.execute_task(runner, task, vset, emit)
+                    else:
+                        rows = array("q")
+                        raw, sim = worker.execute_task(
+                            runner, task, vset, rows.extend
+                        )
+                        if rows:
+                            for block in row_blocks(rows, width):
+                                emit_block(block)
+                    progress.task_done(embeddings=raw[RESULTS])
                     if events.enabled:
                         events.emit(
                             EV_TASK_FINISHED,
                             task_id=i,
                             worker=worker.worker_id,
-                            embeddings=report.counters.results,
-                            sim_seconds=report.sim_seconds,
+                            embeddings=raw[RESULTS],
+                            sim_seconds=sim,
                         )
                 for w in workers:
                     tracer.add_span(
@@ -173,7 +193,7 @@ class SimulatedBackend(ExecutionBackend):
                         track=f"worker-{w.worker_id}",
                         start=getattr(exec_span, "t0", None),
                         args={
-                            "tasks": len(w.reports),
+                            "tasks": w.num_tasks,
                             "makespan_sim_seconds": w.makespan_seconds,
                             "cache_hit_rate": w.cache_stats.hit_rate,
                         },
@@ -189,8 +209,8 @@ class SimulatedBackend(ExecutionBackend):
                 counters=w.total_counters(),
                 query_stats=w.query_stats,
                 cache_stats=w.cache_stats,
-                num_tasks=len(w.reports),
-                task_sim_seconds=[r.sim_seconds for r in w.reports],
+                num_tasks=w.num_tasks,
+                task_sim_seconds=w.task_sim_seconds,
                 busy_seconds=w.busy_seconds,
                 wall_seconds=w.wall_seconds,
             )

@@ -19,6 +19,7 @@ Convenience wrappers: ``count_subgraphs`` and ``enumerate_subgraphs``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..graph.graph import Graph, Vertex
@@ -36,7 +37,7 @@ from .cluster import SimulatedCluster
 from .config import BenuConfig
 from .control import ExecutionControl
 from .results import BenuResult
-from .sinks import TranslatingSink
+from .sinks import TranslatingSink, block_translator
 
 PatternLike = Union[Graph, PatternGraph]
 
@@ -111,6 +112,12 @@ class PreparedData:
     @property
     def relabeled(self) -> bool:
         return self.mapping is not None
+
+    @cached_property
+    def inverse_blocks(self):
+        """``inverse`` in block form (see ``block_translator``), built once
+        for every query that streams over this graph."""
+        return block_translator(self.inverse)
 
     def translate_match(self, match: Tuple[Vertex, ...]) -> Tuple[Vertex, ...]:
         """One match tuple back in original ids."""
@@ -209,7 +216,7 @@ def execute_plan(
         # Streamed full matches leave in original ids; compressed codes
         # stay in execution space (their expansion constraints compare
         # under ≺), exactly like collected results.
-        sink = TranslatingSink(sink, prepared.inverse)
+        sink = TranslatingSink(sink, prepared.inverse, prepared.inverse_blocks)
     if backend_name == "process":
         from .backends import ExecutionRequest, get_backend
 

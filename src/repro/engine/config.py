@@ -47,6 +47,27 @@ class SimulationCostModel:
     result_seconds: float = 5e-8  # reporting one match/code
     cache_hit_seconds: float = 2e-7  # shared in-memory cache access
 
+    def task_seconds(self, counters, db_seconds: float = 0.0) -> float:
+        """Deterministic simulated duration of one task (Section IV-C).
+
+        ``counters`` is the task's raw counter tuple
+        (:data:`repro.plan.codegen.COUNTER_FIELDS` order).  Every
+        ``get_adj`` is a cache lookup; misses add the DB round-trip time
+        the caller measured into ``db_seconds`` (zero for backends whose
+        workers own the whole graph locally).  The one definition every
+        backend uses, so their ``benu_task_sim_seconds`` histograms are
+        comparable.
+        """
+        int_ops, trc_ops, _trc_misses, dbq_ops, enu_steps, results = counters
+        return (
+            int_ops * self.int_seconds
+            + trc_ops * self.trc_seconds
+            + enu_steps * self.enu_seconds
+            + results * self.result_seconds
+            + dbq_ops * self.cache_hit_seconds
+            + db_seconds
+        )
+
 
 @dataclass
 class BenuConfig:

@@ -1,8 +1,28 @@
 """Match sinks — where enumeration results go.
 
 The paper's jobs write matches to HDFS; a library needs more options.  A
-sink is anything with an ``emit(result)`` method; the cluster calls it once
-per RES execution (full match tuple, or VCBC code slots when compressed).
+sink is anything with an ``emit(result)`` method (full match tuple, or
+VCBC code slots when compressed).
+
+The block contract
+------------------
+Uncompressed matches over integer vertices are fixed-width rows of
+int64s, and they travel *packed*: the compiled plan's RES appends each
+match to a per-task ``array('q')``, and at the task boundary the backend
+hands the whole :class:`RowBlock` to the sink's ``emit_block(block)`` —
+one call per task (or per worker chunk), not one per match.
+
+* A **backend** calls ``emit_block`` (through :func:`block_emitter`) when
+  the run packs — uncompressed plan, int vertices — and ``emit`` once per
+  RES otherwise (compressed codes carry frozenset slots and do not pack).
+* A sink that **wraps another sink** must implement ``emit_block`` and
+  work per block (a table lookup, a column selection, a truncation),
+  forwarding through ``block_emitter(inner)``; otherwise it would force
+  every row upstream of it back into a tuple.
+* A **terminal** sink may implement only ``emit(row)``:
+  :func:`block_emitter` adapts it, yielding the block's rows one tuple at
+  a time.  That adapter and the JSON page encoder of the wire protocol
+  are the only places a packed row becomes a Python tuple.
 
 Provided sinks:
 
@@ -23,8 +43,165 @@ Provided sinks:
 from __future__ import annotations
 
 import random
+from array import array
+from collections import Counter
+from itertools import chain
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    TextIO,
+    Tuple,
+    Union,
+)
+
+try:  # numpy is optional: without it blocks translate through the dict
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised on numpy-less CI
+    _np = None
+
+
+class RowBlock:
+    """A packed sequence of fixed-width integer rows.
+
+    ``flat`` holds ``len(block) * width`` int64s, row-major.  The block
+    reads like a sequence of tuples — ``len``, iteration, indexing,
+    slicing (a slice is a block), ``+`` — but a row only becomes a tuple
+    when somebody iterates or indexes it.
+
+    >>> block = RowBlock(array("q", [1, 2, 3, 4, 5, 6]), 3)
+    >>> len(block), list(block), list(block[1:])
+    (2, [(1, 2, 3), (4, 5, 6)], [(4, 5, 6)])
+    >>> list(block.select((2, 0))), list(block.column(1))
+    ([(3, 1), (6, 4)], [2, 5])
+    """
+
+    __slots__ = ("flat", "width")
+
+    def __init__(self, flat: array, width: int) -> None:
+        if width < 1 or len(flat) % width:
+            raise ValueError(
+                f"{len(flat)} values do not make rows of width {width}"
+            )
+        self.flat = flat
+        self.width = width
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence[int]], width: int) -> "RowBlock":
+        """Pack an iterable of equal-width integer rows."""
+        return cls(array("q", chain.from_iterable(rows)), width)
+
+    def __len__(self) -> int:
+        return len(self.flat) // self.width
+
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
+        # One shared iterator read ``width`` times per step: zip slices
+        # the flat buffer into row tuples entirely in C.
+        return zip(*[iter(self.flat)] * self.width)
+
+    def __getitem__(self, key):
+        width = self.width
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                raise ValueError("row blocks slice contiguously")
+            return RowBlock(self.flat[start * width : stop * width], width)
+        if key < 0:
+            key += len(self)
+        if not 0 <= key < len(self):
+            raise IndexError("row index out of range")
+        return tuple(self.flat[key * width : (key + 1) * width])
+
+    def __add__(self, other: "RowBlock") -> "RowBlock":
+        if other.width != self.width:
+            raise ValueError("row blocks of different widths do not join")
+        return RowBlock(self.flat + other.flat, self.width)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RowBlock):
+            return NotImplemented
+        return self.width == other.width and self.flat == other.flat
+
+    def __repr__(self) -> str:
+        return f"RowBlock({len(self)} rows x {self.width})"
+
+    def column(self, index: int) -> array:
+        """One column's values, in row order."""
+        return self.flat[index :: self.width]
+
+    def select(self, indices: Sequence[int]) -> "RowBlock":
+        """The block narrowed (and reordered) to the given columns."""
+        columns = [self.flat[i :: self.width] for i in indices]
+        return RowBlock.from_rows(zip(*columns), len(columns))
+
+
+#: Rows per block at most: a producer holding a larger buffer (a hub
+#: task's, a skewed worker chunk's) cuts it, so the copies a hop makes of
+#: a block — a translation, a projection, a page — stay small whatever
+#: the skew.
+BLOCK_ROWS = 4096
+
+
+def row_blocks(flat: array, width: int) -> Iterator[RowBlock]:
+    """``flat`` as row blocks of at most :data:`BLOCK_ROWS` rows each."""
+    step = BLOCK_ROWS * width
+    if len(flat) <= step:
+        yield RowBlock(flat, width)
+        return
+    for start in range(0, len(flat), step):
+        yield RowBlock(flat[start : start + step], width)
+
+
+def block_emitter(sink) -> Callable[[RowBlock], None]:
+    """The callable a producer hands row blocks to for ``sink``.
+
+    The sink's own ``emit_block`` when it has one; otherwise the adapter
+    for a foreign sink that only has ``emit(row)`` — the block's rows are
+    made into tuples one at a time, so no more than one is alive.
+    """
+    emit_block = getattr(sink, "emit_block", None)
+    if emit_block is not None:
+        return emit_block
+    emit = sink.emit
+
+    def emit_rows(block: RowBlock) -> None:
+        for row in block:
+            emit(row)
+
+    return emit_rows
+
+
+def block_translator(mapping: dict) -> Optional[Callable[[array], array]]:
+    """``flat ids -> flat images`` under ``mapping``, for whole blocks.
+
+    None when a key or an image is not an int64 (such matches cannot stay
+    packed).  With numpy loaded and the keys dense enough for a lookup
+    table the translation is one ``take`` over the flat buffer; otherwise
+    one C-level ``map`` through the dict.
+    """
+    try:
+        keys = array("q", mapping)
+        images = array("q", mapping.values())
+    except (TypeError, OverflowError):
+        return None
+    if _np is not None and keys:
+        if min(keys) >= 0 and max(keys) < 2 * len(keys) + 64:
+            table = _np.zeros(max(keys) + 1, dtype=_np.int64)
+            table[_np.frombuffer(keys, dtype=_np.int64)] = _np.frombuffer(
+                images, dtype=_np.int64
+            )
+
+            def take(flat: array) -> array:
+                ids = _np.frombuffer(flat, dtype=_np.int64)
+                return array("q", table.take(ids).tobytes())
+
+            return take
+    lookup = mapping.__getitem__
+    return lambda flat: array("q", map(lookup, flat))
 
 
 class CountSink:
@@ -35,6 +212,9 @@ class CountSink:
 
     def emit(self, result: Tuple) -> None:
         self.count += 1
+
+    def emit_block(self, block: RowBlock) -> None:
+        self.count += len(block)
 
 
 class CollectSink:
@@ -47,6 +227,10 @@ class CollectSink:
     def emit(self, result: Tuple) -> None:
         self.results.append(result)
         self.count += 1
+
+    def emit_block(self, block: RowBlock) -> None:
+        self.results.extend(block)
+        self.count += len(block)
 
 
 class FileSink:
@@ -169,6 +353,7 @@ class LimitSink:
         self.limit = limit
         self.control = control
         self.count = 0
+        self._inner_block = block_emitter(inner)
 
     @property
     def reached(self) -> bool:
@@ -185,18 +370,39 @@ class LimitSink:
         if self.count >= self.limit and self.control is not None:
             self.control.cancel(self.REASON)
 
+    def emit_block(self, block: RowBlock) -> None:
+        """The limit as a truncation: the block's head, then the cancel."""
+        if not len(block):
+            return
+        room = self.limit - self.count
+        if room > 0:
+            if len(block) > room:
+                block = block[:room]
+            self._inner_block(block)
+            self.count += len(block)
+        if self.count >= self.limit and self.control is not None:
+            self.control.cancel(self.REASON)
+
 
 class TranslatingSink:
     """Translates integer vertex ids through a mapping before forwarding.
 
     Frozenset slots translate member-wise.  Used by the execution stage
     to deliver streamed matches in original (pre-relabeling) ids.
+
+    ``translator`` is ``block_translator(mapping)`` when the caller
+    already holds it (a prepared graph computes it once for every query);
+    left out, it is built on the first block.
     """
 
-    def __init__(self, inner, mapping: dict) -> None:
+    _UNSET = object()
+
+    def __init__(self, inner, mapping: dict, translator=_UNSET) -> None:
         self.inner = inner
         self.mapping = mapping
         self.count = 0
+        self._inner_block = block_emitter(inner)
+        self._translator = translator
 
     def _translate(self, slot):
         if isinstance(slot, frozenset):
@@ -206,6 +412,19 @@ class TranslatingSink:
     def emit(self, result: Tuple) -> None:
         self.inner.emit(tuple(self._translate(s) for s in result))
         self.count += 1
+
+    def emit_block(self, block: RowBlock) -> None:
+        """One table lookup over the block's flat buffer."""
+        translate = self._translator
+        if translate is self._UNSET:
+            translate = self._translator = block_translator(self.mapping)
+        if translate is None:
+            # Images that are not int64s (string ids): rows leave packing.
+            for row in block:
+                self.emit(row)
+            return
+        self._inner_block(RowBlock(translate(block.flat), block.width))
+        self.count += len(block)
 
 
 class ProjectingSink:
@@ -220,10 +439,15 @@ class ProjectingSink:
         self.inner = inner
         self.indices = tuple(indices)
         self.count = 0
+        self._inner_block = block_emitter(inner)
 
     def emit(self, result: Tuple) -> None:
         self.inner.emit(tuple(result[i] for i in self.indices))
         self.count += 1
+
+    def emit_block(self, block: RowBlock) -> None:
+        self._inner_block(block.select(self.indices))
+        self.count += len(block)
 
 
 class GroupCountSink:
@@ -242,3 +466,10 @@ class GroupCountSink:
         key = result[self.index]
         self.counts[key] = self.counts.get(key, 0) + 1
         self.count += 1
+
+    def emit_block(self, block: RowBlock) -> None:
+        """A count over one column; keys keep first-seen order."""
+        counts = self.counts
+        for key, n in Counter(block.column(self.index)).items():
+            counts[key] = counts.get(key, 0) + n
+        self.count += len(block)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import heapq
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, List, Optional
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
-from ..plan.codegen import CompiledPlan, TaskCounters
+from ..plan.codegen import DBQ_OPS, RESULTS, CompiledPlan, TaskCounters
 from ..storage.cache import CacheStats, LRUDatabaseCache
 from ..storage.kvstore import DistributedKVStore, QueryStats
 from .config import BenuConfig
@@ -65,7 +65,17 @@ class Worker:
                 policy=config.cache_policy,
             )
             self._cache_base = CacheStats()
-        self.reports: List[TaskReport] = []
+        # Per-task bookkeeping stays flat — the raw counter tuple the
+        # plan returned, two floats, the placement — and becomes
+        # TaskReport / TaskCounters objects only when somebody asks.
+        self._tasks: List[LocalSearchTask] = []
+        self._raw: List[Tuple[int, ...]] = []
+        self._walls: List[float] = []
+        self._placements: List[Tuple[float, int]] = []
+        #: Simulated seconds per executed task, in execution order.
+        self.task_sim_seconds: List[float] = []
+        #: Total wall time actually spent running this worker's tasks.
+        self.wall_seconds = 0.0
         #: Optional telemetry tracer; tasks are recorded as slices on the
         #: simulated timeline (one track per worker thread).
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
@@ -84,11 +94,15 @@ class Worker:
         task: LocalSearchTask,
         vset: FrozenSet[int],
         emit: Optional[Callable] = None,
-    ) -> TaskReport:
-        """Run one task; account simulated and wall time."""
+    ) -> Tuple[Tuple[int, ...], float]:
+        """Run one task; account simulated and wall time.
+
+        Returns the task's raw counters (``COUNTER_FIELDS`` order) and
+        its simulated seconds.
+        """
         db_before = self.query_stats.simulated_seconds
         t0 = _time.perf_counter()
-        counters = compiled.run(
+        raw = compiled.run_raw(
             task.start,
             self.cache.get,
             vset=vset,
@@ -98,25 +112,19 @@ class Worker:
         )
         wall = _time.perf_counter() - t0
         db_seconds = self.query_stats.simulated_seconds - db_before
+        sim = self.config.cost_model.task_seconds(raw, db_seconds)
 
-        # Every get_adj is a cache lookup; misses add the DB round-trip
-        # captured in db_seconds.
-        cm = self.config.cost_model
-        sim = (
-            counters.int_ops * cm.int_seconds
-            + counters.trc_ops * cm.trc_seconds
-            + counters.enu_steps * cm.enu_seconds
-            + counters.results * cm.result_seconds
-            + counters.dbq_ops * cm.cache_hit_seconds
-            + db_seconds
-        )
         # Assign to the least-loaded simulated thread.
         sim_start, tid = heapq.heappop(self._load_heap)
         heapq.heappush(self._load_heap, (sim_start + sim, tid))
         self._thread_loads[tid] += sim
 
-        report = TaskReport(task, counters, sim, wall, tid, sim_start)
-        self.reports.append(report)
+        self._tasks.append(task)
+        self._raw.append(raw)
+        self._walls.append(wall)
+        self._placements.append((sim_start, tid))
+        self.task_sim_seconds.append(sim)
+        self.wall_seconds += wall
         if self._tracer is not None:
             self._tracer.add_sim_slice(
                 f"worker-{self.worker_id}/thread-{tid}",
@@ -124,12 +132,31 @@ class Worker:
                 sim_start,
                 sim,
                 args={
-                    "results": counters.results,
-                    "dbq_ops": counters.dbq_ops,
+                    "results": raw[RESULTS],
+                    "dbq_ops": raw[DBQ_OPS],
                     "wall_seconds": wall,
                 },
             )
-        return report
+        return raw, sim
+
+    # ------------------------------------------------------------------
+    @property
+    def num_tasks(self) -> int:
+        return len(self._raw)
+
+    @property
+    def reports(self) -> List[TaskReport]:
+        """One :class:`TaskReport` per executed task, built on demand."""
+        return [
+            TaskReport(task, TaskCounters.from_tuple(raw), sim, wall, tid, start)
+            for task, raw, sim, wall, (start, tid) in zip(
+                self._tasks,
+                self._raw,
+                self.task_sim_seconds,
+                self._walls,
+                self._placements,
+            )
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -143,11 +170,6 @@ class Worker:
         return sum(self._thread_loads)
 
     @property
-    def wall_seconds(self) -> float:
-        """Total wall time actually spent running this worker's tasks."""
-        return sum(r.wall_seconds for r in self.reports)
-
-    @property
     def cache_stats(self) -> CacheStats:
         """This run's cache accounting (deltas, for adopted warm caches)."""
         base = self._cache_base
@@ -159,7 +181,4 @@ class Worker:
         )
 
     def total_counters(self) -> TaskCounters:
-        total = TaskCounters()
-        for r in self.reports:
-            total = total + r.counters
-        return total
+        return TaskCounters(*map(sum, zip(*self._raw)))

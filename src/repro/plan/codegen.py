@@ -48,6 +48,9 @@ COUNTER_FIELDS = (
     "enu_steps",    # total ENU loop iterations
     "results",      # RES executions
 )
+#: Positions the per-task loops read straight off a raw counter tuple.
+DBQ_OPS = COUNTER_FIELDS.index("dbq_ops")
+RESULTS = COUNTER_FIELDS.index("results")
 
 
 @dataclass(frozen=True)
@@ -123,7 +126,7 @@ class CompiledPlan:
     #: Adjacency layout the generated code expects ("frozenset" | "csr").
     backend: str = "frozenset"
 
-    def run(
+    def run_raw(
         self,
         start: int,
         get_adj: Callable[[int], FrozenSet[int]],
@@ -131,19 +134,25 @@ class CompiledPlan:
         emit: Optional[Callable] = None,
         tcache: Optional[dict] = None,
         candidate_override: Optional[FrozenSet[int]] = None,
-    ) -> TaskCounters:
+    ) -> Tuple[int, ...]:
         """Execute one local search task rooted at ``start``.
 
-        ``candidate_override`` replaces the candidate set of the *second*
-        matching-order vertex — the hook task splitting (Section V-B) uses
-        to hand each subtask a slice of C_{k2}.
+        Returns the task's counters as the plain tuple the generated
+        function produces, in :data:`COUNTER_FIELDS` order — what the
+        per-task loops of the backends keep.  ``candidate_override``
+        replaces the candidate set of the *second* matching-order vertex —
+        the hook task splitting (Section V-B) uses to hand each subtask a
+        slice of C_{k2}.
         """
         if tcache is None:
             tcache = {}
-        raw = self._function(
+        return self._function(
             start, get_adj, vset, emit, tcache, candidate_override
         )
-        return TaskCounters.from_tuple(raw)
+
+    def run(self, *args, **kwargs) -> TaskCounters:
+        """:meth:`run_raw`, with the counters as a :class:`TaskCounters`."""
+        return TaskCounters.from_tuple(self.run_raw(*args, **kwargs))
 
 
 def _filter_expr(var: str, filters: Sequence[Filter]) -> str:

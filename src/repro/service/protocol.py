@@ -119,10 +119,6 @@ _CONFIG_FIELDS = {
 }
 
 
-def _json_match(match) -> list:
-    return [sorted(s) if isinstance(s, frozenset) else s for s in match]
-
-
 class ServiceProtocol:
     """Stateless request handler: one JSON request in, one response out.
 
@@ -306,7 +302,9 @@ class ServiceProtocol:
                 cursor=int(cursor) if cursor is not None else None,
             )
             response.update(
-                matches=[_json_match(m) for m in page.matches],
+                # The one page becomes row tuples here (a packed page in
+                # one C-level pass) and json.dumps does the rest.
+                matches=list(page.matches),
                 cursor=page.cursor,
                 done=page.done,
                 status=handle.status.value,  # may have finished during fetch

@@ -8,6 +8,12 @@ iterator (:meth:`QueryHandle.batches` / :meth:`QueryHandle.matches`) or
 with cursor pagination (:meth:`QueryHandle.fetch`), which is what the
 wire protocol's ``poll`` op uses.
 
+A batch is a sequence of rows: a packed
+:class:`~repro.engine.sinks.RowBlock` when the run hands the buffer row
+blocks (``emit_block``), a list of tuples when it emits row by row.
+Batches, pending rows and pages are only ever sliced and joined, so a
+packed stream stays packed all the way to the page a ``fetch`` returns.
+
 Backpressure: when the buffer is full the *producer* blocks, pacing the
 enumeration to the consumer.  A blocked producer still honors
 cancellation — the put loop re-checks the query's control, so ``cancel``
@@ -20,9 +26,10 @@ import enum
 import queue
 import threading
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..engine.control import ExecutionControl, ExecutionInterrupted
+from ..engine.sinks import RowBlock
 from .errors import InvalidQueryError
 
 #: End-of-stream marker (identity-compared).
@@ -47,10 +54,12 @@ class QueryStatus(str, enum.Enum):
 class StreamBuffer:
     """Bounded match stream between one producer and one consumer.
 
-    ``emit`` is the sink interface the execution engine calls; batches of
+    ``emit`` / ``emit_block`` are the sink interface the execution engine
+    calls (one stream is fed through one of the two); batches of
     ``batch_size`` matches travel through a queue holding at most
     ``max_batches`` of them, so buffered memory is bounded by
-    ``batch_size × max_batches`` matches regardless of result size.
+    ``batch_size × max_batches`` matches regardless of result size — or
+    of the size of the blocks that arrive.
     """
 
     def __init__(
@@ -64,7 +73,7 @@ class StreamBuffer:
         self.batch_size = batch_size
         self.control = control
         self._queue: "queue.Queue" = queue.Queue(maxsize=max_batches)
-        self._batch: List[Tuple] = []
+        self._batch: Sequence[Tuple] = []  # the partial batch
         self._closed = False
         self.count = 0  # matches emitted (producer side)
 
@@ -86,6 +95,26 @@ class StreamBuffer:
         if len(self._batch) >= self.batch_size:
             self._put(self._batch)
             self._batch = []
+
+    def emit_block(self, block: RowBlock) -> None:
+        """Cut a row block into the batches row-by-row ``emit`` would make."""
+        self.count += len(block)
+        size = self.batch_size
+        start = 0
+        if self._batch:
+            # Top the partial batch up first.
+            start = size - len(self._batch)
+            batch = self._batch + block[:start]
+            if len(batch) < size:
+                self._batch = batch
+                return
+            self._put(batch)
+            self._batch = []
+        stop = start + size
+        while stop <= len(block):
+            self._put(block[start:stop])
+            start, stop = stop, stop + size
+        self._batch = block[start:]
 
     def close(self) -> None:
         """Flush the partial batch and mark end-of-stream (idempotent).
@@ -116,7 +145,9 @@ class StreamBuffer:
                         pass
 
     # ----------------------------------------------------------- consumer
-    def next_batch(self, timeout: Optional[float] = None) -> Optional[List[Tuple]]:
+    def next_batch(
+        self, timeout: Optional[float] = None
+    ) -> Optional[Sequence[Tuple]]:
         """The next batch, ``None`` at end-of-stream.
 
         Raises ``queue.Empty`` when ``timeout`` elapses first.
@@ -127,7 +158,7 @@ class StreamBuffer:
             return None
         return item
 
-    def poll_batch(self) -> Optional[List[Tuple]]:
+    def poll_batch(self) -> Optional[Sequence[Tuple]]:
         """A batch if one is ready now, else ``[]``; ``None`` at end."""
         try:
             item = self._queue.get_nowait()
@@ -141,9 +172,14 @@ class StreamBuffer:
 
 @dataclass
 class FetchResult:
-    """One page of matches (the ``poll`` op's payload)."""
+    """One page of matches (the ``poll`` op's payload).
 
-    matches: List[Tuple]
+    ``matches`` is a :class:`~repro.engine.sinks.RowBlock` when the
+    stream is packed, a list of tuples otherwise; both read as a
+    sequence of row tuples.
+    """
+
+    matches: Sequence[Tuple]
     cursor: int  # position *after* these matches
     done: bool
 
@@ -192,7 +228,7 @@ class QueryHandle:
         self._lock = threading.Lock()
         # Pagination state (fetch): matches pulled off the stream but not
         # yet delivered, and the count delivered so far.
-        self._pending: List[Tuple] = []
+        self._pending: Sequence[Tuple] = []
         self._delivered = 0
         self._exhausted = False
         # One-page replay window: (cursor before the page, the page,
@@ -200,7 +236,7 @@ class QueryHandle:
         # lost in transit retries with the old cursor and gets the same
         # page back — at-least-once delivery over an unreliable hop
         # without ever re-running work.
-        self._replay: Optional[Tuple[int, List[Tuple], bool]] = None
+        self._replay: Optional[Tuple[int, Sequence[Tuple], bool]] = None
 
     # ------------------------------------------------------------ lifecycle
     def _mark(self, status: QueryStatus) -> None:
@@ -238,7 +274,7 @@ class QueryHandle:
         return self.buffer is not None
 
     # ------------------------------------------------------------- streaming
-    def batches(self) -> Iterator[List[Tuple]]:
+    def batches(self) -> Iterator[Sequence[Tuple]]:
         """Yield match batches until the stream ends (blocking)."""
         if self.buffer is None:
             raise InvalidQueryError(
@@ -280,7 +316,7 @@ class QueryHandle:
             if cursor is not None and cursor != self._delivered:
                 replay = self._replay
                 if replay is not None and cursor == replay[0]:
-                    page, done = list(replay[1]), replay[2]
+                    page, done = replay[1][:], replay[2]
                     if done:
                         self._raise_if_abnormal()
                     return FetchResult(
@@ -290,12 +326,15 @@ class QueryHandle:
                     f"cursor {cursor} is not the stream position "
                     f"({self._delivered}); streamed results cannot rewind"
                 )
-            out: List[Tuple] = []
+            # The page is the next ``limit`` rows of the stream: slices of
+            # the buffered batches, joined — never a row at a time.
+            out: Sequence[Tuple] = []
             while len(out) < limit:
                 if self._pending:
-                    take = min(limit - len(out), len(self._pending))
-                    out.extend(self._pending[:take])
-                    del self._pending[:take]
+                    take = limit - len(out)
+                    head = self._pending[:take]
+                    self._pending = self._pending[take:]
+                    out = out + head if out else head
                     continue
                 if self._exhausted:
                     break
@@ -315,13 +354,13 @@ class QueryHandle:
                         if final is None:
                             self._exhausted = True
                         else:
-                            self._pending.extend(final)
+                            self._pending = final
                         continue
                     break
-                self._pending.extend(batch)
+                self._pending = batch
             self._delivered += len(out)
             done = self._exhausted and not self._pending
-            self._replay = (self._delivered - len(out), list(out), done)
+            self._replay = (self._delivered - len(out), out[:], done)
         if done:
             self._raise_if_abnormal()
         return FetchResult(matches=out, cursor=self._delivered, done=done)

@@ -147,7 +147,7 @@ class RouterProtocol:
         if query.stream:
             page = query.fetch(limit=int(request.get("limit", 256)))
             return {
-                "matches": [list(m) for m in page.matches],
+                "matches": list(page.matches),
                 "cursor": page.cursor,
                 "done": page.done,
             }

@@ -44,6 +44,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 from ..engine.control import DeadlineExpired, QueryCancelled
+from ..engine.sinks import RowBlock
 from ..lang.lowering import lower_query
 from ..service.errors import InvalidQueryError, ServiceError
 from ..telemetry.events import (
@@ -84,6 +85,21 @@ def _raise_remote(response: dict, endpoint: str) -> None:
     raise ShardError(code, message, endpoint=endpoint)
 
 
+def _rows(matches: list) -> Sequence[tuple]:
+    """A poll response's decoded matches as a row sequence.
+
+    Integer rows re-pack into one :class:`RowBlock` (one C-level pass),
+    so the merged page is sliced, joined and re-encoded without touching
+    a row; anything else (string vertex ids) stays a list of tuples.
+    """
+    if not matches:
+        return []
+    try:
+        return RowBlock.from_rows(matches, len(matches[0]))
+    except (TypeError, OverflowError):
+        return [tuple(m) for m in matches]
+
+
 class _Slice:
     """One partition's routed slice: which replica runs it, and progress."""
 
@@ -103,7 +119,9 @@ class _Slice:
 class RouterFetchResult:
     """One merged page (mirrors the single-node ``FetchResult``)."""
 
-    def __init__(self, matches: List[tuple], cursor: int, done: bool) -> None:
+    def __init__(
+        self, matches: Sequence[tuple], cursor: int, done: bool
+    ) -> None:
         self.matches = matches
         self.cursor = cursor
         self.done = done
@@ -258,7 +276,7 @@ class RouterQuery:
                 f"cursor {cursor} is not the stream position ({self._cursor});"
                 " merged streams cannot rewind"
             )
-        out: List[tuple] = []
+        out: Sequence[tuple] = []
         while len(out) < limit and self._current < len(self._slices):
             if self._truncated:
                 break
@@ -276,16 +294,15 @@ class RouterQuery:
                     "cursor": s.delivered,
                 },
             )
-            got = [tuple(m) for m in response.get("matches", [])]
+            got = _rows(response.get("matches"))
             s.delivered += len(got)
-            out.extend(got)
+            if got:
+                out = out + got if out else got
             if (
                 self.limit is not None
                 and self._cursor + len(out) >= self.limit
             ):
-                overshoot = self._cursor + len(out) - self.limit
-                if overshoot:
-                    del out[-overshoot:]
+                out = out[: self.limit - self._cursor]
                 self._truncated = True
                 self._cancel_rest()
                 break

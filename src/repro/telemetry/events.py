@@ -31,7 +31,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Event",
@@ -203,9 +203,14 @@ class EventLog:
         self.capacity = capacity
         self._clock = clock
         self._ring: Deque[Event] = deque(maxlen=capacity)
-        self._sinks: List[Callable[[Event], None]] = []
+        # Copy-on-write: ``add_sink`` rebinds a new tuple, so ``emit``
+        # reads the current one without copying it per event.
+        self._sinks: Tuple[Callable[[Event], None], ...] = ()
         self._lock = threading.Lock()
         self.emitted = 0
+        #: ``benu_events_total{type}`` sample key per event type, resolved
+        #: the first time the type is emitted.
+        self._type_keys: Dict[str, tuple] = {}
         self._counter = (
             registry.counter(
                 M_EVENTS, help="lifecycle events emitted", labels=("type",)
@@ -216,9 +221,9 @@ class EventLog:
 
     # ------------------------------------------------------------------
     def add_sink(self, sink: Callable[[Event], None]) -> None:
-        """Register a callable invoked (under the log lock) per event."""
+        """Register a callable invoked once per event."""
         with self._lock:
-            self._sinks.append(sink)
+            self._sinks = self._sinks + (sink,)
 
     def emit(
         self,
@@ -235,12 +240,16 @@ class EventLog:
             task_id=task_id,
             fields=fields,
         )
+        counter = self._counter
         with self._lock:
             self._ring.append(event)
             self.emitted += 1
-            sinks = list(self._sinks)
-        if self._counter is not None:
-            self._counter.inc(type=type)
+            if counter is not None:
+                key = self._type_keys.get(type)
+                if key is None:
+                    key = self._type_keys[type] = counter.key(type=type)
+                counter.inc_key(key)
+            sinks = self._sinks
         for sink in sinks:
             sink(event)
         return event

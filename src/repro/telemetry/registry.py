@@ -69,6 +69,15 @@ class _Metric:
             )
         return tuple(str(labels[k]) for k in self.label_names)
 
+    def key(self, **labels: object) -> LabelKey:
+        """The sample key of one label set, validated once.
+
+        Per-call validation (a sort and a ``str`` per label) is most of
+        an ``inc``; a hot path resolves its few label sets up front and
+        counts through :meth:`Counter.inc_key`.
+        """
+        return self._key(labels)
+
     def labels_of(self, key: LabelKey) -> Dict[str, str]:
         return dict(zip(self.label_names, key))
 
@@ -115,6 +124,10 @@ class Counter(_Metric):
         if amount < 0:
             raise MetricError(f"counter {self.name!r} cannot decrease")
         key = self._key(labels)
+        self._values[key] = self._values.get(key, 0) + amount
+
+    def inc_key(self, key: LabelKey, amount: float = 1) -> None:
+        """:meth:`inc` for a label set already resolved by :meth:`key`."""
         self._values[key] = self._values.get(key, 0) + amount
 
     def value(self, **labels: object) -> float:

@@ -7,7 +7,10 @@ bundled pattern library:
   identical match multisets;
 * interpreter (the literal oracle, fed CSR views) vs compiled csr plans;
 * the execution-backend matrix — simulated / inline / process ×
-  frozenset / csr, byte-identical match sets for every bundled pattern.
+  frozenset / csr, byte-identical match sets for every bundled pattern;
+* the same matrix through the service for a streamed, a projected, a
+  limited and a grouped BENU-QL query — packed row blocks end to end
+  must deliver the rows the row-by-row path delivers, in its order.
 
 Any kernel dispatch bug, bounds-slice off-by-one, view-protocol gap or
 IPC envelope bug shows up here as a mismatch on some small pattern.
@@ -23,10 +26,12 @@ from repro.engine.config import (
 )
 from repro.engine.interpreter import interpret_all
 from repro.graph.generators import chung_lu, erdos_renyi
-from repro.graph.graph import star_graph
+from repro.graph.graph import Graph, star_graph
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import PATTERNS
+from repro.lang import run_query
 from repro.pattern.pattern_graph import PatternGraph
+from repro.service import BenuService
 
 from tests.test_exhaustive_small import PATTERNS_3, PATTERNS_4
 
@@ -135,6 +140,101 @@ class TestExecutionBackendMatrix:
             for backend in ("simulated", "process")
         }
         assert counts["simulated"] == counts["process"]
+
+
+class TestStreamedQueryMatrix:
+    """A streamed, projected, limited and grouped query per backend.
+
+    Every query runs twice through the same service: once with packing
+    switched off (``packs_rows`` forced False — one ``emit`` per RES
+    through the same sink chain, the path every stream took before row
+    blocks) and once as shipped.  The packed stream must be byte-identical
+    to the row-by-row one *in order* on every backend whose task order is
+    deterministic; a 2-process pool delivers chunks in arrival order, so
+    there the rows are compared as a multiset.  Both are also checked
+    against ``run_query`` (collect mode, projected and grouped in plain
+    python), which shares nothing with either streaming path.
+    """
+
+    STREAM = "MATCH (a)-(b), (b)-(c), (a)-(c) RETURN *"
+    PROJECT = "MATCH (a)-(b), (b)-(c), (c)-(d) RETURN d, a"
+    GROUPS = "MATCH (a)-(b), (b)-(c), (a)-(c) RETURN COUNT(*) GROUP BY b"
+    LIMIT = 17
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        # Ids far from 0..n-1, so the translation back is never the identity.
+        base = chung_lu(60, 5.0, exponent=2.3, seed=11)
+        return Graph((1000 + 7 * u, 1000 + 7 * v) for u, v in base.edges())
+
+    @staticmethod
+    def _bytes(rows):
+        return b"\n".join(b",".join(str(v).encode() for v in r) for r in rows)
+
+    def _answers(self, service):
+        """(rows, limited rows) per streamed query, and the group counts."""
+        out = {}
+        for text in (self.STREAM, self.PROJECT):
+            rows = list(service.submit_query(text, "g").matches())
+            limited = list(
+                service.submit_query(text, "g", limit=self.LIMIT).matches()
+            )
+            out[text] = (rows, limited)
+        handle = service.submit_query(self.GROUPS, "g")
+        assert handle.wait(timeout=60)
+        handle.result()
+        out[self.GROUPS] = handle.lang_groups
+        return out
+
+    @pytest.mark.parametrize(
+        "execution, workers, ordered",
+        [
+            ("simulated", 2, True),
+            ("inline", 2, True),
+            ("process", 1, True),
+            ("process", 2, False),
+        ],
+    )
+    @pytest.mark.parametrize("adjacency", ADJACENCY_BACKENDS)
+    def test_stream_project_limit_group(
+        self, graph, execution, workers, ordered, adjacency, monkeypatch
+    ):
+        from repro.engine.backends import process, simulated
+
+        config = BenuConfig(
+            execution_backend=execution,
+            adjacency_backend=adjacency,
+            num_workers=workers,
+            split_threshold=16,
+        )
+        # Small batches: every page crosses several of them.
+        with BenuService(config=config, batch_size=8) as service:
+            service.register_graph("g", graph)
+            packed = self._answers(service)
+            with monkeypatch.context() as patch:
+                for module in (simulated, process):
+                    patch.setattr(module, "packs_rows", lambda request: False)
+                by_row = self._answers(service)
+
+        oracle_config = BenuConfig(adjacency_backend=adjacency)
+        for text in (self.STREAM, self.PROJECT):
+            want = run_query(text, graph, oracle_config).matches
+            rows, limited = packed[text]
+            ref_rows, ref_limited = by_row[text]
+            assert want and sorted(rows) == sorted(want), text
+            assert len(limited) == self.LIMIT == len(set(limited))
+            assert set(limited) <= set(want)
+            if ordered:
+                assert self._bytes(rows) == self._bytes(ref_rows), text
+                assert self._bytes(limited) == self._bytes(ref_limited), text
+            else:
+                assert self._bytes(sorted(rows)) == self._bytes(sorted(ref_rows))
+
+        groups = packed[self.GROUPS]
+        assert groups == run_query(self.GROUPS, graph, oracle_config).groups
+        assert groups == by_row[self.GROUPS]
+        if ordered:
+            assert list(groups) == list(by_row[self.GROUPS])
 
 
 class TestInterpreterOracle:

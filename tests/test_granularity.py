@@ -33,6 +33,7 @@ from repro.engine.local_task import LocalSearchTask
 from repro.graph.generators import chung_lu
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import get_pattern
+from repro.plan.codegen import COUNTER_FIELDS
 from repro.service import BenuService
 
 
@@ -217,13 +218,17 @@ class TestChunkContract:
         plan = prepare_plan(get_pattern("triangle"), prepared, config)
         _init_worker(plan, "frozenset", prepared.graph, "collect", None)
         starts = [v for v in list(prepared.graph.vertices)[:5]]
-        base, records = _run_chunk((17, array("q", starts)))
+        base, record = _run_chunk((17, array("q", starts)))
         assert base == 17
-        assert len(records) == len(starts)
-        packed_base, packed_records = _run_chunk(
+        _pid, counters, walls, _delta, matches = record
+        assert len(walls) == len(starts)
+        assert len(counters) == len(starts) * len(COUNTER_FIELDS)
+        plain_base, plain_record = _run_chunk(
             (17, [LocalSearchTask(s) for s in starts])
         )
-        assert [r[0] for r in records] == [r[0] for r in packed_records]
+        assert plain_base == 17
+        assert plain_record[1] == counters
+        assert plain_record[4] == matches
         _worker_state.clear()
 
     def test_unsplit_int_tasks_pack_split_tasks_do_not(self):

@@ -161,23 +161,34 @@ class TestServiceWorkerCap:
                 service.worker_slots.release(1)
 
 
+#: Every task of every worker sleeps 20 ms on entry (``repro.faults``
+#: delay at ``worker.task``): the 1200-task query below cannot finish in
+#: under ten seconds however fast the backend gets, so a cancel or a
+#: deadline always lands on a *running* query — no wall-clock race.
+_SLOW_TASKS = "worker.task:delay@1x1000000~0.02"
+
+
 class TestInterruption:
     def test_cancel_interrupts_a_running_process_query(self, heavy_workload):
-        with BenuService(config=_process_config()) as service:
+        with BenuService(config=_process_config(faults=_SLOW_TASKS)) as service:
             service.register_graph("g", heavy_workload, relabel=False)
             handle = service.submit("q4", "g", stream=False)
-            time.sleep(0.5)  # let the pool spin up and start grinding
+            # The pool is up and grinding once the first chunk came home.
+            give_up = time.monotonic() + 30.0
+            while handle.progress.tasks_done == 0:
+                assert time.monotonic() < give_up and not handle.done
+                time.sleep(0.01)
             t0 = time.perf_counter()
             handle.cancel("enough")
             assert handle.wait(timeout=30.0)
             reaction = time.perf_counter() - t0
             assert handle.status is QueryStatus.CANCELLED
-            # The parent polls control every 0.1 s while draining; a whole
-            # q4 enumeration over this graph takes far longer than this.
+            # The parent polls control every 0.1 s while draining; the
+            # slowed enumeration takes far longer than this.
             assert reaction < 10.0
 
     def test_deadline_interrupts_a_running_process_query(self, heavy_workload):
-        with BenuService(config=_process_config()) as service:
+        with BenuService(config=_process_config(faults=_SLOW_TASKS)) as service:
             service.register_graph("g", heavy_workload, relabel=False)
             handle = service.submit("q4", "g", stream=False, deadline_seconds=0.6)
             assert handle.wait(timeout=30.0)
@@ -227,10 +238,15 @@ class TestServiceParity:
         from repro.engine.benu import run_benu
         from repro.telemetry import TelemetryConfig, validate_chrome_trace
 
+        # A 2 ms delay per task keeps the queue busy long enough that the
+        # second worker always gets a pull before the first drains it.
         result = run_benu(
             get_pattern("triangle"),
             workload,
-            _process_config(telemetry=TelemetryConfig(trace=True)),
+            _process_config(
+                telemetry=TelemetryConfig(trace=True),
+                faults="worker.task:delay@1x1000000~0.002",
+            ),
         )
         tracer = result.telemetry.tracer
         # Both pool workers reported spans, keyed by their real pid.

@@ -107,10 +107,11 @@ class TestServiceProgress:
             assert d["progress"]["embeddings"] == handle.result().count
 
     def test_stats_exposes_in_flight_progress(self, workload):
-        with BenuService() as service:
+        # A one-row stream buffer: the undrained query blocks on
+        # backpressure after its first rows, so it is in flight — and its
+        # progress visible in stats() — for as long as nobody drains it.
+        with BenuService(batch_size=1, max_buffered_batches=1) as service:
             service.register_graph("g", workload, relabel=False)
-            # An undrained streaming query blocks mid-run: progress is
-            # visible in stats() while it is in flight.
             handle = service.submit("clique4", "g", stream=True)
             try:
                 # Time-based wait (a bare spin can starve the query
@@ -134,7 +135,8 @@ class TestServiceProgress:
             assert handle.query_id not in service.stats()["progress"]
 
     def test_cancellation_freezes_progress_monotonically(self, workload):
-        with BenuService() as service:
+        # One-row buffer again: the query cannot finish before the cancel.
+        with BenuService(batch_size=1, max_buffered_batches=1) as service:
             service.register_graph("g", workload, relabel=False)
             handle = service.submit("clique4", "g", stream=True)
             before = handle.progress.fraction()
