@@ -108,9 +108,10 @@ class ExecutionBackend(abc.ABC):
     The contract: :meth:`execute` runs every task of ``request.plan``
     over ``request.graph``, emits matches to ``request.sink`` (already
     in execution-space ids — translation happens a layer up), honors
-    ``request.control`` at task boundaries (a cancel or expired deadline
-    raises the typed :class:`~repro.engine.control.ExecutionInterrupted`
-    out of this method; no partial result is returned), and returns a
+    ``request.control`` at task or chunk boundaries (a cancel or expired
+    deadline raises the typed
+    :class:`~repro.engine.control.ExecutionInterrupted` out of this
+    method; no partial result is returned), and returns a
     :class:`~repro.engine.results.BenuResult` whose ``telemetry``
     snapshot uses the canonical metric names of
     :mod:`repro.telemetry.snapshot`.
@@ -212,8 +213,7 @@ def record_worker_ledgers(
         ledger.cache_stats.record_to(registry, worker=wid)
         ledger.counters.record_to(registry, worker=wid)
         tasks_counter.inc(ledger.num_tasks, worker=wid)
-        for sim in ledger.task_sim_seconds:
-            task_hist.observe(sim, worker=wid)
+        task_hist.observe_many(ledger.task_sim_seconds, worker=wid)
     return {
         "counters": total_counters,
         "communication": communication,

@@ -39,7 +39,14 @@ Design notes
 * Control is threaded across the boundary as a shared ``Event``: the
   parent polls its :class:`~repro.engine.control.ExecutionControl` while
   draining results and trips the event on cancel/deadline; workers check
-  it at every task boundary and skip the remaining work.
+  it at every task boundary and skip the remaining work.  A pool left
+  early is never terminated with results in flight (``Pool.terminate()``
+  can deadlock mid-write): the parent keeps draining, and discarding,
+  until the workers have reported what they owe, then closes and joins
+  (``_retire_pool``).
+* Progress and lifecycle events are per arrived chunk record: one
+  ``task_dispatched`` per chunk at enqueue, one ``task_finished`` — its
+  first task id, how many tasks, their summed embeddings — on arrival.
 * Kernel-dispatch counts are measured per chunk as before/after snapshots
   of the worker's :data:`~repro.kernels.intersect.STATS`, so every chunk
   record is self-contained: a pool that restarts its workers (e.g.
@@ -84,7 +91,6 @@ from ...telemetry.events import (
 )
 from ...telemetry.registry import MetricsRegistry
 from ...telemetry.snapshot import M_TASK_RETRIES, M_WORKER_CRASHES
-from ..control import ExecutionInterrupted
 from ..granularity import fallback_chunksize, measured_chunksize
 from ..local_task import LocalSearchTask
 from ..results import BenuResult
@@ -527,7 +533,6 @@ class ProcessBackend(ExecutionBackend):
         recovery ledger: ``{"worker_crashes", "tasks_retried", "attempts"}``.
         """
         ctx = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
-        cancel_event = ctx.Event()
         size = self._chunksize(
             len(tasks), num_workers, task_cost_hint, chunk_target_seconds
         )
@@ -538,19 +543,19 @@ class ProcessBackend(ExecutionBackend):
         if events.enabled:
             # The whole queue is handed to the pool up front; dispatch is
             # the enqueue instant, finish events arrive per record below.
-            for i in range(len(tasks)):
-                events.emit(EV_TASK_DISPATCHED, task_id=i)
+            for base, packed in pending.items():
+                events.emit(EV_TASK_DISPATCHED, task_id=base, tasks=len(packed))
         attempt = 0
         crashes: Dict[int, int] = {}
         tasks_retried = 0
         while True:
             dead = self._drive_pool(
                 ctx,
-                (
+                lambda cancel_event: (
                     plan, adjacency_backend, payload, mode, cancel_event,
                     trace, pack, _vec.CROSSOVER, faults, attempt,
                 ),
-                cancel_event, pending, control, consume, num_workers,
+                pending, control, consume, num_workers,
             )
             if not pending:
                 break
@@ -560,7 +565,7 @@ class ProcessBackend(ExecutionBackend):
             lost = [
                 base + offset
                 for base in sorted(pending)
-                for offset in range(self._chunk_task_count(pending[base]))
+                for offset in range(len(pending[base]))
             ]
             for pid, code in dead.items():
                 if pid not in crashes and events.enabled:
@@ -587,9 +592,16 @@ class ProcessBackend(ExecutionBackend):
     #: chunks are resubmitted.  Class attribute so tests can tighten it.
     worker_grace_seconds = 0.5
 
+    #: Seconds a pool that is being wound down early (a cancel, a
+    #: deadline, a LIMIT reached, a dead worker) is given to report the
+    #: chunks it still owes before it is terminated regardless.  Workers
+    #: stop at their next task boundary, so the wait is as long as the
+    #: longest task still running: this is the most a cancel, a deadline
+    #: or a LIMIT waits on top of noticing it.
+    retire_grace_seconds = 5.0
+
     def _drive_pool(
-        self, ctx, initargs, cancel_event, pending, control, consume,
-        num_workers,
+        self, ctx, make_initargs, pending, control, consume, num_workers,
     ) -> Dict[int, int]:
         """One pool lifecycle over the pending chunks; ack what arrives.
 
@@ -598,38 +610,108 @@ class ProcessBackend(ExecutionBackend):
         is not a crash).  The pool's own maintenance thread silently
         replaces dead workers but never resubmits the chunk that died
         with one — so after a death, once no result has arrived for
-        ``worker_grace_seconds``, the pool is abandoned: the context exit
-        terminates it and the caller resubmits the unacknowledged chunks.
+        ``worker_grace_seconds``, the pool is abandoned and the caller
+        resubmits the unacknowledged chunks.  However the loop is left,
+        :meth:`_retire_pool` winds the pool down.
         """
         chunks = [(base, pending[base]) for base in sorted(pending)]
         tracked: Dict[int, object] = {}
         dead: Dict[int, int] = {}
         last_arrival = _time.monotonic()
-        with ctx.Pool(
+        # One event per pool: tripping it stops this pool's workers at
+        # their next task boundary and leaves a retry pool untouched.
+        cancel_event = ctx.Event()
+        pool = ctx.Pool(
             processes=num_workers,
             initializer=_init_worker,
-            initargs=initargs,
+            initargs=make_initargs(cancel_event),
             maxtasksperchild=self.maxtasksperchild,
-        ) as pool:
+        )
+        results = None
+        owed = len(chunks)
+        try:
             # Track the original workers *before* any can die: the pool's
             # maintenance thread joins and replaces dead workers within
             # milliseconds, so a lazy first scan would only ever see the
             # healthy replacements.
             self._scan_workers(pool, tracked, dead)
             results = pool.imap_unordered(_run_chunk, chunks, chunksize=1)
-            try:
-                while pending:
+            while pending:
+                try:
+                    base, record = results.next(timeout=0.1)
+                except StopIteration:
+                    # Every submitted chunk reported in, but some may
+                    # have reported lost-chunk markers.
+                    break
+                except mp.TimeoutError:
+                    # Nothing arrived: the deadline can still expire and
+                    # a cancel can still land — keep the control live.
+                    if control is not None:
+                        control.check()
+                    self._scan_workers(pool, tracked, dead)
+                    if dead and (
+                        _time.monotonic() - last_arrival
+                        > self.worker_grace_seconds
+                    ):
+                        break
+                    continue
+                owed -= 1
+                last_arrival = _time.monotonic()
+                if base not in pending:
+                    # Exactly-once: a stale duplicate of a chunk already
+                    # acknowledged on an earlier attempt.
+                    continue
+                if isinstance(record, str):
+                    # Injected lost-result marker: the chunk's work is
+                    # gone; leave it pending for the retry pass.
+                    continue
+                del pending[base]
+                consume(base, record)
+                if control is not None:
+                    control.check()
+            self._scan_workers(pool, tracked, dead)
+        finally:
+            self._retire_pool(
+                pool, results, cancel_event, owed, tracked, dead, last_arrival
+            )
+        return dead
+
+    def _retire_pool(
+        self, pool, results, cancel_event, owed, tracked, dead, last_arrival
+    ):
+        """Wind a pool down without ever terminating it mid-write.
+
+        ``Pool.terminate()`` deadlocks when a worker is writing a result
+        at that moment: the pool's result thread has stopped reading, the
+        writer blocks on the full pipe holding the queue's write lock, and
+        the task thread waits for that lock forever.  So a pool that still
+        owes chunk results — the run was interrupted (cancel, deadline,
+        LIMIT) or abandoned (a dead worker) — is first told to stop (its
+        workers skip their remaining tasks at the next task boundary, so
+        the chunks they owe come back at once, short) and drained,
+        discarding what arrives, until the result iterator is exhausted:
+        every chunk has reported, nobody is writing, and the pool is
+        closed and joined.
+
+        The iterator never finishes when a chunk died with its worker —
+        and which chunks, or how many, a dead worker held is not knowable
+        from here (it may have died idle).  With a dead worker on the
+        books the drain therefore ends the way :meth:`_drive_pool`
+        declares such a pool lost: no arrival for ``worker_grace_seconds``.
+        Then, or when ``retire_grace_seconds`` run out with a worker still
+        inside one long task, the pool is terminated: the last resort.
+        """
+        try:
+            if owed and results is not None:
+                cancel_event.set()
+                deadline = _time.monotonic() + self.retire_grace_seconds
+                while owed and _time.monotonic() < deadline:
                     try:
-                        base, record = results.next(timeout=0.1)
+                        results.next(timeout=0.05)
                     except StopIteration:
-                        # Every submitted chunk reported in, but some may
-                        # have reported lost-chunk markers.
+                        owed = 0
                         break
                     except mp.TimeoutError:
-                        # Nothing arrived: the deadline can still expire and
-                        # a cancel can still land — keep the control live.
-                        if control is not None:
-                            control.check()
                         self._scan_workers(pool, tracked, dead)
                         if dead and (
                             _time.monotonic() - last_arrival
@@ -637,27 +719,16 @@ class ProcessBackend(ExecutionBackend):
                         ):
                             break
                         continue
+                    except Exception:  # noqa: BLE001 - a failed chunk reported in too
+                        pass
+                    owed -= 1
                     last_arrival = _time.monotonic()
-                    if base not in pending:
-                        # Exactly-once: a stale duplicate of a chunk already
-                        # acknowledged on an earlier attempt.
-                        continue
-                    if isinstance(record, str):
-                        # Injected lost-result marker: the chunk's work is
-                        # gone; leave it pending for the retry pass.
-                        continue
-                    del pending[base]
-                    consume(base, record)
-                    if control is not None:
-                        control.check()
-            except ExecutionInterrupted:
-                # Trip the shared event so workers mid-chunk stop at their
-                # next task boundary; leaving the pool context then
-                # terminates whatever is left.
-                cancel_event.set()
-                raise
-            self._scan_workers(pool, tracked, dead)
-        return dead
+        finally:
+            if owed == 0:
+                pool.close()
+            else:
+                pool.terminate()
+            pool.join()
 
     @staticmethod
     def _scan_workers(pool, tracked: Dict[int, object], dead: Dict[int, int]) -> None:
@@ -674,11 +745,6 @@ class ProcessBackend(ExecutionBackend):
             code = proc.exitcode
             if code is not None and code != 0 and pid not in dead:
                 dead[pid] = code
-
-    @staticmethod
-    def _chunk_task_count(packed) -> int:
-        """How many tasks a packed chunk carries (array or task list)."""
-        return len(packed)
 
     @staticmethod
     def _pack_tasks(tasks: List[LocalSearchTask]):
@@ -703,18 +769,17 @@ class ProcessBackend(ExecutionBackend):
         if not (progress.enabled or events.enabled):
             return
         pid, counters, walls = record[:3]
-        for offset, (results, wall) in enumerate(
-            zip(counters[RESULTS::_NUM_COUNTERS], walls)
-        ):
-            progress.task_done(embeddings=results)
-            if events.enabled:
-                events.emit(
-                    EV_TASK_FINISHED,
-                    task_id=base + offset,
-                    worker_pid=pid,
-                    embeddings=results,
-                    wall_seconds=wall,
-                )
+        embeddings = sum(counters[RESULTS::_NUM_COUNTERS])
+        progress.task_done(embeddings=embeddings, tasks=len(walls))
+        if events.enabled:
+            events.emit(
+                EV_TASK_FINISHED,
+                task_id=base,
+                tasks=len(walls),
+                worker_pid=pid,
+                embeddings=embeddings,
+                wall_seconds=sum(walls),
+            )
 
     # ------------------------------------------------------------------
     def _finalize(

@@ -6,6 +6,12 @@ worker executes its tasks against its shared database cache, on simulated
 threads.  The job makespan is the slowest worker's makespan — exactly the
 quantity Figs. 9 and 10 plot.
 
+The task loop keeps its books per *chunk* — a run of consecutive tasks
+closed by counted work (:data:`CHUNK_WORK`) or by buffered rows — not per
+task: a served query is a few hundred tasks of tens of microseconds, and
+a control check, two events, a progress tick and a row flush per task
+cost a quarter of its wall (see :meth:`SimulatedBackend._run_chunks`).
+
 Telemetry: every run builds a fresh
 :class:`~repro.telemetry.registry.MetricsRegistry`, populated at end-of-run
 from the per-worker stats ledgers (so the default, hook-free path stays as
@@ -23,12 +29,12 @@ from array import array
 from typing import Callable, List, Optional
 
 from ...kernels.intersect import STATS as KERNEL_STATS, KernelStats
-from ...plan.codegen import RESULTS, compile_plan
+from ...plan.codegen import ENU_STEPS, INT_OPS, RESULTS, compile_plan
 from ...storage.kvstore import DistributedKVStore
 from ...telemetry.registry import DEFAULT_BYTES_BUCKETS, MetricsRegistry
 from ...telemetry.snapshot import H_DB_QUERY_BYTES
 from ..results import BenuResult
-from ..sinks import block_emitter, row_blocks
+from ..sinks import BLOCK_ROWS, LimitSink, block_emitter, row_blocks
 from ..worker import Worker
 from ...telemetry.events import EV_TASK_DISPATCHED, EV_TASK_FINISHED
 from .base import (
@@ -41,6 +47,19 @@ from .base import (
     record_worker_ledgers,
     resolve_tasks,
 )
+
+
+#: Work after which a chunk of tasks closes.  A chunk is the unit of
+#: bookkeeping of the in-process backends — one control check, one event
+#: pair, one progress tick, one row flush — and its other cap is
+#: ``BLOCK_ROWS`` buffered rows.  A task's work is the INT + ENU executions
+#: it counted plus ``TASK_WORK`` for starting it at all (a start vertex
+#: without candidates counts nothing, and a run of those must still close
+#: its chunk).  The budget is a few milliseconds of compiled execution on
+#: the reference box, so a cancel or a deadline is noticed within one
+#: budget plus one task.
+CHUNK_WORK = 20_000
+TASK_WORK = 32
 
 
 def build_store(request: ExecutionRequest) -> DistributedKVStore:
@@ -87,22 +106,94 @@ class SimulatedBackend(ExecutionBackend):
         return compiled
 
     # ------------------------------------------------------------------
+    @staticmethod
+    def _run_chunks(request, tasks, workers, runner, vset, emit, emit_block):
+        """The task loop, with every piece of bookkeeping done per chunk.
+
+        Tasks run in the global task order, task ``i`` on worker
+        ``i % num_workers`` (round-robin, as the paper distributes tasks
+        evenly).  A *chunk* is a run of consecutive tasks: it closes once
+        the work its tasks counted reaches :data:`CHUNK_WORK`, or once its
+        packed row buffer holds :data:`~repro.engine.sinks.BLOCK_ROWS`
+        rows — so where the boundaries fall is a pure function of (graph,
+        plan), a heavy task is its own chunk, and buffered rows stay
+        bounded.  The control is
+        checked, the ``task_dispatched``/``task_finished`` events emitted,
+        the progress ticked and the row buffer flushed once per chunk.
+        """
+        control = request.control
+        events = request.telemetry.events
+        progress = request.progress
+        cost_model = request.config.cost_model
+        width = request.plan.pattern.n
+        row_cap = BLOCK_ROWS * width
+        num_workers = len(workers)
+        num_tasks = len(tasks)
+
+        def db_seconds() -> float:
+            return sum(w.query_stats.simulated_seconds for w in workers)
+
+        i = 0
+        while i < num_tasks:
+            if control is not None:
+                control.check()
+            first = i
+            if events.enabled:
+                events.emit(EV_TASK_DISPATCHED, task_id=first)
+                db_before = db_seconds()
+            rows = array("q")  # stays empty unless the run packs
+            if emit_block is not None:
+                emit = rows.extend
+            raws = []
+            work = 0
+            while i < num_tasks:
+                raw = workers[i % num_workers].execute_task(
+                    runner, tasks[i], vset, emit
+                )
+                i += 1
+                raws.append(raw)
+                work += raw[INT_OPS] + raw[ENU_STEPS] + TASK_WORK
+                if work >= CHUNK_WORK or len(rows) >= row_cap:
+                    break
+            if rows:
+                for block in row_blocks(rows, width):
+                    emit_block(block)
+            totals = tuple(map(sum, zip(*raws)))
+            progress.task_done(embeddings=totals[RESULTS], tasks=i - first)
+            if events.enabled:
+                events.emit(
+                    EV_TASK_FINISHED,
+                    task_id=first,
+                    tasks=i - first,
+                    embeddings=totals[RESULTS],
+                    sim_seconds=cost_model.task_seconds(
+                        totals, db_seconds() - db_before
+                    ),
+                )
+        # The final chunk has no next boundary.  A LIMIT it reached (inside
+        # a single-chunk query, say) still has to report as one; a cancel
+        # or a deadline that lands this late finds every task run and
+        # every row delivered, and the result stands.
+        if (
+            control is not None
+            and control.cancelled
+            and control.reason == LimitSink.REASON
+        ):
+            control.check()
+
+    # ------------------------------------------------------------------
     def execute(self, request: ExecutionRequest) -> BenuResult:
         config = request.config
         plan = request.plan
-        control = request.control
         telemetry = request.telemetry
         tracer = telemetry.tracer
         registry = MetricsRegistry()
         wall0 = _time.perf_counter()
 
-        events = telemetry.events
-        progress = request.progress
-
         store = build_store(request)
         vset = store_vset(store, request.graph)
         tasks = resolve_tasks(request, tracer)
-        progress.set_total_tasks(len(tasks))
+        request.progress.set_total_tasks(len(tasks))
 
         mode = request.mode
         profiler = telemetry.make_profiler(registry)
@@ -111,13 +202,12 @@ class SimulatedBackend(ExecutionBackend):
         collected: Optional[list] = (
             [] if config.collect and not request.streaming else None
         )
-        # A streamed run that packs appends each task's matches to a flat
-        # buffer (RES -> ``array.extend``) and hands the sink one row block
-        # at the task boundary; any other run emits a tuple per RES.
+        # A streamed run that packs appends each chunk's matches to a flat
+        # buffer (RES -> ``array.extend``) and hands the sink row blocks at
+        # the chunk boundary; any other run emits a tuple per RES.
         emit_block = None
         if request.streaming and packs_rows(request):
             emit_block = block_emitter(request.sink)
-            width = plan.pattern.n
             emit: Optional[Callable] = None
         elif request.streaming:
             emit = request.sink.emit
@@ -154,36 +244,9 @@ class SimulatedBackend(ExecutionBackend):
                     )
                     for i in range(config.num_workers)
                 ]
-                # Round-robin shuffle, as the paper distributes tasks evenly.
-                for i, task in enumerate(tasks):
-                    if control is not None:
-                        control.check()
-                    worker = workers[i % len(workers)]
-                    if events.enabled:
-                        events.emit(
-                            EV_TASK_DISPATCHED,
-                            task_id=i,
-                            worker=worker.worker_id,
-                        )
-                    if emit_block is None:
-                        raw, sim = worker.execute_task(runner, task, vset, emit)
-                    else:
-                        rows = array("q")
-                        raw, sim = worker.execute_task(
-                            runner, task, vset, rows.extend
-                        )
-                        if rows:
-                            for block in row_blocks(rows, width):
-                                emit_block(block)
-                    progress.task_done(embeddings=raw[RESULTS])
-                    if events.enabled:
-                        events.emit(
-                            EV_TASK_FINISHED,
-                            task_id=i,
-                            worker=worker.worker_id,
-                            embeddings=raw[RESULTS],
-                            sim_seconds=sim,
-                        )
+                self._run_chunks(
+                    request, tasks, workers, runner, vset, emit, emit_block
+                )
                 for w in workers:
                     tracer.add_span(
                         f"worker-{w.worker_id}",

@@ -194,10 +194,11 @@ def execute_plan(
 
     ``worker_caches`` keeps worker database caches warm across calls;
     ``sink`` streams matches — already translated to original ids —
-    instead of collecting them; ``control`` is checked at every task
-    boundary, on whichever side of the process boundary the tasks run;
-    ``progress`` (a :class:`repro.telemetry.QueryProgress`) is updated at
-    the same granularity, so a concurrent poller sees live completion;
+    instead of collecting them; ``control`` is checked at every boundary
+    between chunks of tasks, on whichever side of the process boundary
+    the tasks run; ``progress`` (a :class:`repro.telemetry.QueryProgress`)
+    is updated at the same granularity, so a concurrent poller sees live
+    completion;
     ``task_cost_hint`` (a previous run's ``mean_task_wall_seconds``) lets
     the process backend right-size its queue chunks instead of using the
     cold-start heuristic; ``start_vertices`` restricts task generation to

@@ -70,7 +70,8 @@ class SimulatedCluster:
         instead of collecting them in memory; when given, the result's
         ``matches``/``codes`` stay None regardless of ``config.collect``.
 
-        ``control`` is checked once per task boundary: a cancel or an
+        ``control`` is checked once per chunk of tasks (see
+        :data:`repro.engine.backends.simulated.CHUNK_WORK`): a cancel or an
         expired deadline raises the corresponding typed
         :class:`~repro.engine.control.ExecutionInterrupted` out of this
         method (no partial result is returned).  ``worker_caches`` hands

@@ -106,6 +106,11 @@ class ExecutionControl:
         return self._cancelled.is_set()
 
     @property
+    def reason(self) -> str:
+        """The reason the latest :meth:`cancel` gave."""
+        return self._reason
+
+    @property
     def expired(self) -> bool:
         return self._deadline_at is not None and time.monotonic() > self._deadline_at
 

@@ -8,9 +8,10 @@ The block contract
 ------------------
 Uncompressed matches over integer vertices are fixed-width rows of
 int64s, and they travel *packed*: the compiled plan's RES appends each
-match to a per-task ``array('q')``, and at the task boundary the backend
-hands the whole :class:`RowBlock` to the sink's ``emit_block(block)`` —
-one call per task (or per worker chunk), not one per match.
+match to a per-chunk ``array('q')``, and at the chunk boundary the backend
+hands the buffer to the sink's ``emit_block(block)`` as
+:class:`RowBlock` objects — a call or a few per chunk of tasks (or per
+worker chunk), not one per match.
 
 * A **backend** calls ``emit_block`` (through :func:`block_emitter`) when
   the run packs — uncompressed plan, int vertices — and ``emit`` once per
@@ -338,8 +339,8 @@ class LimitSink:
 
     Pairs with an :class:`~repro.engine.control.ExecutionControl` handed
     to the executor: once the limit is reached the control is cancelled,
-    so the job stops at the next task boundary instead of enumerating
-    everything.  Results past the limit within the current task are
+    so the job stops at the next chunk boundary instead of enumerating
+    everything.  Results past the limit within the current chunk are
     dropped, keeping the delivered count exact.
     """
 

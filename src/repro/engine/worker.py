@@ -5,6 +5,11 @@ threads, a communication ledger, and per-thread simulated clocks.  Task
 execution is real (the compiled plan actually runs); *time* is simulated
 deterministically from the measured instruction counters and the latency
 model, so scalability and skew figures are reproducible run to run.
+
+Running a task records only what cannot be recomputed — its raw counters,
+the DB round-trip seconds it caused, its wall time.  Simulated seconds,
+the thread schedule and everything built on them are a pure function of
+that log and are derived when somebody asks, once, at end of run.
 """
 
 from __future__ import annotations
@@ -65,23 +70,26 @@ class Worker:
                 policy=config.cache_policy,
             )
             self._cache_base = CacheStats()
-        # Per-task bookkeeping stays flat — the raw counter tuple the
-        # plan returned, two floats, the placement — and becomes
-        # TaskReport / TaskCounters objects only when somebody asks.
-        self._tasks: List[LocalSearchTask] = []
-        self._raw: List[Tuple[int, ...]] = []
-        self._walls: List[float] = []
-        self._placements: List[Tuple[float, int]] = []
-        #: Simulated seconds per executed task, in execution order.
-        self.task_sim_seconds: List[float] = []
-        #: Total wall time actually spent running this worker's tasks.
-        self.wall_seconds = 0.0
+        # An unbounded cache never reads its replacement order: compiled
+        # plans get the entry table's own lookup and the hits are settled
+        # per task from the DBQ count (see ``uncounted_getter``).
+        fast = self.cache.uncounted_getter()
+        self._get_adj = fast if fast is not None else self.cache.get
+        self._credit_lookups = fast is not None
+        #: Per executed task, only what cannot be recomputed: (task, raw
+        #: counter tuple, DB-sim seconds, wall seconds).  Simulated
+        #: seconds, the LPT schedule, ``TaskReport``s and the tracer's
+        #: timeline slices are derived from it when somebody asks.
+        self._log: List[Tuple[LocalSearchTask, Tuple[int, ...], float, float]] = []
         #: Optional telemetry tracer; tasks are recorded as slices on the
         #: simulated timeline (one track per worker thread).
         self._tracer = tracer if (tracer is not None and tracer.enabled) else None
+        # The derived schedule, extended over new log entries on demand.
         # Greedy LPT assignment over a min-heap of (load, thread) pairs;
-        # ties break toward the lowest thread id, so the schedule is
-        # deterministic for equal loads.
+        # ties break toward the lowest thread id, so the schedule is a
+        # pure function of the simulated-seconds sequence.
+        self._sims: List[float] = []
+        self._placements: List[Tuple[float, int]] = []
         self._thread_loads: List[float] = [0.0] * config.threads_per_worker
         self._load_heap: List[tuple] = [
             (0.0, t) for t in range(config.threads_per_worker)
@@ -94,80 +102,99 @@ class Worker:
         task: LocalSearchTask,
         vset: FrozenSet[int],
         emit: Optional[Callable] = None,
-    ) -> Tuple[Tuple[int, ...], float]:
-        """Run one task; account simulated and wall time.
-
-        Returns the task's raw counters (``COUNTER_FIELDS`` order) and
-        its simulated seconds.
-        """
-        db_before = self.query_stats.simulated_seconds
+    ) -> Tuple[int, ...]:
+        """Run one task; returns its raw counters (``COUNTER_FIELDS`` order)."""
+        query_stats = self.query_stats
+        db_before = query_stats.simulated_seconds
+        misses_before = self.cache.stats.misses
         t0 = _time.perf_counter()
         raw = compiled.run_raw(
             task.start,
-            self.cache.get,
+            self._get_adj,
             vset=vset,
             emit=emit,
             tcache={},
             candidate_override=task.candidate_slice,
         )
         wall = _time.perf_counter() - t0
-        db_seconds = self.query_stats.simulated_seconds - db_before
-        sim = self.config.cost_model.task_seconds(raw, db_seconds)
+        if self._credit_lookups:
+            self.cache.credit_lookups(raw[DBQ_OPS], misses_before)
+        self._log.append(
+            (task, raw, query_stats.simulated_seconds - db_before, wall)
+        )
+        return raw
 
-        # Assign to the least-loaded simulated thread.
-        sim_start, tid = heapq.heappop(self._load_heap)
-        heapq.heappush(self._load_heap, (sim_start + sim, tid))
-        self._thread_loads[tid] += sim
-
-        self._tasks.append(task)
-        self._raw.append(raw)
-        self._walls.append(wall)
-        self._placements.append((sim_start, tid))
-        self.task_sim_seconds.append(sim)
-        self.wall_seconds += wall
-        if self._tracer is not None:
-            self._tracer.add_sim_slice(
-                f"worker-{self.worker_id}/thread-{tid}",
-                f"task v={task.start}",
-                sim_start,
-                sim,
-                args={
-                    "results": raw[RESULTS],
-                    "dbq_ops": raw[DBQ_OPS],
-                    "wall_seconds": wall,
-                },
-            )
-        return raw, sim
+    def _schedule(self) -> None:
+        """Extend the simulated schedule over the tasks run since last asked."""
+        done = len(self._sims)
+        if done == len(self._log):
+            return
+        task_seconds = self.config.cost_model.task_seconds
+        heap, loads, tracer = self._load_heap, self._thread_loads, self._tracer
+        for task, raw, db_seconds, wall in self._log[done:]:
+            sim = task_seconds(raw, db_seconds)
+            # Assign to the least-loaded simulated thread.
+            sim_start, tid = heapq.heappop(heap)
+            heapq.heappush(heap, (sim_start + sim, tid))
+            loads[tid] += sim
+            self._sims.append(sim)
+            self._placements.append((sim_start, tid))
+            if tracer is not None:
+                tracer.add_sim_slice(
+                    f"worker-{self.worker_id}/thread-{tid}",
+                    f"task v={task.start}",
+                    sim_start,
+                    sim,
+                    args={
+                        "results": raw[RESULTS],
+                        "dbq_ops": raw[DBQ_OPS],
+                        "wall_seconds": wall,
+                    },
+                )
 
     # ------------------------------------------------------------------
     @property
     def num_tasks(self) -> int:
-        return len(self._raw)
+        return len(self._log)
+
+    @property
+    def wall_seconds(self) -> float:
+        """Total wall time actually spent running this worker's tasks."""
+        return sum(entry[3] for entry in self._log)
+
+    @property
+    def task_sim_seconds(self) -> List[float]:
+        """Simulated seconds per executed task, in execution order."""
+        self._schedule()
+        return self._sims
 
     @property
     def reports(self) -> List[TaskReport]:
         """One :class:`TaskReport` per executed task, built on demand."""
+        self._schedule()
         return [
             TaskReport(task, TaskCounters.from_tuple(raw), sim, wall, tid, start)
-            for task, raw, sim, wall, (start, tid) in zip(
-                self._tasks,
-                self._raw,
-                self.task_sim_seconds,
-                self._walls,
-                self._placements,
+            for (task, raw, _db, wall), sim, (start, tid) in zip(
+                self._log, self._sims, self._placements
             )
         ]
 
     # ------------------------------------------------------------------
     @property
+    def thread_loads(self) -> List[float]:
+        """Simulated seconds scheduled on each working thread."""
+        self._schedule()
+        return self._thread_loads
+
+    @property
     def makespan_seconds(self) -> float:
         """Simulated completion time of this worker (max thread load)."""
-        return max(self._thread_loads) if self._thread_loads else 0.0
+        return max(self.thread_loads)
 
     @property
     def busy_seconds(self) -> float:
         """Total simulated work executed on this worker."""
-        return sum(self._thread_loads)
+        return sum(self.thread_loads)
 
     @property
     def cache_stats(self) -> CacheStats:
@@ -181,4 +208,4 @@ class Worker:
         )
 
     def total_counters(self) -> TaskCounters:
-        return TaskCounters(*map(sum, zip(*self._raw)))
+        return TaskCounters(*map(sum, zip(*(entry[1] for entry in self._log))))

@@ -49,7 +49,9 @@ COUNTER_FIELDS = (
     "results",      # RES executions
 )
 #: Positions the per-task loops read straight off a raw counter tuple.
+INT_OPS = COUNTER_FIELDS.index("int_ops")
 DBQ_OPS = COUNTER_FIELDS.index("dbq_ops")
+ENU_STEPS = COUNTER_FIELDS.index("enu_steps")
 RESULTS = COUNTER_FIELDS.index("results")
 
 
@@ -568,6 +570,12 @@ def compile_plan(
     :func:`generate_source`); ``get_adj`` must then serve sorted
     adjacency views, e.g. from a csr-backed store.
 
+    An instrumented, unprofiled compile — what every execution backend
+    asks for — is memoised on the plan per ``(mode, backend)``, so a plan
+    served from a plan cache is generated and compiled once, not once per
+    query.  The memo entry remembers the instructions and constants it was
+    compiled from and is ignored once the plan no longer has them.
+
     >>> from repro.graph.patterns import TRIANGLE
     >>> from repro.graph.graph import complete_graph
     >>> from repro.pattern.pattern_graph import PatternGraph
@@ -581,6 +589,13 @@ def compile_plan(
     >>> total  # 4 triangles in K4, symmetry breaking dedups automorphisms
     4
     """
+    memo = None
+    if instrument and profiler is None:
+        compiled_from = (tuple(plan.instructions), dict(plan.constants))
+        memo = plan.__dict__.setdefault("_compiled", {})
+        hit = memo.get((mode, backend))
+        if hit is not None and hit[0] == compiled_from:
+            return hit[1]
     source = generate_source(
         plan,
         mode=mode,
@@ -616,7 +631,7 @@ def compile_plan(
     code = compile(source, f"<benu-plan:{plan.pattern.name}>", "exec")
     exec(code, namespace)  # noqa: S102 - trusted generated code
     function = namespace["_benu_task"]
-    return CompiledPlan(
+    compiled = CompiledPlan(
         plan=plan,
         mode=mode,
         instrumented=instrument,
@@ -625,3 +640,6 @@ def compile_plan(
         profiled=profiler is not None,
         backend=backend,
     )
+    if memo is not None:
+        memo[(mode, backend)] = (compiled_from, compiled)
+    return compiled

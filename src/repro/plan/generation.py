@@ -61,6 +61,13 @@ class ExecutionPlan:
 
         return format_plan(self.instructions)
 
+    def __getstate__(self) -> dict:
+        # ``compile_plan`` parks its memo on the instance; generated
+        # functions neither pickle nor belong to a copy of the plan.
+        state = dict(self.__dict__)
+        state.pop("_compiled", None)
+        return state
+
     # ------------------------------------------------------------------
     @property
     def enu_count(self) -> int:

@@ -7,6 +7,13 @@ the data-graph size), with LRU replacement capturing the intra-task
 locality of the backtracking search and the sharing capturing inter-task
 locality around hot high-degree vertices.
 
+An *unbounded* cache (the paper's default setup: 30 GB, more than any
+graph here) never evicts, so nothing ever reads its replacement order;
+its hit path is then a plain dict lookup
+(:meth:`LRUDatabaseCache.uncounted_getter`) and the hits are settled per
+task from the DBQ count.  The bounded cache — the Fig. 8 regime — pays
+for its policy on every hit.
+
 The triangle cache (Optimization 3) is just a dict created fresh per local
 search task: every key contains the task's start vertex, so entries cannot
 help any other task and the dict's lifetime bounds its size by d(start).
@@ -74,6 +81,25 @@ class CacheStats:
         ).inc(self.evictions, **labels)
 
 
+class _SelfLoadingEntries(dict):
+    """Entry table of an unbounded cache: a missing key loads itself.
+
+    ``table[key]`` on a cached key is a plain dict lookup; on any other
+    key ``__missing__`` fetches the value from the store, admits it and
+    counts the miss.  (``dict.get`` never calls ``__missing__``, so
+    :meth:`LRUDatabaseCache.get` sees an ordinary dict.)
+    """
+
+    __slots__ = ("cache",)
+
+    def __missing__(self, key: Vertex):
+        cache = self.cache
+        cache.stats.misses += 1
+        value = cache.store.get(key, cache.query_stats)
+        cache._admit(key, value)
+        return value
+
+
 class LRUDatabaseCache:
     """Byte-capacity cache over a :class:`DistributedKVStore`.
 
@@ -109,6 +135,9 @@ class LRUDatabaseCache:
         self.policy_name = policy
         self._policy = make_policy(policy)
         self._entries: Dict[Vertex, FrozenSet[Vertex]] = {}
+        if capacity_bytes is None:
+            self._entries = _SelfLoadingEntries()
+            self._entries.cache = self
         self._entry_bytes = {}
         self._used_bytes = 0
 
@@ -159,6 +188,37 @@ class LRUDatabaseCache:
     def as_getter(self) -> Callable[[Vertex], FrozenSet[Vertex]]:
         """The ``get_adj`` callable handed to compiled plans."""
         return self.get
+
+    def uncounted_getter(self) -> Optional[Callable[[Vertex], FrozenSet[Vertex]]]:
+        """A ``get_adj`` that counts misses but not hits; None when bounded.
+
+        An unbounded cache never evicts, so nothing ever reads its
+        replacement order and a hit need not touch it: the getter is the
+        entry table's own ``__getitem__``, whose ``__missing__`` does
+        everything a miss does in :meth:`get`.  The caller knows how many
+        lookups it made (a task's DBQ count) and settles the hits with
+        :meth:`credit_lookups`, so :attr:`stats` stays exact.
+
+        >>> from repro.graph.graph import complete_graph
+        >>> cache = LRUDatabaseCache(DistributedKVStore.from_graph(complete_graph(3)))
+        >>> get = cache.uncounted_getter()
+        >>> misses = cache.stats.misses
+        >>> _ = get(1); _ = get(1); _ = get(2)
+        >>> cache.credit_lookups(3, misses)
+        >>> (cache.stats.hits, cache.stats.misses)
+        (1, 2)
+        """
+        if self.capacity_bytes is not None:
+            return None
+        return self._entries.__getitem__
+
+    def credit_lookups(self, lookups: int, misses_before: int) -> None:
+        """Count as hits those of ``lookups`` that were not misses.
+
+        ``misses_before`` is ``stats.misses`` as read before the lookups
+        were made through :meth:`uncounted_getter`.
+        """
+        self.stats.hits += lookups - (self.stats.misses - misses_before)
 
 
 class CachePool:

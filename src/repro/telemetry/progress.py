@@ -57,10 +57,10 @@ class QueryProgress:
         with self._lock:
             self.total_tasks = max(int(total), self.total_tasks or 0)
 
-    def task_done(self, embeddings: int = 0) -> None:
-        """Account one finished task and the embeddings it produced."""
+    def task_done(self, embeddings: int = 0, tasks: int = 1) -> None:
+        """Account finished tasks (one, or a whole chunk) and their embeddings."""
         with self._lock:
-            self.tasks_done += 1
+            self.tasks_done += tasks
             self.embeddings += int(embeddings)
 
     def add_embeddings(self, embeddings: int) -> None:
@@ -123,7 +123,7 @@ class NullProgress:
     def set_total_tasks(self, total: int) -> None:
         pass
 
-    def task_done(self, embeddings: int = 0) -> None:
+    def task_done(self, embeddings: int = 0, tasks: int = 1) -> None:
         pass
 
     def add_embeddings(self, embeddings: int) -> None:

@@ -51,7 +51,7 @@ class TestWorker:
         vset = frozenset(data_graph.vertices)
         for v in data_graph.vertices:
             worker.execute_task(compiled, LocalSearchTask(v), vset)
-        loads = worker._thread_loads
+        loads = worker.thread_loads
         assert max(loads) <= sum(loads)
         assert min(loads) > 0  # greedy assignment used all threads
 

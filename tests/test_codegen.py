@@ -64,6 +64,55 @@ class TestGeneratedSource:
         assert "def _benu_task" in compiled.source
 
 
+class TestCompileMemo:
+    """An instrumented, unprofiled compile is memoised on the plan."""
+
+    def test_one_compile_per_mode_and_layout(self):
+        plan = plan_for("q1", [1, 2, 3, 4, 5])
+        first = compile_plan(plan, mode="count")
+        assert compile_plan(plan, mode="count") is first
+        assert compile_plan(plan, mode="collect") is not first
+        assert compile_plan(plan, mode="count", backend="csr") is not first
+        assert compile_plan(plan, mode="count", backend="csr").backend == "csr"
+        assert compile_plan(plan, mode="collect").mode == "collect"
+
+    def test_uninstrumented_and_profiled_compiles_bypass_it(self):
+        from repro.telemetry import MetricsRegistry
+        from repro.telemetry.profiler import SamplingProfiler
+
+        plan = plan_for("triangle", [1, 2, 3])
+        memoised = compile_plan(plan)
+        bare = compile_plan(plan, instrument=False)
+        assert bare is not memoised and not bare.instrumented
+        assert compile_plan(plan, instrument=False) is not bare
+        profiler = SamplingProfiler(MetricsRegistry().histogram("h", labels=("instr",)))
+        probed = compile_plan(plan, profiler=profiler)
+        assert probed.profiled and probed is not memoised
+        assert compile_plan(plan) is memoised
+
+    def test_a_rewritten_plan_is_recompiled(self):
+        from repro.plan.optimizer import eliminate_common_subexpressions
+
+        plan = plan_for("clique4", [1, 2, 3, 4], level=0)
+        raw = compile_plan(plan)
+        # An optimizer pass rebinds plan.instructions in place.
+        eliminate_common_subexpressions(plan)
+        assert compile_plan(plan) is not raw
+        assert compile_plan(plan).source != raw.source
+
+    def test_the_memo_does_not_travel(self):
+        import copy
+        import pickle
+
+        plan = plan_for("triangle", [1, 2, 3])
+        compiled = compile_plan(plan)
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone.instructions == plan.instructions
+        assert "_compiled" not in vars(clone)
+        assert "_compiled" not in vars(copy.copy(plan))
+        assert compile_plan(clone) is not compiled
+
+
 class TestCountMode:
     def test_triangle_k4(self):
         plan = plan_for("triangle", [1, 2, 3])

@@ -13,6 +13,7 @@ Pins the observability acceptance criteria:
 """
 
 import json
+import time
 
 import pytest
 
@@ -45,6 +46,16 @@ from repro.telemetry.registry import MetricsRegistry
 def workload():
     g, _ = relabel_by_degree_order(chung_lu(200, 5.0, exponent=2.4, seed=7))
     return g
+
+
+def await_finish_event(service, query_id):
+    """The service accounts a query (q-error, finish event, slow log) just
+    *after* it wakes whoever waits on the handle: wait for the finish event
+    before reading the query's accounting."""
+    give_up = time.monotonic() + 10.0
+    while not service.events.events(type=EV_QUERY_FINISHED, query_id=query_id):
+        assert time.monotonic() < give_up, "no query_finished event"
+        time.sleep(0.001)
 
 
 class TestSchemaRoundtrip:
@@ -146,6 +157,7 @@ class TestServiceCorrelation:
             handle = service.submit("triangle", "g", stream=False)
             handle.wait(timeout=30)
             qid = handle.query_id
+            await_finish_event(service, qid)
             events = service.events.events(query_id=qid)
             types = [e.type for e in events]
             # Lifecycle order: submitted -> started -> plan -> ... -> finished
@@ -156,12 +168,22 @@ class TestServiceCorrelation:
                 (EV_QUERY_QERROR, EV_QUERY_FINISHED),
             ]:
                 assert types.index(earlier) < types.index(later), types
-            # Task dispatch/finish events correlate by task_id.
-            dispatched = {
+            # Task events are per chunk: a dispatch/finish pair correlates
+            # by the chunk's first task id, and the finished ranges tile
+            # the task space exactly once.
+            dispatched = [
                 e.task_id for e in events if e.type == EV_TASK_DISPATCHED
-            }
-            finished = {e.task_id for e in events if e.type == EV_TASK_FINISHED}
-            assert dispatched and finished == dispatched
+            ]
+            finished = [e for e in events if e.type == EV_TASK_FINISHED]
+            assert dispatched and [e.task_id for e in finished] == dispatched
+            result = handle.result()
+            covered = [
+                task
+                for e in finished
+                for task in range(e.task_id, e.task_id + e.fields["tasks"])
+            ]
+            assert covered == list(range(result.num_tasks))
+            assert sum(e.fields["embeddings"] for e in finished) == result.count
             # Timestamps are monotone non-decreasing within the query.
             stamps = [e.ts for e in events]
             assert stamps == sorted(stamps)
@@ -195,15 +217,21 @@ class TestServiceCorrelation:
     def test_event_log_file_and_capacity_knobs(self, tmp_path, workload):
         path = tmp_path / "events.jsonl"
         with BenuService(
-            event_log_capacity=8, event_log_path=str(path)
+            event_log_capacity=4, event_log_path=str(path)
         ) as service:
             service.register_graph("g", workload, relabel=False)
             handle = service.submit("triangle", "g", stream=False)
             handle.wait(timeout=30)
-        # The ring kept only 8, but the file sink saw everything.
+            kept = len(service.events)
+            num_tasks = handle.result().num_tasks
+        # The ring kept only 4, but the file sink saw everything: the
+        # query's lifecycle events and one dispatch/finish pair per chunk.
         lines = path.read_text().splitlines()
         parsed = [parse_event(l) for l in lines]
-        assert len(parsed) > 8
+        assert kept == 4 < len(parsed)
+        chunks = [e for e in parsed if e.type == EV_TASK_FINISHED]
+        assert len([e for e in parsed if e.type == EV_TASK_DISPATCHED]) == len(chunks)
+        assert sum(e.fields["tasks"] for e in chunks) == num_tasks
         types = {e.type for e in parsed}
         assert {EV_QUERY_SUBMITTED, EV_QUERY_FINISHED} <= types
         assert all(
@@ -229,6 +257,7 @@ class TestProtocolVerbs:
             protocol.handle_line(
                 json.dumps({"op": "poll", "query": qid, "wait": 30})
             )
+            await_finish_event(service, qid)
             response = protocol.handle_line(
                 json.dumps({"op": "events", "query": qid, "limit": 5})
             )

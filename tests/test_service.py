@@ -540,6 +540,7 @@ class TestServiceStats:
         with BenuService() as service:
             service.register_graph("g", workload, relabel=False)
             list(service.submit("triangle", "g").matches())
+            _wait_idle(service)
             stats = service.stats()
         assert stats["graphs"] == ["g"]
         assert stats["plan_cache"]["misses"] == 1

@@ -81,6 +81,21 @@ class TestRegistry:
         # one observation per bucket + one in the implicit overflow bucket
         assert hv.bucket_counts == [1, 1, 1]
 
+    def test_observe_many_equals_repeated_observe(self):
+        values = [3e-7, 0.1, 2.5e-4, 0.1, 99.0, 1e-7, 0.3 + 0.6, 1e-7]
+        one_by_one = MetricsRegistry().histogram("h", labels=("worker",))
+        at_once = MetricsRegistry().histogram("h", labels=("worker",))
+        # Into a non-empty sample, and into a fresh one.
+        one_by_one.observe(0.05, worker=0)
+        at_once.observe(0.05, worker=0)
+        for worker in (0, 1):
+            for x in values:
+                one_by_one.observe(x, worker=worker)
+            at_once.observe_many(values, worker=worker)
+        at_once.observe_many([], worker=2)
+        assert at_once.as_dict() == one_by_one.as_dict()
+        assert at_once.value(worker=0).sum == one_by_one.value(worker=0).sum
+
     def test_kind_clash_raises(self):
         reg = MetricsRegistry()
         reg.counter("x")
