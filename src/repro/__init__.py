@@ -46,7 +46,7 @@ from .telemetry import (
     validate_chrome_trace,
 )
 
-__version__ = "1.5.0"
+__version__ = "1.6.0"
 
 __all__ = [
     "CSRAdjacency",

@@ -92,13 +92,17 @@ def generate_tasks(
     each start vertex's degree, so a sliced run yields exactly the tasks
     the full run would for those vertices.
     """
-    splittable = split_threshold is not None and plan_supports_splitting(plan)
-    first, second = plan.order[0], plan.order[1] if len(plan.order) > 1 else None
-    adjacent = second is not None and plan.pattern.graph.has_edge(first, second)
+    starts = data.vertices if start_vertices is None else start_vertices
+    if split_threshold is None or not plan_supports_splitting(plan):
+        # Nothing can split: no start vertex's degree is looked at.
+        for v in starts:
+            yield LocalSearchTask(v)
+        return
+    first, second = plan.order[0], plan.order[1]
+    adjacent = plan.pattern.graph.has_edge(first, second)
 
-    for v in (data.vertices if start_vertices is None else start_vertices):
-        degree = data.degree(v)
-        if not splittable or degree < split_threshold:
+    for v in starts:
+        if data.degree(v) < split_threshold:
             yield LocalSearchTask(v)
             continue
         pool: Sequence[Vertex] = (

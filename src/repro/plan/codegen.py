@@ -9,9 +9,25 @@ reproduction gets a usable hot loop (every set operation runs in C).
 Two compilation modes:
 
 * ``count``   — the function returns how many RES executions happened
-  (match count for uncompressed plans, code count for compressed ones);
-  an innermost-loop peephole turns ``for f in C: n += 1`` into
-  ``n += len(C)``.
+  (match count for uncompressed plans, code count for compressed ones).
+  Nothing observes the order candidates are visited in, so three rules
+  apply that ``collect`` must not use (they change how a counted step is
+  executed, never how many steps are counted):
+
+  - *len() peephole*: an innermost loop ``for f in C: n += 1`` becomes
+    ``n += len(C)``.
+  - *count tail*: when the INT producing that ``C`` feeds nothing else
+    (and the loop is not the task-splitting level, and no profiling
+    probes are compiled in) ``C`` is never built.  On the frozenset
+    layout its injectivity filters become ``- (f in S)`` terms on
+    ``len(S)`` — a partial match is injective, so the excluded scalars
+    are pairwise distinct — and its symmetry bounds stay one
+    comprehension without them; on the csr layout the count comes from
+    bisect arithmetic or the count kernel.  The len() peephole remains
+    the fallback for tails this rule rejects.
+  - *NE difference* (frozenset layout): any other INT whose filters are
+    all injectivity filters is the C-level ``S - {f1, f2}``, whose result
+    iterates in a different order than the comprehension's.
 * ``collect`` — every result is passed to an ``emit`` callback as a tuple
   indexed by sorted pattern vertex (compressed set slots are frozen).
 
@@ -222,8 +238,9 @@ def generate_source(
     With ``profile=True`` every DBQ/INT/TRC site is emitted twice behind a
     sampling gate (``_prof_tick``): the gated branch wall-times the
     instruction and reports it via ``_prof_rec``, the other branch is the
-    plain instruction.  Without it the source is byte-identical to before
-    profiling existed, so the default path pays zero overhead.
+    plain instruction (a profiled compile keeps every INT site plain: no
+    count tail, no NE difference).  Without it no probe is emitted and the
+    default path pays zero overhead.
 
     With ``backend="csr"`` every INT/TRC site calls the adaptive
     intersection kernels of :mod:`repro.kernels.intersect` instead of
@@ -325,6 +342,72 @@ def generate_source(
                     sorted_targets.add(other.operands[0])
         known_sorted = view_names | sorted_targets
 
+    # Count-only lowerings (module docstring) rewrite INT sites in ways that
+    # change candidate order; profiled compiles keep every site plain.
+    unordered = mode == "count" and not profile
+
+    def count_tail(idx: int) -> bool:
+        # The INT at ``idx`` feeds only the last ENU, which only counts RES
+        # and is not the task-splitting level: its candidate set is never
+        # read, only measured, so the emitters below compute ``_c`` =
+        # its cardinality without building it.
+        if not unordered or idx + 1 != last_enu_index:
+            return False
+        enu = instructions[idx + 1]
+        return (
+            enu.operands[0] == instructions[idx].target
+            and enu.target != second_fvar
+            and all(
+                later.type is InstructionType.RES
+                for later in instructions[idx + 2 :]
+            )
+        )
+
+    def set_count_tail(inst: Instruction) -> None:
+        # Hash sets: a multi-operand INT does its ``&`` once, in C.  A
+        # partial match is injective, so the NE-excluded scalars are
+        # pairwise distinct and each one found in the set (and inside the
+        # GT/LT bounds) takes exactly one off the count.
+        ops = [_operand_expr(o) for o in inst.operands]
+        src = ops[0]
+        if len(ops) > 1:
+            src = "_s"
+            out.line("_s = " + " & ".join(ops))
+        bounds = [f for f in inst.filters if f.kind is not FilterKind.NE]
+        excluded = [f.var for f in inst.filters if f.kind is FilterKind.NE]
+        if bounds:
+            cond = _filter_expr("v", bounds)
+            terms = [f"len([v for v in {src} if {cond}])"] + [
+                f"({x} in {src} and {_filter_expr(x, bounds)})"
+                for x in excluded
+            ]
+        else:
+            terms = [f"len({src})"] + [f"({x} in {src})" for x in excluded]
+        out.line("_c = " + " - ".join(terms))
+
+    def csr_count_tail(inst: Instruction) -> None:
+        # Sorted rows: the count kernel returns the cardinality straight
+        # from bisect bounds (sorted operand) or a generator sum (hash set).
+        ops = [_operand_expr(o) for o in inst.operands]
+        lo, hi, excl = _filter_bounds(inst.filters)
+        src = ops[0]
+        if len(ops) == 1 and excl == "()" and inst.operands[0] in known_sorted:
+            # Fully inline: the operand is statically sorted, so the count
+            # is pure bisect arithmetic — no kernel dispatch, no result
+            # allocation.
+            seq = f"{src}.ids" if inst.operands[0] in view_names else src
+            if lo != "None" and hi != "None":
+                expr = f"max(0, _bl({seq}, {hi}) - _br({seq}, {lo}))"
+            elif lo != "None":
+                expr = f"len({seq}) - _br({seq}, {lo})"
+            elif hi != "None":
+                expr = f"_bl({seq}, {hi})"
+            else:
+                expr = f"len({seq})"
+            out.line(f"_c = {expr}")
+        else:
+            out.line(f"_c = _ikc(({', '.join(ops)},), {lo}, {hi}, {excl})")
+
     for idx, inst in enumerate(instructions):
         if inst.type is InstructionType.INI:
             out.line(f"{inst.target} = start")
@@ -338,55 +421,8 @@ def generate_source(
             profiled("DBQ", dbq_body)
 
         elif inst.type is InstructionType.INT:
-            # Peephole (csr counting): an INT that only feeds the innermost
-            # count-collapsed ENU never needs its candidate set built — the
-            # count kernel returns the cardinality straight from bisect
-            # bounds (sorted operand) or a generator sum (hash set).
-            nxt = instructions[idx + 1] if idx + 1 < len(instructions) else None
-            fused_count = (
-                csr
-                and mode == "count"
-                and not profile
-                and nxt is not None
-                and nxt.type is InstructionType.ENU
-                and idx + 1 == last_enu_index
-                and nxt.operands[0] == inst.target
-                and nxt.target != second_fvar
-                and all(
-                    later.type is InstructionType.RES
-                    for later in instructions[idx + 2 :]
-                )
-            )
-            if fused_count:
-                ops = [_operand_expr(o) for o in inst.operands]
-                lo, hi, excl = _filter_bounds(inst.filters)
-                src = ops[0]
-                if (
-                    len(ops) == 1
-                    and excl == "()"
-                    and inst.operands[0] in known_sorted
-                ):
-                    # Fully inline: the operand is statically sorted, so
-                    # the count is pure bisect arithmetic — no kernel
-                    # dispatch, no result allocation.
-                    seq = (
-                        f"{src}.ids"
-                        if inst.operands[0] in view_names
-                        else src
-                    )
-                    if lo != "None" and hi != "None":
-                        expr = f"max(0, _bl({seq}, {hi}) - _br({seq}, {lo}))"
-                    elif lo != "None":
-                        expr = f"len({seq}) - _br({seq}, {lo})"
-                    elif hi != "None":
-                        expr = f"_bl({seq}, {hi})"
-                    else:
-                        expr = f"len({seq})"
-                    out.line(f"_c = {expr}")
-                else:
-                    out.line(
-                        f"_c = _ikc(({', '.join(ops)},), {lo}, {hi}, {excl})"
-                    )
+            if count_tail(idx):
+                (csr_count_tail if csr else set_count_tail)(inst)
                 if instrument:
                     out.line("n_int += 1")
                 out.line("n_enu += _c")
@@ -451,9 +487,19 @@ def generate_source(
                             call = f"_srt({call})"
                         out.line(f"{inst.target} = {call}")
                 elif inst.filters:
-                    cond = _filter_expr("v", inst.filters)
                     src = ops[0] if len(ops) == 1 else "(" + " & ".join(ops) + ")"
-                    out.line(f"{inst.target} = {{v for v in {src} if {cond}}}")
+                    if unordered and all(
+                        f.kind is FilterKind.NE for f in inst.filters
+                    ):
+                        # Row order is unobservable when only counting, so
+                        # injectivity is one C-level set difference.
+                        excluded = ", ".join(f.var for f in inst.filters)
+                        out.line(f"{inst.target} = {src} - {{{excluded}}}")
+                    else:
+                        cond = _filter_expr("v", inst.filters)
+                        out.line(
+                            f"{inst.target} = {{v for v in {src} if {cond}}}"
+                        )
                 else:
                     if len(ops) == 1:
                         out.line(f"{inst.target} = {ops[0]}")

@@ -1,16 +1,27 @@
 """Tests for the plan compiler (codegen) against the reference interpreter."""
 
-from itertools import permutations
+from dataclasses import astuple
+from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
 from repro.engine.interpreter import interpret_plan
-from repro.graph.generators import erdos_renyi
-from repro.graph.graph import complete_graph
+from repro.graph.csr import CSRAdjacency
+from repro.graph.generators import erdos_renyi, random_connected_graph
+from repro.graph.graph import Graph, complete_graph
 from repro.graph.order import relabel_by_degree_order
-from repro.graph.patterns import get_pattern
+from repro.graph.patterns import PATTERNS, get_pattern
+from repro.labeled.graphs import LabeledGraph
+from repro.labeled.pattern import LabeledPatternGraph
+from repro.labeled.plans import labelize_plan
 from repro.pattern.pattern_graph import PatternGraph
-from repro.plan.codegen import TaskCounters, compile_plan, generate_source
+from repro.plan.codegen import (
+    RESULTS,
+    TaskCounters,
+    compile_plan,
+    generate_source,
+)
 from repro.plan.compression import compress_plan
 from repro.plan.generation import generate_raw_plan
 from repro.plan.optimizer import optimize
@@ -250,3 +261,205 @@ class TestAllOrdersAllLevels:
                 if expected is None:
                     expected = total
                 assert total == expected, f"order={order} level={level}"
+
+
+# ----------------------------------------------------------------------
+# Count-mode lowerings: count tail, NE difference
+# ----------------------------------------------------------------------
+GOLDEN = Path(__file__).parent / "golden" / "codegen"
+
+
+def hub_graph():
+    """Star ∪ clique ∪ pendant paths around one hub (vertex 0).
+
+    Leaves 1-8 see only the hub (plus two chords), the clique {0, 9..12}
+    sees itself, and the paths hang off a leaf and a clique vertex: a
+    counted adjacency set is sometimes the hub's (every earlier scalar is
+    in it), sometimes a leaf's or a path vertex's (none is).
+    """
+    edges = [(0, leaf) for leaf in range(1, 9)]
+    edges += combinations([0, 9, 10, 11, 12], 2)
+    edges += [(1, 13), (13, 14), (9, 15), (15, 16)]
+    edges += [(2, 3), (3, 9), (14, 16)]
+    return Graph(edges)
+
+
+def sampled_orders(pg, limit=24):
+    """Every matching order of a small pattern, an even sample of a large one."""
+    orders = list(permutations(pg.vertices))
+    return orders[:: max(1, len(orders) // limit)]
+
+
+def assert_all_modes_count_alike(plan, graph, starts=None, override=None):
+    """count == interpreter == collect, all six counters, task by task."""
+    csr = CSRAdjacency.from_graph(graph)
+    vset = frozenset(graph.vertices)
+    layouts = (
+        ("frozenset", graph.neighbors, vset),
+        ("csr", csr.row, csr.universe()),
+    )
+    compiled = [
+        (compile_plan(plan, mode=mode, backend=layout), get_adj, universe)
+        for layout, get_adj, universe in layouts
+        for mode in ("count", "collect")
+    ]
+    for v in graph.vertices if starts is None else starts:
+        want = astuple(
+            interpret_plan(
+                plan, v, graph.neighbors, vset=vset, tcache={},
+                candidate_override=override,
+            )
+        )
+        for variant, get_adj, universe in compiled:
+            got = variant.run_raw(
+                v, get_adj, universe, emit=lambda row: None, tcache={},
+                candidate_override=override,
+            )
+            assert got == want, (plan.order, v, variant.backend, variant.mode)
+
+
+class TestCountLoweringsDifferential:
+    """The count-only lowerings move no counter, on either layout."""
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_every_pattern_every_order(self, name):
+        pg = PatternGraph(get_pattern(name), name)
+        graph = hub_graph()
+        for order in sampled_orders(pg):
+            for level in (0, 3):
+                plan = optimize(generate_raw_plan(pg, order), level)
+                assert_all_modes_count_alike(plan, graph)
+
+    def test_excluded_scalars_fall_inside_and_outside_the_operand(self):
+        """The graph exercises both outcomes of every ``f in S`` term."""
+        graph = hub_graph()
+        rows = []
+        collect = compile_plan(plan_for("q2", [1, 2, 3, 4, 5]), mode="collect")
+        for v in graph.vertices:
+            collect.run(v, graph.neighbors, emit=rows.append)
+        # q2's tail counts A4 less f1, f2, f3.  The square puts f1 and f3
+        # in A4 always; f2 is its diagonal, there only when the data has
+        # the chord.
+        assert {row[1] in graph.neighbors(row[3]) for row in rows} == {True, False}
+
+    def test_labeled_plan(self):
+        """A label pool makes the tail a two-operand INT (``C & VL0``)."""
+        graph = hub_graph()
+        labels = {v: "AB"[v % 2] for v in graph.vertices}
+        data = LabeledGraph(graph.edges(), labels)
+        pattern = LabeledPatternGraph(
+            get_pattern("q2"), {1: "A", 2: "B", 3: "A", 4: "B", 5: "A"}
+        )
+        plan = labelize_plan(
+            optimize(generate_raw_plan(pattern, [1, 2, 3, 4, 5]), 3), pattern, data
+        )
+        source = generate_source(plan)
+        assert "_s = C5 & VL0" in source and "_c = len(_s)" in source
+        assert_all_modes_count_alike(plan, graph)
+
+    def test_candidate_override_task(self):
+        graph = hub_graph()
+        hub_row = sorted(graph.neighbors(0))
+        for name, order in (("q2", [1, 2, 3, 4, 5]), ("square", [1, 2, 3, 4])):
+            for override in (frozenset(hub_row[::2]), frozenset(hub_row[1::2])):
+                assert_all_modes_count_alike(
+                    plan_for(name, order), graph, starts=[0], override=override
+                )
+
+    def test_the_splitting_level_is_never_a_count_tail(self):
+        """A two-vertex plan's last ENU takes the override: len() fallback."""
+        edge = PatternGraph(Graph([(1, 2)]), "edge")
+        plan = optimize(generate_raw_plan(edge, [1, 2]), 3)
+        source = generate_source(plan)
+        assert "_c = " not in source and "n_res += len(_c2)" in source
+        graph = hub_graph()
+        assert_all_modes_count_alike(
+            plan, graph, starts=[0], override=frozenset([1, 9, 14])
+        )
+
+
+class TestCountLoweringsSourceShape:
+    Q2 = ("q2", [1, 2, 3, 4, 5])
+
+    def test_ne_only_tail_is_arithmetic(self):
+        lines = generate_source(plan_for(*self.Q2)).splitlines()
+        (tail,) = [ln.strip() for ln in lines if ln.strip().startswith("_c = ")]
+        assert tail == "_c = len(A4) - (f1 in A4) - (f2 in A4) - (f3 in A4)"
+        assert not any(ln.strip().startswith("C5") for ln in lines)
+
+    def test_bounded_tail_keeps_one_comprehension_without_ne_terms(self):
+        source = generate_source(plan_for("q1", [1, 2, 3, 4, 5]))
+        assert (
+            "_c = len([v for v in T5 if v > f2]) - (f3 in T5 and f3 > f2)"
+            in source
+        )
+
+    def test_non_tail_ne_only_int_is_a_set_difference(self):
+        source = generate_source(plan_for(*self.Q2))
+        assert "C4 = T4 - {f2}" in source
+        assert "C4 = {v for v in" not in source
+        # Bounds are not a difference: they stay a comprehension.
+        assert "C3 = {v for v in A2 if v > f1}" in source
+
+    @pytest.mark.parametrize(
+        "golden,kwargs",
+        [
+            ("q2_collect_frozenset", dict(mode="collect")),
+            ("q2_count_csr", dict(mode="count", backend="csr")),
+            ("q2_count_frozenset_profiled", dict(mode="count", profile=True)),
+        ],
+    )
+    def test_everything_else_is_byte_identical_to_pr16(self, golden, kwargs):
+        """Collect mode, the csr layout and profiled compiles did not move."""
+        want = (GOLDEN / f"{golden}.py.txt").read_text(encoding="utf-8")
+        assert generate_source(plan_for(*self.Q2), **kwargs) == want
+
+
+try:
+    from hypothesis import given, settings, strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - CI installs pytest only
+    HAVE_HYPOTHESIS = False
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
+class TestCountEqualsCollectHypothesis:
+    """Random pattern × random graph with a planted hub: count == len(collect)."""
+
+    if HAVE_HYPOTHESIS:
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            n_pattern=st.integers(3, 5),
+            density=st.floats(0.0, 0.8),
+            pattern_seed=st.integers(0, 10_000),
+            n=st.integers(6, 16),
+            p=st.floats(0.1, 0.5),
+            graph_seed=st.integers(0, 10_000),
+            hub_reach=st.floats(0.5, 1.0),
+            rnd=st.randoms(use_true_random=False),
+        )
+        def test_count_is_len_collect(
+            self, n_pattern, density, pattern_seed, n, p, graph_seed, hub_reach, rnd
+        ):
+            pattern = random_connected_graph(n_pattern, density, seed=pattern_seed)
+            base = erdos_renyi(n, p, seed=graph_seed)
+            hub = n + 1
+            spokes = [(hub, v) for v in base.vertices if rnd.random() < hub_reach]
+            graph = Graph(list(base.edges()) + spokes, vertices=base.vertices)
+            order = list(pattern.vertices)
+            rnd.shuffle(order)
+            plan = optimize(
+                generate_raw_plan(PatternGraph(pattern), order), rnd.choice((0, 3))
+            )
+            vset = frozenset(graph.vertices)
+            count = compile_plan(plan, mode="count")
+            collect = compile_plan(plan, mode="collect")
+            for v in graph.vertices:
+                rows = []
+                counted = count.run_raw(v, graph.neighbors, vset)
+                assert counted == collect.run_raw(
+                    v, graph.neighbors, vset, emit=rows.append
+                )
+                assert counted[RESULTS] == len(rows)

@@ -128,6 +128,19 @@ class TestGenerateTasks:
         tasks = list(generate_tasks(plan, skewed_graph, 5))
         assert all(not t.is_split for t in tasks)
 
+    def test_nothing_to_split_reads_no_degree(self, skewed_graph, monkeypatch):
+        """No threshold, or a plan that cannot split: the start vertices in
+        order, one task each, and not one degree lookup."""
+        star = PatternGraph(star_graph(3), "star")
+        unsplittable = compress_plan(optimize(generate_raw_plan(star, [1, 2, 3, 4])))
+        cases = ((plan_for("triangle"), None), (unsplittable, 5))
+        monkeypatch.setattr(
+            type(skewed_graph), "degree", lambda self, v: pytest.fail("degree read")
+        )
+        for plan, tau in cases:
+            tasks = list(generate_tasks(plan, skewed_graph, tau))
+            assert tasks == [LocalSearchTask(v) for v in skewed_graph.vertices]
+
 
 class TestEdgeCases:
     def test_empty_data_graph(self):
