@@ -5,9 +5,12 @@ real localhost TCP.
 Launches three shard nodes (``--shard-index i --shard-count 3``), routes
 the Table-1 pattern suite through a :class:`~repro.shard.ShardRouter`,
 and checks every count against a single-node run of the same dataset.
-Writes the cluster's stitched event log (every shard's lifecycle events
-merged into one globally-ordered JSONL timeline) to the path given by
-``--event-log`` so CI can upload it as an artifact.
+Then a real ``benu route --port`` process in front of the same shards
+takes the suite from two client connections at once — the router's
+handler threads share its shard clients — and every count must again be
+exact.  Writes the cluster's stitched event log (every shard's lifecycle
+events merged into one globally-ordered JSONL timeline) to the path given
+by ``--event-log`` so CI can upload it as an artifact.
 
 ``--chaos`` runs the fault-tolerance acceptance instead: a 3-partition
 deployment with a replica for partition 0 gets its partition-0 primary
@@ -28,6 +31,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -49,13 +53,11 @@ NUM_SHARDS = 3
 EPOCH = 1
 
 
-def _launch_shard(index: int, shard_count: int = NUM_SHARDS) -> tuple:
+def _launch(args, banner: str) -> tuple:
+    """Start ``python -m repro <args>``; (process, the port its stderr
+    ``banner`` line announces)."""
     process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve", "--port", "0",
-            "--shard-index", str(index), "--shard-count", str(shard_count),
-            "--epoch", str(EPOCH), "--graph", f"g={DATASET}",
-        ],
+        [sys.executable, "-m", "repro", *args],
         env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
         stderr=subprocess.PIPE,
         text=True,
@@ -63,12 +65,87 @@ def _launch_shard(index: int, shard_count: int = NUM_SHARDS) -> tuple:
     deadline = time.monotonic() + 60
     while time.monotonic() < deadline:
         line = process.stderr.readline()
-        if "serving on" in line:
-            port = int(re.search(r":(\d+) as", line).group(1))
-            return process, port
+        if banner in line:
+            port = re.search(r":(\d+)", line.split(banner, 1)[1]).group(1)
+            return process, int(port)
         if process.poll() is not None:
             break
-    raise RuntimeError(f"shard {index} failed to start")
+    raise RuntimeError(f"`repro {args[0]}` failed to start")
+
+
+def _launch_shard(index: int, shard_count: int = NUM_SHARDS) -> tuple:
+    return _launch(
+        [
+            "serve", "--port", "0",
+            "--shard-index", str(index), "--shard-count", str(shard_count),
+            "--epoch", str(EPOCH), "--graph", f"g={DATASET}",
+        ],
+        "serving on",
+    )
+
+
+def _launch_router(ports) -> tuple:
+    shards = [opt for port in ports for opt in ("--shard", f"127.0.0.1:{port}")]
+    return _launch(
+        ["route", "--port", "0", "--epoch", str(EPOCH), *shards],
+        "router listening on",
+    )
+
+
+def _suite_over_one_connection(port: int, budget: float, out: dict) -> None:
+    """The whole suite over one client connection; counts into ``out``."""
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=budget) as sock:
+            reader = sock.makefile("rb")
+
+            def ask(request: dict) -> dict:
+                sock.sendall(json.dumps(request).encode() + b"\n")
+                reply = json.loads(reader.readline())
+                if not reply.get("ok"):
+                    raise RuntimeError(f"{request['op']}: {reply}")
+                return reply
+
+            for name in SUITE:
+                query = ask({
+                    "op": "submit", "pattern": name, "graph": "g",
+                    "stream": False, "deadline": budget,
+                })["query"]
+                out[name] = ask({"op": "poll", "query": query})["count"]
+    except Exception as exc:  # noqa: BLE001 - reported as a failed check
+        out["error"] = repr(exc)
+
+
+def concurrent_clients(ports, reference: dict, budget: float) -> int:
+    """Two clients at once through a real ``benu route`` process."""
+    process, port = _launch_router(ports)
+    try:
+        answers = [{}, {}]
+        threads = [
+            threading.Thread(
+                target=_suite_over_one_connection, args=(port, budget, out)
+            )
+            for out in answers
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=budget * len(SUITE))
+        failures = 0
+        for i, out in enumerate(answers):
+            ok = out == reference
+            print(
+                f"{'OK  ' if ok else 'FAIL'} client {i} of 2 through "
+                f"benu route: {out if not ok else 'every count exact'}",
+                flush=True,
+            )
+            failures += 0 if ok else 1
+        return failures
+    finally:
+        process.terminate()
+        try:
+            process.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            process.kill()
 
 
 def _write_event_log(rows, path_text: str) -> None:
@@ -275,6 +352,8 @@ def main() -> int:
                 flush=True,
             )
             failures += 0 if ok else 1
+
+        failures += concurrent_clients(ports, reference, args.deadline_budget)
 
         if args.event_log:
             rows = router.events()

@@ -427,25 +427,16 @@ def cmd_route(args: argparse.Namespace) -> int:
             )
         if args.port is not None:
             import socketserver
-            import threading
 
-            protocol_holder = router
+            from .service.protocol import serve_connection
 
             class _RouteHandler(socketserver.StreamRequestHandler):
                 def handle(self) -> None:
-                    protocol = RouterProtocol(protocol_holder)
-                    for raw in self.rfile:
-                        line = raw.decode("utf-8", "replace").strip()
-                        if not line:
-                            continue
-                        self.wfile.write(
-                            (protocol.handle_line_json(line) + "\n").encode()
-                        )
-                        if protocol.shutdown_requested:
-                            threading.Thread(
-                                target=self.server.shutdown, daemon=True
-                            ).start()
-                            return
+                    protocol = RouterProtocol(router)
+                    try:
+                        serve_connection(self, protocol)
+                    finally:
+                        protocol.close()
 
             class _RouteServer(socketserver.ThreadingTCPServer):
                 allow_reuse_address = True
@@ -574,6 +565,7 @@ def _remote_query(args: argparse.Namespace) -> int:
                         "query": query_id,
                         "limit": 256,
                         "cursor": cursor,
+                        "wait": 10.0,
                     }
                 )
                 for match in page.get("matches", []):
@@ -581,7 +573,6 @@ def _remote_query(args: argparse.Namespace) -> int:
                 cursor = page.get("cursor", cursor)
                 if page.get("done"):
                     return 0
-                time.sleep(0.01)
         while True:
             response = ask({"op": "poll", "query": query_id, "wait": 10.0})
             if response.get("done"):

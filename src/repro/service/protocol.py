@@ -13,7 +13,7 @@ Operations
               "stream":bool?, "config":{}?}
 ``query``    {"op":"query","text":"MATCH (a)-(b) ... RETURN ...","graph":"g",
               "limit":N?, "deadline":sec?, "deadline_at":epoch?, "config":{}?}
-``poll``     {"op":"poll","query":"q-1","limit":100?,"wait":sec?}
+``poll``     {"op":"poll","query":"q-1","limit":100?,"cursor":N?,"wait":sec?}
 ``cancel``   {"op":"cancel","query":"q-1"}
 ``stats``    {"op":"stats"}
 ``metrics``  {"op":"metrics"}              → Prometheus text exposition
@@ -28,6 +28,15 @@ Operations
 Every response is ``{"ok": true, ...}`` or
 ``{"ok": false, "error": <code>, "message": <text>}`` with the typed
 error's code (``rejected``, ``unknown_graph``, ...).
+
+A stream ``poll`` answers ``{..., "cursor": c, "done": d, "ok": true,
+"rows": n, "matches": [[...], ...]}``: ``rows`` counts the page and
+``matches`` is always the **last** key, so a hop that only forwards the
+page (the router) cuts the line there and never parses a row
+(:func:`encode_response`).  ``wait`` on a stream poll blocks up to that
+many seconds for the *first* batch of the page instead of answering
+empty (clipped to the query's deadline); on a count query it waits for
+the query to finish.
 
 ``config`` accepts the common :class:`~repro.engine.config.BenuConfig`
 knobs: workers, threads, cache_bytes, tau, level, compressed.
@@ -119,6 +128,115 @@ _CONFIG_FIELDS = {
 }
 
 
+#: Where a page's rows start on the wire.  As raw text this cannot occur
+#: inside a JSON string (its quotes would be escaped), and ``matches`` is
+#: the last key with scalars-only rows behind it, so the last occurrence
+#: in a line is the top-level key.
+MATCHES_KEY = ', "matches": '
+
+
+class EncodedRows:
+    """A page's rows as the JSON text a node already encoded.
+
+    A forwarding hop splices ``text`` into its own reply untouched; only
+    somebody who iterates or slices the page pays for the parse.
+    """
+
+    __slots__ = ("text", "count")
+
+    def __init__(self, text: str, count: int) -> None:
+        self.text = text
+        self.count = count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return map(tuple, json.loads(self.text))
+
+    def __getitem__(self, key):
+        rows = json.loads(self.text)[key]
+        return list(map(tuple, rows)) if isinstance(key, slice) else tuple(rows)
+
+
+def encode_response(response: dict) -> str:
+    """The one wire encoding of a response, serve and route alike.
+
+    A page (``matches``) goes last behind its ``rows`` count; rows that
+    arrived as :class:`EncodedRows` pass through as the text they are.
+    """
+    matches = response.get("matches")
+    if matches is None:
+        return json.dumps(response)
+    head = {k: v for k, v in response.items() if k != "matches"}
+    head["rows"] = len(matches)
+    body = (
+        matches.text if isinstance(matches, EncodedRows)
+        else json.dumps(matches)
+    )
+    return json.dumps(head)[:-1] + MATCHES_KEY + body + "}"
+
+
+#: Exception type → the attribute holding its wire error code.  First
+#: match wins; anything else is ``internal``.
+_ERROR_CODES = (
+    (QueryError, "code"),
+    (ServiceError, "code"),
+    # Polling a cancelled/expired stream surfaces its typed status.
+    (ExecutionInterrupted, "status"),
+    # A deterministic chaos schedule fired inside this node; name it
+    # honestly instead of reporting a generic internal error.
+    (InjectedFault, "code"),
+)
+
+
+def _error_response(exc: Exception) -> dict:
+    for kind, attr in _ERROR_CODES:
+        if isinstance(exc, kind):
+            code = getattr(exc, attr)
+            break
+    else:
+        code = "internal"
+    response = {"ok": False, "error": code, "message": str(exc)}
+    if isinstance(exc, QueryError):
+        # BENU-QL front-end failures are structured: the position and a
+        # caret snippet ride along, so clients point at the offending
+        # spot instead of parsing a message.
+        if exc.line is not None:
+            response["line"] = exc.line
+            response["column"] = exc.column
+        snippet = exc.snippet()
+        if snippet:
+            response["snippet"] = snippet
+    return response
+
+
+def dispatch(handler, line: str) -> dict:
+    """One request line against ``handler``'s ``_op_<name>`` methods.
+
+    The single dispatcher behind every protocol front-end (a node's
+    :class:`ServiceProtocol`, the router's ``RouterProtocol``): parse,
+    look the op up, run it, and map whatever it raises onto the typed
+    error response.
+    """
+    try:
+        try:
+            request = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InvalidQueryError(f"bad JSON: {exc}") from exc
+        if not isinstance(request, dict) or "op" not in request:
+            raise InvalidQueryError('requests are objects with an "op" field')
+        op = request["op"]
+        method = getattr(handler, f"_op_{op}", None)
+        if method is None:
+            raise InvalidQueryError(f"unknown op {op!r}")
+        response = method(request)
+        response.setdefault("ok", True)
+        return response
+    except Exception as exc:  # noqa: BLE001 — protocol boundary
+        return _error_response(exc)
+
+
 class ServiceProtocol:
     """Stateless request handler: one JSON request in, one response out.
 
@@ -139,47 +257,10 @@ class ServiceProtocol:
 
     # ------------------------------------------------------------------
     def handle_line(self, line: str) -> dict:
-        try:
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvalidQueryError(f"bad JSON: {exc}") from exc
-            if not isinstance(request, dict) or "op" not in request:
-                raise InvalidQueryError('requests are objects with an "op" field')
-            op = request["op"]
-            handler = getattr(self, f"_op_{op}", None)
-            if handler is None:
-                raise InvalidQueryError(f"unknown op {op!r}")
-            response = handler(request)
-            response.setdefault("ok", True)
-            return response
-        except QueryError as exc:
-            # BENU-QL front-end failures are structured: the machine-
-            # readable code plus the position and a caret snippet, so
-            # clients point at the offending spot instead of parsing a
-            # message.
-            response = {"ok": False, "error": exc.code, "message": str(exc)}
-            if exc.line is not None:
-                response["line"] = exc.line
-                response["column"] = exc.column
-            snippet = exc.snippet()
-            if snippet is not None:
-                response["snippet"] = snippet
-            return response
-        except ServiceError as exc:
-            return {"ok": False, "error": exc.code, "message": str(exc)}
-        except ExecutionInterrupted as exc:
-            # Polling a cancelled/expired stream surfaces its typed status.
-            return {"ok": False, "error": exc.status, "message": str(exc)}
-        except InjectedFault as exc:
-            # A deterministic chaos schedule fired inside this node; name
-            # it honestly instead of reporting a generic internal error.
-            return {"ok": False, "error": exc.code, "message": str(exc)}
-        except Exception as exc:  # noqa: BLE001 — protocol boundary
-            return {"ok": False, "error": "internal", "message": str(exc)}
+        return dispatch(self, line)
 
     def handle_line_json(self, line: str) -> str:
-        return json.dumps(self.handle_line(line))
+        return encode_response(self.handle_line(line))
 
     def health(self) -> dict:
         """The ``health`` op's body: cheap liveness, no catalog access.
@@ -291,19 +372,20 @@ class ServiceProtocol:
 
     def _op_poll(self, request: dict) -> dict:
         handle = self.service.query(str(request.get("query")))
-        wait = request.get("wait")
-        if wait:
-            handle.wait(timeout=float(wait))
+        wait = float(request.get("wait") or 0)
+        if wait and not handle.streaming:
+            handle.wait(timeout=wait)
         response = handle.describe()
         if handle.streaming:
             cursor = request.get("cursor")
             page = handle.fetch(
                 limit=int(request.get("limit", 256)),
                 cursor=int(cursor) if cursor is not None else None,
+                wait=wait,
             )
             response.update(
                 # The one page becomes row tuples here (a packed page in
-                # one C-level pass) and json.dumps does the rest.
+                # one C-level pass) and encode_response does the rest.
                 matches=list(page.matches),
                 cursor=page.cursor,
                 done=page.done,
@@ -465,27 +547,42 @@ def serve_stdio(
     return 0
 
 
-class _ProtocolTCPHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        protocol = ServiceProtocol(
-            self.server.service,  # type: ignore[attr-defined]
-            identity=self.server.identity,  # type: ignore[attr-defined]
-        )
-        for raw in self.rfile:
+def serve_connection(handler, protocol) -> None:
+    """Answer one TCP connection's request lines until EOF or shutdown.
+
+    A peer that resets the connection (or stops reading) has ended it:
+    that is an end of connection like EOF, not an error to trace.  A
+    ``shutdown`` op stops ``handler``'s server.
+    """
+    try:
+        for raw in handler.rfile:
             line = raw.decode("utf-8", "replace").strip()
             if not line:
                 continue
-            self.wfile.write(
+            handler.wfile.write(
                 (protocol.handle_line_json(line) + "\n").encode("utf-8")
             )
             if protocol.shutdown_requested:
-                self.server.shutdown_requested = True  # type: ignore[attr-defined]
+                handler.server.shutdown_requested = True
                 # shutdown() blocks until serve_forever exits, so stop
                 # the server from a helper thread, not this handler.
                 threading.Thread(
-                    target=self.server.shutdown, daemon=True
+                    target=handler.server.shutdown, daemon=True
                 ).start()
-                break
+                return
+    except (ConnectionResetError, BrokenPipeError):
+        pass
+
+
+class _ProtocolTCPHandler(socketserver.StreamRequestHandler):
+    def handle(self) -> None:
+        serve_connection(
+            self,
+            ServiceProtocol(
+                self.server.service,  # type: ignore[attr-defined]
+                identity=self.server.identity,  # type: ignore[attr-defined]
+            ),
+        )
 
 
 class ServiceTCPServer(socketserver.ThreadingTCPServer):

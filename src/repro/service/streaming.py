@@ -295,9 +295,18 @@ class QueryHandle:
             yield from batch
 
     def fetch(
-        self, limit: int = 256, cursor: Optional[int] = None
+        self,
+        limit: int = 256,
+        cursor: Optional[int] = None,
+        wait: float = 0.0,
     ) -> FetchResult:
-        """Up to ``limit`` matches from the current cursor (non-blocking).
+        """Up to ``limit`` matches from the current cursor.
+
+        Non-blocking by default; with ``wait`` an otherwise empty page
+        blocks up to that many seconds (never past the query's deadline)
+        for the *first* batch — or the end of the stream, which a cancel
+        or an expired deadline brings about — and then takes whatever
+        else is already buffered.
 
         Streams cannot rewind — with one exception: ``cursor`` equal to
         the position *before* the most recent page re-serves that page
@@ -339,6 +348,8 @@ class QueryHandle:
                 if self._exhausted:
                     break
                 batch = self.buffer.poll_batch()
+                if wait and not out and batch is not None and not batch:
+                    batch = self._await_batch(wait)
                 if batch is None:
                     self._exhausted = True
                     break
@@ -365,11 +376,25 @@ class QueryHandle:
             self._raise_if_abnormal()
         return FetchResult(matches=out, cursor=self._delivered, done=done)
 
+    def _await_batch(self, wait: float) -> Optional[Sequence[Tuple]]:
+        """``poll_batch``, but blocking up to ``wait`` seconds."""
+        remaining = self.control.remaining_seconds
+        if remaining is not None:
+            wait = min(wait, max(remaining, 0.0))
+        try:
+            return self.buffer.next_batch(timeout=wait)
+        except queue.Empty:
+            return []
+
     @property
     def delivered(self) -> int:
-        """Matches handed to the consumer so far."""
-        with self._lock:
-            return self._delivered
+        """Matches handed to the consumer so far.
+
+        Read without ``_lock``: a ``fetch`` may hold it while it waits
+        for rows, and neither ``describe`` nor the run's finish event
+        may queue behind a blocked consumer.
+        """
+        return self._delivered
 
     def _raise_if_abnormal(self) -> None:
         """After the stream ends, surface abnormal termination.

@@ -8,13 +8,21 @@ as *dicts*: ``request(obj) -> obj``.  Two transports:
   and parsed, so tests exercise exact wire fidelity without sockets).
   Its :meth:`LocalShardClient.kill` hook makes the node unreachable,
   which is how the failure-injection tests take a shard down mid-query.
-* :class:`TCPShardClient` — a line-per-message TCP connection to a
-  ``benu serve`` process, hardened for production: a *connect* timeout
-  (a SYN-dropped or accept-stalled shard fails fast instead of blocking
+* :class:`TCPShardClient` — line-per-message TCP connections to a
+  ``benu serve`` process, hardened for production: a pool from which
+  every round trip checks out a connection of its own (threads never
+  share a socket with a request in flight), a *connect* timeout (a
+  SYN-dropped or accept-stalled shard fails fast instead of blocking
   the router until the global deadline), a separate *read* timeout for
   in-flight requests, and lazy reconnection — after any transport
   failure the socket is torn down and the next request dials fresh, so
   a router retry actually lands on a new connection.
+
+A caller that pipelines (the router's stream drain keeps one poll in
+flight per shard) holds a :class:`Lease` — ``send`` / ``recv`` on a
+channel nobody else uses — instead of calling ``request``.  Responses
+are decoded by :func:`decode_response`, which leaves a page of rows as
+the text the shard encoded.
 
 Transport failures raise :class:`ShardUnavailable` — the typed signal
 the router's retry path keys on.  A *protocol-level* error response
@@ -32,8 +40,9 @@ from __future__ import annotations
 
 import json
 import socket
+import threading
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional
 
 from ..faults import (
     FaultConfig,
@@ -45,6 +54,7 @@ from ..faults import (
     get_injector,
 )
 from ..service.errors import ServiceError
+from ..service.protocol import MATCHES_KEY, EncodedRows
 
 #: Fail a TCP dial that makes no progress this long (seconds).  Distinct
 #: from the read timeout because a healthy dial is milliseconds while a
@@ -110,6 +120,59 @@ class RetryPolicy:
             yield delay * (0.5 + 0.5 * rng.random())
 
 
+def decode_response(line: str) -> dict:
+    """One response line as a dict, its page of rows left unparsed.
+
+    A poll response carries its rows last, behind a ``rows`` count
+    (:func:`~repro.service.protocol.encode_response`): cut the line
+    there, parse only the head and carry the rest as
+    :class:`~repro.service.protocol.EncodedRows`.  Anything else — no
+    page, or the older shape without ``rows`` — gets a full parse.
+    """
+    head, cut, tail = line.rstrip().rpartition(MATCHES_KEY)
+    if cut and tail.endswith("]}"):
+        try:
+            response = json.loads(head + "}")
+        except ValueError:
+            return json.loads(line)
+        count = response.get("rows")
+        if isinstance(count, int):
+            response["matches"] = EncodedRows(tail[:-1], count)
+            return response
+    return json.loads(line)
+
+
+class Lease:
+    """One request in flight to a shard, on a channel nobody else uses.
+
+    ``send`` puts a request on the wire, ``recv`` reads its reply; in
+    between, :attr:`pending` is true.  Any failure raises
+    :class:`ShardUnavailable` and clears the channel, so the holder's
+    retry is simply ``send`` again.  This base lease defers the round
+    trip to ``recv`` (``client.request``), which is all an in-process
+    client needs; :class:`TCPShardClient` leases a real connection.
+    """
+
+    def __init__(self, client: "ShardClient") -> None:
+        self._client = client
+        self._request: Optional[dict] = None
+
+    @property
+    def pending(self) -> bool:
+        return self._request is not None
+
+    def send(self, obj: dict) -> None:
+        self._request = obj
+
+    def recv(self) -> dict:
+        obj, self._request = self._request, None
+        return self._client.request(obj)
+
+    def release(self) -> None:
+        """Give the channel back; a reply still pending is abandoned."""
+        self._request = None
+
+
 class ShardClient:
     """Abstract request/response channel to one shard node."""
 
@@ -118,6 +181,10 @@ class ShardClient:
 
     def request(self, obj: dict) -> dict:
         raise NotImplementedError
+
+    def lease(self) -> Lease:
+        """A channel of its own for a caller that pipelines requests."""
+        return Lease(self)
 
     def close(self) -> None:  # pragma: no cover - trivial default
         pass
@@ -161,7 +228,7 @@ class LocalShardClient(ShardClient):
             # Serialize both ways: a dict that would not survive the wire
             # must fail here too, not only over TCP.
             line = json.dumps(obj)
-            response = json.loads(self._protocol.handle_line_json(line))
+            response = decode_response(self._protocol.handle_line_json(line))
             if self._injector.enabled:
                 self._injector.hit(SITE_SHARD_READ)
         except InjectedFault as exc:
@@ -171,24 +238,104 @@ class LocalShardClient(ShardClient):
         return response
 
 
+class _Connection(Lease):
+    """One TCP connection of a :class:`TCPShardClient`, as a lease.
+
+    Dials lazily — at the first ``send``, and again after a failure tore
+    the socket down — so a retry lands on a fresh connection.
+    """
+
+    def __init__(self, client: "TCPShardClient") -> None:
+        self._client = client
+        self._sock: Optional[socket.socket] = None
+        self._rfile = None
+        self._pending = False
+
+    @property
+    def pending(self) -> bool:
+        return self._pending
+
+    def _dial(self) -> None:
+        client = self._client
+        if client._injector.enabled:
+            client._injector.hit(SITE_SHARD_CONNECT)
+        sock = socket.create_connection(
+            (client._host, client._port), timeout=client.connect_timeout
+        )
+        # Past the dial, the socket clock governs reads of responses.
+        sock.settimeout(client.read_timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = sock
+        self._rfile = sock.makefile("rb")
+
+    def close(self) -> None:
+        for closer in (self._rfile, self._sock):
+            if closer is not None:
+                try:
+                    closer.close()
+                except OSError:  # pragma: no cover - best effort teardown
+                    pass
+        self._rfile = self._sock = None
+        self._pending = False
+
+    def _failed(self, exc: Exception) -> ShardUnavailable:
+        self.close()
+        return ShardUnavailable(
+            f"shard {self._client.endpoint} connection failed: {exc}"
+        )
+
+    def send(self, obj: dict) -> None:
+        injector = self._client._injector
+        try:
+            if self._sock is None:
+                self._dial()
+            if injector.enabled:
+                injector.hit(SITE_SHARD_WRITE)
+            self._sock.sendall(json.dumps(obj).encode("utf-8") + b"\n")
+        except OSError as exc:
+            # InjectedFault is a ConnectionError, so deterministic drops
+            # take exactly the real failure path through here.
+            raise self._failed(exc) from exc
+        self._pending = True
+
+    def recv(self) -> dict:
+        injector = self._client._injector
+        try:
+            if injector.enabled:
+                injector.hit(SITE_SHARD_READ)
+            line = self._rfile.readline()
+        except OSError as exc:
+            raise self._failed(exc) from exc
+        if not line:
+            raise self._failed(ConnectionError("closed by the shard"))
+        self._pending = False
+        return decode_response(line.decode("utf-8"))
+
+    def release(self) -> None:
+        self._client._checkin(self)
+
+
 class TCPShardClient(ShardClient):
-    """A line-delimited JSON connection to a ``benu serve`` TCP node.
+    """Line-delimited JSON connections to a ``benu serve`` TCP node.
+
+    The client owns a pool of connections to its one endpoint.  Every
+    round trip checks a connection out for itself (:meth:`request` =
+    lease, send, recv, release), so no socket is ever shared by two
+    requests in flight, whatever the number of threads calling in; a
+    caller that pipelines — the router's stream drain — keeps its
+    :meth:`lease` across round trips.
 
     The constructor dials eagerly (an unreachable endpoint fails at
-    construction, as it always has) but the connection is *re-established
+    construction, as it always has) but connections are *re-established
     lazily*: any transport failure tears the socket down and the next
-    :meth:`request` dials again — which is what makes a router-level
-    retry against the same endpoint meaningful.
-
-    ``timeout`` is the legacy single knob (sets both hop timeouts);
-    ``connect_timeout`` / ``read_timeout`` override per hop.
+    request dials again — which is what makes a router-level retry
+    against the same endpoint meaningful.
     """
 
     def __init__(
         self,
         host: str,
         port: int,
-        timeout: Optional[float] = None,
         connect_timeout: Optional[float] = None,
         read_timeout: Optional[float] = None,
         faults=None,
@@ -197,75 +344,56 @@ class TCPShardClient(ShardClient):
         self._host = host
         self._port = port
         self.connect_timeout = (
-            connect_timeout
-            if connect_timeout is not None
-            else (timeout if timeout is not None else DEFAULT_CONNECT_TIMEOUT)
+            connect_timeout if connect_timeout is not None
+            else DEFAULT_CONNECT_TIMEOUT
         )
         self.read_timeout = (
-            read_timeout
-            if read_timeout is not None
-            else (timeout if timeout is not None else DEFAULT_READ_TIMEOUT)
+            read_timeout if read_timeout is not None else DEFAULT_READ_TIMEOUT
         )
         self._injector = get_injector(faults) if faults is not None else NULL_INJECTOR
-        self._sock: Optional[socket.socket] = None
-        self._file = None
-        self._connect()
-
-    # ------------------------------------------------------------------
-    def _connect(self) -> None:
-        if self._injector.enabled:
-            self._injector.hit(SITE_SHARD_CONNECT)
+        self._idle: List[_Connection] = []
+        self._pool_lock = threading.Lock()
+        first = _Connection(self)
         try:
-            self._sock = socket.create_connection(
-                (self._host, self._port), timeout=self.connect_timeout
-            )
+            first._dial()
         except OSError as exc:
-            self._sock = None
             raise ShardUnavailable(
                 f"cannot connect to shard {self.endpoint}: {exc}"
             ) from exc
-        # Past the dial, the socket clock governs reads of responses.
-        self._sock.settimeout(self.read_timeout)
-        self._file = self._sock.makefile("rw", encoding="utf-8", newline="\n")
+        self._idle.append(first)
 
-    def _teardown(self) -> None:
-        """Drop the broken connection so the next request dials fresh."""
-        for closer in (self._file, self._sock):
-            if closer is not None:
-                try:
-                    closer.close()
-                except OSError:  # pragma: no cover - best effort teardown
-                    pass
-        self._file = None
-        self._sock = None
+    # ------------------------------------------------------------------
+    def lease(self) -> _Connection:
+        """Check a connection out of the pool (a fresh one if none idle)."""
+        with self._pool_lock:
+            if self._idle:
+                return self._idle.pop()
+        return _Connection(self)
+
+    def _checkin(self, connection: _Connection) -> None:
+        """Return a connection; one with a reply still unread is closed."""
+        if connection.pending:
+            connection.close()
+        if connection._sock is not None:
+            with self._pool_lock:
+                self._idle.append(connection)
 
     @property
     def connected(self) -> bool:
-        return self._sock is not None
+        """Whether an established connection sits idle in the pool."""
+        return bool(self._idle)
 
     # ------------------------------------------------------------------
     def request(self, obj: dict) -> dict:
-        if self._sock is None:
-            self._connect()
+        connection = self.lease()
         try:
-            if self._injector.enabled:
-                self._injector.hit(SITE_SHARD_WRITE)
-            self._file.write(json.dumps(obj) + "\n")
-            self._file.flush()
-            if self._injector.enabled:
-                self._injector.hit(SITE_SHARD_READ)
-            line = self._file.readline()
-        except OSError as exc:
-            # InjectedFault is a ConnectionError, so deterministic drops
-            # take exactly the real failure path through here.
-            self._teardown()
-            raise ShardUnavailable(
-                f"shard {self.endpoint} connection failed: {exc}"
-            ) from exc
-        if not line:
-            self._teardown()
-            raise ShardUnavailable(f"shard {self.endpoint} closed the connection")
-        return json.loads(line)
+            connection.send(obj)
+            return connection.recv()
+        finally:
+            connection.release()
 
     def close(self) -> None:
-        self._teardown()
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()

@@ -7,19 +7,26 @@ with the fan-out and merge hidden behind one endpoint.  Router-specific
 surface: ``hello`` answers with ``role: "router"`` and the deployment
 shape, ``stats``/``metrics``/``events`` return cluster-wide
 aggregations, and ``shutdown`` is broadcast to every shard.
+
+Requests are dispatched, errors mapped and responses encoded by the one
+implementation in :mod:`repro.service.protocol`; a stream page's rows
+reach :func:`~repro.service.protocol.encode_response` as the text the
+shard sent and leave as that text.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 from typing import Dict, Optional, TextIO
 
-from ..engine.control import ExecutionInterrupted
-from ..lang.errors import QueryError
-from ..service.errors import InvalidQueryError, ServiceError
-from ..service.protocol import CAPABILITIES, PROTOCOL_VERSION
+from ..service.errors import InvalidQueryError
+from ..service.protocol import (
+    CAPABILITIES,
+    PROTOCOL_VERSION,
+    dispatch,
+    encode_response,
+)
 from .router import RouterQuery, ShardRouter
 
 
@@ -35,38 +42,19 @@ class RouterProtocol:
 
     # ------------------------------------------------------------------
     def handle_line(self, line: str) -> dict:
-        try:
-            try:
-                request = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InvalidQueryError(f"bad JSON: {exc}") from exc
-            if not isinstance(request, dict) or "op" not in request:
-                raise InvalidQueryError('requests are objects with an "op" field')
-            op = request["op"]
-            handler = getattr(self, f"_op_{op}", None)
-            if handler is None:
-                raise InvalidQueryError(f"unknown op {op!r}")
-            response = handler(request)
-            response.setdefault("ok", True)
-            return response
-        except QueryError as exc:
-            response = {"ok": False, "error": exc.code, "message": str(exc)}
-            if exc.line is not None:
-                response["line"] = exc.line
-                response["column"] = exc.column
-            snippet = exc.snippet()
-            if snippet:
-                response["snippet"] = snippet
-            return response
-        except ServiceError as exc:
-            return {"ok": False, "error": exc.code, "message": str(exc)}
-        except ExecutionInterrupted as exc:
-            return {"ok": False, "error": exc.status, "message": str(exc)}
-        except Exception as exc:  # noqa: BLE001 — protocol boundary
-            return {"ok": False, "error": "internal", "message": str(exc)}
+        return dispatch(self, line)
 
     def handle_line_json(self, line: str) -> str:
-        return json.dumps(self.handle_line(line))
+        return encode_response(self.handle_line(line))
+
+    def close(self) -> None:
+        """The client is gone: cancel what it left unfinished, so no
+        shard keeps a stream (and no lease a connection) open for it."""
+        with self._lock:
+            queries = list(self._queries.values())
+        for query in queries:
+            if not query.done:
+                query.cancel()
 
     def _query(self, request: dict) -> RouterQuery:
         query_id = str(request.get("query"))
@@ -145,9 +133,11 @@ class RouterProtocol:
     def _op_poll(self, request: dict) -> dict:
         query = self._query(request)
         if query.stream:
+            # A client's ``wait`` needs no forwarding: fetch blocks until
+            # a shard has rows (its own polls carry a wait) or the end.
             page = query.fetch(limit=int(request.get("limit", 256)))
             return {
-                "matches": list(page.matches),
+                "matches": page.matches,
                 "cursor": page.cursor,
                 "done": page.done,
             }

@@ -10,20 +10,32 @@ A query fans out once — the router stamps a single absolute deadline
 (``deadline_at``, epoch seconds) and submits each partition's slice to
 one replica — and merges back into one client-facing stream:
 
-* **Order** — shards are drained sequentially in partition-index order.
+* **Order** — shard streams are merged in partition-index order.
   Each shard's slice is enumerated deterministically, so the merged
   stream is a deterministic concatenation: byte-identical across runs
   and (as a set, and per-shard as a sequence) identical to a
   single-node run over the same graph.  Shards *execute* concurrently
   the whole time; a shard that fills its bounded stream buffer simply
   blocks on backpressure until the router drains it.
+* **Drain** — one page in flight per shard.  Every streamed slice
+  holds a :class:`~repro.shard.client.Lease`; the first ``fetch`` polls
+  every shard, and each page received is answered with the next poll
+  *before* it is handed on, so a shard encodes page k+1 while the
+  client decodes page k and a later shard's first page is waiting when
+  the merge reaches it.  Polls carry ``wait`` (the shard blocks for
+  rows; nobody sleeps).  A merged page is one shard page — it never
+  spans two shards — and its rows stay the text the shard encoded
+  (:class:`~repro.service.protocol.EncodedRows`): the router counts
+  them and passes them on.  At most one page per shard is ever held.
 * **Deadline budget** — every hop forwards the same ``deadline_at``;
   shard queue time, router wait and network time all debit the one
   global budget.  Expiry anywhere surfaces as ``deadline_expired``.
 * **Retries and circuit breaking** — a transient transport failure is
   retried in place with deterministic exponential backoff
   (:class:`~repro.shard.client.RetryPolicy`), every backoff debited
-  against the query's global ``deadline_at``.  A replica that exhausts
+  against the query's global ``deadline_at``; a poll whose reply was
+  lost is re-sent with its cursor unchanged and re-served from the
+  shard's one-page replay window.  A replica that exhausts
   its retries is *marked dead* (``replica_marked_dead`` in the router's
   event log) and skipped by later submits and failovers until a cheap
   ``health`` probe brings it back (``replica_marked_alive``) — a simple
@@ -40,11 +52,11 @@ one replica — and merges back into one client-facing stream:
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..engine.control import DeadlineExpired, QueryCancelled
-from ..engine.sinks import RowBlock
 from ..lang.lowering import lower_query
 from ..service.errors import InvalidQueryError, ServiceError
 from ..telemetry.events import (
@@ -54,12 +66,17 @@ from ..telemetry.events import (
     stitch_event_dicts,
 )
 from ..telemetry.registry import merge_registry_dicts
-from .client import RetryPolicy, ShardClient, ShardError, ShardUnavailable
+from .client import (
+    Lease,
+    RetryPolicy,
+    ShardClient,
+    ShardError,
+    ShardUnavailable,
+)
 
-#: How long one poll hop may wait for a count-mode query to finish.
-_COUNT_POLL_WAIT = 0.25
-#: Pause between empty polls of a still-running stream.
-_STREAM_POLL_PAUSE = 0.005
+#: How long one poll hop may block on the shard: for a count-mode query
+#: to finish, for a stream's next rows.  Well under any read timeout.
+_POLL_WAIT = 0.25
 
 
 class RouterError(ServiceError):
@@ -85,21 +102,6 @@ def _raise_remote(response: dict, endpoint: str) -> None:
     raise ShardError(code, message, endpoint=endpoint)
 
 
-def _rows(matches: list) -> Sequence[tuple]:
-    """A poll response's decoded matches as a row sequence.
-
-    Integer rows re-pack into one :class:`RowBlock` (one C-level pass),
-    so the merged page is sliced, joined and re-encoded without touching
-    a row; anything else (string vertex ids) stays a list of tuples.
-    """
-    if not matches:
-        return []
-    try:
-        return RowBlock.from_rows(matches, len(matches[0]))
-    except (TypeError, OverflowError):
-        return [tuple(m) for m in matches]
-
-
 class _Slice:
     """One partition's routed slice: which replica runs it, and progress."""
 
@@ -114,6 +116,26 @@ class _Slice:
         self.count: Optional[int] = None
         self.telemetry: Optional[dict] = None
         self.groups: Optional[dict] = None  # BENU-QL GROUP BY counts
+        # Streams: the channel this slice's polls travel on, and the poll
+        # in flight on it (re-sent verbatim when its reply is lost).
+        self.lease: Optional[Lease] = None
+        self.poll: Optional[dict] = None
+
+    def send(self) -> None:
+        if self.lease is None:
+            self.lease = self.client.lease()
+        self.lease.send(self.poll)
+
+    def exchange(self) -> dict:
+        """The reply to the poll in flight, (re)sent first if it is not."""
+        if self.lease is None or not self.lease.pending:
+            self.send()
+        return self.lease.recv()
+
+    def release(self) -> None:
+        if self.lease is not None:
+            self.lease.release()
+            self.lease = None
 
 
 class RouterFetchResult:
@@ -154,9 +176,12 @@ class RouterQuery:
         #: for pattern-submitted queries.
         self.kind = kind
         self.columns = tuple(columns) if columns is not None else None
-        self._current = 0  # partition index being drained
+        self._current = 0  # partition index being merged
         self._cursor = 0  # total matches delivered across shards
         self._truncated = False
+        self._polling = False  # the first fetch polled every shard
+        # Rows of the current slice's page the client's limit left over.
+        self._held: Sequence[tuple] = []
 
     # ------------------------------------------------------------------
     @property
@@ -165,32 +190,30 @@ class RouterQuery:
 
     @property
     def done(self) -> bool:
-        return self._truncated or all(s.done for s in self._slices)
+        return self._truncated or (
+            not self._held and all(s.done for s in self._slices)
+        )
 
     def _check_budget(self) -> None:
         if self.deadline_at is not None and time.time() >= self.deadline_at:
             raise DeadlineExpired(0.0)
 
-    def _poll(self, s: _Slice, body: dict) -> dict:
-        """One poll hop against a slice's replica, with one-shot failover.
+    def _hop(self, s: _Slice, attempt: Callable[[], dict]) -> dict:
+        """One hop against a slice's replica, with one-shot failover.
 
-        The hop itself goes through the router's backoff retry (budgeted
+        ``attempt`` goes through the router's backoff retry (budgeted
         against ``deadline_at``); only after the replica exhausts its
         retries — and is marked dead — does the slice fail over.
         """
         self._check_budget()
         try:
-            response = self._router.request_with_retry(
-                s.client,
-                {**body, "query": s.query_id},
-                deadline_at=self.deadline_at,
+            response = self._router.retrying(
+                s.client, attempt, self.deadline_at
             )
         except ShardUnavailable:
             self._failover(s)
-            response = self._router.request_with_retry(
-                s.client,
-                {**body, "query": s.query_id},
-                deadline_at=self.deadline_at,
+            response = self._router.retrying(
+                s.client, attempt, self.deadline_at
             )
         if not response.get("ok"):
             _raise_remote(response, s.client.endpoint)
@@ -212,6 +235,7 @@ class RouterQuery:
                 "after a failover was already used"
             )
         s.retried = True
+        s.release()
         dead = s.client
         self._router.mark_dead(dead, reason="failed mid-query")
         for replica in self._router.live_first(s.replicas):
@@ -231,6 +255,8 @@ class RouterQuery:
             s.client = replica
             s.query_id = response["query"]
             self._skip_delivered(s)
+            if s.poll is not None:
+                s.poll = {**s.poll, "query": s.query_id}
             return
         raise ShardUnavailable(
             f"partition {s.index} has no live replica left"
@@ -244,28 +270,59 @@ class RouterQuery:
         while to_skip > 0:
             self._check_budget()
             response = s.client.request(
-                {"op": "poll", "query": s.query_id, "limit": min(to_skip, 1024)}
+                {
+                    "op": "poll",
+                    "query": s.query_id,
+                    "limit": min(to_skip, 1024),
+                    "wait": _POLL_WAIT,
+                }
             )
             if not response.get("ok"):
                 _raise_remote(response, s.client.endpoint)
-            got = response.get("matches", [])
-            to_skip -= len(got)
+            to_skip -= len(response.get("matches", ()))
             if response.get("done") and to_skip > 0:
                 raise ShardUnavailable(
                     f"partition {s.index}: replica replayed fewer matches "
                     "than were already delivered"
                 )
-            if not got:
-                time.sleep(_STREAM_POLL_PAUSE)
 
     # ------------------------------------------------------------- streaming
+    def _room(self, limit: int) -> int:
+        """``limit``, capped by what the global ``LIMIT`` still admits."""
+        if self.limit is None:
+            return limit
+        return min(limit, self.limit - self._cursor)
+
+    def _send_poll(self, s: _Slice, limit: int) -> None:
+        """Put the slice's next poll in flight, from its acknowledged
+        position."""
+        # The cursor is the router's acknowledged position.  If a poll's
+        # *response* is lost in transit, the re-sent request carries the
+        # same cursor and the shard re-serves the lost page from its
+        # replay window — no match is ever dropped by a transport
+        # failure between poll and response.
+        s.poll = {
+            "op": "poll",
+            "query": s.query_id,
+            "limit": self._room(limit),
+            "cursor": s.delivered,
+            "wait": _POLL_WAIT,
+        }
+        try:
+            s.send()
+        except ShardUnavailable:
+            pass  # the receiving hop re-sends, inside its retry budget
+
     def fetch(
         self, limit: int = 256, cursor: Optional[int] = None
     ) -> RouterFetchResult:
-        """Up to ``limit`` merged matches; same contract as a QueryHandle.
+        """The next merged page, of at most ``limit`` matches.
 
-        The merged stream cannot rewind: ``cursor``, when given, must be
-        the position the previous fetch returned.
+        Blocks until a shard has rows or the stream ends.  A page is one
+        shard page, or what a smaller ``limit`` cuts off one: it never
+        spans two shards and may be short.  The merged stream cannot
+        rewind: ``cursor``, when given, must be the position the
+        previous fetch returned.
         """
         if not self.stream:
             raise InvalidQueryError("count queries have no match stream")
@@ -276,42 +333,37 @@ class RouterQuery:
                 f"cursor {cursor} is not the stream position ({self._cursor});"
                 " merged streams cannot rewind"
             )
+        if self.limit == 0 and not self._truncated:
+            self._truncate()  # LIMIT 0: nothing to poll for
+        elif not self._polling:
+            self._polling = True
+            for s in self._slices:
+                self._send_poll(s, limit)
         out: Sequence[tuple] = []
-        while len(out) < limit and self._current < len(self._slices):
-            if self._truncated:
-                break
+        while not out and not self.done:
             s = self._slices[self._current]
-            # The cursor is the router's acknowledged position.  If the
-            # previous poll's *response* was lost in transit, the retried
-            # request carries the stale cursor and the shard re-serves
-            # the lost page from its replay window — no match is ever
-            # dropped by a transport failure between poll and response.
-            response = self._poll(
-                s,
-                {
-                    "op": "poll",
-                    "limit": limit - len(out),
-                    "cursor": s.delivered,
-                },
-            )
-            got = _rows(response.get("matches"))
-            s.delivered += len(got)
-            if got:
-                out = out + got if out else got
-            if (
-                self.limit is not None
-                and self._cursor + len(out) >= self.limit
-            ):
-                out = out[: self.limit - self._cursor]
-                self._truncated = True
-                self._cancel_rest()
-                break
-            if response.get("done"):
-                s.done = True
+            if self._held:
+                out, self._held = self._held, []
+            else:
+                response = self._hop(s, s.exchange)
+                out = response.get("matches", [])
+                s.delivered += len(out)
+                s.done = bool(response.get("done"))
+            room = self._room(limit)
+            if len(out) > room:
+                out, self._held = out[:room], out[room:]
+            self._cursor += len(out)
+            if self.limit is not None and self._cursor >= self.limit:
+                self._truncate()
+            elif self._held:
+                pass  # the next poll waits until this page is handed on
+            elif s.done:
+                s.release()
                 self._current += 1
-            elif not got:
-                time.sleep(_STREAM_POLL_PAUSE)
-        self._cursor += len(out)
+            else:
+                # The next page is on its way before this one is handed
+                # on: the shard encodes it while the client decodes.
+                self._send_poll(s, limit)
         return RouterFetchResult(out, self._cursor, self.done)
 
     def matches(self):
@@ -322,16 +374,31 @@ class RouterQuery:
             if page.done:
                 return
 
+    def _truncate(self) -> None:
+        """The global ``LIMIT`` is met: the stream ends here."""
+        self._truncated = True
+        self._cancel_rest()
+
     def _cancel_rest(self) -> None:
         """Best-effort cancel of slices whose results are no longer needed."""
-        for s in self._slices:
-            if s.done or s.query_id is None:
-                continue
+        self._held = []
+        live = [s for s in self._slices if not s.done and s.query_id is not None]
+        for s in live:
             try:
                 s.client.request({"op": "cancel", "query": s.query_id})
             except (ShardUnavailable, OSError):
-                pass
+                s.release()  # unreachable: nothing to wait for either
             s.done = True
+        # Every shard has been told before any is waited for.  A poll in
+        # flight is read and dropped, so its connection goes back to the
+        # pool clean instead of being reset under the shard.
+        for s in self._slices:
+            if s.lease is not None and s.lease.pending:
+                try:
+                    s.lease.recv()
+                except ShardUnavailable:
+                    pass
+            s.release()
 
     def cancel(self) -> None:
         self._cancel_rest()
@@ -356,8 +423,11 @@ class RouterQuery:
         kernel_counts: Dict[str, int] = {}
         for s in self._slices:
             while not s.done:
-                response = self._poll(
-                    s, {"op": "poll", "wait": _COUNT_POLL_WAIT}
+                response = self._hop(
+                    s,
+                    lambda: s.client.request(
+                        {"op": "poll", "query": s.query_id, "wait": _POLL_WAIT}
+                    ),
                 )
                 if response.get("done"):
                     s.done = True
@@ -418,8 +488,10 @@ class ShardRouter:
         #: The router's own lifecycle log (replica health transitions).
         self.event_log = events if events is not None else EventLog(capacity=1024)
         # Circuit-breaker state, keyed by client identity.  Absent =
-        # alive; a replica only enters the map once marked dead.
+        # alive; a replica only enters the map once marked dead.  Client
+        # connections share one router, so transitions take the lock.
         self._alive: Dict[int, bool] = {}
+        self._health_lock = threading.Lock()
         self._handshake(expected_epoch)
 
     # --------------------------------------------------- replica health
@@ -428,16 +500,22 @@ class ShardRouter:
 
     def mark_dead(self, client: ShardClient, reason: str = "") -> None:
         """Open the circuit: skip this replica until a probe heals it."""
-        if self.is_alive(client):
+        with self._health_lock:
+            if not self.is_alive(client):
+                return
             self._alive[id(client)] = False
-            self.event_log.emit(
-                EV_REPLICA_MARKED_DEAD, endpoint=client.endpoint, reason=reason
-            )
+        self.event_log.emit(
+            EV_REPLICA_MARKED_DEAD, endpoint=client.endpoint, reason=reason
+        )
 
     def mark_alive(self, client: ShardClient) -> None:
-        if not self.is_alive(client):
+        if self.is_alive(client):
+            return  # every successful hop lands here: no lock to take
+        with self._health_lock:
+            if self.is_alive(client):
+                return
             self._alive[id(client)] = True
-            self.event_log.emit(EV_REPLICA_MARKED_ALIVE, endpoint=client.endpoint)
+        self.event_log.emit(EV_REPLICA_MARKED_ALIVE, endpoint=client.endpoint)
 
     def probe(self, client: ShardClient) -> bool:
         """The half-open check: one cheap ``health`` op heals or confirms."""
@@ -460,13 +538,14 @@ class ShardRouter:
         )
         return ordered
 
-    def request_with_retry(
+    def retrying(
         self,
         client: ShardClient,
-        body: dict,
+        attempt: Callable[[], dict],
         deadline_at: Optional[float] = None,
     ) -> dict:
-        """One request with deterministic backoff on transport failures.
+        """``attempt()`` against ``client``, with deterministic backoff
+        on transport failures.
 
         Every backoff debits the query's global ``deadline_at`` budget
         (an exhausted budget raises ``DeadlineExpired``, never sleeps
@@ -475,19 +554,30 @@ class ShardRouter:
         replica heals it.
         """
         delays = list(self.retry.delays(client.endpoint))
-        attempt = 0
+        failures = 0
         while True:
             try:
-                response = client.request(body)
+                response = attempt()
             except ShardUnavailable as exc:
-                if attempt >= len(delays):
+                if failures >= len(delays):
                     self.mark_dead(client, reason=str(exc))
                     raise
-                self._sleep_with_budget(delays[attempt], deadline_at)
-                attempt += 1
+                self._sleep_with_budget(delays[failures], deadline_at)
+                failures += 1
                 continue
             self.mark_alive(client)
             return response
+
+    def request_with_retry(
+        self,
+        client: ShardClient,
+        body: dict,
+        deadline_at: Optional[float] = None,
+    ) -> dict:
+        """One request through :meth:`retrying`."""
+        return self.retrying(
+            client, lambda: client.request(body), deadline_at
+        )
 
     @staticmethod
     def _sleep_with_budget(
@@ -640,32 +730,71 @@ class ShardRouter:
     def _submit_slices(
         self, request: dict, deadline_at: Optional[float]
     ) -> List[_Slice]:
-        """Submit ``request`` to one live replica of every partition."""
-        slices = []
-        for index in range(self.shard_count):
-            s = _Slice(index, self.replicas[index])
-            submitted = False
-            for replica in self.live_first(s.replicas):
-                if not self.is_alive(replica) and not self.probe(replica):
-                    continue
+        """Submit ``request`` to one live replica of every partition.
+
+        The request goes out to every partition's first live replica
+        before any reply is read, so the shards parse, plan and start
+        concurrently.  A partition whose hop fails — or that has no
+        replica known alive — takes the sequential retry / probe path.
+        """
+        slices = [
+            _Slice(index, self.replicas[index])
+            for index in range(self.shard_count)
+        ]
+        flights = []
+        for s in slices:
+            replica = next((r for r in s.replicas if self.is_alive(r)), None)
+            lease = None
+            if replica is not None:
+                lease = replica.lease()
                 try:
-                    response = self.request_with_retry(
-                        replica, request, deadline_at=deadline_at
-                    )
+                    lease.send(request)
                 except ShardUnavailable:
-                    continue
-                if not response.get("ok"):
-                    _raise_remote(response, replica.endpoint)
-                s.client = replica
-                s.query_id = response["query"]
-                submitted = True
-                break
-            if not submitted:
-                raise ShardUnavailable(
-                    f"partition {index} has no live replica to submit to"
-                )
-            slices.append(s)
+                    lease.release()
+                    lease = None
+            flights.append((replica, lease))
+        replies = []
+        for replica, lease in flights:
+            reply = None
+            if lease is not None:
+                try:
+                    reply = lease.recv()
+                except ShardUnavailable:
+                    pass
+                lease.release()
+            replies.append(reply)
+        for s, (replica, _), reply in zip(slices, flights, replies):
+            if reply is None:
+                self._submit_slice(s, request, deadline_at)
+                continue
+            if not reply.get("ok"):
+                _raise_remote(reply, replica.endpoint)
+            s.client = replica
+            s.query_id = reply["query"]
         return slices
+
+    def _submit_slice(
+        self, s: _Slice, request: dict, deadline_at: Optional[float]
+    ) -> None:
+        """One partition's submit, replica by replica: retries with
+        backoff, and a health probe before a replica marked dead."""
+        for replica in self.live_first(s.replicas):
+            if not self.is_alive(replica) and not self.probe(replica):
+                continue
+            try:
+                response = self.request_with_retry(
+                    replica, request, deadline_at=deadline_at
+                )
+            except ShardUnavailable:
+                continue
+            if not response.get("ok"):
+                _raise_remote(response, replica.endpoint)
+            s.client = replica
+            s.query_id = response["query"]
+            return
+        raise ShardUnavailable(
+            f"partition {s.index} has no live replica to submit to"
+        )
 
     # ------------------------------------------------------- observability
     def _fanout(self, request: dict) -> Dict[str, dict]:

@@ -55,6 +55,7 @@ from repro.shard import (
     ShardUnavailable,
     TCPShardClient,
 )
+from repro.shard.client import DEFAULT_CONNECT_TIMEOUT, DEFAULT_READ_TIMEOUT
 from repro.telemetry.events import (
     EV_FAULT_INJECTED,
     EV_REPLICA_MARKED_ALIVE,
@@ -516,32 +517,35 @@ def test_backoff_budget_never_outlives_the_deadline():
 
 
 # ----------------------------------------------------- TCP hop timeouts
-def test_tcp_client_timeout_knobs(shard_workload):
-    node = ShardNode(0, 1)
-    node.register_graph("g", shard_workload, relabel=False)
-    server = node.serve_socket(port=0)
-    import threading
+def test_tcp_client_timeout_knobs():
+    """The two hop timeouts, by what they do: a shard that accepts but
+    never answers fails the request after ``read_timeout`` — typed, and
+    long before the (much longer) connect timeout or the defaults."""
+    import time as _time
 
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
+    silent = socket.socket()
+    silent.bind(("127.0.0.1", 0))
+    silent.listen(4)
+    host, port = silent.getsockname()
     try:
         client = TCPShardClient(
-            host, port, connect_timeout=1.5, read_timeout=7.5
+            host, port, connect_timeout=20.0, read_timeout=0.2
         )
-        assert client.connect_timeout == 1.5
-        assert client.read_timeout == 7.5
-        assert client._sock.gettimeout() == 7.5
-        assert client.health()["ok"]
+        assert client.connect_timeout == 20.0
+        assert client.read_timeout == 0.2
+        t0 = _time.monotonic()
+        with pytest.raises(ShardUnavailable):
+            client.health()
+        assert 0.15 <= _time.monotonic() - t0 < 5.0
+        # The timed-out connection is gone; the pool holds no stale one.
+        assert not client.connected
         client.close()
-        # The legacy single knob still sets both.
-        legacy = TCPShardClient(host, port, timeout=3.0)
-        assert legacy.connect_timeout == 3.0 and legacy.read_timeout == 3.0
-        legacy.close()
+        defaults = TCPShardClient(host, port)
+        assert defaults.connect_timeout == DEFAULT_CONNECT_TIMEOUT
+        assert defaults.read_timeout == DEFAULT_READ_TIMEOUT
+        defaults.close()
     finally:
-        server.shutdown()
-        server.server_close()
-        node.close()
+        silent.close()
 
 
 def test_tcp_connect_failure_is_typed_and_fast():
