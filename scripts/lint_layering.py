@@ -1,21 +1,12 @@
 #!/usr/bin/env python
-"""Enforce the engine-layering contracts (AST import lint).
+"""Enforce the engine-layering contract (AST import lint).
 
-Two architectural invariants, both born out of refactors that must not
-silently regress:
-
-1. **labeled/ owns no execution loop.**  The labeled front-end lowers
-   onto the shared plan pipeline (``prepare_plan`` / ``execute_plan``);
-   it must never reach into the execution internals — the simulated
-   cluster, task generation/splitting, workers, the interpreter or the
-   backend registry — to run matches itself.  If labeled code needs a
-   runtime behavior, it belongs in the engine behind the shared
-   pipeline.
-2. **engine/parallel is a sealed deprecation shim.**  Nothing under
-   ``src/repro/`` may import it (or its ``ParallelRunner`` /
-   ``parallel_count`` names) except the shim itself and the lazy
-   re-export in ``engine/__init__.py``; new code goes through
-   ``BenuConfig(execution_backend="process")``.
+**labeled/ owns no execution loop.**  The labeled front-end lowers onto
+the shared plan pipeline (``prepare_plan`` / ``execute_plan``); it must
+never reach into the execution internals — the simulated cluster, task
+generation/splitting, workers, the interpreter or the backend registry —
+to run matches itself.  If labeled code needs a runtime behavior, it
+belongs in the engine behind the shared pipeline.
 
 The check is AST-based and resolves relative imports, so aliasing or
 ``from .. import`` spellings cannot slip past it.
@@ -54,11 +45,6 @@ EXECUTION_NAMES = {
     "LocalSearchTask",
     "get_backend",
 }
-#: The deprecated shim module and its entry points.
-PARALLEL_MODULE = "repro.engine.parallel"
-PARALLEL_NAMES = {"ParallelRunner", "parallel_count"}
-#: Files allowed to reference the shim (relative to src/repro).
-PARALLEL_ALLOWED = {"engine/parallel.py", "engine/__init__.py"}
 
 
 def module_package(path: Path, root: Path) -> str:
@@ -87,49 +73,30 @@ def resolve_imports(tree: ast.AST, package: str):
 
 
 def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
-    rel = path.relative_to(root).as_posix()
+    if not path.relative_to(root).as_posix().startswith("labeled/"):
+        return 0
     package = module_package(path, root)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     violations = 0
-    in_labeled = rel.startswith("labeled/")
     for lineno, module, names in resolve_imports(tree, package):
-        if in_labeled:
-            if any(
-                module == p or module.startswith(p + ".")
-                for p in EXECUTION_INTERNALS
-            ):
+        if any(
+            module == p or module.startswith(p + ".")
+            for p in EXECUTION_INTERNALS
+        ):
+            print(
+                f"{path}:{lineno}: labeled/ imports execution internal "
+                f"{module!r} — lower through prepare_plan/execute_plan "
+                "instead of running an enumeration loop",
+                file=out,
+            )
+            violations += 1
+        if module in ("repro.engine", "repro.engine.benu"):
+            loops = sorted(set(names) & EXECUTION_NAMES)
+            if loops:
                 print(
-                    f"{path}:{lineno}: labeled/ imports execution internal "
-                    f"{module!r} — lower through prepare_plan/execute_plan "
-                    "instead of running an enumeration loop",
-                    file=out,
-                )
-                violations += 1
-            if module in ("repro.engine", "repro.engine.benu"):
-                loops = sorted(set(names) & EXECUTION_NAMES)
-                if loops:
-                    print(
-                        f"{path}:{lineno}: labeled/ imports execution "
-                        f"primitives {loops} — labeled enumeration must go "
-                        "through the shared plan pipeline",
-                        file=out,
-                    )
-                    violations += 1
-        if rel not in PARALLEL_ALLOWED:
-            if module == PARALLEL_MODULE or module.startswith(
-                PARALLEL_MODULE + "."
-            ):
-                print(
-                    f"{path}:{lineno}: import of deprecated {module!r} — use "
-                    'BenuConfig(execution_backend="process")',
-                    file=out,
-                )
-                violations += 1
-            elif module == "repro.engine" and set(names) & PARALLEL_NAMES:
-                print(
-                    f"{path}:{lineno}: import of deprecated "
-                    f"{sorted(set(names) & PARALLEL_NAMES)} — use "
-                    'BenuConfig(execution_backend="process")',
+                    f"{path}:{lineno}: labeled/ imports execution "
+                    f"primitives {loops} — labeled enumeration must go "
+                    "through the shared plan pipeline",
                     file=out,
                 )
                 violations += 1

@@ -47,17 +47,6 @@ from .sinks import (
 from .task_split import generate_tasks, plan_supports_splitting, split_slices
 from .worker import TaskReport, Worker
 
-
-def __getattr__(name: str):
-    # Deprecated pre-ExecutionBackend shims; imported lazily so merely
-    # importing repro.engine doesn't pull them in (and so nothing under
-    # src/repro/ depends on them anymore).
-    if name in ("ParallelRunner", "parallel_count"):
-        from . import parallel
-
-        return getattr(parallel, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "PreparedData",
     "build_plan",
@@ -84,8 +73,6 @@ __all__ = [
     "ProcessBackend",
     "SimulatedBackend",
     "get_backend",
-    "ParallelRunner",
-    "parallel_count",
     "BenuResult",
     "CallbackSink",
     "CollectSink",

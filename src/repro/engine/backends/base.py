@@ -15,8 +15,10 @@ Shared here:
 
 * :func:`resolve_tasks` — task generation under the tracer span every
   backend records;
-* :func:`packs_rows` — the one rule for when a run's matches travel as
-  packed row blocks (:class:`~repro.engine.sinks.RowBlock`);
+* :func:`run_mode` — a run collects iff it has a sink, and
+  ``config.collect`` is one (:class:`~repro.engine.sinks.CollectSink`);
+* :func:`packs_rows` — the one rule for whether a run's row blocks
+  (:class:`~repro.engine.sinks.RowBlock`) are int64 arrays or lists;
 * :func:`record_worker_ledgers` / :func:`record_run_gauges` — the
   end-of-run registry population, keeping metric names identical across
   backends by construction.
@@ -51,6 +53,7 @@ from ...telemetry.snapshot import (
 from ..config import BenuConfig
 from ..control import ExecutionControl
 from ..local_task import LocalSearchTask
+from ..sinks import CollectSink
 from ..task_split import generate_tasks
 
 
@@ -85,29 +88,31 @@ class ExecutionRequest:
     #: slice of the task space); None runs the whole graph.  Ignored when
     #: an explicit ``tasks`` list is given.
     start_vertices: Optional[Sequence] = None
+    #: The sink ``config.collect`` became; None when the run does not
+    #: collect.  Its rows are the result's ``matches`` (or ``codes``).
+    collector: Optional[CollectSink] = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         if self.telemetry is None:
             self.telemetry = Telemetry(self.config.telemetry)
-
-    @property
-    def streaming(self) -> bool:
-        return self.sink is not None
+        if self.sink is None and self.config.collect:
+            # The one place collect=True becomes a sink: the bottom of
+            # the chain a stream uses (an owner may wrap it, as
+            # ``execute_plan`` wraps it in the id translation).
+            self.sink = self.collector = CollectSink()
 
     @property
     def mode(self) -> str:
-        """Compilation/collection mode: ``collect`` or ``count``."""
-        return (
-            "collect" if (self.config.collect or self.streaming) else "count"
-        )
+        """Compilation mode: ``collect`` or ``count``."""
+        return run_mode(self.config, self.sink)
 
 
 class ExecutionBackend(abc.ABC):
     """One runtime for the BENU task loop.
 
     The contract: :meth:`execute` runs every task of ``request.plan``
-    over ``request.graph``, emits matches to ``request.sink`` (already
-    in execution-space ids — translation happens a layer up), honors
+    over ``request.graph``, hands their rows to ``request.sink`` as row
+    blocks (in execution-space ids — translation happens a layer up), honors
     ``request.control`` at task or chunk boundaries (a cancel or expired
     deadline raises the typed
     :class:`~repro.engine.control.ExecutionInterrupted` out of this
@@ -120,9 +125,24 @@ class ExecutionBackend(abc.ABC):
     #: Registry key (``BenuConfig.execution_backend`` value).
     name: str = "?"
 
-    @abc.abstractmethod
     def execute(self, request: ExecutionRequest):
-        """Run the request; return a :class:`BenuResult`."""
+        """Run the request; return a :class:`BenuResult`.
+
+        A collecting run's rows come back as the result's ``matches`` —
+        or, for a compressed plan, its ``codes``.
+        """
+        result = self._execute(request)
+        collector = request.collector
+        if collector is not None:
+            if request.plan.compressed:
+                result.codes = collector.results
+            else:
+                result.matches = collector.results
+        return result
+
+    @abc.abstractmethod
+    def _execute(self, request: ExecutionRequest):
+        """Run every task, handing the rows to ``request.sink``."""
 
 
 # ----------------------------------------------------------------- helpers
@@ -145,15 +165,20 @@ def resolve_tasks(request: ExecutionRequest, tracer) -> List[LocalSearchTask]:
     return tasks
 
 
+def run_mode(config: BenuConfig, sink) -> str:
+    """``collect`` iff the run has a sink — ``config.collect`` is one."""
+    return "collect" if sink is not None or config.collect else "count"
+
+
 def packs_rows(request: ExecutionRequest) -> bool:
     """Whether this run's matches are plain fixed-width int64 rows.
 
     True for an uncompressed plan (compressed codes carry frozenset
     slots) over a graph whose vertex ids all fit an ``array('q')``.  Such
-    a run appends matches to packed per-task buffers and hands them on as
-    row blocks; any other run emits one tuple per RES.
+    a run buffers its rows in an ``array('q')``; any other run with a
+    sink in a plain list.  Either way the sink gets row blocks.
     """
-    if request.mode != "collect" or request.plan.compressed:
+    if request.sink is None or request.plan.compressed:
         return False
     try:
         array("q", request.graph.vertices)

@@ -27,15 +27,14 @@ Design notes
 * Everything a worker learned in one queue pull comes home as one flat
   *chunk record*: the tasks' counters as one ``array('q')``, their wall
   seconds as one ``array('d')``, one kernel delta, and the chunk's
-  matches.  For uncompressed int-vertex plans (``packs_rows``) the
-  matches are *packed* — RES appends each one to a single flat
-  ``array('q')`` of fixed-width rows, serialization collapses to a
-  buffer copy (~70x faster than per-tuple pickle opcodes) — and the
-  parent hands the buffer to the sink's ``emit_block`` as it arrived
-  (:class:`~repro.engine.sinks.RowBlock`; a skewed chunk's buffer is cut
-  into blocks of bounded size first); a row never becomes a tuple on the
-  way.  Compressed codes ship as a list of tuples and reach the sink
-  through ``emit``, in arrival order either way.
+  matches as one flat buffer of fixed-width rows that RES extends.  For
+  uncompressed int-vertex plans (``packs_rows``) the buffer is an
+  ``array('q')`` and serialization collapses to a buffer copy (~70x
+  faster than per-tuple pickle opcodes); otherwise (compressed codes,
+  non-int ids) a plain list.  The parent hands the buffer to the sink as
+  it arrived, as :class:`~repro.engine.sinks.RowBlock` objects (a skewed
+  chunk's buffer is cut into blocks of bounded size first), in arrival
+  order; a row never becomes a tuple on the way.
 * Control is threaded across the boundary as a shared ``Event``: the
   parent polls its :class:`~repro.engine.control.ExecutionControl` while
   draining results and trips the event on cancel/deadline; workers check
@@ -63,7 +62,7 @@ import multiprocessing as mp
 import os
 import time as _time
 from array import array
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ...faults import (
     InjectedFault,
@@ -110,9 +109,9 @@ from .base import (
 #: kernel Δ, matches|None).  ``counters`` is one flat ``array('q')``,
 #: ``len(COUNTER_FIELDS)`` per executed task in task order (a cancel
 #: skips the chunk's tail); ``wall seconds`` one ``array('d')`` entry per
-#: executed task.  In packed collect mode the matches slot is one flat
-#: ``array('q')`` of fixed-width rows (a task's row count is its
-#: ``results`` counter), otherwise a list of tuples.  When the parent
+#: executed task.  In collect mode the matches slot is one flat buffer of
+#: fixed-width rows (a task's row count is its ``results`` counter): an
+#: ``array('q')`` when the run packs, a list otherwise.  When the parent
 #: traces, one trailing element is appended — a list of wire-format span
 #: dicts (see ``span_to_wire``) recorded in the worker — so the untraced
 #: record stays an exact 5-tuple (zero extra IPC bytes when telemetry is
@@ -169,11 +168,12 @@ def _init_worker(
     (inherited via fork) or a :class:`CSRShmHandle` for the csr backend
     (workers attach to the parent's shared block, copying nothing).
 
-    ``pack`` turns on flat ``array('q')`` match buffers (collect mode,
-    uncompressed int-vertex plans only — the parent decides eligibility
-    once).  ``vector_crossover`` pins the parent's measured vectorized-
-    dispatch threshold so every worker's python-vs-numpy kernel mix is
-    identical to the parent's regardless of per-process timing noise.
+    ``pack`` picks the flat match buffer of collect mode: an
+    ``array('q')`` (uncompressed int-vertex plans only — the parent
+    decides eligibility once) or a list.  ``vector_crossover`` pins the
+    parent's measured vectorized-dispatch threshold so every worker's
+    python-vs-numpy kernel mix is identical to the parent's regardless of
+    per-process timing noise.
 
     With ``trace`` on, the initializer times itself and parks the span
     (wire format, absolute ``perf_counter`` instants — fork children
@@ -237,18 +237,13 @@ def _run_tasks(tasks: List[LocalSearchTask]) -> _ChunkRecord:
     run = state["compiled"].run_raw
     get_adj = state["get_adj"]
     vset = state["vset"]
-    matches = None
-    emit_cb = None
+    matches = emit_cb = None
     if state["collect"]:
-        if state["pack"]:
-            # Flat fixed-width rows: emit(tuple) flattens straight into
-            # the int64 buffer; the whole chunk's matches pickle as one
-            # machine-format byte string instead of per-tuple opcodes.
-            matches = array("q")
-            emit_cb = matches.extend
-        else:
-            matches = []
-            emit_cb = matches.append
+        # Flat fixed-width rows: RES's tuple extends the buffer.  An int64
+        # array pickles as one machine-format byte string instead of
+        # per-value opcodes.
+        matches = array("q") if state["pack"] else []
+        emit_cb = matches.extend
     spans = None
     if state["trace"]:
         # Whatever spans are parked (the init span) ride this record out,
@@ -374,7 +369,7 @@ class ProcessBackend(ExecutionBackend):
         return fallback_chunksize(num_tasks, num_workers)
 
     # ------------------------------------------------------------------
-    def execute(self, request: ExecutionRequest) -> BenuResult:
+    def _execute(self, request: ExecutionRequest) -> BenuResult:
         config = request.config
         plan = request.plan
         control = request.control
@@ -392,21 +387,10 @@ class ProcessBackend(ExecutionBackend):
         progress.set_total_tasks(len(tasks))
         trace = bool(tracer.enabled)
 
-        collected: Optional[list] = (
-            [] if config.collect and not request.streaming else None
+        emit_block = (
+            block_emitter(request.sink) if request.sink is not None else None
         )
-        # Where a chunk's matches go: packed rows as one block, anything
-        # else one tuple at a time.  (A collecting run's result list takes
-        # a block through ``extend`` — the block iterates as tuples.)
-        if request.streaming:
-            emit: Optional[Callable] = request.sink.emit
-            emit_block: Optional[Callable] = block_emitter(request.sink)
-        elif collected is not None:
-            emit, emit_block = collected.append, collected.extend
-        else:
-            emit = emit_block = None
-
-        # Packed match shipping, decided once here; workers just honor
+        # The match buffer's type, decided once here; workers just honor
         # the flag.
         pack = packs_rows(request)
         match_width = plan.pattern.n
@@ -433,14 +417,9 @@ class ProcessBackend(ExecutionBackend):
             """One arrived chunk: deliver its matches, keep the rest."""
             matches = record[4]
             records.append(record[:4] + record[5:])
-            if not matches:
-                pass
-            elif isinstance(matches, array):
+            if matches:
                 for block in row_blocks(matches, match_width):
                     emit_block(block)
-            else:
-                for match in matches:
-                    emit(match)
             self._account(record, base, events, progress)
 
         try:
@@ -475,7 +454,7 @@ class ProcessBackend(ExecutionBackend):
 
         return self._finalize(
             request, registry, tasks, records, attaches, shm_bytes,
-            collected, num_workers, wall0, tracer, recovery,
+            num_workers, wall0, tracer, recovery,
         )
 
     # ------------------------------------------------------------------
@@ -784,7 +763,7 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _finalize(
         self, request, registry, tasks, records, attaches, shm_bytes,
-        collected, num_workers, wall0, tracer, recovery=None,
+        num_workers, wall0, tracer, recovery=None,
     ) -> BenuResult:
         config = request.config
         cost_model = config.cost_model
@@ -855,14 +834,6 @@ class ProcessBackend(ExecutionBackend):
         ).record_to(registry)
         ShmAttachStats(attaches, shm_bytes).record_to(registry)
 
-        matches = None
-        codes = None
-        if collected is not None:
-            if request.plan.compressed:
-                codes = collected
-            else:
-                matches = collected
-
         makespan = max(
             (ledger.busy_seconds for ledger in ordered), default=0.0
         )
@@ -882,8 +853,6 @@ class ProcessBackend(ExecutionBackend):
         return BenuResult(
             plan=request.plan,
             count=totals["counters"].results,
-            matches=matches,
-            codes=codes,
             counters=totals["counters"],
             communication=totals["communication"],
             cache=totals["cache"],

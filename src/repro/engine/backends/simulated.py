@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time as _time
 from array import array
-from typing import Callable, List, Optional
+from typing import List
 
 from ...kernels.intersect import STATS as KERNEL_STATS, KernelStats
 from ...plan.codegen import ENU_STEPS, INT_OPS, RESULTS, compile_plan
@@ -107,17 +107,20 @@ class SimulatedBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _run_chunks(request, tasks, workers, runner, vset, emit, emit_block):
+    def _run_chunks(request, tasks, workers, runner, vset, emit_block):
         """The task loop, with every piece of bookkeeping done per chunk.
 
         Tasks run in the global task order, task ``i`` on worker
         ``i % num_workers`` (round-robin, as the paper distributes tasks
         evenly).  A *chunk* is a run of consecutive tasks: it closes once
         the work its tasks counted reaches :data:`CHUNK_WORK`, or once its
-        packed row buffer holds :data:`~repro.engine.sinks.BLOCK_ROWS`
-        rows — so where the boundaries fall is a pure function of (graph,
-        plan), a heavy task is its own chunk, and buffered rows stay
-        bounded.  The control is
+        row buffer holds :data:`~repro.engine.sinks.BLOCK_ROWS` rows — so
+        where the boundaries fall is a pure function of (graph, plan), a
+        heavy task is its own chunk, and buffered rows stay bounded.  RES
+        flattens each match into the buffer (``extend``: an
+        ``array('q')`` when the run ``packs_rows``, a list otherwise), and
+        ``emit_block`` — None when the run has no sink — gets it as row
+        blocks.  The control is
         checked, the ``task_dispatched``/``task_finished`` events emitted,
         the progress ticked and the row buffer flushed once per chunk.
         """
@@ -129,6 +132,7 @@ class SimulatedBackend(ExecutionBackend):
         row_cap = BLOCK_ROWS * width
         num_workers = len(workers)
         num_tasks = len(tasks)
+        pack = packs_rows(request)
 
         def db_seconds() -> float:
             return sum(w.query_stats.simulated_seconds for w in workers)
@@ -141,9 +145,8 @@ class SimulatedBackend(ExecutionBackend):
             if events.enabled:
                 events.emit(EV_TASK_DISPATCHED, task_id=first)
                 db_before = db_seconds()
-            rows = array("q")  # stays empty unless the run packs
-            if emit_block is not None:
-                emit = rows.extend
+            rows = array("q") if pack else []
+            emit = rows.extend if emit_block is not None else None
             raws = []
             work = 0
             while i < num_tasks:
@@ -182,7 +185,7 @@ class SimulatedBackend(ExecutionBackend):
             control.check()
 
     # ------------------------------------------------------------------
-    def execute(self, request: ExecutionRequest) -> BenuResult:
+    def _execute(self, request: ExecutionRequest) -> BenuResult:
         config = request.config
         plan = request.plan
         telemetry = request.telemetry
@@ -199,23 +202,9 @@ class SimulatedBackend(ExecutionBackend):
         profiler = telemetry.make_profiler(registry)
         runner = self._make_runner(request, mode, profiler, tracer)
 
-        collected: Optional[list] = (
-            [] if config.collect and not request.streaming else None
+        emit_block = (
+            block_emitter(request.sink) if request.sink is not None else None
         )
-        # A streamed run that packs appends each chunk's matches to a flat
-        # buffer (RES -> ``array.extend``) and hands the sink row blocks at
-        # the chunk boundary; any other run emits a tuple per RES.
-        emit_block = None
-        if request.streaming and packs_rows(request):
-            emit_block = block_emitter(request.sink)
-            emit: Optional[Callable] = None
-        elif request.streaming:
-            emit = request.sink.emit
-        elif collected is not None:
-            emit = collected.append
-        else:
-            emit = None
-
         if telemetry.enabled:
             payload_hist = registry.histogram(
                 H_DB_QUERY_BYTES,
@@ -245,7 +234,7 @@ class SimulatedBackend(ExecutionBackend):
                     for i in range(config.num_workers)
                 ]
                 self._run_chunks(
-                    request, tasks, workers, runner, vset, emit, emit_block
+                    request, tasks, workers, runner, vset, emit_block
                 )
                 for w in workers:
                     tracer.add_span(
@@ -282,14 +271,6 @@ class SimulatedBackend(ExecutionBackend):
         totals = record_worker_ledgers(registry, ledgers)
         record_plan_prediction(registry, plan, totals["counters"])
 
-        matches = None
-        codes = None
-        if collected is not None:
-            if plan.compressed:
-                codes = collected
-            else:
-                matches = collected
-
         makespan = max(w.makespan_seconds for w in workers)
         wall = _time.perf_counter() - wall0
         record_run_gauges(registry, makespan, wall, len(workers), totals["cache"])
@@ -297,8 +278,6 @@ class SimulatedBackend(ExecutionBackend):
         return BenuResult(
             plan=plan,
             count=totals["counters"].results,
-            matches=matches,
-            codes=codes,
             counters=totals["counters"],
             communication=totals["communication"],
             cache=totals["cache"],

@@ -33,6 +33,7 @@ from ..plan.optimizer import apply_generalized_clique_cache, optimize
 from ..plan.search import generate_best_plan
 from ..plan.validate import validate_plan
 from ..telemetry.runtime import Telemetry
+from .backends import ExecutionRequest, get_backend
 from .cluster import SimulatedCluster
 from .config import BenuConfig
 from .control import ExecutionControl
@@ -119,12 +120,6 @@ class PreparedData:
         for every query that streams over this graph."""
         return block_translator(self.inverse)
 
-    def translate_match(self, match: Tuple[Vertex, ...]) -> Tuple[Vertex, ...]:
-        """One match tuple back in original ids."""
-        if self.inverse is None:
-            return match
-        return tuple(self.inverse[v] for v in match)
-
 
 def prepare_data(
     data: Graph, config: Optional[BenuConfig] = None, tracer=None
@@ -187,14 +182,18 @@ def execute_plan(
 
     The runtime is ``config.execution_backend`` (or the explicit
     ``execution_backend`` override): the in-process backends (simulated /
-    inline) run on a :class:`SimulatedCluster` — ``cluster`` reuses an
-    existing one, and with it the distributed store — while the process
-    backend fans tasks out over OS worker processes against the raw
-    graph (``cluster``/``worker_caches`` are ignored there).
+    inline) run over a distributed store — ``cluster`` reuses an existing
+    :class:`SimulatedCluster`'s store and config, otherwise one is built —
+    while the process backend fans tasks out over OS worker processes
+    against the raw graph (``cluster``/``worker_caches`` are ignored
+    there).
 
     ``worker_caches`` keeps worker database caches warm across calls;
-    ``sink`` streams matches — already translated to original ids —
-    instead of collecting them; ``control`` is checked at every boundary
+    ``sink`` streams matches instead of collecting them (``collect=True``
+    is a :class:`~repro.engine.sinks.CollectSink` stream); either way full
+    matches arrive translated to original ids by one
+    :class:`~repro.engine.sinks.TranslatingSink`, while compressed codes
+    stay in execution space; ``control`` is checked at every boundary
     between chunks of tasks, on whichever side of the process boundary
     the tasks run; ``progress`` (a :class:`repro.telemetry.QueryProgress`)
     is updated at the same granularity, so a concurrent poller sees live
@@ -213,62 +212,35 @@ def execute_plan(
         telemetry = (
             cluster.telemetry if cluster is not None else Telemetry(config.telemetry)
         )
-    if sink is not None and prepared.relabeled and not plan.compressed:
-        # Streamed full matches leave in original ids; compressed codes
-        # stay in execution space (their expansion constraints compare
-        # under ≺), exactly like collected results.
-        sink = TranslatingSink(sink, prepared.inverse, prepared.inverse_blocks)
-    if backend_name == "process":
-        from .backends import ExecutionRequest, get_backend
-
-        request = ExecutionRequest(
-            plan=plan,
-            graph=prepared.graph,
-            config=config,
-            telemetry=telemetry,
-            tasks=tasks,
-            sink=sink,
-            control=control,
-            task_cost_hint=task_cost_hint,
-            start_vertices=start_vertices,
+    store = None
+    if cluster is not None and backend_name != "process":
+        # The in-process backends run on the cluster's config and store.
+        config, store = cluster.config, cluster.store
+    request = ExecutionRequest(
+        plan=plan,
+        graph=prepared.graph,
+        config=config,
+        telemetry=telemetry,
+        tasks=tasks,
+        sink=sink,
+        control=control,
+        store=store,
+        worker_caches=worker_caches,
+        task_cost_hint=task_cost_hint,
+        start_vertices=start_vertices,
+    )
+    if progress is not None:
+        request.progress = progress
+    if request.sink is not None and prepared.relabeled and not plan.compressed:
+        # Full matches, streamed or collected, leave in original ids;
+        # compressed codes stay in execution space (their expansion
+        # constraints compare under ≺).
+        request.sink = TranslatingSink(
+            request.sink, prepared.inverse, prepared.inverse_blocks
         )
-        if progress is not None:
-            request.progress = progress
-        result = get_backend("process").execute(request)
-    else:
-        if cluster is None:
-            cluster = SimulatedCluster(
-                prepared.graph,
-                replace(config, execution_backend=backend_name),
-                telemetry=telemetry,
-            )
-        elif cluster.config.execution_backend != backend_name:
-            cluster = SimulatedCluster(
-                prepared.graph,
-                replace(cluster.config, execution_backend=backend_name),
-                telemetry=telemetry,
-                store=cluster.store,
-            )
-        result = cluster.run_plan(
-            plan,
-            tasks=tasks,
-            sink=sink,
-            control=control,
-            worker_caches=worker_caches,
-            progress=progress,
-            start_vertices=start_vertices,
-        )
-
+    result = get_backend(backend_name).execute(request)
     if prepared.relabeled:
         result.id_mapping = prepared.inverse
-        if result.matches is not None:
-            # Codes stay in the relabeled space (their expansion
-            # constraints compare under ≺); plain matches translate
-            # eagerly.
-            with telemetry.tracer.span("result-translation"):
-                result.matches = [
-                    prepared.translate_match(match) for match in result.matches
-                ]
     return result
 
 

@@ -65,10 +65,11 @@ class SimulatedCluster:
         """Execute one plan over the whole data graph.
 
         ``tasks`` overrides task generation (Exp-4 uses this to compare
-        splitting on/off over identical plans).  ``sink`` (any object with
-        an ``emit`` method, see :mod:`repro.engine.sinks`) streams results
+        splitting on/off over identical plans).  ``sink`` (see
+        :mod:`repro.engine.sinks`) is handed the results as row blocks
         instead of collecting them in memory; when given, the result's
-        ``matches``/``codes`` stay None regardless of ``config.collect``.
+        ``matches``/``codes`` stay None regardless of ``config.collect``
+        (which is itself a :class:`~repro.engine.sinks.CollectSink`).
 
         ``control`` is checked once per chunk of tasks (see
         :data:`repro.engine.backends.simulated.CHUNK_WORK`): a cancel or an

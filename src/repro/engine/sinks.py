@@ -1,29 +1,20 @@
 """Match sinks — where enumeration results go.
 
-The paper's jobs write matches to HDFS; a library needs more options.  A
-sink is anything with an ``emit(result)`` method (full match tuple, or
-VCBC code slots when compressed).
+The paper's jobs write matches to HDFS; a library needs more options.
 
-The block contract
-------------------
-Uncompressed matches over integer vertices are fixed-width rows of
-int64s, and they travel *packed*: the compiled plan's RES appends each
-match to a per-chunk ``array('q')``, and at the chunk boundary the backend
-hands the buffer to the sink's ``emit_block(block)`` as
-:class:`RowBlock` objects — a call or a few per chunk of tasks (or per
-worker chunk), not one per match.
-
-* A **backend** calls ``emit_block`` (through :func:`block_emitter`) when
-  the run packs — uncompressed plan, int vertices — and ``emit`` once per
-  RES otherwise (compressed codes carry frozenset slots and do not pack).
-* A sink that **wraps another sink** must implement ``emit_block`` and
-  work per block (a table lookup, a column selection, a truncation),
-  forwarding through ``block_emitter(inner)``; otherwise it would force
-  every row upstream of it back into a tuple.
-* A **terminal** sink may implement only ``emit(row)``:
-  :func:`block_emitter` adapts it, yielding the block's rows one tuple at
-  a time.  That adapter and the JSON page encoder of the wire protocol
-  are the only places a packed row becomes a Python tuple.
+The one contract
+----------------
+Every run hands its sink :class:`RowBlock` objects: RES appends each
+match (a full match tuple, or VCBC code slots when compressed) to a
+per-chunk flat buffer, and at the chunk boundary the backend passes the
+buffer on through :func:`block_emitter` — a call or a few per chunk of
+tasks (or per worker chunk), not one per match.  The built-in sinks work
+per block (a table lookup, a column selection, a truncation) and forward
+through ``block_emitter(inner)``; a terminal sink — a file, a callback, a
+user's object — may implement only ``emit(row)``, and
+:func:`block_emitter`, the one caller of ``emit``, feeds it the block's
+rows one tuple at a time.  ``collect=True`` is a :class:`CollectSink` at
+the bottom of the same chain.
 
 Provided sinks:
 
@@ -67,12 +58,14 @@ except ImportError:  # pragma: no cover - exercised on numpy-less CI
 
 
 class RowBlock:
-    """A packed sequence of fixed-width integer rows.
+    """A flat sequence of fixed-width rows.
 
-    ``flat`` holds ``len(block) * width`` int64s, row-major.  The block
-    reads like a sequence of tuples — ``len``, iteration, indexing,
-    slicing (a slice is a block), ``+`` — but a row only becomes a tuple
-    when somebody iterates or indexes it.
+    ``flat`` holds ``len(block) * width`` values, row-major: an
+    ``array('q')`` when they are int64s (uncompressed matches over integer
+    ids), a plain ``list`` otherwise (string ids, frozenset VCBC slots).
+    The block reads like a sequence of tuples — ``len``, iteration,
+    indexing, slicing (a slice is a block), ``+`` — but a row only becomes
+    a tuple when somebody iterates or indexes it.
 
     >>> block = RowBlock(array("q", [1, 2, 3, 4, 5, 6]), 3)
     >>> len(block), list(block), list(block[1:])
@@ -83,7 +76,7 @@ class RowBlock:
 
     __slots__ = ("flat", "width")
 
-    def __init__(self, flat: array, width: int) -> None:
+    def __init__(self, flat: Union[array, list], width: int) -> None:
         if width < 1 or len(flat) % width:
             raise ValueError(
                 f"{len(flat)} values do not make rows of width {width}"
@@ -130,14 +123,16 @@ class RowBlock:
     def __repr__(self) -> str:
         return f"RowBlock({len(self)} rows x {self.width})"
 
-    def column(self, index: int) -> array:
+    def column(self, index: int) -> Union[array, list]:
         """One column's values, in row order."""
         return self.flat[index :: self.width]
 
     def select(self, indices: Sequence[int]) -> "RowBlock":
         """The block narrowed (and reordered) to the given columns."""
         columns = [self.flat[i :: self.width] for i in indices]
-        return RowBlock.from_rows(zip(*columns), len(columns))
+        flat = self.flat[:0]  # an empty buffer of the same kind
+        flat.extend(chain.from_iterable(zip(*columns)))
+        return RowBlock(flat, len(columns))
 
 
 #: Rows per block at most: a producer holding a larger buffer (a hub
@@ -147,7 +142,7 @@ class RowBlock:
 BLOCK_ROWS = 4096
 
 
-def row_blocks(flat: array, width: int) -> Iterator[RowBlock]:
+def row_blocks(flat: Union[array, list], width: int) -> Iterator[RowBlock]:
     """``flat`` as row blocks of at most :data:`BLOCK_ROWS` rows each."""
     step = BLOCK_ROWS * width
     if len(flat) <= step:
@@ -161,8 +156,9 @@ def block_emitter(sink) -> Callable[[RowBlock], None]:
     """The callable a producer hands row blocks to for ``sink``.
 
     The sink's own ``emit_block`` when it has one; otherwise the adapter
-    for a foreign sink that only has ``emit(row)`` — the block's rows are
-    made into tuples one at a time, so no more than one is alive.
+    for a terminal sink that only has ``emit(row)`` — the block's rows are
+    made into tuples one at a time, so no more than one is alive.  The
+    adapter is the only caller of a sink's ``emit``.
     """
     emit_block = getattr(sink, "emit_block", None)
     if emit_block is not None:
@@ -177,12 +173,12 @@ def block_emitter(sink) -> Callable[[RowBlock], None]:
 
 
 def block_translator(mapping: dict) -> Optional[Callable[[array], array]]:
-    """``flat ids -> flat images`` under ``mapping``, for whole blocks.
+    """``flat ids -> flat images`` under ``mapping``, for int64 blocks.
 
-    None when a key or an image is not an int64 (such matches cannot stay
-    packed).  With numpy loaded and the keys dense enough for a lookup
-    table the translation is one ``take`` over the flat buffer; otherwise
-    one C-level ``map`` through the dict.
+    None when a key or an image is not an int64 (such blocks translate
+    into list-flat ones).  With numpy loaded and the keys dense enough for
+    a lookup table the translation is one ``take`` over the flat buffer;
+    otherwise one C-level ``map`` through the dict.
     """
     try:
         keys = array("q", mapping)
@@ -206,28 +202,21 @@ def block_translator(mapping: dict) -> Optional[Callable[[array], array]]:
 
 
 class CountSink:
-    """Counts emissions; keeps nothing."""
+    """Counts rows; keeps nothing."""
 
     def __init__(self) -> None:
         self.count = 0
-
-    def emit(self, result: Tuple) -> None:
-        self.count += 1
 
     def emit_block(self, block: RowBlock) -> None:
         self.count += len(block)
 
 
 class CollectSink:
-    """Stores every result in ``results``."""
+    """Stores every row, as a tuple, in ``results``."""
 
     def __init__(self) -> None:
         self.results: List[Tuple] = []
         self.count = 0
-
-    def emit(self, result: Tuple) -> None:
-        self.results.append(result)
-        self.count += 1
 
     def emit_block(self, block: RowBlock) -> None:
         self.results.extend(block)
@@ -360,17 +349,6 @@ class LimitSink:
     def reached(self) -> bool:
         return self.count >= self.limit
 
-    def emit(self, result: Tuple) -> None:
-        if self.count >= self.limit:
-            # Covers limit=0 too: cancel on the first over-limit emit.
-            if self.control is not None:
-                self.control.cancel(self.REASON)
-            return
-        self.inner.emit(result)
-        self.count += 1
-        if self.count >= self.limit and self.control is not None:
-            self.control.cancel(self.REASON)
-
     def emit_block(self, block: RowBlock) -> None:
         """The limit as a truncation: the block's head, then the cancel."""
         if not len(block):
@@ -386,10 +364,11 @@ class LimitSink:
 
 
 class TranslatingSink:
-    """Translates integer vertex ids through a mapping before forwarding.
+    """Translates vertex ids through a mapping before forwarding.
 
     Frozenset slots translate member-wise.  Used by the execution stage
-    to deliver streamed matches in original (pre-relabeling) ids.
+    to deliver matches — streamed or collected — in original
+    (pre-relabeling) ids.
 
     ``translator`` is ``block_translator(mapping)`` when the caller
     already holds it (a prepared graph computes it once for every query);
@@ -410,21 +389,18 @@ class TranslatingSink:
             return frozenset(self.mapping[v] for v in slot)
         return self.mapping[slot]
 
-    def emit(self, result: Tuple) -> None:
-        self.inner.emit(tuple(self._translate(s) for s in result))
-        self.count += 1
-
     def emit_block(self, block: RowBlock) -> None:
-        """One table lookup over the block's flat buffer."""
+        """One table lookup over an int64 block's flat buffer."""
         translate = self._translator
         if translate is self._UNSET:
             translate = self._translator = block_translator(self.mapping)
-        if translate is None:
-            # Images that are not int64s (string ids): rows leave packing.
-            for row in block:
-                self.emit(row)
-            return
-        self._inner_block(RowBlock(translate(block.flat), block.width))
+        if translate is not None and isinstance(block.flat, array):
+            flat = translate(block.flat)
+        else:
+            # Images that are not int64s (string ids), or slots that are
+            # not (VCBC sets): the block leaves packing.
+            flat = list(map(self._translate, block.flat))
+        self._inner_block(RowBlock(flat, block.width))
         self.count += len(block)
 
 
@@ -442,10 +418,6 @@ class ProjectingSink:
         self.count = 0
         self._inner_block = block_emitter(inner)
 
-    def emit(self, result: Tuple) -> None:
-        self.inner.emit(tuple(result[i] for i in self.indices))
-        self.count += 1
-
     def emit_block(self, block: RowBlock) -> None:
         self._inner_block(block.select(self.indices))
         self.count += len(block)
@@ -462,11 +434,6 @@ class GroupCountSink:
         self.index = index
         self.counts: dict = {}
         self.count = 0
-
-    def emit(self, result: Tuple) -> None:
-        key = result[self.index]
-        self.counts[key] = self.counts.get(key, 0) + 1
-        self.count += 1
 
     def emit_block(self, block: RowBlock) -> None:
         """A count over one column; keys keep first-seen order."""

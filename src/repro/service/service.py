@@ -27,6 +27,7 @@ from collections import deque
 from dataclasses import replace as _replace
 from typing import Dict, Optional, Union
 
+from ..engine.backends.base import run_mode
 from ..engine.benu import execute_plan
 from ..engine.cluster import SimulatedCluster
 from ..engine.config import BenuConfig
@@ -475,10 +476,7 @@ class BenuService:
                     # previous runs of this plan profile (the cost key is
                     # worker-count independent).
                     cost_key = task_cost_key(
-                        plan,
-                        config.split_threshold,
-                        "collect" if (config.collect or sink is not None)
-                        else "count",
+                        plan, config.split_threshold, run_mode(config, sink)
                     )
                     result = execute_plan(
                         plan,

@@ -8,11 +8,10 @@ iterator (:meth:`QueryHandle.batches` / :meth:`QueryHandle.matches`) or
 with cursor pagination (:meth:`QueryHandle.fetch`), which is what the
 wire protocol's ``poll`` op uses.
 
-A batch is a sequence of rows: a packed
-:class:`~repro.engine.sinks.RowBlock` when the run hands the buffer row
-blocks (``emit_block``), a list of tuples when it emits row by row.
-Batches, pending rows and pages are only ever sliced and joined, so a
-packed stream stays packed all the way to the page a ``fetch`` returns.
+A batch is a :class:`~repro.engine.sinks.RowBlock` — the run hands the
+buffer row blocks, and batches, pending rows and pages are only ever
+sliced and joined, so a packed stream stays packed all the way to the
+page a ``fetch`` returns.
 
 Backpressure: when the buffer is full the *producer* blocks, pacing the
 enumeration to the consumer.  A blocked producer still honors
@@ -54,9 +53,8 @@ class QueryStatus(str, enum.Enum):
 class StreamBuffer:
     """Bounded match stream between one producer and one consumer.
 
-    ``emit`` / ``emit_block`` are the sink interface the execution engine
-    calls (one stream is fed through one of the two); batches of
-    ``batch_size`` matches travel through a queue holding at most
+    ``emit_block`` is the sink interface the execution engine calls;
+    batches of ``batch_size`` matches travel through a queue holding at most
     ``max_batches`` of them, so buffered memory is bounded by
     ``batch_size × max_batches`` matches regardless of result size — or
     of the size of the blocks that arrive.
@@ -73,7 +71,7 @@ class StreamBuffer:
         self.batch_size = batch_size
         self.control = control
         self._queue: "queue.Queue" = queue.Queue(maxsize=max_batches)
-        self._batch: Sequence[Tuple] = []  # the partial batch
+        self._batch: Sequence[Tuple] = ()  # the partial batch
         self._closed = False
         self.count = 0  # matches emitted (producer side)
 
@@ -89,15 +87,8 @@ class StreamBuffer:
                 if self.control is not None:
                     self.control.check()
 
-    def emit(self, match: Tuple) -> None:
-        self._batch.append(match)
-        self.count += 1
-        if len(self._batch) >= self.batch_size:
-            self._put(self._batch)
-            self._batch = []
-
     def emit_block(self, block: RowBlock) -> None:
-        """Cut a row block into the batches row-by-row ``emit`` would make."""
+        """Cut the row stream into batches of exactly ``batch_size`` rows."""
         self.count += len(block)
         size = self.batch_size
         start = 0
@@ -109,7 +100,6 @@ class StreamBuffer:
                 self._batch = batch
                 return
             self._put(batch)
-            self._batch = []
         stop = start + size
         while stop <= len(block):
             self._put(block[start:stop])
@@ -130,10 +120,10 @@ class StreamBuffer:
         try:
             if self._batch:
                 self._put(self._batch)
-                self._batch = []
+                self._batch = ()
             self._put(_DONE)
         except ExecutionInterrupted:
-            self._batch = []
+            self._batch = ()
             while True:
                 try:
                     self._queue.put_nowait(_DONE)
@@ -174,9 +164,9 @@ class StreamBuffer:
 class FetchResult:
     """One page of matches (the ``poll`` op's payload).
 
-    ``matches`` is a :class:`~repro.engine.sinks.RowBlock` when the
-    stream is packed, a list of tuples otherwise; both read as a
-    sequence of row tuples.
+    ``matches`` is a :class:`~repro.engine.sinks.RowBlock` (packed int64
+    rows, or list-flat ones for string ids) — an empty page is an empty
+    sequence; both read as a sequence of row tuples.
     """
 
     matches: Sequence[Tuple]

@@ -10,7 +10,7 @@ bundled pattern library:
   frozenset / csr, byte-identical match sets for every bundled pattern;
 * the same matrix through the service for a streamed, a projected, a
   limited and a grouped BENU-QL query — packed row blocks end to end
-  must deliver the rows the row-by-row path delivers, in its order.
+  must deliver the rows list-flat blocks deliver, in their order.
 
 Any kernel dispatch bug, bounds-slice off-by-one, view-protocol gap or
 IPC envelope bug shows up here as a mismatch on some small pattern.
@@ -146,10 +146,10 @@ class TestStreamedQueryMatrix:
     """A streamed, projected, limited and grouped query per backend.
 
     Every query runs twice through the same service: once with packing
-    switched off (``packs_rows`` forced False — one ``emit`` per RES
-    through the same sink chain, the path every stream took before row
-    blocks) and once as shipped.  The packed stream must be byte-identical
-    to the row-by-row one *in order* on every backend whose task order is
+    switched off (``packs_rows`` forced False — list-flat row blocks
+    through the same sink chain, the buffer compressed codes and string
+    ids use) and once as shipped.  The packed stream must be byte-identical
+    to the list-flat one *in order* on every backend whose task order is
     deterministic; a 2-process pool delivers chunks in arrival order, so
     there the rows are compared as a multiset.  Both are also checked
     against ``run_query`` (collect mode, projected and grouped in plain

@@ -2,8 +2,7 @@
 
 Also holds the seeded fuzz round-trip (``parse(pretty(parse(q))) ==
 parse(q)`` over randomly generated queries — frozen-dataclass structural
-equality makes that a plain ``==``) and the deprecation contract of the
-old ``engine.parallel`` shims.
+equality makes that a plain ``==``).
 """
 
 import random
@@ -365,33 +364,3 @@ def test_pattern_to_query_roundtrip_all_bundled():
         pattern = PatternGraph(graph, name)
         lowered = lower_query(pattern_to_query(pattern))
         assert sorted(lowered.pattern.graph.edges()) == sorted(graph.edges())
-
-
-# ------------------------------------------------------------- deprecations
-def test_parallel_shims_warn():
-    from repro.engine.benu import build_plan
-    from repro.engine.parallel import ParallelRunner, parallel_count
-    from repro.graph.generators import chung_lu
-    from repro.graph.patterns import get_pattern
-    from repro.pattern.pattern_graph import PatternGraph
-
-    pattern = PatternGraph(get_pattern("triangle"), "triangle")
-    plan = build_plan(pattern, order=[1, 2, 3])
-    data = chung_lu(40, 3.0, seed=5)
-    with pytest.warns(DeprecationWarning, match="ExecutionBackend"):
-        expected = ParallelRunner(plan, data, num_workers=2).run().count
-    with pytest.warns(DeprecationWarning, match="ExecutionBackend"):
-        assert parallel_count(plan, data, num_workers=2).count == expected
-
-
-def test_repro_engine_does_not_import_parallel_eagerly():
-    import importlib
-    import subprocess
-    import sys
-
-    importlib.import_module("repro.engine")  # the lazy hook must resolve
-    code = (
-        "import sys, repro.engine; "
-        "sys.exit(1 if 'repro.engine.parallel' in sys.modules else 0)"
-    )
-    assert subprocess.run([sys.executable, "-c", code]).returncode == 0

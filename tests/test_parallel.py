@@ -1,10 +1,11 @@
 """Tests for the process execution backend (real OS multiprocessing).
 
-Covers the compat shims in ``repro.engine.parallel`` and the
-``ProcessBackend`` itself: correctness against the simulated reference,
-csr shared-memory accounting, and the restart-robust kernel-stat
-aggregation (per-task before/after snapshots — a pool recycling its
-workers mid-run can neither drop nor double-count deltas).
+Drives ``ProcessBackend`` through ``execute_plan(...,
+execution_backend="process")`` and ``ExecutionRequest``: correctness
+against the simulated reference, csr shared-memory accounting, and the
+restart-robust kernel-stat aggregation (per-task before/after snapshots —
+a pool recycling its workers mid-run can neither drop nor double-count
+deltas).
 """
 
 import os
@@ -12,12 +13,29 @@ import os
 import pytest
 
 from repro.engine.backends import ExecutionRequest, ProcessBackend
-from repro.engine.benu import build_plan, count_subgraphs
-from repro.engine.config import BenuConfig
-from repro.engine.parallel import ParallelRunner, parallel_count
+from repro.engine.benu import (
+    PreparedData,
+    build_plan,
+    count_subgraphs,
+    execute_plan,
+)
+from repro.engine.config import BenuConfig, _default_process_workers
 from repro.graph.generators import chung_lu
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import get_pattern
+
+
+def process_count(plan, data, num_workers, split_threshold=64, backend="frozenset"):
+    """``plan`` over ``data`` on the process backend, ids as given."""
+    config = BenuConfig(
+        num_workers=num_workers,
+        split_threshold=split_threshold,
+        adjacency_backend=backend,
+        relabel=False,
+    )
+    return execute_plan(
+        plan, PreparedData(data), config, execution_backend="process"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +51,7 @@ def plan(data_graph):
 
 class TestCorrectness:
     def test_single_worker_matches_reference(self, plan, data_graph):
-        result = parallel_count(plan, data_graph, num_workers=1)
+        result = process_count(plan, data_graph, num_workers=1)
         reference = count_subgraphs(
             get_pattern("chordal_square"), data_graph, BenuConfig(relabel=False)
         )
@@ -41,22 +59,22 @@ class TestCorrectness:
         assert result.execution_backend == "process"
 
     def test_multi_worker_matches_single(self, plan, data_graph):
-        one = parallel_count(plan, data_graph, num_workers=1)
-        many = parallel_count(plan, data_graph, num_workers=3)
+        one = process_count(plan, data_graph, num_workers=1)
+        many = process_count(plan, data_graph, num_workers=3)
         assert many.count == one.count
         assert many.counters.enu_steps == one.counters.enu_steps
         assert many.num_workers == 3
 
     def test_task_splitting_consistent(self, plan, data_graph):
-        unsplit = parallel_count(
+        unsplit = process_count(
             plan, data_graph, num_workers=2, split_threshold=None
         )
-        split = parallel_count(plan, data_graph, num_workers=2, split_threshold=8)
+        split = process_count(plan, data_graph, num_workers=2, split_threshold=8)
         assert unsplit.count == split.count
         assert split.num_tasks > unsplit.num_tasks
 
     def test_counters_aggregated(self, plan, data_graph):
-        result = parallel_count(plan, data_graph, num_workers=2)
+        result = process_count(plan, data_graph, num_workers=2)
         assert result.counters.results == result.count
         assert result.counters.dbq_ops > 0
         assert result.wall_seconds > 0
@@ -64,16 +82,16 @@ class TestCorrectness:
         assert result.makespan_seconds > 0
 
     def test_runner_defaults(self, plan, data_graph):
-        runner = ParallelRunner(plan, data_graph)
-        result = runner.run()
+        # The conventional process-backend pool: all cores but one.
+        result = process_count(plan, data_graph, _default_process_workers())
         assert result.num_workers >= 1
-        assert result.count == parallel_count(plan, data_graph, 1).count
+        assert result.count == process_count(plan, data_graph, 1).count
 
 
 class TestCsrBackend:
     def test_csr_matches_frozenset(self, plan, data_graph):
-        fs = parallel_count(plan, data_graph, num_workers=2)
-        cs = parallel_count(plan, data_graph, num_workers=2, backend="csr")
+        fs = process_count(plan, data_graph, num_workers=2)
+        cs = process_count(plan, data_graph, num_workers=2, backend="csr")
         assert cs.count == fs.count
         assert cs.counters.enu_steps == fs.counters.enu_steps
         assert cs.adjacency_backend == "csr"
@@ -82,7 +100,7 @@ class TestCsrBackend:
     def test_workers_attach_shared_block(self, plan, data_graph):
         """Each worker maps the one shared CSR block instead of copying
         the adjacency — per-worker memory stops scaling with graph size."""
-        result = parallel_count(plan, data_graph, num_workers=3, backend="csr")
+        result = process_count(plan, data_graph, num_workers=3, backend="csr")
         assert 1 <= result.shm_attaches <= 3
         assert result.shm_bytes == data_graph.csr().memory_bytes()
 
@@ -91,26 +109,26 @@ class TestCsrBackend:
         # inlines simpler plans entirely); their per-task deltas must sum
         # across the queue into exact totals.
         plan = build_plan(get_pattern("clique4"), data_graph)
-        result = parallel_count(plan, data_graph, num_workers=2, backend="csr")
+        result = process_count(plan, data_graph, num_workers=2, backend="csr")
         assert result.kernel_counts and sum(result.kernel_counts.values()) > 0
 
     def test_single_worker_csr_inline(self, plan, data_graph):
-        result = parallel_count(plan, data_graph, num_workers=1, backend="csr")
-        reference = parallel_count(plan, data_graph, num_workers=1)
+        result = process_count(plan, data_graph, num_workers=1, backend="csr")
+        reference = process_count(plan, data_graph, num_workers=1)
         assert result.count == reference.count
         assert result.shm_attaches == 1
 
     def test_telemetry_snapshot_records_shm(self, plan, data_graph):
         from repro.telemetry.snapshot import M_SHM_ATTACHES
 
-        result = parallel_count(plan, data_graph, num_workers=2, backend="csr")
+        result = process_count(plan, data_graph, num_workers=2, backend="csr")
         snap = result.telemetry
         assert snap.registry.counter_total(M_SHM_ATTACHES) == result.shm_attaches
         assert snap.kernel_counts == result.kernel_counts
 
     def test_unknown_backend_rejected(self, plan, data_graph):
         with pytest.raises(ValueError):
-            parallel_count(plan, data_graph, num_workers=1, backend="btree")
+            process_count(plan, data_graph, num_workers=1, backend="btree")
 
 
 class TestRestartRobustAccounting:
@@ -168,7 +186,7 @@ class TestSpeedup:
     def test_parallelism_helps_on_heavy_workload(self):
         g, _ = relabel_by_degree_order(chung_lu(1500, 8.0, seed=5))
         plan = build_plan(get_pattern("q4"), g, compressed=True)
-        one = parallel_count(plan, g, num_workers=1)
-        many = parallel_count(plan, g, num_workers=min(4, os.cpu_count()))
+        one = process_count(plan, g, num_workers=1)
+        many = process_count(plan, g, num_workers=min(4, os.cpu_count()))
         assert many.count == one.count
         assert many.wall_seconds < one.wall_seconds

@@ -1,9 +1,12 @@
-"""Row blocks: ``emit_block`` is row-by-row ``emit``, packed.
+"""Row blocks: a sink sees the same rows however they are cut.
 
 The contract of :mod:`repro.engine.sinks`: whatever a sink (or a chain of
-sinks) does when it is handed a stream of rows one ``emit`` at a time, it
-does when the same rows arrive cut into :class:`RowBlock`\\ s of any sizes
-— same rows out, same order, same counts, same batches, same cancel.
+sinks) does when it is handed a stream of rows as one-row blocks through
+:func:`block_emitter`, it does when the same rows arrive cut into
+:class:`RowBlock`\\ s of any sizes — same rows out, same order, same
+counts, same batches, same cancel.  It holds for packed int64 blocks and
+for list-flat ones alike (int rows, rows with frozenset slots, and
+string images on the way out of a translation).
 
 Seeded random suites run everywhere; when hypothesis is installed an
 extra class runs the same assertions under its shrinking search.
@@ -42,25 +45,43 @@ UNIVERSE = 40
 
 
 # ------------------------------------------------------------------ inputs
-def random_rows(rng, width, n):
-    return [tuple(rng.randrange(UNIVERSE) for _ in range(width)) for _ in range(n)]
+#: How a case's rows are held: packed int64s, list-flat ints, and
+#: list-flat rows whose even slots are frozensets (VCBC codes' shape).
+KINDS = ("packed", "list", "sets")
 
 
-def cut(rng, rows, width):
+def random_rows(rng, width, n, kind="packed"):
+    def slot(i):
+        if kind == "sets" and i % 2 == 0:
+            return frozenset(rng.sample(range(UNIVERSE), rng.randint(1, 3)))
+        return rng.randrange(UNIVERSE)
+
+    return [tuple(slot(i) for i in range(width)) for _ in range(n)]
+
+
+def make_block(rows, width, kind="packed"):
+    if kind == "packed":
+        return RowBlock.from_rows(rows, width)
+    return RowBlock(list(itertools.chain.from_iterable(rows)), width)
+
+
+def cut(rng, rows, width, kind="packed"):
     """``rows`` as a list of blocks of random sizes, empty ones included."""
     blocks = []
     start = 0
     while start < len(rows):
         size = rng.choice((0, 1, 2, 3, 7, 50))
-        blocks.append(RowBlock.from_rows(rows[start : start + size], width))
+        blocks.append(make_block(rows[start : start + size], width, kind))
         start += size
-    blocks.append(RowBlock(array("q"), width))
+    blocks.append(make_block([], width, kind))
     return blocks
 
 
-def feed_rows(sink, rows):
+def feed_rows(sink, rows, width, kind="packed"):
+    """The oracle: the rows one at a time, as one-row blocks."""
+    emit_block = block_emitter(sink)
     for row in rows:
-        sink.emit(row)
+        emit_block(make_block([row], width, kind))
 
 
 def feed_blocks(sink, blocks):
@@ -128,7 +149,7 @@ def _file_case():
     return make, observe
 
 
-def _stream_chain(limit, batch_size):
+def _stream_chain(limit, batch_size, mapping=MAPPING):
     """What the service builds for ``RETURN a, c LIMIT n`` on a relabeled
     graph: Translating -> Projecting -> Limit -> StreamBuffer."""
 
@@ -137,7 +158,7 @@ def _stream_chain(limit, batch_size):
         control = ExecutionControl()
         sink = LimitSink(buffer, limit, control) if limit is not None else buffer
         sink = ProjectingSink(sink, (width - 1, 0))
-        sink = TranslatingSink(sink, MAPPING)
+        sink = TranslatingSink(sink, mapping)
         sink._observed = (buffer, control)
         return sink
 
@@ -148,12 +169,12 @@ def _stream_chain(limit, batch_size):
     return make, observe
 
 
-def _group_chain():
+def _group_chain(mapping=MAPPING):
     """``COUNT(*) GROUP BY`` on a relabeled graph: Translating -> GroupCount."""
 
     def make(width, tmp_path):
         groups = GroupCountSink(width - 1)
-        sink = TranslatingSink(groups, MAPPING)
+        sink = TranslatingSink(groups, mapping)
         sink._observed = groups
         return sink
 
@@ -197,13 +218,17 @@ CASES = {
     "chain-stream-limit": _stream_chain(13, 4),
     "chain-stream-limit-0": _stream_chain(0, 4),
     "chain-groups": _group_chain(),
+    # String images: every hop after the translation sees list-flat blocks.
+    "chain-stream-strings": _stream_chain(None, 4, STRING_MAPPING),
+    "chain-stream-limit-strings": _stream_chain(13, 4, STRING_MAPPING),
+    "chain-groups-strings": _group_chain(STRING_MAPPING),
 }
 
 
-def assert_block_equals_rows(name, rows, blocks, width, tmp_path):
+def assert_block_equals_rows(name, rows, blocks, width, tmp_path, kind="packed"):
     make, observe = CASES[name]
     by_row, by_block = make(width, tmp_path), make(width, tmp_path)
-    feed_rows(by_row, rows)
+    feed_rows(by_row, rows, width, kind)
     feed_blocks(by_block, blocks)
     assert observe(by_block) == observe(by_row), name
 
@@ -252,6 +277,19 @@ def test_emit_block_equals_row_by_row_emit(name, width, seed, tmp_path):
     rng = random.Random(f"{name}:{width}:{seed}")
     rows = random_rows(rng, width, rng.choice((0, 1, 30, 200)))
     assert_block_equals_rows(name, rows, cut(rng, rows, width), width, tmp_path)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("width", (1, 2, 4))
+@pytest.mark.parametrize("kind", ("list", "sets"))
+def test_list_flat_blocks_equal_one_row_blocks(name, width, kind, tmp_path):
+    rng = random.Random(f"{name}:{width}:{kind}")
+    rows = random_rows(rng, width, rng.choice((1, 30, 200)), kind)
+    blocks = cut(rng, rows, width, kind)
+    assert_block_equals_rows(name, rows, blocks, width, tmp_path, kind)
+    if kind == "list":
+        # Int rows: list-flat blocks deliver what packed one-row blocks do.
+        assert_block_equals_rows(name, rows, blocks, width, tmp_path)
 
 
 @pytest.mark.parametrize("name", ("translate", "chain-stream-limit", "chain-groups"))
@@ -310,9 +348,18 @@ class TestStreamBufferBlocks:
         """A consumer thread drains while the producer pushes blocks far
         larger than the whole buffer: the queue never holds more than
         ``batch_size x max_batches`` rows, and nothing is lost."""
+        self._assert_bounded(block_rows, "packed")
+
+    @pytest.mark.parametrize("block_rows", (1, 10, 1000))
+    @pytest.mark.parametrize("kind", ("list", "sets"))
+    def test_list_flat_blocks_batch_and_stay_bounded(self, block_rows, kind):
+        self._assert_bounded(block_rows, kind)
+
+    @staticmethod
+    def _assert_bounded(block_rows, kind):
         batch_size, max_batches = 4, 3
         buffer = StreamBuffer(batch_size=batch_size, max_batches=max_batches)
-        rows = random_rows(random.Random(block_rows), 2, 3000)
+        rows = random_rows(random.Random(block_rows), 2, 3000, kind)
         seen = []
         peak = 0
 
@@ -328,13 +375,14 @@ class TestStreamBufferBlocks:
                 if batch is None:
                     return
                 assert len(batch) <= batch_size
+                assert isinstance(batch.flat, array if kind == "packed" else list)
                 seen.extend(batch)
 
         consumer = threading.Thread(target=consume)
         consumer.start()
         for start in range(0, len(rows), block_rows):
             buffer.emit_block(
-                RowBlock.from_rows(rows[start : start + block_rows], 2)
+                make_block(rows[start : start + block_rows], 2, kind)
             )
         buffer.close()
         consumer.join(timeout=30)
@@ -390,21 +438,21 @@ class TestHypothesis:
         @given(
             name=st.sampled_from(sorted(CASES)),
             width=st.integers(1, 4),
+            kind=st.sampled_from(KINDS),
             data=st.data(),
         )
-        def test_any_cut_of_any_rows(self, name, width, data, tmp_path):
-            rows = data.draw(
-                st.lists(
-                    st.tuples(*[st.integers(0, UNIVERSE - 1)] * width),
-                    max_size=60,
-                )
-            )
+        def test_any_cut_of_any_rows(self, name, width, kind, data, tmp_path):
+            vertex = st.integers(0, UNIVERSE - 1)
+            code_set = st.frozensets(vertex, min_size=1, max_size=3)
+            slots = [
+                code_set if kind == "sets" and i % 2 == 0 else vertex
+                for i in range(width)
+            ]
+            rows = data.draw(st.lists(st.tuples(*slots), max_size=60))
             sizes = data.draw(st.lists(st.integers(0, 9), max_size=30))
             blocks = []
             start = 0
             for size in sizes + [len(rows)]:
-                blocks.append(
-                    RowBlock.from_rows(rows[start : start + size], width)
-                )
+                blocks.append(make_block(rows[start : start + size], width, kind))
                 start += size
-            assert_block_equals_rows(name, rows, blocks, width, tmp_path)
+            assert_block_equals_rows(name, rows, blocks, width, tmp_path, kind)

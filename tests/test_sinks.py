@@ -1,17 +1,31 @@
 """Tests for match sinks and streaming runs."""
 
+import ast
+import re
+from array import array
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
+from repro.engine.benu import execute_plan, prepare_data, prepare_plan
 from repro.engine.cluster import SimulatedCluster
-from repro.engine.config import BenuConfig
+from repro.engine.config import (
+    ADJACENCY_BACKENDS,
+    EXECUTION_BACKENDS,
+    BenuConfig,
+)
 from repro.engine.sinks import (
     CallbackSink,
     CollectSink,
     CountSink,
     FileSink,
     ReservoirSink,
+    RowBlock,
 )
 from repro.graph.generators import erdos_renyi
+from repro.graph.graph import Graph
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import get_pattern
 from repro.pattern.pattern_graph import PatternGraph
@@ -33,16 +47,17 @@ def setting():
 class TestSinkObjects:
     def test_count_sink(self):
         sink = CountSink()
-        for i in range(5):
-            sink.emit((i,))
+        sink.emit_block(RowBlock.from_rows([(i,) for i in range(3)], 1))
+        sink.emit_block(RowBlock([frozenset({1}), "a"], 1))  # list-flat
         assert sink.count == 5
 
     def test_collect_sink(self):
         sink = CollectSink()
-        sink.emit((1, 2))
-        sink.emit((3, 4))
-        assert sink.results == [(1, 2), (3, 4)]
-        assert sink.count == 2
+        sink.emit_block(RowBlock.from_rows([(1, 2), (3, 4)], 2))
+        sink.emit_block(RowBlock(array("q"), 2))
+        sink.emit_block(RowBlock(["a", frozenset({5, 6})], 2))  # list-flat
+        assert sink.results == [(1, 2), (3, 4), ("a", frozenset({5, 6}))]
+        assert sink.count == 3
 
     def test_callback_sink(self):
         seen = []
@@ -108,8 +123,9 @@ class TestStreamingRuns:
             g, BenuConfig(relabel=False, collect=True)
         )
         collected = collected_cluster.run_plan(plan)
-        assert sorted(sink.results) == sorted(collected.matches)
+        assert sink.results == collected.matches  # in order
         assert streamed.count == collected.count
+        assert streamed.matches is None and streamed.codes is None
 
     def test_reservoir_on_compressed_codes(self, setting):
         g, plan, cluster = setting
@@ -118,3 +134,110 @@ class TestStreamingRuns:
         result = cluster.run_plan(compressed, sink=sink)
         assert sink.count == result.count
         assert len(sink.sample) == min(5, result.count)
+
+
+# ------------------------------------------- collect is a CollectSink stream
+def _int_graph():
+    # Ids far from 0..n-1, so the translation back is never the identity.
+    base = erdos_renyi(26, 0.3, seed=13)
+    return Graph((1000 + 7 * u, 1000 + 7 * v) for u, v in base.edges())
+
+
+def _string_graph():
+    """Original ids that are not int64s: rows leave packing on the way out."""
+    return Graph((f"v{u}", f"v{v}") for u, v in _int_graph().edges())
+
+
+GRAPHS = {"int-ids": _int_graph, "string-ids": _string_graph}
+
+
+def _collect_and_stream(graph, **config):
+    config = BenuConfig(split_threshold=4, **config)
+    prepared = prepare_data(graph, config)  # relabeled: int execution ids
+    plan = prepare_plan(get_pattern("chordal_square"), prepared, config)
+    sink = CollectSink()
+    streamed = execute_plan(plan, prepared, config, sink=sink)
+    collected = execute_plan(plan, prepared, replace(config, collect=True))
+    return prepared, sink, streamed, collected
+
+
+@pytest.mark.parametrize("ids", sorted(GRAPHS))
+@pytest.mark.parametrize("compressed", (False, True), ids=("plain", "compressed"))
+@pytest.mark.parametrize("layout", ADJACENCY_BACKENDS)
+@pytest.mark.parametrize("backend", EXECUTION_BACKENDS)
+def test_collect_is_a_collect_sink_stream(backend, layout, compressed, ids):
+    """``collect=True`` is the stream an explicit CollectSink gets, row for
+    row and in order: one path, every backend, layout and id type."""
+    prepared, sink, streamed, collected = _collect_and_stream(
+        GRAPHS[ids](),
+        execution_backend=backend,
+        adjacency_backend=layout,
+        compressed=compressed,
+        num_workers=1 if backend == "process" else 2,  # deterministic order
+    )
+    rows = collected.codes if compressed else collected.matches
+    other = collected.matches if compressed else collected.codes
+    assert rows and rows == sink.results and other is None
+    assert collected.count == streamed.count == len(rows)
+    assert streamed.matches is None and streamed.codes is None
+    if compressed:
+        # Codes stay in execution space; expansion translates them.
+        in_codes = {
+            v
+            for code in rows
+            for slot in code
+            for v in (slot if isinstance(slot, frozenset) else (slot,))
+        }
+        assert in_codes <= set(prepared.graph.vertices)
+        plain = _collect_and_stream(
+            GRAPHS[ids](), execution_backend=backend, adjacency_backend=layout
+        )[3]
+        assert sorted(collected.expanded_matches()) == sorted(plain.matches)
+    else:
+        # Matches leave in original ids.
+        originals = set(GRAPHS[ids]().vertices)
+        assert all(v in originals for row in rows for v in row)
+
+
+@pytest.mark.parametrize("ids", sorted(GRAPHS))
+@pytest.mark.parametrize("compressed", (False, True), ids=("plain", "compressed"))
+def test_collect_over_a_process_pool(compressed, ids):
+    """Both buffer types cross real fork IPC; a pool delivers chunks in
+    arrival order, so the rows compare as a multiset."""
+    _, sink, _, collected = _collect_and_stream(
+        GRAPHS[ids](),
+        execution_backend="process",
+        compressed=compressed,
+        num_workers=2,
+    )
+    rows = collected.codes if compressed else collected.matches
+    reference = _collect_and_stream(GRAPHS[ids](), compressed=compressed)[3]
+    want = reference.codes if compressed else reference.matches
+    assert Counter(rows) == Counter(sink.results) == Counter(want)
+
+
+#: The event log's ``emit`` (``events.emit(EV_..., ...)``) is not a sink's.
+_EVENT_LOG = re.compile(r"(^|\.)_?(events|event_log|log)$")
+
+
+def test_block_emitter_is_the_only_caller_of_a_sinks_emit():
+    """Every run hands its sink row blocks; the one place a row becomes a
+    call to ``sink.emit`` is the adapter for terminal sinks."""
+    root = Path(__file__).resolve().parent.parent / "src" / "repro"
+    found = []
+
+    def visit(node, path, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "emit"
+            and not _EVENT_LOG.search(ast.unparse(node.value))
+        ):
+            found.append((path.relative_to(root).as_posix(), scope[:1]))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, scope)
+
+    for path in sorted(root.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, ())
+    assert found == [("engine/sinks.py", ("block_emitter",))]

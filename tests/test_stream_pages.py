@@ -31,6 +31,7 @@ from repro.engine.control import (
     ExecutionControl,
     QueryCancelled,
 )
+from repro.engine.sinks import RowBlock
 from repro.faults import InjectedFault
 from repro.graph.generators import chung_lu
 from repro.graph.graph import Graph
@@ -423,8 +424,7 @@ def test_fetch_wait_returns_when_the_first_batch_lands():
     # The waiting consumer blocks neither describe nor cancel.
     assert handle.describe()["delivered"] == 0
     assert handle.delivered == 0
-    for row in range(4):
-        handle.buffer.emit((row, row))
+    handle.buffer.emit_block(RowBlock.from_rows([(r, r) for r in range(4)], 2))
     page = _joined(thread, outcome)
     assert list(page.matches) == [(r, r) for r in range(4)]
     assert not page.done and page.cursor == 4
@@ -433,7 +433,8 @@ def test_fetch_wait_returns_when_the_first_batch_lands():
 def test_fetch_wait_returns_at_stream_end():
     handle = _handle()
     thread, outcome = _fetch_in_thread(handle, limit=100, wait=60.0)
-    handle.buffer.emit((1, 2))  # a partial batch: flushed by close
+    # A partial batch: flushed by close.
+    handle.buffer.emit_block(RowBlock.from_rows([(1, 2)], 2))
     handle._mark(QueryStatus.SUCCEEDED)
     handle.buffer.close()
     page = _joined(thread, outcome)
