@@ -8,6 +8,15 @@ generation/splitting, workers, the interpreter or the backend registry —
 to run matches itself.  If labeled code needs a runtime behavior, it
 belongs in the engine behind the shared pipeline.
 
+**The stats structs know no registry.**  ``storage/``, ``kernels/``,
+``graph/`` and ``plan/`` keep their accounting in plain dataclasses
+(``QueryStats``, ``CacheStats``, ``KernelStats``, ``ShmAttachStats``,
+``TaskCounters``); which field becomes which metric is decided once, in
+``repro.engine.backends.base``'s run ledger.  So those layers import
+neither ``repro.telemetry.registry`` nor ``repro.telemetry.snapshot`` —
+not even lazily inside a function, nor their names through the
+``repro.telemetry`` package.
+
 The check is AST-based and resolves relative imports, so aliasing or
 ``from .. import`` spellings cannot slip past it.
 
@@ -46,6 +55,27 @@ EXECUTION_NAMES = {
     "get_backend",
 }
 
+#: Layers whose stats structs the run ledger records (path prefixes).
+LEDGER_LAYERS = ("storage/", "kernels/", "graph/", "plan/")
+#: The metric modules those layers must not reach.
+METRIC_MODULES = ("repro.telemetry.registry", "repro.telemetry.snapshot")
+
+
+def metric_names(root: Path) -> set:
+    """The ``__all__`` of every metric module: names that must not be
+    imported from the ``repro.telemetry`` package either."""
+    names = set()
+    for module in METRIC_MODULES:
+        path = root.joinpath(*module.split(".")[1:]).with_suffix(".py")
+        if not path.exists():
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets
+            ):
+                names.update(ast.literal_eval(node.value))
+    return names
+
 
 def module_package(path: Path, root: Path) -> str:
     """Dotted package of the module at ``path`` (root maps to 'repro')."""
@@ -73,34 +103,63 @@ def resolve_imports(tree: ast.AST, package: str):
 
 
 def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
-    if not path.relative_to(root).as_posix().startswith("labeled/"):
+    rel = path.relative_to(root).as_posix()
+    labeled = rel.startswith("labeled/")
+    ledger_layer = rel.startswith(LEDGER_LAYERS)
+    if not (labeled or ledger_layer):
         return 0
     package = module_package(path, root)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     violations = 0
     for lineno, module, names in resolve_imports(tree, package):
-        if any(
-            module == p or module.startswith(p + ".")
-            for p in EXECUTION_INTERNALS
-        ):
+        if labeled:
+            violations += _lint_labeled(path, lineno, module, names, out)
+        if ledger_layer:
+            violations += _lint_ledger_layer(path, root, lineno, module, names, out)
+    return violations
+
+
+def _lint_labeled(path, lineno, module, names, out) -> int:
+    violations = 0
+    if any(
+        module == p or module.startswith(p + ".")
+        for p in EXECUTION_INTERNALS
+    ):
+        print(
+            f"{path}:{lineno}: labeled/ imports execution internal "
+            f"{module!r} — lower through prepare_plan/execute_plan "
+            "instead of running an enumeration loop",
+            file=out,
+        )
+        violations += 1
+    if module in ("repro.engine", "repro.engine.benu"):
+        loops = sorted(set(names) & EXECUTION_NAMES)
+        if loops:
             print(
-                f"{path}:{lineno}: labeled/ imports execution internal "
-                f"{module!r} — lower through prepare_plan/execute_plan "
-                "instead of running an enumeration loop",
+                f"{path}:{lineno}: labeled/ imports execution "
+                f"primitives {loops} — labeled enumeration must go "
+                "through the shared plan pipeline",
                 file=out,
             )
             violations += 1
-        if module in ("repro.engine", "repro.engine.benu"):
-            loops = sorted(set(names) & EXECUTION_NAMES)
-            if loops:
-                print(
-                    f"{path}:{lineno}: labeled/ imports execution "
-                    f"primitives {loops} — labeled enumeration must go "
-                    "through the shared plan pipeline",
-                    file=out,
-                )
-                violations += 1
     return violations
+
+
+def _lint_ledger_layer(path, root, lineno, module, names, out) -> int:
+    reached = module if module in METRIC_MODULES else None
+    if module == "repro.telemetry":
+        hidden = sorted(set(names) & metric_names(root))
+        if hidden:
+            reached = f"{module} names {hidden}"
+    if reached is None:
+        return 0
+    print(
+        f"{path}:{lineno}: a stats-struct layer imports {reached} — "
+        "keep the struct plain and map its fields to metrics in "
+        "repro.engine.backends.base's LEDGER",
+        file=out,
+    )
+    return 1
 
 
 def main(argv=None) -> int:

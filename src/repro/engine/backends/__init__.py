@@ -25,9 +25,9 @@ from .base import (
     ExecutionBackend,
     ExecutionRequest,
     WorkerLedger,
+    finish_run,
+    mirror,
     packs_rows,
-    record_run_gauges,
-    record_worker_ledgers,
     resolve_tasks,
 )
 from .inline import InlineBackend, InterpretedPlan
@@ -64,10 +64,10 @@ __all__ = [
     "SimulatedBackend",
     "WorkerLedger",
     "build_store",
+    "finish_run",
     "get_backend",
+    "mirror",
     "packs_rows",
-    "record_run_gauges",
-    "record_worker_ledgers",
     "resolve_tasks",
     "store_vset",
 ]

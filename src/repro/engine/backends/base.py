@@ -19,24 +19,30 @@ Shared here:
   ``config.collect`` is one (:class:`~repro.engine.sinks.CollectSink`);
 * :func:`packs_rows` — the one rule for whether a run's row blocks
   (:class:`~repro.engine.sinks.RowBlock`) are int64 arrays or lists;
-* :func:`record_worker_ledgers` / :func:`record_run_gauges` — the
-  end-of-run registry population, keeping metric names identical across
-  backends by construction.
+* :data:`LEDGER` / :func:`mirror` — which stats-struct field becomes
+  which metric: the stats structs of the lower layers know nothing of
+  the registry;
+* :func:`finish_run` — the end of every run: records the worker ledgers
+  and run gauges and builds the :class:`BenuResult`, so metric names and
+  result fields are identical across backends by construction.
 """
 
 from __future__ import annotations
 
 import abc
+import time as _time
 from array import array
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...graph.csr import ShmAttachStats
 from ...graph.graph import Graph
+from ...kernels.intersect import KernelStats
 from ...plan.codegen import TaskCounters
+from ...plan.cost import q_error
 from ...plan.generation import ExecutionPlan
 from ...storage.cache import CacheStats
 from ...storage.kvstore import DistributedKVStore, QueryStats
-from ...plan.cost import q_error
 from ...telemetry.progress import NULL_PROGRESS
 from ...telemetry.registry import MetricsRegistry
 from ...telemetry.runtime import Telemetry
@@ -45,14 +51,26 @@ from ...telemetry.snapshot import (
     G_MAKESPAN,
     G_PLAN_PREDICTED,
     G_PLAN_QERROR,
+    G_SHM_BYTES,
     G_WALL,
     G_WORKERS,
     H_TASK_SIM_SECONDS,
+    M_CACHE_EVICTIONS,
+    M_CACHE_HITS,
+    M_CACHE_MISSES,
+    M_DB_BYTES,
+    M_DB_QUERIES,
+    M_DB_SIM_SECONDS,
+    M_INSTRUCTIONS,
+    M_KERNEL_CALLS,
+    M_SHM_ATTACHES,
     M_TASKS,
+    M_TRC_MISSES,
 )
 from ..config import BenuConfig
 from ..control import ExecutionControl
 from ..local_task import LocalSearchTask
+from ..results import BenuResult
 from ..sinks import CollectSink
 from ..task_split import generate_tasks
 
@@ -192,9 +210,8 @@ class WorkerLedger:
     """One worker's end-of-run accounting, backend-agnostic.
 
     The simulated backend fills it from its :class:`Worker` objects, the
-    process backend from the per-task records its processes sent home —
-    either way :func:`record_worker_ledgers` mirrors it into the registry
-    under the same metric names.
+    process backend from the chunk records its processes sent home —
+    either way :func:`finish_run` records it under the same metric names.
     """
 
     worker_id: str
@@ -204,19 +221,99 @@ class WorkerLedger:
     num_tasks: int = 0
     task_sim_seconds: List[float] = field(default_factory=list)
     busy_seconds: float = 0.0
+    #: Simulated completion time: the busiest thread's share of
+    #: ``busy_seconds`` (all of it for a one-thread worker).
+    makespan_seconds: float = 0.0
     wall_seconds: float = 0.0
 
 
-def record_worker_ledgers(
-    registry: MetricsRegistry, ledgers: List[WorkerLedger]
-) -> Dict[str, object]:
-    """Mirror per-worker ledgers into ``registry``; return the totals.
+# ------------------------------------------------------------- run ledger
+_INSTR_HELP = "instruction executions by type (Table III semantics)"
 
-    Returns ``{"counters": TaskCounters, "communication": QueryStats,
-    "cache": CacheStats, "per_task": [float]}`` — the aggregate the
-    result object carries alongside the registry-backed views.
+#: Which field of which stats struct becomes which metric, under which
+#: constant labels: ``type -> ((field, metric, help, labels), ...)``.
+#: A ``*_total`` metric is a counter the field is added to; any other is
+#: a gauge set to it.  :func:`mirror` is the one reader.
+LEDGER: Dict[type, Tuple[Tuple[str, str, str, Dict[str, str]], ...]] = {
+    QueryStats: (
+        ("queries", M_DB_QUERIES, "distributed KV store queries", {}),
+        ("bytes_transferred", M_DB_BYTES,
+         "bytes fetched from the distributed KV store", {}),
+        ("simulated_seconds", M_DB_SIM_SECONDS,
+         "simulated seconds spent on DB round-trips", {}),
+    ),
+    CacheStats: (
+        ("hits", M_CACHE_HITS, "adjacency lookups served by the worker cache", {}),
+        ("misses", M_CACHE_MISSES, "adjacency lookups that went to the store", {}),
+        ("evictions", M_CACHE_EVICTIONS, "cache entries evicted by the policy", {}),
+    ),
+    TaskCounters: (
+        ("int_ops", M_INSTRUCTIONS, _INSTR_HELP, {"instr": "INT"}),
+        ("trc_ops", M_INSTRUCTIONS, _INSTR_HELP, {"instr": "TRC"}),
+        ("dbq_ops", M_INSTRUCTIONS, _INSTR_HELP, {"instr": "DBQ"}),
+        ("enu_steps", M_INSTRUCTIONS, _INSTR_HELP, {"instr": "ENU"}),
+        ("results", M_INSTRUCTIONS, _INSTR_HELP, {"instr": "RES"}),
+        ("trc_misses", M_TRC_MISSES,
+         "triangle-cache lookups that computed the result", {}),
+    ),
+    KernelStats: tuple(
+        (f.name, M_KERNEL_CALLS, "intersections served, by kernel choice",
+         {"kernel": f.name})
+        for f in fields(KernelStats)
+    ),
+    ShmAttachStats: (
+        ("attaches", M_SHM_ATTACHES, "shared-memory CSR attaches", {}),
+        ("bytes_mapped", G_SHM_BYTES,
+         "bytes of adjacency mapped via shared memory", {}),
+    ),
+}
+
+#: Instruction type -> the :class:`TaskCounters` field holding its exact
+#: executed count, which the plan's cost-model estimate predicts.
+_INSTR_FIELDS = {
+    labels["instr"]: name
+    for name, metric, _, labels in LEDGER[TaskCounters]
+    if metric == M_INSTRUCTIONS
+}
+
+
+def mirror(registry: MetricsRegistry, stats, **labels) -> None:
+    """Record every field of ``stats`` into ``registry`` as :data:`LEDGER` says.
+
+    >>> reg = MetricsRegistry()
+    >>> mirror(reg, CacheStats(hits=9, misses=1), worker="2")
+    >>> reg.counter_total("benu_cache_hits_total")
+    9
     """
-    total_counters = TaskCounters()
+    for name, metric, help, constant in LEDGER[type(stats)]:
+        sample = {**constant, **labels}
+        value = getattr(stats, name)
+        if metric.endswith("_total"):
+            registry.counter(metric, help, tuple(sample)).inc(value, **sample)
+        else:
+            registry.gauge(metric, help, tuple(sample)).set(value, **sample)
+
+
+def finish_run(
+    request: ExecutionRequest,
+    registry: MetricsRegistry,
+    ledgers: List[WorkerLedger],
+    num_tasks: int,
+    kernels: KernelStats,
+    wall0: float,
+    backend: str,
+    **extras,
+) -> BenuResult:
+    """Record a finished run into ``registry`` and return its result.
+
+    The one end of every backend's run: each worker's ledger under its
+    ``worker`` label, the intersections per kernel, the plan's
+    cost-model estimates beside their q-errors against the executed
+    counts (when the plan carries estimates), and the run gauges.
+    ``wall0`` is the ``perf_counter`` instant the run started; ``extras``
+    are the :class:`BenuResult` fields only one backend knows.
+    """
+    counters = TaskCounters()
     communication = QueryStats()
     cache = CacheStats()
     per_task: List[float] = []
@@ -229,84 +326,59 @@ def record_worker_ledgers(
         M_TASKS, "local search tasks executed", ("worker",)
     )
     for ledger in ledgers:
-        total_counters = total_counters + ledger.counters
+        counters = counters + ledger.counters
         communication.merge(ledger.query_stats)
         cache.merge(ledger.cache_stats)
         per_task.extend(ledger.task_sim_seconds)
         wid = ledger.worker_id
-        ledger.query_stats.record_to(registry, worker=wid)
-        ledger.cache_stats.record_to(registry, worker=wid)
-        ledger.counters.record_to(registry, worker=wid)
+        mirror(registry, ledger.query_stats, worker=wid)
+        mirror(registry, ledger.cache_stats, worker=wid)
+        mirror(registry, ledger.counters, worker=wid)
         tasks_counter.inc(ledger.num_tasks, worker=wid)
         task_hist.observe_many(ledger.task_sim_seconds, worker=wid)
-    return {
-        "counters": total_counters,
-        "communication": communication,
-        "cache": cache,
-        "per_task": per_task,
-    }
 
+    predicted = getattr(request.plan, "predicted_counts", None)
+    if predicted:
+        pred_gauge = registry.gauge(
+            G_PLAN_PREDICTED,
+            help="cost-model execution estimate per instruction type (§IV-C)",
+            labels=("instr",),
+        )
+        qerr_gauge = registry.gauge(
+            G_PLAN_QERROR,
+            help="max(pred/actual, actual/pred) per instruction type",
+            labels=("instr",),
+        )
+        for instr, pred in predicted.items():
+            name = _INSTR_FIELDS.get(instr)
+            actual = float(getattr(counters, name)) if name else 0.0
+            pred_gauge.set(pred, instr=instr)
+            qerr_gauge.set(q_error(pred, actual), instr=instr)
+    mirror(registry, kernels)
 
-#: Instruction-type name → the :class:`TaskCounters` field that holds the
-#: exact executed count it predicts.
-PREDICTED_COUNTER_FIELDS: Dict[str, str] = {
-    "INT": "int_ops",
-    "TRC": "trc_ops",
-    "DBQ": "dbq_ops",
-    "ENU": "enu_steps",
-    "RES": "results",
-}
-
-
-def record_plan_prediction(
-    registry: MetricsRegistry,
-    plan: ExecutionPlan,
-    counters: TaskCounters,
-) -> Optional[Dict[str, Dict[str, float]]]:
-    """Confront the plan's cost-model estimates with the executed counts.
-
-    Mirrors per-instruction-type predictions and q-errors into the
-    registry gauges (``benu_plan_predicted_executions`` /
-    ``benu_plan_q_error``) and returns ``{instr: {predicted, actual,
-    q_error}}`` for event emission — or None when the plan carries no
-    predictions (plans built outside ``build_plan``), keeping the
-    no-telemetry path free of new metrics.
-    """
-    predicted = getattr(plan, "predicted_counts", None)
-    if not predicted:
-        return None
-    pred_gauge = registry.gauge(
-        G_PLAN_PREDICTED,
-        help="cost-model execution estimate per instruction type (§IV-C)",
-        labels=("instr",),
-    )
-    qerr_gauge = registry.gauge(
-        G_PLAN_QERROR,
-        help="max(pred/actual, actual/pred) per instruction type",
-        labels=("instr",),
-    )
-    out: Dict[str, Dict[str, float]] = {}
-    for instr, pred in predicted.items():
-        field_name = PREDICTED_COUNTER_FIELDS.get(instr)
-        actual = float(getattr(counters, field_name, 0)) if field_name else 0.0
-        qe = q_error(pred, actual)
-        pred_gauge.set(pred, instr=instr)
-        qerr_gauge.set(qe, instr=instr)
-        out[instr] = {"predicted": pred, "actual": actual, "q_error": qe}
-    return out
-
-
-def record_run_gauges(
-    registry: MetricsRegistry,
-    makespan: float,
-    wall: float,
-    num_workers: int,
-    cache: CacheStats,
-) -> None:
-    """The end-of-run gauges every backend sets under the same names."""
+    config = request.config
+    makespan = max((ledger.makespan_seconds for ledger in ledgers), default=0.0)
+    wall = _time.perf_counter() - wall0
     registry.gauge(G_MAKESPAN, "simulated job makespan").set(makespan)
     registry.gauge(G_WALL, "wall-clock run time").set(wall)
-    registry.gauge(G_WORKERS, "worker machines/processes").set(num_workers)
+    registry.gauge(G_WORKERS, "worker machines/processes").set(config.num_workers)
     registry.gauge(G_CACHE_HIT_RATIO, "database cache hit ratio").set(
         cache.hit_rate
+    )
+    return BenuResult(
+        plan=request.plan,
+        count=counters.results,
+        counters=counters,
+        communication=communication,
+        cache=cache,
+        num_tasks=num_tasks,
+        num_workers=config.num_workers,
+        makespan_seconds=makespan,
+        per_worker_busy_seconds=[ledger.busy_seconds for ledger in ledgers],
+        per_task_sim_seconds=per_task,
+        wall_seconds=wall,
+        execution_backend=backend,
+        adjacency_backend=config.adjacency_backend,
+        telemetry=request.telemetry.snapshot(registry),
+        **extras,
     )

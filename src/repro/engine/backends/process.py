@@ -92,16 +92,14 @@ from ...telemetry.registry import MetricsRegistry
 from ...telemetry.snapshot import M_TASK_RETRIES, M_WORKER_CRASHES
 from ..granularity import fallback_chunksize, measured_chunksize
 from ..local_task import LocalSearchTask
-from ..results import BenuResult
 from ..sinks import block_emitter, row_blocks
 from .base import (
     ExecutionBackend,
     ExecutionRequest,
     WorkerLedger,
+    finish_run,
+    mirror,
     packs_rows,
-    record_plan_prediction,
-    record_run_gauges,
-    record_worker_ledgers,
     resolve_tasks,
 )
 
@@ -280,10 +278,7 @@ def _run_tasks(tasks: List[LocalSearchTask]) -> _ChunkRecord:
                     "args": {"results": raw[RESULTS]},
                 }
             )
-    delta = tuple(
-        now - before
-        for now, before in zip(KERNEL_STATS.as_tuple(), kernel_before)
-    )
+    delta = KERNEL_STATS.delta_since(kernel_before)
     record = (os.getpid(), counters, walls, delta, matches)
     return record if spans is None else record + (spans,)
 
@@ -369,7 +364,7 @@ class ProcessBackend(ExecutionBackend):
         return fallback_chunksize(num_tasks, num_workers)
 
     # ------------------------------------------------------------------
-    def _execute(self, request: ExecutionRequest) -> BenuResult:
+    def _execute(self, request: ExecutionRequest):
         config = request.config
         plan = request.plan
         control = request.control
@@ -454,7 +449,7 @@ class ProcessBackend(ExecutionBackend):
 
         return self._finalize(
             request, registry, tasks, records, attaches, shm_bytes,
-            num_workers, wall0, tracer, recovery,
+            wall0, tracer, recovery,
         )
 
     # ------------------------------------------------------------------
@@ -763,10 +758,9 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _finalize(
         self, request, registry, tasks, records, attaches, shm_bytes,
-        num_workers, wall0, tracer, recovery=None,
-    ) -> BenuResult:
-        config = request.config
-        cost_model = config.cost_model
+        wall0, tracer, recovery=None,
+    ):
+        cost_model = request.config.cost_model
 
         # Fault-tolerance ledger: registered only when something actually
         # happened, so a fault-free run's registry stays byte-identical.
@@ -780,6 +774,7 @@ class ProcessBackend(ExecutionBackend):
             registry.counter(
                 M_TASK_RETRIES, help="task slices re-executed after a crash"
             ).inc(tasks_retried)
+        mirror(registry, ShmAttachStats(attaches, shm_bytes))
 
         # Group self-contained chunk records into per-process ledgers;
         # worker ids are dense, in order of first result arrival.  Counters
@@ -788,9 +783,8 @@ class ProcessBackend(ExecutionBackend):
         ledgers: Dict[str, WorkerLedger] = {}
         counter_sums: Dict[str, List[int]] = {}
         remote_spans: Dict[int, list] = {}
-        kernel_totals = [0] * len(KernelStats.FIELDS)
         for record in records:
-            pid, counters, walls, delta = record[:4]
+            pid, counters, walls = record[:3]
             if len(record) > 4:
                 remote_spans.setdefault(pid, []).extend(record[4])
             wid = worker_index.setdefault(pid, str(len(worker_index)))
@@ -804,15 +798,15 @@ class ProcessBackend(ExecutionBackend):
                 ledger.task_sim_seconds.append(sim)
                 ledger.busy_seconds += sim
             ledger.wall_seconds += sum(walls)
-            for i, d in enumerate(delta):
-                kernel_totals[i] += d
-        for wid, sums in counter_sums.items():
-            ledgers[wid].counters = TaskCounters.from_tuple(sums)
         # Stitch the workers' own span trees (shipped over the result
         # channel in wire form) under real-pid process tracks.
         for pid, spans in remote_spans.items():
             tracer.add_remote_spans(pid, spans)
-        for ledger in ledgers.values():
+        ordered = [ledgers[k] for k in sorted(ledgers, key=int)]
+        for ledger in ordered:
+            ledger.counters = TaskCounters.from_tuple(counter_sums[ledger.worker_id])
+            # One thread per process: the worker finishes when its work does.
+            ledger.makespan_seconds = ledger.busy_seconds
             # Workers own the whole graph locally: zero store round-trips,
             # every adjacency lookup a local hit (same metric names as the
             # simulated ledgers; values reflect this backend's reality).
@@ -826,20 +820,6 @@ class ProcessBackend(ExecutionBackend):
                 args={"tasks": ledger.num_tasks},
             )
 
-        ordered = [ledgers[k] for k in sorted(ledgers, key=int)]
-        totals = record_worker_ledgers(registry, ordered)
-        record_plan_prediction(registry, request.plan, totals["counters"])
-        KernelStats(
-            **{f: n for f, n in zip(KernelStats.FIELDS, kernel_totals)}
-        ).record_to(registry)
-        ShmAttachStats(attaches, shm_bytes).record_to(registry)
-
-        makespan = max(
-            (ledger.busy_seconds for ledger in ordered), default=0.0
-        )
-        wall = _time.perf_counter() - wall0
-        record_run_gauges(registry, makespan, wall, num_workers, totals["cache"])
-
         # Measured mean per-task wall cost — the granularity feedback
         # signal a warm re-run (or the service's cost profile) uses to
         # right-size queue pulls.
@@ -849,25 +829,13 @@ class ProcessBackend(ExecutionBackend):
             if tasks_run
             else 0.0
         )
-
-        return BenuResult(
-            plan=request.plan,
-            count=totals["counters"].results,
-            counters=totals["counters"],
-            communication=totals["communication"],
-            cache=totals["cache"],
-            num_tasks=len(tasks),
-            num_workers=num_workers,
-            makespan_seconds=makespan,
-            per_worker_busy_seconds=[l.busy_seconds for l in ordered],
-            per_task_sim_seconds=totals["per_task"],
-            wall_seconds=wall,
+        # Every chunk record carries its own kernel delta: their column sums.
+        kernels = KernelStats(*map(sum, zip(*(record[3] for record in records))))
+        return finish_run(
+            request, registry, ordered, len(tasks), kernels, wall0, self.name,
             mean_task_wall_seconds=mean_task_wall,
-            execution_backend=self.name,
-            adjacency_backend=config.adjacency_backend,
-            shm_attaches=attaches if config.adjacency_backend == "csr" else 0,
+            shm_attaches=attaches if request.config.adjacency_backend == "csr" else 0,
             shm_bytes=shm_bytes,
             worker_crashes=worker_crashes,
             tasks_retried=tasks_retried,
-            telemetry=request.telemetry.snapshot(registry),
         )

@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import time as _time
 from array import array
-from typing import List
 
 from ...kernels.intersect import STATS as KERNEL_STATS, KernelStats
 from ...plan.codegen import ENU_STEPS, INT_OPS, RESULTS, compile_plan
 from ...storage.kvstore import DistributedKVStore
 from ...telemetry.registry import DEFAULT_BYTES_BUCKETS, MetricsRegistry
 from ...telemetry.snapshot import H_DB_QUERY_BYTES
-from ..results import BenuResult
 from ..sinks import BLOCK_ROWS, LimitSink, block_emitter, row_blocks
 from ..worker import Worker
 from ...telemetry.events import EV_TASK_DISPATCHED, EV_TASK_FINISHED
@@ -41,10 +39,8 @@ from .base import (
     ExecutionBackend,
     ExecutionRequest,
     WorkerLedger,
+    finish_run,
     packs_rows,
-    record_plan_prediction,
-    record_run_gauges,
-    record_worker_ledgers,
     resolve_tasks,
 )
 
@@ -185,9 +181,8 @@ class SimulatedBackend(ExecutionBackend):
             control.check()
 
     # ------------------------------------------------------------------
-    def _execute(self, request: ExecutionRequest) -> BenuResult:
+    def _execute(self, request: ExecutionRequest):
         config = request.config
-        plan = request.plan
         telemetry = request.telemetry
         tracer = telemetry.tracer
         registry = MetricsRegistry()
@@ -253,9 +248,7 @@ class SimulatedBackend(ExecutionBackend):
                 exec_span.args["tasks"] = len(tasks)
         finally:
             store.on_query = None
-        KernelStats(**KERNEL_STATS.delta_since(kernel_base)).record_to(registry)
-
-        ledgers: List[WorkerLedger] = [
+        ledgers = [
             WorkerLedger(
                 worker_id=str(w.worker_id),
                 counters=w.total_counters(),
@@ -264,30 +257,12 @@ class SimulatedBackend(ExecutionBackend):
                 num_tasks=w.num_tasks,
                 task_sim_seconds=w.task_sim_seconds,
                 busy_seconds=w.busy_seconds,
+                makespan_seconds=w.makespan_seconds,
                 wall_seconds=w.wall_seconds,
             )
             for w in workers
         ]
-        totals = record_worker_ledgers(registry, ledgers)
-        record_plan_prediction(registry, plan, totals["counters"])
-
-        makespan = max(w.makespan_seconds for w in workers)
-        wall = _time.perf_counter() - wall0
-        record_run_gauges(registry, makespan, wall, len(workers), totals["cache"])
-
-        return BenuResult(
-            plan=plan,
-            count=totals["counters"].results,
-            counters=totals["counters"],
-            communication=totals["communication"],
-            cache=totals["cache"],
-            num_tasks=len(tasks),
-            num_workers=len(workers),
-            makespan_seconds=makespan,
-            per_worker_busy_seconds=[w.busy_seconds for w in workers],
-            per_task_sim_seconds=totals["per_task"],
-            wall_seconds=wall,
-            execution_backend=self.name,
-            adjacency_backend=config.adjacency_backend,
-            telemetry=telemetry.snapshot(registry),
+        return finish_run(
+            request, registry, ledgers, len(tasks),
+            KernelStats(*KERNEL_STATS.delta_since(kernel_base)), wall0, self.name,
         )

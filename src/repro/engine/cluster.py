@@ -1,10 +1,9 @@
 """The simulated shared-nothing cluster (Fig. 2's architecture).
 
-Historically this module held the whole task loop; that now lives in
-:mod:`repro.engine.backends` (shared by the simulated, inline and process
-runtimes), and :class:`SimulatedCluster` is the façade the rest of the
-repo — experiments, benchmarks, the labeled-matching layer, the query
-service — drives: it owns the distributed KV store for one data graph
+The task loop lives in :mod:`repro.engine.backends`;
+:class:`SimulatedCluster` is the façade the rest of the repo —
+experiments, benchmarks, the labeled-matching layer, the query service —
+drives: it owns the distributed KV store for one data graph
 and runs plans through whichever in-process backend the config selects.
 """
 

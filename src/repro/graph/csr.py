@@ -166,16 +166,6 @@ class ShmAttachStats:
     attaches: int = 0
     bytes_mapped: int = 0
 
-    def record_to(self, registry, **labels) -> None:
-        from ..telemetry.snapshot import G_SHM_BYTES, M_SHM_ATTACHES
-
-        names = tuple(labels)
-        registry.counter(
-            M_SHM_ATTACHES, "shared-memory CSR attaches", names
-        ).inc(self.attaches, **labels)
-        registry.gauge(
-            G_SHM_BYTES, "bytes of adjacency mapped via shared memory"
-        ).set(self.bytes_mapped)
 
 
 #: Module-level attach ledger (per process; workers report deltas home).

@@ -36,7 +36,7 @@ including the python-vs-numpy split (the ``vector`` counter).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..graph.csr import AdjacencyView
@@ -77,50 +77,15 @@ class KernelStats:
     set: int = 0
     vector: int = 0
 
-    FIELDS = ("merge", "gallop", "hash", "slice", "set", "vector")
-
-    def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in self.FIELDS}
-
     def as_tuple(self) -> Tuple[int, ...]:
-        return tuple(getattr(self, f) for f in self.FIELDS)
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def total(self) -> int:
         return sum(self.as_tuple())
 
-    def reset(self) -> None:
-        for f in self.FIELDS:
-            setattr(self, f, 0)
-
-    def delta_since(self, snapshot: Tuple[int, ...]) -> dict:
-        return {
-            f: now - before
-            for f, now, before in zip(self.FIELDS, self.as_tuple(), snapshot)
-        }
-
-    def add(self, counts: dict) -> None:
-        for f, v in counts.items():
-            setattr(self, f, getattr(self, f) + v)
-
-    def record_to(self, registry, **labels) -> None:
-        """Mirror the counts into a telemetry registry.
-
-        >>> from repro.telemetry import MetricsRegistry
-        >>> reg = MetricsRegistry()
-        >>> KernelStats(hash=3, gallop=1).record_to(reg)
-        >>> reg.get("benu_kernel_calls_total").value(kernel="hash")
-        3
-        """
-        from ..telemetry.snapshot import M_KERNEL_CALLS
-
-        names = tuple(labels)
-        metric = registry.counter(
-            M_KERNEL_CALLS,
-            "intersections served, by kernel choice",
-            ("kernel",) + names,
-        )
-        for f in self.FIELDS:
-            metric.inc(getattr(self, f), kernel=f, **labels)
+    def delta_since(self, snapshot: Tuple[int, ...]) -> Tuple[int, ...]:
+        """Counts since ``snapshot`` (an earlier :meth:`as_tuple`), in field order."""
+        return tuple(now - before for now, before in zip(self.as_tuple(), snapshot))
 
 
 #: The process-wide ledger compiled plans report into.

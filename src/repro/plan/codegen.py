@@ -95,39 +95,6 @@ class TaskCounters:
     def from_tuple(cls, values: Sequence[int]) -> "TaskCounters":
         return cls(*values)
 
-    def record_to(self, registry, **labels) -> None:
-        """Mirror these counters into a telemetry registry.
-
-        Per-type executions land in ``benu_instructions_total`` under the
-        ``instr`` label (INT/TRC/DBQ/ENU/RES), triangle-cache misses in
-        their own counter — exactly the quantities the paper's cost model
-        (Section IV-C) sums.
-
-        >>> from repro.telemetry import MetricsRegistry
-        >>> reg = MetricsRegistry()
-        >>> TaskCounters(int_ops=5, results=2).record_to(reg, worker="0")
-        >>> reg.get("benu_instructions_total").value(instr="INT", worker="0")
-        5
-        """
-        from ..telemetry.snapshot import M_INSTRUCTIONS, M_TRC_MISSES
-
-        names = tuple(labels)
-        instr = registry.counter(
-            M_INSTRUCTIONS,
-            "instruction executions by type (Table III semantics)",
-            ("instr",) + names,
-        )
-        for instr_name, value in (
-            ("INT", self.int_ops),
-            ("TRC", self.trc_ops),
-            ("DBQ", self.dbq_ops),
-            ("ENU", self.enu_steps),
-            ("RES", self.results),
-        ):
-            instr.inc(value, instr=instr_name, **labels)
-        registry.counter(
-            M_TRC_MISSES, "triangle-cache lookups that computed the result", names
-        ).inc(self.trc_misses, **labels)
 
 
 @dataclass

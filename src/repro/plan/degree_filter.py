@@ -24,7 +24,7 @@ from typing import Dict, List
 from ..graph.graph import Graph
 from .generation import ExecutionPlan
 from .instructions import Instruction, InstructionType, intersect, tvar
-from .optimizer import _fresh_temp_index
+from .optimizer import fresh_temp_index
 
 
 def degree_pool_name(threshold: int) -> str:
@@ -56,7 +56,7 @@ def apply_degree_filter(plan: ExecutionPlan, data: Graph) -> ExecutionPlan:
         return plan
     pools = degree_pools(data, thresholds.values())
 
-    next_temp = _fresh_temp_index(plan)
+    next_temp = fresh_temp_index(plan)
     out: List[Instruction] = []
     for inst in plan.instructions:
         if inst.type is InstructionType.ENU:

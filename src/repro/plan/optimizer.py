@@ -50,10 +50,6 @@ def fresh_temp_index(plan: ExecutionPlan) -> int:
     return top + 1
 
 
-#: Backwards-compatible alias (labelize_plan historically reached for it).
-_fresh_temp_index = fresh_temp_index
-
-
 # ----------------------------------------------------------------------
 # Optimization 1: common subexpression elimination
 # ----------------------------------------------------------------------
@@ -120,7 +116,7 @@ def _pick_subexpression(
 
 def eliminate_common_subexpressions(plan: ExecutionPlan) -> None:
     """Optimization 1, in place: repeat CSE until no common subexpression."""
-    next_temp = _fresh_temp_index(plan)
+    next_temp = fresh_temp_index(plan)
     while True:
         int_ops = [
             frozenset(inst.operands)
@@ -182,7 +178,7 @@ def flatten_intersections(plan: ExecutionPlan) -> None:
     first), then folded left-associatively; the final link keeps the
     original target and filters so semantics are unchanged.
     """
-    next_temp = _fresh_temp_index(plan)
+    next_temp = fresh_temp_index(plan)
     out: List[Instruction] = []
     positions = _definition_positions(plan.instructions)
     for inst in plan.instructions:

@@ -237,6 +237,21 @@ def dispatch(handler, line: str) -> dict:
         return _error_response(exc)
 
 
+def negotiated_version(request: dict) -> int:
+    """The protocol version a ``hello`` settles on: the client's, capped
+    at ours (a client that names none speaks v1).  Both dialects — node
+    and router — answer ``hello`` through this, so a version that is no
+    integer or below 1 is ``invalid_query`` on either."""
+    asked = request.get("version", 1)
+    try:
+        asked = int(asked)
+    except (TypeError, ValueError) as exc:
+        raise InvalidQueryError('"version" must be an integer') from exc
+    if asked < 1:
+        raise InvalidQueryError(f"bad protocol version {asked}")
+    return min(asked, PROTOCOL_VERSION)
+
+
 class ServiceProtocol:
     """Stateless request handler: one JSON request in, one response out.
 
@@ -312,15 +327,8 @@ class ServiceProtocol:
 
     def _op_hello(self, request: dict) -> dict:
         """Version/role handshake (v2).  Optional: v1 clients skip it."""
-        asked = request.get("version", 1)
-        try:
-            asked = int(asked)
-        except (TypeError, ValueError) as exc:
-            raise InvalidQueryError('"version" must be an integer') from exc
-        if asked < 1:
-            raise InvalidQueryError(f"bad protocol version {asked}")
         response = {
-            "version": min(asked, PROTOCOL_VERSION),
+            "version": negotiated_version(request),
             "server_version": PROTOCOL_VERSION,
             "role": "shard" if self.identity is not None else "node",
             "capabilities": list(CAPABILITIES),

@@ -26,6 +26,7 @@ from ..service.protocol import (
     PROTOCOL_VERSION,
     dispatch,
     encode_response,
+    negotiated_version,
 )
 from .router import RouterQuery, ShardRouter
 
@@ -66,9 +67,8 @@ class RouterProtocol:
 
     # ------------------------------------------------------------------ ops
     def _op_hello(self, request: dict) -> dict:
-        asked = int(request.get("version", 1))
         return {
-            "version": min(asked, PROTOCOL_VERSION),
+            "version": negotiated_version(request),
             "server_version": PROTOCOL_VERSION,
             "role": "router",
             "shard_count": self.router.shard_count,

@@ -1,6 +1,6 @@
 """Storage substrate: distributed KV store, caches, serialization."""
 
-from .cache import CacheStats, DatabaseCache, LRUDatabaseCache, new_triangle_cache
+from .cache import CacheStats, LRUDatabaseCache, new_triangle_cache
 from .policies import (
     POLICIES,
     FIFOPolicy,
@@ -29,7 +29,6 @@ from .serialization import (
 
 __all__ = [
     "CacheStats",
-    "DatabaseCache",
     "POLICIES",
     "FIFOPolicy",
     "LFUPolicy",

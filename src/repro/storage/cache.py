@@ -54,31 +54,6 @@ class CacheStats:
     def copy(self) -> "CacheStats":
         return CacheStats(self.hits, self.misses, self.evictions)
 
-    def record_to(self, registry, **labels) -> None:
-        """Mirror this accounting into a telemetry registry.
-
-        >>> from repro.telemetry import MetricsRegistry
-        >>> reg = MetricsRegistry()
-        >>> CacheStats(hits=9, misses=1).record_to(reg, worker="2")
-        >>> reg.counter_total("benu_cache_hits_total")
-        9
-        """
-        from ..telemetry.snapshot import (
-            M_CACHE_EVICTIONS,
-            M_CACHE_HITS,
-            M_CACHE_MISSES,
-        )
-
-        names = tuple(labels)
-        registry.counter(
-            M_CACHE_HITS, "adjacency lookups served by the worker cache", names
-        ).inc(self.hits, **labels)
-        registry.counter(
-            M_CACHE_MISSES, "adjacency lookups that went to the store", names
-        ).inc(self.misses, **labels)
-        registry.counter(
-            M_CACHE_EVICTIONS, "cache entries evicted by the policy", names
-        ).inc(self.evictions, **labels)
 
 
 class _SelfLoadingEntries(dict):
@@ -264,10 +239,6 @@ class CachePool:
 
     def __len__(self) -> int:
         return len(self.caches)
-
-
-#: Preferred, policy-neutral alias.
-DatabaseCache = LRUDatabaseCache
 
 
 def new_triangle_cache() -> dict:

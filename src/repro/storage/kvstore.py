@@ -40,27 +40,6 @@ class QueryStats:
     def copy(self) -> "QueryStats":
         return QueryStats(self.queries, self.bytes_transferred, self.simulated_seconds)
 
-    def record_to(self, registry, **labels) -> None:
-        """Mirror this ledger into a telemetry registry (registry-backed view).
-
-        >>> from repro.telemetry import MetricsRegistry
-        >>> reg = MetricsRegistry()
-        >>> QueryStats(queries=3, bytes_transferred=90).record_to(reg, worker="0")
-        >>> reg.counter_total("benu_db_queries_total")
-        3
-        """
-        from ..telemetry.snapshot import M_DB_BYTES, M_DB_QUERIES, M_DB_SIM_SECONDS
-
-        names = tuple(labels)
-        registry.counter(
-            M_DB_QUERIES, "distributed KV store queries", names
-        ).inc(self.queries, **labels)
-        registry.counter(
-            M_DB_BYTES, "bytes fetched from the distributed KV store", names
-        ).inc(self.bytes_transferred, **labels)
-        registry.counter(
-            M_DB_SIM_SECONDS, "simulated seconds spent on DB round-trips", names
-        ).inc(self.simulated_seconds, **labels)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ volume, cache hit rates, instruction counts, per-worker makespans), so the
 reproduction makes them first-class: a :class:`MetricsRegistry` holds
 typed :class:`Counter`/:class:`Gauge`/:class:`Histogram` metrics keyed by
 name, each optionally labeled (worker id, plan phase, instruction type).
-The legacy ad-hoc stats structs (``QueryStats``, ``CacheStats``,
-``TaskCounters``) gained ``record_to`` adapters that mirror themselves
-into a registry, so every quantity of Figs. 7-10 and Tables IV-VI is
-available through one machine-readable interface (``as_dict``).
+The stats structs of the storage, kernel, graph and plan layers stay
+plain dataclasses; the execution backends mirror them into a registry
+through one field-to-metric table (``repro.engine.backends.base``), so
+every quantity of Figs. 7-10 and Tables IV-VI is available through one
+machine-readable interface (``as_dict``).
 
 The registry deliberately depends on nothing else in :mod:`repro` — any
 layer may import it without cycles.

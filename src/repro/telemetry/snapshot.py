@@ -1,14 +1,17 @@
 """The per-run telemetry snapshot attached to every :class:`BenuResult`.
 
 One :class:`TelemetrySnapshot` bundles the run's :class:`MetricsRegistry`
-(populated from the legacy ``QueryStats``/``CacheStats``/``TaskCounters``
-structs via their ``record_to`` adapters, plus any live histograms the
-profiler and storage hooks filled in) and, when tracing was on, the
-:class:`~repro.telemetry.tracing.Tracer` holding the span tree.
+(populated at the end of the run by
+:func:`repro.engine.backends.base.finish_run`, whose ``LEDGER`` table maps
+the fields of the ``QueryStats``/``CacheStats``/``TaskCounters``/
+``KernelStats`` structs onto the metric names below, plus any live
+histograms the profiler and storage hooks filled in) and, when tracing
+was on, the :class:`~repro.telemetry.tracing.Tracer` holding the span
+tree.
 
 The snapshot's properties are *registry-backed views*: ``db_queries``,
 ``cache_hit_rate``, ``instruction_counts`` etc. read straight out of the
-registry, so they agree with the legacy structs by construction — the
+registry, so they agree with the stats structs by construction — the
 parity the telemetry tests pin down.
 
 Mapping to the paper (details in DESIGN.md):

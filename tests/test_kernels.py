@@ -155,15 +155,16 @@ class TestIntersectFiltered:
 
 class TestKernelStats:
     def test_delta_and_record(self):
+        from repro.engine.backends import mirror
         from repro.telemetry.registry import MetricsRegistry
 
         stats = KernelStats()
         snap = stats.as_tuple()
         intersect_filtered([{1, 2}, {2, 3}], stats=stats)
         delta = stats.delta_since(snap)
-        assert sum(delta.values()) == 1
+        assert sum(delta) == 1
         reg = MetricsRegistry()
-        KernelStats(**delta).record_to(reg)
+        mirror(reg, KernelStats(*delta))
         assert reg.counter_total("benu_kernel_calls_total") == 1
 
     def test_module_stats_is_default_sink(self):

@@ -419,6 +419,38 @@ def test_hello_downgrades_for_old_clients():
         service.close()
 
 
+BAD_VERSIONS = ["x", None, [2], 0, -1]
+
+
+@pytest.mark.parametrize("version", BAD_VERSIONS)
+def test_node_hello_rejects_a_bad_version(version):
+    service = BenuService()
+    try:
+        response = ServiceProtocol(service).handle_line(
+            json.dumps({"op": "hello", "version": version})
+        )
+        assert not response["ok"]
+        assert response["error"] == "invalid_query"
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("version", BAD_VERSIONS)
+def test_router_hello_rejects_a_bad_version(version):
+    node = ShardNode(0, 1)
+    try:
+        protocol = RouterProtocol(ShardRouter([LocalShardClient(node)]))
+        response = protocol.handle_line(
+            json.dumps({"op": "hello", "version": version})
+        )
+        assert not response["ok"]
+        assert response["error"] == "invalid_query"
+        ok = protocol.handle_line(json.dumps({"op": "hello", "version": 1}))
+        assert ok["ok"] and ok["version"] == 1 and ok["role"] == "router"
+    finally:
+        node.close()
+
+
 # --------------------------------------------------------- deployment shape
 def test_router_rejects_epoch_mismatch():
     nodes = [ShardNode(0, 2, epoch=1), ShardNode(1, 2, epoch=2)]
