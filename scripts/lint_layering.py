@@ -17,6 +17,11 @@ neither ``repro.telemetry.registry`` nor ``repro.telemetry.snapshot`` —
 not even lazily inside a function, nor their names through the
 ``repro.telemetry`` package.
 
+**One place binds a query to labels.**  Labelizing a plan and cutting
+its start vertices to the start label's pool is decided once, in
+``repro.lang.run``; outside ``labeled/`` no other module imports
+``labelize_plan`` or ``start_label_pool``.
+
 The check is AST-based and resolves relative imports, so aliasing or
 ``from .. import`` spellings cannot slip past it.
 
@@ -59,6 +64,11 @@ EXECUTION_NAMES = {
 LEDGER_LAYERS = ("storage/", "kernels/", "graph/", "plan/")
 #: The metric modules those layers must not reach.
 METRIC_MODULES = ("repro.telemetry.registry", "repro.telemetry.snapshot")
+
+#: Label-binding primitives, and the one module outside labeled/ that
+#: may import them.
+LABEL_BINDING = {"labelize_plan", "start_label_pool"}
+LABEL_BINDER = "lang/run.py"
 
 
 def metric_names(root: Path) -> set:
@@ -106,8 +116,7 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
     rel = path.relative_to(root).as_posix()
     labeled = rel.startswith("labeled/")
     ledger_layer = rel.startswith(LEDGER_LAYERS)
-    if not (labeled or ledger_layer):
-        return 0
+    binder = labeled or rel == LABEL_BINDER
     package = module_package(path, root)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     violations = 0
@@ -116,6 +125,8 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
             violations += _lint_labeled(path, lineno, module, names, out)
         if ledger_layer:
             violations += _lint_ledger_layer(path, root, lineno, module, names, out)
+        if not binder:
+            violations += _lint_label_binding(path, lineno, module, names, out)
     return violations
 
 
@@ -157,6 +168,20 @@ def _lint_ledger_layer(path, root, lineno, module, names, out) -> int:
         f"{path}:{lineno}: a stats-struct layer imports {reached} — "
         "keep the struct plain and map its fields to metrics in "
         "repro.engine.backends.base's LEDGER",
+        file=out,
+    )
+    return 1
+
+
+def _lint_label_binding(path, lineno, module, names, out) -> int:
+    if module not in ("repro.labeled", "repro.labeled.plans"):
+        return 0
+    bound = sorted(set(names) & LABEL_BINDING)
+    if not bound:
+        return 0
+    print(
+        f"{path}:{lineno}: imports {bound} — bind label pools and start "
+        "vertices through repro.lang.run (bind_plan / execute_query)",
         file=out,
     )
     return 1

@@ -478,7 +478,7 @@ def _load_query_graph(args: argparse.Namespace):
 
 def _explain_query(args: argparse.Namespace) -> int:
     from .lang import lower_query, pretty_tree
-    from .labeled.graphs import LabeledGraph
+    from .lang.run import bind_plan, prepare_local
 
     lowered = lower_query(args.text)
     print("logical tree:")
@@ -492,22 +492,9 @@ def _explain_query(args: argparse.Namespace) -> int:
         )
         return 0
     data = _load_query_graph(args)
-    config = _config_from(args)
-    if lowered.is_labeled:
-        from .labeled.enumerate import prepare_labeled_data
-        from .labeled.plans import labelize_plan
-
-        if not isinstance(data, LabeledGraph):
-            raise SystemExit(
-                "query uses label predicates; give --labels FILE"
-            )
-        prepared, labeled = prepare_labeled_data(data, config)
-        plan = prepare_plan(lowered.pattern, prepared, config)
-        plan = labelize_plan(plan, lowered.pattern, labeled)
-    else:
-        plain = data.graph if isinstance(data, LabeledGraph) else data
-        prepared = prepare_data(plain, config)
-        plan = prepare_plan(lowered.pattern, prepared, config)
+    plan, _ = bind_plan(
+        lowered, *prepare_local(lowered, data, _config_from(args))
+    )
     print("\nphysical plan:")
     print(plan)
     return 0
@@ -597,7 +584,9 @@ def cmd_query(args: argparse.Namespace) -> int:
         if args.explain:
             return _explain_query(args)
         data = _load_query_graph(args)
-        result = run_query(args.text, data, _config_from(args))
+        result = run_query(
+            args.text, data, _config_from(args), limit=args.limit
+        )
     except QueryError as exc:
         print(f"query error: {exc}", file=sys.stderr)
         snippet = exc.snippet()
@@ -607,10 +596,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if result.kind == "count":
         print(result.count)
         return 0
-    rows = result.rows()
-    if args.limit is not None and result.kind == "stream":
-        rows = rows[: args.limit]
-    for row in rows:
+    for row in result.rows():
         print("\t".join(map(str, row)))
     return 0
 
@@ -790,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="vertex label file ('vertex label' per line); "
                         "required for queries with label predicates")
     p.add_argument("--limit", type=int, default=None,
-                   help="cap the number of returned matches")
+                   help="stop the run after N matches (early termination)")
     p.add_argument("--explain", action="store_true",
                    help="print the logical tree, fired optimizer rules and "
                         "the physical plan instead of executing")

@@ -309,12 +309,5 @@ def enumerate_subgraphs(
     Each tuple is indexed by sorted pattern vertex; exactly one match per
     isomorphic subgraph is returned (symmetry breaking dedups).
     """
-    if config is None:
-        config = BenuConfig(collect=True)
-    elif not config.collect:
-        config = replace(config, collect=True)
-    result = run_benu(pattern, data, config)
-    if config.compressed:
-        return list(result.expanded_matches())
-    assert result.matches is not None
-    return result.matches
+    config = replace(config or BenuConfig(), collect=True)
+    return list(run_benu(pattern, data, config).expanded_matches())

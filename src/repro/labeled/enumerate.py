@@ -2,9 +2,10 @@
 
 There is no labeled execution loop: a labeled run is the ordinary
 pipeline — :func:`~repro.engine.benu.prepare_plan` →
-:func:`labelize_plan` (per-label candidate pools as plan constants) →
-:func:`~repro.engine.benu.execute_plan` with ``start_vertices``
-restricted to the start vertex's label pool.  Everything the shared
+:func:`~repro.labeled.plans.labelize_plan` (per-label candidate pools as
+plan constants) → :func:`~repro.engine.benu.execute_plan` with
+``start_vertices`` restricted to the start vertex's label pool — bound in
+one place, :func:`repro.lang.run.execute_query`.  Everything the shared
 path provides — the three execution backends, streaming sinks,
 cooperative control, result translation — therefore works for labeled
 patterns unchanged.
@@ -12,48 +13,14 @@ patterns unchanged.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
-from ..engine.benu import PreparedData, execute_plan, prepare_plan
 from ..engine.config import BenuConfig
 from ..engine.results import BenuResult
 from ..graph.graph import Vertex
-from ..graph.order import degree_order_relabeling, invert_mapping
-from ..plan.validate import validate_plan
 from .graphs import LabeledGraph
 from .pattern import LabeledPatternGraph
-from .plans import labelize_plan, start_label_pool
-
-
-def prepare_labeled_data(
-    data: LabeledGraph, config: Optional[BenuConfig] = None
-) -> Tuple[PreparedData, LabeledGraph]:
-    """Relabel a labeled data graph per ``config.relabel``.
-
-    Returns the engine's :class:`PreparedData` (execution-space graph +
-    id translation) alongside the matching execution-space
-    :class:`LabeledGraph` (labels follow their vertices) that
-    :func:`labelize_plan` builds its pools from.
-    """
-    config = config or BenuConfig()
-    if not config.relabel:
-        return PreparedData(data.graph), data
-    mapping = degree_order_relabeling(data.graph)
-    relabeled = data.relabel_vertices(mapping)
-    return (
-        PreparedData(relabeled.graph, mapping, invert_mapping(mapping)),
-        relabeled,
-    )
-
-
-def labeled_start_vertices(
-    plan, pattern: LabeledPatternGraph, prepared: PreparedData, data: LabeledGraph
-) -> Optional[List[Vertex]]:
-    """Start vertices eligible for ``plan`` (graph order), or None = all."""
-    pool = start_label_pool(plan, pattern, data)
-    if pool is None:
-        return None
-    return [v for v in prepared.graph.vertices if v in pool]
 
 
 def run_labeled_benu(
@@ -66,19 +33,11 @@ def run_labeled_benu(
     Returns the same :class:`BenuResult` the unlabeled pipeline does
     (counts are matches or VCBC codes depending on ``config.compressed``).
     """
-    config = config or BenuConfig()
-    prepared, data = prepare_labeled_data(data, config)
+    # The query runner sits above labeled/ (it lowers BENU-QL onto these
+    # patterns), so it is imported at call time.
+    from ..lang.run import run_local
 
-    plan = prepare_plan(pattern, prepared, config)
-    predicted = plan.predicted_counts
-    plan = labelize_plan(plan, pattern, data)
-    plan.predicted_counts = predicted
-    validate_plan(plan)
-
-    start_vertices = labeled_start_vertices(plan, pattern, prepared, data)
-    return execute_plan(
-        plan, prepared, config, start_vertices=start_vertices
-    )
+    return run_local(pattern, data, config)[0]
 
 
 def count_labeled_subgraphs(
@@ -108,14 +67,5 @@ def enumerate_labeled_subgraphs(
     config: Optional[BenuConfig] = None,
 ) -> List[Tuple[Vertex, ...]]:
     """All label-preserving matches, one per subgraph instance."""
-    from dataclasses import replace
-
-    if config is None:
-        config = BenuConfig(collect=True)
-    elif not config.collect:
-        config = replace(config, collect=True)
-    result = run_labeled_benu(pattern, data, config)
-    if config.compressed:
-        return list(result.expanded_matches())
-    assert result.matches is not None
-    return result.matches
+    config = replace(config or BenuConfig(), collect=True)
+    return list(run_labeled_benu(pattern, data, config).expanded_matches())

@@ -20,7 +20,8 @@ def enumerate_labeled_matches(
     """Yield label-preserving matches of ``pattern`` in ``data``.
 
     Built on the unlabeled oracle with a label post-filter — slow but
-    unquestionably correct, which is all an oracle needs.
+    unquestionably correct, which is all an oracle needs.  A ``None``
+    pattern label is unconstrained, as in ``labelize_plan``.
     """
     conditions = pattern.symmetry_conditions if use_symmetry else ()
     vertices = pattern.vertices
@@ -28,7 +29,7 @@ def enumerate_labeled_matches(
         pattern.graph, data.graph, partial_order=conditions
     ):
         if all(
-            pattern.label_of(u) == data.label_of(v)
+            pattern.label_of(u) in (None, data.label_of(v))
             for u, v in zip(vertices, match)
         ):
             yield match

@@ -38,6 +38,7 @@ def labelize_plan(
     pool is inserted; for compressed plans the reported image sets are
     filtered the same way before RES.  A ``None`` label (the declarative
     front-end's "unconstrained" marker) gets no pool and no intersection.
+    The copy keeps the plan's ``predicted_counts``.
     """
     labels = sorted(
         {
@@ -97,6 +98,7 @@ def labelize_plan(
         compressed=plan.compressed,
         compressed_vertices=plan.compressed_vertices,
         constants={**plan.constants, **constants},
+        predicted_counts=plan.predicted_counts,
     )
     assert labeled.defined_before_use()
     return labeled

@@ -35,7 +35,7 @@ from .lowering import (
 )
 from .parser import Token, parse_query, tokenize
 from .rules import RULES, Rule, apply_everywhere, fire_rules
-from .run import QueryResult, group_counts, project_matches, run_query
+from .run import QueryResult, run_query
 
 __all__ = [
     "Aggregate",
@@ -62,7 +62,5 @@ __all__ = [
     "apply_everywhere",
     "fire_rules",
     "QueryResult",
-    "group_counts",
-    "project_matches",
     "run_query",
 ]

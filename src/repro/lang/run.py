@@ -1,31 +1,53 @@
-"""Execute BENU-QL queries against in-process graphs.
+"""Bind a BENU-QL query (or a bare pattern) to the shared plan pipeline.
 
-This is the local (library / CLI) execution path; the resident service
-has its own entry (:meth:`repro.service.BenuService.submit_query`) that
-shares the same lowering.  Matches flow through the one shared plan
-pipeline — ``run_query`` only applies the *relational* finishing steps
-(projection, grouping) to the engine's match tuples, so its answers are
-byte-identical to the programmatic ``PatternGraph`` path by
-construction.
+:func:`execute_query` is the one place a query meets Algorithm 2: label
+pools and start vertices (:func:`bind_plan`, the plan half), zero tasks
+for an unsatisfiable query, projection or GROUP BY as sinks, then
+``execute_plan``.  Callers differ only in where the plan comes from —
+``prepare_plan`` here (:func:`run_query`, the labeled API), the plan
+cache in ``BenuService`` — and in the runtime they bring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from ..engine.benu import count_subgraphs, enumerate_subgraphs
-from ..engine.config import BenuConfig
-from ..graph.graph import Graph, Vertex
-from ..labeled.enumerate import (
-    count_labeled_subgraphs,
-    enumerate_labeled_subgraphs,
+from ..engine.backends.base import run_mode
+from ..engine.benu import (
+    PreparedData,
+    execute_plan,
+    prepare_data,
+    prepare_plan,
 )
+from ..engine.config import BenuConfig
+from ..engine.control import ExecutionControl, QueryCancelled
+from ..engine.granularity import task_cost_key
+from ..engine.results import BenuResult
+from ..engine.sinks import (
+    CollectSink,
+    CountSink,
+    GroupCountSink,
+    LimitSink,
+    ProjectingSink,
+    RowBlock,
+    block_emitter,
+)
+from ..graph.graph import Graph, Vertex
 from ..labeled.graphs import LabeledGraph
+from ..labeled.pattern import LabeledPatternGraph
+from ..labeled.plans import labelize_plan, start_label_pool
+from ..pattern.pattern_graph import PatternGraph
+from ..plan.compression import expand_code
+from ..plan.generation import ExecutionPlan
 from .errors import QuerySemanticError
 from .lowering import LoweredQuery, lower_query
 
 DataGraph = Union[Graph, LabeledGraph]
+#: A lowered BENU-QL query, or a bare pattern (rows or count by sink).
+Query = Union[LoweredQuery, PatternGraph]
+#: GROUP BY key → match count, in original ids.
+Groups = Dict[Hashable, int]
 
 
 @dataclass(frozen=True)
@@ -41,7 +63,7 @@ class QueryResult:
     columns: Tuple[str, ...]
     count: int
     matches: Optional[List[Tuple[Vertex, ...]]] = None
-    groups: Optional[Dict[Hashable, int]] = None
+    groups: Optional[Groups] = None
     lowered: Optional[LoweredQuery] = None
 
     def rows(self) -> List[Tuple]:
@@ -53,83 +75,175 @@ class QueryResult:
         return list(self.matches or [])
 
 
-def project_matches(
-    matches: List[Tuple[Vertex, ...]], indices: Tuple[int, ...]
-) -> List[Tuple[Vertex, ...]]:
-    return [tuple(match[i] for i in indices) for match in matches]
+class _ExpandingSink:
+    """VCBC codes in, full matches in original ids out, in code order."""
+
+    def __init__(self, inner, plan: ExecutionPlan, inverse) -> None:
+        self._inner_block = block_emitter(inner)
+        self._plan = plan
+        self._translate = inverse.__getitem__ if inverse is not None else None
+
+    def emit_block(self, block: RowBlock) -> None:
+        plan = self._plan
+        flat = [
+            v for code in block for m in expand_code(plan, code) for v in m
+        ]
+        if self._translate is not None:
+            flat = list(map(self._translate, flat))
+        if flat:
+            self._inner_block(RowBlock(flat, plan.pattern.n))
 
 
-def group_counts(
-    matches: List[Tuple[Vertex, ...]], index: int
-) -> Dict[Hashable, int]:
-    counts: Dict[Hashable, int] = {}
-    for match in matches:
-        key = match[index]
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+def _pattern(query: Query) -> PatternGraph:
+    return query.pattern if isinstance(query, LoweredQuery) else query
+
+
+def bind_plan(
+    query: Query,
+    plan: ExecutionPlan,
+    prepared: PreparedData,
+    labeled: Optional[LabeledGraph] = None,
+    start_vertices: Optional[Sequence[Vertex]] = None,
+) -> Tuple[ExecutionPlan, Optional[Sequence[Vertex]]]:
+    """The plan half: ``(plan, start_vertices)`` for ``query``.
+
+    ``start_vertices`` is the caller's base (a shard's owned slice; None
+    = every vertex).  A labeled pattern's plan gets its label pools, and
+    only its start label's pool starts tasks; an unsatisfiable query
+    gets no start vertices, so it runs over zero tasks on any backend.
+    """
+    if isinstance(query, LoweredQuery) and query.unsatisfiable:
+        return plan, []
+    pattern = _pattern(query)
+    if not isinstance(pattern, LabeledPatternGraph):
+        return plan, start_vertices
+    if labeled is None:
+        raise QuerySemanticError(
+            "query uses label predicates but the data graph has no labels"
+        )
+    plan = labelize_plan(plan, pattern, labeled)
+    pool = start_label_pool(plan, pattern, labeled)
+    if pool is not None:
+        if start_vertices is None:
+            start_vertices = prepared.graph.vertices
+        start_vertices = [v for v in start_vertices if v in pool]
+    return plan, start_vertices
+
+
+def execute_query(
+    query: Query,
+    plan: ExecutionPlan,
+    prepared: PreparedData,
+    config: BenuConfig,
+    labeled: Optional[LabeledGraph] = None,
+    start_vertices: Optional[Sequence[Vertex]] = None,
+    sink=None,
+    task_costs=None,
+    **runtime,
+) -> Tuple[BenuResult, Optional[Groups]]:
+    """Run ``query`` on its pool-less ``plan``: ``(result, groups)``.
+
+    ``sink`` is the caller's inner sink (None = count only); projection
+    narrows rows before it, GROUP BY counts them in its own sink instead
+    (``groups``: key → count in original ids; None for other kinds), and
+    a compressed run's codes are expanded first.  ``task_costs`` (a
+    ``TaskCostProfile``) sizes process-backend chunks from earlier runs
+    of the plan and learns from this one; ``runtime`` goes to
+    ``execute_plan`` (telemetry, cluster, control, caches, progress).
+    """
+    plan, start_vertices = bind_plan(
+        query, plan, prepared, labeled, start_vertices
+    )
+    group_sink = None
+    if isinstance(query, LoweredQuery):
+        if query.kind == "groups":
+            sink = group_sink = GroupCountSink(query.group_by)
+        elif sink is not None and query.projection is not None:
+            sink = ProjectingSink(sink, query.projection)
+    if sink is not None and plan.compressed:
+        sink = _ExpandingSink(sink, plan, prepared.inverse)
+    if task_costs is not None:
+        mode = run_mode(config, sink)
+        key = task_cost_key(plan, config.split_threshold, mode)
+        runtime["task_cost_hint"] = task_costs.hint(key)
+    result = execute_plan(
+        plan, prepared, config,
+        sink=sink, start_vertices=start_vertices, **runtime,
+    )
+    if task_costs is not None:
+        task_costs.record(key, result.mean_task_wall_seconds)
+    return result, None if group_sink is None else dict(group_sink.counts)
+
+
+def prepare_local(
+    query: Query, data: DataGraph, config: BenuConfig
+) -> Tuple[ExecutionPlan, PreparedData, Optional[LabeledGraph]]:
+    """In-process ``(plan, prepared graph, labeled view)`` for ``query``.
+
+    The labeled view is in execution space: labels follow their vertices
+    through the relabeling.
+    """
+    labeled = data if isinstance(data, LabeledGraph) else None
+    prepared = prepare_data(data if labeled is None else data.graph, config)
+    if labeled is not None and prepared.relabeled:
+        labeled = labeled.relabel_vertices(prepared.mapping)
+    return prepare_plan(_pattern(query), prepared, config), prepared, labeled
+
+
+def run_local(
+    query: Query,
+    data: DataGraph,
+    config: Optional[BenuConfig] = None,
+    sink=None,
+    control: Optional[ExecutionControl] = None,
+) -> Tuple[BenuResult, Optional[Groups]]:
+    """Plan ``query`` for ``data`` and run it in-process."""
+    config = config or BenuConfig()
+    plan, prepared, labeled = prepare_local(query, data, config)
+    return execute_query(
+        query, plan, prepared, config, labeled, sink=sink, control=control
+    )
 
 
 def run_query(
     query: Union[str, LoweredQuery],
     data: DataGraph,
     config: Optional[BenuConfig] = None,
+    limit: Optional[int] = None,
 ) -> QueryResult:
     """Run a BENU-QL query against ``data`` and return its result.
 
     ``data`` may be a plain :class:`Graph` or a :class:`LabeledGraph`;
     label predicates require the latter.  An unlabeled query against a
-    ``LabeledGraph`` matches on structure alone.
+    ``LabeledGraph`` matches on structure alone.  ``limit`` caps a
+    stream's rows and stops the run once it has them.  Under a
+    compressed config every kind answers in full matches.
     """
     lowered = lower_query(query) if isinstance(query, str) else query
-
-    if lowered.is_labeled and not isinstance(data, LabeledGraph):
-        raise QuerySemanticError(
-            "query uses label predicates but the data graph has no labels"
-        )
-
-    if lowered.unsatisfiable:
-        return QueryResult(
-            kind=lowered.kind,
-            columns=lowered.columns,
-            count=0,
-            matches=[] if lowered.kind == "stream" else None,
-            groups={} if lowered.kind == "groups" else None,
-            lowered=lowered,
-        )
-
-    if lowered.is_labeled:
-        if lowered.kind == "count":
-            count = count_labeled_subgraphs(lowered.pattern, data, config)
-            return QueryResult(
-                kind="count", columns=lowered.columns, count=count,
-                lowered=lowered,
-            )
-        matches = enumerate_labeled_subgraphs(lowered.pattern, data, config)
-    else:
-        plain = data.graph if isinstance(data, LabeledGraph) else data
-        if lowered.kind == "count":
-            count = count_subgraphs(lowered.pattern, plain, config)
-            return QueryResult(
-                kind="count", columns=lowered.columns, count=count,
-                lowered=lowered,
-            )
-        matches = enumerate_subgraphs(lowered.pattern, plain, config)
-
-    if lowered.kind == "groups":
-        groups = group_counts(matches, lowered.group_by)
-        return QueryResult(
-            kind="groups",
-            columns=lowered.columns,
-            count=len(matches),
-            groups=groups,
-            lowered=lowered,
-        )
-    if lowered.projection is not None:
-        matches = project_matches(matches, lowered.projection)
+    config = config or BenuConfig()
+    rows = sink = control = None
+    if lowered.kind == "stream":
+        sink = rows = CollectSink()
+        if limit is not None:
+            control = ExecutionControl()
+            sink = LimitSink(rows, limit, control)
+    elif lowered.kind == "count" and config.compressed:
+        sink = CountSink()  # codes are not matches: count the expansions
+    result = groups = None
+    try:
+        result, groups = run_local(lowered, data, config, sink, control)
+    except QueryCancelled as exc:
+        if exc.reason != LimitSink.REASON:
+            raise
+    if groups is not None:
+        count = sum(groups.values())
+    else:  # each sink here counts its rows
+        count = (result if sink is None else sink).count
     return QueryResult(
-        kind="stream",
+        kind=lowered.kind,
         columns=lowered.columns,
-        count=len(matches),
-        matches=matches,
+        count=count,
+        matches=None if rows is None else rows.results,
+        groups=groups,
         lowered=lowered,
     )

@@ -27,8 +27,6 @@ from collections import deque
 from dataclasses import replace as _replace
 from typing import Dict, Optional, Union
 
-from ..engine.backends.base import run_mode
-from ..engine.benu import execute_plan
 from ..engine.cluster import SimulatedCluster
 from ..engine.config import BenuConfig
 from ..engine.control import (
@@ -36,14 +34,13 @@ from ..engine.control import (
     ExecutionControl,
     QueryCancelled,
 )
-from ..engine.granularity import task_cost_key
-from ..engine.sinks import GroupCountSink, LimitSink, ProjectingSink
+from ..engine.sinks import LimitSink
 from ..faults import get_injector, resolve_faults
 from ..graph.graph import Graph
 from ..graph.patterns import get_pattern
-from ..labeled.plans import labelize_plan, start_label_pool
 from ..lang.errors import QuerySemanticError
 from ..lang.lowering import LoweredQuery, lower_query
+from ..lang.run import execute_query
 from ..pattern.pattern_graph import PatternGraph
 from ..telemetry.events import (
     EV_FAULT_INJECTED,
@@ -425,46 +422,18 @@ class BenuService:
                 )
                 control.check()
 
-                labeled_data = None
-                if lowered is not None and lowered.is_labeled:
-                    # The cached plan is label-aware structurally (the
-                    # pattern's symmetry conditions are); pools are a
-                    # per-graph rewrite applied here, outside the cache.
-                    labeled_data = entry.labeled
-                    predicted = plan.predicted_counts
-                    plan = labelize_plan(plan, pattern, labeled_data)
-                    plan.predicted_counts = predicted
-
                 sink = None
-                group_sink = None
                 if buffer is not None:
                     sink = (
                         LimitSink(buffer, handle.limit, control)
                         if handle.limit is not None
                         else buffer
                     )
-                    if lowered is not None and lowered.projection is not None:
-                        sink = ProjectingSink(sink, lowered.projection)
-                elif lowered is not None and lowered.kind == "groups":
-                    group_sink = GroupCountSink(lowered.group_by)
-                    sink = group_sink
-                # A partitioned entry runs only this shard's slice of the
-                # start-vertex task space; None means the whole graph.
-                start_vertices = entry.owned_start_vertices()
-                if lowered is not None and lowered.unsatisfiable:
-                    # Proven empty by the logical optimizer: run the
-                    # ordinary machinery over zero tasks (uniform across
-                    # backends and shards).
-                    start_vertices = []
-                elif labeled_data is not None:
-                    pool = start_label_pool(plan, pattern, labeled_data)
-                    if pool is not None:
-                        base = (
-                            start_vertices
-                            if start_vertices is not None
-                            else entry.prepared.graph.vertices
-                        )
-                        start_vertices = [v for v in base if v in pool]
+                runtime = dict(
+                    telemetry=telemetry,
+                    control=control,
+                    progress=handle.progress,
+                )
                 if config.execution_backend == "process":
                     # The cap is on *total* worker processes across all
                     # in-flight queries: block until slots free up, and
@@ -472,51 +441,33 @@ class BenuService:
                     granted_workers = self.worker_slots.acquire(
                         config.num_workers, control=control
                     )
+                    config = _replace(config, num_workers=granted_workers)
                     # Warm runs re-chunk from the measured task cost of
                     # previous runs of this plan profile (the cost key is
                     # worker-count independent).
-                    cost_key = task_cost_key(
-                        plan, config.split_threshold, run_mode(config, sink)
-                    )
-                    result = execute_plan(
-                        plan,
-                        entry.prepared,
-                        _replace(config, num_workers=granted_workers),
-                        telemetry=telemetry,
-                        sink=sink,
-                        control=control,
-                        progress=handle.progress,
-                        task_cost_hint=entry.task_costs.hint(cost_key),
-                        start_vertices=start_vertices,
-                    )
-                    entry.task_costs.record(
-                        cost_key, result.mean_task_wall_seconds
-                    )
+                    runtime["task_costs"] = entry.task_costs
                 else:
                     pool_key, pool = entry.checkout_pool(config)
-                    cluster = SimulatedCluster(
+                    runtime["worker_caches"] = pool.caches
+                    runtime["cluster"] = SimulatedCluster(
                         entry.prepared.graph,
                         config,
                         telemetry=telemetry,
                         store=entry.store_for(config),
                     )
-                    result = execute_plan(
-                        plan,
-                        entry.prepared,
-                        config,
-                        telemetry=telemetry,
-                        cluster=cluster,
-                        sink=sink,
-                        control=control,
-                        worker_caches=pool.caches,
-                        progress=handle.progress,
-                        start_vertices=start_vertices,
-                    )
-            if group_sink is not None:
-                # Keys already carry original ids (the executor wraps
-                # the sink in a TranslatingSink when the graph was
-                # relabeled).
-                handle.lang_groups = dict(group_sink.counts)
+                # The cached plan carries no label pools: they are bound
+                # per graph here, outside the cache.  A partitioned entry
+                # runs only this shard's slice of the start vertices.
+                result, handle.lang_groups = execute_query(
+                    lowered or pattern,
+                    plan,
+                    entry.prepared,
+                    config,
+                    labeled=entry.labeled,
+                    start_vertices=entry.owned_start_vertices(),
+                    sink=sink,
+                    **runtime,
+                )
             handle._result = result
             status = QueryStatus.SUCCEEDED
         except QueryCancelled as exc:

@@ -65,6 +65,19 @@ class RouterProtocol:
             raise InvalidQueryError(f"unknown router query {query_id!r}")
         return query
 
+    def _admitted(self, query: RouterQuery, **shape) -> dict:
+        """Register ``query`` under a fresh router id; the submit reply."""
+        with self._lock:
+            self._next_id += 1
+            query_id = f"r-{self._next_id}"
+            self._queries[query_id] = query
+        return {
+            "query": query_id,
+            "status": "running",
+            **shape,
+            "shards": {str(k): v for k, v in query.query_ids.items()},
+        }
+
     # ------------------------------------------------------------------ ops
     def _op_hello(self, request: dict) -> dict:
         return {
@@ -95,17 +108,7 @@ class RouterProtocol:
             deadline=request.get("deadline"),
             config=request.get("config"),
         )
-        with self._lock:
-            self._next_id += 1
-            query_id = f"r-{self._next_id}"
-            self._queries[query_id] = query
-        return {
-            "query": query_id,
-            "status": "running",
-            "shards": {
-                str(k): v for k, v in query.query_ids.items()
-            },
-        }
+        return self._admitted(query)
 
     def _op_query(self, request: dict) -> dict:
         text = request.get("text")
@@ -118,17 +121,9 @@ class RouterProtocol:
             deadline=request.get("deadline"),
             config=request.get("config"),
         )
-        with self._lock:
-            self._next_id += 1
-            query_id = f"r-{self._next_id}"
-            self._queries[query_id] = query
-        return {
-            "query": query_id,
-            "status": "running",
-            "kind": query.kind,
-            "columns": list(query.columns or ()),
-            "shards": {str(k): v for k, v in query.query_ids.items()},
-        }
+        return self._admitted(
+            query, kind=query.kind, columns=list(query.columns or ())
+        )
 
     def _op_poll(self, request: dict) -> dict:
         query = self._query(request)

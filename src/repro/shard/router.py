@@ -666,24 +666,10 @@ class ShardRouter:
         once to an absolute instant and forwarded verbatim on every hop
         — including failover resubmissions — so no hop restarts it.
         """
-        deadline_at = time.time() + deadline if deadline is not None else None
-        request: dict = {
-            "op": "submit",
-            "pattern": pattern,
-            "graph": graph,
-            "stream": stream,
+        request = {
+            "op": "submit", "pattern": pattern, "graph": graph, "stream": stream
         }
-        if limit is not None:
-            # Per-shard upper bound; the router enforces the global cap.
-            request["limit"] = limit
-        if deadline_at is not None:
-            request["deadline_at"] = deadline_at
-        if config is not None:
-            request["config"] = config
-        slices = self._submit_slices(request, deadline_at)
-        return RouterQuery(
-            self, request, slices, deadline_at, stream=stream, limit=limit
-        )
+        return self._fan_out(request, stream, limit, deadline, config)
 
     def submit_query(
         self,
@@ -706,10 +692,32 @@ class ShardRouter:
         against its own slice, so the wire carries only the query string.
         """
         lowered = lower_query(text)
-        stream = lowered.kind == "stream"
+        return self._fan_out(
+            {"op": "query", "text": text, "graph": graph},
+            lowered.kind == "stream",
+            limit,
+            deadline,
+            config,
+            kind=lowered.kind,
+            columns=lowered.columns,
+        )
+
+    def _fan_out(
+        self,
+        request: dict,
+        stream: bool,
+        limit: Optional[int],
+        deadline: Optional[float],
+        config: Optional[dict],
+        **shape,
+    ) -> RouterQuery:
+        """Add the request tail, submit to every partition, merge handle.
+
+        ``shape`` is a BENU-QL query's ``kind`` / ``columns``.
+        """
         deadline_at = time.time() + deadline if deadline is not None else None
-        request: dict = {"op": "query", "text": text, "graph": graph}
         if limit is not None:
+            # Per-shard upper bound; the router enforces the global cap.
             request["limit"] = limit
         if deadline_at is not None:
             request["deadline_at"] = deadline_at
@@ -717,14 +725,8 @@ class ShardRouter:
             request["config"] = config
         slices = self._submit_slices(request, deadline_at)
         return RouterQuery(
-            self,
-            request,
-            slices,
-            deadline_at,
-            stream=stream,
-            limit=limit,
-            kind=lowered.kind,
-            columns=lowered.columns,
+            self, request, slices, deadline_at, stream=stream, limit=limit,
+            **shape,
         )
 
     def _submit_slices(

@@ -152,8 +152,8 @@ class TestStreamedQueryMatrix:
     to the list-flat one *in order* on every backend whose task order is
     deterministic; a 2-process pool delivers chunks in arrival order, so
     there the rows are compared as a multiset.  Both are also checked
-    against ``run_query`` (collect mode, projected and grouped in plain
-    python), which shares nothing with either streaming path.
+    against ``run_query``: the local run into a collecting sink, with no
+    stream buffer, pages or limit in its path.
     """
 
     STREAM = "MATCH (a)-(b), (b)-(c), (a)-(c) RETURN *"

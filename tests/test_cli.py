@@ -227,3 +227,27 @@ class TestParser:
     def test_unknown_pattern_errors(self, edge_file):
         with pytest.raises(KeyError):
             main(["count", "--pattern", "q42", "--edges", edge_file])
+
+
+class TestQueryLimit:
+    TRIANGLES = "MATCH (a)-(b), (b)-(c), (a)-(c) RETURN *"
+
+    def _run(self, monkeypatch, capsys, *extra):
+        """Rows printed by a local ``query`` and the tasks it executed."""
+        from repro.telemetry.progress import NullProgress
+
+        executed = []
+        monkeypatch.setattr(
+            NullProgress,
+            "task_done",
+            lambda self, embeddings=0, tasks=1: executed.append(tasks),
+        )
+        main(["query", self.TRIANGLES, "--dataset", "as_sim", *extra])
+        return capsys.readouterr().out.strip().splitlines(), sum(executed)
+
+    def test_limit_stops_the_run_early(self, monkeypatch, capsys):
+        rows, all_tasks = self._run(monkeypatch, capsys)
+        assert len(rows) > 1000
+        limited, tasks = self._run(monkeypatch, capsys, "--limit", "1")
+        assert limited == rows[:1]
+        assert 0 < tasks < all_tasks

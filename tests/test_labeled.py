@@ -99,10 +99,13 @@ class TestLabelizePlan:
             complete_graph(3), {1: "A", 2: "A", 3: "B"}, "tri"
         )
         base = optimize(generate_raw_plan(pattern, [1, 2, 3]))
+        base.predicted_counts = {"ENU": 12.0, "INT": 30.0}
         plan = labelize_plan(base, pattern, data)
         pools = set(map(frozenset, plan.constants.values()))
         assert data.vertices_with_label("A") in pools
         assert data.vertices_with_label("B") in pools
+        # The copy keeps the cost model's predictions (q-error accounting).
+        assert plan.predicted_counts == base.predicted_counts
 
 
 class TestEndToEnd:

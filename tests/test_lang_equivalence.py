@@ -7,7 +7,13 @@ pattern (plain and labeled), the query expressed in BENU-QL produces a
 pipeline.  ``pattern_to_query`` generates the canonical text for each
 pattern, so the sweep is exhaustive by construction, not by a
 hand-curated list.
+
+The local runner and the service bind a query through one function;
+the last matrix holds them to the same answer for every result shape,
+plain and labeled, on every execution backend.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +30,7 @@ from repro.labeled.graphs import LabeledGraph
 from repro.labeled.pattern import LabeledPatternGraph
 from repro.lang import lower_query, pattern_to_query, run_query
 from repro.pattern.pattern_graph import PatternGraph
+from repro.service import BenuService
 
 
 def _canonical(matches):
@@ -136,3 +143,69 @@ def test_unlabeled_query_on_labeled_graph_matches_structure(labeled_workload):
     )
     expected = count_subgraphs(pattern, labeled_workload.graph, _config())
     assert result.count == expected
+
+
+# ------------------------------------------- run_query == submit_query
+SHAPES = {
+    "count": "MATCH (a)-(b), (b)-(c), (a)-(c){} RETURN COUNT(*)",
+    "stream": "MATCH (a)-(b), (b)-(c), (a)-(c){} RETURN *",
+    "projection": "MATCH (a)-(b), (b)-(c), (c)-(d){} RETURN d, a",
+    "groups": "MATCH (a)-(b), (b)-(c), (a)-(c){} RETURN COUNT(*) GROUP BY b",
+    "unsatisfiable": "MATCH (a)-(b), (b)-(c){} RETURN *",
+}
+WHERE = {
+    "plain": "",
+    "labeled": " WHERE a.label = 'A' AND b.label = 'A' AND c.label = 'B'",
+}
+UNSATISFIABLE = {
+    "plain": " WHERE 'x' = 'y'",
+    "labeled": " WHERE a.label = 'A' AND a.label = 'B'",
+}
+
+
+@pytest.fixture(scope="module", params=["simulated", "inline", "process"])
+def labeled_service(request, labeled_workload):
+    with BenuService(config=_config(request.param)) as service:
+        service.register_graph(
+            "g",
+            labeled_workload.graph,
+            relabel=False,
+            labels=labeled_workload.labels,
+        )
+        yield service
+
+
+@pytest.mark.parametrize("labels", ["plain", "labeled"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_run_query_equals_submit_query(
+    shape, labels, labeled_service, workload, labeled_workload
+):
+    where = (UNSATISFIABLE if shape == "unsatisfiable" else WHERE)[labels]
+    text = SHAPES[shape].format(where)
+    data = labeled_workload if labels == "labeled" else workload
+    local = run_query(text, data, labeled_service.default_config)
+    handle = labeled_service.submit_query(text, "g")
+    if local.kind == "stream":
+        # A process pool delivers chunks in arrival order.
+        served = sorted(tuple(m) for m in handle.matches())
+        assert served == sorted(local.matches)
+    else:
+        assert handle.wait(timeout=60)
+        assert handle.result().count == local.count
+        if local.kind == "groups":
+            assert handle.lang_groups == local.groups
+    assert (local.count == 0) == (shape == "unsatisfiable")
+    # The catalog still accounts for every pool it handed out.
+    assert labeled_service.stats()["catalog_bytes"] > 0
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_compressed_config_answers_in_full_matches(shape, labeled_workload):
+    where = (UNSATISFIABLE if shape == "unsatisfiable" else WHERE)["labeled"]
+    text = SHAPES[shape].format(where)
+    full = run_query(text, labeled_workload, _config())
+    codes = run_query(
+        text, labeled_workload, replace(_config(), compressed=True)
+    )
+    assert sorted(codes.matches or []) == sorted(full.matches or [])
+    assert (codes.count, codes.groups) == (full.count, full.groups)
