@@ -9,12 +9,9 @@ recorded throughputs are directly comparable and a single
 queries.  ``scripts/perf_guard.py`` gates on those speedups (any key
 starting with ``speedup``) exactly like it gates ops/sec.
 
-The process backend is measured twice: a *cold* run chunked by the
-pulls-per-worker fallback, and a *warm* run re-chunked from the cold
-run's measured mean task cost (``mean_task_wall_seconds`` fed back as
-``task_cost_hint``) — the steady state a resident service reaches via
-its per-plan cost profile.  The headline ``process`` figures are the
-warm ones; the cold run is recorded alongside as ``process_cold``.
+The process backend is measured once, chunked by its one rule (a fixed
+number of queue pulls per worker); ``mean_task_wall_seconds`` is
+recorded per pattern as a measurement.
 """
 
 import os
@@ -67,12 +64,8 @@ def _prepared_workload():
     ]
 
 
-def _workload(backend: str, workload, hints=None) -> dict:
-    """Total wall seconds + per-pattern telemetry for one backend.
-
-    ``hints`` maps pattern name -> measured mean task cost from a prior
-    run (process backend only); the warm re-run of a resident service.
-    """
+def _workload(backend: str, workload) -> dict:
+    """Total wall seconds + per-pattern telemetry for one backend."""
     runs = {}
     wall = 0.0
     count = 0
@@ -81,7 +74,6 @@ def _workload(backend: str, workload, hints=None) -> dict:
             plan,
             prepared,
             BenuConfig(execution_backend=backend, **_CONFIG),
-            task_cost_hint=(hints or {}).get(name),
         )
         runs[name] = telemetry_record(result)
         runs[name]["mean_task_wall_seconds"] = result.mean_task_wall_seconds
@@ -96,16 +88,6 @@ def _make_report():
     per_backend = {
         b: _workload(b, workload) for b in ("simulated", "inline", "process")
     }
-    # Warm process run: re-chunk each plan from the cold run's measured
-    # mean task cost, the way the service's cost profile does.
-    cold = per_backend["process"]
-    hints = {
-        name: rec["mean_task_wall_seconds"]
-        for name, rec in cold["runs"].items()
-    }
-    per_backend["process_cold"] = cold
-    per_backend["process"] = _workload("process", workload, hints)
-
     ops = {
         b: (w["count"] / w["wall_seconds"] if w["wall_seconds"] > 0 else 0.0)
         for b, w in per_backend.items()
@@ -137,7 +119,7 @@ def _make_report():
         ["backend", "patterns", "matches", "wall s", "matches/s", "vs inline"],
         rows,
     ) + (
-        f"\nprocess (warm) vs simulated wall-clock speedup: "
+        f"\nprocess vs simulated wall-clock speedup: "
         f"{process_vs_simulated:.2f}x ({cores} cores, {NUM_WORKERS} workers)"
     )
     write_report(

@@ -98,10 +98,6 @@ class ExecutionRequest:
     #: Live progress tracker (the service polls it mid-run); the shared
     #: no-op by default, so backends report unconditionally.
     progress: object = NULL_PROGRESS
-    #: Measured mean task wall seconds from a previous run of this plan
-    #: (``BenuResult.mean_task_wall_seconds``); the process backend sizes
-    #: its queue chunks from it.  None = cold start.
-    task_cost_hint: Optional[float] = None
     #: Restrict task generation to these start vertices (a shard's owned
     #: slice of the task space); None runs the whole graph.  Ignored when
     #: an explicit ``tasks`` list is given.

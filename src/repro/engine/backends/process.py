@@ -19,11 +19,10 @@ Design notes
 * Tasks flow through a work queue (``imap_unordered`` with a small
   chunksize) instead of static round-robin chunks, so a worker that drew
   cheap tasks keeps pulling while another grinds through a hub vertex.
-  The chunk size is *measured*, not guessed: a cost hint from a previous
-  run of the same plan (via :mod:`repro.engine.granularity`) sizes each
-  pull to a wall-clock budget; cold runs use a fixed pulls-per-worker
-  fallback.  Chunks of plain unsplit tasks ship as flat ``array('q')``
-  start-vertex buffers instead of pickled dataclass lists.
+  One chunk rule: a fixed number of pulls per worker
+  (:meth:`ProcessBackend._chunksize`); task splitting (τ) already bounds
+  the cost of any one task.  Chunks of plain unsplit tasks ship as flat
+  ``array('q')`` start-vertex buffers instead of pickled dataclass lists.
 * Everything a worker learned in one queue pull comes home as one flat
   *chunk record*: the tasks' counters as one ``array('q')``, their wall
   seconds as one ``array('d')``, one kernel delta, and the chunk's
@@ -90,7 +89,6 @@ from ...telemetry.events import (
 )
 from ...telemetry.registry import MetricsRegistry
 from ...telemetry.snapshot import M_TASK_RETRIES, M_WORKER_CRASHES
-from ..granularity import fallback_chunksize, measured_chunksize
 from ..local_task import LocalSearchTask
 from ..sinks import block_emitter, row_blocks
 from .base import (
@@ -117,6 +115,10 @@ from .base import (
 _ChunkRecord = Tuple[int, array, array, Tuple[int, ...], Union[array, list, None]]
 
 _NUM_COUNTERS = len(COUNTER_FIELDS)
+
+#: Queue pulls per worker: enough for a worker that drew cheap tasks to
+#: keep pulling while a peer grinds through a hub vertex.
+PULLS_PER_WORKER = 8
 
 #: One queue pull: (index of the chunk's first task, its tasks).  A chunk
 #: of plain unsplit tasks ships its start vertices as one ``array('q')``
@@ -341,27 +343,19 @@ class ProcessBackend(ExecutionBackend):
         #: mainly a test hook for the restart-robust delta accounting.
         self.maxtasksperchild = maxtasksperchild
 
-    def _chunksize(
-        self,
-        num_tasks: int,
-        num_workers: int,
-        task_cost_hint: Optional[float] = None,
-        target_seconds: float = 0.02,
-    ) -> int:
-        """Tasks per queue pull: explicit > measured > cold fallback.
+    def _chunksize(self, num_tasks: int, num_workers: int) -> int:
+        """Tasks per queue pull: ``PULLS_PER_WORKER`` pulls per worker.
 
-        An explicit ``queue_chunksize`` always wins.  Otherwise a task
-        cost hint (the mean task wall seconds measured on a previous run
-        of this plan) sizes pulls to ``target_seconds`` of work each;
-        without one, a fixed pulls-per-worker fallback applies.
+        An explicit ``queue_chunksize`` wins.
+
+        >>> ProcessBackend()._chunksize(2400, 2)
+        150
+        >>> ProcessBackend()._chunksize(3, 8)  # never zero
+        1
         """
         if self.queue_chunksize is not None:
             return max(1, self.queue_chunksize)
-        if task_cost_hint:
-            return measured_chunksize(
-                num_tasks, num_workers, task_cost_hint, target_seconds
-            )
-        return fallback_chunksize(num_tasks, num_workers)
+        return max(1, num_tasks // (num_workers * PULLS_PER_WORKER))
 
     # ------------------------------------------------------------------
     def _execute(self, request: ExecutionRequest):
@@ -428,7 +422,6 @@ class ProcessBackend(ExecutionBackend):
                     recovery = self._run_pool(
                         plan, adjacency_backend, payload, mode, tasks,
                         control, consume, num_workers, trace, events, pack,
-                        request.task_cost_hint, config.chunk_target_seconds,
                         faults, config.task_retries,
                     )
                     # Each worker attaches exactly once, in its initializer.
@@ -478,7 +471,6 @@ class ProcessBackend(ExecutionBackend):
     def _run_pool(
         self, plan, adjacency_backend, payload, mode, tasks, control,
         consume, num_workers, trace, events, pack,
-        task_cost_hint=None, chunk_target_seconds=0.02,
         faults=None, task_retries: int = 0,
     ) -> dict:
         """Drive worker pools, recovering lost task slices across crashes.
@@ -507,9 +499,7 @@ class ProcessBackend(ExecutionBackend):
         recovery ledger: ``{"worker_crashes", "tasks_retried", "attempts"}``.
         """
         ctx = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
-        size = self._chunksize(
-            len(tasks), num_workers, task_cost_hint, chunk_target_seconds
-        )
+        size = self._chunksize(len(tasks), num_workers)
         pending: Dict[int, object] = {
             i: self._pack_tasks(tasks[i : i + size])
             for i in range(0, len(tasks), size)
@@ -820,9 +810,7 @@ class ProcessBackend(ExecutionBackend):
                 args={"tasks": ledger.num_tasks},
             )
 
-        # Measured mean per-task wall cost — the granularity feedback
-        # signal a warm re-run (or the service's cost profile) uses to
-        # right-size queue pulls.
+        # Measured mean per-task wall cost, reported on the result.
         tasks_run = sum(ledger.num_tasks for ledger in ordered)
         mean_task_wall = (
             sum(ledger.wall_seconds for ledger in ordered) / tasks_run

@@ -173,20 +173,17 @@ def execute_plan(
     control: Optional[ExecutionControl] = None,
     tasks=None,
     worker_caches=None,
-    execution_backend: Optional[str] = None,
     progress=None,
-    task_cost_hint: Optional[float] = None,
     start_vertices: Optional[Sequence[Vertex]] = None,
 ) -> BenuResult:
     """Run ``plan`` over prepared data and translate results back.
 
-    The runtime is ``config.execution_backend`` (or the explicit
-    ``execution_backend`` override): the in-process backends (simulated /
-    inline) run over a distributed store — ``cluster`` reuses an existing
-    :class:`SimulatedCluster`'s store and config, otherwise one is built —
-    while the process backend fans tasks out over OS worker processes
-    against the raw graph (``cluster``/``worker_caches`` are ignored
-    there).
+    The runtime is ``config.execution_backend``: the in-process backends
+    (simulated / inline) run over a distributed store — ``cluster`` reuses
+    an existing :class:`SimulatedCluster`'s store and config, otherwise
+    one is built — while the process backend fans tasks out over OS
+    worker processes against the raw graph (``cluster``/``worker_caches``
+    are ignored there).
 
     ``worker_caches`` keeps worker database caches warm across calls;
     ``sink`` streams matches instead of collecting them (``collect=True``
@@ -197,17 +194,13 @@ def execute_plan(
     between chunks of tasks, on whichever side of the process boundary
     the tasks run; ``progress`` (a :class:`repro.telemetry.QueryProgress`)
     is updated at the same granularity, so a concurrent poller sees live
-    completion;
-    ``task_cost_hint`` (a previous run's ``mean_task_wall_seconds``) lets
-    the process backend right-size its queue chunks instead of using the
-    cold-start heuristic; ``start_vertices`` restricts task generation to
-    a slice of the start-vertex space (a shard's owned vertices).
+    completion; ``start_vertices`` restricts task generation to a slice of
+    the start-vertex space (a shard's owned vertices).  The process
+    backend's queue chunks depend only on the task count and
+    ``config.num_workers``.
     """
     config = config or BenuConfig()
-    backend_name = (
-        execution_backend if execution_backend is not None
-        else config.execution_backend
-    )
+    backend_name = config.execution_backend
     if telemetry is None:
         telemetry = (
             cluster.telemetry if cluster is not None else Telemetry(config.telemetry)
@@ -226,7 +219,6 @@ def execute_plan(
         control=control,
         store=store,
         worker_caches=worker_caches,
-        task_cost_hint=task_cost_hint,
         start_vertices=start_vertices,
     )
     if progress is not None:

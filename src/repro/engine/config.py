@@ -104,9 +104,6 @@ class BenuConfig:
     compressed: bool = False
     #: Collect matches/codes (True) or only count them (False).
     collect: bool = False
-    #: Process backend: target wall seconds of work per queue pull when a
-    #: measured task cost is available (see ``repro.engine.granularity``).
-    chunk_target_seconds: float = 0.02
     #: Relabel the data graph by the (degree, id) total order first.
     #: Disable when the graph is already relabeled (the bundled datasets are).
     relabel: bool = True
@@ -136,8 +133,6 @@ class BenuConfig:
             raise ValueError("need at least one thread per worker")
         if self.split_threshold is not None and self.split_threshold < 1:
             raise ValueError("split threshold must be positive")
-        if self.chunk_target_seconds <= 0:
-            raise ValueError("chunk target seconds must be positive")
         if self.task_retries < 0:
             raise ValueError("task retries must be non-negative")
         if isinstance(self.faults, str):

@@ -37,8 +37,8 @@ class BenuResult:
     per_task_sim_seconds: List[float] = field(default_factory=list)
     wall_seconds: float = 0.0
     #: Measured mean wall seconds per local search task (process backend
-    #: only; 0.0 elsewhere).  Feed it back as ``task_cost_hint`` to
-    #: right-size queue chunks on the next run of the same plan.
+    #: only; 0.0 elsewhere).  A measurement for reports and the ledger;
+    #: chunk sizes never depend on it.
     mean_task_wall_seconds: float = 0.0
     #: Which runtime executed the plan ("simulated", "inline", "process").
     execution_backend: str = "simulated"

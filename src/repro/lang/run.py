@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from ..engine.backends.base import run_mode
 from ..engine.benu import (
     PreparedData,
     execute_plan,
@@ -22,7 +21,6 @@ from ..engine.benu import (
 )
 from ..engine.config import BenuConfig
 from ..engine.control import ExecutionControl, QueryCancelled
-from ..engine.granularity import task_cost_key
 from ..engine.results import BenuResult
 from ..engine.sinks import (
     CollectSink,
@@ -138,7 +136,6 @@ def execute_query(
     labeled: Optional[LabeledGraph] = None,
     start_vertices: Optional[Sequence[Vertex]] = None,
     sink=None,
-    task_costs=None,
     **runtime,
 ) -> Tuple[BenuResult, Optional[Groups]]:
     """Run ``query`` on its pool-less ``plan``: ``(result, groups)``.
@@ -146,9 +143,7 @@ def execute_query(
     ``sink`` is the caller's inner sink (None = count only); projection
     narrows rows before it, GROUP BY counts them in its own sink instead
     (``groups``: key → count in original ids; None for other kinds), and
-    a compressed run's codes are expanded first.  ``task_costs`` (a
-    ``TaskCostProfile``) sizes process-backend chunks from earlier runs
-    of the plan and learns from this one; ``runtime`` goes to
+    a compressed run's codes are expanded first.  ``runtime`` goes to
     ``execute_plan`` (telemetry, cluster, control, caches, progress).
     """
     plan, start_vertices = bind_plan(
@@ -162,16 +157,10 @@ def execute_query(
             sink = ProjectingSink(sink, query.projection)
     if sink is not None and plan.compressed:
         sink = _ExpandingSink(sink, plan, prepared.inverse)
-    if task_costs is not None:
-        mode = run_mode(config, sink)
-        key = task_cost_key(plan, config.split_threshold, mode)
-        runtime["task_cost_hint"] = task_costs.hint(key)
     result = execute_plan(
         plan, prepared, config,
         sink=sink, start_vertices=start_vertices, **runtime,
     )
-    if task_costs is not None:
-        task_costs.record(key, result.mean_task_wall_seconds)
     return result, None if group_sink is None else dict(group_sink.counts)
 
 

@@ -22,7 +22,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..engine.benu import PreparedData, prepare_data
 from ..engine.config import BenuConfig
-from ..engine.granularity import TaskCostProfile
 from ..faults import NULL_INJECTOR, SITE_CATALOG_EVICT
 from ..graph.graph import Graph
 from ..labeled.graphs import LabeledGraph
@@ -78,9 +77,6 @@ class CatalogEntry:
         self.pins = 0
         self.last_used = 0  # logical clock maintained by the catalog
         self._stores: Dict[StoreKey, DistributedKVStore] = {}
-        # Measured task-cost EWMA per plan profile: warm process-backend
-        # runs re-chunk from what the previous run actually cost.
-        self.task_costs = TaskCostProfile()
         # Pools not currently checked out by a running query.
         self._idle_pools: Dict[PoolKey, List[CachePool]] = {}
         self._checked_out = 0

@@ -116,15 +116,18 @@ class ShardIdentity:
 
 
 #: JSON config field → BenuConfig field.
+_INT, _INT_OR_NULL, _BOOL, _STR = (int,), (int, type(None)), (bool,), (str,)
+#: Wire ``config`` key -> (BenuConfig field, the JSON types it takes).
+#: Types match exactly, so ``true`` is no int and ``"yes"`` no bool.
 _CONFIG_FIELDS = {
-    "workers": "num_workers",
-    "threads": "threads_per_worker",
-    "cache_bytes": "cache_capacity_bytes",
-    "tau": "split_threshold",
-    "level": "optimization_level",
-    "compressed": "compressed",
-    "degree_filter": "degree_filter",
-    "backend": "adjacency_backend",
+    "workers": ("num_workers", _INT),
+    "threads": ("threads_per_worker", _INT),
+    "cache_bytes": ("cache_capacity_bytes", _INT_OR_NULL),
+    "tau": ("split_threshold", _INT_OR_NULL),
+    "level": ("optimization_level", _INT),
+    "compressed": ("compressed", _BOOL),
+    "degree_filter": ("degree_filter", _BOOL),
+    "backend": ("adjacency_backend", _STR),
 }
 
 
@@ -319,7 +322,18 @@ class ServiceProtocol:
                 f"unknown config fields: {sorted(unknown)}; "
                 f"known: {sorted(_CONFIG_FIELDS)}"
             )
-        kwargs = {_CONFIG_FIELDS[k]: v for k, v in raw.items()}
+        kwargs = {}
+        for key, value in raw.items():
+            field_name, types = _CONFIG_FIELDS[key]
+            if type(value) not in types:
+                expected = " or ".join(
+                    "null" if t is type(None) else t.__name__ for t in types
+                )
+                raise InvalidQueryError(
+                    f'config field "{key}" must be {expected}, '
+                    f"got {json.dumps(value)}"
+                )
+            kwargs[field_name] = value
         try:
             return replace(self.service.default_config, **kwargs)
         except (TypeError, ValueError) as exc:

@@ -442,10 +442,6 @@ class BenuService:
                         config.num_workers, control=control
                     )
                     config = _replace(config, num_workers=granted_workers)
-                    # Warm runs re-chunk from the measured task cost of
-                    # previous runs of this plan profile (the cost key is
-                    # worker-count independent).
-                    runtime["task_costs"] = entry.task_costs
                 else:
                     pool_key, pool = entry.checkout_pool(config)
                     runtime["worker_caches"] = pool.caches

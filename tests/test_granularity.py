@@ -1,13 +1,15 @@
-"""Measured task granularity + the process backend's chunking contract.
+"""The process backend's one chunk rule + its chunking contract.
 
 Three layers pinned here:
 
-* the chunk-size math of :mod:`repro.engine.granularity` — budget-driven
-  sizing, the balance clamp, the cold-start fallback, and the EWMA cost
-  profile;
-* the end-to-end feedback loop — ``mean_task_wall_seconds`` measured by
-  one process-backend run re-chunks the next via ``task_cost_hint``, and
-  the service's catalog records per-plan costs across queries;
+* the chunk-size rule — ``ProcessBackend._chunksize`` hands each worker
+  ``PULLS_PER_WORKER`` queue pulls (never an empty chunk), and an
+  explicit ``queue_chunksize`` overrides it;
+* chunk boundaries are a function of the task count and the worker
+  count alone: cold and warm runs, count and collect mode, cheap and
+  expensive patterns, and repeated service queries all dispatch the same
+  ``(task_id, tasks)`` sequence.  ``mean_task_wall_seconds`` is measured
+  and reported, never fed back;
 * ``_run_chunk``'s contract — the parent chunks manually and submits
   with ``imap_unordered(chunksize=1)`` so results stay timeout-pollable,
   chunk arrival order never affects accounting (records are
@@ -16,25 +18,26 @@ Three layers pinned here:
 """
 
 from array import array
+from dataclasses import fields
 
 import pytest
 
-from repro.engine.backends.process import ProcessBackend, _run_chunk
-from repro.engine.benu import run_benu
-from repro.engine.config import BenuConfig
-from repro.engine.granularity import (
-    FALLBACK_PULLS_PER_WORKER,
-    TaskCostProfile,
-    fallback_chunksize,
-    measured_chunksize,
-    task_cost_key,
+from repro.engine.backends.base import ExecutionRequest
+from repro.engine.backends.process import (
+    PULLS_PER_WORKER,
+    ProcessBackend,
+    _run_chunk,
 )
+from repro.engine.benu import execute_plan, prepare_data, prepare_plan, run_benu
+from repro.engine.config import BenuConfig
 from repro.engine.local_task import LocalSearchTask
 from repro.graph.generators import chung_lu
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import get_pattern
 from repro.plan.codegen import COUNTER_FIELDS
 from repro.service import BenuService
+from repro.telemetry.events import EV_TASK_DISPATCHED, EventLog
+from repro.telemetry.runtime import Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -43,88 +46,133 @@ def workload():
     return g
 
 
+def _process_config(**overrides):
+    return BenuConfig(
+        **{"execution_backend": "process", "num_workers": 2, "relabel": False,
+           **overrides}
+    )
+
+
+def _rule_chunks(num_tasks, num_workers):
+    """The ``(first task, tasks)`` boundaries the rule prescribes."""
+    size = ProcessBackend()._chunksize(num_tasks, num_workers)
+    return [
+        (first, min(size, num_tasks - first))
+        for first in range(0, num_tasks, size)
+    ]
+
+
+def _dispatched(events):
+    return [
+        (e.task_id, e.fields["tasks"])
+        for e in events
+        if e.type == EV_TASK_DISPATCHED
+    ]
+
+
+def _run_logged(pattern, workload, config):
+    """One process-backend run: ``(result, dispatched chunks)``."""
+    log = EventLog()
+    prepared = prepare_data(workload, config)
+    plan = prepare_plan(get_pattern(pattern), prepared, config)
+    result = execute_plan(
+        plan, prepared, config, telemetry=Telemetry(None, events=log)
+    )
+    return result, _dispatched(log.events())
+
+
 class TestChunkSizeMath:
     def test_fallback_is_pulls_per_worker(self):
-        assert fallback_chunksize(2400, 2) == 2400 // (2 * FALLBACK_PULLS_PER_WORKER)
-        assert fallback_chunksize(3, 8) == 1  # never zero
+        rule = ProcessBackend()._chunksize
+        assert rule(2400, 2) == 2400 // (2 * PULLS_PER_WORKER)
+        assert rule(3, 8) == 1  # never zero
 
     def test_measured_targets_the_budget(self):
-        # 1ms tasks, 20ms budget -> 20 tasks per pull.
-        assert measured_chunksize(10_000, 2, 0.001, target_seconds=0.02) == 20
+        # No time budget: the pull count is the target.  Every worker
+        # gets at least PULLS_PER_WORKER pulls, and never twice as many.
+        for num_tasks in (16, 100, 2371, 10_000):
+            for num_workers in (1, 2, 3, 8):
+                if num_tasks < num_workers * PULLS_PER_WORKER:
+                    continue
+                pulls = len(_rule_chunks(num_tasks, num_workers))
+                budget = num_workers * PULLS_PER_WORKER
+                assert budget <= pulls <= 2 * budget
 
     def test_measured_clamped_by_balance(self):
-        # Huge budget would want one giant chunk; the balance clamp keeps
-        # at least MIN_PULLS_PER_WORKER pulls per worker.
-        assert measured_chunksize(2400, 2, 1e-9) == 2400 // (2 * 4)
+        # The balance floor is the whole rule now: as_sim's 2,371 triangle
+        # tasks over 2 workers go out 148 per pull.
+        assert ProcessBackend()._chunksize(2371, 2) == 148
 
     def test_measured_heavy_tasks_go_fine_grained(self):
-        assert measured_chunksize(2400, 2, 0.5) == 1
+        # Fewer tasks than pulls: one task per pull.
+        assert ProcessBackend()._chunksize(15, 2) == 1
+        assert _rule_chunks(5, 4) == [(i, 1) for i in range(5)]
 
-    def test_no_hint_falls_back(self):
-        assert measured_chunksize(2400, 2, None) == fallback_chunksize(2400, 2)
-        assert measured_chunksize(2400, 2, 0.0) == fallback_chunksize(2400, 2)
-        assert measured_chunksize(2400, 2, -1.0) == fallback_chunksize(2400, 2)
+    def test_no_hint_falls_back(self, workload):
+        # No cost hint rides along anywhere: the rule is all there is.
+        assert "task_cost_hint" not in {f.name for f in fields(ExecutionRequest)}
+        config = _process_config()
+        prepared = prepare_data(workload, config)
+        plan = prepare_plan(get_pattern("triangle"), prepared, config)
+        with pytest.raises(TypeError):
+            execute_plan(plan, prepared, config, task_cost_hint=0.001)
+        with pytest.raises(TypeError):
+            ProcessBackend()._chunksize(2400, 2, 0.001)
 
     def test_backend_precedence_explicit_then_hint_then_fallback(self):
-        explicit = ProcessBackend(queue_chunksize=7)
-        assert explicit._chunksize(1000, 2, task_cost_hint=0.001) == 7
-        auto = ProcessBackend()
-        assert auto._chunksize(1000, 2) == fallback_chunksize(1000, 2)
-        assert auto._chunksize(1000, 2, task_cost_hint=0.001) == measured_chunksize(
-            1000, 2, 0.001
+        assert ProcessBackend(queue_chunksize=7)._chunksize(1000, 2) == 7
+        assert ProcessBackend(queue_chunksize=0)._chunksize(1000, 2) == 1
+        assert ProcessBackend()._chunksize(1000, 2) == 1000 // (
+            2 * PULLS_PER_WORKER
         )
 
 
 class TestTaskCostProfile:
-    def test_ewma_and_cold_start(self):
-        profile = TaskCostProfile(alpha=0.5)
-        key = ("p", ("1", "2"), 64, "count")
-        assert profile.hint(key) is None
-        profile.record(key, 0.004)
-        assert profile.hint(key) == 0.004
-        profile.record(key, 0.002)
-        assert profile.hint(key) == pytest.approx(0.003)
-        assert len(profile) == 1
+    """No cost profile: what a task cost never moves a chunk boundary."""
 
-    def test_nonpositive_measurements_ignored(self):
-        profile = TaskCostProfile()
-        key = ("p", (), None, "count")
-        profile.record(key, 0.0)
-        profile.record(key, -1.0)
-        assert profile.hint(key) is None
+    def test_ewma_and_cold_start(self, workload):
+        # A cold and a warm run of one plan chunk alike, by the rule.
+        config = _process_config()
+        cold, cold_chunks = _run_logged("triangle", workload, config)
+        warm, warm_chunks = _run_logged("triangle", workload, config)
+        assert cold.mean_task_wall_seconds > 0
+        assert cold_chunks == warm_chunks == _rule_chunks(cold.num_tasks, 2)
+        assert warm.counters == cold.counters
+
+    def test_nonpositive_measurements_ignored(self, workload):
+        # A cheap and an expensive pattern over the same task count split
+        # identically: task cost is no input.
+        config = _process_config(split_threshold=None)
+        cheap, cheap_chunks = _run_logged("triangle", workload, config)
+        heavy, heavy_chunks = _run_logged("clique4", workload, config)
+        assert cheap.num_tasks == heavy.num_tasks
+        assert cheap_chunks == heavy_chunks == _rule_chunks(cheap.num_tasks, 2)
 
     def test_alpha_validated(self):
-        with pytest.raises(ValueError):
-            TaskCostProfile(alpha=0.0)
-        with pytest.raises(ValueError):
-            TaskCostProfile(alpha=1.5)
+        # The per-pull time budget knob is gone, not merely unused.
+        with pytest.raises(TypeError):
+            BenuConfig(chunk_target_seconds=0.02)
 
     def test_key_ignores_worker_count_but_not_mode(self, workload):
-        from repro.engine.benu import build_plan
-
-        plan = build_plan(get_pattern("triangle"), workload)
-        a = task_cost_key(plan, 64, "count")
-        b = task_cost_key(plan, 64, "collect")
-        c = task_cost_key(plan, None, "count")
-        assert len({a, b, c}) == 3
+        # Boundaries follow the worker count, not the run mode.
+        count, count_chunks = _run_logged("triangle", workload, _process_config())
+        _, collect_chunks = _run_logged(
+            "triangle", workload, _process_config(collect=True)
+        )
+        _, three_chunks = _run_logged(
+            "triangle", workload, _process_config(num_workers=3)
+        )
+        assert count_chunks == collect_chunks
+        assert three_chunks == _rule_chunks(count.num_tasks, 3) != count_chunks
 
 
 class TestMeasuredFeedback:
     def test_mean_task_wall_measured_and_usable(self, workload):
-        config = BenuConfig(
-            execution_backend="process", num_workers=2, relabel=False
-        )
+        config = _process_config()
         cold = run_benu(get_pattern("triangle"), workload, config)
         assert cold.mean_task_wall_seconds > 0
-        # Feeding the measurement back must not change results.
-        from repro.engine.benu import execute_plan, prepare_data, prepare_plan
-
-        prepared = prepare_data(workload, config)
-        plan = prepare_plan(get_pattern("triangle"), prepared, config)
-        warm = execute_plan(
-            plan, prepared, config,
-            task_cost_hint=cold.mean_task_wall_seconds,
-        )
+        # A measurement only: a re-run is unchanged.
+        warm = run_benu(get_pattern("triangle"), workload, config)
         assert warm.count == cold.count
         assert warm.counters == cold.counters
 
@@ -135,27 +183,21 @@ class TestMeasuredFeedback:
         assert result.mean_task_wall_seconds == 0.0
 
     def test_service_records_costs_per_plan_profile(self, workload):
+        # The service keeps no cost record: a repeated query re-chunks
+        # exactly as the first did.
         with BenuService() as service:
             service.register_graph("g", workload, relabel=False)
-            entry = service.catalog.get("g")
-            assert len(entry.task_costs) == 0
-            handle = service.submit(
-                pattern=get_pattern("triangle"), graph="g",
-                config=BenuConfig(
-                    execution_backend="process", num_workers=2, relabel=False
-                ),
-            )
-            handle.result(timeout=120)
-            assert len(entry.task_costs) == 1
-            # A second identical query reuses (and re-records) the key.
-            handle = service.submit(
-                pattern=get_pattern("triangle"), graph="g",
-                config=BenuConfig(
-                    execution_backend="process", num_workers=2, relabel=False
-                ),
-            )
-            handle.result(timeout=120)
-            assert len(entry.task_costs) == 1
+            runs = []
+            for _ in range(2):
+                handle = service.submit(
+                    pattern=get_pattern("triangle"), graph="g",
+                    config=_process_config(),
+                )
+                result = handle.result(timeout=120)
+                runs.append(
+                    _dispatched(service.events.events(query_id=handle.query_id))
+                )
+            assert runs[0] == runs[1] == _rule_chunks(result.num_tasks, 2)
 
 
 class TestChunkContract:

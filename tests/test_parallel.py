@@ -28,14 +28,13 @@ from repro.graph.patterns import get_pattern
 def process_count(plan, data, num_workers, split_threshold=64, backend="frozenset"):
     """``plan`` over ``data`` on the process backend, ids as given."""
     config = BenuConfig(
+        execution_backend="process",
         num_workers=num_workers,
         split_threshold=split_threshold,
         adjacency_backend=backend,
         relabel=False,
     )
-    return execute_plan(
-        plan, PreparedData(data), config, execution_backend="process"
-    )
+    return execute_plan(plan, PreparedData(data), config)
 
 
 @pytest.fixture(scope="module")

@@ -291,6 +291,59 @@ def test_protocol_register_rejects_bad_labels(protocol):
     assert not response["ok"] and response["error"] == "invalid_query"
 
 
+#: Wire configs of the wrong JSON type: each must be refused up front,
+#: never coerced (``"yes"`` is no bool) nor left to fail mid-run.
+BAD_CONFIGS = [
+    {"compressed": "yes"},
+    {"degree_filter": "no"},
+    {"workers": 2.5},
+    {"workers": True},
+    {"tau": 2.5},
+    {"threads": 1.5},
+    {"cache_bytes": "10"},
+    {"backend": 1},
+]
+
+
+def _config_id(config):
+    return ",".join(f"{k}={v!r}" for k, v in config.items())
+
+
+def _submit_ops(config):
+    yield {"op": "submit", "pattern": "triangle", "graph": "g",
+           "stream": False, "config": config}
+    yield {"op": "query", "text": Q_COUNT, "graph": "g", "config": config}
+
+
+def _assert_bad_configs_refused(protocol, config):
+    for request in _submit_ops(config):
+        response = _ask(protocol, request)
+        assert not response["ok"], request
+        assert response["error"] == "invalid_query"
+        assert f'"{next(iter(config))}"' in response["message"]
+
+
+def _assert_good_config_counts(protocol, oracle):
+    config = {"tau": None, "cache_bytes": None, "compressed": False,
+              "degree_filter": True, "workers": 2, "backend": "csr"}
+    for request in _submit_ops(config):
+        submitted = _ask(protocol, request)
+        assert submitted["ok"], submitted
+        poll = _ask(
+            protocol, {"op": "poll", "query": submitted["query"], "wait": 10}
+        )
+        assert poll["done"] and poll["count"] == oracle(Q_COUNT)
+
+
+@pytest.mark.parametrize("config", BAD_CONFIGS, ids=_config_id)
+def test_protocol_rejects_mistyped_config(protocol, config):
+    _assert_bad_configs_refused(protocol, config)
+
+
+def test_protocol_accepts_well_typed_config(protocol, oracle):
+    _assert_good_config_counts(protocol, oracle)
+
+
 # ------------------------------------------------------------------ router
 @pytest.fixture()
 def routed():
@@ -353,3 +406,12 @@ def test_router_protocol_query_error_is_structured(routed):
     )
     assert not response["ok"] and response["error"] == "query_syntax"
     assert response["line"] == 1 and "^" in response["snippet"]
+
+
+@pytest.mark.parametrize("config", BAD_CONFIGS, ids=_config_id)
+def test_router_protocol_rejects_mistyped_config(routed, config):
+    _assert_bad_configs_refused(RouterProtocol(routed), config)
+
+
+def test_router_protocol_accepts_well_typed_config(routed, oracle):
+    _assert_good_config_counts(RouterProtocol(routed), oracle)
