@@ -22,6 +22,12 @@ its start vertices to the start label's pool is decided once, in
 ``repro.lang.run``; outside ``labeled/`` no other module imports
 ``labelize_plan`` or ``start_label_pool``.
 
+**One wire front door.**  Every op is served through one dispatcher,
+one stdio loop and one TCP server (``repro.service.protocol``) and every
+client connection is a lease of one TCP client (``repro.shard.client``).
+So only ``repro.service.protocol`` imports ``socketserver`` and only
+``repro.shard.client`` imports ``socket``.
+
 The check is AST-based and resolves relative imports, so aliasing or
 ``from .. import`` spellings cannot slip past it.
 
@@ -69,6 +75,12 @@ METRIC_MODULES = ("repro.telemetry.registry", "repro.telemetry.snapshot")
 #: may import them.
 LABEL_BINDING = {"labelize_plan", "start_label_pool"}
 LABEL_BINDER = "lang/run.py"
+
+#: Transport module -> the one module that may import it.
+WIRE_DOORS = {
+    "socketserver": "service/protocol.py",
+    "socket": "shard/client.py",
+}
 
 
 def metric_names(root: Path) -> set:
@@ -127,6 +139,7 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
             violations += _lint_ledger_layer(path, root, lineno, module, names, out)
         if not binder:
             violations += _lint_label_binding(path, lineno, module, names, out)
+        violations += _lint_wire_door(path, rel, lineno, module, out)
     return violations
 
 
@@ -182,6 +195,19 @@ def _lint_label_binding(path, lineno, module, names, out) -> int:
     print(
         f"{path}:{lineno}: imports {bound} — bind label pools and start "
         "vertices through repro.lang.run (bind_plan / execute_query)",
+        file=out,
+    )
+    return 1
+
+
+def _lint_wire_door(path, rel, lineno, module, out) -> int:
+    door = WIRE_DOORS.get(module)
+    if door is None or rel == door:
+        return 0
+    print(
+        f"{path}:{lineno}: imports {module!r} — one wire front door: serve "
+        "through repro.service.protocol (ServiceTCPServer / serve_stdio), "
+        "connect through repro.shard.client (TCPShardClient)",
         file=out,
     )
     return 1

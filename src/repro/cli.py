@@ -23,6 +23,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from typing import List, Optional, Sequence
 
 from .engine.benu import (
@@ -71,20 +72,16 @@ def _config_from(
         optimization_level=args.level,
         compressed=getattr(args, "compressed", False),
         collect=collect,
-        relabel=not args.dataset,  # bundled datasets are pre-relabeled
+        # Bundled datasets are pre-relabeled; `serve` registers its own.
+        relabel=not getattr(args, "dataset", None),
         telemetry=telemetry,
-        task_retries=getattr(args, "task_retries", 2),
-        faults=getattr(args, "faults", None),
+        task_retries=args.task_retries,
+        faults=args.faults,
     )
 
 
-def _add_run_options(
-    parser: argparse.ArgumentParser, pattern_required: bool = True
-) -> None:
-    parser.add_argument("--pattern", required=pattern_required,
-                        help="pattern name (see `patterns`)")
-    parser.add_argument("--dataset", help="bundled dataset name (see `datasets`)")
-    parser.add_argument("--edges", help="path to a SNAP-style edge list")
+def _add_config_options(parser: argparse.ArgumentParser) -> None:
+    """The BenuConfig knobs every executing command takes (``_config_from``)."""
     parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--threads", type=int, default=4)
     parser.add_argument("--cache-bytes", type=int, default=None)
@@ -104,6 +101,16 @@ def _add_run_options(
                         help="deterministic fault-injection schedule, e.g. "
                              "'seed=7,worker.task:crash@3' (also honours the "
                              "BENU_FAULTS env var)")
+
+
+def _add_run_options(
+    parser: argparse.ArgumentParser, pattern_required: bool = True
+) -> None:
+    parser.add_argument("--pattern", required=pattern_required,
+                        help="pattern name (see `patterns`)")
+    parser.add_argument("--dataset", help="bundled dataset name (see `datasets`)")
+    parser.add_argument("--edges", help="path to a SNAP-style edge list")
+    _add_config_options(parser)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -188,24 +195,31 @@ def _print_metric_table(registry) -> None:
     print(format_table(["metric", "kind", "labels", "value"], rows))
 
 
-def _service_request(connect: str, payload: dict) -> dict:
-    """One request/response round-trip against ``benu serve --port``."""
-    import socket
+@contextmanager
+def _connection(connect: str, read_timeout: float):
+    """``ask(request) -> response`` (``ok`` or not) over one lease of a
+    live ``serve``/``route`` endpoint: every request of a command rides
+    it, because a router scopes query ids to one connection."""
+    from .shard.client import ShardUnavailable, TCPShardClient
 
     host, _, port = connect.rpartition(":")
     if not port.isdigit():
         raise SystemExit(f"bad --connect address {connect!r}; expected HOST:PORT")
-    with socket.create_connection((host or "127.0.0.1", int(port)), timeout=30) as sock:
-        fh = sock.makefile("rw", encoding="utf-8", newline="\n")
-        fh.write(json.dumps(payload) + "\n")
-        fh.flush()
-        line = fh.readline()
-    if not line:
-        raise SystemExit("service closed the connection")
-    response = json.loads(line)
-    if not response.get("ok"):
-        raise SystemExit(f"service error: {response.get('message')}")
-    return response
+    client = TCPShardClient(host or "127.0.0.1", int(port), read_timeout=read_timeout)
+    lease = client.lease()
+
+    def ask(payload: dict) -> dict:
+        try:
+            lease.send(payload)
+            return lease.recv()
+        except ShardUnavailable as exc:
+            raise SystemExit("service closed the connection") from exc
+
+    try:
+        yield ask
+    finally:
+        lease.release()
+        client.close()
 
 
 def _print_service_stats(stats: dict) -> None:
@@ -248,20 +262,21 @@ def _print_service_stats(stats: dict) -> None:
 
 
 def _stats_from_service(args: argparse.Namespace) -> int:
-    while True:
-        if args.format == "prometheus":
-            response = _service_request(args.connect, {"op": "metrics"})
-            print(response["metrics"], end="")
-        else:
-            response = _service_request(args.connect, {"op": "stats"})
-            stats = response["stats"]
-            if args.format == "json":
-                print(json.dumps(stats, indent=1, sort_keys=True))
+    op = "metrics" if args.format == "prometheus" else "stats"
+    with _connection(args.connect, read_timeout=30) as ask:
+        while True:
+            response = ask({"op": op})
+            if not response.get("ok"):
+                raise SystemExit(f"service error: {response.get('message')}")
+            if op == "metrics":
+                print(response["metrics"], end="")
+            elif args.format == "json":
+                print(json.dumps(response["stats"], indent=1, sort_keys=True))
             else:
-                _print_service_stats(stats)
-        if not args.watch:
-            return 0
-        time.sleep(args.watch)
+                _print_service_stats(response["stats"])
+            if not args.watch:
+                return 0
+            time.sleep(args.watch)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -322,8 +337,22 @@ def _parse_graph_spec(spec: str) -> tuple:
     return name, source
 
 
+def _serve_tcp(server, banner: str) -> int:
+    """Run a bound protocol server until shutdown or Ctrl-C; ``banner``
+    announces it, its ``{address}`` filled in."""
+    host, port = server.server_address[:2]
+    print(banner.format(address=f"{host}:{port}"), file=sys.stderr)
+    try:
+        server.serve_forever(poll_interval=0.2)
+    except KeyboardInterrupt:
+        pass
+    finally:
+        server.server_close()
+    return 0
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import BenuService, serve_socket, serve_stdio
+    from .service import BenuService, ServiceProtocol, serve_socket, serve_stdio
     from .service.protocol import ShardIdentity
 
     identity = None
@@ -337,19 +366,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
             shard_count=args.shard_count,
             epoch=args.epoch,
         )
-    config = BenuConfig(
-        num_workers=args.workers,
-        threads_per_worker=args.threads,
-        cache_capacity_bytes=args.cache_bytes,
-        adjacency_backend=args.adjacency_backend,
-        execution_backend=args.execution_backend,
-        split_threshold=args.tau,
-        optimization_level=args.level,
-        task_retries=args.task_retries,
-        faults=args.faults,
-    )
     service = BenuService(
-        config=config,
+        config=_config_from(args),
         max_concurrent=args.max_concurrent,
         max_queued=args.max_queued,
         memory_budget_bytes=args.memory_budget_bytes,
@@ -374,29 +392,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
             )
             print(f"registered {name}: {info}", file=sys.stderr)
         if args.port is not None:
-            server = serve_socket(
-                service, host=args.host, port=args.port, identity=identity
-            )
-            host, port = server.server_address[:2]
             role = (
                 f"shard {identity.shard_index}/{identity.shard_count}"
                 if identity is not None else "node"
             )
-            print(f"serving on {host}:{port} as {role}", file=sys.stderr)
-            try:
-                server.serve_forever(poll_interval=0.2)
-            except KeyboardInterrupt:
-                pass
-            finally:
-                server.server_close()
-            return 0
-        return serve_stdio(service, identity=identity)
+            server = serve_socket(
+                service, host=args.host, port=args.port, identity=identity
+            )
+            return _serve_tcp(server, "serving on {address} as " + role)
+        return serve_stdio(ServiceProtocol(service, identity=identity))
     finally:
         service.close()
 
 
 def cmd_route(args: argparse.Namespace) -> int:
-    from .shard import RouterProtocol, ShardRouter, TCPShardClient, route_stdio
+    from .service import serve_socket, serve_stdio
+    from .shard import RouterProtocol, ShardRouter, TCPShardClient
 
     clients = []
     for spec in args.shard:
@@ -426,33 +437,11 @@ def cmd_route(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         if args.port is not None:
-            import socketserver
-
-            from .service.protocol import serve_connection
-
-            class _RouteHandler(socketserver.StreamRequestHandler):
-                def handle(self) -> None:
-                    protocol = RouterProtocol(router)
-                    try:
-                        serve_connection(self, protocol)
-                    finally:
-                        protocol.close()
-
-            class _RouteServer(socketserver.ThreadingTCPServer):
-                allow_reuse_address = True
-                daemon_threads = True
-
-            server = _RouteServer((args.host, args.port), _RouteHandler)
-            host, port = server.server_address[:2]
-            print(f"router listening on {host}:{port}", file=sys.stderr)
-            try:
-                server.serve_forever(poll_interval=0.2)
-            except KeyboardInterrupt:
-                pass
-            finally:
-                server.server_close()
-            return 0
-        return route_stdio(router)
+            server = serve_socket(
+                lambda: RouterProtocol(router), host=args.host, port=args.port
+            )
+            return _serve_tcp(server, "router listening on {address}")
+        return serve_stdio(RouterProtocol(router))
     finally:
         router.close()
 
@@ -503,34 +492,19 @@ def _explain_query(args: argparse.Namespace) -> int:
 def _remote_query(args: argparse.Namespace) -> int:
     """Run one BENU-QL query against a live ``serve``/``route`` endpoint.
 
-    A single persistent connection carries submit and every poll —
-    required because both protocols scope query ids to the serving
-    process, and the stdio/TCP servers may build per-connection state.
+    A single connection carries submit and every poll — required because
+    both protocols scope query ids to the serving process, and a router
+    to the connection.
     """
-    import socket
-
     if not args.graph:
         raise SystemExit("--connect needs --graph NAME (a registered graph)")
-    host, _, port = args.connect.rpartition(":")
-    if not port.isdigit():
-        raise SystemExit(
-            f"bad --connect address {args.connect!r}; expected HOST:PORT"
-        )
     request: dict = {"op": "query", "text": args.text, "graph": args.graph}
     if args.limit is not None:
         request["limit"] = args.limit
-    with socket.create_connection(
-        (host or "127.0.0.1", int(port)), timeout=120
-    ) as sock:
-        fh = sock.makefile("rw", encoding="utf-8", newline="\n")
+    with _connection(args.connect, read_timeout=120) as send:
 
         def ask(payload: dict) -> dict:
-            fh.write(json.dumps(payload) + "\n")
-            fh.flush()
-            line = fh.readline()
-            if not line:
-                raise SystemExit("service closed the connection")
-            response = json.loads(line)
+            response = send(payload)
             if not response.get("ok"):
                 print(
                     f"query error: {response.get('message')}", file=sys.stderr
@@ -708,17 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on reserved result-buffer bytes across queries")
     p.add_argument("--catalog-bytes", type=int, default=None,
                    help="graph catalog capacity (LRU eviction beyond it)")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--cache-bytes", type=int, default=None)
-    p.add_argument("--tau", type=int, default=64)
-    p.add_argument("--level", type=int, default=3)
-    p.add_argument("--execution-backend", choices=EXECUTION_BACKENDS,
-                   default="simulated",
-                   help="runtime queries execute on; 'process' fans each "
-                        "query out over real OS worker processes")
-    p.add_argument("--adjacency-backend", choices=ADJACENCY_BACKENDS,
-                   default="frozenset")
+    _add_config_options(p)
     p.add_argument("--max-worker-processes", type=int, default=None,
                    help="machine-wide cap on worker processes across all "
                         "concurrent process-backend queries (default: cores)")
@@ -727,12 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slow-query-seconds", type=float, default=None,
                    help="log queries slower than this (stats.slow_queries "
                         "and a slow_query event with a trace summary)")
-    p.add_argument("--task-retries", type=int, default=2,
-                   help="process backend: re-run lost task slices this many "
-                        "times after a worker crash before failing")
-    p.add_argument("--faults", default=None, metavar="SCHEDULE",
-                   help="deterministic fault-injection schedule for chaos "
-                        "testing (also honours the BENU_FAULTS env var)")
     p.add_argument("--shard-index", type=int, default=None,
                    help="serve as shard I of a sharded deployment "
                         "(registrations keep only the owned task slice)")
@@ -785,17 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "`route --port` router instead of locally")
     p.add_argument("--graph", default=None,
                    help="with --connect: name of the registered graph")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--cache-bytes", type=int, default=None)
-    p.add_argument("--tau", type=int, default=64)
-    p.add_argument("--level", type=int, default=3)
-    p.add_argument("--execution-backend", choices=EXECUTION_BACKENDS,
-                   default="simulated")
-    p.add_argument("--adjacency-backend", choices=ADJACENCY_BACKENDS,
-                   default="frozenset")
-    p.add_argument("--task-retries", type=int, default=2)
-    p.add_argument("--faults", default=None, metavar="SCHEDULE")
+    _add_config_options(p)
     p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("patterns", help="list built-in patterns")

@@ -1,29 +1,23 @@
-"""Line-delimited JSON protocol for ``benu serve``.
+"""Line-delimited JSON protocol of ``benu serve`` and ``benu route``.
 
 One request per line, one JSON response per line — trivially scriptable
 (``echo '{"op": ...}' | python -m repro serve``) and transport-agnostic:
-the same :class:`ServiceProtocol` handler backs stdio and a local TCP
-socket.
+one stdio loop (:func:`serve_stdio`) and one threaded TCP server
+(:class:`ServiceTCPServer`) carry either dialect — a node's
+:class:`ServiceProtocol` or the router's
+:class:`~repro.shard.protocol.RouterProtocol`.
 
 Operations
 ----------
-``hello``    {"op":"hello","version":2?,"role":"client"|"router"?}
-``submit``   {"op":"submit","pattern":"triangle"|[[u,v],...],"graph":"g",
-              "limit":N?, "deadline":sec?, "deadline_at":epoch?,
-              "stream":bool?, "config":{}?}
-``query``    {"op":"query","text":"MATCH (a)-(b) ... RETURN ...","graph":"g",
-              "limit":N?, "deadline":sec?, "deadline_at":epoch?, "config":{}?}
-``poll``     {"op":"poll","query":"q-1","limit":100?,"cursor":N?,"wait":sec?}
-``cancel``   {"op":"cancel","query":"q-1"}
-``stats``    {"op":"stats"}
-``metrics``  {"op":"metrics"}              → Prometheus text exposition
-``events``   {"op":"events","type":t?,"query":"q-1"?,"limit":N?}
-``graphs``   {"op":"graphs"}
-``register`` {"op":"register","name":"g","dataset":"as_sim"|"edges":[[u,v],...],
-              "partition":{"index":i,"of":n,"halo":k?}?,
-              "labels":{"<vertex>":<label>,...}?}
-``queries``  {"op":"queries"}
-``shutdown`` {"op":"shutdown"}
+:data:`OPS` is the op list.  Each row names an op, the dialects that
+serve it (``serve``, ``route`` or both) and its fields: the JSON types a
+field takes (matched exactly, so ``true`` is no int and ``"5"`` no
+limit), whether it is required, its default and its converter.
+:func:`dispatch` checks a request against its row once; a malformed
+field answers ``invalid_query`` and the ``_op_<name>`` handler only ever
+sees checked values.  Unknown top-level fields are ignored.  The router
+checks what it forwards — an unknown pattern or dataset, a mistyped
+config — before any shard sees it, and forwards the JSON it checked.
 
 Every response is ``{"ok": true, ...}`` or
 ``{"ok": false, "error": <code>, "message": <text>}`` with the typed
@@ -39,7 +33,7 @@ empty (clipped to the query's deadline); on a count query it waits for
 the query to finish.
 
 ``config`` accepts the common :class:`~repro.engine.config.BenuConfig`
-knobs: workers, threads, cache_bytes, tau, level, compressed.
+knobs (:data:`_CONFIG_FIELDS`).
 
 Versioning: ``hello`` is the optional protocol handshake introduced in
 version 2 alongside the sharding fields (``deadline_at``, ``partition``,
@@ -56,14 +50,15 @@ import json
 import socketserver
 import sys
 import threading
-from dataclasses import dataclass, replace
-from typing import Optional, TextIO
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Dict, Optional, TextIO, Tuple
 
-from ..engine.config import BenuConfig
 from ..engine.control import ExecutionInterrupted
 from ..faults import InjectedFault
-from ..graph.datasets import load_dataset
+from ..graph.datasets import DATASET_ORDER, DATASET_SPECS, load_dataset
 from ..graph.graph import Graph
+from ..graph.patterns import get_pattern
 from ..lang.errors import QueryError
 from ..storage.partition import PartitionInfo
 from ..telemetry.prometheus import render_prometheus
@@ -115,22 +110,6 @@ class ShardIdentity:
         }
 
 
-#: JSON config field → BenuConfig field.
-_INT, _INT_OR_NULL, _BOOL, _STR = (int,), (int, type(None)), (bool,), (str,)
-#: Wire ``config`` key -> (BenuConfig field, the JSON types it takes).
-#: Types match exactly, so ``true`` is no int and ``"yes"`` no bool.
-_CONFIG_FIELDS = {
-    "workers": ("num_workers", _INT),
-    "threads": ("threads_per_worker", _INT),
-    "cache_bytes": ("cache_capacity_bytes", _INT_OR_NULL),
-    "tau": ("split_threshold", _INT_OR_NULL),
-    "level": ("optimization_level", _INT),
-    "compressed": ("compressed", _BOOL),
-    "degree_filter": ("degree_filter", _BOOL),
-    "backend": ("adjacency_backend", _STR),
-}
-
-
 #: Where a page's rows start on the wire.  As raw text this cannot occur
 #: inside a JSON string (its quotes would be escaped), and ``matches`` is
 #: the last key with scalars-only rows behind it, so the last occurrence
@@ -180,6 +159,205 @@ def encode_response(response: dict) -> str:
     return json.dumps(head)[:-1] + MATCHES_KEY + body + "}"
 
 
+# ---------------------------------------------------------------- fields
+_NULL = type(None)
+_INT, _INT_OR_NULL, _BOOL, _STR = (int,), (int, _NULL), (bool,), (str,)
+_STR_OR_NULL, _NUMBER = (str, _NULL), (int, float)
+_NUMBER_OR_NULL = (int, float, _NULL)
+
+#: Wire ``config`` key -> (BenuConfig field, the JSON types it takes).
+_CONFIG_FIELDS = {
+    "workers": ("num_workers", _INT),
+    "threads": ("threads_per_worker", _INT),
+    "cache_bytes": ("cache_capacity_bytes", _INT_OR_NULL),
+    "tau": ("split_threshold", _INT_OR_NULL),
+    "level": ("optimization_level", _INT),
+    "compressed": ("compressed", _BOOL),
+    "degree_filter": ("degree_filter", _BOOL),
+    "backend": ("adjacency_backend", _STR),
+}
+
+
+def _check_type(label: str, value, types: Tuple[type, ...]) -> None:
+    """Exact JSON type match, or an ``invalid_query`` naming ``label``."""
+    if type(value) not in types:
+        expected = " or ".join(
+            "null" if t is _NULL else t.__name__ for t in types
+        )
+        raise InvalidQueryError(
+            f"{label} must be {expected}, got {json.dumps(value)}"
+        )
+
+
+# Converters: ``(protocol, value) -> value``, run on a value of the
+# declared types (never on null).  A KeyError, TypeError or ValueError
+# becomes ``invalid_query`` naming the field.  A forwarding dialect (the
+# router) keeps the JSON it checked, so it can pass it on; a node builds
+# what its handler takes.
+def _nonblank(protocol, text: str) -> str:
+    if not text.strip():
+        raise ValueError("must not be blank")
+    return text
+
+
+def _parse_edges(protocol, edges: list):
+    pairs = [(int(u), int(v)) for u, v in edges]
+    return edges if protocol.forwards else Graph(pairs)
+
+
+def _parse_pattern(protocol, pattern):
+    """A built-in pattern's name, or an edge list ``[[u, v], ...]``."""
+    if type(pattern) is list:
+        return _parse_edges(protocol, pattern)
+    get_pattern(pattern)  # its KeyError lists the known names
+    return pattern
+
+
+def _parse_dataset(protocol, name: str):
+    if name not in DATASET_SPECS:
+        raise KeyError(
+            f"unknown dataset {name!r}; known: {', '.join(DATASET_ORDER)}"
+        )
+    return name if protocol.forwards else load_dataset(name)
+
+
+def _parse_labels(protocol, labels: dict):
+    parsed = {int(v): label for v, label in labels.items()}
+    return labels if protocol.forwards else parsed
+
+
+def _parse_partition(protocol, raw: dict):
+    info = PartitionInfo.from_dict(raw)
+    return raw if protocol.forwards else info
+
+
+def _parse_config(protocol, raw: dict):
+    unknown = set(raw) - set(_CONFIG_FIELDS)
+    if unknown:
+        raise InvalidQueryError(
+            f"unknown config fields: {sorted(unknown)}; "
+            f"known: {sorted(_CONFIG_FIELDS)}"
+        )
+    kwargs = {}
+    for key, value in raw.items():
+        field_name, types = _CONFIG_FIELDS[key]
+        _check_type(f'config field "{key}"', value, types)
+        kwargs[field_name] = value
+    if protocol.forwards:
+        return raw
+    return replace(protocol.service.default_config, **kwargs)
+
+
+def _parse_version(protocol, asked: int) -> int:
+    """The version a ``hello`` settles on: the client's, capped at ours."""
+    if asked < 1:
+        raise ValueError(f"bad protocol version {asked}")
+    return min(asked, PROTOCOL_VERSION)
+
+
+@dataclass(frozen=True)
+class Field:
+    """One request field.  ``default`` stands in for an absent field
+    as is (it is not converted); an explicit null passes as None."""
+
+    types: Tuple[type, ...]
+    required: bool = False
+    default: object = None
+    convert: Optional[Callable] = None
+
+
+_MISSING = object()
+SERVE, ROUTE = "serve", "route"
+BOTH = (SERVE, ROUTE)
+
+
+@dataclass(frozen=True)
+class Op:
+    """One row of the op table: the op, who serves it, its fields."""
+
+    name: str
+    dialects: Tuple[str, ...]
+    fields: Dict[str, Field] = field(default_factory=dict)
+    #: At least one of these fields must be given (and not null).
+    one_of: Tuple[str, ...] = ()
+
+    def check(self, protocol, request: dict) -> dict:
+        """Every declared field of ``request``, checked and converted."""
+        args = {}
+        for key, spec in self.fields.items():
+            value = request.get(key, _MISSING)
+            if value is _MISSING:
+                if spec.required:
+                    raise InvalidQueryError(f'{self.name} needs "{key}"')
+                args[key] = spec.default
+                continue
+            _check_type(f'"{key}"', value, spec.types)
+            if spec.convert is not None and value is not None:
+                try:
+                    value = spec.convert(protocol, value)
+                except (KeyError, TypeError, ValueError) as exc:
+                    reason = exc.args[0] if exc.args else exc
+                    raise InvalidQueryError(f'bad "{key}": {reason}') from exc
+            args[key] = value
+        if self.one_of and all(args[key] is None for key in self.one_of):
+            raise InvalidQueryError(f"{self.name} needs one of {list(self.one_of)}")
+        return args
+
+
+#: Fields of both ways to start a query (``submit`` and ``query``).
+_RUN_FIELDS = {
+    "graph": Field(_STR, default=""),
+    "config": Field((dict, _NULL), convert=_parse_config),
+    "limit": Field(_INT_OR_NULL),
+    "deadline": Field(_NUMBER_OR_NULL),
+    "deadline_at": Field(_NUMBER_OR_NULL),
+}
+_QUERY_ID = {"query": Field(_STR, required=True)}
+
+#: The op table: what every op takes, and which dialects answer it.
+OPS: Dict[str, Op] = {op.name: op for op in (
+    Op("hello", BOTH, {"version": Field(_INT, default=1, convert=_parse_version)}),
+    Op("submit", BOTH, {
+        "pattern": Field((str, list), required=True, convert=_parse_pattern),
+        "stream": Field(_BOOL, default=True),
+        **_RUN_FIELDS,
+    }),
+    Op("query", BOTH, {
+        "text": Field(_STR, required=True, convert=_nonblank),
+        **_RUN_FIELDS,
+    }),
+    Op("poll", BOTH, {
+        **_QUERY_ID,
+        "limit": Field(_INT, default=256),
+        "cursor": Field(_INT_OR_NULL),
+        "wait": Field(_NUMBER, default=0),
+    }),
+    Op("cancel", BOTH, _QUERY_ID),
+    Op("health", BOTH),
+    Op("stats", BOTH),
+    Op("metrics", BOTH, {"format": Field(_STR_OR_NULL)}),
+    Op("events", BOTH, {
+        "type": Field(_STR_OR_NULL),
+        "query": Field(_STR_OR_NULL),
+        "limit": Field(_INT_OR_NULL),
+    }),
+    Op("graphs", (SERVE,)),
+    Op("register", BOTH, {
+        "name": Field(_STR, required=True, convert=_nonblank),
+        "dataset": Field(_STR_OR_NULL, convert=_parse_dataset),
+        "edges": Field((list, _NULL), convert=_parse_edges),
+        "relabel": Field(_BOOL, default=True),
+        "replace": Field(_BOOL, default=False),
+        "partition": Field((dict, _NULL), convert=_parse_partition),
+        "unpartitioned": Field(_BOOL, default=False),
+        "labels": Field((dict, _NULL), convert=_parse_labels),
+    }, one_of=("dataset", "edges")),
+    Op("queries", (SERVE,)),
+    Op("shutdown", BOTH, {"shards": Field(_BOOL, default=False)}),
+)}
+
+
+# ---------------------------------------------------------------- dispatch
 #: Exception type → the attribute holding its wire error code.  First
 #: match wins; anything else is ``internal``.
 _ERROR_CODES = (
@@ -214,13 +392,12 @@ def _error_response(exc: Exception) -> dict:
     return response
 
 
-def dispatch(handler, line: str) -> dict:
-    """One request line against ``handler``'s ``_op_<name>`` methods.
+def dispatch(protocol, line: str) -> dict:
+    """One request line against ``protocol``'s dialect of :data:`OPS`.
 
-    The single dispatcher behind every protocol front-end (a node's
-    :class:`ServiceProtocol`, the router's ``RouterProtocol``): parse,
-    look the op up, run it, and map whatever it raises onto the typed
-    error response.
+    The single dispatcher behind every protocol front-end: parse, look
+    the op up, check its fields, run ``_op_<name>`` on the checked
+    values, and map whatever it raises onto the typed error response.
     """
     try:
         try:
@@ -229,56 +406,40 @@ def dispatch(handler, line: str) -> dict:
             raise InvalidQueryError(f"bad JSON: {exc}") from exc
         if not isinstance(request, dict) or "op" not in request:
             raise InvalidQueryError('requests are objects with an "op" field')
-        op = request["op"]
-        method = getattr(handler, f"_op_{op}", None)
-        if method is None:
-            raise InvalidQueryError(f"unknown op {op!r}")
-        response = method(request)
+        name = request["op"]
+        op = OPS.get(name) if type(name) is str else None
+        if op is None or protocol.dialect not in op.dialects:
+            raise InvalidQueryError(f"unknown op {name!r}")
+        response = getattr(protocol, "_op_" + name)(op.check(protocol, request))
         response.setdefault("ok", True)
         return response
     except Exception as exc:  # noqa: BLE001 — protocol boundary
         return _error_response(exc)
 
 
-def negotiated_version(request: dict) -> int:
-    """The protocol version a ``hello`` settles on: the client's, capped
-    at ours (a client that names none speaks v1).  Both dialects — node
-    and router — answer ``hello`` through this, so a version that is no
-    integer or below 1 is ``invalid_query`` on either."""
-    asked = request.get("version", 1)
-    try:
-        asked = int(asked)
-    except (TypeError, ValueError) as exc:
-        raise InvalidQueryError('"version" must be an integer') from exc
-    if asked < 1:
-        raise InvalidQueryError(f"bad protocol version {asked}")
-    return min(asked, PROTOCOL_VERSION)
+class WireProtocol:
+    """One connection's request handler, either dialect.
 
-
-class ServiceProtocol:
-    """Stateless request handler: one JSON request in, one response out.
-
-    ``identity`` binds the handler to a shard of a deployment: ``hello``
-    reports it, and ``register`` defaults to partitioning the graph by
-    it (so a router can broadcast one register request to every shard
-    and each keeps only its slice of the task space).
+    A dialect names itself (``dialect``, ``role``), says who it is
+    (``identity_fields``) and how busy (``running``) — what ``hello`` and
+    ``health`` report — and adds its own ``_op_<name>`` handlers.  Each
+    defines ``handle_line_json`` itself, so the two are timed apart.
     """
 
-    def __init__(
-        self,
-        service: BenuService,
-        identity: Optional[ShardIdentity] = None,
-    ) -> None:
-        self.service = service
-        self.identity = identity
-        self.shutdown_requested = False
+    dialect: str
+    role: str
+    #: Converters keep the JSON they checked (a hop that passes it on).
+    forwards = False
+    shutdown_requested = False
 
-    # ------------------------------------------------------------------
     def handle_line(self, line: str) -> dict:
         return dispatch(self, line)
 
-    def handle_line_json(self, line: str) -> str:
-        return encode_response(self.handle_line(line))
+    def identity_fields(self) -> dict:
+        return {}
+
+    def close(self) -> None:
+        """The connection is gone."""
 
     def health(self) -> dict:
         """The ``health`` op's body: cheap liveness, no catalog access.
@@ -287,103 +448,85 @@ class ServiceProtocol:
         on possibly-sick nodes, so it must not touch any lock or state a
         wedged query could be holding.
         """
-        body = {
+        return {
             "status": "serving",
-            "role": "shard" if self.identity is not None else "node",
-            "running": self.service.scheduler.running,
+            "role": self.role,
+            "running": self.running,
+            **self.identity_fields(),
         }
-        if self.identity is not None:
-            body.update(self.identity.to_dict())
-        return body
 
-    # ------------------------------------------------------------------ ops
-    def _parse_pattern(self, request: dict):
-        pattern = request.get("pattern")
-        if isinstance(pattern, str):
-            return pattern
-        if isinstance(pattern, list):
-            try:
-                return Graph((int(u), int(v)) for u, v in pattern)
-            except (TypeError, ValueError) as exc:
-                raise InvalidQueryError(
-                    "pattern edge lists are [[u, v], ...] of ints"
-                ) from exc
-        raise InvalidQueryError('"pattern" must be a name or an edge list')
-
-    def _parse_config(self, request: dict) -> Optional[BenuConfig]:
-        raw = request.get("config")
-        if raw is None:
-            return None
-        if not isinstance(raw, dict):
-            raise InvalidQueryError('"config" must be an object')
-        unknown = set(raw) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise InvalidQueryError(
-                f"unknown config fields: {sorted(unknown)}; "
-                f"known: {sorted(_CONFIG_FIELDS)}"
-            )
-        kwargs = {}
-        for key, value in raw.items():
-            field_name, types = _CONFIG_FIELDS[key]
-            if type(value) not in types:
-                expected = " or ".join(
-                    "null" if t is type(None) else t.__name__ for t in types
-                )
-                raise InvalidQueryError(
-                    f'config field "{key}" must be {expected}, '
-                    f"got {json.dumps(value)}"
-                )
-            kwargs[field_name] = value
-        try:
-            return replace(self.service.default_config, **kwargs)
-        except (TypeError, ValueError) as exc:
-            raise InvalidQueryError(f"bad config: {exc}") from exc
-
-    def _op_hello(self, request: dict) -> dict:
+    def _op_hello(self, args: dict) -> dict:
         """Version/role handshake (v2).  Optional: v1 clients skip it."""
-        response = {
-            "version": negotiated_version(request),
+        return {
+            "version": args["version"],
             "server_version": PROTOCOL_VERSION,
-            "role": "shard" if self.identity is not None else "node",
+            "role": self.role,
+            **self.identity_fields(),
             "capabilities": list(CAPABILITIES),
         }
-        if self.identity is not None:
-            response.update(self.identity.to_dict())
-        return response
 
-    def _op_submit(self, request: dict) -> dict:
-        deadline_at = request.get("deadline_at")
+    def _op_health(self, args: dict) -> dict:
+        return self.health()
+
+    def _op_shutdown(self, args: dict) -> dict:
+        self.shutdown_requested = True
+        return {"bye": True}
+
+
+class ServiceProtocol(WireProtocol):
+    """A node's dialect: one JSON request in, one response out.
+
+    ``identity`` binds the handler to a shard of a deployment: ``hello``
+    reports it, and ``register`` defaults to partitioning the graph by
+    it (so a router can broadcast one register request to every shard
+    and each keeps only its slice of the task space).
+    """
+
+    dialect = SERVE
+
+    def __init__(
+        self,
+        service: BenuService,
+        identity: Optional[ShardIdentity] = None,
+    ) -> None:
+        self.service = service
+        self.identity = identity
+        self.role = "shard" if identity is not None else "node"
+
+    def handle_line_json(self, line: str) -> str:
+        return encode_response(dispatch(self, line))
+
+    @property
+    def running(self) -> int:
+        return self.service.scheduler.running
+
+    def identity_fields(self) -> dict:
+        return self.identity.to_dict() if self.identity is not None else {}
+
+    # ------------------------------------------------------------------ ops
+    def _op_submit(self, args: dict) -> dict:
         handle = self.service.submit(
-            self._parse_pattern(request),
-            request.get("graph", ""),
-            config=self._parse_config(request),
-            stream=bool(request.get("stream", True)),
-            limit=request.get("limit"),
-            deadline_seconds=request.get("deadline"),
-            deadline_at=float(deadline_at) if deadline_at is not None else None,
+            args["pattern"],
+            args["graph"],
+            config=args["config"],
+            stream=args["stream"],
+            limit=args["limit"],
+            deadline_seconds=args["deadline"],
+            deadline_at=args["deadline_at"],
         )
         return {"query": handle.query_id, "status": handle.status.value}
 
-    def _op_query(self, request: dict) -> dict:
-        """Submit a BENU-QL text query (v2).
-
-        ``{"op":"query","text":"MATCH ...","graph":"g","limit":N?,
-        "deadline":sec?,"deadline_at":epoch?,"config":{}?}`` — the reply
-        carries the query id plus the lowered result shape (``kind`` /
-        ``columns``); results flow through ``poll`` exactly like
-        ``submit``, with GROUP BY counts in the final ``groups`` field.
-        """
-        text = request.get("text")
-        if not isinstance(text, str) or not text.strip():
-            raise InvalidQueryError('"text" (a BENU-QL query) is required')
-        deadline_at = request.get("deadline_at")
+    def _op_query(self, args: dict) -> dict:
+        """Submit a BENU-QL text query (v2): the reply adds the result
+        shape (``kind`` / ``columns``); results flow through ``poll`` as
+        for ``submit``, GROUP BY counts in the final ``groups`` field."""
         handle = self.service.submit_query(
-            text,
-            request.get("graph", ""),
-            config=self._parse_config(request),
-            limit=request.get("limit"),
-            deadline_seconds=request.get("deadline"),
-            deadline_at=float(deadline_at) if deadline_at is not None else None,
+            args["text"],
+            args["graph"],
+            config=args["config"],
+            limit=args["limit"],
+            deadline_seconds=args["deadline"],
+            deadline_at=args["deadline_at"],
         )
         return {
             "query": handle.query_id,
@@ -392,18 +535,15 @@ class ServiceProtocol:
             "columns": list(handle.lang_columns or ()),
         }
 
-    def _op_poll(self, request: dict) -> dict:
-        handle = self.service.query(str(request.get("query")))
-        wait = float(request.get("wait") or 0)
+    def _op_poll(self, args: dict) -> dict:
+        handle = self.service.query(args["query"])
+        wait = args["wait"]
         if wait and not handle.streaming:
             handle.wait(timeout=wait)
         response = handle.describe()
         if handle.streaming:
-            cursor = request.get("cursor")
             page = handle.fetch(
-                limit=int(request.get("limit", 256)),
-                cursor=int(cursor) if cursor is not None else None,
-                wait=wait,
+                limit=args["limit"], cursor=args["cursor"], wait=wait
             )
             response.update(
                 # The one page becomes row tuples here (a packed page in
@@ -425,47 +565,38 @@ class ServiceProtocol:
                     }
                 if result is not None:
                     response["count"] = result.count
-                    if result.telemetry is not None:
+                    telemetry = result.telemetry
+                    if telemetry is not None:
                         # Per-shard execution counters a router sums;
                         # instruction counts are per-task deterministic,
                         # so shard slices add up to the single-node run.
                         response["telemetry"] = {
-                            "instruction_counts": dict(
-                                result.telemetry.instruction_counts
-                            ),
-                            "kernel_counts": dict(
-                                result.telemetry.kernel_counts
-                            ),
+                            "instruction_counts": dict(telemetry.instruction_counts),
+                            "kernel_counts": dict(telemetry.kernel_counts),
                         }
         return response
 
-    def _op_cancel(self, request: dict) -> dict:
-        handle = self.service.cancel(str(request.get("query")))
+    def _op_cancel(self, args: dict) -> dict:
+        handle = self.service.cancel(args["query"])
         return {"query": handle.query_id, "status": handle.status.value}
 
-    def _op_health(self, request: dict) -> dict:
-        return self.health()
-
-    def _op_stats(self, request: dict) -> dict:
+    def _op_stats(self, args: dict) -> dict:
         return {"stats": self.service.stats()}
 
-    def _op_metrics(self, request: dict) -> dict:
+    def _op_metrics(self, args: dict) -> dict:
         """Metrics export: Prometheus text, or the registry dict (v2).
 
         ``{"format": "json"}`` returns :meth:`MetricsRegistry.as_dict` —
         the structured form a router merges across shards.
         """
-        if request.get("format") == "json":
+        if args["format"] == "json":
             return {"metrics": self.service.registry.as_dict()}
         return {"metrics": render_prometheus(self.service.registry)}
 
-    def _op_events(self, request: dict) -> dict:
+    def _op_events(self, args: dict) -> dict:
         """Recent lifecycle events, optionally filtered."""
-        limit = request.get("limit")
         rows = self.service.events.as_dicts(
-            type=request.get("type"),
-            query_id=request.get("query"),
-            limit=int(limit) if limit is not None else None,
+            type=args["type"], query_id=args["query"], limit=args["limit"]
         )
         return {
             "events": rows,
@@ -473,91 +604,52 @@ class ServiceProtocol:
             "dropped": self.service.events.dropped,
         }
 
-    def _op_graphs(self, request: dict) -> dict:
+    def _op_graphs(self, args: dict) -> dict:
         return {
             "graphs": self.service.catalog.names(),
             "catalog_bytes": self.service.catalog.memory_bytes(),
         }
 
-    def _op_register(self, request: dict) -> dict:
-        name = request.get("name")
-        if not isinstance(name, str) or not name:
-            raise InvalidQueryError('"name" is required')
-        if "dataset" in request:
-            graph = load_dataset(request["dataset"])
-            relabel = False  # bundled datasets are pre-relabeled
-        elif "edges" in request:
-            try:
-                graph = Graph((int(u), int(v)) for u, v in request["edges"])
-            except (TypeError, ValueError) as exc:
-                raise InvalidQueryError(
-                    '"edges" must be [[u, v], ...] of ints'
-                ) from exc
-            relabel = bool(request.get("relabel", True))
+    def _op_register(self, args: dict) -> dict:
+        if args["dataset"] is not None:
+            graph, relabel = args["dataset"], False  # pre-relabeled
         else:
-            raise InvalidQueryError('register needs "dataset" or "edges"')
-        partition = self._parse_partition(request)
-        labels = request.get("labels")
-        if labels is not None:
-            if not isinstance(labels, dict):
-                raise InvalidQueryError(
-                    '"labels" must be {"<vertex id>": <label>, ...}'
-                )
-            try:
-                labels = {int(v): lbl for v, lbl in labels.items()}
-            except (TypeError, ValueError) as exc:
-                raise InvalidQueryError(
-                    '"labels" keys must be integer vertex ids'
-                ) from exc
-        return self.service.register_graph(
-            name,
-            graph,
-            relabel=relabel,
-            replace=bool(request.get("replace")),
-            partition=partition,
-            labels=labels,
-        )
-
-    def _parse_partition(self, request: dict) -> Optional[PartitionInfo]:
-        raw = request.get("partition")
-        if raw is None:
+            graph, relabel = args["edges"], args["relabel"]
+        partition = args["partition"]
+        if (
+            partition is None
+            and self.identity is not None
+            and not args["unpartitioned"]
+        ):
             # A shard node partitions every registration by its identity
             # unless the client explicitly asked for a full copy.
-            if self.identity is None or request.get("unpartitioned"):
-                return None
-            return self.identity.partition_info()
-        if not isinstance(raw, dict):
-            raise InvalidQueryError(
-                '"partition" must be {"index": i, "of": n, "halo": k?}'
-            )
-        try:
-            return PartitionInfo.from_dict(raw)
-        except (TypeError, ValueError) as exc:
-            raise InvalidQueryError(f"bad partition: {exc}") from exc
+            partition = self.identity.partition_info()
+        return self.service.register_graph(
+            args["name"],
+            graph,
+            relabel=relabel,
+            replace=args["replace"],
+            partition=partition,
+            labels=args["labels"],
+        )
 
-    def _op_queries(self, request: dict) -> dict:
+    def _op_queries(self, args: dict) -> dict:
         return {
             "queries": [
                 h.describe() for h in self.service.queries().values()
             ]
         }
 
-    def _op_shutdown(self, request: dict) -> dict:
-        self.shutdown_requested = True
-        return {"bye": True}
-
 
 # ---------------------------------------------------------------------- I/O
 def serve_stdio(
-    service: BenuService,
+    protocol: WireProtocol,
     in_stream: Optional[TextIO] = None,
     out_stream: Optional[TextIO] = None,
-    identity: Optional[ShardIdentity] = None,
 ) -> int:
-    """Serve the protocol over stdio until EOF or a shutdown op."""
+    """Serve ``protocol`` over stdio until EOF or a shutdown op."""
     in_stream = in_stream if in_stream is not None else sys.stdin
     out_stream = out_stream if out_stream is not None else sys.stdout
-    protocol = ServiceProtocol(service, identity=identity)
     for line in in_stream:
         line = line.strip()
         if not line:
@@ -585,7 +677,6 @@ def serve_connection(handler, protocol) -> None:
                 (protocol.handle_line_json(line) + "\n").encode("utf-8")
             )
             if protocol.shutdown_requested:
-                handler.server.shutdown_requested = True
                 # shutdown() blocks until serve_forever exits, so stop
                 # the server from a helper thread, not this handler.
                 threading.Thread(
@@ -598,17 +689,21 @@ def serve_connection(handler, protocol) -> None:
 
 class _ProtocolTCPHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        serve_connection(
-            self,
-            ServiceProtocol(
-                self.server.service,  # type: ignore[attr-defined]
-                identity=self.server.identity,  # type: ignore[attr-defined]
-            ),
-        )
+        protocol = self.server.new_protocol()  # type: ignore[attr-defined]
+        try:
+            serve_connection(self, protocol)
+        finally:
+            protocol.close()
 
 
 class ServiceTCPServer(socketserver.ThreadingTCPServer):
-    """A local TCP server speaking the line protocol (one service shared)."""
+    """A local TCP server speaking the line protocol, one protocol per
+    connection (closed when the peer goes).
+
+    ``service`` is a :class:`BenuService` — each connection gets a
+    :class:`ServiceProtocol` bound to ``identity`` — or a zero-argument
+    protocol factory, e.g. ``lambda: RouterProtocol(router)``.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
@@ -616,17 +711,18 @@ class ServiceTCPServer(socketserver.ThreadingTCPServer):
     def __init__(
         self,
         address,
-        service: BenuService,
+        service,
         identity: Optional[ShardIdentity] = None,
     ) -> None:
         super().__init__(address, _ProtocolTCPHandler)
-        self.service = service
-        self.identity = identity
-        self.shutdown_requested = False
+        self.new_protocol = (
+            partial(ServiceProtocol, service, identity=identity)
+            if isinstance(service, BenuService) else service
+        )
 
 
 def serve_socket(
-    service: BenuService,
+    service,
     host: str = "127.0.0.1",
     port: int = 0,
     identity: Optional[ShardIdentity] = None,

@@ -15,8 +15,9 @@ three layers of that deployment:
   result streams into one deterministic client stream, enforces a
   single global deadline budget across all hops, retries a dead shard's
   slice once on a live replica, and aggregates telemetry.
-* :class:`RouterProtocol` — the same wire dialect a single node speaks,
-  so clients point at ``benu route`` unchanged.
+* :class:`RouterProtocol` — the ``route`` dialect of the one op table
+  (:data:`repro.service.protocol.OPS`), so clients point at
+  ``benu route`` unchanged.
 
 Correctness contract: shard match sets are disjoint and union to the
 single-node match set; instruction/kernel counters sum exactly to the
@@ -32,7 +33,7 @@ from .client import (
     TCPShardClient,
 )
 from .node import ShardNode
-from .protocol import RouterProtocol, route_stdio
+from .protocol import RouterProtocol
 from .router import (
     RouterError,
     RouterFetchResult,
@@ -53,5 +54,4 @@ __all__ = [
     "ShardRouter",
     "ShardUnavailable",
     "TCPShardClient",
-    "route_stdio",
 ]
