@@ -28,6 +28,13 @@ client connection is a lease of one TCP client (``repro.shard.client``).
 So only ``repro.service.protocol`` imports ``socketserver`` and only
 ``repro.shard.client`` imports ``socket``.
 
+**One dispatcher.**  Which intersection a csr INT/TRC site runs is
+decided once, by operand kind, in codegen's site table; the kernels
+behind those decisions are not a library for other layers to call.  So
+only ``repro.plan.codegen`` and the ``repro.kernels`` package import
+``_intersect1``, ``_intersect2``, ``_intersectn``, ``intersect_count``
+or ``intersect_views``.
+
 The check is AST-based and resolves relative imports, so aliasing or
 ``from .. import`` spellings cannot slip past it.
 
@@ -81,6 +88,18 @@ WIRE_DOORS = {
     "socketserver": "service/protocol.py",
     "socket": "shard/client.py",
 }
+
+
+#: Kernel entry points only codegen's site table dispatches to, and the
+#: modules that may import them (the package re-exports its own names).
+DISPATCH_KERNELS = {
+    "_intersect1",
+    "_intersect2",
+    "_intersectn",
+    "intersect_count",
+    "intersect_views",
+}
+DISPATCHERS = ("plan/codegen.py", "kernels/")
 
 
 def metric_names(root: Path) -> set:
@@ -140,6 +159,8 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
         if not binder:
             violations += _lint_label_binding(path, lineno, module, names, out)
         violations += _lint_wire_door(path, rel, lineno, module, out)
+        if not rel.startswith(DISPATCHERS):
+            violations += _lint_dispatcher(path, lineno, module, names, out)
     return violations
 
 
@@ -208,6 +229,20 @@ def _lint_wire_door(path, rel, lineno, module, out) -> int:
         f"{path}:{lineno}: imports {module!r} — one wire front door: serve "
         "through repro.service.protocol (ServiceTCPServer / serve_stdio), "
         "connect through repro.shard.client (TCPShardClient)",
+        file=out,
+    )
+    return 1
+
+
+def _lint_dispatcher(path, lineno, module, names, out) -> int:
+    if module != "repro.kernels" and not module.startswith("repro.kernels."):
+        return 0
+    kernels = sorted(set(names) & DISPATCH_KERNELS)
+    if not kernels:
+        return 0
+    print(
+        f"{path}:{lineno}: imports {kernels} — one dispatcher: csr sites "
+        "pick their intersection in repro.plan.codegen's site table",
         file=out,
     )
     return 1

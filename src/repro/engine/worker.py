@@ -70,12 +70,9 @@ class Worker:
                 policy=config.cache_policy,
             )
             self._cache_base = CacheStats()
-        # An unbounded cache never reads its replacement order: compiled
-        # plans get the entry table's own lookup and the hits are settled
-        # per task from the DBQ count (see ``uncounted_getter``).
-        fast = self.cache.uncounted_getter()
-        self._get_adj = fast if fast is not None else self.cache.get
-        self._credit_lookups = fast is not None
+        # Compiled plans get a lookup that counts only misses; the hits
+        # are settled per task from the DBQ count (see ``uncounted_getter``).
+        self._get_adj = self.cache.uncounted_getter()
         #: Per executed task, only what cannot be recomputed: (task, raw
         #: counter tuple, DB-sim seconds, wall seconds).  Simulated
         #: seconds, the LPT schedule, ``TaskReport``s and the tracer's
@@ -117,8 +114,7 @@ class Worker:
             candidate_override=task.candidate_slice,
         )
         wall = _time.perf_counter() - t0
-        if self._credit_lookups:
-            self.cache.credit_lookups(raw[DBQ_OPS], misses_before)
+        self.cache.credit_lookups(raw[DBQ_OPS], misses_before)
         self._log.append(
             (task, raw, query_stats.simulated_seconds - db_before, wall)
         )

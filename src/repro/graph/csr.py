@@ -17,9 +17,10 @@ plus an offset index — at exactly 8 bytes per stored id:
   re-attached by worker processes without copying a single neighbor id.
 
 Views lazily materialize a tuple (for C-speed iteration/probing) and a
-frozenset (for hash-path intersections); both caches are optional
-accelerations governed by ``hash_cache_limit`` — the packed arrays stay the
-single source of truth.  See DESIGN.md §7 for the layout trade-off.
+frozenset (for hash-path intersections) and keep both for their lifetime,
+so every task after the first finds a row's forms built; the packed
+arrays stay the single source of truth.  See DESIGN.md §7 for the layout
+trade-off.
 """
 
 from __future__ import annotations
@@ -58,14 +59,13 @@ class AdjacencyView:
     (5, 9)
     """
 
-    __slots__ = ("ids", "_tuple", "_fset", "_np", "_owner")
+    __slots__ = ("ids", "_tuple", "_fset", "_np")
 
-    def __init__(self, ids: Sequence[int], owner: "CSRAdjacency" = None) -> None:
+    def __init__(self, ids: Sequence[int]) -> None:
         self.ids = ids
         self._tuple: Optional[tuple] = None
         self._fset: Optional[frozenset] = None
         self._np = None
-        self._owner = owner
 
     # -- set-like protocol --------------------------------------------
     def __len__(self) -> int:
@@ -87,20 +87,14 @@ class AdjacencyView:
         """The row as a tuple (cached; tuples iterate/probe fastest in C)."""
         t = self._tuple
         if t is None:
-            t = tuple(self.ids)
-            owner = self._owner
-            if owner is None or owner._admit_cache():
-                self._tuple = t
+            t = self._tuple = tuple(self.ids)
         return t
 
     def fset(self) -> frozenset:
-        """The row as a frozenset (cached under the owner's budget)."""
+        """The row as a frozenset (cached)."""
         s = self._fset
         if s is None:
-            s = frozenset(self.materialize())
-            owner = self._owner
-            if owner is None or owner._admit_cache():
-                self._fset = s
+            s = self._fset = frozenset(self.materialize())
         return s
 
     def has_fset(self) -> bool:
@@ -108,11 +102,10 @@ class AdjacencyView:
 
     def npids(self):
         """The row as an int64 ndarray — a zero-copy view over the packed
-        buffer (``np.frombuffer``), cached unconditionally: unlike the
-        tuple/frozenset caches it allocates nothing per element, so it
-        sits outside the ``hash_cache_limit`` budget.  Requires numpy
-        (only the vectorized kernels call this, and they only dispatch
-        when numpy is present)."""
+        buffer (``np.frombuffer``), cached like the tuple and frozenset
+        forms, though unlike them it allocates nothing per element.
+        Requires numpy (only the vectorized kernels call this, and they
+        only dispatch when numpy is present)."""
         a = self._np
         if a is None:
             import numpy as np
@@ -211,10 +204,8 @@ class CSRAdjacency:
         "vertex_ids",
         "offsets",
         "neighbors",
-        "hash_cache_limit",
         "_row_of",
         "_views",
-        "_cached_rows",
         "_universe",
         "_shm",
     )
@@ -224,29 +215,22 @@ class CSRAdjacency:
         vertex_ids: Sequence[int],
         offsets: Sequence[int],
         neighbors: Sequence[int],
-        hash_cache_limit: Optional[int] = None,
     ) -> None:
         if len(offsets) != len(vertex_ids) + 1:
             raise ValueError("offsets must have exactly num_vertices + 1 entries")
         self.vertex_ids = vertex_ids
         self.offsets = offsets
         self.neighbors = neighbors
-        #: Max number of rows allowed to cache tuple/frozenset forms; None
-        #: = unbounded.  Bounds per-process decode memory on huge graphs.
-        self.hash_cache_limit = hash_cache_limit
         self._row_of: Dict[Vertex, int] = {
             v: i for i, v in enumerate(vertex_ids)
         }
         self._views: Dict[Vertex, AdjacencyView] = {}
-        self._cached_rows = 0
         self._universe: Optional[AdjacencyView] = None
         self._shm = None  # keeps an attached shared-memory block alive
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(
-        cls, graph: Graph, hash_cache_limit: Optional[int] = None
-    ) -> "CSRAdjacency":
+    def from_graph(cls, graph: Graph) -> "CSRAdjacency":
         """Pack a :class:`Graph` (vertices already sorted ascending)."""
         vertex_ids = array("q", graph.vertices)
         offsets = array("q", [0])
@@ -254,14 +238,7 @@ class CSRAdjacency:
         for v in graph.vertices:
             neighbors.extend(graph.sorted_neighbors(v))
             offsets.append(len(neighbors))
-        return cls(vertex_ids, offsets, neighbors, hash_cache_limit)
-
-    def _admit_cache(self) -> bool:
-        limit = self.hash_cache_limit
-        if limit is not None and self._cached_rows >= limit:
-            return False
-        self._cached_rows += 1
-        return True
+        return cls(vertex_ids, offsets, neighbors)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -276,7 +253,7 @@ class CSRAdjacency:
         if view is None:
             i = self._row_of[v]
             lo, hi = self.offsets[i], self.offsets[i + 1]
-            view = AdjacencyView(self.neighbors[lo:hi], owner=self)
+            view = AdjacencyView(self.neighbors[lo:hi])
             self._views[v] = view
         return view
 
@@ -287,7 +264,7 @@ class CSRAdjacency:
     def universe(self) -> AdjacencyView:
         """V(G) as a sorted view — the CSR stand-in for the ``V`` operand."""
         if self._universe is None:
-            self._universe = AdjacencyView(self.vertex_ids, owner=self)
+            self._universe = AdjacencyView(self.vertex_ids)
         return self._universe
 
     def items(self) -> Iterator[Tuple[Vertex, AdjacencyView]]:
@@ -321,9 +298,7 @@ class CSRAdjacency:
         return CSRShmHandle(shm.name, n, m), shm
 
     @classmethod
-    def from_shared(
-        cls, handle: CSRShmHandle, hash_cache_limit: Optional[int] = None
-    ) -> "CSRAdjacency":
+    def from_shared(cls, handle: CSRShmHandle) -> "CSRAdjacency":
         """Attach to a shared block — zero adjacency bytes are copied.
 
         The returned object keeps the mapping alive for its own lifetime
@@ -337,7 +312,6 @@ class CSRAdjacency:
             mv[0:n],
             mv[n : 2 * n + 1],
             mv[2 * n + 1 : 2 * n + 1 + m],
-            hash_cache_limit,
         )
         csr._shm = shm
         ATTACH_STATS.attaches += 1

@@ -364,8 +364,7 @@ def intersect_count(
 
     The innermost-loop peephole of counting plans: on a sorted operand the
     bounds collapse to two binary searches (O(log n), no allocation); on a
-    hash-set operand the filters run as a generator sum — no set build, no
-    per-element hashing.
+    hash-set operand the excluded scalars come off the bounded set's size.
     """
     if len(ops) == 1:
         a = ops[0]
@@ -374,7 +373,7 @@ def intersect_count(
             ids = a.ids if isinstance(a, AdjacencyView) else a
             i = bisect_right(ids, lo) if lo is not None else 0
             j = bisect_left(ids, hi) if hi is not None else len(ids)
-            n = j - i
+            n = max(0, j - i)  # lo >= hi bounds an empty window
             if n and exclude:
                 for e in exclude:
                     k = bisect_left(ids, e, i, j)
@@ -382,21 +381,9 @@ def intersect_count(
                         n -= 1
             return n
         stats.set += 1
-        if exclude:
-            if lo is not None and hi is not None:
-                return sum(1 for v in a if lo < v < hi and v not in exclude)
-            if lo is not None:
-                return sum(1 for v in a if v > lo and v not in exclude)
-            if hi is not None:
-                return sum(1 for v in a if v < hi and v not in exclude)
-            return sum(1 for v in a if v not in exclude)
-        if lo is not None and hi is not None:
-            return sum(1 for v in a if lo < v < hi)
-        if lo is not None:
-            return sum(1 for v in a if v > lo)
-        if hi is not None:
-            return sum(1 for v in a if v < hi)
-        return len(a)
+        if lo is not None or hi is not None:
+            a = _bounds_filter(a, lo, hi)
+        return len(a) - len(a.intersection(exclude)) if exclude else len(a)
     return len(intersect_filtered(ops, lo, hi, exclude, stats))
 
 

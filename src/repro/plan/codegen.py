@@ -23,13 +23,39 @@ Two compilation modes:
     ``len(S)`` — a partial match is injective, so the excluded scalars
     are pairwise distinct — and its symmetry bounds stay one
     comprehension without them; on the csr layout the count comes from
-    bisect arithmetic or the count kernel.  The len() peephole remains
+    the kind of the operand (see "csr sites" below).  The len() peephole remains
     the fallback for tails this rule rejects.
   - *NE difference* (frozenset layout): any other INT whose filters are
     all injectivity filters is the C-level ``S - {f1, f2}``, whose result
     iterates in a different order than the comprehension's.
 * ``collect`` — every result is passed to an ``emit`` callback as a tuple
   indexed by sorted pattern vertex (compressed set slots are frozen).
+
+csr sites.  Every csr operand has a static kind: *view* (a DBQ target),
+*sorted* (``_srt``, ``sorted`` or ``between`` output), *set*
+(``.fset().intersection`` output) or *either* (view ∩ view: a frozenset
+below the vectorized crossover ``_X``, bound at compile time, a sorted
+list above it).  Each site emits what its operand kinds allow:
+
+============  =========  ==================================================
+kind          filters    emitted expression
+============  =========  ==================================================
+view ∩ view   none       ``A.fset() & B.fset()`` below ``_X``, else ``_ikv``
+view ∩ other  none       ``A.fset().intersection(S)``
+view, sorted  any        a bisect slice, then per exclusion one bisect and
+                         a slice concatenation
+set           any        ``_ik1``'s comprehension, ``isdisjoint``/``difference``
+either        not both   the set form if ``type(T) is frozenset``, else ``_ik1``
+tail: sorted  any        bisect bounds minus one bisect-membership term per
+                         excluded scalar (views: on ``ids``)
+tail: set     any        the frozenset layout's count tail (also *either*)
+other         any        ``_ik1`` / ``_ik2`` / ``_ikn`` / ``_ikc``
+============  =========  ==================================================
+
+Each inline form returns the kernel call's value, in its iteration order,
+touching the same view caches, so the INT-site forms apply in both modes;
+a profiled compile keeps the kernel calls.  TRC sites share one triangle
+cache, so a TRC target's kind is the join over all of them.
 
 With ``instrument=True`` (default) the function counts INT/TRC/DBQ/ENU
 executions and triangle-cache misses — the quantities the paper's cost
@@ -41,9 +67,10 @@ Section III-A.
 from __future__ import annotations
 
 import io
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .generation import ExecutionPlan
 from .instructions import (
@@ -140,6 +167,13 @@ class CompiledPlan:
         return TaskCounters.from_tuple(self.run_raw(*args, **kwargs))
 
 
+#: Static kinds of a csr operand (module docstring, "csr sites").
+VIEW = "view"      # a DBQ target: an AdjacencyView
+SORTED = "sorted"  # an ascending tuple or list
+SET = "set"        # a set or frozenset
+EITHER = "either"  # a hash set or an ascending list, decided at run time
+
+
 def _filter_expr(var: str, filters: Sequence[Filter]) -> str:
     """The comprehension condition realizing the filtering conditions."""
     parts = []
@@ -209,12 +243,10 @@ def generate_source(
     count tail, no NE difference).  Without it no probe is emitted and the
     default path pays zero overhead.
 
-    With ``backend="csr"`` every INT/TRC site calls the adaptive
-    intersection kernels of :mod:`repro.kernels.intersect` instead of
-    ``&``: multi-way intersections are reordered smallest-first at
-    dispatch time and the symmetry-breaking filters compile to bisect
-    bounds (``lo``/``hi``/``exclude`` kernel arguments) rather than
-    per-candidate comparisons.  ``get_adj`` must then serve sorted
+    With ``backend="csr"`` every INT/TRC site compiles to what its operand
+    kinds allow (the module docstring's "csr sites") and, where a kind is
+    unknown, calls the adaptive kernels of :mod:`repro.kernels.intersect`
+    with the filters as bisect bounds.  ``get_adj`` must then serve sorted
     :class:`~repro.graph.csr.AdjacencyView` rows.
     """
     if mode not in ("count", "collect"):
@@ -279,11 +311,11 @@ def generate_source(
     # one-time sort is amortized over the consumer loop's iterations,
     # turning its per-iteration filters into bisect slices/counts.
     sorted_targets: set = set()
-    view_names: set = set()
-    known_sorted: set = set()
+    #: Static kind of each csr name ("csr sites"); absent = anything.
+    kinds: Dict[str, Optional[str]] = {}
     if csr:
-        view_names = {
-            other.target
+        kinds = {
+            other.target: VIEW
             for other in instructions
             if other.type is InstructionType.DBQ
         }
@@ -307,7 +339,120 @@ def generate_source(
                 p = producer_at.get(other.operands[0])
                 if p is not None and depth_of[i] > depth_of[p]:
                     sorted_targets.add(other.operands[0])
-        known_sorted = view_names | sorted_targets
+        # Every TRC site reads the task's one triangle cache, so a target
+        # may hold what another site stored: its kind is the sites' join.
+        trc_kinds = {
+            SORTED if other.target in sorted_targets
+            else EITHER if all(kinds.get(o) == VIEW for o in other.operands[-2:])
+            else None
+            for other in instructions
+            if other.type is InstructionType.TRC
+        }
+        trc_kind = trc_kinds.pop() if len(trc_kinds) == 1 else (
+            EITHER if trc_kinds == {SORTED, EITHER} else None
+        )
+
+    # Kind-directed csr sites replace kernel calls; a profiled compile
+    # keeps every csr site the plain kernel call it times.
+    lower = csr and not profile
+
+    def assign(target: str, expr: str, kind: Optional[str]) -> None:
+        # One csr INT/TRC result, sorted once when a deeper loop re-filters it.
+        if target in sorted_targets and kind != SORTED:
+            expr, kind = f"_srt({expr})", SORTED
+        out.line(f"{target} = {expr}")
+        kinds[target] = kind
+
+    def views_meet(a: str, b: str, target: str) -> Tuple[str, str]:
+        # Row ∩ row: the frozenset path of ``_ikv`` inline below the
+        # vectorized crossover ``_X``, the kernel above it.
+        if not lower:
+            return f"_ikv({a}, {b})", EITHER
+        hashed, kind = f"{a}.fset() & {b}.fset()", EITHER
+        if target in sorted_targets:
+            hashed, kind = f"sorted({hashed})", SORTED
+        small = f"len({a}.ids) < _X or len({b}.ids) < _X"
+        return f"{hashed} if {small} else _ikv({a}, {b})", kind
+
+    def filter_one(op: str, kind: Optional[str], filters) -> Optional[Tuple[str, str]]:
+        # A filtered single-operand INT as the expression its operand kind
+        # allows (emitting any prelude lines); None keeps ``_ik1``.
+        lo, hi, excl = _filter_bounds(filters)
+        bounds = [f for f in filters if f.kind is not FilterKind.NE]
+        excluded = [f.var for f in filters if f.kind is FilterKind.NE]
+        if kind in (VIEW, SORTED):
+            # Bounds are one bisect slice, each exclusion one bisect and a
+            # slice concatenation.
+            if kind == VIEW:
+                expr = (
+                    f"{op}.between({lo}, {hi})" if bounds
+                    else f"{op}.materialize()"
+                )
+            else:
+                i = f"_br({op}, {lo})" if lo != "None" else ""
+                j = f"_bl({op}, {hi})" if hi != "None" else ""
+                expr = f"{op}[{i}:{j}]" if bounds else op
+            for x in excluded:
+                t = expr
+                if t != op:
+                    out.line(f"_t = {expr}")
+                    t = "_t"
+                expr = (
+                    f"{t}[:_p] + {t}[_p + 1:] if (_p := _bl({t}, {x})) < len({t})"
+                    f" and {t}[_p] == {x} else {t}"
+                )
+            return expr, SORTED
+        if kind == SET or (kind == EITHER and not (bounds and excluded)):
+            # What ``_ik1`` does to a hash set, without the dispatch: the
+            # same comprehension, the same difference, so the same order.
+            expr = op
+            if bounds:
+                expr = f"{{v for v in {op} if {_filter_expr('v', bounds)}}}"
+            if excluded:
+                if bounds:
+                    out.line(f"_t = {expr}")
+                    expr = "_t"
+                expr = f"{expr} if {expr}.isdisjoint({excl}) else {expr}.difference({excl})"
+            if kind == EITHER:
+                kernel = f"_ik1({op}, {lo}, {hi}, {excl})"
+                expr = f"({expr}) if type({op}) is frozenset else {kernel}"
+            return expr, kind
+        return None
+
+    def csr_int(inst: Instruction) -> None:
+        ops = [_operand_expr(o) for o in inst.operands]
+        names = inst.operands
+        if len(ops) == 1 and not inst.filters:
+            # An alias shares its operand's kind, but *view* means a DBQ
+            # target: the row sites below are keyed on fresh rows only.
+            out.line(f"{inst.target} = {ops[0]}")
+            kind = kinds.get(names[0])
+            kinds[inst.target] = None if kind == VIEW else kind
+            return
+        lo, hi, excl = _filter_bounds(inst.filters)
+        if len(ops) == 1:
+            # A profiled compile keeps only the one lowering that predates
+            # the site table: a row view's bounds as a between() slice.
+            kind = kinds.get(names[0])
+            lowered = (
+                filter_one(ops[0], kind, inst.filters)
+                if lower or (kind == VIEW and excl == "()") else None
+            )
+            assign(inst.target, *(lowered or (f"_ik1({ops[0]}, {lo}, {hi}, {excl})", None)))
+            return
+        views = [kinds.get(n) == VIEW for n in names]
+        if len(ops) == 2 and not inst.filters and all(views):
+            # Two fresh rows: their cached frozensets, or numpy past ``_X``.
+            assign(inst.target, *views_meet(ops[0], ops[1], inst.target))
+        elif len(ops) == 2 and not inst.filters and any(views):
+            # Row ∩ prior (smaller) result: probe the row's hash cache,
+            # iterating the small operand.
+            view, small = (ops[1], ops[0]) if views[1] else (ops[0], ops[1])
+            assign(inst.target, f"{view}.fset().intersection({small})", SET)
+        elif len(ops) == 2:
+            assign(inst.target, f"_ik2({ops[0]}, {ops[1]}, {lo}, {hi}, {excl})", None)
+        else:
+            assign(inst.target, f"_ikn(({', '.join(ops)}), {lo}, {hi}, {excl})", None)
 
     # Count-only lowerings (module docstring) rewrite INT sites in ways that
     # change candidate order; profiled compiles keep every site plain.
@@ -353,27 +498,39 @@ def generate_source(
         out.line("_c = " + " - ".join(terms))
 
     def csr_count_tail(inst: Instruction) -> None:
-        # Sorted rows: the count kernel returns the cardinality straight
-        # from bisect bounds (sorted operand) or a generator sum (hash set).
+        # A known operand kind counts arithmetically (module docstring);
+        # anything else goes through the count kernel.
         ops = [_operand_expr(o) for o in inst.operands]
         lo, hi, excl = _filter_bounds(inst.filters)
-        src = ops[0]
-        if len(ops) == 1 and excl == "()" and inst.operands[0] in known_sorted:
-            # Fully inline: the operand is statically sorted, so the count
-            # is pure bisect arithmetic — no kernel dispatch, no result
-            # allocation.
-            seq = f"{src}.ids" if inst.operands[0] in view_names else src
-            if lo != "None" and hi != "None":
-                expr = f"max(0, _bl({seq}, {hi}) - _br({seq}, {lo}))"
-            elif lo != "None":
-                expr = f"len({seq}) - _br({seq}, {lo})"
-            elif hi != "None":
-                expr = f"_bl({seq}, {hi})"
-            else:
-                expr = f"len({seq})"
-            out.line(f"_c = {expr}")
-        else:
+        kind = kinds.get(inst.operands[0]) if len(ops) == 1 else None
+        if kind in (SET, EITHER):
+            set_count_tail(inst)
+            return
+        if kind not in (VIEW, SORTED):
             out.line(f"_c = _ikc(({', '.join(ops)},), {lo}, {hi}, {excl})")
+            return
+        excluded = [f.var for f in inst.filters if f.kind is FilterKind.NE]
+        seq = f"{ops[0]}.ids" if kind == VIEW else ops[0]
+        if excluded:
+            out.line(f"_d = {seq}")
+            seq = "_d"
+        i = f"_br({seq}, {lo})" if lo != "None" else "0"
+        j = f"_bl({seq}, {hi})" if hi != "None" else f"len({seq})"
+        if excluded and lo != "None":
+            out.line(f"_i = {i}")
+            i = "_i"
+        if excluded and hi != "None":
+            out.line(f"_j = {j}")
+            j = "_j"
+        size = j if lo == "None" else f"{j} - {i}"
+        if lo != "None" and hi != "None":
+            size = f"max(0, {size})"
+        window = f", {i}, {j}" if (lo, hi) != ("None", "None") else ""
+        terms = [
+            f"((_p := _bl(_d, {x}{window})) < {j} and _d[_p] == {x})"
+            for x in excluded
+        ]
+        out.line("_c = " + " - ".join([size] + terms))
 
     for idx, inst in enumerate(instructions):
         if inst.type is InstructionType.INI:
@@ -399,60 +556,7 @@ def generate_source(
             def int_body(inst=inst):
                 ops = [_operand_expr(o) for o in inst.operands]
                 if csr:
-                    if len(ops) == 1 and not inst.filters:
-                        out.line(f"{inst.target} = {ops[0]}")
-                    else:
-                        lo, hi, excl = _filter_bounds(inst.filters)
-                        names = [o for o in inst.operands]
-                        if (
-                            len(ops) == 1
-                            and excl == "()"
-                            and names[0] in view_names
-                        ):
-                            # Statically a sorted row view: bounds are one
-                            # between() slice, no kernel dispatch.
-                            call = f"{ops[0]}.between({lo}, {hi})"
-                        elif len(ops) == 1:
-                            call = f"_ik1({ops[0]}, {lo}, {hi}, {excl})"
-                        elif (
-                            len(ops) == 2
-                            and excl == "()"
-                            and lo == "None"
-                            and hi == "None"
-                            and all(n in view_names for n in names)
-                        ):
-                            # Two fresh rows: the view-pair kernel — hash
-                            # intersection over the rows' cached frozensets
-                            # (built once per row per process) below the
-                            # vectorized crossover, numpy over the raw
-                            # int64 buffers above it.
-                            call = f"_ikv({ops[0]}, {ops[1]})"
-                        elif (
-                            len(ops) == 2
-                            and excl == "()"
-                            and lo == "None"
-                            and hi == "None"
-                            and (names[0] in view_names or names[1] in view_names)
-                        ):
-                            # Row ∩ prior (smaller) result: probe the row's
-                            # hash cache, iterating the small operand.
-                            view, small = (
-                                (ops[1], ops[0])
-                                if names[1] in view_names
-                                else (ops[0], ops[1])
-                            )
-                            call = f"{view}.fset().intersection({small})"
-                        elif len(ops) == 2:
-                            call = (
-                                f"_ik2({ops[0]}, {ops[1]}, {lo}, {hi}, {excl})"
-                            )
-                        else:
-                            call = (
-                                f"_ikn(({', '.join(ops)}), {lo}, {hi}, {excl})"
-                            )
-                        if inst.target in sorted_targets:
-                            call = f"_srt({call})"
-                        out.line(f"{inst.target} = {call}")
+                    csr_int(inst)
                 elif inst.filters:
                     src = ops[0] if len(ops) == 1 else "(" + " & ".join(ops) + ")"
                     if unordered and all(
@@ -491,13 +595,14 @@ def generate_source(
                 out.line(f"if {inst.target} is None:")
                 out.depth += 1
                 if csr:
-                    if ai in view_names and aj in view_names:
-                        call = f"_ikv({_operand_expr(ai)}, {_operand_expr(aj)})"
+                    if kinds.get(ai) == VIEW and kinds.get(aj) == VIEW:
+                        site = views_meet(
+                            _operand_expr(ai), _operand_expr(aj), inst.target
+                        )
                     else:
-                        call = f"_ik2({ai}, {aj}, None, None, ())"
-                    if inst.target in sorted_targets:
-                        call = f"_srt({call})"
-                    out.line(f"{inst.target} = {call}")
+                        site = f"_ik2({ai}, {aj}, None, None, ())", None
+                    assign(inst.target, *site)
+                    kinds[inst.target] = trc_kind
                 else:
                     out.line(f"{inst.target} = {ai} & {aj}")
                 out.line(f"tcache[_k] = {inst.target}")
@@ -579,12 +684,14 @@ def compile_plan(
     sampling probes into every DBQ/INT/TRC site; None (the default)
     generates exactly the unprofiled source.
 
-    ``backend="csr"`` generates kernel-calling INT/TRC sites (see
-    :func:`generate_source`); ``get_adj`` must then serve sorted
-    adjacency views, e.g. from a csr-backed store.
+    ``backend="csr"`` generates kind-directed INT/TRC sites (see
+    :func:`generate_source`) bound to the current vectorized crossover;
+    ``get_adj`` must then serve sorted adjacency views, e.g. from a
+    csr-backed store.
 
     An instrumented, unprofiled compile — what every execution backend
-    asks for — is memoised on the plan per ``(mode, backend)``, so a plan
+    asks for — is memoised on the plan per ``(mode, backend, crossover)``
+    (so ``set_crossover()`` recompiles), so a plan
     served from a plan cache is generated and compiled once, not once per
     query.  The memo entry remembers the instructions and constants it was
     compiled from and is ignored once the plan no longer has them.
@@ -602,11 +709,27 @@ def compile_plan(
     >>> total  # 4 triangles in K4, symmetry breaking dedups automorphisms
     4
     """
+    crossover = None
+    if backend == "csr":
+        # Importing the kernels calibrates the crossover the sites bind.
+        from ..kernels import vectorized
+        from ..kernels.intersect import (
+            _intersect1,
+            _intersect2,
+            _intersectn,
+            ensure_sorted,
+            filter_override,
+            intersect_count,
+            intersect_views,
+        )
+
+        crossover = vectorized.CROSSOVER
     memo = None
+    key = (mode, backend, crossover)
     if instrument and profiler is None:
         compiled_from = (tuple(plan.instructions), dict(plan.constants))
         memo = plan.__dict__.setdefault("_compiled", {})
-        hit = memo.get((mode, backend))
+        hit = memo.get(key)
         if hit is not None and hit[0] == compiled_from:
             return hit[1]
     source = generate_source(
@@ -622,16 +745,6 @@ def compile_plan(
         namespace["_prof_rec"] = profiler.record
         namespace["_prof_now"] = profiler.clock
     if backend == "csr":
-        from ..kernels.intersect import (
-            _intersect1,
-            _intersect2,
-            _intersectn,
-            ensure_sorted,
-            filter_override,
-            intersect_count,
-            intersect_views,
-        )
-
         namespace["_ik1"] = _intersect1
         namespace["_ik2"] = _intersect2
         namespace["_ikn"] = _intersectn
@@ -641,6 +754,7 @@ def compile_plan(
         namespace["_ovr"] = filter_override
         namespace["_bl"] = bisect_left
         namespace["_br"] = bisect_right
+        namespace["_X"] = sys.maxsize if crossover is None else crossover
     code = compile(source, f"<benu-plan:{plan.pattern.name}>", "exec")
     exec(code, namespace)  # noqa: S102 - trusted generated code
     function = namespace["_benu_task"]
@@ -654,5 +768,5 @@ def compile_plan(
         backend=backend,
     )
     if memo is not None:
-        memo[(mode, backend)] = (compiled_from, compiled)
+        memo[key] = (compiled_from, compiled)
     return compiled

@@ -7,12 +7,12 @@ the data-graph size), with LRU replacement capturing the intra-task
 locality of the backtracking search and the sharing capturing inter-task
 locality around hot high-degree vertices.
 
-An *unbounded* cache (the paper's default setup: 30 GB, more than any
-graph here) never evicts, so nothing ever reads its replacement order;
-its hit path is then a plain dict lookup
-(:meth:`LRUDatabaseCache.uncounted_getter`) and the hits are settled per
-task from the DBQ count.  The bounded cache — the Fig. 8 regime — pays
-for its policy on every hit.
+Compiled plans look up through :meth:`LRUDatabaseCache.uncounted_getter`
+and settle the hits per task from the DBQ count.  An *unbounded* cache
+(the paper's 30 GB default) never evicts: a hit is a plain dict lookup.
+A bounded LRU cache — the Fig. 8 regime — is an ``OrderedDict`` that is
+its own recency order: a hit is one probe and a ``move_to_end``, a victim
+a ``popitem(last=False)``.  FIFO, LFU and random keep a policy object.
 
 The triangle cache (Optimization 3) is just a dict created fresh per local
 search task: every key contains the task's start vertex, so entries cannot
@@ -21,8 +21,9 @@ help any other task and the dict's lifetime bounds its size by d(start).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional
+from typing import Callable, FrozenSet, Optional
 
 from ..graph.graph import Vertex
 from .kvstore import DistributedKVStore, QueryStats
@@ -68,11 +69,7 @@ class _SelfLoadingEntries(dict):
     __slots__ = ("cache",)
 
     def __missing__(self, key: Vertex):
-        cache = self.cache
-        cache.stats.misses += 1
-        value = cache.store.get(key, cache.query_stats)
-        cache._admit(key, value)
-        return value
+        return self.cache._miss(key)
 
 
 class LRUDatabaseCache:
@@ -108,13 +105,23 @@ class LRUDatabaseCache:
         self.query_stats = query_stats if query_stats is not None else QueryStats()
         self.stats = CacheStats()
         self.policy_name = policy
-        self._policy = make_policy(policy)
-        self._entries: Dict[Vertex, FrozenSet[Vertex]] = {}
+        # The hit hook.  A bounded LRU table is its own recency order and
+        # an unbounded one never evicts: only FIFO, LFU and random keep a
+        # policy object (see ``clear``).
         if capacity_bytes is None:
             self._entries = _SelfLoadingEntries()
             self._entries.cache = self
+            self._touch = lambda key: None
+        else:
+            self._entries = OrderedDict()
+            self._touch = (
+                self._entries.move_to_end if policy == "lru" else self._policy_hit
+            )
         self._entry_bytes = {}
-        self._used_bytes = 0
+        self.clear()
+
+    def _policy_hit(self, key: Vertex) -> None:
+        self._policy.on_hit(key)
 
     # ------------------------------------------------------------------
     @property
@@ -127,10 +134,13 @@ class LRUDatabaseCache:
     def get(self, key: Vertex) -> FrozenSet[Vertex]:
         """Adjacency set of ``key``: from cache, else from the store."""
         entry = self._entries.get(key)
-        if entry is not None:
-            self.stats.hits += 1
-            self._policy.on_hit(key)
-            return entry
+        if entry is None:
+            return self._miss(key)
+        self.stats.hits += 1
+        self._touch(key)
+        return entry
+
+    def _miss(self, key: Vertex) -> FrozenSet[Vertex]:
         self.stats.misses += 1
         value = self.store.get(key, self.query_stats)
         self._admit(key, value)
@@ -143,36 +153,42 @@ class LRUDatabaseCache:
         if self.capacity_bytes is not None:
             if nbytes > self.capacity_bytes:
                 return  # would evict everything and still not fit
+            entries, policy = self._entries, self._policy
             while self._used_bytes + nbytes > self.capacity_bytes:
-                victim = self._policy.victim()
-                self._policy.on_evict(victim)
-                del self._entries[victim]
+                if policy is None:
+                    victim = entries.popitem(last=False)[0]
+                else:
+                    victim = policy.victim()
+                    policy.on_evict(victim)
+                    del entries[victim]
                 self._used_bytes -= self._entry_bytes.pop(victim)
                 self.stats.evictions += 1
+            if policy is not None:
+                policy.on_insert(key)
         self._entries[key] = value
         self._entry_bytes[key] = nbytes
         self._used_bytes += nbytes
-        self._policy.on_insert(key)
 
     def clear(self) -> None:
         self._entries.clear()
         self._entry_bytes.clear()
         self._used_bytes = 0
-        self._policy = make_policy(self.policy_name)
+        policy = make_policy(self.policy_name)  # rejects an unknown name
+        evicts_by_policy = self.capacity_bytes is not None and self.policy_name != "lru"
+        self._policy = policy if evicts_by_policy else None
 
     def as_getter(self) -> Callable[[Vertex], FrozenSet[Vertex]]:
         """The ``get_adj`` callable handed to compiled plans."""
         return self.get
 
-    def uncounted_getter(self) -> Optional[Callable[[Vertex], FrozenSet[Vertex]]]:
-        """A ``get_adj`` that counts misses but not hits; None when bounded.
+    def uncounted_getter(self) -> Callable[[Vertex], FrozenSet[Vertex]]:
+        """A ``get_adj`` that counts misses but not hits.
 
-        An unbounded cache never evicts, so nothing ever reads its
-        replacement order and a hit need not touch it: the getter is the
-        entry table's own ``__getitem__``, whose ``__missing__`` does
-        everything a miss does in :meth:`get`.  The caller knows how many
-        lookups it made (a task's DBQ count) and settles the hits with
-        :meth:`credit_lookups`, so :attr:`stats` stays exact.
+        The caller knows how many lookups it made (a task's DBQ count) and
+        settles the hits with :meth:`credit_lookups`, so :attr:`stats`
+        stays exact.  Unbounded, the getter is the entry table's own
+        ``__getitem__`` (its ``__missing__`` is the miss path); bounded,
+        it is one probe and, on a hit, the hit hook.
 
         >>> from repro.graph.graph import complete_graph
         >>> cache = LRUDatabaseCache(DistributedKVStore.from_graph(complete_graph(3)))
@@ -183,9 +199,18 @@ class LRUDatabaseCache:
         >>> (cache.stats.hits, cache.stats.misses)
         (1, 2)
         """
-        if self.capacity_bytes is not None:
-            return None
-        return self._entries.__getitem__
+        if self.capacity_bytes is None:
+            return self._entries.__getitem__
+        lookup, touch, miss = self._entries.get, self._touch, self._miss
+
+        def get_adj(key: Vertex) -> FrozenSet[Vertex]:
+            entry = lookup(key)
+            if entry is None:
+                return miss(key)
+            touch(key)
+            return entry
+
+        return get_adj
 
     def credit_lookups(self, lookups: int, misses_before: int) -> None:
         """Count as hits those of ``lookups`` that were not misses.

@@ -39,7 +39,8 @@ class ReplacementPolicy:
 
 
 class LRUPolicy(ReplacementPolicy):
-    """Least recently used — the paper's default."""
+    """Least recently used — the paper's default (a bounded database cache
+    keeps its own order instead: its entry table is an ``OrderedDict``)."""
 
     def __init__(self) -> None:
         self._order: "OrderedDict[Hashable, None]" = OrderedDict()

@@ -1,10 +1,14 @@
 """Tests for the LRU database cache (Section V-A)."""
 
+from dataclasses import astuple
+
 import pytest
 
+from repro.graph.generators import chung_lu
 from repro.graph.graph import complete_graph, star_graph
 from repro.storage.cache import CacheStats, LRUDatabaseCache, new_triangle_cache
 from repro.storage.kvstore import DistributedKVStore
+from repro.storage.policies import POLICIES
 
 
 def store_for(graph):
@@ -121,3 +125,51 @@ class TestInterfaces:
     def test_new_triangle_cache_is_fresh_dict(self):
         a, b = new_triangle_cache(), new_triangle_cache()
         assert a == {} and a is not b
+
+
+class TestUncountedGetter:
+    """``uncounted_getter`` + per-task ``credit_lookups`` replay ``get``."""
+
+    @staticmethod
+    def _replay(graph, capacity, policy, counted):
+        import random
+
+        store = DistributedKVStore.from_graph(graph, backend="csr")
+        cache = LRUDatabaseCache(store, capacity_bytes=capacity, policy=policy)
+        rng = random.Random(11)
+        # Skewed toward low ids, so some rows stay hot and some go cold.
+        keys = [min(rng.choice(graph.vertices) for _ in range(2)) for _ in range(3000)]
+        get = cache.get if counted else cache.uncounted_getter()
+        done = 0
+        while done < len(keys):
+            # One task's lookups, settled the way a worker settles them.
+            task = keys[done : done + rng.randint(1, 40)]
+            done += len(task)
+            misses_before = cache.stats.misses
+            for key in task:
+                assert len(get(key)) == graph.degree(key)
+            if not counted:
+                cache.credit_lookups(len(task), misses_before)
+        return (
+            astuple(cache.stats),
+            cache.used_bytes,
+            astuple(store.stats),
+            list(cache._entries),
+        )
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("capacity", ["none", "zero", "row", "quarter"])
+    def test_same_ledger_and_order_as_get(self, policy, capacity):
+        graph = chung_lu(120, 5.0, exponent=2.3, seed=3)
+        total = 8 * 2 * graph.num_edges
+        capacity_bytes = {
+            "none": None,
+            "zero": 0,
+            "row": 8 * max(graph.degree(v) for v in graph.vertices),
+            "quarter": total // 4,
+        }[capacity]
+        want = self._replay(graph, capacity_bytes, policy, counted=True)
+        got = self._replay(graph, capacity_bytes, policy, counted=False)
+        assert got == want
+        if capacity in ("row", "quarter"):
+            assert want[0][2] > 0  # the trace really evicts

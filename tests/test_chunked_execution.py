@@ -146,8 +146,12 @@ class TestUnboundedCacheFastPath:
         fast = _run(name, small, config)
         assert fast.cache.hits and fast.cache.misses
         with monkeypatch.context() as patch:
+            # Every lookup through ``get``, which counts its own hits.
             patch.setattr(
-                LRUDatabaseCache, "uncounted_getter", lambda self: None
+                LRUDatabaseCache, "uncounted_getter", lambda self: self.get
+            )
+            patch.setattr(
+                LRUDatabaseCache, "credit_lookups", lambda self, *args: None
             )
             slow = _run(name, small, config)
         got, want = self._ledger(fast), self._ledger(slow)

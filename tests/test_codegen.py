@@ -1,5 +1,8 @@
 """Tests for the plan compiler (codegen) against the reference interpreter."""
 
+import re
+import sys
+from contextlib import contextmanager
 from dataclasses import astuple
 from itertools import combinations, permutations
 from pathlib import Path
@@ -12,6 +15,7 @@ from repro.graph.generators import erdos_renyi, random_connected_graph
 from repro.graph.graph import Graph, complete_graph
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import PATTERNS, get_pattern
+from repro.kernels import vectorized
 from repro.labeled.graphs import LabeledGraph
 from repro.labeled.pattern import LabeledPatternGraph
 from repro.labeled.plans import labelize_plan
@@ -86,6 +90,20 @@ class TestCompileMemo:
         assert compile_plan(plan, mode="count", backend="csr") is not first
         assert compile_plan(plan, mode="count", backend="csr").backend == "csr"
         assert compile_plan(plan, mode="collect").mode == "collect"
+
+    def test_a_new_crossover_recompiles_csr(self):
+        plan = plan_for("square", [1, 2, 3, 4])
+        with pinned_crossover(None):
+            never = compile_plan(plan, backend="csr")
+            assert compile_plan(plan, backend="csr") is never
+            frozen = compile_plan(plan)
+        with pinned_crossover(64):
+            assert compile_plan(plan) is frozen
+            again = compile_plan(plan, backend="csr")
+        assert again is not never and again.source == never.source
+        assert never._function.__globals__["_X"] == sys.maxsize
+        want = 64 if vectorized.HAVE_NUMPY else sys.maxsize
+        assert again._function.__globals__["_X"] == want
 
     def test_uninstrumented_and_profiled_compiles_bypass_it(self):
         from repro.telemetry import MetricsRegistry
@@ -290,32 +308,80 @@ def sampled_orders(pg, limit=24):
     return orders[:: max(1, len(orders) // limit)]
 
 
+class _NeverSample:
+    """A profiler whose gate never opens: a profiled csr compile then runs
+    every INT/TRC site as the plain kernel call the lowered sites replace."""
+
+    should_sample = staticmethod(lambda: False)
+    record = staticmethod(lambda label, seconds: None)
+    clock = staticmethod(lambda: 0.0)
+
+
+@contextmanager
+def pinned_crossover(value):
+    before = vectorized.CROSSOVER
+    vectorized.set_crossover(value)
+    try:
+        yield
+    finally:
+        vectorized.set_crossover(before)
+
+
+#: Both sides of every inlined ``len(...) < _X`` test: never vectorize,
+#: and (with numpy) vectorize every non-empty row pair.
+CROSSOVERS = (None, 1)
+
+
+def _traced_run(variant, v, get_adj, universe, override):
+    """(counters, emitted rows, DBQ keys) of one task, in order."""
+    rows, keys = [], []
+
+    def traced_get(key):
+        keys.append(key)
+        return get_adj(key)
+
+    counters = variant.run_raw(
+        v, traced_get, universe, emit=rows.append, tcache={},
+        candidate_override=override,
+    )
+    return counters, rows, keys
+
+
 def assert_all_modes_count_alike(plan, graph, starts=None, override=None):
-    """count == interpreter == collect, all six counters, task by task."""
+    """count == interpreter == collect, all six counters, task by task.
+
+    On csr, at each pinned crossover, the lowered sites must also emit the
+    rows and issue the DBQs the kernel-call sites do, in the same order.
+    """
     csr = CSRAdjacency.from_graph(graph)
     vset = frozenset(graph.vertices)
-    layouts = (
-        ("frozenset", graph.neighbors, vset),
-        ("csr", csr.row, csr.universe()),
-    )
-    compiled = [
-        (compile_plan(plan, mode=mode, backend=layout), get_adj, universe)
-        for layout, get_adj, universe in layouts
-        for mode in ("count", "collect")
-    ]
-    for v in graph.vertices if starts is None else starts:
-        want = astuple(
+    starts = graph.vertices if starts is None else starts
+    wants = {
+        v: astuple(
             interpret_plan(
                 plan, v, graph.neighbors, vset=vset, tcache={},
                 candidate_override=override,
             )
         )
-        for variant, get_adj, universe in compiled:
-            got = variant.run_raw(
-                v, get_adj, universe, emit=lambda row: None, tcache={},
-                candidate_override=override,
-            )
-            assert got == want, (plan.order, v, variant.backend, variant.mode)
+        for v in starts
+    }
+    runs = [("frozenset", graph.neighbors, vset, None)] + [
+        ("csr", csr.row, csr.universe(), crossover) for crossover in CROSSOVERS
+    ]
+    for layout, get_adj, universe, crossover in runs:
+        with pinned_crossover(crossover):
+            for mode in ("count", "collect"):
+                variant = compile_plan(plan, mode=mode, backend=layout)
+                kernel = layout == "csr" and compile_plan(
+                    plan, mode=mode, backend=layout, profiler=_NeverSample()
+                )
+                for v in starts:
+                    got = _traced_run(variant, v, get_adj, universe, override)
+                    where = (plan.order, v, layout, mode, crossover)
+                    assert got[0] == wants[v], where
+                    if kernel:
+                        want = _traced_run(kernel, v, get_adj, universe, override)
+                        assert got[1:] == want[1:], where
 
 
 class TestCountLoweringsDifferential:
@@ -413,6 +479,81 @@ class TestCountLoweringsSourceShape:
         """Collect mode, the csr layout and profiled compiles did not move."""
         want = (GOLDEN / f"{golden}.py.txt").read_text(encoding="utf-8")
         assert generate_source(plan_for(*self.Q2), **kwargs) == want
+
+
+def _definition(source, name):
+    """The right-hand side giving ``name`` its value (a TRC target's
+    computed value, not its cache probe); None for task arguments."""
+    for line in source.splitlines():
+        lhs, sep, rhs = line.strip().partition(" = ")
+        if sep and lhs == name and not rhs.startswith("tcache.get("):
+            return rhs
+    return None
+
+
+def _static_kind(source, name):
+    """view / sorted / set as read off the generated source, else None.
+
+    Every TRC site stores into the task's one triangle cache, so a TRC
+    target has a kind only when all TRC sites compute the same kind.
+    """
+    trc = re.findall(r"(\w+) = tcache\.get\(", source)
+    if name in trc:
+        kinds = {_rhs_kind(source, _definition(source, t)) for t in trc}
+        return kinds.pop() if len(kinds) == 1 else None
+    return _rhs_kind(source, _definition(source, name))
+
+
+def _rhs_kind(source, rhs):
+    if rhs is None:
+        return None
+    if re.fullmatch(r"\w+", rhs):  # an alias; a view's alias is no DBQ target
+        kind = _static_kind(source, rhs)
+        return None if kind == "view" else kind
+    if rhs.startswith("get_adj("):
+        return "view"
+    if (
+        rhs.startswith(("sorted(", "_srt("))
+        or ".between(" in rhs
+        or ".materialize()" in rhs
+        or "[:_p]" in rhs
+    ):
+        return "sorted"
+    if (
+        rhs.startswith("{v for v in ")
+        or re.match(r"\w+\.fset\(\)\.intersection\(", rhs)
+        or re.match(r"(\w+) if \1\.isdisjoint\(", rhs)
+    ):
+        return "set"
+    return None
+
+
+class TestCsrSitesCompileToTheirKind:
+    """No csr count plan dispatches a kernel on an operand whose kind
+    codegen knows: rows, sorted sequences and hash sets compile inline."""
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_no_kernel_call_on_a_known_kind(self, name):
+        pg = PatternGraph(get_pattern(name), name)
+        for order in sampled_orders(pg):
+            for level in (0, 3):
+                plan = optimize(generate_raw_plan(pg, order), level)
+                source = generate_source(plan, mode="count", backend="csr")
+                calls = re.findall(r"_ik1\((\w+),|_ikc\(\((\w+),\)", source)
+                for operand in (a or b for a, b in calls):
+                    kind = _static_kind(source, operand)
+                    assert kind is None, (order, level, operand, kind, source)
+
+    def test_the_classifier_sees_every_kind(self):
+        source = generate_source(
+            plan_for("demo", [3, 5, 4, 1, 2, 6]), mode="count", backend="csr"
+        )
+        kinds = {
+            _static_kind(source, line.strip().partition(" = ")[0])
+            for line in source.splitlines()
+            if " = " in line
+        }
+        assert {"view", "sorted", "set"} <= kinds
 
 
 try:

@@ -15,7 +15,7 @@ import pytest
 from repro.engine.config import ADJACENCY_BACKENDS, BenuConfig
 from repro.graph.csr import ATTACH_STATS, AdjacencyView, CSRAdjacency, CSRShmHandle
 from repro.graph.generators import chung_lu, erdos_renyi
-from repro.graph.graph import Graph, complete_graph, star_graph
+from repro.graph.graph import Graph, star_graph
 from repro.storage.kvstore import DistributedKVStore
 
 
@@ -75,14 +75,6 @@ class TestAdjacencyView:
         s = view.fset()
         assert view.fset() is s
         assert s == frozenset(t)
-
-    def test_hash_cache_limit_bounds_caching(self):
-        csr = CSRAdjacency.from_graph(complete_graph(6), hash_cache_limit=2)
-        rows = [csr.row(v) for v in range(1, 7)]
-        for r in rows:
-            r.materialize()
-        cached = sum(1 for r in rows if r._tuple is not None)
-        assert cached == 2
 
     def test_nbytes_exact(self, graph):
         for v, view in graph.csr().items():

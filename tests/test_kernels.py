@@ -17,6 +17,7 @@ from repro.kernels.intersect import (
     STATS,
     filter_override,
     intersect_adaptive,
+    intersect_count,
     intersect_filtered,
     intersect_gallop,
     intersect_merge,
@@ -127,6 +128,22 @@ class TestIntersectFiltered:
             assert set(got) == want, (trial, raw, lo, hi, exclude)
             if not isinstance(got, (set, frozenset)):
                 assert len(set(got)) == len(got)  # sequence results stay duplicate-free
+
+    def test_count_is_the_filtered_size(self):
+        rng = random.Random(8)
+        forms = [lambda ids: ids, tuple, frozenset, set, _view]
+        for trial in range(300):
+            universe = rng.choice([20, 200])
+            raw = [
+                _sorted_sample(rng, universe, rng.randrange(0, universe))
+                for _ in range(rng.randrange(1, 3))
+            ]
+            ops = [rng.choice(forms)(ids) for ids in raw]
+            lo = rng.randrange(universe) if rng.random() < 0.5 else None
+            hi = rng.randrange(universe) if rng.random() < 0.5 else None
+            exclude = tuple(rng.sample(range(universe), rng.randrange(0, 4)))
+            got = intersect_count(ops, lo, hi, exclude, stats=KernelStats())
+            assert got == len(_filtered_oracle(raw, lo, hi, exclude)), trial
 
     def test_every_form_pairing(self):
         a = list(range(0, 60, 2))

@@ -104,10 +104,11 @@ class TestCsrBackend:
         assert result.shm_bytes == data_graph.csr().memory_bytes()
 
     def test_kernel_deltas_aggregated(self, data_graph):
-        # clique4's plan keeps dynamically-dispatched kernel sites (codegen
-        # inlines simpler plans entirely); their per-task deltas must sum
-        # across the queue into exact totals.
-        plan = build_plan(get_pattern("clique4"), data_graph)
+        # Unoptimized, clique4's plan keeps filtered multi-operand INTs,
+        # which dispatch a kernel (codegen inlines every site of the
+        # optimized plan); their per-task deltas must sum across the queue
+        # into exact totals.
+        plan = build_plan(get_pattern("clique4"), data_graph, optimization_level=0)
         result = process_count(plan, data_graph, num_workers=2, backend="csr")
         assert result.kernel_counts and sum(result.kernel_counts.values()) > 0
 
@@ -138,7 +139,8 @@ class TestRestartRobustAccounting:
 
     @pytest.mark.parametrize("adjacency", ["frozenset", "csr"])
     def test_pool_restarts_do_not_skew_totals(self, data_graph, adjacency):
-        plan = build_plan(get_pattern("clique4"), data_graph)
+        # Unoptimized, so the csr plan keeps kernel-dispatching sites.
+        plan = build_plan(get_pattern("clique4"), data_graph, optimization_level=0)
         config = BenuConfig(
             num_workers=2,
             split_threshold=8,
