@@ -33,7 +33,10 @@ decided once, by operand kind, in codegen's site table; the kernels
 behind those decisions are not a library for other layers to call.  So
 only ``repro.plan.codegen`` and the ``repro.kernels`` package import
 ``_intersect1``, ``_intersect2``, ``_intersectn``, ``intersect_count``
-or ``intersect_views``.
+or ``intersect_views``.  Every row ∩ row is one frozenset path, never a
+timing: no module imports ``repro.kernels.vectorized`` (a numpy probe
+only the benchmark ledger calls), and ``kernels/``, ``plan/`` and
+``graph/`` import no ``numpy`` (the probe itself aside).
 
 The check is AST-based and resolves relative imports, so aliasing or
 ``from .. import`` spellings cannot slip past it.
@@ -100,6 +103,11 @@ DISPATCH_KERNELS = {
     "intersect_views",
 }
 DISPATCHERS = ("plan/codegen.py", "kernels/")
+#: The benchmark-only numpy probe, which no library module imports.
+PROBE = "repro.kernels.vectorized"
+PROBE_FILE = "kernels/vectorized.py"
+#: Layers on the intersection path, which import no numpy.
+NUMPY_FREE = ("kernels/", "plan/", "graph/")
 
 
 def metric_names(root: Path) -> set:
@@ -161,6 +169,7 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
         violations += _lint_wire_door(path, rel, lineno, module, out)
         if not rel.startswith(DISPATCHERS):
             violations += _lint_dispatcher(path, lineno, module, names, out)
+        violations += _lint_numpy_path(path, rel, lineno, module, names, out)
     return violations
 
 
@@ -243,6 +252,26 @@ def _lint_dispatcher(path, lineno, module, names, out) -> int:
     print(
         f"{path}:{lineno}: imports {kernels} — one dispatcher: csr sites "
         "pick their intersection in repro.plan.codegen's site table",
+        file=out,
+    )
+    return 1
+
+
+def _lint_numpy_path(path, rel, lineno, module, names, out) -> int:
+    if module == PROBE or (module == "repro.kernels" and "vectorized" in names):
+        reached = PROBE
+    elif (
+        module.partition(".")[0] == "numpy"
+        and rel.startswith(NUMPY_FREE)
+        and rel != PROBE_FILE
+    ):
+        reached = "numpy"
+    else:
+        return 0
+    print(
+        f"{path}:{lineno}: imports {reached!r} — one dispatcher: every "
+        "row ∩ row is the frozenset path; the numpy probe is the "
+        "benchmark ledger's alone",
         file=out,
     )
     return 1

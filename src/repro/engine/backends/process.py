@@ -72,7 +72,6 @@ from ...faults import (
     resolve_faults,
 )
 from ...graph.csr import ATTACH_STATS, CSRAdjacency, ShmAttachStats
-from ...kernels import vectorized as _vec
 from ...kernels.intersect import STATS as KERNEL_STATS, KernelStats
 from ...plan.codegen import (
     COUNTER_FIELDS,
@@ -159,8 +158,7 @@ class WorkerCrashed(RuntimeError):
 
 def _init_worker(
     plan, adjacency_backend: str, payload, mode: str, cancel_event,
-    trace: bool = False, pack: bool = False, vector_crossover=None,
-    faults=None, fault_attempt: int = 0,
+    trace: bool = False, pack: bool = False, faults=None, fault_attempt: int = 0,
 ) -> None:
     """Build per-process state: compiled plan + adjacency access + control.
 
@@ -170,10 +168,7 @@ def _init_worker(
 
     ``pack`` picks the flat match buffer of collect mode: an
     ``array('q')`` (uncompressed int-vertex plans only — the parent
-    decides eligibility once) or a list.  ``vector_crossover`` pins the
-    parent's measured vectorized-dispatch threshold so every worker's
-    python-vs-numpy kernel mix is identical to the parent's regardless of
-    per-process timing noise.
+    decides eligibility once) or a list.
 
     With ``trace`` on, the initializer times itself and parks the span
     (wire format, absolute ``perf_counter`` instants — fork children
@@ -181,7 +176,6 @@ def _init_worker(
     carry home; the parent stitches it under a per-pid process track.
     """
     t0 = _time.perf_counter() if trace else 0.0
-    _vec.set_crossover(vector_crossover)
     _worker_state.clear()
     _worker_state["compiled"] = compile_plan(
         plan, mode=mode, instrument=True, backend=adjacency_backend
@@ -457,8 +451,7 @@ class ProcessBackend(ExecutionBackend):
         """
         attach_base = ATTACH_STATS.attaches
         _init_worker(
-            plan, adjacency_backend, payload, mode, None, trace, pack,
-            _vec.CROSSOVER, faults,
+            plan, adjacency_backend, payload, mode, None, trace, pack, faults,
         )
         for i, task in enumerate(tasks):
             if control is not None:
@@ -517,7 +510,7 @@ class ProcessBackend(ExecutionBackend):
                 ctx,
                 lambda cancel_event: (
                     plan, adjacency_backend, payload, mode, cancel_event,
-                    trace, pack, _vec.CROSSOVER, faults, attempt,
+                    trace, pack, faults, attempt,
                 ),
                 pending, control, consume, num_workers,
             )

@@ -59,13 +59,12 @@ class AdjacencyView:
     (5, 9)
     """
 
-    __slots__ = ("ids", "_tuple", "_fset", "_np")
+    __slots__ = ("ids", "_tuple", "_fset")
 
     def __init__(self, ids: Sequence[int]) -> None:
         self.ids = ids
         self._tuple: Optional[tuple] = None
         self._fset: Optional[frozenset] = None
-        self._np = None
 
     # -- set-like protocol --------------------------------------------
     def __len__(self) -> int:
@@ -99,23 +98,6 @@ class AdjacencyView:
 
     def has_fset(self) -> bool:
         return self._fset is not None
-
-    def npids(self):
-        """The row as an int64 ndarray — a zero-copy view over the packed
-        buffer (``np.frombuffer``), cached like the tuple and frozenset
-        forms, though unlike them it allocates nothing per element.
-        Requires numpy (only the vectorized kernels call this, and they
-        only dispatch when numpy is present)."""
-        a = self._np
-        if a is None:
-            import numpy as np
-
-            try:
-                a = np.frombuffer(self.ids, dtype=np.int64)
-            except TypeError:  # non-buffer ids (a plain sequence)
-                a = np.asarray(self.materialize(), dtype=np.int64)
-            self._np = a
-        return a
 
     def between(self, lo: Optional[int], hi: Optional[int]) -> tuple:
         """Elements ``v`` with ``v > lo`` and ``v < hi`` (either bound optional).

@@ -21,16 +21,8 @@ turns the symmetry-breaking bounds (``v > f_i`` / ``v < f_i``) into
 comparisons, applies injectivity exclusions as O(log n) point removals,
 and dispatches each pairwise step to the cheapest kernel.
 
-Large sorted operands additionally dispatch to the numpy kernels of
-:mod:`repro.kernels.vectorized` when both sides are CSR row views at
-least :data:`repro.kernels.vectorized.CROSSOVER` elements long — a
-crossover measured at import time, deterministic per workload (the
-decision depends only on operand types and sizes, never on cache state,
-so every execution backend reproduces the same dispatch mix).
-
 Every dispatch decision is counted in :data:`STATS` so telemetry can
-report which kernel actually served a run (``benu_kernel_calls_total``),
-including the python-vs-numpy split (the ``vector`` counter).
+report which kernel actually served a run (``benu_kernel_calls_total``).
 """
 
 from __future__ import annotations
@@ -62,20 +54,13 @@ _SET_TYPES = (set, frozenset)
 
 @dataclass
 class KernelStats:
-    """Per-process counts of which kernel served each intersection.
-
-    ``vector`` counts intersections served by the numpy kernels of
-    :mod:`repro.kernels.vectorized`; every other field is a python-path
-    dispatch, so the python-vs-numpy mix of a run is ``vector`` vs the
-    rest.
-    """
+    """Per-process counts of which kernel served each intersection."""
 
     merge: int = 0
     gallop: int = 0
     hash: int = 0
     slice: int = 0
     set: int = 0
-    vector: int = 0
 
     def as_tuple(self) -> Tuple[int, ...]:
         return tuple(getattr(self, f.name) for f in fields(self))
@@ -250,18 +235,6 @@ def _intersect1(a, lo, hi, exclude, stats: KernelStats = STATS):
 def _intersect2(a, b, lo, hi, exclude, stats: KernelStats = STATS):
     if len(a) > len(b):
         a, b = b, a
-    crossover = _vec.CROSSOVER
-    if (
-        crossover is not None
-        and len(a) >= crossover
-        and isinstance(a, AdjacencyView)
-        and isinstance(b, AdjacencyView)
-    ):
-        # Two large sorted row buffers: intersect vectorized, bounds as
-        # slice arithmetic.  Size-only dispatch — never cache state — so
-        # the mix is deterministic and backend-independent.
-        stats.vector += 1
-        return _vec.np_intersect_filtered((a, b), lo, hi, exclude)
     bounded = lo is not None or hi is not None
     if not isinstance(a, _SET_TYPES):
         # Sorted smaller operand: bounds become a slice of the source.
@@ -298,14 +271,6 @@ def _intersect2(a, b, lo, hi, exclude, stats: KernelStats = STATS):
 
 def _intersectn(ops, lo, hi, exclude, stats: KernelStats = STATS):
     ops = sorted(ops, key=len)  # smallest-first: cheapest source operand
-    crossover = _vec.CROSSOVER
-    if (
-        crossover is not None
-        and len(ops[0]) >= crossover
-        and all(isinstance(o, AdjacencyView) for o in ops)
-    ):
-        stats.vector += 1
-        return _vec.np_intersect_filtered(ops, lo, hi, exclude)
     src = ops[0]
     bounded = lo is not None or hi is not None
     if not isinstance(src, _SET_TYPES):
@@ -322,20 +287,11 @@ def _intersectn(ops, lo, hi, exclude, stats: KernelStats = STATS):
 
 
 def intersect_views(a, b, stats: KernelStats = STATS):
-    """Unbounded row ∩ row — the entry behind codegen's inlined INT/TRC sites.
+    """Unbounded row ∩ row — the entry behind codegen's profiled INT/TRC sites.
 
-    Small rows intersect through their cached frozensets (C-speed hash
-    probing, built once per row per process and reused by every task);
-    rows past the vectorized crossover intersect as flat int64 buffers
-    without ever building a hash set — the win on cold hub rows, where
-    constructing two throwaway frozensets costs more than the
-    intersection itself.  Dispatch is by size only, so the python-vs-
-    numpy mix is deterministic and identical across execution backends.
+    Both rows intersect through their cached frozensets (C-speed hash
+    probing, built once per row per process and reused by every task).
     """
-    crossover = _vec.CROSSOVER
-    if crossover is not None and len(a) >= crossover and len(b) >= crossover:
-        stats.vector += 1
-        return _vec.np_intersect(a.npids(), b.npids()).tolist()
     stats.hash += 1
     return a.fset() & b.fset()
 
@@ -392,10 +348,3 @@ def filter_override(src, override: frozenset):
     if isinstance(src, _SET_TYPES):
         return src & override
     return [v for v in src if v in override]
-
-
-# Imported last: the crossover measurement races the python kernels
-# defined above, so it can only run once they exist.
-from . import vectorized as _vec  # noqa: E402
-
-_vec.init_crossover()

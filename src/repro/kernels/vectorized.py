@@ -1,270 +1,50 @@
-"""numpy-vectorized intersection kernels with measured dispatch crossover.
+"""The numpy-vs-python intersection probe behind ``kernels.crossover``.
 
-The pure-Python kernels of :mod:`repro.kernels.intersect` win on the
-small adjacency rows that dominate power-law graphs — interpreter
-overhead is amortized over a handful of elements and the frozenset
-caches intersect at C speed.  On *large* sorted operands (hub rows, big
-intermediate candidate sets) the arithmetic itself starts to matter, and
-there numpy wins: the CSR layout already stores every row as a flat
-int64 buffer, so ``np.frombuffer`` turns an
-:class:`~repro.graph.csr.AdjacencyView` into an ``ndarray`` with zero
-copying and the whole intersection runs as a few vectorized passes.
-
-Three kernels, mirroring the python trio:
-
-* :func:`np_intersect_merge`  — ``np.intersect1d(assume_unique=True)``,
-  the vectorized two-pointer analogue;
-* :func:`np_intersect_gallop` — ``searchsorted`` of the smaller operand
-  into the larger plus a mask, the vectorized galloping analogue;
-* :func:`np_intersect`        — adaptive between the two by the same
-  size-ratio rule (:data:`~repro.kernels.intersect.GALLOP_RATIO`).
-
-Bounds (the symmetry-breaking ``v > f_i`` / ``v < f_i`` filters) are
-applied as :func:`np_bounds_slice` — two ``searchsorted`` calls and a
-slice, never a per-candidate compare — and injectivity exclusions as
-O(log n) point removals (:func:`np_exclude`).  Every kernel returns a
-**sorted list of Python ints**, element-identical to what the python
-kernels produce, so results flow through downstream plan code (and the
-cross-backend byte-equivalence matrix) unchanged.
-
-Dispatch crossover
-------------------
-Vectorization only pays above some operand size: below it, the fixed
-cost of numpy call setup loses to the python kernels.  That crossover is
-*measured at import time* (:func:`measure_crossover`) on this very
-interpreter/BLAS build — typically a few hundred elements — and exposed
-as :data:`CROSSOVER`.  ``BENU_VECTOR_CROSSOVER`` overrides it (an
-integer size; ``off`` or any negative value disables vectorized dispatch
-entirely).  ``CROSSOVER is None`` means "never dispatch" — also the
-state when numpy is not installed, so every caller degrades to the
-python kernels without a conditional import.
-
-The dispatch decision in :mod:`repro.kernels.intersect` depends only on
-operand *types and sizes* plus this module-level constant — never on
-mutable cache state — so the python-vs-numpy mix is deterministic for a
-given workload and identical across execution backends (the worker
-initializer of the process backend re-pins the parent's crossover, so a
-pool reproduces the parent's dispatch exactly even under spawn).
+No intersection site dispatches to numpy: every csr row ∩ row is the
+frozenset path of :mod:`repro.kernels.intersect`.  What is left here is
+the timing probe whose only caller is the benchmark ledger's per-layer
+``kernels.crossover`` metric (``benchmarks/ledger/layers.py``); the
+benchmark-only ledger change (ROADMAP, "Ledger v2") deletes it together
+with that metric.  Nothing under ``src/repro`` imports this module.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
-try:  # numpy is optional: absence simply disables vectorized dispatch
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less CI
-    _np = None
-
-__all__ = [
-    "CROSSOVER",
-    "HAVE_NUMPY",
-    "measure_crossover",
-    "np_bounds_slice",
-    "np_exclude",
-    "np_intersect",
-    "np_intersect_filtered",
-    "np_intersect_gallop",
-    "np_intersect_merge",
-    "set_crossover",
-]
-
-HAVE_NUMPY = _np is not None
-
-#: Same skew threshold as the python adaptive kernel.
-_GALLOP_RATIO = 8
-
-#: Fallback when import-time measurement is skipped or unreliable.
-DEFAULT_CROSSOVER = 256
-
-#: Environment override: integer size, or "off"/negative to disable.
-ENV_CROSSOVER = "BENU_VECTOR_CROSSOVER"
+__all__ = ["measure_crossover"]
 
 
-def as_array(op) -> "_np.ndarray":
-    """``op`` as an int64 ndarray, zero-copy for buffer-backed operands.
-
-    Accepts :class:`~repro.graph.csr.AdjacencyView` (via its cached
-    ``npids()``), ``array('q')``/``memoryview`` (``np.frombuffer``),
-    ndarrays (pass-through) and plain sequences (one copy).
-    """
-    npids = getattr(op, "npids", None)
-    if npids is not None:  # AdjacencyView without importing csr here
-        return npids()
-    if isinstance(op, _np.ndarray):
-        return op
-    try:
-        return _np.frombuffer(op, dtype=_np.int64)
-    except TypeError:
-        return _np.asarray(op, dtype=_np.int64)
-
-
-# ----------------------------------------------------------------------
-# Base kernels (ndarray in, ndarray out; callers .tolist() at the edge)
-# ----------------------------------------------------------------------
-def np_intersect_merge(a, b) -> "_np.ndarray":
-    """Vectorized merge intersection of two sorted unique int64 arrays.
-
-    >>> import numpy as np  # doctest: +SKIP
-    >>> np_intersect_merge(np.array([1, 3, 5, 7]), np.array([2, 3, 7])).tolist()
-    ... # doctest: +SKIP
-    [3, 7]
-    """
-    return _np.intersect1d(a, b, assume_unique=True)
-
-
-def np_intersect_gallop(small, large) -> "_np.ndarray":
-    """Vectorized binary-search of ``small``'s elements into ``large``.
-
-    >>> import numpy as np  # doctest: +SKIP
-    >>> np_intersect_gallop(np.array([5, 40]), np.arange(0, 100, 2)).tolist()
-    ... # doctest: +SKIP
-    [40]
-    """
-    n = len(large)
-    if n == 0 or len(small) == 0:
-        return small[:0]
-    pos = _np.searchsorted(large, small)
-    pos[pos == n] = n - 1
-    return small[large[pos] == small]
-
-
-def np_intersect(a, b) -> "_np.ndarray":
-    """Merge or gallop, chosen by the python kernels' size-ratio rule."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) * _GALLOP_RATIO <= len(b):
-        return np_intersect_gallop(a, b)
-    return np_intersect_merge(a, b)
-
-
-def np_bounds_slice(arr, lo: Optional[int], hi: Optional[int]):
-    """Restrict a sorted array to ``lo < v < hi`` — slice arithmetic only."""
-    i = int(_np.searchsorted(arr, lo, side="right")) if lo is not None else 0
-    j = int(_np.searchsorted(arr, hi, side="left")) if hi is not None else len(arr)
-    return arr[i:j]
-
-
-def np_exclude(arr, exclude: Tuple[int, ...]):
-    """Drop the (few) injectivity-excluded points via binary search."""
-    n = len(arr)
-    if not n:
-        return arr
-    drop = []
-    for e in exclude:
-        k = int(_np.searchsorted(arr, e))
-        if k < n and arr[k] == e:
-            drop.append(k)
-    if not drop:
-        return arr
-    return _np.delete(arr, drop)
-
-
-def np_intersect_filtered(
-    ops: Sequence,
-    lo: Optional[int] = None,
-    hi: Optional[int] = None,
-    exclude: Tuple[int, ...] = (),
-) -> List[int]:
-    """Multi-way filtered intersection, fully vectorized.
-
-    The counterpart of :func:`repro.kernels.intersect.intersect_filtered`
-    for all-sorted operands: smallest operand first, bounds as one slice
-    of it, each pairwise step adaptive, exclusions applied last.  Returns
-    a sorted list of Python ints — element-identical to the python
-    kernels.
-    """
-    arrays = sorted((as_array(op) for op in ops), key=len)
-    out = np_bounds_slice(arrays[0], lo, hi)
-    for other in arrays[1:]:
-        if not len(out):
-            break
-        out = np_intersect(out, other)
-    if exclude:
-        out = np_exclude(out, exclude)
-    return out.tolist()
-
-
-# ----------------------------------------------------------------------
-# Import-time crossover measurement
-# ----------------------------------------------------------------------
 def measure_crossover(
     sizes: Tuple[int, ...] = (32, 64, 128, 256, 512, 1024),
     repeats: int = 5,
 ) -> int:
-    """Smallest operand size at which the numpy path beats the python one.
+    """Smallest operand size at which numpy beats the python merge kernel.
 
     Times :func:`repro.kernels.intersect.intersect_merge` against
-    :func:`np_intersect` (including the ``.tolist()`` the dispatcher
-    pays) on half-overlapping sorted operands of each candidate size and
-    returns the first size where numpy wins; if it never wins,
-    vectorization is left for operands beyond the largest probe.  Total
-    measurement cost is a few milliseconds, paid once per process at
-    import.
+    ``np.intersect1d(assume_unique=True)`` (including the ``.tolist()``
+    a caller would pay) on half-overlapping sorted operands of each
+    candidate size and returns the first size where numpy wins; if it
+    never wins, four times the largest probe.  Requires numpy.
     """
+    import numpy as np
+
     from .intersect import intersect_merge
 
     for n in sizes:
         py_a = list(range(0, 2 * n, 2))
         py_b = list(range(n, n + 2 * n, 2))
-        np_a = _np.asarray(py_a, dtype=_np.int64)
-        np_b = _np.asarray(py_b, dtype=_np.int64)
+        np_a = np.asarray(py_a, dtype=np.int64)
+        np_b = np.asarray(py_b, dtype=np.int64)
         best_py = best_np = float("inf")
         for _ in range(repeats):
             t0 = time.perf_counter()
             intersect_merge(py_a, py_b)
             best_py = min(best_py, time.perf_counter() - t0)
             t0 = time.perf_counter()
-            np_intersect(np_a, np_b).tolist()
+            np.intersect1d(np_a, np_b, assume_unique=True).tolist()
             best_np = min(best_np, time.perf_counter() - t0)
         if best_np < best_py:
             return n
     return sizes[-1] * 4
-
-
-def _compute_crossover() -> Optional[int]:
-    if not HAVE_NUMPY:
-        return None
-    override = os.environ.get(ENV_CROSSOVER)
-    if override is not None:
-        override = override.strip().lower()
-        if override in ("off", "none"):
-            return None
-        try:
-            value = int(override)
-        except ValueError:
-            value = None
-        if value is not None:
-            return None if value < 0 else value
-    try:
-        return measure_crossover()
-    except Exception:  # pragma: no cover - measurement must never break import
-        return DEFAULT_CROSSOVER
-
-
-#: Minimum operand size for vectorized dispatch; None = never dispatch.
-#: Set by :func:`init_crossover`, which :mod:`repro.kernels.intersect`
-#: calls once its python kernels exist (the measurement races them).
-CROSSOVER: Optional[int] = None
-
-_calibrated = False
-
-
-def init_crossover(force: bool = False) -> Optional[int]:
-    """Calibrate :data:`CROSSOVER` once per process (idempotent)."""
-    global CROSSOVER, _calibrated
-    if force or not _calibrated:
-        _calibrated = True
-        CROSSOVER = _compute_crossover()
-    return CROSSOVER
-
-
-def set_crossover(value: Optional[int]) -> None:
-    """Pin the dispatch crossover (process-backend workers mirror the
-    parent's value through this, so a pool's dispatch mix is identical to
-    the parent's regardless of per-process measurement noise)."""
-    global CROSSOVER, _calibrated
-    _calibrated = True
-    CROSSOVER = value if (value is None or HAVE_NUMPY) else None

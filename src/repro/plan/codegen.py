@@ -32,30 +32,29 @@ Two compilation modes:
   indexed by sorted pattern vertex (compressed set slots are frozen).
 
 csr sites.  Every csr operand has a static kind: *view* (a DBQ target),
-*sorted* (``_srt``, ``sorted`` or ``between`` output), *set*
-(``.fset().intersection`` output) or *either* (view ∩ view: a frozenset
-below the vectorized crossover ``_X``, bound at compile time, a sorted
-list above it).  Each site emits what its operand kinds allow:
+*sorted* (``_srt``, ``sorted`` or ``between`` output) or *set*
+(``.fset()`` intersection output).  Each site emits what its operand
+kinds allow:
 
 ============  =========  ==================================================
 kind          filters    emitted expression
 ============  =========  ==================================================
-view ∩ view   none       ``A.fset() & B.fset()`` below ``_X``, else ``_ikv``
+view ∩ view   none       ``A.fset() & B.fset()``
 view ∩ other  none       ``A.fset().intersection(S)``
 view, sorted  any        a bisect slice, then per exclusion one bisect and
                          a slice concatenation
 set           any        ``_ik1``'s comprehension, ``isdisjoint``/``difference``
-either        not both   the set form if ``type(T) is frozenset``, else ``_ik1``
 tail: sorted  any        bisect bounds minus one bisect-membership term per
                          excluded scalar (views: on ``ids``)
-tail: set     any        the frozenset layout's count tail (also *either*)
+tail: set     any        the frozenset layout's count tail
 other         any        ``_ik1`` / ``_ik2`` / ``_ikn`` / ``_ikc``
 ============  =========  ==================================================
 
 Each inline form returns the kernel call's value, in its iteration order,
 touching the same view caches, so the INT-site forms apply in both modes;
 a profiled compile keeps the kernel calls.  TRC sites share one triangle
-cache, so a TRC target's kind is the join over all of them.
+cache, so a TRC target's kind is the join over all of them (mixed kinds
+join to unknown).
 
 With ``instrument=True`` (default) the function counts INT/TRC/DBQ/ENU
 executions and triangle-cache misses — the quantities the paper's cost
@@ -67,7 +66,6 @@ Section III-A.
 from __future__ import annotations
 
 import io
-import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
@@ -171,7 +169,6 @@ class CompiledPlan:
 VIEW = "view"      # a DBQ target: an AdjacencyView
 SORTED = "sorted"  # an ascending tuple or list
 SET = "set"        # a set or frozenset
-EITHER = "either"  # a hash set or an ascending list, decided at run time
 
 
 def _filter_expr(var: str, filters: Sequence[Filter]) -> str:
@@ -343,14 +340,12 @@ def generate_source(
         # may hold what another site stored: its kind is the sites' join.
         trc_kinds = {
             SORTED if other.target in sorted_targets
-            else EITHER if all(kinds.get(o) == VIEW for o in other.operands[-2:])
+            else SET if all(kinds.get(o) == VIEW for o in other.operands[-2:])
             else None
             for other in instructions
             if other.type is InstructionType.TRC
         }
-        trc_kind = trc_kinds.pop() if len(trc_kinds) == 1 else (
-            EITHER if trc_kinds == {SORTED, EITHER} else None
-        )
+        trc_kind = trc_kinds.pop() if len(trc_kinds) == 1 else None
 
     # Kind-directed csr sites replace kernel calls; a profiled compile
     # keeps every csr site the plain kernel call it times.
@@ -364,15 +359,12 @@ def generate_source(
         kinds[target] = kind
 
     def views_meet(a: str, b: str, target: str) -> Tuple[str, str]:
-        # Row ∩ row: the frozenset path of ``_ikv`` inline below the
-        # vectorized crossover ``_X``, the kernel above it.
+        # Row ∩ row: ``_ikv``'s two cached frozensets, inline.
         if not lower:
-            return f"_ikv({a}, {b})", EITHER
-        hashed, kind = f"{a}.fset() & {b}.fset()", EITHER
+            return f"_ikv({a}, {b})", SET
         if target in sorted_targets:
-            hashed, kind = f"sorted({hashed})", SORTED
-        small = f"len({a}.ids) < _X or len({b}.ids) < _X"
-        return f"{hashed} if {small} else _ikv({a}, {b})", kind
+            return f"sorted({a}.fset() & {b}.fset())", SORTED
+        return f"{a}.fset() & {b}.fset()", SET
 
     def filter_one(op: str, kind: Optional[str], filters) -> Optional[Tuple[str, str]]:
         # A filtered single-operand INT as the expression its operand kind
@@ -402,7 +394,7 @@ def generate_source(
                     f" and {t}[_p] == {x} else {t}"
                 )
             return expr, SORTED
-        if kind == SET or (kind == EITHER and not (bounds and excluded)):
+        if kind == SET:
             # What ``_ik1`` does to a hash set, without the dispatch: the
             # same comprehension, the same difference, so the same order.
             expr = op
@@ -413,10 +405,7 @@ def generate_source(
                     out.line(f"_t = {expr}")
                     expr = "_t"
                 expr = f"{expr} if {expr}.isdisjoint({excl}) else {expr}.difference({excl})"
-            if kind == EITHER:
-                kernel = f"_ik1({op}, {lo}, {hi}, {excl})"
-                expr = f"({expr}) if type({op}) is frozenset else {kernel}"
-            return expr, kind
+            return expr, SET
         return None
 
     def csr_int(inst: Instruction) -> None:
@@ -442,7 +431,7 @@ def generate_source(
             return
         views = [kinds.get(n) == VIEW for n in names]
         if len(ops) == 2 and not inst.filters and all(views):
-            # Two fresh rows: their cached frozensets, or numpy past ``_X``.
+            # Two fresh rows: their cached frozensets.
             assign(inst.target, *views_meet(ops[0], ops[1], inst.target))
         elif len(ops) == 2 and not inst.filters and any(views):
             # Row ∩ prior (smaller) result: probe the row's hash cache,
@@ -503,7 +492,7 @@ def generate_source(
         ops = [_operand_expr(o) for o in inst.operands]
         lo, hi, excl = _filter_bounds(inst.filters)
         kind = kinds.get(inst.operands[0]) if len(ops) == 1 else None
-        if kind in (SET, EITHER):
+        if kind == SET:
             set_count_tail(inst)
             return
         if kind not in (VIEW, SORTED):
@@ -685,13 +674,11 @@ def compile_plan(
     generates exactly the unprofiled source.
 
     ``backend="csr"`` generates kind-directed INT/TRC sites (see
-    :func:`generate_source`) bound to the current vectorized crossover;
-    ``get_adj`` must then serve sorted adjacency views, e.g. from a
-    csr-backed store.
+    :func:`generate_source`); ``get_adj`` must then serve sorted
+    adjacency views, e.g. from a csr-backed store.
 
     An instrumented, unprofiled compile — what every execution backend
-    asks for — is memoised on the plan per ``(mode, backend, crossover)``
-    (so ``set_crossover()`` recompiles), so a plan
+    asks for — is memoised on the plan per ``(mode, backend)``, so a plan
     served from a plan cache is generated and compiled once, not once per
     query.  The memo entry remembers the instructions and constants it was
     compiled from and is ignored once the plan no longer has them.
@@ -709,10 +696,7 @@ def compile_plan(
     >>> total  # 4 triangles in K4, symmetry breaking dedups automorphisms
     4
     """
-    crossover = None
     if backend == "csr":
-        # Importing the kernels calibrates the crossover the sites bind.
-        from ..kernels import vectorized
         from ..kernels.intersect import (
             _intersect1,
             _intersect2,
@@ -722,10 +706,8 @@ def compile_plan(
             intersect_count,
             intersect_views,
         )
-
-        crossover = vectorized.CROSSOVER
     memo = None
-    key = (mode, backend, crossover)
+    key = (mode, backend)
     if instrument and profiler is None:
         compiled_from = (tuple(plan.instructions), dict(plan.constants))
         memo = plan.__dict__.setdefault("_compiled", {})
@@ -754,7 +736,6 @@ def compile_plan(
         namespace["_ovr"] = filter_override
         namespace["_bl"] = bisect_left
         namespace["_br"] = bisect_right
-        namespace["_X"] = sys.maxsize if crossover is None else crossover
     code = compile(source, f"<benu-plan:{plan.pattern.name}>", "exec")
     exec(code, namespace)  # noqa: S102 - trusted generated code
     function = namespace["_benu_task"]

@@ -1,8 +1,6 @@
 """Tests for the plan compiler (codegen) against the reference interpreter."""
 
 import re
-import sys
-from contextlib import contextmanager
 from dataclasses import astuple
 from itertools import combinations, permutations
 from pathlib import Path
@@ -15,7 +13,6 @@ from repro.graph.generators import erdos_renyi, random_connected_graph
 from repro.graph.graph import Graph, complete_graph
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import PATTERNS, get_pattern
-from repro.kernels import vectorized
 from repro.labeled.graphs import LabeledGraph
 from repro.labeled.pattern import LabeledPatternGraph
 from repro.labeled.plans import labelize_plan
@@ -90,20 +87,6 @@ class TestCompileMemo:
         assert compile_plan(plan, mode="count", backend="csr") is not first
         assert compile_plan(plan, mode="count", backend="csr").backend == "csr"
         assert compile_plan(plan, mode="collect").mode == "collect"
-
-    def test_a_new_crossover_recompiles_csr(self):
-        plan = plan_for("square", [1, 2, 3, 4])
-        with pinned_crossover(None):
-            never = compile_plan(plan, backend="csr")
-            assert compile_plan(plan, backend="csr") is never
-            frozen = compile_plan(plan)
-        with pinned_crossover(64):
-            assert compile_plan(plan) is frozen
-            again = compile_plan(plan, backend="csr")
-        assert again is not never and again.source == never.source
-        assert never._function.__globals__["_X"] == sys.maxsize
-        want = 64 if vectorized.HAVE_NUMPY else sys.maxsize
-        assert again._function.__globals__["_X"] == want
 
     def test_uninstrumented_and_profiled_compiles_bypass_it(self):
         from repro.telemetry import MetricsRegistry
@@ -317,21 +300,6 @@ class _NeverSample:
     clock = staticmethod(lambda: 0.0)
 
 
-@contextmanager
-def pinned_crossover(value):
-    before = vectorized.CROSSOVER
-    vectorized.set_crossover(value)
-    try:
-        yield
-    finally:
-        vectorized.set_crossover(before)
-
-
-#: Both sides of every inlined ``len(...) < _X`` test: never vectorize,
-#: and (with numpy) vectorize every non-empty row pair.
-CROSSOVERS = (None, 1)
-
-
 def _traced_run(variant, v, get_adj, universe, override):
     """(counters, emitted rows, DBQ keys) of one task, in order."""
     rows, keys = [], []
@@ -350,8 +318,8 @@ def _traced_run(variant, v, get_adj, universe, override):
 def assert_all_modes_count_alike(plan, graph, starts=None, override=None):
     """count == interpreter == collect, all six counters, task by task.
 
-    On csr, at each pinned crossover, the lowered sites must also emit the
-    rows and issue the DBQs the kernel-call sites do, in the same order.
+    On csr, the lowered sites must also emit the rows and issue the DBQs
+    the kernel-call sites do, in the same order.
     """
     csr = CSRAdjacency.from_graph(graph)
     vset = frozenset(graph.vertices)
@@ -365,23 +333,23 @@ def assert_all_modes_count_alike(plan, graph, starts=None, override=None):
         )
         for v in starts
     }
-    runs = [("frozenset", graph.neighbors, vset, None)] + [
-        ("csr", csr.row, csr.universe(), crossover) for crossover in CROSSOVERS
+    runs = [
+        ("frozenset", graph.neighbors, vset),
+        ("csr", csr.row, csr.universe()),
     ]
-    for layout, get_adj, universe, crossover in runs:
-        with pinned_crossover(crossover):
-            for mode in ("count", "collect"):
-                variant = compile_plan(plan, mode=mode, backend=layout)
-                kernel = layout == "csr" and compile_plan(
-                    plan, mode=mode, backend=layout, profiler=_NeverSample()
-                )
-                for v in starts:
-                    got = _traced_run(variant, v, get_adj, universe, override)
-                    where = (plan.order, v, layout, mode, crossover)
-                    assert got[0] == wants[v], where
-                    if kernel:
-                        want = _traced_run(kernel, v, get_adj, universe, override)
-                        assert got[1:] == want[1:], where
+    for layout, get_adj, universe in runs:
+        for mode in ("count", "collect"):
+            variant = compile_plan(plan, mode=mode, backend=layout)
+            kernel = layout == "csr" and compile_plan(
+                plan, mode=mode, backend=layout, profiler=_NeverSample()
+            )
+            for v in starts:
+                got = _traced_run(variant, v, get_adj, universe, override)
+                where = (plan.order, v, layout, mode)
+                assert got[0] == wants[v], where
+                if kernel:
+                    want = _traced_run(kernel, v, get_adj, universe, override)
+                    assert got[1:] == want[1:], where
 
 
 class TestCountLoweringsDifferential:
@@ -522,6 +490,7 @@ def _rhs_kind(source, rhs):
     if (
         rhs.startswith("{v for v in ")
         or re.match(r"\w+\.fset\(\)\.intersection\(", rhs)
+        or re.fullmatch(r"\w+\.fset\(\) & \w+\.fset\(\)", rhs)
         or re.match(r"(\w+) if \1\.isdisjoint\(", rhs)
     ):
         return "set"
@@ -554,6 +523,20 @@ class TestCsrSitesCompileToTheirKind:
             if " = " in line
         }
         assert {"view", "sorted", "set"} <= kinds
+
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_row_meets_row_through_frozensets_only(self, name):
+        """Every row ∩ row is the frozenset path: no size test, no
+        run-time type check, no kernel call."""
+        pg = PatternGraph(get_pattern(name), name)
+        for order in sampled_orders(pg):
+            for level in (0, 3):
+                plan = optimize(generate_raw_plan(pg, order), level)
+                for mode in ("count", "collect"):
+                    source = generate_source(plan, mode=mode, backend="csr")
+                    where = (order, level, mode, source)
+                    assert "_X" not in source and "type(" not in source, where
+                    assert "_ikv(" not in source, where
 
 
 try:

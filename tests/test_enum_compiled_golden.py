@@ -9,10 +9,6 @@ graph and pins, per pattern, the match count, the six engine counters,
 the cache's hits / misses / evictions and the store's query and byte
 totals — the workload's exact storage counters as a tier-1 assertion.
 
-The kernel crossover is pinned: ``None`` (python kernels only) always,
-and a small size that sends every hub row through numpy when numpy is
-installed.
-
 Regenerate the golden file (only when a counter is *meant* to change)
 with ``PYTHONPATH=src python tests/test_enum_compiled_golden.py``.
 """
@@ -21,14 +17,11 @@ import json
 from dataclasses import astuple
 from pathlib import Path
 
-import pytest
-
 from repro.engine.benu import execute_plan, prepare_data, prepare_plan
 from repro.engine.cluster import SimulatedCluster
 from repro.engine.config import BenuConfig
 from repro.graph.generators import chung_lu
 from repro.graph.patterns import get_pattern
-from repro.kernels import vectorized
 from repro.pattern.pattern_graph import PatternGraph
 
 GOLDEN = Path(__file__).parent / "golden" / "enum_compiled_mini.json"
@@ -38,60 +31,37 @@ COMPILED_PATTERNS = (
     "square", "q4", "demo", "q2", "q1", "chordal_square", "clique4",
 )
 
-#: Pinned crossovers: no vectorized dispatch, and (numpy only) nearly all.
-CROSSOVERS = (None, 8)
+
+def _run():
+    graph = chung_lu(200, 5.0, exponent=2.5, seed=7)
+    config = BenuConfig(
+        execution_backend="simulated",
+        adjacency_backend="csr",
+        cache_capacity_bytes=2 * graph.num_edges * 8 // 4,
+    )
+    prepared = prepare_data(graph, config)
+    cluster = SimulatedCluster(prepared.graph, config)
+    out = {}
+    for name in COMPILED_PATTERNS:
+        plan = prepare_plan(PatternGraph(get_pattern(name), name), prepared, config)
+        result = execute_plan(plan, prepared, config, cluster=cluster)
+        out[name] = {
+            "count": result.count,
+            "counters": list(astuple(result.counters)),
+            "cache": [
+                result.cache.hits, result.cache.misses, result.cache.evictions
+            ],
+            "store": [
+                result.communication.queries,
+                result.communication.bytes_transferred,
+            ],
+        }
+    return out
 
 
-def _run(crossover):
-    before = vectorized.CROSSOVER
-    vectorized.set_crossover(crossover)
-    try:
-        graph = chung_lu(200, 5.0, exponent=2.5, seed=7)
-        config = BenuConfig(
-            execution_backend="simulated",
-            adjacency_backend="csr",
-            cache_capacity_bytes=2 * graph.num_edges * 8 // 4,
-        )
-        prepared = prepare_data(graph, config)
-        cluster = SimulatedCluster(prepared.graph, config)
-        out = {}
-        for name in COMPILED_PATTERNS:
-            plan = prepare_plan(PatternGraph(get_pattern(name), name), prepared, config)
-            result = execute_plan(plan, prepared, config, cluster=cluster)
-            out[name] = {
-                "count": result.count,
-                "counters": list(astuple(result.counters)),
-                "cache": [
-                    result.cache.hits, result.cache.misses, result.cache.evictions
-                ],
-                "store": [
-                    result.communication.queries,
-                    result.communication.bytes_transferred,
-                ],
-            }
-        return out
-    finally:
-        vectorized.set_crossover(before)
-
-
-def _key(crossover):
-    return f"crossover={crossover}"
-
-
-@pytest.fixture(scope="module")
-def golden():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
-
-
-@pytest.mark.parametrize("crossover", CROSSOVERS)
-def test_every_pattern_matches_the_golden(golden, crossover):
-    if crossover is not None and not vectorized.HAVE_NUMPY:
-        pytest.skip("numpy unavailable: vectorized dispatch cannot be pinned")
-    assert _run(crossover) == golden[_key(crossover)]
+def test_every_pattern_matches_the_golden():
+    assert _run() == json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps({_key(c): _run(c) for c in CROSSOVERS}, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    GOLDEN.write_text(json.dumps(_run(), indent=1) + "\n", encoding="utf-8")

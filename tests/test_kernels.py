@@ -21,6 +21,7 @@ from repro.kernels.intersect import (
     intersect_filtered,
     intersect_gallop,
     intersect_merge,
+    intersect_views,
 )
 
 
@@ -42,6 +43,11 @@ ADVERSARIAL_PAIRS = [
     (list(range(100)), list(range(50, 150))),  # long shared run
     ([7], list(range(0, 10_000, 3))),        # extreme skew
     (list(range(0, 1000, 2)), list(range(1, 1000, 2))),  # interleaved, empty
+    (list(range(0, 900, 3)), list(range(0, 3000, 2))),    # 300-row ∩ hub row
+    (                                                     # hub row ∩ hub row
+        sorted(random.Random(31).sample(range(4000), 1500)),
+        sorted(random.Random(32).sample(range(4000), 1200)),
+    ),
 ]
 
 
@@ -53,6 +59,10 @@ class TestBaseKernels:
         assert intersect_gallop(a, b) == want
         assert intersect_gallop(b, a) == want
         assert intersect_adaptive(a, b, stats=KernelStats()) == want
+        # Row ∩ row at every size is one frozenset intersection.
+        stats = KernelStats()
+        assert intersect_views(_view(a), _view(b), stats=stats) == set(want)
+        assert stats.hash == stats.total() == 1
 
     def test_randomized_parity(self):
         rng = random.Random(2024)

@@ -1,46 +1,38 @@
-"""Property tests: the numpy kernels are element-identical to the python ones.
+"""Property tests: the python kernels agree with numpy's set routines.
 
-Randomized sorted-array suites (seeded, so failures reproduce) assert
-that every vectorized kernel of :mod:`repro.kernels.vectorized` returns
-exactly what its python counterpart in :mod:`repro.kernels.intersect`
-returns — including symmetry bounds, injectivity exclusions, and the
-empty/singleton/disjoint edges — plus dispatch tests pinning *when* the
-adaptive ``_intersect2``/``_intersectn`` sites take the numpy path (and
-that they never do once ``CROSSOVER`` is None).
+Randomized sorted-array suites (seeded, so failures reproduce) check the
+python kernels of :mod:`repro.kernels.intersect` against an independent
+oracle built from ``np.intersect1d`` and boolean masks — including
+symmetry bounds, injectivity exclusions and the empty/singleton/disjoint
+edges.  Dispatch tests pin that no intersection takes a numpy path at
+any row size, and that the ``measure_crossover`` probe of
+:mod:`repro.kernels.vectorized` still measures.
 
-When hypothesis is installed locally, an extra exhaustive-ish suite runs
-the same assertions under its shrinking search; CI without hypothesis
-skips only that class.
+numpy is only the oracle here; CI without numpy skips the module.  When
+hypothesis is installed locally, an extra exhaustive-ish suite runs the
+same assertions under its shrinking search; CI without hypothesis skips
+only that class.
 """
 
 import random
+from array import array
+from dataclasses import fields
 
 import pytest
 
 np = pytest.importorskip("numpy", exc_type=ImportError)
 
-from repro.graph.csr import CSRAdjacency
+from repro.graph.csr import AdjacencyView, CSRAdjacency
 from repro.graph.graph import Graph
 from repro.kernels import vectorized as vec
 from repro.kernels.intersect import (
     KernelStats,
+    intersect_adaptive,
     intersect_filtered,
     intersect_gallop,
     intersect_merge,
     intersect_views,
 )
-
-pytestmark = pytest.mark.skipif(
-    not vec.HAVE_NUMPY, reason="numpy unavailable"
-)
-
-
-@pytest.fixture(autouse=True)
-def _restore_crossover():
-    """Dispatch tests pin CROSSOVER; put the measured value back after."""
-    before = vec.CROSSOVER
-    yield
-    vec.set_crossover(before)
 
 
 def _sorted_unique(rng, size, universe=10_000):
@@ -51,11 +43,27 @@ def _arr(seq):
     return np.asarray(seq, dtype=np.int64)
 
 
+def _np_intersect(a, b):
+    return np.intersect1d(_arr(a), _arr(b), assume_unique=True).tolist()
+
+
+def _np_filtered(ops, lo, hi, exclude):
+    """The filtered intersection as numpy computes it, ascending."""
+    out = _arr(ops[0])
+    for op in ops[1:]:
+        out = np.intersect1d(out, _arr(op), assume_unique=True)
+    if lo is not None:
+        out = out[out > lo]
+    if hi is not None:
+        out = out[out < hi]
+    return np.setdiff1d(out, _arr(exclude)).tolist()
+
+
 SIZES = [0, 1, 2, 3, 7, 50, 400]
 
 
 class TestKernelParity:
-    """np_* kernels == python kernels, element for element."""
+    """python kernels == the numpy oracle, element for element."""
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("na", SIZES)
@@ -64,9 +72,7 @@ class TestKernelParity:
         rng = random.Random((seed, na, nb).__hash__())
         a = _sorted_unique(rng, na)
         b = _sorted_unique(rng, nb)
-        expected = intersect_merge(a, b)
-        got = vec.np_intersect_merge(_arr(a), _arr(b)).tolist()
-        assert got == expected
+        assert intersect_merge(a, b) == _np_intersect(a, b)
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("nsmall", [0, 1, 5, 40])
@@ -76,25 +82,23 @@ class TestKernelParity:
         large = _sorted_unique(rng, 800)
         # Force overlap so the intersection is non-trivial.
         small = sorted(set(small) | set(large[::97]))
-        expected = intersect_gallop(small, large)
-        got = vec.np_intersect_gallop(_arr(small), _arr(large)).tolist()
-        assert got == expected
+        assert intersect_gallop(small, large) == _np_intersect(small, large)
 
     def test_gallop_element_past_end_of_large(self):
-        # The pos == n guard: a small element beyond large's maximum.
-        got = vec.np_intersect_gallop(_arr([5, 999]), _arr([1, 5, 7])).tolist()
-        assert got == intersect_gallop([5, 999], [1, 5, 7]) == [5]
+        # The lo == hi guard: a small element beyond large's maximum.
+        got = intersect_gallop([5, 999], [1, 5, 7])
+        assert got == _np_intersect([5, 999], [1, 5, 7]) == [5]
 
     def test_adaptive_matches_merge_and_gallop(self):
         rng = random.Random(7)
         a = _sorted_unique(rng, 10)
         b = _sorted_unique(rng, 900)
-        assert vec.np_intersect(_arr(a), _arr(b)).tolist() == intersect_merge(a, b)
+        stats = KernelStats()
+        got = intersect_adaptive(a, b, stats=stats)
+        assert got == _np_intersect(a, b) == intersect_merge(a, b)
         # Symmetry: argument order must not matter.
-        assert (
-            vec.np_intersect(_arr(b), _arr(a)).tolist()
-            == vec.np_intersect(_arr(a), _arr(b)).tolist()
-        )
+        assert intersect_adaptive(b, a, stats=stats) == got
+        assert stats.gallop == 2
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("nops", [1, 2, 3, 4])
@@ -105,26 +109,34 @@ class TestKernelParity:
         hi = rng.choice([None, 8_000, 1])
         pool = sorted(set().union(*map(set, ops))) or [0]
         exclude = tuple(rng.sample(pool, min(len(pool), rng.choice([0, 1, 3]))))
-        stats = KernelStats()
-        expected = sorted(intersect_filtered(ops, lo, hi, exclude, stats=stats))
-        got = vec.np_intersect_filtered(ops, lo, hi, exclude)
-        assert got == expected
-        assert all(isinstance(v, int) for v in got)
+        got = intersect_filtered(ops, lo, hi, exclude, stats=KernelStats())
+        assert sorted(got) == _np_filtered(ops, lo, hi, exclude)
+        assert len(set(got)) == len(got)
 
     def test_bounds_slice_edges(self):
-        arr = _arr([10, 20, 30, 40])
-        assert vec.np_bounds_slice(arr, None, None).tolist() == [10, 20, 30, 40]
-        assert vec.np_bounds_slice(arr, 10, None).tolist() == [20, 30, 40]
-        assert vec.np_bounds_slice(arr, None, 40).tolist() == [10, 20, 30]
-        assert vec.np_bounds_slice(arr, 40, None).tolist() == []
-        assert vec.np_bounds_slice(arr, None, 10).tolist() == []
+        seq = [10, 20, 30, 40]
+        view = AdjacencyView(array("q", seq))
+        for lo, hi, want in (
+            (None, None, [10, 20, 30, 40]),
+            (10, None, [20, 30, 40]),
+            (None, 40, [10, 20, 30]),
+            (40, None, []),
+            (None, 10, []),
+        ):
+            assert _np_filtered([seq], lo, hi, ()) == want
+            for op in (seq, view):
+                got = intersect_filtered([op], lo, hi, stats=KernelStats())
+                assert list(got) == want
 
     def test_exclude_edges(self):
-        arr = _arr([1, 2, 3])
-        assert vec.np_exclude(arr, (2,)).tolist() == [1, 3]
-        assert vec.np_exclude(arr, (99,)).tolist() == [1, 2, 3]
-        assert vec.np_exclude(arr, (1, 2, 3)).tolist() == []
-        assert vec.np_exclude(_arr([]), (1,)).tolist() == []
+        for ids, exclude, want in (
+            ([1, 2, 3], (2,), [1, 3]),
+            ([1, 2, 3], (99,), [1, 2, 3]),
+            ([1, 2, 3], (1, 2, 3), []),
+            ([], (1,), []),
+        ):
+            got = intersect_filtered([ids], exclude=exclude, stats=KernelStats())
+            assert list(got) == _np_filtered([ids], None, None, exclude) == want
 
 
 def _views(*rows):
@@ -140,56 +152,36 @@ def _views(*rows):
 
 
 class TestDispatch:
-    """When the adaptive sites take the numpy path — and when they must not."""
-
-    def test_views_route_through_vector_above_crossover(self):
-        a, b = _views(range(0, 400, 2), range(0, 600, 3))
-        stats = KernelStats()
-        vec.set_crossover(16)
-        got = intersect_views(a, b, stats=stats)
-        assert stats.vector == 1 and stats.hash == 0
-        assert sorted(got) == sorted(set(a.materialize()) & set(b.materialize()))
+    """No intersection takes a numpy path, at any row size."""
 
     def test_views_below_crossover_stay_python(self):
         a, b = _views([1, 2, 3], [2, 3, 4])
         stats = KernelStats()
-        vec.set_crossover(16)
         got = intersect_views(a, b, stats=stats)
-        assert stats.vector == 0 and stats.hash == 1
-        assert sorted(got) == sorted(set(a.materialize()) & set(b.materialize()))
+        assert stats.hash == stats.total() == 1
+        assert got == set(a.materialize()) & set(b.materialize())
 
     def test_crossover_none_disables_dispatch_entirely(self):
+        assert "vector" not in {f.name for f in fields(KernelStats)}
         a, b = _views(range(0, 4000, 2), range(0, 6000, 3))
         stats = KernelStats()
-        vec.set_crossover(None)
-        intersect_views(a, b, stats=stats)
-        assert stats.vector == 0 and stats.hash == 1
+        got = intersect_views(a, b, stats=stats)
+        assert stats.hash == stats.total() == 1
+        assert sorted(got) == _np_intersect(a.materialize(), b.materialize())
+        assert set(intersect_filtered([a, b], stats=stats)) == got
+        assert stats.hash == stats.total() == 2
 
     def test_filtered_views_dispatch_with_bounds(self):
         a, b = _views(range(0, 400, 2), range(0, 600, 3))
         stats = KernelStats()
-        vec.set_crossover(16)
         got = intersect_filtered([a, b], lo=10, hi=500, exclude=(12,), stats=stats)
-        assert stats.vector == 1
+        assert stats.hash == stats.total() == 1
         oracle = sorted(
             v
             for v in set(a.materialize()) & set(b.materialize())
             if 10 < v < 500 and v != 12
         )
         assert sorted(got) == oracle
-
-    def test_set_crossover_ignores_value_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(vec, "HAVE_NUMPY", False)
-        vec.set_crossover(64)
-        assert vec.CROSSOVER is None
-
-    def test_env_override_disables(self, monkeypatch):
-        monkeypatch.setenv(vec.ENV_CROSSOVER, "off")
-        assert vec._compute_crossover() is None
-        monkeypatch.setenv(vec.ENV_CROSSOVER, "-1")
-        assert vec._compute_crossover() is None
-        monkeypatch.setenv(vec.ENV_CROSSOVER, "123")
-        assert vec._compute_crossover() == 123
 
     def test_measure_crossover_returns_probed_or_sentinel(self):
         value = vec.measure_crossover(sizes=(32, 64), repeats=2)
@@ -215,8 +207,7 @@ class TestHypothesisParity:
     @settings(max_examples=60, deadline=None)
     @given(a=sorted_sets, b=sorted_sets)
     def test_merge(self, a, b):
-        got = vec.np_intersect_merge(_arr(a), _arr(b)).tolist()
-        assert got == intersect_merge(a, b)
+        assert intersect_merge(a, b) == _np_intersect(a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -226,7 +217,5 @@ class TestHypothesisParity:
         exclude=st.lists(st.integers(0, 5_000), max_size=3).map(tuple),
     )
     def test_filtered(self, ops, lo, hi, exclude):
-        expected = sorted(
-            intersect_filtered(ops, lo, hi, exclude, stats=KernelStats())
-        )
-        assert vec.np_intersect_filtered(ops, lo, hi, exclude) == expected
+        got = intersect_filtered(ops, lo, hi, exclude, stats=KernelStats())
+        assert sorted(got) == _np_filtered(ops, lo, hi, exclude)

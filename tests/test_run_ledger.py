@@ -26,7 +26,6 @@ from repro.engine.benu import run_benu
 from repro.engine.config import ADJACENCY_BACKENDS, BenuConfig
 from repro.graph.generators import chung_lu
 from repro.graph.patterns import get_pattern
-from repro.kernels import vectorized
 from repro.telemetry.snapshot import G_MAKESPAN, G_WALL, M_SHM_ATTACHES
 
 GOLDEN = Path(__file__).parent / "golden" / "run_ledger.json"
@@ -121,15 +120,6 @@ def golden():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.fixture(autouse=True)
-def pinned_crossover():
-    """No vectorized dispatch: the kernel mix may not follow a timing."""
-    before = vectorized.CROSSOVER
-    vectorized.set_crossover(None)
-    yield
-    vectorized.set_crossover(before)
-
-
 @pytest.mark.parametrize("adjacency", ADJACENCY_BACKENDS)
 @pytest.mark.parametrize("execution,workers", EXACT_RUNS)
 @pytest.mark.parametrize("pattern,compressed", PATTERNS)
@@ -151,7 +141,6 @@ def test_two_process_workers_sum_to_the_golden(
 
 
 if __name__ == "__main__":
-    vectorized.set_crossover(None)
     GOLDEN.write_text(
         json.dumps(_generate(), indent=1, sort_keys=True) + "\n", encoding="utf-8"
     )
