@@ -10,8 +10,8 @@ belongs in the engine behind the shared pipeline.
 
 **The stats structs know no registry.**  ``storage/``, ``kernels/``,
 ``graph/`` and ``plan/`` keep their accounting in plain dataclasses
-(``QueryStats``, ``CacheStats``, ``KernelStats``, ``ShmAttachStats``,
-``TaskCounters``); which field becomes which metric is decided once, in
+(``QueryStats``, ``CacheStats``, ``KernelStats``, ``TaskCounters``);
+which field becomes which metric is decided once, in
 ``repro.engine.backends.base``'s run ledger.  So those layers import
 neither ``repro.telemetry.registry`` nor ``repro.telemetry.snapshot`` —
 not even lazily inside a function, nor their names through the
@@ -28,15 +28,17 @@ client connection is a lease of one TCP client (``repro.shard.client``).
 So only ``repro.service.protocol`` imports ``socketserver`` and only
 ``repro.shard.client`` imports ``socket``.
 
-**One dispatcher.**  Which intersection a csr INT/TRC site runs is
-decided once, by operand kind, in codegen's site table; the kernels
-behind those decisions are not a library for other layers to call.  So
-only ``repro.plan.codegen`` and the ``repro.kernels`` package import
-``_intersect1``, ``_intersect2``, ``_intersectn``, ``intersect_count``
-or ``intersect_views``.  Every row ∩ row is one frozenset path, never a
-timing: no module imports ``repro.kernels.vectorized`` (a numpy probe
-only the benchmark ledger calls), and ``kernels/``, ``plan/`` and
-``graph/`` import no ``numpy`` (the probe itself aside).
+**One compute form.**  Every compiled plan runs on the data graph's
+neighbour frozensets, whichever byte price the store puts on a row, and
+every INT/TRC site is a set expression codegen emits inline.  So no
+module outside ``graph/`` imports ``repro.graph.csr`` (the packed layout
+is kept for the benchmark ledger's probes), and no ``plan/`` or
+``engine/`` module imports anything from ``repro.kernels.intersect`` but
+``KernelStats`` and ``STATS``, the accounting the run ledger records.
+Every row ∩ row is one frozenset path, never a timing: no module imports
+``repro.kernels.vectorized`` (a numpy probe only the benchmark ledger
+calls), and ``kernels/``, ``plan/`` and ``graph/`` import no ``numpy``
+(the probe itself aside).
 
 The check is AST-based and resolves relative imports, so aliasing or
 ``from .. import`` spellings cannot slip past it.
@@ -93,16 +95,13 @@ WIRE_DOORS = {
 }
 
 
-#: Kernel entry points only codegen's site table dispatches to, and the
-#: modules that may import them (the package re-exports its own names).
-DISPATCH_KERNELS = {
-    "_intersect1",
-    "_intersect2",
-    "_intersectn",
-    "intersect_count",
-    "intersect_views",
-}
-DISPATCHERS = ("plan/codegen.py", "kernels/")
+#: The packed adjacency layout, which only ``graph/`` imports.
+CSR_MODULE = "repro.graph.csr"
+#: Layers that compute on frozenset rows, and the only kernel names they
+#: may import: the accounting the run ledger records.
+COMPUTE_LAYERS = ("plan/", "engine/")
+KERNEL_MODULES = ("repro.kernels", "repro.kernels.intersect")
+KERNEL_ACCOUNTING = {"KernelStats", "STATS"}
 #: The benchmark-only numpy probe, which no library module imports.
 PROBE = "repro.kernels.vectorized"
 PROBE_FILE = "kernels/vectorized.py"
@@ -167,8 +166,7 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
         if not binder:
             violations += _lint_label_binding(path, lineno, module, names, out)
         violations += _lint_wire_door(path, rel, lineno, module, out)
-        if not rel.startswith(DISPATCHERS):
-            violations += _lint_dispatcher(path, lineno, module, names, out)
+        violations += _lint_compute_form(path, rel, lineno, module, names, out)
         violations += _lint_numpy_path(path, rel, lineno, module, names, out)
     return violations
 
@@ -243,15 +241,24 @@ def _lint_wire_door(path, rel, lineno, module, out) -> int:
     return 1
 
 
-def _lint_dispatcher(path, lineno, module, names, out) -> int:
-    if module != "repro.kernels" and not module.startswith("repro.kernels."):
-        return 0
-    kernels = sorted(set(names) & DISPATCH_KERNELS)
-    if not kernels:
+def _lint_compute_form(path, rel, lineno, module, names, out) -> int:
+    if module == CSR_MODULE or (module == "repro.graph" and "csr" in names):
+        if rel.startswith("graph/"):
+            return 0
+        reached = CSR_MODULE
+    elif (
+        rel.startswith(COMPUTE_LAYERS)
+        and module in KERNEL_MODULES
+        and not (names and set(names) <= KERNEL_ACCOUNTING)
+    ):
+        reached = f"{module} names {sorted(names)}"
+    else:
         return 0
     print(
-        f"{path}:{lineno}: imports {kernels} — one dispatcher: csr sites "
-        "pick their intersection in repro.plan.codegen's site table",
+        f"{path}:{lineno}: imports {reached} — one compute form: compiled "
+        "plans run on the graph's frozensets and emit every intersection "
+        "inline; the packed layout and the kernel library are for "
+        "benchmarks",
         file=out,
     )
     return 1
@@ -269,7 +276,7 @@ def _lint_numpy_path(path, rel, lineno, module, names, out) -> int:
     else:
         return 0
     print(
-        f"{path}:{lineno}: imports {reached!r} — one dispatcher: every "
+        f"{path}:{lineno}: imports {reached!r} — one compute form: every "
         "row ∩ row is the frozenset path; the numpy probe is the "
         "benchmark ledger's alone",
         file=out,

@@ -93,7 +93,8 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                              "interpreter, or real OS worker processes")
     parser.add_argument("--adjacency-backend", choices=ADJACENCY_BACKENDS,
                         default="frozenset",
-                        help="adjacency layout: frozenset (default) or csr")
+                        help="byte price of a stored row: frozenset "
+                             "(delta+varint, default) or csr (8 B/id)")
     parser.add_argument("--task-retries", type=int, default=2,
                         help="process backend: re-run lost task slices this "
                              "many times after a worker crash before failing")

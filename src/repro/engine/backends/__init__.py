@@ -32,7 +32,7 @@ from .base import (
 )
 from .inline import InlineBackend, InterpretedPlan
 from .process import ProcessBackend
-from .simulated import SimulatedBackend, build_store, store_vset
+from .simulated import SimulatedBackend, build_store
 
 #: Registry keyed by ``BenuConfig.execution_backend`` value.
 EXECUTION_BACKENDS: Dict[str, Type[ExecutionBackend]] = {
@@ -69,5 +69,4 @@ __all__ = [
     "mirror",
     "packs_rows",
     "resolve_tasks",
-    "store_vset",
 ]

@@ -35,7 +35,6 @@ from array import array
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ...graph.csr import ShmAttachStats
 from ...graph.graph import Graph
 from ...kernels.intersect import KernelStats
 from ...plan.codegen import TaskCounters
@@ -224,6 +223,18 @@ class WorkerLedger:
 
 
 # ------------------------------------------------------------- run ledger
+@dataclass
+class ShmAttachStats:
+    """Shared-memory adjacency mapped by a run's workers.
+
+    Workers read fork-inherited rows and map no shared memory, so a
+    process run records zeros; the metrics stay for their readers.
+    """
+
+    attaches: int = 0
+    bytes_mapped: int = 0
+
+
 _INSTR_HELP = "instruction executions by type (Table III semantics)"
 
 #: Which field of which stats struct becomes which metric, under which

@@ -32,7 +32,6 @@ class InterpretedPlan:
     """
 
     mode = "interpret"
-    backend = "any"
 
     def __init__(self, plan: ExecutionPlan, profiler=None) -> None:
         self.plan = plan

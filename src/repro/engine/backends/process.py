@@ -11,11 +11,11 @@ Design notes
 ------------
 * One process per worker; compiled closures cannot be pickled, so each
   worker compiles the plan in its initializer.
-* Adjacency sharing is backend-negotiated.  Under ``frozenset`` each
-  worker inherits the graph's hash-set adjacency at fork (copy-on-write
-  pages).  Under ``csr`` the parent packs the graph once into one
-  ``multiprocessing.shared_memory`` block and workers *attach* by name:
-  per-worker memory no longer scales with graph size.
+* Adjacency is shared the one way the compiled plans read it: each
+  worker inherits the graph's neighbour frozensets at fork (copy-on-write
+  pages), whatever ``adjacency_backend`` says — that setting only prices
+  rows for the simulated store's cache.  Nothing is packed, mapped or
+  pickled per query.
 * Tasks flow through a work queue (``imap_unordered`` with a small
   chunksize) instead of static round-robin chunks, so a worker that drew
   cheap tasks keeps pulling while another grinds through a hub vertex.
@@ -48,7 +48,9 @@ Design notes
 * Kernel-dispatch counts are measured per chunk as before/after snapshots
   of the worker's :data:`~repro.kernels.intersect.STATS`, so every chunk
   record is self-contained: a pool that restarts its workers (e.g.
-  ``maxtasksperchild``) can neither drop nor double-count deltas.
+  ``maxtasksperchild``) can neither drop nor double-count deltas.  (No
+  compiled plan calls a kernel, so the deltas are zero; the metric stays
+  for its readers.)
 * DB/cache accounting: every worker owns the whole graph locally, so the
   ledgers record zero distributed-store queries and every adjacency
   lookup as a cache hit — same metric names, values reflecting this
@@ -71,7 +73,6 @@ from ...faults import (
     get_injector,
     resolve_faults,
 )
-from ...graph.csr import ATTACH_STATS, CSRAdjacency, ShmAttachStats
 from ...kernels.intersect import STATS as KERNEL_STATS, KernelStats
 from ...plan.codegen import (
     COUNTER_FIELDS,
@@ -93,6 +94,7 @@ from ..sinks import block_emitter, row_blocks
 from .base import (
     ExecutionBackend,
     ExecutionRequest,
+    ShmAttachStats,
     WorkerLedger,
     finish_run,
     mirror,
@@ -157,14 +159,13 @@ class WorkerCrashed(RuntimeError):
 
 
 def _init_worker(
-    plan, adjacency_backend: str, payload, mode: str, cancel_event,
+    plan, graph, mode: str, cancel_event,
     trace: bool = False, pack: bool = False, faults=None, fault_attempt: int = 0,
 ) -> None:
     """Build per-process state: compiled plan + adjacency access + control.
 
-    ``payload`` is the :class:`Graph` itself for the frozenset backend
-    (inherited via fork) or a :class:`CSRShmHandle` for the csr backend
-    (workers attach to the parent's shared block, copying nothing).
+    ``graph`` is the data :class:`Graph`, inherited via fork: its
+    neighbour frozensets are the rows every task reads.
 
     ``pack`` picks the flat match buffer of collect mode: an
     ``array('q')`` (uncompressed int-vertex plans only — the parent
@@ -177,18 +178,9 @@ def _init_worker(
     """
     t0 = _time.perf_counter() if trace else 0.0
     _worker_state.clear()
-    _worker_state["compiled"] = compile_plan(
-        plan, mode=mode, instrument=True, backend=adjacency_backend
-    )
-    if adjacency_backend == "csr":
-        csr = CSRAdjacency.from_shared(payload)
-        _worker_state["csr"] = csr  # keeps the mapping alive
-        _worker_state["get_adj"] = csr.row
-        _worker_state["vset"] = csr.universe()
-    else:
-        adjacency = payload.adjacency()
-        _worker_state["get_adj"] = adjacency.__getitem__
-        _worker_state["vset"] = frozenset(payload.vertices)
+    _worker_state["compiled"] = compile_plan(plan, mode=mode, instrument=True)
+    _worker_state["get_adj"] = graph.adjacency().__getitem__
+    _worker_state["vset"] = frozenset(graph.vertices)
     _worker_state["collect"] = mode == "collect"
     _worker_state["pack"] = pack
     _worker_state["cancel"] = cancel_event
@@ -209,7 +201,7 @@ def _init_worker(
                 "t0": t0,
                 "t1": _time.perf_counter(),
                 "category": "worker",
-                "args": {"backend": adjacency_backend, "mode": mode},
+                "args": {"mode": mode},
             }
         ]
 
@@ -294,19 +286,13 @@ def _run_chunk(chunk: _TaskChunk) -> Tuple[int, Union[_ChunkRecord, str]]:
     arrival order never affects the final accounting.
 
     A chunk of plain unsplit tasks arrives as a flat ``array('q')`` of
-    start vertices and is rehydrated here; its adjacency rows are then
-    looked up once up front, so the per-chunk DBQ traffic against the
-    shared CSR block is one batched sweep rather than interleaved
-    point lookups (the memoized views make the in-task lookups free).
+    start vertices and is rehydrated here.
     """
     base, tasks = chunk
     injector = _worker_state.get("injector", NULL_INJECTOR)
     try:
         if isinstance(tasks, array):
             tasks = [LocalSearchTask(start) for start in tasks]
-            get_adj = _worker_state["get_adj"]
-            for task in tasks:
-                get_adj(task.start)
         out = _run_tasks(tasks)
         if injector.enabled:
             # The IPC-send site: an injected error here simulates a result
@@ -364,7 +350,7 @@ class ProcessBackend(ExecutionBackend):
         tasks = resolve_tasks(request, tracer)
         mode = request.mode
         num_workers = config.num_workers
-        adjacency_backend = config.adjacency_backend
+        graph = request.graph
         events = telemetry.events
         progress = request.progress
         progress.set_total_tasks(len(tasks))
@@ -378,22 +364,12 @@ class ProcessBackend(ExecutionBackend):
         pack = packs_rows(request)
         match_width = plan.pattern.n
 
-        shm = None
-        shm_bytes = 0
-        if adjacency_backend == "csr":
-            handle, shm = request.graph.csr().to_shared()
-            shm_bytes = handle.nbytes
-            payload = handle
-        else:
-            payload = request.graph
-
         # One resolved fault schedule for the run: an explicit config wins,
         # the BENU_FAULTS env var covers chaos runs; None stays None and
         # every site below holds the free NULL_INJECTOR.
         faults = resolve_faults(config.faults)
 
         records: List[_ChunkRecord] = []
-        attaches = 0
         recovery: Optional[dict] = None
 
         def consume(base: int, record: _ChunkRecord) -> None:
@@ -405,66 +381,44 @@ class ProcessBackend(ExecutionBackend):
                     emit_block(block)
             self._account(record, base, events, progress)
 
-        try:
-            with tracer.span("execution") as exec_span:
-                if num_workers == 1:
-                    attaches = self._run_inline(
-                        plan, adjacency_backend, payload, mode, tasks,
-                        control, consume, trace, events, pack, faults,
-                    )
-                else:
-                    recovery = self._run_pool(
-                        plan, adjacency_backend, payload, mode, tasks,
-                        control, consume, num_workers, trace, events, pack,
-                        faults, config.task_retries,
-                    )
-                    # Each worker attaches exactly once, in its initializer.
-                    if adjacency_backend == "csr":
-                        attaches = len({record[0] for record in records})
-                exec_span.args["tasks"] = len(tasks)
-        finally:
-            if shm is not None:
-                if num_workers == 1:
-                    # The inline "worker" mapped the block in this process;
-                    # drop its views so the mapping can actually close.
-                    attached = _worker_state.get("csr")
-                    _worker_state.clear()
-                    if attached is not None:
-                        attached.detach()
-                shm.close()
-                shm.unlink()
+        with tracer.span("execution") as exec_span:
+            if num_workers == 1:
+                self._run_inline(
+                    plan, graph, mode, tasks, control, consume, trace,
+                    events, pack, faults,
+                )
+            else:
+                recovery = self._run_pool(
+                    plan, graph, mode, tasks, control, consume, num_workers,
+                    trace, events, pack, faults, config.task_retries,
+                )
+            exec_span.args["tasks"] = len(tasks)
 
         return self._finalize(
-            request, registry, tasks, records, attaches, shm_bytes,
-            wall0, tracer, recovery,
+            request, registry, tasks, records, wall0, tracer, recovery,
         )
 
     # ------------------------------------------------------------------
     def _run_inline(
-        self, plan, adjacency_backend, payload, mode, tasks, control,
-        consume, trace, events, pack, faults=None,
-    ) -> int:
+        self, plan, graph, mode, tasks, control, consume, trace, events,
+        pack, faults=None,
+    ) -> None:
         """Degenerate one-worker run in this very process (no fork).
 
         Every task is its own chunk, so the control is checked — and a
         packed block flushed — at every task boundary.
         """
-        attach_base = ATTACH_STATS.attaches
-        _init_worker(
-            plan, adjacency_backend, payload, mode, None, trace, pack, faults,
-        )
+        _init_worker(plan, graph, mode, None, trace, pack, faults)
         for i, task in enumerate(tasks):
             if control is not None:
                 control.check()
             if events.enabled:
                 events.emit(EV_TASK_DISPATCHED, task_id=i)
             consume(i, _run_tasks([task]))
-        return ATTACH_STATS.attaches - attach_base
 
     def _run_pool(
-        self, plan, adjacency_backend, payload, mode, tasks, control,
-        consume, num_workers, trace, events, pack,
-        faults=None, task_retries: int = 0,
+        self, plan, graph, mode, tasks, control, consume, num_workers,
+        trace, events, pack, faults=None, task_retries: int = 0,
     ) -> dict:
         """Drive worker pools, recovering lost task slices across crashes.
 
@@ -509,8 +463,8 @@ class ProcessBackend(ExecutionBackend):
             dead = self._drive_pool(
                 ctx,
                 lambda cancel_event: (
-                    plan, adjacency_backend, payload, mode, cancel_event,
-                    trace, pack, faults, attempt,
+                    plan, graph, mode, cancel_event, trace, pack, faults,
+                    attempt,
                 ),
                 pending, control, consume, num_workers,
             )
@@ -740,8 +694,7 @@ class ProcessBackend(ExecutionBackend):
 
     # ------------------------------------------------------------------
     def _finalize(
-        self, request, registry, tasks, records, attaches, shm_bytes,
-        wall0, tracer, recovery=None,
+        self, request, registry, tasks, records, wall0, tracer, recovery=None,
     ):
         cost_model = request.config.cost_model
 
@@ -757,7 +710,7 @@ class ProcessBackend(ExecutionBackend):
             registry.counter(
                 M_TASK_RETRIES, help="task slices re-executed after a crash"
             ).inc(tasks_retried)
-        mirror(registry, ShmAttachStats(attaches, shm_bytes))
+        mirror(registry, ShmAttachStats())
 
         # Group self-contained chunk records into per-process ledgers;
         # worker ids are dense, in order of first result arrival.  Counters
@@ -815,8 +768,6 @@ class ProcessBackend(ExecutionBackend):
         return finish_run(
             request, registry, ordered, len(tasks), kernels, wall0, self.name,
             mean_task_wall_seconds=mean_task_wall,
-            shm_attaches=attaches if request.config.adjacency_backend == "csr" else 0,
-            shm_bytes=shm_bytes,
             worker_crashes=worker_crashes,
             tasks_retried=tasks_retried,
         )

@@ -71,15 +71,6 @@ def build_store(request: ExecutionRequest) -> DistributedKVStore:
     )
 
 
-def store_vset(store: DistributedKVStore, graph):
-    """The V(G) operand in the store's adjacency layout."""
-    if store.csr is not None:
-        # A sorted view over the packed vertex-id array, so compiled
-        # kernels can bounds-slice it like any row.
-        return store.csr.universe()
-    return frozenset(graph.vertices)
-
-
 class SimulatedBackend(ExecutionBackend):
     """Deterministic single-core execution with simulated time."""
 
@@ -94,7 +85,6 @@ class SimulatedBackend(ExecutionBackend):
                 mode=mode,
                 instrument=True,
                 profiler=profiler,
-                backend=request.config.adjacency_backend,
             )
             span.args.update(
                 mode=mode, source_lines=compiled.source.count("\n")
@@ -189,7 +179,7 @@ class SimulatedBackend(ExecutionBackend):
         wall0 = _time.perf_counter()
 
         store = build_store(request)
-        vset = store_vset(store, request.graph)
+        vset = frozenset(request.graph.vertices)
         tasks = resolve_tasks(request, tracer)
         request.progress.set_total_tasks(len(tasks))
 

@@ -17,7 +17,7 @@ from ..faults import FaultConfig
 from ..storage.kvstore import LatencyModel
 from ..telemetry.runtime import TelemetryConfig
 
-#: The adjacency layouts the engine can negotiate end-to-end.
+#: The row prices a store can charge (``BenuConfig.adjacency_backend``).
 ADJACENCY_BACKENDS = ("frozenset", "csr")
 
 #: The execution runtimes the engine can negotiate end-to-end
@@ -81,10 +81,11 @@ class BenuConfig:
     cache_capacity_bytes: Optional[int] = None
     #: DB cache replacement policy: "lru" (the paper), "fifo", "lfu", "random".
     cache_policy: str = "lru"
-    #: Adjacency layout served by the distributed store and consumed by
-    #: compiled plans: "frozenset" (hash sets, the historical layout) or
-    #: "csr" (packed sorted arrays + adaptive intersection kernels; exact
-    #: 8-bytes-per-id accounting, shareable zero-copy between processes).
+    #: The byte price of one adjacency row in the distributed store — what
+    #: its query ledger and the DB cache's capacity count: "frozenset"
+    #: (the row's delta+varint serialization) or "csr" (8 bytes per id,
+    #: a raw int64 posting list).  Rows are the graph's frozensets and
+    #: compile to the same code under both.
     adjacency_backend: str = "frozenset"
     #: Execution runtime: "simulated" (deterministic cluster simulation,
     #: the default), "inline" (plan interpreter, the oracle), or

@@ -42,9 +42,10 @@ class BenuResult:
     mean_task_wall_seconds: float = 0.0
     #: Which runtime executed the plan ("simulated", "inline", "process").
     execution_backend: str = "simulated"
-    #: Adjacency layout the run used ("frozenset" or "csr").
+    #: The run's row price ("frozenset" or "csr"; see BenuConfig).
     adjacency_backend: str = "frozenset"
-    #: Shared-memory accounting (process backend with csr adjacency only).
+    #: Shared-memory accounting: always 0, as no transport maps shared
+    #: memory; kept for the readers of these fields.
     shm_attaches: int = 0
     shm_bytes: int = 0
     #: Fault-tolerance accounting (process backend only): worker processes

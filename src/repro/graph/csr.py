@@ -1,34 +1,26 @@
-"""CSR (compressed-sparse-row) adjacency — the packed alternative backend.
+"""CSR (compressed-sparse-row) adjacency: a packed copy for measurement.
 
-The default adjacency layout stores one ``frozenset`` per vertex: hash
-probing and C-speed intersections, but ~100 bytes per edge endpoint once
-boxed ints, hash tables and dict slots are paid for, and nothing to share
-between processes except via pickling or copy-on-write page faults.
+The engine computes on the graph's neighbour frozensets alone (DESIGN.md
+§7).  This module packs the same adjacency HUGE-style into two flat
+``array('q')`` buffers — a concatenation of all adjacency lists, each
+sorted ascending, plus an offset index — at exactly 8 bytes per stored
+id, and is kept for what measures that layout:
 
-This module packs the same structure HUGE-style into two flat ``array('q')``
-buffers — a concatenation of all adjacency lists, each sorted ascending,
-plus an offset index — at exactly 8 bytes per stored id:
-
-* ``neighbors[offsets[i]:offsets[i+1]]`` is Γ(v) for the i-th vertex;
-* rows are served as :class:`AdjacencyView` objects: zero-copy slices that
-  know they are sorted, so symmetry-breaking bounds (``> f_i`` under ≺)
-  become ``bisect`` slices instead of per-element filter passes;
+* ``neighbors[offsets[i]:offsets[i+1]]`` is Γ(v) for the i-th vertex,
+  served as an :class:`AdjacencyView` (``len``, ``nbytes`` and a cached
+  ``fset``) — the rows the benchmark ledger's intersection probe times;
 * the flat buffers can be placed in ``multiprocessing.shared_memory`` and
-  re-attached by worker processes without copying a single neighbor id.
-
-Views lazily materialize a tuple (for C-speed iteration/probing) and a
-frozenset (for hash-path intersections) and keep both for their lifetime,
-so every task after the first finds a row's forms built; the packed
-arrays stay the single source of truth.  See DESIGN.md §7 for the layout
-trade-off.
+  re-attached without copying a neighbour id — the ledger's attach-time
+  probe;
+* :meth:`CSRAdjacency.memory_bytes` is the packed footprint
+  :meth:`Graph.memory_bytes` reports for ``"csr"``.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .graph import Graph, Vertex
 
@@ -36,79 +28,37 @@ __all__ = [
     "AdjacencyView",
     "CSRAdjacency",
     "CSRShmHandle",
-    "ShmAttachStats",
-    "ATTACH_STATS",
 ]
 
 _ITEM_BYTES = 8  # array('q') / int64
 
 
 class AdjacencyView:
-    """One sorted adjacency row (or any sorted id universe) over a buffer.
-
-    Set-like for everything the BENU hot loop needs — ``len``, iteration,
-    membership (binary search), truthiness — plus the sorted-only
-    operations the kernels exploit: ``between`` (bounds as slices),
-    ``materialize`` (tuple for C-speed probing) and ``fset`` (a lazily
-    cached frozenset for hash-path intersections).
+    """One sorted adjacency row over a packed buffer.
 
     >>> v = AdjacencyView(array("q", [2, 5, 9, 11]))
-    >>> len(v), 5 in v, 6 in v
-    (4, True, False)
-    >>> v.between(2, 11)
-    (5, 9)
+    >>> len(v), v.nbytes(), sorted(v.fset())
+    (4, 32, [2, 5, 9, 11])
     """
 
-    __slots__ = ("ids", "_tuple", "_fset")
+    __slots__ = ("ids", "_fset")
 
     def __init__(self, ids: Sequence[int]) -> None:
         self.ids = ids
-        self._tuple: Optional[tuple] = None
         self._fset: Optional[frozenset] = None
 
-    # -- set-like protocol --------------------------------------------
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.materialize())
-
-    def __contains__(self, v: object) -> bool:
-        ids = self.ids
-        i = bisect_left(ids, v)
-        return i < len(ids) and ids[i] == v
-
     def __repr__(self) -> str:
         return f"AdjacencyView(n={len(self.ids)})"
-
-    # -- sorted-only operations ---------------------------------------
-    def materialize(self) -> tuple:
-        """The row as a tuple (cached; tuples iterate/probe fastest in C)."""
-        t = self._tuple
-        if t is None:
-            t = self._tuple = tuple(self.ids)
-        return t
 
     def fset(self) -> frozenset:
         """The row as a frozenset (cached)."""
         s = self._fset
         if s is None:
-            s = self._fset = frozenset(self.materialize())
+            s = self._fset = frozenset(self.ids)
         return s
-
-    def has_fset(self) -> bool:
-        return self._fset is not None
-
-    def between(self, lo: Optional[int], hi: Optional[int]) -> tuple:
-        """Elements ``v`` with ``v > lo`` and ``v < hi`` (either bound optional).
-
-        Sortedness turns the symmetry-breaking filters into two binary
-        searches and one slice — O(log d) instead of O(d).
-        """
-        t = self.materialize()
-        i = bisect_right(t, lo) if lo is not None else 0
-        j = bisect_left(t, hi) if hi is not None else len(t)
-        return t[i:j]
 
     def nbytes(self) -> int:
         """Exact packed size of this row: ``len(view) * 8``."""
@@ -120,9 +70,9 @@ class CSRShmHandle:
     """A picklable descriptor of a CSR adjacency living in shared memory.
 
     Layout inside the block (all int64): ``vertex_ids[n] · offsets[n+1] ·
-    neighbors[m]``.  Workers attach by name and wrap zero-copy memoryviews
-    around the three regions — no adjacency data crosses the process
-    boundary.
+    neighbors[m]``.  An attacher maps it by name and wraps zero-copy
+    memoryviews around the three regions — no adjacency data crosses the
+    process boundary.
     """
 
     name: str
@@ -134,24 +84,11 @@ class CSRShmHandle:
         return (2 * self.num_vertices + 1 + self.num_neighbors) * _ITEM_BYTES
 
 
-@dataclass
-class ShmAttachStats:
-    """Counts of shared-memory attaches performed in this process."""
-
-    attaches: int = 0
-    bytes_mapped: int = 0
-
-
-
-#: Module-level attach ledger (per process; workers report deltas home).
-ATTACH_STATS = ShmAttachStats()
-
-
 def _attach_untracked(name: str):
     """Attach to an existing shared block without tracker registration.
 
-    The creating process already registered the block; attaching workers
-    must not, or N workers produce N-1 spurious tracker unregisters (the
+    The creating process already registered the block; attachers must
+    not, or N attachers produce N-1 spurious tracker unregisters (the
     tracker's cache is a set) and noisy KeyErrors at shutdown.  Python
     3.13 grew ``SharedMemory(track=False)`` for exactly this; on earlier
     versions the documented workaround is suppressing the register call.
@@ -176,7 +113,7 @@ class CSRAdjacency:
 
     >>> from repro.graph.graph import complete_graph
     >>> csr = CSRAdjacency.from_graph(complete_graph(3))
-    >>> sorted(csr.row(1))
+    >>> sorted(csr.row(1).fset())
     [2, 3]
     >>> csr.degree(2)
     2
@@ -188,7 +125,6 @@ class CSRAdjacency:
         "neighbors",
         "_row_of",
         "_views",
-        "_universe",
         "_shm",
     )
 
@@ -207,7 +143,6 @@ class CSRAdjacency:
             v: i for i, v in enumerate(vertex_ids)
         }
         self._views: Dict[Vertex, AdjacencyView] = {}
-        self._universe: Optional[AdjacencyView] = None
         self._shm = None  # keeps an attached shared-memory block alive
 
     # ------------------------------------------------------------------
@@ -242,16 +177,6 @@ class CSRAdjacency:
     def degree(self, v: Vertex) -> int:
         i = self._row_of[v]
         return self.offsets[i + 1] - self.offsets[i]
-
-    def universe(self) -> AdjacencyView:
-        """V(G) as a sorted view — the CSR stand-in for the ``V`` operand."""
-        if self._universe is None:
-            self._universe = AdjacencyView(self.vertex_ids)
-        return self._universe
-
-    def items(self) -> Iterator[Tuple[Vertex, AdjacencyView]]:
-        for v in self.vertex_ids:
-            yield v, self.row(v)
 
     def memory_bytes(self) -> int:
         """Exact packed footprint of the three flat arrays."""
@@ -296,22 +221,19 @@ class CSRAdjacency:
             mv[2 * n + 1 : 2 * n + 1 + m],
         )
         csr._shm = shm
-        ATTACH_STATS.attaches += 1
-        ATTACH_STATS.bytes_mapped += handle.nbytes
         return csr
 
     def detach(self) -> None:
         """Release an attached mapping (no-op for non-shared instances).
 
         Drops every buffer-backed reference this object holds (views,
-        arrays, the universe) so the exported memoryviews die, then closes
-        the mapping.  Callers must drop their own row views first.
+        arrays) so the exported memoryviews die, then closes the mapping.
+        Callers must drop their own row views first.
         """
         shm, self._shm = self._shm, None
         if shm is None:
             return
         self._views.clear()
-        self._universe = None
         self.vertex_ids = ()
         self.offsets = ()
         self.neighbors = ()

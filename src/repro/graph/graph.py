@@ -157,7 +157,8 @@ class Graph:
         """The packed CSR form of this graph's adjacency, built once.
 
         Returns a :class:`repro.graph.csr.CSRAdjacency`; see that module
-        for the layout and the hot-loop operations it enables.
+        for the layout.  Nothing computes on it: compiled plans read
+        :meth:`neighbors`.
         """
         if self._csr is None:
             from .csr import CSRAdjacency

@@ -1,12 +1,10 @@
-"""Hot-loop kernels: adaptive intersections over sorted adjacency arrays."""
+"""Intersection kernels over sorted sequences (benchmarked, not compiled in)."""
 
 from .intersect import (
     GALLOP_RATIO,
     STATS,
     KernelStats,
-    ensure_sorted,
     intersect_adaptive,
-    intersect_count,
     intersect_filtered,
     intersect_gallop,
     intersect_merge,
@@ -16,9 +14,7 @@ __all__ = [
     "GALLOP_RATIO",
     "STATS",
     "KernelStats",
-    "ensure_sorted",
     "intersect_adaptive",
-    "intersect_count",
     "intersect_filtered",
     "intersect_gallop",
     "intersect_merge",

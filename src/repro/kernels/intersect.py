@@ -1,8 +1,9 @@
-"""Intersection kernels — the INT/TRC hot loop of the CSR backend.
+"""Intersection kernels over sorted sequences and hash sets.
 
 The paper's Table III makes adjacency-set intersection *the* unit of
-computation cost; everything here exists to make that one operation cheap
-on the packed sorted layout of :mod:`repro.graph.csr`.
+computation cost.  Compiled plans compute it as C-level ``frozenset``
+expressions (:mod:`repro.plan.codegen`) and call nothing here; this
+library is what the intersection benchmarks measure against them.
 
 Three base kernels, all over ascending-sorted sequences:
 
@@ -14,15 +15,15 @@ Three base kernels, all over ascending-sorted sequences:
   rows queried repeatedly.
 
 :func:`intersect_adaptive` picks merge vs gallop per call by the size
-ratio (``GALLOP_RATIO``).  :func:`intersect_filtered` is what compiled
-plans actually call: it reorders multi-way intersections smallest-first,
-turns the symmetry-breaking bounds (``v > f_i`` / ``v < f_i``) into
-``bisect`` slices on the sorted source operand instead of per-candidate
+ratio (``GALLOP_RATIO``).  :func:`intersect_filtered` is a filtered INT
+as one call: it reorders multi-way intersections smallest-first, turns
+the symmetry-breaking bounds (``v > f_i`` / ``v < f_i``) into ``bisect``
+slices on the sorted source operand instead of per-candidate
 comparisons, applies injectivity exclusions as O(log n) point removals,
 and dispatches each pairwise step to the cheapest kernel.
 
-Every dispatch decision is counted in :data:`STATS` so telemetry can
-report which kernel actually served a run (``benu_kernel_calls_total``).
+Every dispatch decision is counted in :data:`STATS`
+(``benu_kernel_calls_total``).
 """
 
 from __future__ import annotations
@@ -31,15 +32,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from ..graph.csr import AdjacencyView
-
 __all__ = [
     "GALLOP_RATIO",
     "STATS",
     "KernelStats",
-    "ensure_sorted",
     "intersect_adaptive",
-    "intersect_count",
     "intersect_filtered",
     "intersect_gallop",
     "intersect_merge",
@@ -73,7 +70,7 @@ class KernelStats:
         return tuple(now - before for now, before in zip(self.as_tuple(), snapshot))
 
 
-#: The process-wide ledger compiled plans report into.
+#: The process-wide ledger the kernels report into by default.
 STATS = KernelStats()
 
 
@@ -146,12 +143,10 @@ def intersect_adaptive(
 
 
 # ----------------------------------------------------------------------
-# The compiled-plan entry points
+# Filtered intersections
 # ----------------------------------------------------------------------
 def _slice_bounds(op, lo: Optional[int], hi: Optional[int]):
     """Restrict a sorted operand to (lo, hi) exclusive, via bisect."""
-    if isinstance(op, AdjacencyView):
-        return op.between(lo, hi)
     i = bisect_right(op, lo) if lo is not None else 0
     j = bisect_left(op, hi) if hi is not None else len(op)
     if i == 0 and j == len(op):
@@ -159,18 +154,9 @@ def _slice_bounds(op, lo: Optional[int], hi: Optional[int]):
     return op[i:j]
 
 
-def _probe_form(op):
-    """The fastest iterable form of ``op`` for C-level set probing."""
-    return op.materialize() if isinstance(op, AdjacencyView) else op
-
-
 def _hash_form(op):
-    """``op`` as a hash set (cached on views, computed for plain lists)."""
-    if isinstance(op, _SET_TYPES):
-        return op
-    if isinstance(op, AdjacencyView):
-        return op.fset()
-    return frozenset(op)
+    """``op`` as a hash set (computed for sorted sequences)."""
+    return op if isinstance(op, _SET_TYPES) else frozenset(op)
 
 
 def _bounds_filter(values: Iterable[int], lo, hi):
@@ -207,10 +193,9 @@ def intersect_filtered(
 ):
     """Multi-way filtered intersection — the generic INT realization.
 
-    ``ops`` may mix sorted operands (:class:`AdjacencyView`, kernel result
-    lists/tuples) and hash sets (prior hash-path results, plan constants).
-    Operands are reordered smallest-first; bounds are realized by slicing
-    a sorted operand whenever one exists.  The result is a sorted sequence
+    ``ops`` may mix sorted operands (ascending lists/tuples) and hash
+    sets.  Operands are reordered smallest-first; bounds are realized by
+    slicing a sorted operand whenever one exists.  The result is a sorted sequence
     or a set depending on the chosen kernel — callers only rely on the
     *element multiset*, which is identical either way.
     """
@@ -238,28 +223,19 @@ def _intersect2(a, b, lo, hi, exclude, stats: KernelStats = STATS):
     bounded = lo is not None or hi is not None
     if not isinstance(a, _SET_TYPES):
         # Sorted smaller operand: bounds become a slice of the source.
-        src = _slice_bounds(a, lo, hi) if bounded else _probe_form(a)
-        if (
-            not isinstance(b, (set, frozenset, AdjacencyView))
-            and len(src) * GALLOP_RATIO <= len(b)
-        ):
+        src = _slice_bounds(a, lo, hi) if bounded else a
+        if not isinstance(b, _SET_TYPES) and len(src) * GALLOP_RATIO <= len(b):
             # Plain sorted sequence with no hash cache to amortize:
             # gallop beats building a throwaway frozenset.
             stats.gallop += 1
             out = intersect_gallop(src, b)
-        elif isinstance(b, AdjacencyView) and not b.has_fset() and (
-            len(src) * GALLOP_RATIO * GALLOP_RATIO <= len(b)
-        ):
-            # Extremely skewed vs a cold hub row: probe the raw ids.
-            stats.gallop += 1
-            out = intersect_gallop(src, b.ids)
         else:
             stats.hash += 1
             out = _hash_form(b).intersection(src)
     elif not isinstance(b, _SET_TYPES):
         # a is a (smaller) hash set, b sorted: slice b, probe a.
         stats.hash += 1
-        src = _slice_bounds(b, lo, hi) if bounded else _probe_form(b)
+        src = _slice_bounds(b, lo, hi) if bounded else b
         out = a.intersection(src)
     else:
         stats.set += 1
@@ -274,7 +250,8 @@ def _intersectn(ops, lo, hi, exclude, stats: KernelStats = STATS):
     src = ops[0]
     bounded = lo is not None or hi is not None
     if not isinstance(src, _SET_TYPES):
-        src = _slice_bounds(src, lo, hi) if bounded else _probe_form(src)
+        if bounded:
+            src = _slice_bounds(src, lo, hi)
         post_filter = False
     else:
         post_filter = bounded
@@ -287,64 +264,11 @@ def _intersectn(ops, lo, hi, exclude, stats: KernelStats = STATS):
 
 
 def intersect_views(a, b, stats: KernelStats = STATS):
-    """Unbounded row ∩ row — the entry behind codegen's profiled INT/TRC sites.
+    """Unbounded row ∩ row through the rows' cached frozensets.
 
-    Both rows intersect through their cached frozensets (C-speed hash
-    probing, built once per row per process and reused by every task).
+    ``a`` and ``b`` are anything with an ``fset()`` (a
+    :class:`~repro.graph.csr.AdjacencyView`, say): the per-call cost of
+    the C-speed hash intersection compiled plans run inline.
     """
     stats.hash += 1
     return a.fset() & b.fset()
-
-
-def ensure_sorted(out):
-    """Sort a hash-path result once so later bounds become bisect slices.
-
-    Codegen wraps a producer site with this when static dataflow shows the
-    target is re-filtered inside a *deeper* loop — the one-time sort is
-    amortized over the consumer's iteration count.  Sorted sequences pass
-    through untouched.
-    """
-    if isinstance(out, _SET_TYPES):
-        return sorted(out)
-    return out
-
-
-def intersect_count(
-    ops: Sequence,
-    lo: Optional[int] = None,
-    hi: Optional[int] = None,
-    exclude: Tuple[int, ...] = (),
-    stats: KernelStats = STATS,
-) -> int:
-    """``len(intersect_filtered(...))`` without building the result.
-
-    The innermost-loop peephole of counting plans: on a sorted operand the
-    bounds collapse to two binary searches (O(log n), no allocation); on a
-    hash-set operand the excluded scalars come off the bounded set's size.
-    """
-    if len(ops) == 1:
-        a = ops[0]
-        if not isinstance(a, _SET_TYPES):
-            stats.slice += 1
-            ids = a.ids if isinstance(a, AdjacencyView) else a
-            i = bisect_right(ids, lo) if lo is not None else 0
-            j = bisect_left(ids, hi) if hi is not None else len(ids)
-            n = max(0, j - i)  # lo >= hi bounds an empty window
-            if n and exclude:
-                for e in exclude:
-                    k = bisect_left(ids, e, i, j)
-                    if k < j and ids[k] == e:
-                        n -= 1
-            return n
-        stats.set += 1
-        if lo is not None or hi is not None:
-            a = _bounds_filter(a, lo, hi)
-        return len(a) - len(a.intersection(exclude)) if exclude else len(a)
-    return len(intersect_filtered(ops, lo, hi, exclude, stats))
-
-
-def filter_override(src, override: frozenset):
-    """Task splitting: restrict a candidate source to its subtask slice."""
-    if isinstance(src, _SET_TYPES):
-        return src & override
-    return [v for v in src if v in override]

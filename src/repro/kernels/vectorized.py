@@ -1,7 +1,7 @@
 """The numpy-vs-python intersection probe behind ``kernels.crossover``.
 
-No intersection site dispatches to numpy: every csr row ∩ row is the
-frozenset path of :mod:`repro.kernels.intersect`.  What is left here is
+No intersection site dispatches to numpy: every compiled row ∩ row is
+a frozenset expression.  What is left here is
 the timing probe whose only caller is the benchmark ledger's per-layer
 ``kernels.crossover`` metric (``benchmarks/ledger/layers.py``); the
 benchmark-only ledger change (ROADMAP, "Ledger v2") deletes it together

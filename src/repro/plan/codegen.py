@@ -18,43 +18,20 @@ Two compilation modes:
     ``n += len(C)``.
   - *count tail*: when the INT producing that ``C`` feeds nothing else
     (and the loop is not the task-splitting level, and no profiling
-    probes are compiled in) ``C`` is never built.  On the frozenset
-    layout its injectivity filters become ``- (f in S)`` terms on
-    ``len(S)`` — a partial match is injective, so the excluded scalars
-    are pairwise distinct — and its symmetry bounds stay one
-    comprehension without them; on the csr layout the count comes from
-    the kind of the operand (see "csr sites" below).  The len() peephole remains
-    the fallback for tails this rule rejects.
-  - *NE difference* (frozenset layout): any other INT whose filters are
-    all injectivity filters is the C-level ``S - {f1, f2}``, whose result
-    iterates in a different order than the comprehension's.
+    probes are compiled in) ``C`` is never built: its injectivity
+    filters become ``- (f in S)`` terms on ``len(S)`` — a partial match
+    is injective, so the excluded scalars are pairwise distinct — and
+    its symmetry bounds stay one comprehension without them.  The len()
+    peephole remains the fallback for tails this rule rejects.
+  - *NE difference*: any other INT whose filters are all injectivity
+    filters is the C-level ``S - {f1, f2}``, whose result iterates in a
+    different order than the comprehension's.
 * ``collect`` — every result is passed to an ``emit`` callback as a tuple
   indexed by sorted pattern vertex (compressed set slots are frozen).
 
-csr sites.  Every csr operand has a static kind: *view* (a DBQ target),
-*sorted* (``_srt``, ``sorted`` or ``between`` output) or *set*
-(``.fset()`` intersection output).  Each site emits what its operand
-kinds allow:
-
-============  =========  ==================================================
-kind          filters    emitted expression
-============  =========  ==================================================
-view ∩ view   none       ``A.fset() & B.fset()``
-view ∩ other  none       ``A.fset().intersection(S)``
-view, sorted  any        a bisect slice, then per exclusion one bisect and
-                         a slice concatenation
-set           any        ``_ik1``'s comprehension, ``isdisjoint``/``difference``
-tail: sorted  any        bisect bounds minus one bisect-membership term per
-                         excluded scalar (views: on ``ids``)
-tail: set     any        the frozenset layout's count tail
-other         any        ``_ik1`` / ``_ik2`` / ``_ikn`` / ``_ikc``
-============  =========  ==================================================
-
-Each inline form returns the kernel call's value, in its iteration order,
-touching the same view caches, so the INT-site forms apply in both modes;
-a profiled compile keeps the kernel calls.  TRC sites share one triangle
-cache, so a TRC target's kind is the join over all of them (mixed kinds
-join to unknown).
+There is one compute form: ``get_adj`` serves hash sets (the data graph's
+own neighbour frozensets, whatever byte price the store puts on them),
+and every INT/TRC site is a C-level set expression over them.
 
 With ``instrument=True`` (default) the function counts INT/TRC/DBQ/ENU
 executions and triangle-cache misses — the quantities the paper's cost
@@ -66,7 +43,6 @@ Section III-A.
 from __future__ import annotations
 
 import io
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
@@ -133,8 +109,6 @@ class CompiledPlan:
     _function: Callable
     #: True when sampling profiling probes were compiled in.
     profiled: bool = False
-    #: Adjacency layout the generated code expects ("frozenset" | "csr").
-    backend: str = "frozenset"
 
     def run_raw(
         self,
@@ -165,12 +139,6 @@ class CompiledPlan:
         return TaskCounters.from_tuple(self.run_raw(*args, **kwargs))
 
 
-#: Static kinds of a csr operand (module docstring, "csr sites").
-VIEW = "view"      # a DBQ target: an AdjacencyView
-SORTED = "sorted"  # an ascending tuple or list
-SET = "set"        # a set or frozenset
-
-
 def _filter_expr(var: str, filters: Sequence[Filter]) -> str:
     """The comprehension condition realizing the filtering conditions."""
     parts = []
@@ -182,27 +150,6 @@ def _filter_expr(var: str, filters: Sequence[Filter]) -> str:
         else:
             parts.append(f"{var} != {f.var}")
     return " and ".join(parts)
-
-
-def _filter_bounds(filters: Sequence[Filter]) -> Tuple[str, str, str]:
-    """Compile filtering conditions to kernel arguments ``(lo, hi, exclude)``.
-
-    Symmetry-breaking conditions reference loop scalars, so the strict
-    bounds fold into one lower bound (the max of the ``>`` references) and
-    one upper bound (the min of the ``<`` references); injectivity
-    references become a point-exclusion tuple.
-    """
-    gts = [f.var for f in filters if f.kind is FilterKind.GT]
-    lts = [f.var for f in filters if f.kind is FilterKind.LT]
-    nes = [f.var for f in filters if f.kind is FilterKind.NE]
-    lo = "None" if not gts else (
-        gts[0] if len(gts) == 1 else f"max({', '.join(gts)})"
-    )
-    hi = "None" if not lts else (
-        lts[0] if len(lts) == 1 else f"min({', '.join(lts)})"
-    )
-    exclude = "()" if not nes else f"({', '.join(nes)},)"
-    return lo, hi, exclude
 
 
 def _operand_expr(op: str) -> str:
@@ -229,7 +176,6 @@ def generate_source(
     instrument: bool = True,
     function_name: str = "_benu_task",
     profile: bool = False,
-    backend: str = "frozenset",
 ) -> str:
     """Generate the Python source for one plan (see module docstring).
 
@@ -239,20 +185,11 @@ def generate_source(
     plain instruction (a profiled compile keeps every INT site plain: no
     count tail, no NE difference).  Without it no probe is emitted and the
     default path pays zero overhead.
-
-    With ``backend="csr"`` every INT/TRC site compiles to what its operand
-    kinds allow (the module docstring's "csr sites") and, where a kind is
-    unknown, calls the adaptive kernels of :mod:`repro.kernels.intersect`
-    with the filters as bisect bounds.  ``get_adj`` must then serve sorted
-    :class:`~repro.graph.csr.AdjacencyView` rows.
     """
     if mode not in ("count", "collect"):
         raise ValueError(f"mode must be 'count' or 'collect', got {mode!r}")
-    if backend not in ("frozenset", "csr"):
-        raise ValueError(f"unknown adjacency backend {backend!r}")
     if not plan.defined_before_use():
         raise ValueError("plan uses variables before definition")
-    csr = backend == "csr"
 
     instructions = plan.instructions
     out = _Emitter()
@@ -302,147 +239,6 @@ def generate_source(
         default=-1,
     )
 
-    # -- csr static dataflow -------------------------------------------
-    # A producer (INT/TRC) whose target is bounds-filtered by a
-    # single-operand INT in a *deeper* loop emits sorted output: the
-    # one-time sort is amortized over the consumer loop's iterations,
-    # turning its per-iteration filters into bisect slices/counts.
-    sorted_targets: set = set()
-    #: Static kind of each csr name ("csr sites"); absent = anything.
-    kinds: Dict[str, Optional[str]] = {}
-    if csr:
-        kinds = {
-            other.target: VIEW
-            for other in instructions
-            if other.type is InstructionType.DBQ
-        }
-        depth_of = {}
-        d = 0
-        for i, other in enumerate(instructions):
-            depth_of[i] = d
-            if other.type is InstructionType.ENU:
-                d += 1
-        producer_at = {
-            other.target: i
-            for i, other in enumerate(instructions)
-            if other.type in (InstructionType.INT, InstructionType.TRC)
-        }
-        for i, other in enumerate(instructions):
-            if (
-                other.type is InstructionType.INT
-                and len(other.operands) == 1
-                and other.filters
-            ):
-                p = producer_at.get(other.operands[0])
-                if p is not None and depth_of[i] > depth_of[p]:
-                    sorted_targets.add(other.operands[0])
-        # Every TRC site reads the task's one triangle cache, so a target
-        # may hold what another site stored: its kind is the sites' join.
-        trc_kinds = {
-            SORTED if other.target in sorted_targets
-            else SET if all(kinds.get(o) == VIEW for o in other.operands[-2:])
-            else None
-            for other in instructions
-            if other.type is InstructionType.TRC
-        }
-        trc_kind = trc_kinds.pop() if len(trc_kinds) == 1 else None
-
-    # Kind-directed csr sites replace kernel calls; a profiled compile
-    # keeps every csr site the plain kernel call it times.
-    lower = csr and not profile
-
-    def assign(target: str, expr: str, kind: Optional[str]) -> None:
-        # One csr INT/TRC result, sorted once when a deeper loop re-filters it.
-        if target in sorted_targets and kind != SORTED:
-            expr, kind = f"_srt({expr})", SORTED
-        out.line(f"{target} = {expr}")
-        kinds[target] = kind
-
-    def views_meet(a: str, b: str, target: str) -> Tuple[str, str]:
-        # Row ∩ row: ``_ikv``'s two cached frozensets, inline.
-        if not lower:
-            return f"_ikv({a}, {b})", SET
-        if target in sorted_targets:
-            return f"sorted({a}.fset() & {b}.fset())", SORTED
-        return f"{a}.fset() & {b}.fset()", SET
-
-    def filter_one(op: str, kind: Optional[str], filters) -> Optional[Tuple[str, str]]:
-        # A filtered single-operand INT as the expression its operand kind
-        # allows (emitting any prelude lines); None keeps ``_ik1``.
-        lo, hi, excl = _filter_bounds(filters)
-        bounds = [f for f in filters if f.kind is not FilterKind.NE]
-        excluded = [f.var for f in filters if f.kind is FilterKind.NE]
-        if kind in (VIEW, SORTED):
-            # Bounds are one bisect slice, each exclusion one bisect and a
-            # slice concatenation.
-            if kind == VIEW:
-                expr = (
-                    f"{op}.between({lo}, {hi})" if bounds
-                    else f"{op}.materialize()"
-                )
-            else:
-                i = f"_br({op}, {lo})" if lo != "None" else ""
-                j = f"_bl({op}, {hi})" if hi != "None" else ""
-                expr = f"{op}[{i}:{j}]" if bounds else op
-            for x in excluded:
-                t = expr
-                if t != op:
-                    out.line(f"_t = {expr}")
-                    t = "_t"
-                expr = (
-                    f"{t}[:_p] + {t}[_p + 1:] if (_p := _bl({t}, {x})) < len({t})"
-                    f" and {t}[_p] == {x} else {t}"
-                )
-            return expr, SORTED
-        if kind == SET:
-            # What ``_ik1`` does to a hash set, without the dispatch: the
-            # same comprehension, the same difference, so the same order.
-            expr = op
-            if bounds:
-                expr = f"{{v for v in {op} if {_filter_expr('v', bounds)}}}"
-            if excluded:
-                if bounds:
-                    out.line(f"_t = {expr}")
-                    expr = "_t"
-                expr = f"{expr} if {expr}.isdisjoint({excl}) else {expr}.difference({excl})"
-            return expr, SET
-        return None
-
-    def csr_int(inst: Instruction) -> None:
-        ops = [_operand_expr(o) for o in inst.operands]
-        names = inst.operands
-        if len(ops) == 1 and not inst.filters:
-            # An alias shares its operand's kind, but *view* means a DBQ
-            # target: the row sites below are keyed on fresh rows only.
-            out.line(f"{inst.target} = {ops[0]}")
-            kind = kinds.get(names[0])
-            kinds[inst.target] = None if kind == VIEW else kind
-            return
-        lo, hi, excl = _filter_bounds(inst.filters)
-        if len(ops) == 1:
-            # A profiled compile keeps only the one lowering that predates
-            # the site table: a row view's bounds as a between() slice.
-            kind = kinds.get(names[0])
-            lowered = (
-                filter_one(ops[0], kind, inst.filters)
-                if lower or (kind == VIEW and excl == "()") else None
-            )
-            assign(inst.target, *(lowered or (f"_ik1({ops[0]}, {lo}, {hi}, {excl})", None)))
-            return
-        views = [kinds.get(n) == VIEW for n in names]
-        if len(ops) == 2 and not inst.filters and all(views):
-            # Two fresh rows: their cached frozensets.
-            assign(inst.target, *views_meet(ops[0], ops[1], inst.target))
-        elif len(ops) == 2 and not inst.filters and any(views):
-            # Row ∩ prior (smaller) result: probe the row's hash cache,
-            # iterating the small operand.
-            view, small = (ops[1], ops[0]) if views[1] else (ops[0], ops[1])
-            assign(inst.target, f"{view}.fset().intersection({small})", SET)
-        elif len(ops) == 2:
-            assign(inst.target, f"_ik2({ops[0]}, {ops[1]}, {lo}, {hi}, {excl})", None)
-        else:
-            assign(inst.target, f"_ikn(({', '.join(ops)}), {lo}, {hi}, {excl})", None)
-
     # Count-only lowerings (module docstring) rewrite INT sites in ways that
     # change candidate order; profiled compiles keep every site plain.
     unordered = mode == "count" and not profile
@@ -450,7 +246,7 @@ def generate_source(
     def count_tail(idx: int) -> bool:
         # The INT at ``idx`` feeds only the last ENU, which only counts RES
         # and is not the task-splitting level: its candidate set is never
-        # read, only measured, so the emitters below compute ``_c`` =
+        # read, only measured, so ``emit_count_tail`` computes ``_c`` =
         # its cardinality without building it.
         if not unordered or idx + 1 != last_enu_index:
             return False
@@ -464,8 +260,8 @@ def generate_source(
             )
         )
 
-    def set_count_tail(inst: Instruction) -> None:
-        # Hash sets: a multi-operand INT does its ``&`` once, in C.  A
+    def emit_count_tail(inst: Instruction) -> None:
+        # A multi-operand INT does its ``&`` once, in C.  A
         # partial match is injective, so the NE-excluded scalars are
         # pairwise distinct and each one found in the set (and inside the
         # GT/LT bounds) takes exactly one off the count.
@@ -486,41 +282,6 @@ def generate_source(
             terms = [f"len({src})"] + [f"({x} in {src})" for x in excluded]
         out.line("_c = " + " - ".join(terms))
 
-    def csr_count_tail(inst: Instruction) -> None:
-        # A known operand kind counts arithmetically (module docstring);
-        # anything else goes through the count kernel.
-        ops = [_operand_expr(o) for o in inst.operands]
-        lo, hi, excl = _filter_bounds(inst.filters)
-        kind = kinds.get(inst.operands[0]) if len(ops) == 1 else None
-        if kind == SET:
-            set_count_tail(inst)
-            return
-        if kind not in (VIEW, SORTED):
-            out.line(f"_c = _ikc(({', '.join(ops)},), {lo}, {hi}, {excl})")
-            return
-        excluded = [f.var for f in inst.filters if f.kind is FilterKind.NE]
-        seq = f"{ops[0]}.ids" if kind == VIEW else ops[0]
-        if excluded:
-            out.line(f"_d = {seq}")
-            seq = "_d"
-        i = f"_br({seq}, {lo})" if lo != "None" else "0"
-        j = f"_bl({seq}, {hi})" if hi != "None" else f"len({seq})"
-        if excluded and lo != "None":
-            out.line(f"_i = {i}")
-            i = "_i"
-        if excluded and hi != "None":
-            out.line(f"_j = {j}")
-            j = "_j"
-        size = j if lo == "None" else f"{j} - {i}"
-        if lo != "None" and hi != "None":
-            size = f"max(0, {size})"
-        window = f", {i}, {j}" if (lo, hi) != ("None", "None") else ""
-        terms = [
-            f"((_p := _bl(_d, {x}{window})) < {j} and _d[_p] == {x})"
-            for x in excluded
-        ]
-        out.line("_c = " + " - ".join([size] + terms))
-
     for idx, inst in enumerate(instructions):
         if inst.type is InstructionType.INI:
             out.line(f"{inst.target} = start")
@@ -535,7 +296,7 @@ def generate_source(
 
         elif inst.type is InstructionType.INT:
             if count_tail(idx):
-                (csr_count_tail if csr else set_count_tail)(inst)
+                emit_count_tail(inst)
                 if instrument:
                     out.line("n_int += 1")
                 out.line("n_enu += _c")
@@ -544,9 +305,7 @@ def generate_source(
 
             def int_body(inst=inst):
                 ops = [_operand_expr(o) for o in inst.operands]
-                if csr:
-                    csr_int(inst)
-                elif inst.filters:
+                if inst.filters:
                     src = ops[0] if len(ops) == 1 else "(" + " & ".join(ops) + ")"
                     if unordered and all(
                         f.kind is FilterKind.NE for f in inst.filters
@@ -583,17 +342,7 @@ def generate_source(
                 out.line(f"{inst.target} = tcache.get(_k)")
                 out.line(f"if {inst.target} is None:")
                 out.depth += 1
-                if csr:
-                    if kinds.get(ai) == VIEW and kinds.get(aj) == VIEW:
-                        site = views_meet(
-                            _operand_expr(ai), _operand_expr(aj), inst.target
-                        )
-                    else:
-                        site = f"_ik2({ai}, {aj}, None, None, ())", None
-                    assign(inst.target, *site)
-                    kinds[inst.target] = trc_kind
-                else:
-                    out.line(f"{inst.target} = {ai} & {aj}")
+                out.line(f"{inst.target} = {ai} & {aj}")
                 out.line(f"tcache[_k] = {inst.target}")
                 if instrument:
                     out.line("n_trc_miss += 1")
@@ -609,14 +358,9 @@ def generate_source(
             if inst.target == second_fvar:
                 # Task-splitting hook: subtasks enumerate a slice of C_{k2}.
                 # A fresh name keeps the original set intact for later reads.
-                restrict = (
-                    f"_ovr({source_var}, c2_override)"
-                    if csr
-                    else f"({source_var} & c2_override)"
-                )
                 out.line(
                     f"_c2 = {source_var} if c2_override is None "
-                    f"else {restrict}"
+                    f"else ({source_var} & c2_override)"
                 )
                 source_var = "_c2"
             # Peephole: an innermost loop whose body is just counting RES
@@ -665,7 +409,6 @@ def compile_plan(
     mode: str = "count",
     instrument: bool = True,
     profiler=None,
-    backend: str = "frozenset",
 ) -> CompiledPlan:
     """Compile a plan into an executable :class:`CompiledPlan`.
 
@@ -673,13 +416,9 @@ def compile_plan(
     sampling probes into every DBQ/INT/TRC site; None (the default)
     generates exactly the unprofiled source.
 
-    ``backend="csr"`` generates kind-directed INT/TRC sites (see
-    :func:`generate_source`); ``get_adj`` must then serve sorted
-    adjacency views, e.g. from a csr-backed store.
-
     An instrumented, unprofiled compile — what every execution backend
-    asks for — is memoised on the plan per ``(mode, backend)``, so a plan
-    served from a plan cache is generated and compiled once, not once per
+    asks for — is memoised on the plan per ``mode``, so a plan served
+    from a plan cache is generated and compiled once, not once per
     query.  The memo entry remembers the instructions and constants it was
     compiled from and is ignored once the plan no longer has them.
 
@@ -696,46 +435,21 @@ def compile_plan(
     >>> total  # 4 triangles in K4, symmetry breaking dedups automorphisms
     4
     """
-    if backend == "csr":
-        from ..kernels.intersect import (
-            _intersect1,
-            _intersect2,
-            _intersectn,
-            ensure_sorted,
-            filter_override,
-            intersect_count,
-            intersect_views,
-        )
     memo = None
-    key = (mode, backend)
     if instrument and profiler is None:
         compiled_from = (tuple(plan.instructions), dict(plan.constants))
         memo = plan.__dict__.setdefault("_compiled", {})
-        hit = memo.get(key)
+        hit = memo.get(mode)
         if hit is not None and hit[0] == compiled_from:
             return hit[1]
     source = generate_source(
-        plan,
-        mode=mode,
-        instrument=instrument,
-        profile=profiler is not None,
-        backend=backend,
+        plan, mode=mode, instrument=instrument, profile=profiler is not None
     )
     namespace: Dict[str, object] = dict(plan.constants)
     if profiler is not None:
         namespace["_prof_tick"] = profiler.should_sample
         namespace["_prof_rec"] = profiler.record
         namespace["_prof_now"] = profiler.clock
-    if backend == "csr":
-        namespace["_ik1"] = _intersect1
-        namespace["_ik2"] = _intersect2
-        namespace["_ikn"] = _intersectn
-        namespace["_ikc"] = intersect_count
-        namespace["_ikv"] = intersect_views
-        namespace["_srt"] = ensure_sorted
-        namespace["_ovr"] = filter_override
-        namespace["_bl"] = bisect_left
-        namespace["_br"] = bisect_right
     code = compile(source, f"<benu-plan:{plan.pattern.name}>", "exec")
     exec(code, namespace)  # noqa: S102 - trusted generated code
     function = namespace["_benu_task"]
@@ -746,8 +460,7 @@ def compile_plan(
         source=source,
         _function=function,
         profiled=profiler is not None,
-        backend=backend,
     )
     if memo is not None:
-        memo[key] = (compiled_from, compiled)
+        memo[mode] = (compiled_from, compiled)
     return compiled

@@ -9,9 +9,9 @@ faithfully for everything the paper measures:
 * every ``get`` is accounted: query count, bytes transferred (serialized
   adjacency size), and simulated latency (per-query overhead + per-byte
   transfer time on the paper's 1 Gbps Ethernet);
-* values are the adjacency frozensets themselves — serialization cost is
-  *accounted* rather than paid on every query, keeping the hot loop fast
-  while byte numbers stay exact.
+* values are the data graph's own adjacency frozensets — serialization
+  cost is *accounted* rather than paid on every query, keeping the hot
+  loop fast while byte numbers stay exact.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ from typing import Dict, FrozenSet, Optional
 
 from ..graph.graph import Graph, Vertex
 from .partition import partition_of
-from .serialization import adjacency_size_bytes
+from .serialization import adjacency_size_bytes, packed_size_bytes
+
+#: ``backend`` -> the byte price of one stored row.
+_PRICES = {"frozenset": adjacency_size_bytes, "csr": packed_size_bytes}
 
 
 @dataclass
@@ -60,12 +63,11 @@ class LatencyModel:
 class DistributedKVStore:
     """Adjacency sets of a data graph, hash-partitioned over storage nodes.
 
-    The value layout is negotiated at load time: ``backend="frozenset"``
-    (the historical layout) stores hash sets priced by their delta+varint
-    serialization; ``backend="csr"`` stores sorted
-    :class:`~repro.graph.csr.AdjacencyView` rows over the graph's packed
-    CSR arrays, priced *exactly* at ``len(view) * 8`` bytes — the wire
-    size of a raw int64 posting list.
+    Every value is a frozenset.  ``backend`` picks only the byte price
+    of a value, which is what the cache capacity and the communication
+    ledger count: ``"frozenset"`` prices a row by its delta+varint
+    serialization, ``"csr"`` at 8 bytes per id — the wire size of a raw
+    int64 posting list.
 
     >>> from repro.graph.graph import complete_graph
     >>> store = DistributedKVStore.from_graph(complete_graph(3), num_partitions=2)
@@ -83,16 +85,16 @@ class DistributedKVStore:
     ) -> None:
         if num_partitions < 1:
             raise ValueError("need at least one partition")
-        if backend not in ("frozenset", "csr"):
+        price = _PRICES.get(backend)
+        if price is None:
             raise ValueError(f"unknown adjacency backend {backend!r}")
         self.num_partitions = num_partitions
         self.latency = latency
         self.backend = backend
+        self._price = price
         self._partitions: list = [dict() for _ in range(num_partitions)]
         self._value_bytes: Dict[Vertex, int] = {}
         self.stats = QueryStats()
-        #: The data graph's CSR arrays (csr backend only).
-        self.csr = None
         #: Optional telemetry hook called as ``(key, nbytes, cost_seconds)``
         #: on every get; None (the default) keeps the hot path branch-cheap.
         self.on_query = None
@@ -108,14 +110,8 @@ class DistributedKVStore:
     ) -> "DistributedKVStore":
         """Load a data graph — the preprocessing step of Algorithm 2 line 1."""
         store = cls(num_partitions, latency, backend=backend)
-        if backend == "csr":
-            store.csr = graph.csr()
-            for v, view in store.csr.items():
-                store._partitions[store.partition_of(v)][v] = view
-                store._value_bytes[v] = view.nbytes()
-        else:
-            for v in graph.vertices:
-                store.put(v, graph.neighbors(v))
+        for v in graph.vertices:
+            store.put(v, graph.neighbors(v))
         return store
 
     def partition_of(self, key: Vertex) -> int:
@@ -124,22 +120,19 @@ class DistributedKVStore:
         return partition_of(key, self.num_partitions)
 
     def put(self, key: Vertex, neighbors: FrozenSet[Vertex]) -> None:
-        if self.backend == "csr":
-            raise ValueError(
-                "csr-backed stores are loaded whole via from_graph(); "
-                "per-key puts would desynchronize the packed arrays"
-            )
+        # ``frozenset`` of a frozenset is the same object: a graph's rows
+        # are stored, not copied.
         self._partitions[self.partition_of(key)][key] = frozenset(neighbors)
-        self._value_bytes[key] = adjacency_size_bytes(neighbors)
+        self._value_bytes[key] = self._price(neighbors)
 
     # ------------------------------------------------------------------
-    def get(self, key: Vertex, stats: Optional[QueryStats] = None):
+    def get(
+        self, key: Vertex, stats: Optional[QueryStats] = None
+    ) -> FrozenSet[Vertex]:
         """Fetch one adjacency set, accounting the query.
 
-        Returns a ``frozenset`` or a sorted ``AdjacencyView`` depending on
-        the store's backend.  ``stats`` lets callers (worker machines)
-        account to their own ledger; the store-wide ledger is always
-        updated too.
+        ``stats`` lets callers (worker machines) account to their own
+        ledger; the store-wide ledger is always updated too.
         """
         value = self._partitions[self.partition_of(key)].get(key)
         if value is None:

@@ -9,7 +9,7 @@ fraction of the data-graph size) are meaningful.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Tuple
+from typing import Collection, FrozenSet, Iterable, List, Tuple
 
 from ..graph.graph import Graph
 
@@ -88,6 +88,11 @@ def adjacency_size_bytes(neighbors: Iterable[int]) -> int:
         size += varint_size(v if i == 0 else v - prev)
         prev = v
     return size
+
+
+def packed_size_bytes(neighbors: Collection[int]) -> int:
+    """Size as a raw int64 posting list: 8 bytes per id."""
+    return 8 * len(neighbors)
 
 
 def graph_size_bytes(graph: Graph) -> int:

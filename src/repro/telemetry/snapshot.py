@@ -193,7 +193,7 @@ class TelemetrySnapshot:
 
     @property
     def kernel_counts(self) -> Dict[str, int]:
-        """Intersections served per kernel (csr backend; empty otherwise)."""
+        """Intersections served per kernel (empty: compiled plans call none)."""
         metric = self.registry.get(M_KERNEL_CALLS)
         out: Dict[str, int] = {}
         if isinstance(metric, Counter):

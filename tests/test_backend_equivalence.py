@@ -3,17 +3,17 @@
 Three axes, crossed over the exhaustive connected-pattern corpus and the
 bundled pattern library:
 
-* frozenset vs csr through the full pipeline — identical counts and
-  identical match multisets;
-* interpreter (the literal oracle, fed CSR views) vs compiled csr plans;
+* frozenset vs csr row prices through the full pipeline — identical
+  counts and identical match multisets;
+* interpreter (the literal oracle) vs compiled plans under the csr price;
 * the execution-backend matrix — simulated / inline / process ×
   frozenset / csr, byte-identical match sets for every bundled pattern;
 * the same matrix through the service for a streamed, a projected, a
   limited and a grouped BENU-QL query — packed row blocks end to end
   must deliver the rows list-flat blocks deliver, in their order.
 
-Any kernel dispatch bug, bounds-slice off-by-one, view-protocol gap or
-IPC envelope bug shows up here as a mismatch on some small pattern.
+Any codegen, pricing or IPC envelope bug shows up here as a mismatch on
+some small pattern.
 """
 
 import pytest
@@ -238,15 +238,15 @@ class TestStreamedQueryMatrix:
 
 
 class TestInterpreterOracle:
-    """The interpreter consumes raw CSR views and must agree with codegen."""
+    """The interpreter, fed the graph's rows, must agree with codegen run
+    through a csr-priced store."""
 
     @pytest.mark.parametrize("idx", range(len(ALL_PATTERNS)))
     def test_interpreter_vs_compiled_on_csr_views(self, idx, data_graphs):
         pg = PatternGraph(ALL_PATTERNS[idx], f"eq{idx}")
         for g in data_graphs[:2]:
             plan = build_plan(pg, g)
-            csr = g.csr()
-            interpreted = interpret_all(plan, g.vertices, csr.row)
+            interpreted = interpret_all(plan, g.vertices, g.neighbors)
             compiled = count_subgraphs(
                 pg, g, BenuConfig(relabel=False, adjacency_backend="csr")
             )
@@ -273,42 +273,3 @@ class TestModesUnderCsr:
                     for backend in ("frozenset", "csr")
                 ]
                 assert counts[0] == counts[1], (level, compressed)
-
-    def test_kernel_counts_populated_matrix(self, data_graphs):
-        """Kernel dispatch totals agree across runtimes on csr."""
-        pg = PatternGraph(ALL_PATTERNS[-1], "dense4")
-        counts = {
-            backend: run_benu(
-                pg,
-                data_graphs[0],
-                BenuConfig(
-                    relabel=False,
-                    adjacency_backend="csr",
-                    execution_backend=backend,
-                    num_workers=2,
-                    optimization_level=0,
-                ),
-            ).kernel_counts
-            for backend in ("simulated", "process")
-        }
-        assert counts["simulated"] and counts["simulated"] == counts["process"]
-
-    def test_kernel_counts_populated(self, data_graphs):
-        pg = PatternGraph(ALL_PATTERNS[-1], "dense4")
-        # Unoptimized, the plan keeps filtered multi-operand INTs, which
-        # dispatch a kernel; the optimized plan's sites all compile inline.
-        result = run_benu(
-            data=data_graphs[0],
-            pattern=pg,
-            config=BenuConfig(
-                relabel=False, adjacency_backend="csr", optimization_level=0
-            ),
-        )
-        assert result.telemetry.kernel_counts
-        fs = run_benu(
-            data=data_graphs[0],
-            pattern=pg,
-            config=BenuConfig(relabel=False, adjacency_backend="frozenset"),
-        )
-        # The frozenset pipeline never touches the kernel library.
-        assert not fs.telemetry.kernel_counts

@@ -1,6 +1,5 @@
 """Tests for the plan compiler (codegen) against the reference interpreter."""
 
-import re
 from dataclasses import astuple
 from itertools import combinations, permutations
 from pathlib import Path
@@ -8,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from repro.engine.interpreter import interpret_plan
-from repro.graph.csr import CSRAdjacency
 from repro.graph.generators import erdos_renyi, random_connected_graph
 from repro.graph.graph import Graph, complete_graph
 from repro.graph.order import relabel_by_degree_order
@@ -80,13 +78,13 @@ class TestCompileMemo:
     """An instrumented, unprofiled compile is memoised on the plan."""
 
     def test_one_compile_per_mode_and_layout(self):
+        """One compute form: the memo is keyed on the mode alone."""
         plan = plan_for("q1", [1, 2, 3, 4, 5])
         first = compile_plan(plan, mode="count")
         assert compile_plan(plan, mode="count") is first
         assert compile_plan(plan, mode="collect") is not first
-        assert compile_plan(plan, mode="count", backend="csr") is not first
-        assert compile_plan(plan, mode="count", backend="csr").backend == "csr"
         assert compile_plan(plan, mode="collect").mode == "collect"
+        assert set(vars(plan)["_compiled"]) == {"count", "collect"}
 
     def test_uninstrumented_and_profiled_compiles_bypass_it(self):
         from repro.telemetry import MetricsRegistry
@@ -291,37 +289,8 @@ def sampled_orders(pg, limit=24):
     return orders[:: max(1, len(orders) // limit)]
 
 
-class _NeverSample:
-    """A profiler whose gate never opens: a profiled csr compile then runs
-    every INT/TRC site as the plain kernel call the lowered sites replace."""
-
-    should_sample = staticmethod(lambda: False)
-    record = staticmethod(lambda label, seconds: None)
-    clock = staticmethod(lambda: 0.0)
-
-
-def _traced_run(variant, v, get_adj, universe, override):
-    """(counters, emitted rows, DBQ keys) of one task, in order."""
-    rows, keys = [], []
-
-    def traced_get(key):
-        keys.append(key)
-        return get_adj(key)
-
-    counters = variant.run_raw(
-        v, traced_get, universe, emit=rows.append, tcache={},
-        candidate_override=override,
-    )
-    return counters, rows, keys
-
-
 def assert_all_modes_count_alike(plan, graph, starts=None, override=None):
-    """count == interpreter == collect, all six counters, task by task.
-
-    On csr, the lowered sites must also emit the rows and issue the DBQs
-    the kernel-call sites do, in the same order.
-    """
-    csr = CSRAdjacency.from_graph(graph)
+    """count == interpreter == collect, all six counters, task by task."""
     vset = frozenset(graph.vertices)
     starts = graph.vertices if starts is None else starts
     wants = {
@@ -333,27 +302,18 @@ def assert_all_modes_count_alike(plan, graph, starts=None, override=None):
         )
         for v in starts
     }
-    runs = [
-        ("frozenset", graph.neighbors, vset),
-        ("csr", csr.row, csr.universe()),
-    ]
-    for layout, get_adj, universe in runs:
-        for mode in ("count", "collect"):
-            variant = compile_plan(plan, mode=mode, backend=layout)
-            kernel = layout == "csr" and compile_plan(
-                plan, mode=mode, backend=layout, profiler=_NeverSample()
+    for mode in ("count", "collect"):
+        variant = compile_plan(plan, mode=mode)
+        for v in starts:
+            got = variant.run_raw(
+                v, graph.neighbors, vset, emit=[].append, tcache={},
+                candidate_override=override,
             )
-            for v in starts:
-                got = _traced_run(variant, v, get_adj, universe, override)
-                where = (plan.order, v, layout, mode)
-                assert got[0] == wants[v], where
-                if kernel:
-                    want = _traced_run(kernel, v, get_adj, universe, override)
-                    assert got[1:] == want[1:], where
+            assert got == wants[v], (plan.order, v, mode)
 
 
 class TestCountLoweringsDifferential:
-    """The count-only lowerings move no counter, on either layout."""
+    """The count-only lowerings move no counter."""
 
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     def test_every_pattern_every_order(self, name):
@@ -439,104 +399,42 @@ class TestCountLoweringsSourceShape:
         "golden,kwargs",
         [
             ("q2_collect_frozenset", dict(mode="collect")),
-            ("q2_count_csr", dict(mode="count", backend="csr")),
             ("q2_count_frozenset_profiled", dict(mode="count", profile=True)),
         ],
     )
     def test_everything_else_is_byte_identical_to_pr16(self, golden, kwargs):
-        """Collect mode, the csr layout and profiled compiles did not move."""
+        """Collect mode and profiled compiles did not move."""
         want = (GOLDEN / f"{golden}.py.txt").read_text(encoding="utf-8")
         assert generate_source(plan_for(*self.Q2), **kwargs) == want
 
 
-def _definition(source, name):
-    """The right-hand side giving ``name`` its value (a TRC target's
-    computed value, not its cache probe); None for task arguments."""
-    for line in source.splitlines():
-        lhs, sep, rhs = line.strip().partition(" = ")
-        if sep and lhs == name and not rhs.startswith("tcache.get("):
-            return rhs
-    return None
-
-
-def _static_kind(source, name):
-    """view / sorted / set as read off the generated source, else None.
-
-    Every TRC site stores into the task's one triangle cache, so a TRC
-    target has a kind only when all TRC sites compute the same kind.
-    """
-    trc = re.findall(r"(\w+) = tcache\.get\(", source)
-    if name in trc:
-        kinds = {_rhs_kind(source, _definition(source, t)) for t in trc}
-        return kinds.pop() if len(kinds) == 1 else None
-    return _rhs_kind(source, _definition(source, name))
-
-
-def _rhs_kind(source, rhs):
-    if rhs is None:
-        return None
-    if re.fullmatch(r"\w+", rhs):  # an alias; a view's alias is no DBQ target
-        kind = _static_kind(source, rhs)
-        return None if kind == "view" else kind
-    if rhs.startswith("get_adj("):
-        return "view"
-    if (
-        rhs.startswith(("sorted(", "_srt("))
-        or ".between(" in rhs
-        or ".materialize()" in rhs
-        or "[:_p]" in rhs
-    ):
-        return "sorted"
-    if (
-        rhs.startswith("{v for v in ")
-        or re.match(r"\w+\.fset\(\)\.intersection\(", rhs)
-        or re.fullmatch(r"\w+\.fset\(\) & \w+\.fset\(\)", rhs)
-        or re.match(r"(\w+) if \1\.isdisjoint\(", rhs)
-    ):
-        return "set"
-    return None
-
-
 class TestCsrSitesCompileToTheirKind:
-    """No csr count plan dispatches a kernel on an operand whose kind
-    codegen knows: rows, sorted sequences and hash sets compile inline."""
+    """A csr-priced row is the graph's frozenset, so every site is a set
+    site: no source calls a kernel, a view method or a bisect, and none
+    checks an operand's type at run time."""
 
-    @pytest.mark.parametrize("name", sorted(PATTERNS))
-    def test_no_kernel_call_on_a_known_kind(self, name):
+    @staticmethod
+    def _sources(name, modes):
         pg = PatternGraph(get_pattern(name), name)
         for order in sampled_orders(pg):
             for level in (0, 3):
                 plan = optimize(generate_raw_plan(pg, order), level)
-                source = generate_source(plan, mode="count", backend="csr")
-                calls = re.findall(r"_ik1\((\w+),|_ikc\(\((\w+),\)", source)
-                for operand in (a or b for a, b in calls):
-                    kind = _static_kind(source, operand)
-                    assert kind is None, (order, level, operand, kind, source)
+                for mode in modes:
+                    yield (order, level, mode), generate_source(plan, mode=mode)
 
-    def test_the_classifier_sees_every_kind(self):
-        source = generate_source(
-            plan_for("demo", [3, 5, 4, 1, 2, 6]), mode="count", backend="csr"
-        )
-        kinds = {
-            _static_kind(source, line.strip().partition(" = ")[0])
-            for line in source.splitlines()
-            if " = " in line
-        }
-        assert {"view", "sorted", "set"} <= kinds
+    @pytest.mark.parametrize("name", sorted(PATTERNS))
+    def test_no_kernel_call_on_a_known_kind(self, name):
+        for where, source in self._sources(name, ("count",)):
+            for call in ("_ik", "_srt(", "_ovr(", "_bl(", "_br("):
+                assert call not in source, (where, call, source)
 
     @pytest.mark.parametrize("name", sorted(PATTERNS))
     def test_row_meets_row_through_frozensets_only(self, name):
         """Every row ∩ row is the frozenset path: no size test, no
-        run-time type check, no kernel call."""
-        pg = PatternGraph(get_pattern(name), name)
-        for order in sampled_orders(pg):
-            for level in (0, 3):
-                plan = optimize(generate_raw_plan(pg, order), level)
-                for mode in ("count", "collect"):
-                    source = generate_source(plan, mode=mode, backend="csr")
-                    where = (order, level, mode, source)
-                    assert "_X" not in source and "type(" not in source, where
-                    assert "_ikv(" not in source, where
+        run-time type check, no kernel call, no view method."""
+        for where, source in self._sources(name, ("count", "collect")):
+            assert "_X" not in source and "type(" not in source, where
+            assert "_ikv(" not in source and ".fset()" not in source, where
 
 
 try:

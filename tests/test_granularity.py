@@ -258,7 +258,7 @@ class TestChunkContract:
         config = BenuConfig(relabel=False, collect=True)
         prepared = prepare_data(workload, config)
         plan = prepare_plan(get_pattern("triangle"), prepared, config)
-        _init_worker(plan, "frozenset", prepared.graph, "collect", None)
+        _init_worker(plan, prepared.graph, "collect", None)
         starts = [v for v in list(prepared.graph.vertices)[:5]]
         base, record = _run_chunk((17, array("q", starts)))
         assert base == 17

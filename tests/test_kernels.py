@@ -15,9 +15,7 @@ from repro.kernels.intersect import (
     GALLOP_RATIO,
     KernelStats,
     STATS,
-    filter_override,
     intersect_adaptive,
-    intersect_count,
     intersect_filtered,
     intersect_gallop,
     intersect_merge,
@@ -116,7 +114,6 @@ class TestIntersectFiltered:
             tuple,
             frozenset,
             set,
-            _view,
         ]
         for trial in range(300):
             universe = rng.choice([20, 200, 1500])
@@ -139,27 +136,11 @@ class TestIntersectFiltered:
             if not isinstance(got, (set, frozenset)):
                 assert len(set(got)) == len(got)  # sequence results stay duplicate-free
 
-    def test_count_is_the_filtered_size(self):
-        rng = random.Random(8)
-        forms = [lambda ids: ids, tuple, frozenset, set, _view]
-        for trial in range(300):
-            universe = rng.choice([20, 200])
-            raw = [
-                _sorted_sample(rng, universe, rng.randrange(0, universe))
-                for _ in range(rng.randrange(1, 3))
-            ]
-            ops = [rng.choice(forms)(ids) for ids in raw]
-            lo = rng.randrange(universe) if rng.random() < 0.5 else None
-            hi = rng.randrange(universe) if rng.random() < 0.5 else None
-            exclude = tuple(rng.sample(range(universe), rng.randrange(0, 4)))
-            got = intersect_count(ops, lo, hi, exclude, stats=KernelStats())
-            assert got == len(_filtered_oracle(raw, lo, hi, exclude)), trial
-
     def test_every_form_pairing(self):
         a = list(range(0, 60, 2))
         b = list(range(0, 60, 3))
         want = _filtered_oracle([a, b], 5, 50, (12,))
-        forms = [list, tuple, frozenset, set, _view]
+        forms = [list, tuple, frozenset, set]
         for fa in forms:
             for fb in forms:
                 got = intersect_filtered(
@@ -168,16 +149,9 @@ class TestIntersectFiltered:
                 assert set(got) == want, (fa.__name__, fb.__name__)
 
     def test_single_operand(self):
-        v = _view(range(0, 100, 5))
+        v = tuple(range(0, 100, 5))
         got = intersect_filtered([v], 10, 80, (25,), stats=KernelStats())
         assert set(got) == {x for x in range(0, 100, 5) if 10 < x < 80} - {25}
-
-    def test_filter_override_parity(self):
-        override = frozenset(range(0, 50, 7))
-        for src in (set(range(30)), frozenset(range(30)), list(range(30)),
-                    tuple(range(30)), _view(range(30))):
-            got = filter_override(src, override)
-            assert set(got) == set(range(30)) & override
 
 
 class TestKernelStats:

@@ -26,7 +26,7 @@ from repro.engine.benu import run_benu
 from repro.engine.config import ADJACENCY_BACKENDS, BenuConfig
 from repro.graph.generators import chung_lu
 from repro.graph.patterns import get_pattern
-from repro.telemetry.snapshot import G_MAKESPAN, G_WALL, M_SHM_ATTACHES
+from repro.telemetry.snapshot import G_MAKESPAN, G_WALL
 
 GOLDEN = Path(__file__).parent / "golden" / "run_ledger.json"
 
@@ -37,9 +37,8 @@ PATTERNS = (("square", False), ("chordal_square", True))
 EXACT_RUNS = (("simulated", 2), ("inline", 2), ("process", 1))
 
 #: Metrics a two-worker process run may not reproduce: the makespan is
-#: the busiest worker's share and the csr attach count the number of
-#: workers that happened to pull a chunk.
-UNORDERED_SKIP = (G_WALL, G_MAKESPAN, M_SHM_ATTACHES)
+#: the busiest worker's share.
+UNORDERED_SKIP = (G_WALL, G_MAKESPAN)
 
 
 def _graph():
