@@ -8,8 +8,8 @@ contract this repo's benchmarks rely on:
   schema and contains the pipeline's load-bearing spans;
 * the telemetry snapshot agrees with the legacy stats ledgers;
 * the machine-readable ``BENCH_*.json`` record round-trips through JSON;
-* observability off is *free*: no events, per-task IPC records stay the
-  exact 5-tuples they always were, and attaching cost-model predictions
+* observability off is *free*: no events, per-task IPC records stay
+  exact 4-tuples, and attaching cost-model predictions
   leaves the compiled plan source byte-identical.
 """
 
@@ -85,15 +85,15 @@ class TestTelemetryOffIsFree:
         )
         assert result.telemetry.registry.get(M_EVENTS) is None
 
-    def test_untraced_ipc_records_are_exact_five_tuples(self, monkeypatch):
+    def test_untraced_ipc_records_are_exact_four_tuples(self, monkeypatch):
         """Tracing off → chunk records carry zero extra payload bytes."""
         from repro.engine.backends import process as proc
 
         seen = []
         original = proc._run_tasks
 
-        def spy(tasks):
-            record = original(tasks)
+        def spy(base, stop):
+            record = original(base, stop)
             seen.append(record)
             return record
 
@@ -104,10 +104,10 @@ class TestTelemetryOffIsFree:
         run_benu(pattern, data, config)
         records = list(seen)
         assert records
-        assert all(len(r) == 5 for r in records)
-        # Explicitly: the serialized record IS the bare 5-tuple.
+        assert all(len(r) == 4 for r in records)
+        # Explicitly: the serialized record IS the bare 4-tuple.
         assert all(
-            pickle.dumps(r) == pickle.dumps(tuple(r[:5])) for r in records
+            pickle.dumps(r) == pickle.dumps(tuple(r[:4])) for r in records
         )
         # Tracing on appends exactly one trailing element (the spans).
         seen.clear()
@@ -121,11 +121,11 @@ class TestTelemetryOffIsFree:
             ),
         )
         traced = list(seen)
-        assert traced and all(len(r) == 6 for r in traced)
+        assert traced and all(len(r) == 5 for r in traced)
 
     def test_faults_off_is_free(self, monkeypatch):
         """No schedule configured → the null injector, no fault metrics,
-        and the same bare 5-tuple IPC records as ever."""
+        and the same bare 4-tuple IPC records."""
         from repro.engine.backends import process as proc
         from repro.faults import FAULTS_ENV, NULL_INJECTOR, get_injector
         from repro.telemetry.snapshot import (
@@ -140,8 +140,8 @@ class TestTelemetryOffIsFree:
         seen = []
         original = proc._run_tasks
 
-        def spy(tasks):
-            record = original(tasks)
+        def spy(base, stop):
+            record = original(base, stop)
             seen.append(record)
             return record
 
@@ -153,7 +153,7 @@ class TestTelemetryOffIsFree:
         )
         records = list(seen)
         assert records and all(
-            pickle.dumps(r) == pickle.dumps(tuple(r[:5])) for r in records
+            pickle.dumps(r) == pickle.dumps(tuple(r[:4])) for r in records
         )
         registry = result.telemetry.registry
         for metric in (M_WORKER_CRASHES, M_TASK_RETRIES, M_FAULTS_INJECTED):

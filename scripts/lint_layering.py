@@ -32,9 +32,10 @@ So only ``repro.service.protocol`` imports ``socketserver`` and only
 neighbour frozensets, whichever byte price the store puts on a row, and
 every INT/TRC site is a set expression codegen emits inline.  So no
 module outside ``graph/`` imports ``repro.graph.csr`` (the packed layout
-is kept for the benchmark ledger's probes), and no ``plan/`` or
-``engine/`` module imports anything from ``repro.kernels.intersect`` but
-``KernelStats`` and ``STATS``, the accounting the run ledger records.
+is kept for the benchmark ledger's probes), and of the ``plan/`` and
+``engine/`` modules only ``engine/backends/base.py`` imports from
+``repro.kernels``, and only ``KernelStats``: the run ledger records its
+all-zero fields, since no compiled plan calls a kernel.
 Every row ∩ row is one frozenset path, never a timing: no module imports
 ``repro.kernels.vectorized`` (a numpy probe only the benchmark ledger
 calls), and ``kernels/``, ``plan/`` and ``graph/`` import no ``numpy``
@@ -97,11 +98,12 @@ WIRE_DOORS = {
 
 #: The packed adjacency layout, which only ``graph/`` imports.
 CSR_MODULE = "repro.graph.csr"
-#: Layers that compute on frozenset rows, and the only kernel names they
-#: may import: the accounting the run ledger records.
+#: Layers that compute on frozenset rows; of them only the run ledger
+#: imports from the kernel library, and only the accounting it records.
 COMPUTE_LAYERS = ("plan/", "engine/")
-KERNEL_MODULES = ("repro.kernels", "repro.kernels.intersect")
-KERNEL_ACCOUNTING = {"KernelStats", "STATS"}
+KERNEL_PACKAGE = "repro.kernels"
+KERNEL_LEDGER = "engine/backends/base.py"
+KERNEL_ACCOUNTING = {"KernelStats"}
 #: The benchmark-only numpy probe, which no library module imports.
 PROBE = "repro.kernels.vectorized"
 PROBE_FILE = "kernels/vectorized.py"
@@ -248,8 +250,10 @@ def _lint_compute_form(path, rel, lineno, module, names, out) -> int:
         reached = CSR_MODULE
     elif (
         rel.startswith(COMPUTE_LAYERS)
-        and module in KERNEL_MODULES
-        and not (names and set(names) <= KERNEL_ACCOUNTING)
+        and (module + ".").startswith(KERNEL_PACKAGE + ".")
+        and not (
+            rel == KERNEL_LEDGER and names and set(names) <= KERNEL_ACCOUNTING
+        )
     ):
         reached = f"{module} names {sorted(names)}"
     else:

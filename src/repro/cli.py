@@ -34,7 +34,7 @@ from .engine.benu import (
     run_benu,
 )
 from .engine.config import ADJACENCY_BACKENDS, EXECUTION_BACKENDS, BenuConfig
-from .engine.control import ExecutionControl, QueryCancelled
+from .engine.control import ExecutionControl
 from .engine.sinks import CallbackSink, JsonlSink, LimitSink
 from .graph.datasets import DATASET_ORDER, DATASET_SPECS, load_dataset
 from .graph.graph import Graph
@@ -140,11 +140,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     sink = (
         LimitSink(out, args.limit, control) if args.limit is not None else out
     )
-    try:
-        execute_plan(plan, prepared, config, sink=sink, control=control)
-    except QueryCancelled as exc:
-        if exc.reason != LimitSink.REASON:
-            raise
+    execute_plan(plan, prepared, config, sink=sink, control=control)
+    if control.limit_reached:
         print(f"... (stopped after {args.limit} matches)", file=sys.stderr)
     return 0
 

@@ -125,11 +125,12 @@ class ExecutionBackend(abc.ABC):
 
     The contract: :meth:`execute` runs every task of ``request.plan``
     over ``request.graph``, hands their rows to ``request.sink`` as row
-    blocks (in execution-space ids — translation happens a layer up), honors
-    ``request.control`` at task or chunk boundaries (a cancel or expired
-    deadline raises the typed
+    blocks in task order (in execution-space ids — translation happens a
+    layer up), honors ``request.control`` at task or chunk boundaries (a
+    cancel or expired deadline raises the typed
     :class:`~repro.engine.control.ExecutionInterrupted` out of this
-    method; no partial result is returned), and returns a
+    method and no partial result is returned; a reached LIMIT ends the
+    run there and returns its result), and returns a
     :class:`~repro.engine.results.BenuResult` whose ``telemetry``
     snapshot uses the canonical metric names of
     :mod:`repro.telemetry.snapshot`.
@@ -306,7 +307,6 @@ def finish_run(
     registry: MetricsRegistry,
     ledgers: List[WorkerLedger],
     num_tasks: int,
-    kernels: KernelStats,
     wall0: float,
     backend: str,
     **extras,
@@ -314,7 +314,8 @@ def finish_run(
     """Record a finished run into ``registry`` and return its result.
 
     The one end of every backend's run: each worker's ledger under its
-    ``worker`` label, the intersections per kernel, the plan's
+    ``worker`` label, zero intersections per kernel (no compiled plan
+    calls one; the metric stays for its readers), the plan's
     cost-model estimates beside their q-errors against the executed
     counts (when the plan carries estimates), and the run gauges.
     ``wall0`` is the ``perf_counter`` instant the run started; ``extras``
@@ -361,7 +362,7 @@ def finish_run(
             actual = float(getattr(counters, name)) if name else 0.0
             pred_gauge.set(pred, instr=instr)
             qerr_gauge.set(q_error(pred, actual), instr=instr)
-    mirror(registry, kernels)
+    mirror(registry, KernelStats())
 
     config = request.config
     makespan = max((ledger.makespan_seconds for ledger in ledgers), default=0.0)

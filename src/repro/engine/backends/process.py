@@ -11,46 +11,45 @@ Design notes
 ------------
 * One process per worker; compiled closures cannot be pickled, so each
   worker compiles the plan in its initializer.
-* Adjacency is shared the one way the compiled plans read it: each
-  worker inherits the graph's neighbour frozensets at fork (copy-on-write
-  pages), whatever ``adjacency_backend`` says — that setting only prices
-  rows for the simulated store's cache.  Nothing is packed, mapped or
-  pickled per query.
+* Workers inherit, at fork (copy-on-write pages), the graph's neighbour
+  frozensets — whatever ``adjacency_backend`` says; it only prices rows
+  for the simulated store's cache — and the parent's resolved task list,
+  split tasks' ``candidate_slice`` frozensets included, so a task visits
+  its candidates in the parent's order.  (Without ``fork`` the
+  initializer's arguments are pickled, and a frozenset rebuilt from a
+  pickle may iterate differently: only fork runs are order-identical.)
 * Tasks flow through a work queue (``imap_unordered`` with a small
   chunksize) instead of static round-robin chunks, so a worker that drew
   cheap tasks keeps pulling while another grinds through a hub vertex.
   One chunk rule: a fixed number of pulls per worker
   (:meth:`ProcessBackend._chunksize`); task splitting (τ) already bounds
-  the cost of any one task.  Chunks of plain unsplit tasks ship as flat
-  ``array('q')`` start-vertex buffers instead of pickled dataclass lists.
+  the cost of any one task.  A chunk crosses the process boundary as two
+  ints, a ``(base, stop)`` range of the inherited task list.
 * Everything a worker learned in one queue pull comes home as one flat
   *chunk record*: the tasks' counters as one ``array('q')``, their wall
-  seconds as one ``array('d')``, one kernel delta, and the chunk's
-  matches as one flat buffer of fixed-width rows that RES extends.  For
-  uncompressed int-vertex plans (``packs_rows``) the buffer is an
-  ``array('q')`` and serialization collapses to a buffer copy (~70x
-  faster than per-tuple pickle opcodes); otherwise (compressed codes,
-  non-int ids) a plain list.  The parent hands the buffer to the sink as
-  it arrived, as :class:`~repro.engine.sinks.RowBlock` objects (a skewed
-  chunk's buffer is cut into blocks of bounded size first), in arrival
-  order; a row never becomes a tuple on the way.
+  seconds as one ``array('d')``, and the chunk's matches as one flat
+  buffer of fixed-width rows that RES extends.  For uncompressed
+  int-vertex plans (``packs_rows``) the buffer is an ``array('q')`` and
+  serialization collapses to a buffer copy (~70x faster than per-tuple
+  pickle opcodes); otherwise (compressed codes, non-int ids) a plain
+  list.  The parent hands the buffer to the sink as
+  :class:`~repro.engine.sinks.RowBlock` objects (a skewed chunk's buffer
+  is cut into blocks of bounded size first); a row never becomes a tuple
+  on the way.
+* Records are delivered in task order: a reorder buffer that outlives
+  retry pools holds early arrivals, so the sink sees every other
+  backend's row sequence and a LIMIT keeps the same prefix.
 * Control is threaded across the boundary as a shared ``Event``: the
   parent polls its :class:`~repro.engine.control.ExecutionControl` while
-  draining results and trips the event on cancel/deadline; workers check
-  it at every task boundary and skip the remaining work.  A pool left
-  early is never terminated with results in flight (``Pool.terminate()``
-  can deadlock mid-write): the parent keeps draining, and discarding,
-  until the workers have reported what they owe, then closes and joins
-  (``_retire_pool``).
-* Progress and lifecycle events are per arrived chunk record: one
+  draining results and trips the event on cancel, deadline or a reached
+  LIMIT; workers check it at every task boundary and skip the remaining
+  work.  A pool left early is never terminated with results in flight
+  (``Pool.terminate()`` can deadlock mid-write): the parent keeps
+  draining, and discarding, until the workers have reported what they
+  owe, then closes and joins (``_retire_pool``).
+* Progress and lifecycle events are per delivered chunk record: one
   ``task_dispatched`` per chunk at enqueue, one ``task_finished`` — its
-  first task id, how many tasks, their summed embeddings — on arrival.
-* Kernel-dispatch counts are measured per chunk as before/after snapshots
-  of the worker's :data:`~repro.kernels.intersect.STATS`, so every chunk
-  record is self-contained: a pool that restarts its workers (e.g.
-  ``maxtasksperchild``) can neither drop nor double-count deltas.  (No
-  compiled plan calls a kernel, so the deltas are zero; the metric stays
-  for its readers.)
+  first task id, how many tasks, their summed embeddings — on delivery.
 * DB/cache accounting: every worker owns the whole graph locally, so the
   ledgers record zero distributed-store queries and every adjacency
   lookup as a cache hit — same metric names, values reflecting this
@@ -73,7 +72,6 @@ from ...faults import (
     get_injector,
     resolve_faults,
 )
-from ...kernels.intersect import STATS as KERNEL_STATS, KernelStats
 from ...plan.codegen import (
     COUNTER_FIELDS,
     RESULTS,
@@ -89,7 +87,6 @@ from ...telemetry.events import (
 )
 from ...telemetry.registry import MetricsRegistry
 from ...telemetry.snapshot import M_TASK_RETRIES, M_WORKER_CRASHES
-from ..local_task import LocalSearchTask
 from ..sinks import block_emitter, row_blocks
 from .base import (
     ExecutionBackend,
@@ -103,17 +100,17 @@ from .base import (
 )
 
 #: What one chunk of tasks sends home: (pid, counters, wall seconds,
-#: kernel Δ, matches|None).  ``counters`` is one flat ``array('q')``,
-#: ``len(COUNTER_FIELDS)`` per executed task in task order (a cancel
+#: matches|None).  ``counters`` is one flat ``array('q')``,
+#: ``len(COUNTER_FIELDS)`` per executed task in task order (a stop
 #: skips the chunk's tail); ``wall seconds`` one ``array('d')`` entry per
 #: executed task.  In collect mode the matches slot is one flat buffer of
 #: fixed-width rows (a task's row count is its ``results`` counter): an
 #: ``array('q')`` when the run packs, a list otherwise.  When the parent
 #: traces, one trailing element is appended — a list of wire-format span
 #: dicts (see ``span_to_wire``) recorded in the worker — so the untraced
-#: record stays an exact 5-tuple (zero extra IPC bytes when telemetry is
+#: record stays an exact 4-tuple (zero extra IPC bytes when telemetry is
 #: off).
-_ChunkRecord = Tuple[int, array, array, Tuple[int, ...], Union[array, list, None]]
+_ChunkRecord = Tuple[int, array, array, Union[array, list, None]]
 
 _NUM_COUNTERS = len(COUNTER_FIELDS)
 
@@ -121,10 +118,8 @@ _NUM_COUNTERS = len(COUNTER_FIELDS)
 #: keep pulling while a peer grinds through a hub vertex.
 PULLS_PER_WORKER = 8
 
-#: One queue pull: (index of the chunk's first task, its tasks).  A chunk
-#: of plain unsplit tasks ships its start vertices as one ``array('q')``
-#: — ~6x fewer pickled bytes than a list of dataclass instances.
-_TaskChunk = Tuple[int, Union[List[LocalSearchTask], array]]
+#: One queue pull: the ``[base, stop)`` range of the inherited task list.
+_TaskChunk = Tuple[int, int]
 
 # Globals populated inside each worker process by the pool initializer.
 _worker_state: dict = {}
@@ -159,13 +154,15 @@ class WorkerCrashed(RuntimeError):
 
 
 def _init_worker(
-    plan, graph, mode: str, cancel_event,
+    plan, graph, mode: str, cancel_event, tasks,
     trace: bool = False, pack: bool = False, faults=None, fault_attempt: int = 0,
 ) -> None:
     """Build per-process state: compiled plan + adjacency access + control.
 
-    ``graph`` is the data :class:`Graph`, inherited via fork: its
-    neighbour frozensets are the rows every task reads.
+    ``graph`` is the data :class:`Graph` and ``tasks`` the parent's
+    resolved task list, both inherited via fork: the graph's neighbour
+    frozensets are the rows every task reads, and a queue pull names a
+    range of ``tasks``.
 
     ``pack`` picks the flat match buffer of collect mode: an
     ``array('q')`` (uncompressed int-vertex plans only — the parent
@@ -181,6 +178,7 @@ def _init_worker(
     _worker_state["compiled"] = compile_plan(plan, mode=mode, instrument=True)
     _worker_state["get_adj"] = graph.adjacency().__getitem__
     _worker_state["vset"] = frozenset(graph.vertices)
+    _worker_state["tasks"] = tasks
     _worker_state["collect"] = mode == "collect"
     _worker_state["pack"] = pack
     _worker_state["cancel"] = cancel_event
@@ -206,15 +204,13 @@ def _init_worker(
         ]
 
 
-def _run_tasks(tasks: List[LocalSearchTask]) -> _ChunkRecord:
-    """Execute a run of local search tasks; return their one flat record.
+def _run_tasks(base: int, stop: int) -> _ChunkRecord:
+    """Execute tasks ``[base, stop)`` of the inherited list; return their
+    one flat record.
 
-    The kernel delta is snapshotted before/after *these tasks alone*, so
-    summing deltas across all records reconstructs the exact per-kernel
-    totals no matter how the queue interleaved the work or how often the
-    pool restarted its workers.  Once the shared cancel event trips — the
-    task-boundary check of cooperative control — the remaining tasks are
-    skipped and the record covers only those that ran.
+    Once the shared cancel event trips — the task-boundary check of
+    cooperative control — the remaining tasks are skipped and the record
+    covers only those that ran.
     """
     state = _worker_state
     cancel = state["cancel"]
@@ -238,8 +234,7 @@ def _run_tasks(tasks: List[LocalSearchTask]) -> _ChunkRecord:
         state["pending_spans"] = []
     counters = array("q")
     walls = array("d")
-    kernel_before = KERNEL_STATS.as_tuple()
-    for task in tasks:
+    for task in state["tasks"][base:stop]:
         if cancel is not None and cancel.is_set():
             break
         if injector.enabled:
@@ -266,34 +261,28 @@ def _run_tasks(tasks: List[LocalSearchTask]) -> _ChunkRecord:
                     "args": {"results": raw[RESULTS]},
                 }
             )
-    delta = KERNEL_STATS.delta_since(kernel_before)
-    record = (os.getpid(), counters, walls, delta, matches)
+    record = (os.getpid(), counters, walls, matches)
     return record if spans is None else record + (spans,)
 
 
 def _run_chunk(chunk: _TaskChunk) -> Tuple[int, Union[_ChunkRecord, str]]:
     """One queue pull's worth of tasks, shipped home as one record.
 
-    Chunking contract: the parent builds explicit chunks and submits them
-    with ``imap_unordered(..., chunksize=1)`` — one *pool* task per
-    chunk.  Batching via the pool's own ``chunksize`` would swap the
-    timeout-pollable result iterator for a plain generator and stall the
-    parent's 0.1 s control-poll cadence; doing it here keeps that cadence
-    while IPC is still amortized over the chunk.  The chunk's base index
-    rides along so the parent can attribute finish events to task ids
-    even though chunks complete out of order, and because every chunk's
-    record is self-contained (its own kernel delta and counters), chunk
-    arrival order never affects the final accounting.
-
-    A chunk of plain unsplit tasks arrives as a flat ``array('q')`` of
-    start vertices and is rehydrated here.
+    Chunking contract: the parent builds explicit ``(base, stop)`` chunks
+    and submits them with ``imap_unordered(..., chunksize=1)`` — one
+    *pool* task per chunk.  Batching via the pool's own ``chunksize``
+    would swap the timeout-pollable result iterator for a plain generator
+    and stall the parent's 0.1 s control-poll cadence; doing it here
+    keeps that cadence while IPC is still amortized over the chunk.  The
+    chunk's base index rides home so the parent can put chunks that
+    complete out of order back into task order, and every record is
+    self-contained, so a pool that restarts its workers (e.g.
+    ``maxtasksperchild``) can neither drop nor double-count one.
     """
-    base, tasks = chunk
+    base, stop = chunk
     injector = _worker_state.get("injector", NULL_INJECTOR)
     try:
-        if isinstance(tasks, array):
-            tasks = [LocalSearchTask(start) for start in tasks]
-        out = _run_tasks(tasks)
+        out = _run_tasks(base, stop)
         if injector.enabled:
             # The IPC-send site: an injected error here simulates a result
             # message lost between a finished worker and the parent.
@@ -373,9 +362,10 @@ class ProcessBackend(ExecutionBackend):
         recovery: Optional[dict] = None
 
         def consume(base: int, record: _ChunkRecord) -> None:
-            """One arrived chunk: deliver its matches, keep the rest."""
-            matches = record[4]
-            records.append(record[:4] + record[5:])
+            """The next chunk in task order: deliver its matches, keep the
+            rest."""
+            matches = record[3]
+            records.append(record[:3] + record[4:])
             if matches:
                 for block in row_blocks(matches, match_width):
                     emit_block(block)
@@ -408,13 +398,15 @@ class ProcessBackend(ExecutionBackend):
         Every task is its own chunk, so the control is checked — and a
         packed block flushed — at every task boundary.
         """
-        _init_worker(plan, graph, mode, None, trace, pack, faults)
-        for i, task in enumerate(tasks):
+        _init_worker(plan, graph, mode, None, tasks, trace, pack, faults)
+        for i in range(len(tasks)):
             if control is not None:
                 control.check()
+                if control.limit_reached:
+                    break
             if events.enabled:
                 events.emit(EV_TASK_DISPATCHED, task_id=i)
-            consume(i, _run_tasks([task]))
+            consume(i, _run_tasks(i, i + 1))
 
     def _run_pool(
         self, plan, graph, mode, tasks, control, consume, num_workers,
@@ -428,11 +420,11 @@ class ProcessBackend(ExecutionBackend):
           task id.  A chunk's records ship atomically (one pool result),
           so a chunk is either fully accounted or not at all — counters
           can never half-count a slice.
-        * ``pending`` holds every unacknowledged chunk; a chunk is
-          deleted exactly when its result is consumed.  Late duplicates
-          (a resubmitted chunk whose original eventually surfaced) are
-          dropped by the ``base not in pending`` guard, so no task is
-          ever delivered or counted twice.
+        * ``pending`` maps every unacknowledged chunk's base to its stop;
+          a chunk is deleted exactly when its result arrives.  Late
+          duplicates (a resubmitted chunk whose original eventually
+          surfaced) are dropped by the ``base not in pending`` guard, so
+          no task is ever delivered or counted twice.
         * When a pool is abandoned (worker death, lost results), its
           result iterator is never consumed again — whatever it might
           still hold is discarded wholesale and the surviving ``pending``
@@ -441,21 +433,41 @@ class ProcessBackend(ExecutionBackend):
           attempt number, so attempt-scoped fault rules (the default)
           don't re-fire.
 
-        The instruction/kernel sums therefore match the single-node run
-        exactly no matter how many workers died on the way.  Returns the
-        recovery ledger: ``{"worker_crashes", "tasks_retried", "attempts"}``.
+        Arrived records wait in a reorder buffer that outlives the pools
+        and reach ``consume`` in task order, so the rows, the counters
+        and where a LIMIT cuts match the single-node run exactly no
+        matter how the queue interleaved the work or how many workers
+        died on the way.  A LIMIT ends the run once the chunk that filled
+        it is delivered; later chunks are discarded.  Returns the
+        recovery ledger: ``{"worker_crashes", "tasks_retried",
+        "attempts"}``.
         """
         ctx = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
-        size = self._chunksize(len(tasks), num_workers)
-        pending: Dict[int, object] = {
-            i: self._pack_tasks(tasks[i : i + size])
-            for i in range(0, len(tasks), size)
+        num_tasks = len(tasks)
+        size = self._chunksize(num_tasks, num_workers)
+        pending: Dict[int, int] = {
+            base: min(base + size, num_tasks)
+            for base in range(0, num_tasks, size)
         }
         if events.enabled:
             # The whole queue is handed to the pool up front; dispatch is
-            # the enqueue instant, finish events arrive per record below.
-            for base, packed in pending.items():
-                events.emit(EV_TASK_DISPATCHED, task_id=base, tasks=len(packed))
+            # the enqueue instant, finish events follow delivery.
+            for base, stop in pending.items():
+                events.emit(EV_TASK_DISPATCHED, task_id=base, tasks=stop - base)
+        held: Dict[int, _ChunkRecord] = {}
+        next_base = 0
+
+        def limited() -> bool:
+            return control is not None and control.limit_reached
+
+        def deliver(base: int, record: _ChunkRecord) -> None:
+            """Hold an arrival; hand every chunk now due to ``consume``."""
+            nonlocal next_base
+            held[base] = record
+            while next_base in held and not limited():
+                consume(next_base, held.pop(next_base))
+                next_base += size
+
         attempt = 0
         crashes: Dict[int, int] = {}
         tasks_retried = 0
@@ -463,20 +475,20 @@ class ProcessBackend(ExecutionBackend):
             dead = self._drive_pool(
                 ctx,
                 lambda cancel_event: (
-                    plan, graph, mode, cancel_event, trace, pack, faults,
-                    attempt,
+                    plan, graph, mode, cancel_event, tasks, trace, pack,
+                    faults, attempt,
                 ),
-                pending, control, consume, num_workers,
+                pending, control, deliver, num_workers,
             )
-            if not pending:
+            if not pending or limited():
                 break
             # Chunks survived the pool: their workers died or their
             # results were lost.  Either retry them on a fresh pool or
             # give up with the typed error.
             lost = [
-                base + offset
+                task_id
                 for base in sorted(pending)
-                for offset in range(len(pending[base]))
+                for task_id in range(base, pending[base])
             ]
             for pid, code in dead.items():
                 if pid not in crashes and events.enabled:
@@ -516,6 +528,8 @@ class ProcessBackend(ExecutionBackend):
     ) -> Dict[int, int]:
         """One pool lifecycle over the pending chunks; ack what arrives.
 
+        Every acknowledged record goes to ``consume`` (the caller's
+        reorder buffer) as it arrives; a reached LIMIT ends the loop.
         Returns pid → exit code for every worker process observed dead
         with a non-zero code (a ``maxtasksperchild`` recycle exits 0 and
         is not a crash).  The pool's own maintenance thread silently
@@ -525,7 +539,7 @@ class ProcessBackend(ExecutionBackend):
         resubmits the unacknowledged chunks.  However the loop is left,
         :meth:`_retire_pool` winds the pool down.
         """
-        chunks = [(base, pending[base]) for base in sorted(pending)]
+        chunks = sorted(pending.items())
         tracked: Dict[int, object] = {}
         dead: Dict[int, int] = {}
         last_arrival = _time.monotonic()
@@ -580,6 +594,8 @@ class ProcessBackend(ExecutionBackend):
                 consume(base, record)
                 if control is not None:
                     control.check()
+                    if control.limit_reached:
+                        break
             self._scan_workers(pool, tracked, dead)
         finally:
             self._retire_pool(
@@ -658,25 +674,8 @@ class ProcessBackend(ExecutionBackend):
                 dead[pid] = code
 
     @staticmethod
-    def _pack_tasks(tasks: List[LocalSearchTask]):
-        """A chunk's wire form: flat start-vertex buffer when possible.
-
-        Only plain unsplit integer-start tasks pack (splitting rewrites a
-        task into several carrying ``candidate_slice`` payloads, which
-        need the dataclass); mixed chunks ship as-is.
-        """
-        if all(
-            task.candidate_slice is None
-            and task.split_total == 1
-            and isinstance(task.start, int)
-            for task in tasks
-        ):
-            return array("q", [task.start for task in tasks])
-        return tasks
-
-    @staticmethod
     def _account(record: _ChunkRecord, base: int, events, progress) -> None:
-        """Parent-side progress/event bookkeeping for one arrived chunk."""
+        """Parent-side progress/event bookkeeping for one delivered chunk."""
         if not (progress.enabled or events.enabled):
             return
         pid, counters, walls = record[:3]
@@ -721,8 +720,8 @@ class ProcessBackend(ExecutionBackend):
         remote_spans: Dict[int, list] = {}
         for record in records:
             pid, counters, walls = record[:3]
-            if len(record) > 4:
-                remote_spans.setdefault(pid, []).extend(record[4])
+            if len(record) > 3:
+                remote_spans.setdefault(pid, []).extend(record[3])
             wid = worker_index.setdefault(pid, str(len(worker_index)))
             ledger = ledgers.setdefault(wid, WorkerLedger(worker_id=wid))
             sums = counter_sums.setdefault(wid, [0] * _NUM_COUNTERS)
@@ -763,10 +762,8 @@ class ProcessBackend(ExecutionBackend):
             if tasks_run
             else 0.0
         )
-        # Every chunk record carries its own kernel delta: their column sums.
-        kernels = KernelStats(*map(sum, zip(*(record[3] for record in records))))
         return finish_run(
-            request, registry, ordered, len(tasks), kernels, wall0, self.name,
+            request, registry, ordered, len(tasks), wall0, self.name,
             mean_task_wall_seconds=mean_task_wall,
             worker_crashes=worker_crashes,
             tasks_retried=tasks_retried,

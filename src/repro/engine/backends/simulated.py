@@ -27,12 +27,11 @@ from __future__ import annotations
 import time as _time
 from array import array
 
-from ...kernels.intersect import STATS as KERNEL_STATS, KernelStats
 from ...plan.codegen import ENU_STEPS, INT_OPS, RESULTS, compile_plan
 from ...storage.kvstore import DistributedKVStore
 from ...telemetry.registry import DEFAULT_BYTES_BUCKETS, MetricsRegistry
 from ...telemetry.snapshot import H_DB_QUERY_BYTES
-from ..sinks import BLOCK_ROWS, LimitSink, block_emitter, row_blocks
+from ..sinks import BLOCK_ROWS, block_emitter, row_blocks
 from ..worker import Worker
 from ...telemetry.events import EV_TASK_DISPATCHED, EV_TASK_FINISHED
 from .base import (
@@ -108,7 +107,10 @@ class SimulatedBackend(ExecutionBackend):
         ``emit_block`` — None when the run has no sink — gets it as row
         blocks.  The control is
         checked, the ``task_dispatched``/``task_finished`` events emitted,
-        the progress ticked and the row buffer flushed once per chunk.
+        the progress ticked and the row buffer flushed once per chunk; a
+        LIMIT its rows filled ends the loop at the next boundary.  A stop
+        that lands in the final chunk finds every task run and every row
+        delivered, and the result stands.
         """
         control = request.control
         events = request.telemetry.events
@@ -127,6 +129,8 @@ class SimulatedBackend(ExecutionBackend):
         while i < num_tasks:
             if control is not None:
                 control.check()
+                if control.limit_reached:
+                    break
             first = i
             if events.enabled:
                 events.emit(EV_TASK_DISPATCHED, task_id=first)
@@ -159,16 +163,6 @@ class SimulatedBackend(ExecutionBackend):
                         totals, db_seconds() - db_before
                     ),
                 )
-        # The final chunk has no next boundary.  A LIMIT it reached (inside
-        # a single-chunk query, say) still has to report as one; a cancel
-        # or a deadline that lands this late finds every task run and
-        # every row delivered, and the result stands.
-        if (
-            control is not None
-            and control.cancelled
-            and control.reason == LimitSink.REASON
-        ):
-            control.check()
 
     # ------------------------------------------------------------------
     def _execute(self, request: ExecutionRequest):
@@ -199,7 +193,6 @@ class SimulatedBackend(ExecutionBackend):
             store.on_query = (
                 lambda key, nbytes, cost: payload_hist.observe(nbytes)
             )
-        kernel_base = KERNEL_STATS.as_tuple()
         worker_caches = request.worker_caches
         try:
             with tracer.span("execution") as exec_span:
@@ -253,6 +246,5 @@ class SimulatedBackend(ExecutionBackend):
             for w in workers
         ]
         return finish_run(
-            request, registry, ledgers, len(tasks),
-            KernelStats(*KERNEL_STATS.delta_since(kernel_base)), wall0, self.name,
+            request, registry, ledgers, len(tasks), wall0, self.name
         )

@@ -1,11 +1,14 @@
-"""Cooperative execution control: cancellation and deadlines.
+"""Cooperative execution control: cancellation, deadlines and LIMITs.
 
 A BENU job is a loop over local search tasks; an :class:`ExecutionControl`
 is the handle that lets anyone outside that loop stop it *between* tasks
 (the paper's tasks are the natural preemption grain — splitting already
-bounds how long one runs).  The engine only ever calls :meth:`check`;
-whoever owns the query (the service scheduler, a CLI ``--limit``, a test)
-calls :meth:`cancel` or arms a deadline.
+bounds how long one runs).  The engine calls :meth:`check` and reads
+``limit_reached`` at every chunk boundary; whoever owns the query (the
+service scheduler, a test) calls :meth:`cancel` or arms a deadline, and a
+:class:`~repro.engine.sinks.LimitSink` sets ``limit_reached``.  A cancel
+or a deadline raises and the run returns nothing; a LIMIT ends the run,
+which returns its result.
 
 Cancellation is cooperative and thread-safe: ``cancel`` may be called
 from any thread while the query runs on another.
@@ -26,7 +29,7 @@ class ExecutionInterrupted(RuntimeError):
 
 
 class QueryCancelled(ExecutionInterrupted):
-    """The query was cancelled by its owner (client, limit, shutdown)."""
+    """The query was cancelled by its owner (client, shutdown)."""
 
     status = "cancelled"
 
@@ -46,7 +49,7 @@ class DeadlineExpired(ExecutionInterrupted):
 
 
 class ExecutionControl:
-    """Cancellation token + optional deadline, checked at task boundaries.
+    """Cancel token + optional deadline + LIMIT flag, read between tasks.
 
     Deadlines come in two forms that compose (the earlier one wins):
 
@@ -64,6 +67,8 @@ class ExecutionControl:
 
     >>> control = ExecutionControl()
     >>> control.check()  # no-op while live
+    >>> control.limit_reached = True
+    >>> control.check()  # a LIMIT is not an interruption
     >>> control.cancel("client went away")
     >>> control.check()
     Traceback (most recent call last):
@@ -94,6 +99,9 @@ class ExecutionControl:
         )
         self._cancelled = threading.Event()
         self._reason: str = "cancelled"
+        #: Set once a LIMIT is filled: the run ends, successfully, at its
+        #: next chunk boundary, counters through the chunk that filled it.
+        self.limit_reached = False
 
     # ------------------------------------------------------------------
     def cancel(self, reason: str = "cancelled") -> None:
@@ -122,7 +130,8 @@ class ExecutionControl:
         return self._deadline_at - time.monotonic()
 
     def check(self) -> None:
-        """Raise the typed interruption if a stop has been requested."""
+        """Raise the typed interruption if a cancel or the deadline landed
+        (a filled LIMIT never raises)."""
         if self._cancelled.is_set():
             raise QueryCancelled(self._reason)
         if self.expired:

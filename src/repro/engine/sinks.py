@@ -26,7 +26,7 @@ Provided sinks:
   result sets too large to keep (reservoir sampling, seeded);
 * :class:`CallbackSink` — adapt any callable;
 * :class:`JsonlSink` — stream matches as JSON lines to any writable;
-* :class:`LimitSink` — stop the run after N results via a control;
+* :class:`LimitSink` — end the run after N results via a control;
 * :class:`TranslatingSink` — translate vertex ids before forwarding;
 * :class:`ProjectingSink` — narrow match tuples to selected columns;
 * :class:`GroupCountSink` — per-group-key match counts (GROUP BY).
@@ -324,17 +324,16 @@ class JsonlSink:
 
 
 class LimitSink:
-    """Forwards at most ``limit`` results, then cancels the run.
+    """Forwards at most ``limit`` results, then ends the run.
 
     Pairs with an :class:`~repro.engine.control.ExecutionControl` handed
-    to the executor: once the limit is reached the control is cancelled,
-    so the job stops at the next chunk boundary instead of enumerating
-    everything.  Results past the limit within the current chunk are
-    dropped, keeping the delivered count exact.
+    to the executor: once the limit is reached the control's
+    ``limit_reached`` is set, so the job stops at the next chunk boundary
+    instead of enumerating everything and returns its result — counters
+    through the chunk that filled the limit.  Every backend hands rows
+    over in task order, so the rows kept are the unlimited run's prefix;
+    results past the limit within the current chunk are dropped.
     """
-
-    #: Cancel reason the CLI/service recognize as a clean, intended stop.
-    REASON = "result limit reached"
 
     def __init__(self, inner, limit: int, control=None) -> None:
         if limit < 0:
@@ -350,7 +349,7 @@ class LimitSink:
         return self.count >= self.limit
 
     def emit_block(self, block: RowBlock) -> None:
-        """The limit as a truncation: the block's head, then the cancel."""
+        """The limit as a truncation: the block's head, then the stop."""
         if not len(block):
             return
         room = self.limit - self.count
@@ -360,7 +359,7 @@ class LimitSink:
             self._inner_block(block)
             self.count += len(block)
         if self.count >= self.limit and self.control is not None:
-            self.control.cancel(self.REASON)
+            self.control.limit_reached = True
 
 
 class TranslatingSink:

@@ -20,7 +20,7 @@ from ..engine.benu import (
     prepare_plan,
 )
 from ..engine.config import BenuConfig
-from ..engine.control import ExecutionControl, QueryCancelled
+from ..engine.control import ExecutionControl
 from ..engine.results import BenuResult
 from ..engine.sinks import (
     CollectSink,
@@ -218,12 +218,7 @@ def run_query(
             sink = LimitSink(rows, limit, control)
     elif lowered.kind == "count" and config.compressed:
         sink = CountSink()  # codes are not matches: count the expansions
-    result = groups = None
-    try:
-        result, groups = run_local(lowered, data, config, sink, control)
-    except QueryCancelled as exc:
-        if exc.reason != LimitSink.REASON:
-            raise
+    result, groups = run_local(lowered, data, config, sink, control)
     if groups is not None:
         count = sum(groups.values())
     else:  # each sink here counts its rows

@@ -465,15 +465,11 @@ class BenuService:
                     **runtime,
                 )
             handle._result = result
+            handle.truncated = control.limit_reached
             status = QueryStatus.SUCCEEDED
         except QueryCancelled as exc:
-            if exc.reason == LimitSink.REASON:
-                # The limit stopping the run early is a success.
-                handle.truncated = True
-                status = QueryStatus.SUCCEEDED
-            else:
-                handle.error = exc
-                status = QueryStatus.CANCELLED
+            handle.error = exc
+            status = QueryStatus.CANCELLED
         except DeadlineExpired as exc:
             handle.error = exc
             status = QueryStatus.DEADLINE_EXPIRED
@@ -515,8 +511,11 @@ class BenuService:
         Isolated so a reporting hiccup can never change a query's
         outcome; runs after the handle is marked and the stream closed.
         """
+        # A LIMIT's counters stop at its cut: no estimate to grade.
         q_errors = (
-            result.telemetry.q_errors if result is not None else {}
+            result.telemetry.q_errors
+            if result is not None and not handle.truncated
+            else {}
         )
         if q_errors:
             qerr_hist = self.registry.histogram(

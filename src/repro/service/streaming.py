@@ -250,8 +250,9 @@ class QueryHandle:
         """The :class:`~repro.engine.results.BenuResult`, or raise.
 
         Re-raises the typed error for failed / cancelled /
-        deadline-expired queries.  For limit-truncated streams the result
-        is ``None`` (the matches travelled through the stream).
+        deadline-expired queries.  A limit-truncated stream's result
+        carries the counters of every task through the chunk that filled
+        the limit (its matches travelled through the stream).
         """
         if not self._done.wait(timeout):
             raise TimeoutError(f"query {self.query_id} still running")

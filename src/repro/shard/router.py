@@ -223,11 +223,8 @@ class RouterQuery:
         """Move a dead slice to a live replica and skip the delivered prefix.
 
         Exact-once delivery relies on the slice being re-enumerated in
-        the same deterministic order by the replica — true for the
-        simulated and inline backends (and documented as the failover
-        contract); the process backend's unordered task completion only
-        guarantees set-identical replay, so routers over it should not
-        rely on mid-stream failover.
+        the same deterministic order by the replica — true on every
+        execution backend, which all hand rows over in task order.
         """
         if s.retried:
             raise ShardUnavailable(

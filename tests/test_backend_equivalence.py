@@ -149,11 +149,11 @@ class TestStreamedQueryMatrix:
     switched off (``packs_rows`` forced False — list-flat row blocks
     through the same sink chain, the buffer compressed codes and string
     ids use) and once as shipped.  The packed stream must be byte-identical
-    to the list-flat one *in order* on every backend whose task order is
-    deterministic; a 2-process pool delivers chunks in arrival order, so
-    there the rows are compared as a multiset.  Both are also checked
-    against ``run_query``: the local run into a collecting sink, with no
-    stream buffer, pages or limit in its path.
+    to the list-flat one *in order* on every backend — a process pool
+    delivers chunks in task order too — and a LIMIT keeps the unlimited
+    stream's prefix.  Both are also checked against ``run_query``: the
+    local run into a collecting sink, with no stream buffer, pages or
+    limit in its path.
     """
 
     STREAM = "MATCH (a)-(b), (b)-(c), (a)-(c) RETURN *"
@@ -187,17 +187,12 @@ class TestStreamedQueryMatrix:
         return out
 
     @pytest.mark.parametrize(
-        "execution, workers, ordered",
-        [
-            ("simulated", 2, True),
-            ("inline", 2, True),
-            ("process", 1, True),
-            ("process", 2, False),
-        ],
+        "execution, workers",
+        [("simulated", 2), ("inline", 2), ("process", 1), ("process", 2)],
     )
     @pytest.mark.parametrize("adjacency", ADJACENCY_BACKENDS)
     def test_stream_project_limit_group(
-        self, graph, execution, workers, ordered, adjacency, monkeypatch
+        self, graph, execution, workers, adjacency, monkeypatch
     ):
         from repro.engine.backends import process, simulated
 
@@ -224,17 +219,15 @@ class TestStreamedQueryMatrix:
             assert want and sorted(rows) == sorted(want), text
             assert len(limited) == self.LIMIT == len(set(limited))
             assert set(limited) <= set(want)
-            if ordered:
-                assert self._bytes(rows) == self._bytes(ref_rows), text
-                assert self._bytes(limited) == self._bytes(ref_limited), text
-            else:
-                assert self._bytes(sorted(rows)) == self._bytes(sorted(ref_rows))
+            assert self._bytes(rows) == self._bytes(ref_rows), text
+            assert self._bytes(limited) == self._bytes(ref_limited), text
+            assert limited == rows[: self.LIMIT], text
+            assert limited == want[: self.LIMIT], text
 
         groups = packed[self.GROUPS]
         assert groups == run_query(self.GROUPS, graph, oracle_config).groups
         assert groups == by_row[self.GROUPS]
-        if ordered:
-            assert list(groups) == list(by_row[self.GROUPS])
+        assert list(groups) == list(by_row[self.GROUPS])
 
 
 class TestInterpreterOracle:

@@ -10,14 +10,15 @@ Three layers pinned here:
   expensive patterns, and repeated service queries all dispatch the same
   ``(task_id, tasks)`` sequence.  ``mean_task_wall_seconds`` is measured
   and reported, never fed back;
-* ``_run_chunk``'s contract — the parent chunks manually and submits
-  with ``imap_unordered(chunksize=1)`` so results stay timeout-pollable,
-  chunk arrival order never affects accounting (records are
-  self-contained), and packed ``array('q')`` task/match buffers survive
-  worker restarts (``maxtasksperchild=1``) byte-for-byte.
+* ``_run_chunk``'s contract — the parent chunks manually into
+  ``(base, stop)`` ranges of the task list its workers inherited and
+  submits with ``imap_unordered(chunksize=1)`` so results stay
+  timeout-pollable; chunk arrival order never affects the rows or the
+  accounting (records are self-contained and delivered in task order),
+  and packed ``array('q')`` match buffers survive worker restarts
+  (``maxtasksperchild=1``) byte-for-byte.
 """
 
-from array import array
 from dataclasses import fields
 
 import pytest
@@ -30,11 +31,10 @@ from repro.engine.backends.process import (
 )
 from repro.engine.benu import execute_plan, prepare_data, prepare_plan, run_benu
 from repro.engine.config import BenuConfig
-from repro.engine.local_task import LocalSearchTask
 from repro.graph.generators import chung_lu
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import get_pattern
-from repro.plan.codegen import COUNTER_FIELDS
+from repro.plan.codegen import COUNTER_FIELDS, TaskCounters
 from repro.service import BenuService
 from repro.telemetry.events import EV_TASK_DISPATCHED, EventLog
 from repro.telemetry.runtime import Telemetry
@@ -210,8 +210,8 @@ class TestChunkContract:
         )
 
     def test_packed_chunks_rehydrate_and_results_match(self, workload):
-        # queue_chunksize=1 -> every chunk is its own pool task; the
-        # packed starts round-trip through array('q') rehydration.
+        # A 2-worker pool: chunks finish in any order, and the rows still
+        # reach the sink in the simulated run's order.
         oracle = self._simulated(workload)
         result = run_benu(
             get_pattern("triangle"), workload,
@@ -220,15 +220,15 @@ class TestChunkContract:
                 num_workers=2,
             ),
         )
-        assert sorted(result.matches) == sorted(oracle.matches)
+        assert result.matches == oracle.matches
         assert result.counters == oracle.counters
 
     def test_worker_restarts_cannot_corrupt_packed_accounting(self, workload):
         # maxtasksperchild=1 restarts a worker after every chunk — the
         # harshest interleaving: every chunk crosses a fresh process and
         # arrival order is scrambled.  Self-contained records must still
-        # reproduce the exact simulated counters, kernel deltas, and
-        # match multiset.
+        # reproduce the exact simulated counters, kernel counts, and
+        # match sequence.
         from repro.engine.backends.base import ExecutionRequest
         from repro.engine.benu import prepare_data, prepare_plan
 
@@ -243,43 +243,68 @@ class TestChunkContract:
             ExecutionRequest(plan=plan, graph=prepared.graph, config=config)
         )
         oracle = self._simulated(workload, adjacency_backend="csr")
-        assert sorted(result.matches) == sorted(oracle.matches)
+        assert result.matches == oracle.matches
         assert result.counters == oracle.counters
         assert (
             result.telemetry.kernel_counts == oracle.telemetry.kernel_counts
         )
 
-    def test_run_chunk_rehydrates_packed_starts_in_order(self, workload):
+    def _run_range(self, plan, graph, config, tasks, base, stop):
         # Worker-side unit check, run in-process via the inline path's
-        # initializer state.
+        # initializer state: _run_chunk((base, stop)) must run exactly
+        # tasks[base:stop] of the inherited list, in order.
         from repro.engine.backends.process import _init_worker, _worker_state
-        from repro.engine.benu import prepare_data, prepare_plan
+        from repro.engine.backends.simulated import SimulatedBackend
+
+        _init_worker(plan, graph, "collect", None, tasks)
+        try:
+            got_base, record = _run_chunk((base, stop))
+        finally:
+            _worker_state.clear()
+        assert got_base == base
+        _pid, counters, walls, matches = record
+        assert len(walls) == stop - base
+        assert len(counters) == (stop - base) * len(COUNTER_FIELDS)
+        want = SimulatedBackend().execute(
+            ExecutionRequest(
+                plan=plan, graph=graph, config=config, tasks=tasks[base:stop],
+            )
+        )
+        width = plan.pattern.n
+        rows = [
+            tuple(matches[i : i + width]) for i in range(0, len(matches), width)
+        ]
+        assert rows == want.matches
+        step = len(COUNTER_FIELDS)
+        assert want.counters == TaskCounters.from_tuple(
+            [sum(counters[f::step]) for f in range(step)]
+        )
+
+    def test_run_chunk_runs_exactly_its_task_range(self, workload):
+        from repro.engine.task_split import generate_tasks
 
         config = BenuConfig(relabel=False, collect=True)
         prepared = prepare_data(workload, config)
         plan = prepare_plan(get_pattern("triangle"), prepared, config)
-        _init_worker(plan, prepared.graph, "collect", None)
-        starts = [v for v in list(prepared.graph.vertices)[:5]]
-        base, record = _run_chunk((17, array("q", starts)))
-        assert base == 17
-        _pid, counters, walls, _delta, matches = record
-        assert len(walls) == len(starts)
-        assert len(counters) == len(starts) * len(COUNTER_FIELDS)
-        plain_base, plain_record = _run_chunk(
-            (17, [LocalSearchTask(s) for s in starts])
+        tasks = list(generate_tasks(plan, prepared.graph))
+        assert all(t.candidate_slice is None for t in tasks)
+        self._run_range(
+            plan, prepared.graph, config, tasks, 3, len(tasks) - 2
         )
-        assert plain_base == 17
-        assert plain_record[1] == counters
-        assert plain_record[4] == matches
-        _worker_state.clear()
 
-    def test_unsplit_int_tasks_pack_split_tasks_do_not(self):
-        packed = ProcessBackend._pack_tasks(
-            [LocalSearchTask(3), LocalSearchTask(5)]
-        )
-        assert isinstance(packed, array) and list(packed) == [3, 5]
-        mixed = [
-            LocalSearchTask(3),
-            LocalSearchTask(5, candidate_slice=(7, 9), split_index=1, split_total=2),
-        ]
-        assert ProcessBackend._pack_tasks(mixed) is mixed
+    def test_run_chunk_runs_split_tasks_from_the_inherited_list(
+        self, workload
+    ):
+        # Split tasks travel by index like any other: their candidate
+        # slices are the parent's own frozensets, never re-encoded.
+        from repro.engine.task_split import generate_tasks
+
+        config = BenuConfig(relabel=False, collect=True)
+        prepared = prepare_data(workload, config)
+        plan = prepare_plan(get_pattern("triangle"), prepared, config)
+        tasks = list(generate_tasks(plan, prepared.graph, 4))
+        split = [i for i, t in enumerate(tasks) if t.candidate_slice is not None]
+        assert split
+        base, stop = max(0, split[0] - 1), min(len(tasks), split[-1] + 2)
+        assert any(t.candidate_slice is None for t in tasks[base:stop])
+        self._run_range(plan, prepared.graph, config, tasks, base, stop)

@@ -123,7 +123,7 @@ def _collecting(wrap):
             inner.results,
             inner.count,
             sink.count,
-            control.cancelled if control is not None else None,
+            control.limit_reached if control is not None else None,
         )
 
     return make, observe
@@ -164,7 +164,7 @@ def _stream_chain(limit, batch_size, mapping=MAPPING):
 
     def observe(sink):
         buffer, control = sink._observed
-        return drain(buffer), buffer.count, control.cancelled
+        return drain(buffer), buffer.count, control.limit_reached
 
     return make, observe
 

@@ -402,7 +402,11 @@ class TestStreamingAndPagination:
         assert len(matches) == 7
         assert handle.status is QueryStatus.SUCCEEDED
         assert handle.truncated
-        assert handle.result() is None  # matches travelled via the stream
+        # The matches travelled via the stream; the result carries the
+        # counters of every task through the chunk that filled the limit.
+        result = handle.result()
+        assert result is not None and result.counters.results >= 7
+        assert result.telemetry.instruction_counts["RES"] == result.count
 
     def test_limit_zero(self, service):
         handle = service.submit("triangle", "g", limit=0)

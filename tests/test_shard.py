@@ -17,6 +17,7 @@ import time
 
 import pytest
 
+from repro.engine.config import BenuConfig
 from repro.engine.control import DeadlineExpired, ExecutionControl
 from repro.engine.task_split import partition_start_vertices
 from repro.graph.generators import chung_lu
@@ -224,11 +225,11 @@ def test_router_limit_truncates_merged_stream(deployments):
 
 
 # ----------------------------------------------------------------- failover
-def _replicated_deployment(edges):
+def _replicated_deployment(edges, config=None):
     nodes = [
-        ShardNode(0, 2, epoch=1),
-        ShardNode(0, 2, epoch=1),  # replica of partition 0
-        ShardNode(1, 2, epoch=1),
+        ShardNode(0, 2, epoch=1, config=config),
+        ShardNode(0, 2, epoch=1, config=config),  # replica of partition 0
+        ShardNode(1, 2, epoch=1, config=config),
     ]
     clients = [
         LocalShardClient(node, endpoint=f"node-{i}")
@@ -239,10 +240,17 @@ def _replicated_deployment(edges):
     return nodes, clients, router
 
 
+@pytest.mark.parametrize(
+    "config",
+    [None, BenuConfig(execution_backend="process", num_workers=2)],
+    ids=["simulated", "process"],
+)
 def test_kill_one_shard_mid_stream_keeps_results_exact(
-    edges, single_node
+    edges, single_node, config
 ):
-    nodes, clients, router = _replicated_deployment(edges)
+    # The replica re-enumerates the slice in the same order on every
+    # backend, so skipping the delivered prefix is exact.
+    nodes, clients, router = _replicated_deployment(edges, config)
     try:
         ref = single_node["triangle"]["matches"]
         query = router.submit("triangle", "g", stream=True)

@@ -3,7 +3,6 @@
 import ast
 import re
 from array import array
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -203,7 +202,7 @@ def test_collect_is_a_collect_sink_stream(backend, layout, compressed, ids):
 @pytest.mark.parametrize("compressed", (False, True), ids=("plain", "compressed"))
 def test_collect_over_a_process_pool(compressed, ids):
     """Both buffer types cross real fork IPC; a pool delivers chunks in
-    arrival order, so the rows compare as a multiset."""
+    task order, so the rows compare as a sequence."""
     _, sink, _, collected = _collect_and_stream(
         GRAPHS[ids](),
         execution_backend="process",
@@ -213,7 +212,7 @@ def test_collect_over_a_process_pool(compressed, ids):
     rows = collected.codes if compressed else collected.matches
     reference = _collect_and_stream(GRAPHS[ids](), compressed=compressed)[3]
     want = reference.codes if compressed else reference.matches
-    assert Counter(rows) == Counter(sink.results) == Counter(want)
+    assert rows == sink.results == want
 
 
 #: The event log's ``emit`` (``events.emit(EV_..., ...)``) is not a sink's.
