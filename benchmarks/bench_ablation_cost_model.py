@@ -7,12 +7,18 @@ power-law graph:
 
 * *estimate accuracy*: predicted vs actual match counts per pattern;
 * *plan effect*: Algorithm 3's chosen order under each model, and the
-  actually-executed instruction counts of the resulting plans.
+  actually-executed instruction counts of the resulting plans.  The
+  search prices every prefix at its symmetry-broken estimate
+  (``repro.plan.cost.estimate_prefix_matches``); the plain "er" row
+  switches that share off to show the paper's ER ranking beside
+  "er + symmetry share" and the configuration model (which keeps it).
 
 Shape: the degree-aware model is far closer on skew-sensitive patterns
 (paths/stars, whose counts scale with ⟨d²⟩), and never leads the search to
 an incorrect plan (counts always agree).
 """
+
+from unittest import mock
 
 import pytest
 
@@ -75,8 +81,11 @@ def _plan_rows():
     agreements = []
     for name in PLAN_PATTERNS:
         pattern = PatternGraph(get_pattern(name), name)
+        with mock.patch("repro.plan.cost.symmetry_share", return_value=1.0):
+            er_plan = generate_best_plan(pattern, GraphStats.of(g)).plan
         plans = {
-            "er": generate_best_plan(pattern, GraphStats.of(g)).plan,
+            "er": er_plan,
+            "er + symmetry share": generate_best_plan(pattern, GraphStats.of(g)).plan,
             "empirical": generate_best_plan(pattern, EmpiricalGraphStats.of(g)).plan,
         }
         counts = {}
@@ -93,7 +102,7 @@ def _plan_rows():
                     counters.results,
                 ]
             )
-        agreements.append(counts["er"] == counts["empirical"])
+        agreements.append(len(set(counts.values())) == 1)
     return rows, agreements
 
 

@@ -34,9 +34,9 @@ def test_table4_report(benchmark):
     result = benchmark.pedantic(_make_report, rounds=1, iterations=1)
     fig6_betas, clique_betas, random_betas = result
     # Paper shapes: beta/n! small thanks to pruning.  Our q5 is the plain
-    # 5-cycle, which has no syntactically-equivalent pair, so all of its
-    # rotations/reflections tie at minimum cost (beta 33%) — every other
-    # pattern stays below the paper's 15% and cliques collapse to ~0.
+    # 5-cycle, which has no syntactically-equivalent pair for dual pruning
+    # to merge; only the symmetry share keeps its rotations/reflections
+    # from tying at minimum cost.  Cliques collapse to ~0.
     assert sorted(fig6_betas)[len(fig6_betas) // 2] < 0.15  # median
     assert sum(1 for b in fig6_betas if b < 0.15) >= len(fig6_betas) - 1
     assert all(b < 0.05 for b in clique_betas)

@@ -41,6 +41,11 @@ Every row ∩ row is one frozenset path, never a timing: no module imports
 calls), and ``kernels/``, ``plan/`` and ``graph/`` import no ``numpy``
 (the probe itself aside).
 
+**One estimate.**  Every Algorithm 3 walk prices a prefix at its
+symmetry-broken estimate, ``estimate_prefix_matches``, so the search and
+the plan walks cannot disagree on what a prefix costs.  So inside
+``plan/`` only ``plan/cost.py`` calls ``estimate_matches``.
+
 The check is AST-based and resolves relative imports, so aliasing or
 ``from .. import`` spellings cannot slip past it.
 
@@ -110,6 +115,10 @@ PROBE_FILE = "kernels/vectorized.py"
 #: Layers on the intersection path, which import no numpy.
 NUMPY_FREE = ("kernels/", "plan/", "graph/")
 
+#: The raw match estimate, which inside ``plan/`` only its module calls.
+ESTIMATE = "estimate_matches"
+ESTIMATE_FILE = "plan/cost.py"
+
 
 def metric_names(root: Path) -> set:
     """The ``__all__`` of every metric module: names that must not be
@@ -170,6 +179,8 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
         violations += _lint_wire_door(path, rel, lineno, module, out)
         violations += _lint_compute_form(path, rel, lineno, module, names, out)
         violations += _lint_numpy_path(path, rel, lineno, module, names, out)
+    if rel.startswith("plan/") and rel != ESTIMATE_FILE:
+        violations += _lint_one_estimate(path, tree, out)
     return violations
 
 
@@ -286,6 +297,25 @@ def _lint_numpy_path(path, rel, lineno, module, names, out) -> int:
         file=out,
     )
     return 1
+
+
+def _lint_one_estimate(path, tree, out) -> int:
+    violations = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        if ESTIMATE not in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            continue
+        print(
+            f"{path}:{node.lineno}: calls {ESTIMATE!r} — one estimate: price "
+            "a prefix with repro.plan.cost.estimate_prefix_matches, which "
+            "applies the symmetry share",
+            file=out,
+        )
+        violations += 1
+    return violations
 
 
 def main(argv=None) -> int:

@@ -39,7 +39,15 @@ def labelize_plan(
     filtered the same way before RES.  A ``None`` label (the declarative
     front-end's "unconstrained" marker) gets no pool and no intersection.
     The copy keeps the plan's ``predicted_counts``.
+
+    The copy is memoised on ``plan`` for one (``data``, labels) pair, so a
+    cached plan labelized again for the same graph object is the same
+    plan and ``compile_plan``'s memo on it hits; a re-registered graph
+    misses.
     """
+    hit = plan.__dict__.get("_labelized")
+    if hit is not None and hit[0] is data and hit[1] == pattern.labels:
+        return hit[2]
     labels = sorted(
         {
             pattern.label_of(u)
@@ -101,6 +109,7 @@ def labelize_plan(
         predicted_counts=plan.predicted_counts,
     )
     assert labeled.defined_before_use()
+    plan.__dict__["_labelized"] = (data, dict(pattern.labels), labeled)
     return labeled
 
 

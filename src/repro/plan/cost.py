@@ -16,16 +16,24 @@ with n' vertices and m' edges has
 (the count of *matches*, i.e. injective homomorphisms, not deduplicated
 subgraphs).  Disconnected partial patterns multiply their components'
 estimates, as the paper prescribes.
+
+A plan cuts every partial match that breaks a §II-A symmetry-breaking
+condition, so each prefix P_i is priced at its symmetry-broken estimate
+(:func:`estimate_prefix_matches`): orders that bound early beat their
+automorphic twins.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Sequence, Tuple
 
 from ..graph.graph import Graph, Vertex
+from ..pattern.symmetry import Condition, symmetry_breaking_conditions
 from .generation import ExecutionPlan
-from .instructions import InstructionType
+from .instructions import InstructionType, var_index
 
 
 @dataclass(frozen=True)
@@ -78,6 +86,57 @@ def estimate_matches(pattern: Graph, stats: GraphStats) -> float:
     return total
 
 
+def symmetry_share(
+    conditions: Sequence[Condition], prefix: Iterable[Vertex]
+) -> float:
+    """Share of a prefix's matches its symmetry-breaking conditions admit.
+
+    Only *direct* conditions between two prefix vertices count: the plan
+    filters a candidate on a listed pair alone, so that is all a partial
+    match satisfies.  The share is the poset's linear extensions over
+    (vertices the conditions touch)!; over all of P it is 1/|Aut(P)|.
+
+    >>> symmetry_share([(1, 2), (1, 3), (2, 3)], [1, 3])
+    0.5
+    """
+    inside = set(prefix)
+    pairs = [(lo, hi) for lo, hi in conditions if lo in inside and hi in inside]
+    if not pairs:
+        return 1.0
+    rank = {v: i for i, v in enumerate(sorted({v for p in pairs for v in p}))}
+    return _poset_share(
+        len(rank), tuple(sorted((rank[lo], rank[hi]) for lo, hi in pairs))
+    )
+
+
+@lru_cache(maxsize=1024)
+def _poset_share(k: int, pairs: Tuple[Tuple[int, int], ...]) -> float:
+    """Linear extensions of the poset on 0..k-1 over k!, by subset DP."""
+    below = [0] * k
+    for lo, hi in pairs:
+        below[hi] |= 1 << lo
+    ways = [0] * (1 << k)
+    ways[0] = 1
+    for placed, count in enumerate(ways):
+        if count:
+            for v in range(k):
+                if not placed >> v & 1 and below[v] & placed == below[v]:
+                    ways[placed | 1 << v] += count
+    return ways[-1] / math.factorial(k)
+
+
+def estimate_prefix_matches(
+    pattern: Graph,
+    prefix: Sequence[Vertex],
+    conditions: Sequence[Condition],
+    stats: GraphStats,
+) -> float:
+    """Symmetry-broken matches of the partial pattern on ``prefix``: the
+    one prefix estimate of the search step and of every cost walk."""
+    share = symmetry_share(conditions, prefix)
+    return estimate_matches(pattern.induced_subgraph(prefix), stats) * share
+
+
 @dataclass(frozen=True)
 class PlanCost:
     """(communication, computation) cost pair, ordered lexicographically.
@@ -100,18 +159,14 @@ class PlanCost:
         return not other < self
 
 
-def _partial_pattern(pattern: Graph, prefix: Iterable[Vertex]) -> Graph:
-    return pattern.induced_subgraph(prefix)
-
-
 def estimate_computation_cost(
     plan: ExecutionPlan, stats: GraphStats = DEFAULT_STATS
 ) -> float:
     """EstimateComputationCost of Algorithm 3.
 
     Walk the plan; the INI and each ENU instruction advance the partial
-    pattern P_i, whose estimated match count is the execution multiplicity
-    of every following INT/TRC instruction.
+    pattern P_i, whose symmetry-broken match estimate is the execution
+    multiplicity of every following INT/TRC instruction.
     """
     return _walk_cost(plan, stats, (InstructionType.INT, InstructionType.TRC))
 
@@ -123,30 +178,32 @@ def estimate_communication_cost(
     return _walk_cost(plan, stats, (InstructionType.DBQ,))
 
 
-def _walk_cost(
-    plan: ExecutionPlan,
-    stats: GraphStats,
-    counted_types: Tuple[InstructionType, ...],
-) -> float:
-    """Shared walk: the INI and each ENU advance the enumerated prefix.
+def _walk(plan: ExecutionPlan, stats: GraphStats):
+    """Yield ``(instruction, estimate)``: the INI and each ENU advance the
+    enumerated prefix, whose symmetry-broken estimate prices the
+    instruction itself and every one after it.
 
     The enumerated pattern vertex is read off the instruction target
     (``f<i>``), which also handles VCBC-compressed plans whose non-cover
     ENUs were deleted.
     """
-    from .instructions import var_index
-
     pattern = plan.pattern.graph
+    conditions = plan.pattern.symmetry_conditions
     prefix: list = []
     cur_num = 0.0
-    cost = 0.0
     for inst in plan.instructions:
         if inst.type in (InstructionType.INI, InstructionType.ENU):
             prefix.append(var_index(inst.target))
-            cur_num = estimate_matches(_partial_pattern(pattern, prefix), stats)
-        elif inst.type in counted_types:
-            cost += cur_num
-    return cost
+            cur_num = estimate_prefix_matches(pattern, prefix, conditions, stats)
+        yield inst, cur_num
+
+
+def _walk_cost(
+    plan: ExecutionPlan,
+    stats: GraphStats,
+    counted_types: Tuple[InstructionType, ...],
+) -> float:
+    return sum(num for inst, num in _walk(plan, stats) if inst.type in counted_types)
 
 
 def predict_instruction_counts(
@@ -157,38 +214,20 @@ def predict_instruction_counts(
     The same walk as :func:`_walk_cost`, but keeping each type separate
     so the estimates can be confronted with the exact executed counts
     the engine already measures (``TaskCounters``): an INT/TRC/DBQ at
-    prefix P_i executes once per estimated match of P_i; an ENU's loop
-    iterates once per match of the *extended* prefix; RES fires once per
-    match of the full enumerated prefix.
+    prefix P_i executes once per symmetry-broken match of P_i; an ENU's
+    loop iterates once per match of the *extended* prefix; RES fires once
+    per match of the full enumerated prefix (estimate / |Aut(P)| for an
+    uncompressed plan).
 
     Keys are instruction-type names (``"INT"``, ``"TRC"``, ``"DBQ"``,
     ``"ENU"``, ``"RES"``) — the same vocabulary as the registry's
     ``instr`` label, so prediction and measurement join trivially.
     """
-    from .instructions import var_index
-
-    pattern = plan.pattern.graph
-    prefix: list = []
-    cur_num = 0.0
     predicted: Dict[str, float] = {}
-
-    def add(name: str, amount: float) -> None:
-        predicted[name] = predicted.get(name, 0.0) + amount
-
-    for inst in plan.instructions:
-        if inst.type in (InstructionType.INI, InstructionType.ENU):
-            prefix.append(var_index(inst.target))
-            cur_num = estimate_matches(_partial_pattern(pattern, prefix), stats)
-            if inst.type is InstructionType.ENU:
-                add("ENU", cur_num)
-        elif inst.type is InstructionType.INT:
-            add("INT", cur_num)
-        elif inst.type is InstructionType.TRC:
-            add("TRC", cur_num)
-        elif inst.type is InstructionType.DBQ:
-            add("DBQ", cur_num)
-        elif inst.type is InstructionType.RES:
-            add("RES", cur_num)
+    for inst, num in _walk(plan, stats):
+        if inst.type is not InstructionType.INI:
+            name = inst.type.value
+            predicted[name] = predicted.get(name, 0.0) + num
     return predicted
 
 
@@ -226,10 +265,11 @@ def order_communication_cost(
     """Communication cost of a matching order, plan-free (Algorithm 3 logic).
 
     A DBQ is generated for position i exactly when u_{k_i} still has an
-    unused neighbor; its multiplicity is the match estimate of P_i.
-    Optimizations never move DBQs across ENUs, so this depends on the order
-    alone.
+    unused neighbor; its multiplicity is the symmetry-broken estimate of
+    P_i, under the conditions ``pattern`` itself yields.  Optimizations
+    never move DBQs across ENUs, so this depends on the order alone.
     """
+    conditions = symmetry_breaking_conditions(pattern)
     used: list = []
     remaining = set(order)
     cost = 0.0
@@ -237,5 +277,5 @@ def order_communication_cost(
         remaining.discard(u)
         used.append(u)
         if any(w in remaining for w in pattern.neighbors(u)):
-            cost += estimate_matches(_partial_pattern(pattern, used), stats)
+            cost += estimate_prefix_matches(pattern, used, conditions, stats)
     return cost

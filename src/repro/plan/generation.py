@@ -62,10 +62,11 @@ class ExecutionPlan:
         return format_plan(self.instructions)
 
     def __getstate__(self) -> dict:
-        # ``compile_plan`` parks its memo on the instance; generated
-        # functions neither pickle nor belong to a copy of the plan.
+        # ``compile_plan`` and ``labelize_plan`` park their memos on the
+        # instance; neither pickles nor belongs to a copy of the plan.
         state = dict(self.__dict__)
         state.pop("_compiled", None)
+        state.pop("_labelized", None)
         return state
 
     # ------------------------------------------------------------------

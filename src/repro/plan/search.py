@@ -1,12 +1,15 @@
 """Best execution plan generation — Algorithm 3 (Section IV-D).
 
 The search enumerates matching orders depth-first, maintaining the
-communication cost incrementally (case 1 / case 2 of the paper), with two
-pruning strategies:
+communication cost incrementally (case 1 / case 2 of the paper).  Each
+step is priced at the prefix's symmetry-broken match estimate
+(:func:`repro.plan.cost.estimate_prefix_matches`), so of two automorphic
+orders the one whose conditions bound earlier costs less.  Two pruning
+strategies apply:
 
 * **Dual pruning** — syntactically-equivalent vertices generate dual orders
-  with identical cost, so within each SE class only ascending-id placements
-  are explored.
+  with identical match estimates, so within each SE class only ascending-id
+  placements are explored.
 * **Cost-based pruning** — a partial order whose communication cost already
   exceeds the best complete one is abandoned.
 
@@ -35,7 +38,7 @@ from .cost import (
     DEFAULT_STATS,
     GraphStats,
     estimate_computation_cost,
-    estimate_matches,
+    estimate_prefix_matches,
 )
 from .generation import ExecutionPlan, generate_raw_plan
 from .optimizer import LEVEL_TRIANGLE, optimize
@@ -116,6 +119,7 @@ def generate_best_plan(
     candidate_orders: List[Tuple[Vertex, ...]] = []
     se_index = pattern.se_class_index
     graph = pattern.graph
+    conditions = pattern.symmetry_conditions
     vertices = list(pattern.vertices)
 
     order: List[Vertex] = []
@@ -141,9 +145,9 @@ def generate_best_plan(
             remaining = [v for v in vertices if v not in used]
             if any(w in graph.neighbors(u) for w in remaining):
                 # Case 1: u still has unused neighbors → a DBQ for u will
-                # exist, executed once per match of the partial pattern.
-                partial = graph.induced_subgraph(order)
-                step = estimate_matches(partial, stats)
+                # exist, executed once per symmetry-broken match of the
+                # partial pattern.
+                step = estimate_prefix_matches(graph, order, conditions, stats)
                 search_stats.alpha += 1
             else:
                 # Case 2: all neighbors used → no DBQ for u.

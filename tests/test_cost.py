@@ -156,28 +156,28 @@ class TestPredictedCounts:
         assert all(v >= 0 for v in predicted.values())
 
     def test_res_prediction_matches_cardinality_model(self):
-        """RES fires once per full-pattern match, so its prediction is the
-        ER cardinality estimate of the whole pattern (times automorphism
-        dedup already baked into estimate_matches)."""
+        """RES fires once per symmetry-broken full-pattern match, so its
+        prediction is the ER cardinality estimate of the whole pattern
+        (which counts ordered embeddings) over |Aut(triangle)| = 6."""
         pg = PatternGraph(get_pattern("triangle"), "triangle")
         plan = optimize(generate_raw_plan(pg, [1, 2, 3]))
         stats = GraphStats(100, 500)
         predicted = predict_instruction_counts(plan, stats)
         assert predicted["RES"] == pytest.approx(
-            estimate_matches(pg.graph, stats)
+            estimate_matches(pg.graph, stats) / 6
         )
 
     def test_exact_on_complete_graph(self):
-        """On K_n the ER model is exact up to automorphisms: the model
-        counts ordered embeddings, the engine's symmetry breaking reports
-        each unordered match once (|Aut(triangle)| = 6)."""
+        """On K_n the ER model is exact: the model counts ordered
+        embeddings, and the symmetry share (1/|Aut(triangle)| = 1/6) turns
+        them into the unordered matches the engine reports."""
         from repro.engine.benu import run_benu
 
         g = complete_graph(6)
         result = run_benu(get_pattern("triangle"), g)
         predicted = result.plan.predicted_counts
         assert predicted is not None
-        assert predicted["RES"] == pytest.approx(result.count * 6, rel=0.01)
+        assert predicted["RES"] == pytest.approx(result.count, rel=0.01)
 
     def test_build_plan_attaches_predictions(self):
         from repro.engine.benu import build_plan

@@ -207,6 +207,27 @@ def test_plan_cache_shares_order_not_plans_across_labelings(service):
     assert outcome == "exact"
 
 
+def test_labeled_query_compiles_once(service, oracle, monkeypatch):
+    """A cached plan is labelized once per registered graph, so a second
+    submit of one labeled query text generates no source at all."""
+    from repro.plan import codegen
+
+    text = Q_GROUPS.replace(" GROUP BY a", "")
+    first = service.submit_query(text, "g")
+    first.wait(timeout=60)
+    generated = []
+    real = codegen.generate_source
+    monkeypatch.setattr(
+        codegen,
+        "generate_source",
+        lambda *args, **kwargs: generated.append(args) or real(*args, **kwargs),
+    )
+    second = service.submit_query(text, "g")
+    second.wait(timeout=60)
+    assert first.result().count == second.result().count == oracle(text)
+    assert generated == []
+
+
 # ---------------------------------------------------------------- protocol
 @pytest.fixture()
 def protocol(service):
