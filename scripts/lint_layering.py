@@ -10,7 +10,7 @@ belongs in the engine behind the shared pipeline.
 
 **The stats structs know no registry.**  ``storage/``, ``kernels/``,
 ``graph/`` and ``plan/`` keep their accounting in plain dataclasses
-(``QueryStats``, ``CacheStats``, ``KernelStats``, ``TaskCounters``);
+(``QueryStats``, ``CacheStats``, ``TaskCounters``);
 which field becomes which metric is decided once, in
 ``repro.engine.backends.base``'s run ledger.  So those layers import
 neither ``repro.telemetry.registry`` nor ``repro.telemetry.snapshot`` —
@@ -31,11 +31,9 @@ So only ``repro.service.protocol`` imports ``socketserver`` and only
 **One compute form.**  Every compiled plan runs on the data graph's
 neighbour frozensets, whichever byte price the store puts on a row, and
 every INT/TRC site is a set expression codegen emits inline.  So no
-module outside ``graph/`` imports ``repro.graph.csr`` (the packed layout
-is kept for the benchmark ledger's probes), and of the ``plan/`` and
-``engine/`` modules only ``engine/backends/base.py`` imports from
-``repro.kernels``, and only ``KernelStats``: the run ledger records its
-all-zero fields, since no compiled plan calls a kernel.
+module outside ``graph/`` imports ``repro.graph.csr`` and no module
+outside ``kernels/`` imports ``repro.kernels``: the packed layout and the
+two kernels left are the benchmark ledger's probes, not a library path.
 Every row ∩ row is one frozenset path, never a timing: no module imports
 ``repro.kernels.vectorized`` (a numpy probe only the benchmark ledger
 calls), and ``kernels/``, ``plan/`` and ``graph/`` import no ``numpy``
@@ -103,12 +101,9 @@ WIRE_DOORS = {
 
 #: The packed adjacency layout, which only ``graph/`` imports.
 CSR_MODULE = "repro.graph.csr"
-#: Layers that compute on frozenset rows; of them only the run ledger
-#: imports from the kernel library, and only the accounting it records.
-COMPUTE_LAYERS = ("plan/", "engine/")
+#: The benchmark ledger's intersection probes, which only ``kernels/``
+#: imports.
 KERNEL_PACKAGE = "repro.kernels"
-KERNEL_LEDGER = "engine/backends/base.py"
-KERNEL_ACCOUNTING = {"KernelStats"}
 #: The benchmark-only numpy probe, which no library module imports.
 PROBE = "repro.kernels.vectorized"
 PROBE_FILE = "kernels/vectorized.py"
@@ -259,21 +254,18 @@ def _lint_compute_form(path, rel, lineno, module, names, out) -> int:
         if rel.startswith("graph/"):
             return 0
         reached = CSR_MODULE
-    elif (
-        rel.startswith(COMPUTE_LAYERS)
-        and (module + ".").startswith(KERNEL_PACKAGE + ".")
-        and not (
-            rel == KERNEL_LEDGER and names and set(names) <= KERNEL_ACCOUNTING
-        )
+    elif not rel.startswith("kernels/") and (
+        (module + ".").startswith(KERNEL_PACKAGE + ".")
+        or (module == "repro" and "kernels" in names)
     ):
-        reached = f"{module} names {sorted(names)}"
+        reached = KERNEL_PACKAGE
     else:
         return 0
     print(
         f"{path}:{lineno}: imports {reached} — one compute form: compiled "
         "plans run on the graph's frozensets and emit every intersection "
-        "inline; the packed layout and the kernel library are for "
-        "benchmarks",
+        "inline; the packed layout and the kernels left are the "
+        "benchmark ledger's probes",
         file=out,
     )
     return 1

@@ -20,7 +20,6 @@ from .graph import (
     load_dataset,
     relabel_by_degree_order,
 )
-from .kernels import KernelStats, intersect_adaptive
 from .pattern import PatternGraph
 from .plan import (
     GraphStats,
@@ -51,8 +50,6 @@ __version__ = "1.6.0"
 __all__ = [
     "CSRAdjacency",
     "Graph",
-    "KernelStats",
-    "intersect_adaptive",
     "get_pattern",
     "load_dataset",
     "relabel_by_degree_order",

@@ -32,11 +32,10 @@ from __future__ import annotations
 import abc
 import time as _time
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...graph.graph import Graph
-from ...kernels.intersect import KernelStats
 from ...plan.codegen import TaskCounters
 from ...plan.cost import q_error
 from ...plan.generation import ExecutionPlan
@@ -50,7 +49,6 @@ from ...telemetry.snapshot import (
     G_MAKESPAN,
     G_PLAN_PREDICTED,
     G_PLAN_QERROR,
-    G_SHM_BYTES,
     G_WALL,
     G_WORKERS,
     H_TASK_SIM_SECONDS,
@@ -61,8 +59,6 @@ from ...telemetry.snapshot import (
     M_DB_QUERIES,
     M_DB_SIM_SECONDS,
     M_INSTRUCTIONS,
-    M_KERNEL_CALLS,
-    M_SHM_ATTACHES,
     M_TASKS,
     M_TRC_MISSES,
 )
@@ -224,24 +220,12 @@ class WorkerLedger:
 
 
 # ------------------------------------------------------------- run ledger
-@dataclass
-class ShmAttachStats:
-    """Shared-memory adjacency mapped by a run's workers.
-
-    Workers read fork-inherited rows and map no shared memory, so a
-    process run records zeros; the metrics stay for their readers.
-    """
-
-    attaches: int = 0
-    bytes_mapped: int = 0
-
-
 _INSTR_HELP = "instruction executions by type (Table III semantics)"
 
 #: Which field of which stats struct becomes which metric, under which
 #: constant labels: ``type -> ((field, metric, help, labels), ...)``.
-#: A ``*_total`` metric is a counter the field is added to; any other is
-#: a gauge set to it.  :func:`mirror` is the one reader.
+#: Every metric is a counter the field is added to.  :func:`mirror` is
+#: the one reader.
 LEDGER: Dict[type, Tuple[Tuple[str, str, str, Dict[str, str]], ...]] = {
     QueryStats: (
         ("queries", M_DB_QUERIES, "distributed KV store queries", {}),
@@ -264,16 +248,6 @@ LEDGER: Dict[type, Tuple[Tuple[str, str, str, Dict[str, str]], ...]] = {
         ("trc_misses", M_TRC_MISSES,
          "triangle-cache lookups that computed the result", {}),
     ),
-    KernelStats: tuple(
-        (f.name, M_KERNEL_CALLS, "intersections served, by kernel choice",
-         {"kernel": f.name})
-        for f in fields(KernelStats)
-    ),
-    ShmAttachStats: (
-        ("attaches", M_SHM_ATTACHES, "shared-memory CSR attaches", {}),
-        ("bytes_mapped", G_SHM_BYTES,
-         "bytes of adjacency mapped via shared memory", {}),
-    ),
 }
 
 #: Instruction type -> the :class:`TaskCounters` field holding its exact
@@ -295,11 +269,9 @@ def mirror(registry: MetricsRegistry, stats, **labels) -> None:
     """
     for name, metric, help, constant in LEDGER[type(stats)]:
         sample = {**constant, **labels}
-        value = getattr(stats, name)
-        if metric.endswith("_total"):
-            registry.counter(metric, help, tuple(sample)).inc(value, **sample)
-        else:
-            registry.gauge(metric, help, tuple(sample)).set(value, **sample)
+        registry.counter(metric, help, tuple(sample)).inc(
+            getattr(stats, name), **sample
+        )
 
 
 def finish_run(
@@ -314,10 +286,9 @@ def finish_run(
     """Record a finished run into ``registry`` and return its result.
 
     The one end of every backend's run: each worker's ledger under its
-    ``worker`` label, zero intersections per kernel (no compiled plan
-    calls one; the metric stays for its readers), the plan's
-    cost-model estimates beside their q-errors against the executed
-    counts (when the plan carries estimates), and the run gauges.
+    ``worker`` label, the plan's cost-model estimates beside their
+    q-errors against the executed counts (when the plan carries
+    estimates), and the run gauges.
     ``wall0`` is the ``perf_counter`` instant the run started; ``extras``
     are the :class:`BenuResult` fields only one backend knows.
     """
@@ -362,7 +333,6 @@ def finish_run(
             actual = float(getattr(counters, name)) if name else 0.0
             pred_gauge.set(pred, instr=instr)
             qerr_gauge.set(q_error(pred, actual), instr=instr)
-    mirror(registry, KernelStats())
 
     config = request.config
     makespan = max((ledger.makespan_seconds for ledger in ledgers), default=0.0)

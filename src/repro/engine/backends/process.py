@@ -46,7 +46,8 @@ Design notes
   work.  A pool left early is never terminated with results in flight
   (``Pool.terminate()`` can deadlock mid-write): the parent keeps
   draining, and discarding, until the workers have reported what they
-  owe, then closes and joins (``_retire_pool``).
+  owe, then kills the workers, frees any queue lock a dead worker held,
+  and closes and joins (``_retire_pool``).
 * Progress and lifecycle events are per delivered chunk record: one
   ``task_dispatched`` per chunk at enqueue, one ``task_finished`` — its
   first task id, how many tasks, their summed embeddings — on delivery.
@@ -59,6 +60,7 @@ Design notes
 from __future__ import annotations
 
 import multiprocessing as mp
+import multiprocessing.pool
 import os
 import time as _time
 from array import array
@@ -91,10 +93,8 @@ from ..sinks import block_emitter, row_blocks
 from .base import (
     ExecutionBackend,
     ExecutionRequest,
-    ShmAttachStats,
     WorkerLedger,
     finish_run,
-    mirror,
     packs_rows,
     resolve_tasks,
 )
@@ -293,6 +293,25 @@ def _run_chunk(chunk: _TaskChunk) -> Tuple[int, Union[_ChunkRecord, str]]:
         # parent leaves the chunk pending for the retry pass.
         return base, str(exc)
     return base, out
+
+
+class _Pool(multiprocessing.pool.Pool):
+    """A pool that keeps every worker process it starts.
+
+    The pool's maintenance thread reaps a dead worker and starts its
+    replacement within milliseconds, dropping it from its own list.
+    ``started`` keeps them all, replacements included, so a worker that
+    died before anyone looked is still seen dead, with its exit code.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.started: List[mp.Process] = []
+        super().__init__(*args, **kwargs)
+
+    def Process(self, ctx, *args, **kwargs):
+        proc = ctx.Process(*args, **kwargs)
+        self.started.append(proc)
+        return proc
 
 
 class ProcessBackend(ExecutionBackend):
@@ -540,26 +559,21 @@ class ProcessBackend(ExecutionBackend):
         :meth:`_retire_pool` winds the pool down.
         """
         chunks = sorted(pending.items())
-        tracked: Dict[int, object] = {}
         dead: Dict[int, int] = {}
         last_arrival = _time.monotonic()
         # One event per pool: tripping it stops this pool's workers at
         # their next task boundary and leaves a retry pool untouched.
         cancel_event = ctx.Event()
-        pool = ctx.Pool(
+        pool = _Pool(
             processes=num_workers,
             initializer=_init_worker,
             initargs=make_initargs(cancel_event),
             maxtasksperchild=self.maxtasksperchild,
+            context=ctx,
         )
         results = None
         owed = len(chunks)
         try:
-            # Track the original workers *before* any can die: the pool's
-            # maintenance thread joins and replaces dead workers within
-            # milliseconds, so a lazy first scan would only ever see the
-            # healthy replacements.
-            self._scan_workers(pool, tracked, dead)
             results = pool.imap_unordered(_run_chunk, chunks, chunksize=1)
             while pending:
                 try:
@@ -573,7 +587,7 @@ class ProcessBackend(ExecutionBackend):
                     # a cancel can still land — keep the control live.
                     if control is not None:
                         control.check()
-                    self._scan_workers(pool, tracked, dead)
+                    self._scan_workers(pool, dead)
                     if dead and (
                         _time.monotonic() - last_arrival
                         > self.worker_grace_seconds
@@ -596,15 +610,15 @@ class ProcessBackend(ExecutionBackend):
                     control.check()
                     if control.limit_reached:
                         break
-            self._scan_workers(pool, tracked, dead)
+            self._scan_workers(pool, dead)
         finally:
             self._retire_pool(
-                pool, results, cancel_event, owed, tracked, dead, last_arrival
+                pool, results, cancel_event, owed, dead, last_arrival
             )
         return dead
 
     def _retire_pool(
-        self, pool, results, cancel_event, owed, tracked, dead, last_arrival
+        self, pool, results, cancel_event, owed, dead, last_arrival
     ):
         """Wind a pool down without ever terminating it mid-write.
 
@@ -627,6 +641,8 @@ class ProcessBackend(ExecutionBackend):
         declares such a pool lost: no arrival for ``worker_grace_seconds``.
         Then, or when ``retire_grace_seconds`` run out with a worker still
         inside one long task, the pool is terminated: the last resort.
+        Either way :meth:`_stop_workers` takes the workers down first, so
+        a worker that died inside a queue lock cannot hang the wind-down.
         """
         try:
             if owed and results is not None:
@@ -639,7 +655,7 @@ class ProcessBackend(ExecutionBackend):
                         owed = 0
                         break
                     except mp.TimeoutError:
-                        self._scan_workers(pool, tracked, dead)
+                        self._scan_workers(pool, dead)
                         if dead and (
                             _time.monotonic() - last_arrival
                             > self.worker_grace_seconds
@@ -651,27 +667,51 @@ class ProcessBackend(ExecutionBackend):
                     owed -= 1
                     last_arrival = _time.monotonic()
         finally:
+            self._stop_workers(pool)
             if owed == 0:
                 pool.close()
             else:
                 pool.terminate()
             pool.join()
 
-    @staticmethod
-    def _scan_workers(pool, tracked: Dict[int, object], dead: Dict[int, int]) -> None:
-        """Track the pool's worker processes and note non-zero exits.
+    def _stop_workers(self, pool) -> None:
+        """Kill a pool's workers and free the queue locks a dead one held.
 
-        References are kept across scans because the pool's maintenance
-        thread drops dead workers from ``pool._pool`` when it replaces
-        them — holding our own reference keeps ``exitcode`` readable.
+        An idle worker waits for its next chunk inside the task queue's
+        read lock, and a worker sends its record inside the result
+        queue's write lock.  SIGKILLed inside either, it never releases
+        it: the other workers can no longer read the stop sentinels
+        ``close()`` sends, and the pool's task thread, ``close()`` and
+        ``terminate()`` block on the lock for good.  So the pool stops
+        replacing workers, and every worker is killed and reaped while
+        this process holds the write lock: no worker dies halfway
+        through a record, which the result thread would wait on forever.
+        A live writer finishes within ``worker_grace_seconds``; a lock
+        held longer is a dead worker's.  With every worker dead, both
+        locks are released — whoever held them.  Nothing is lost: the
+        pool was drained of what it owed, or is given up.
         """
-        for proc in list(getattr(pool, "_pool", None) or []):
-            if proc.pid is not None:
-                tracked[proc.pid] = proc
-        for pid, proc in tracked.items():
+        handler = pool._worker_handler
+        handler._state = multiprocessing.pool.TERMINATE
+        pool._change_notifier.put(None)
+        handler.join()
+        write_lock = pool._outqueue._wlock
+        write_lock.acquire(timeout=self.worker_grace_seconds)
+        for proc in pool.started:
+            proc.kill()
+            proc.join()
+        write_lock.release()
+        read_lock = pool._inqueue._rlock
+        read_lock.acquire(False)  # no parent thread takes it before terminate()
+        read_lock.release()
+
+    @staticmethod
+    def _scan_workers(pool, dead: Dict[int, int]) -> None:
+        """Note every worker the pool started that exited non-zero."""
+        for proc in list(pool.started):
             code = proc.exitcode
-            if code is not None and code != 0 and pid not in dead:
-                dead[pid] = code
+            if code is not None and code != 0 and proc.pid not in dead:
+                dead[proc.pid] = code
 
     @staticmethod
     def _account(record: _ChunkRecord, base: int, events, progress) -> None:
@@ -709,7 +749,6 @@ class ProcessBackend(ExecutionBackend):
             registry.counter(
                 M_TASK_RETRIES, help="task slices re-executed after a crash"
             ).inc(tasks_retried)
-        mirror(registry, ShmAttachStats())
 
         # Group self-contained chunk records into per-process ledgers;
         # worker ids are dense, in order of first result arrival.  Counters

@@ -44,10 +44,6 @@ class BenuResult:
     execution_backend: str = "simulated"
     #: The run's row price ("frozenset" or "csr"; see BenuConfig).
     adjacency_backend: str = "frozenset"
-    #: Shared-memory accounting: always 0, as no transport maps shared
-    #: memory; kept for the readers of these fields.
-    shm_attaches: int = 0
-    shm_bytes: int = 0
     #: Fault-tolerance accounting (process backend only): worker processes
     #: that died mid-query and task slices re-executed to recover.  Both 0
     #: on a fault-free run.
@@ -98,10 +94,13 @@ class BenuResult:
 
     @property
     def kernel_counts(self) -> dict:
-        """Per-kernel intersection dispatch counts from the run's snapshot."""
-        if self.telemetry is None:
-            return {}
-        return self.telemetry.kernel_counts
+        """Always empty: no plan calls a kernel (ROADMAP item 3 drops it)."""
+        return {}
+
+    @property
+    def shm_bytes(self) -> int:
+        """Always 0: no transport maps shared memory (ROADMAP item 3)."""
+        return 0
 
     def summary(self) -> str:
         """One-paragraph human-readable run report."""

@@ -184,7 +184,7 @@ class CSRAdjacency:
             len(self.vertex_ids) + len(self.offsets) + len(self.neighbors)
         ) * _ITEM_BYTES
 
-    # -- shared memory --------------------------------------------------
+    # -- shared memory: only graph.shm_attach_us calls it (ROADMAP item 3)
     def to_shared(self) -> Tuple[CSRShmHandle, object]:
         """Copy the arrays into one shared-memory block.
 

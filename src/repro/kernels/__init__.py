@@ -1,21 +1,5 @@
-"""Intersection kernels over sorted sequences (benchmarked, not compiled in)."""
+"""The intersections the benchmark ledger probes (no plan calls them)."""
 
-from .intersect import (
-    GALLOP_RATIO,
-    STATS,
-    KernelStats,
-    intersect_adaptive,
-    intersect_filtered,
-    intersect_gallop,
-    intersect_merge,
-)
+from .intersect import intersect_merge, intersect_views
 
-__all__ = [
-    "GALLOP_RATIO",
-    "STATS",
-    "KernelStats",
-    "intersect_adaptive",
-    "intersect_filtered",
-    "intersect_gallop",
-    "intersect_merge",
-]
+__all__ = ["intersect_merge", "intersect_views"]

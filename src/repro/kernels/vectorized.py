@@ -4,7 +4,7 @@ No intersection site dispatches to numpy: every compiled row ∩ row is
 a frozenset expression.  What is left here is
 the timing probe whose only caller is the benchmark ledger's per-layer
 ``kernels.crossover`` metric (``benchmarks/ledger/layers.py``); the
-benchmark-only ledger change (ROADMAP, "Ledger v2") deletes it together
+benchmark-only ledger change (ROADMAP item 3) deletes it together
 with that metric.  Nothing under ``src/repro`` imports this module.
 """
 

@@ -572,7 +572,6 @@ class ServiceProtocol(WireProtocol):
                         # so shard slices add up to the single-node run.
                         response["telemetry"] = {
                             "instruction_counts": dict(telemetry.instruction_counts),
-                            "kernel_counts": dict(telemetry.kernel_counts),
                         }
         return response
 

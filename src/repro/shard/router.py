@@ -404,10 +404,10 @@ class RouterQuery:
     def result(self) -> dict:
         """Block until every shard finishes; the exact global totals.
 
-        Returns ``{"count", "instruction_counts", "kernel_counts",
-        "per_shard"}`` where the counts are sums over shards — equal to
-        the single-node run's, because instruction execution per task is
-        deterministic and the task space partitions exactly.
+        Returns ``{"count", "instruction_counts", "per_shard"}`` where the
+        counts are sums over shards — equal to the single-node run's,
+        because instruction execution per task is deterministic and the
+        task space partitions exactly.
         """
         if self.stream:
             raise InvalidQueryError(
@@ -417,7 +417,6 @@ class RouterQuery:
         per_shard: List[dict] = []
         total = 0
         instruction_counts: Dict[str, int] = {}
-        kernel_counts: Dict[str, int] = {}
         for s in self._slices:
             while not s.done:
                 response = self._hop(
@@ -432,12 +431,11 @@ class RouterQuery:
                     s.telemetry = response.get("telemetry") or {}
                     s.groups = response.get("groups")
             total += s.count or 0
-            for kind, sums in (
-                ("instruction_counts", instruction_counts),
-                ("kernel_counts", kernel_counts),
-            ):
-                for key, value in (s.telemetry or {}).get(kind, {}).items():
-                    sums[key] = sums.get(key, 0) + int(value)
+            shard_counts = (s.telemetry or {}).get("instruction_counts", {})
+            for instr, value in shard_counts.items():
+                instruction_counts[instr] = (
+                    instruction_counts.get(instr, 0) + int(value)
+                )
             per_shard.append(
                 {
                     "shard": s.index,
@@ -450,7 +448,6 @@ class RouterQuery:
         out = {
             "count": total,
             "instruction_counts": instruction_counts,
-            "kernel_counts": kernel_counts,
             "per_shard": per_shard,
         }
         if any(s.groups is not None for s in self._slices):

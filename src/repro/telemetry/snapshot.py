@@ -3,8 +3,8 @@
 One :class:`TelemetrySnapshot` bundles the run's :class:`MetricsRegistry`
 (populated at the end of the run by
 :func:`repro.engine.backends.base.finish_run`, whose ``LEDGER`` table maps
-the fields of the ``QueryStats``/``CacheStats``/``TaskCounters``/
-``KernelStats`` structs onto the metric names below, plus any live
+the fields of the ``QueryStats``/``CacheStats``/``TaskCounters`` structs
+onto the metric names below, plus any live
 histograms the profiler and storage hooks filled in) and, when tracing
 was on, the :class:`~repro.telemetry.tracing.Tracer` holding the span
 tree.
@@ -48,9 +48,6 @@ __all__ = [
     "M_INSTRUCTIONS",
     "M_TRC_MISSES",
     "M_TASKS",
-    "M_KERNEL_CALLS",
-    "M_SHM_ATTACHES",
-    "G_SHM_BYTES",
     "G_MAKESPAN",
     "G_WALL",
     "G_WORKERS",
@@ -85,9 +82,6 @@ M_CACHE_EVICTIONS = "benu_cache_evictions_total"
 M_INSTRUCTIONS = "benu_instructions_total"
 M_TRC_MISSES = "benu_trc_cache_misses_total"
 M_TASKS = "benu_tasks_total"
-M_KERNEL_CALLS = "benu_kernel_calls_total"
-M_SHM_ATTACHES = "benu_shm_attaches_total"
-G_SHM_BYTES = "benu_shm_bytes"
 G_MAKESPAN = "benu_makespan_seconds"
 G_WALL = "benu_wall_seconds"
 G_WORKERS = "benu_workers"
@@ -190,17 +184,6 @@ class TelemetrySnapshot:
     @property
     def results(self) -> int:
         return self.instruction_counts.get("RES", 0)
-
-    @property
-    def kernel_counts(self) -> Dict[str, int]:
-        """Intersections served per kernel (empty: compiled plans call none)."""
-        metric = self.registry.get(M_KERNEL_CALLS)
-        out: Dict[str, int] = {}
-        if isinstance(metric, Counter):
-            for labels, value in metric.samples():
-                kernel = labels.get("kernel", "?")
-                out[kernel] = out.get(kernel, 0) + int(value)
-        return {k: v for k, v in out.items() if v}
 
     def _gauge_by_instr(self, name: str) -> Dict[str, float]:
         metric = self.registry.get(name)

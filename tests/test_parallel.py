@@ -100,15 +100,15 @@ class TestCsrBackend:
         reference = process_count(plan, data_graph, num_workers=1)
         assert result.count == reference.count
         # One transport: the inline worker reads the graph's frozensets.
-        assert result.shm_attaches == result.shm_bytes == 0
+        assert result.shm_bytes == 0
 
-    def test_telemetry_snapshot_records_shm(self, plan, data_graph):
-        from repro.telemetry.snapshot import M_SHM_ATTACHES
-
+    def test_snapshot_records_no_kernel_or_shm_metric(self, plan, data_graph):
+        # No plan calls a kernel and no transport maps shared memory, so
+        # the run ledger records neither.
         result = process_count(plan, data_graph, num_workers=2, backend="csr")
-        snap = result.telemetry
-        assert snap.registry.counter_total(M_SHM_ATTACHES) == result.shm_attaches
-        assert snap.kernel_counts == result.kernel_counts
+        names = result.telemetry.registry.names()
+        assert not [n for n in names if n.startswith(("benu_kernel", "benu_shm"))]
+        assert result.kernel_counts == {}
 
     def test_unknown_backend_rejected(self, plan, data_graph):
         with pytest.raises(ValueError):
@@ -142,7 +142,6 @@ class TestRestartRobustAccounting:
         stable = run(ProcessBackend())
         assert churned.count == stable.count
         assert churned.counters == stable.counters
-        assert churned.kernel_counts == stable.kernel_counts
 
 
 @pytest.mark.skipif(

@@ -5,7 +5,9 @@ was interrupted (a LIMIT reached, a cancel, a deadline) left its pool
 context while workers were still writing chunk records, and terminating a
 pool mid-write can block forever — in ``benu serve`` a scheduler thread
 and its worker slots lost for good.  The backend now stops the workers,
-drains what they still owe and only then closes the pool.
+drains what they still owe and only then closes the pool.  A worker
+SIGKILLed while idle dies holding the task queue's read lock; the
+wind-down kills the workers and frees that lock before it closes.
 
 Every scenario runs many times in a row under a watchdog: the hang showed
 in about half the runs, so a regression fails loudly (with all thread
@@ -16,16 +18,21 @@ query.
 
 import faulthandler
 import multiprocessing
+import os
+import signal
 import sys
 import threading
 import time
 
 import pytest
 
-from repro.engine.backends.process import ProcessBackend
+from repro.engine.backends.base import ExecutionRequest
+from repro.engine.backends.process import ProcessBackend, _Pool
+from repro.engine.benu import prepare_data, prepare_plan
 from repro.engine.config import BenuConfig
 from repro.graph.generators import chung_lu
 from repro.graph.graph import Graph
+from repro.graph.patterns import get_pattern
 from repro.service import BenuService
 from repro.service.streaming import QueryStatus
 
@@ -169,11 +176,88 @@ def test_a_pool_stuck_in_one_long_task_is_terminated(rows_graph, monkeypatch):
     bounded(60, body)
 
 
-class FakePool:
-    """What ``_retire_pool`` touches of a pool: no processes behind it."""
+class KillIdleWorkers:
+    """A sink that SIGKILLs every pool worker when the first rows arrive.
+
+    The run is one chunk on three workers, so by then every worker is
+    idle: one waits for a next chunk inside the task queue's read lock,
+    the others wait for that lock.  The sink returns once the pool has
+    replaced all of them, so the replacements wait on a lock that no
+    live process holds.
+    """
 
     def __init__(self):
-        self._pool = []
+        self.rows = 0
+        self.killed = set()
+
+    def emit_block(self, block):
+        if not self.killed:
+            self.killed = {p.pid for p in multiprocessing.active_children()}
+            for pid in self.killed:
+                os.kill(pid, signal.SIGKILL)
+            give_up = time.monotonic() + 10.0
+            while time.monotonic() < give_up:
+                alive = {p.pid for p in multiprocessing.active_children()}
+                if len(alive - self.killed) == len(self.killed):
+                    break
+                time.sleep(0.01)
+        self.rows += len(block)
+
+
+def test_idle_workers_killed_mid_run_do_not_hang_the_wind_down(graph):
+    """The chaos smoke's rare hang: a worker SIGKILLed while idle takes
+    the task queue's read lock with it, and the pool's wind-down waited
+    on that lock forever."""
+    config = process_config(num_workers=3)
+    prepared = prepare_data(graph, config)
+    plan = prepare_plan(get_pattern("triangle"), prepared, config)
+    backend = ProcessBackend(queue_chunksize=10**6)
+
+    def body():
+        for _ in range(5):
+            sink = KillIdleWorkers()
+            result = backend.execute(
+                ExecutionRequest(
+                    plan=plan, graph=prepared.graph, config=config, sink=sink,
+                )
+            )
+            assert sink.killed and sink.rows == result.count > 0
+            assert multiprocessing.active_children() == []
+
+    bounded(30, body)
+
+
+def test_a_worker_killed_before_the_first_look_is_seen_dead():
+    """The chaos smoke's other rare hang: its killer can beat the
+    backend's first look at the pool, which has reaped and replaced the
+    worker by then; unseen, the death never ended the run."""
+
+    def body():
+        pool = _Pool(processes=2, context=multiprocessing.get_context("fork"))
+        try:
+            victim = pool.started[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            give_up = time.monotonic() + 10.0
+            while len(pool.started) < 3 and time.monotonic() < give_up:
+                time.sleep(0.01)
+            dead = {}
+            ProcessBackend._scan_workers(pool, dead)
+            assert dead == {victim.pid: -signal.SIGKILL}
+        finally:
+            ProcessBackend()._stop_workers(pool)
+            pool.close()
+            pool.join()
+        assert multiprocessing.active_children() == []
+
+    bounded(30, body)
+
+
+class FakePool:
+    """What ``_retire_pool`` touches of a pool once ``_stop_workers`` is
+    stubbed: no processes behind it."""
+
+    def __init__(self):
+        self.started = []
         self.calls = []
 
     def close(self):
@@ -202,10 +286,14 @@ class ScriptedResults:
 
 def retire(results, owed, dead, monkeypatch, quiet=0.05):
     monkeypatch.setattr(ProcessBackend, "worker_grace_seconds", quiet)
+    monkeypatch.setattr(
+        ProcessBackend, "_stop_workers",
+        staticmethod(lambda pool: pool.calls.append("stop")),
+    )
     pool = FakePool()
     cancel_event = threading.Event()
     ProcessBackend()._retire_pool(
-        pool, results, cancel_event, owed, {}, dead, time.monotonic()
+        pool, results, cancel_event, owed, dead, time.monotonic()
     )
     assert cancel_event.is_set()
     return pool.calls
@@ -215,7 +303,9 @@ def test_a_worker_that_died_idle_does_not_end_the_drain(monkeypatch):
     """One worker is dead and one chunk is owed — by a *live* worker, the
     dead one held nothing: the drain goes on until that chunk is in."""
     late = ScriptedResults([multiprocessing.TimeoutError, (0, "record")])
-    assert retire(late, 1, {4711: -9}, monkeypatch, quiet=30) == ["close", "join"]
+    assert retire(late, 1, {4711: -9}, monkeypatch, quiet=30) == [
+        "stop", "close", "join",
+    ]
     assert late.script == []
 
 
@@ -223,9 +313,11 @@ def test_chunks_that_died_with_their_worker_end_the_drain_by_silence(monkeypatch
     """Two chunks owed, one arrives, the other died with its worker: once
     nothing has arrived for the quiet window, the pool is terminated."""
     lost = ScriptedResults([(0, "record")])
-    assert retire(lost, 2, {4711: -9}, monkeypatch) == ["terminate", "join"]
+    assert retire(lost, 2, {4711: -9}, monkeypatch) == [
+        "stop", "terminate", "join",
+    ]
 
 
 def test_an_exhausted_iterator_closes_the_pool(monkeypatch):
     done = ScriptedResults([(0, "record"), StopIteration])
-    assert retire(done, 5, {}, monkeypatch) == ["close", "join"]
+    assert retire(done, 5, {}, monkeypatch) == ["stop", "close", "join"]

@@ -78,7 +78,6 @@ def single_node(workload):
             "matches": matches,
             "count": result.count,
             "instructions": dict(result.telemetry.instruction_counts),
-            "kernels": dict(result.telemetry.kernel_counts),
         }
     yield reference
     service.close()
@@ -186,9 +185,6 @@ def test_router_matches_single_node_for_every_pattern(
         assert result["count"] == ref["count"], f"count diverged at N={n}"
         assert result["instruction_counts"] == ref["instructions"], (
             f"instruction counters did not sum exactly at N={n}"
-        )
-        assert result["kernel_counts"] == ref["kernels"], (
-            f"kernel counters did not sum exactly at N={n}"
         )
 
 
