@@ -92,8 +92,8 @@ class TestTelemetryOffIsFree:
         seen = []
         original = proc._run_tasks
 
-        def spy(base, stop):
-            record = original(base, stop)
+        def spy(*chunk):
+            record = original(*chunk)
             seen.append(record)
             return record
 
@@ -140,8 +140,8 @@ class TestTelemetryOffIsFree:
         seen = []
         original = proc._run_tasks
 
-        def spy(base, stop):
-            record = original(base, stop)
+        def spy(*chunk):
+            record = original(*chunk)
             seen.append(record)
             return record
 

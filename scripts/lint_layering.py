@@ -44,6 +44,11 @@ symmetry-broken estimate, ``estimate_prefix_matches``, so the search and
 the plan walks cannot disagree on what a prefix costs.  So inside
 ``plan/`` only ``plan/cost.py`` calls ``estimate_matches``.
 
+**One pool.**  The process backend forks its own workers, one pipe
+each, so the parent knows which chunk died with which worker.  So no
+module under ``src/repro`` imports ``multiprocessing.pool``, whose
+shared queues a killed worker can leave locked or half-written.
+
 The check is AST-based and resolves relative imports, so aliasing or
 ``from .. import`` spellings cannot slip past it.
 
@@ -110,6 +115,9 @@ PROBE_FILE = "kernels/vectorized.py"
 #: Layers on the intersection path, which import no numpy.
 NUMPY_FREE = ("kernels/", "plan/", "graph/")
 
+#: The pool the process backend no longer borrows.
+BORROWED_POOL = "multiprocessing.pool"
+
 #: The raw match estimate, which inside ``plan/`` only its module calls.
 ESTIMATE = "estimate_matches"
 ESTIMATE_FILE = "plan/cost.py"
@@ -174,6 +182,7 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
         violations += _lint_wire_door(path, rel, lineno, module, out)
         violations += _lint_compute_form(path, rel, lineno, module, names, out)
         violations += _lint_numpy_path(path, rel, lineno, module, names, out)
+        violations += _lint_one_pool(path, lineno, module, names, out)
     if rel.startswith("plan/") and rel != ESTIMATE_FILE:
         violations += _lint_one_estimate(path, tree, out)
     return violations
@@ -286,6 +295,19 @@ def _lint_numpy_path(path, rel, lineno, module, names, out) -> int:
         f"{path}:{lineno}: imports {reached!r} — one compute form: every "
         "row ∩ row is the frozenset path; the numpy probe is the "
         "benchmark ledger's alone",
+        file=out,
+    )
+    return 1
+
+
+def _lint_one_pool(path, lineno, module, names, out) -> int:
+    if module != BORROWED_POOL and not (
+        module == "multiprocessing" and "pool" in names
+    ):
+        return 0
+    print(
+        f"{path}:{lineno}: imports {BORROWED_POOL!r} — one pool: fork "
+        "workers with one pipe each, as repro.engine.backends.process does",
         file=out,
     )
     return 1

@@ -114,9 +114,9 @@ class BenuConfig:
     latency: LatencyModel = field(default_factory=LatencyModel)
     #: Per-operation simulated costs.
     cost_model: SimulationCostModel = field(default_factory=SimulationCostModel)
-    #: Process backend: how many times a query's lost task slices may be
-    #: re-executed on a fresh pool after worker crashes before the run
-    #: fails with ``WorkerCrashed``.  0 disables recovery.
+    #: Process backend: how many times a chunk lost to a worker crash may
+    #: be re-executed on a replacement worker before the run fails with
+    #: ``WorkerCrashed``.  0 disables recovery.
     task_retries: int = 2
     #: Deterministic fault-injection schedule; None — the default — means
     #: no injection (the ``BENU_FAULTS`` env var, resolved at execution

@@ -220,9 +220,9 @@ def _parse_rule(entry: str) -> FaultRule:
 class FaultConfig:
     """A complete, immutable, picklable fault schedule.
 
-    Picklability matters: the process backend ships the config to pool
-    workers through the initializer, so worker-side sites replay the
-    same schedule the parent resolved.
+    Picklability matters: the process backend hands the config to every
+    worker it starts, so worker-side sites replay the same schedule the
+    parent resolved.
     """
 
     seed: int = 0

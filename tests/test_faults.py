@@ -230,8 +230,8 @@ def _crash_config(schedule, retries=2):
 def test_worker_crash_recovers_with_identical_results(
     crash_workload, crash_reference
 ):
-    """kill -9 (os._exit) of a pool worker mid-query: the lost task
-    slices re-execute on a fresh pool and the final match set and
+    """kill -9 (os._exit) of a pool worker mid-query: the chunk it held
+    re-executes on a replacement worker and the final match set and
     counters are byte-identical to the fault-free run."""
     result = run_benu(
         get_pattern("triangle"),
@@ -281,9 +281,9 @@ def test_retry_exhaustion_raises_typed_worker_crashed(crash_workload):
 def test_crash_recovery_is_deterministic_across_runs(crash_workload):
     """Same seed + schedule → byte-identical final results, run to run
     (the replayability acceptance criterion).  The *crash count* is not
-    pinned: the pool replaces dead workers, and a replacement re-runs
-    the attempt-0 schedule, so how many processes die before the grace
-    break is timing-dependent — the results never are."""
+    pinned: a replacement worker starts with fresh attempt-0 hit
+    counters, so how many processes die depends on which chunks each
+    one drew — the results never are."""
     def once():
         result = run_benu(
             get_pattern("triangle"),

@@ -10,13 +10,12 @@ Three layers pinned here:
   expensive patterns, and repeated service queries all dispatch the same
   ``(task_id, tasks)`` sequence.  ``mean_task_wall_seconds`` is measured
   and reported, never fed back;
-* ``_run_chunk``'s contract — the parent chunks manually into
-  ``(base, stop)`` ranges of the task list its workers inherited and
-  submits with ``imap_unordered(chunksize=1)`` so results stay
-  timeout-pollable; chunk arrival order never affects the rows or the
-  accounting (records are self-contained and delivered in task order),
-  and packed ``array('q')`` match buffers survive worker restarts
-  (``maxtasksperchild=1``) byte-for-byte.
+* ``_run_chunk``'s contract — the parent hands each worker one
+  ``(base, stop, attempt)`` range of the task list its workers
+  inherited at a time; chunk arrival order never affects the rows or
+  the accounting (records are self-contained and delivered in task
+  order), and packed ``array('q')`` match buffers survive workers that
+  crash and are replaced mid-run byte-for-byte.
 """
 
 from dataclasses import fields
@@ -224,40 +223,42 @@ class TestChunkContract:
         assert result.counters == oracle.counters
 
     def test_worker_restarts_cannot_corrupt_packed_accounting(self, workload):
-        # maxtasksperchild=1 restarts a worker after every chunk — the
-        # harshest interleaving: every chunk crosses a fresh process and
-        # arrival order is scrambled.  Self-contained records must still
-        # reproduce the exact simulated counters and match sequence.
+        # Every worker crashes on its first attempt-0 task, so every
+        # one-task chunk runs on a fresh process — the harshest
+        # interleaving: arrival order is scrambled and every chunk is
+        # retried.  Self-contained records must still reproduce the exact
+        # simulated counters and match sequence.
         from repro.engine.backends.base import ExecutionRequest
         from repro.engine.benu import prepare_data, prepare_plan
 
         config = BenuConfig(
             relabel=False, collect=True, execution_backend="process",
             num_workers=2, adjacency_backend="csr",
+            faults="worker.task:crash@1",
         )
         prepared = prepare_data(workload, config)
         plan = prepare_plan(get_pattern("triangle"), prepared, config)
-        backend = ProcessBackend(queue_chunksize=1, maxtasksperchild=1)
+        backend = ProcessBackend(queue_chunksize=1)
         result = backend.execute(
             ExecutionRequest(plan=plan, graph=prepared.graph, config=config)
         )
+        assert result.tasks_retried == result.num_tasks > 0
         oracle = self._simulated(workload, adjacency_backend="csr")
         assert result.matches == oracle.matches
         assert result.counters == oracle.counters
 
     def _run_range(self, plan, graph, config, tasks, base, stop):
         # Worker-side unit check, run in-process via the inline path's
-        # initializer state: _run_chunk((base, stop)) must run exactly
-        # tasks[base:stop] of the inherited list, in order.
+        # initializer state: _run_chunk(base, stop, attempt) must run
+        # exactly tasks[base:stop] of the inherited list, in order.
         from repro.engine.backends.process import _init_worker, _worker_state
         from repro.engine.backends.simulated import SimulatedBackend
 
-        _init_worker(plan, graph, "collect", None, tasks)
+        _init_worker(plan, graph, "collect", tasks)
         try:
-            got_base, record = _run_chunk((base, stop))
+            record = _run_chunk(base, stop, 0)
         finally:
             _worker_state.clear()
-        assert got_base == base
         _pid, counters, walls, matches = record
         assert len(walls) == stop - base
         assert len(counters) == (stop - base) * len(COUNTER_FIELDS)

@@ -3,8 +3,9 @@
 BENU's local search tasks are deterministic units, and every execution
 backend hands their rows to the sink in task order.  So a streamed, a
 projected, a limited and a counted query must give one answer on the
-simulated, inline, 1-process and 2-process backends — and again in a
-fresh interpreter with another ``PYTHONHASHSEED``:
+simulated, inline, 1-process and 2-process backends, and on a
+2-process pool whose workers crash and whose lost chunks run again — and
+again in a fresh interpreter with another ``PYTHONHASHSEED``:
 
 * the rows of a query are one byte sequence across every cell and both
   runs;
@@ -27,7 +28,14 @@ from pathlib import Path
 
 import pytest
 
-CELLS = (("simulated", 2), ("inline", 2), ("process", 1), ("process", 2))
+#: (execution backend, workers, fault schedule).
+CELLS = (
+    ("simulated", 2, None),
+    ("inline", 2, None),
+    ("process", 1, None),
+    ("process", 2, None),
+    ("process", 2, "worker.task:crash@3"),
+)
 STREAMS = {
     "stream": "MATCH (a)-(b), (b)-(c), (a)-(c) RETURN *",
     "projection": "MATCH (a)-(b), (b)-(c), (c)-(d) RETURN d, a",
@@ -53,13 +61,15 @@ def main() -> None:
     base = chung_lu(150, 6.0, exponent=2.3, seed=11)
     graph = Graph((1000 + 7 * u, 1000 + 7 * v) for u, v in base.edges())
     out = {}
-    for execution, workers in CELLS:
+    for execution, workers, faults in CELLS:
         config = BenuConfig(
             execution_backend=execution,
             num_workers=workers,
             split_threshold=16,  # split tasks carry candidate slices
+            faults=faults,
         )
-        cell = out[f"{execution}x{workers}"] = {}
+        name = f"{execution}x{workers}" + ("+crash" if faults else "")
+        cell = out[name] = {}
         with BenuService(config=config) as service:
             service.register_graph("g", graph)
             for name, text in STREAMS.items():
@@ -80,6 +90,7 @@ def main() -> None:
             handle = service.submit_query(COUNT, "g")
             assert handle.wait(timeout=60)
             cell["count"] = handle.result().count
+            cell["crashes"] = handle.result().worker_crashes
     json.dump(out, sys.stdout)
 
 
@@ -137,6 +148,12 @@ def test_limit_returns_repeatable_counters(runs, query):
 def test_counts_agree(runs):
     counts = {(i, cell): a["count"] for i, cell, a in _cells(runs)}
     assert len(set(counts.values())) == 1 and min(counts.values()) > 0, counts
+
+
+def test_only_the_crash_cell_lost_workers(runs):
+    crashes = {(i, cell): a["crashes"] for i, cell, a in _cells(runs)}
+    for (i, cell), lost in crashes.items():
+        assert (lost > 0) == cell.endswith("+crash"), crashes
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ workers mid-run can neither drop nor double-count a chunk).
 """
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -116,10 +117,10 @@ class TestCsrBackend:
 
 
 class TestRestartRobustAccounting:
-    """Every chunk record is self-contained — a worker recycled mid-run
-    (``maxtasksperchild``, the pool-restart failure the old
-    since-previous-result scheme silently miscounted under) changes
-    nothing about the aggregated totals."""
+    """Every chunk record is self-contained — workers replaced mid-run
+    (the pool-restart failure the old since-previous-result scheme
+    silently miscounted under) change nothing about the aggregated
+    totals."""
 
     @pytest.mark.parametrize("adjacency", ["frozenset", "csr"])
     def test_pool_restarts_do_not_skew_totals(self, data_graph, adjacency):
@@ -132,14 +133,19 @@ class TestRestartRobustAccounting:
             relabel=False,
         )
 
-        def run(backend):
+        def run(backend, config):
             return backend.execute(
                 ExecutionRequest(plan=plan, graph=data_graph, config=config)
             )
 
-        # Every chunk lands in a fresh worker process: maximal churn.
-        churned = run(ProcessBackend(queue_chunksize=1, maxtasksperchild=1))
-        stable = run(ProcessBackend())
+        # Every worker crashes on its first attempt-0 task, so every
+        # chunk lands in a fresh worker process: maximal churn.
+        churned = run(
+            ProcessBackend(queue_chunksize=1),
+            replace(config, faults="worker.task:crash@1"),
+        )
+        stable = run(ProcessBackend(), config)
+        assert churned.tasks_retried == churned.num_tasks > 0
         assert churned.count == stable.count
         assert churned.counters == stable.counters
 

@@ -1,19 +1,17 @@
 """Leaving a process-backend run early must never hang.
 
-Regression for a deadlock in CPython's ``Pool.terminate()``: a run that
-was interrupted (a LIMIT reached, a cancel, a deadline) left its pool
-context while workers were still writing chunk records, and terminating a
-pool mid-write can block forever — in ``benu serve`` a scheduler thread
-and its worker slots lost for good.  The backend now stops the workers,
-drains what they still owe and only then closes the pool.  A worker
-SIGKILLed while idle dies holding the task queue's read lock; the
-wind-down kills the workers and frees that lock before it closes.
+Regression for deadlocks of the pool the backend used to borrow from
+CPython: terminating a ``multiprocessing.pool.Pool`` while a worker was
+writing a record, or after a worker was SIGKILLed inside a queue lock or
+in the middle of a write, could block forever — in ``benu serve`` a
+scheduler thread and its worker slots lost for good.  The backend's own
+pool gives each worker one pipe, so a dead worker only breaks its own
+pipe, and every way out of a run kills and joins every worker.
 
-Every scenario runs many times in a row under a watchdog: the hang showed
-in about half the runs, so a regression fails loudly (with all thread
-stacks) instead of eating the job's time limit.  Slow tasks come from
-``repro.faults`` delays, so an interrupt always lands on a *running*
-query.
+Every scenario runs under a watchdog, most of them many times in a row,
+so a regression fails loudly (with all thread stacks) instead of eating the
+job's time limit.  Slow tasks come from ``repro.faults`` delays, so an
+interrupt always lands on a *running* query.
 """
 
 import faulthandler
@@ -27,8 +25,8 @@ import time
 import pytest
 
 from repro.engine.backends.base import ExecutionRequest
-from repro.engine.backends.process import ProcessBackend, _Pool
-from repro.engine.benu import prepare_data, prepare_plan
+from repro.engine.backends.process import ProcessBackend
+from repro.engine.benu import prepare_data, prepare_plan, run_benu
 from repro.engine.config import BenuConfig
 from repro.graph.generators import chung_lu
 from repro.graph.graph import Graph
@@ -154,11 +152,9 @@ def test_deadline_with_records_in_flight(rows_graph):
     bounded(120, body)
 
 
-def test_a_pool_stuck_in_one_long_task_is_terminated(rows_graph, monkeypatch):
-    """The last resort: the grace runs out with a worker still inside a
-    task, and the pool is terminated regardless — so an interrupt waits
-    for the grace at most, never for the task (30 s here)."""
-    monkeypatch.setattr(ProcessBackend, "retire_grace_seconds", 0.2)
+def test_a_pool_stuck_in_one_long_task_is_terminated(rows_graph):
+    """A cancel lands while every worker is inside one 30 s task: the
+    workers are killed, so the interrupt never waits for the task."""
 
     def body():
         config = process_config(faults="worker.task:delay@1x1000000~30")
@@ -180,10 +176,7 @@ class KillIdleWorkers:
     """A sink that SIGKILLs every pool worker when the first rows arrive.
 
     The run is one chunk on three workers, so by then every worker is
-    idle: one waits for a next chunk inside the task queue's read lock,
-    the others wait for that lock.  The sink returns once the pool has
-    replaced all of them, so the replacements wait on a lock that no
-    live process holds.
+    idle.  The sink returns once all of them are gone.
     """
 
     def __init__(self):
@@ -198,16 +191,16 @@ class KillIdleWorkers:
             give_up = time.monotonic() + 10.0
             while time.monotonic() < give_up:
                 alive = {p.pid for p in multiprocessing.active_children()}
-                if len(alive - self.killed) == len(self.killed):
+                if not alive & self.killed:
                     break
                 time.sleep(0.01)
         self.rows += len(block)
 
 
 def test_idle_workers_killed_mid_run_do_not_hang_the_wind_down(graph):
-    """The chaos smoke's rare hang: a worker SIGKILLed while idle takes
-    the task queue's read lock with it, and the pool's wind-down waited
-    on that lock forever."""
+    """The chaos smoke's rare hang: a worker SIGKILLed while idle took
+    the old pool's task queue lock with it, and the pool's wind-down
+    waited on that lock forever."""
     config = process_config(num_workers=3)
     prepared = prepare_data(graph, config)
     plan = prepare_plan(get_pattern("triangle"), prepared, config)
@@ -227,97 +220,105 @@ def test_idle_workers_killed_mid_run_do_not_hang_the_wind_down(graph):
     bounded(30, body)
 
 
-def test_a_worker_killed_before_the_first_look_is_seen_dead():
+def test_a_worker_killed_before_the_first_look_is_seen_dead(rows_graph):
     """The chaos smoke's other rare hang: its killer can beat the
-    backend's first look at the pool, which has reaped and replaced the
-    worker by then; unseen, the death never ended the run."""
+    parent's first look at a worker.  A worker SIGKILLed inside its first
+    task is still seen dead, and the run stays exact."""
+    pattern = get_pattern("triangle")
+    want = run_benu(pattern, rows_graph, BenuConfig()).count
 
     def body():
-        pool = _Pool(processes=2, context=multiprocessing.get_context("fork"))
-        try:
-            victim = pool.started[0]
-            os.kill(victim.pid, signal.SIGKILL)
+        killed = []
+
+        def killer():
             give_up = time.monotonic() + 10.0
-            while len(pool.started) < 3 and time.monotonic() < give_up:
-                time.sleep(0.01)
-            dead = {}
-            ProcessBackend._scan_workers(pool, dead)
-            assert dead == {victim.pid: -signal.SIGKILL}
-        finally:
-            ProcessBackend()._stop_workers(pool)
-            pool.close()
-            pool.join()
+            while not killed and time.monotonic() < give_up:
+                children = multiprocessing.active_children()
+                if children:
+                    os.kill(children[0].pid, signal.SIGKILL)
+                    killed.append(children[0].pid)
+                time.sleep(0.001)
+
+        thread = threading.Thread(target=killer, daemon=True)
+        thread.start()
+        # The first task of every worker sleeps: no record is home yet.
+        result = run_benu(
+            pattern, rows_graph,
+            process_config(faults="worker.task:delay@1~0.5"),
+        )
+        thread.join()
+        assert killed
+        assert result.count == want
+        assert result.worker_crashes == 1
         assert multiprocessing.active_children() == []
 
     bounded(30, body)
 
 
-class FakePool:
-    """What ``_retire_pool`` touches of a pool once ``_stop_workers`` is
-    stubbed: no processes behind it."""
-
-    def __init__(self):
-        self.started = []
-        self.calls = []
-
-    def close(self):
-        self.calls.append("close")
-
-    def terminate(self):
-        self.calls.append("terminate")
-
-    def join(self):
-        self.calls.append("join")
+#: Where a process sleeps while its write to a full pipe blocks: an
+#: ``os.pipe`` (the old pool's result queue) or a socketpair
+#: (``multiprocessing.Pipe()``).
+BLOCKED_WRITES = ("anon_pipe_write", "sock_alloc_send_pskb")
 
 
-class ScriptedResults:
-    """A result iterator that replays ``script``: an exception class is
-    raised, anything else is an arrived chunk record."""
-
-    def __init__(self, script):
-        self.script = list(script)
-
-    def next(self, timeout=None):
-        step = self.script.pop(0) if self.script else multiprocessing.TimeoutError
-        if isinstance(step, type):
-            raise step
-        return step
+def _wchan(pid):
+    with open(f"/proc/{pid}/wchan") as f:
+        return f.read().strip()
 
 
-def retire(results, owed, dead, monkeypatch, quiet=0.05):
-    monkeypatch.setattr(ProcessBackend, "worker_grace_seconds", quiet)
-    monkeypatch.setattr(
-        ProcessBackend, "_stop_workers",
-        staticmethod(lambda pool: pool.calls.append("stop")),
-    )
-    pool = FakePool()
-    cancel_event = threading.Event()
-    ProcessBackend()._retire_pool(
-        pool, results, cancel_event, owed, dead, time.monotonic()
-    )
-    assert cancel_event.is_set()
-    return pool.calls
+def test_a_worker_killed_mid_write_loses_only_its_chunk():
+    """A worker SIGKILLed while it writes a record leaves half a message
+    behind.  The old pool's result thread waited on that message forever;
+    now only the dead worker's pipe is thrown away, and its one chunk
+    runs again."""
+    try:
+        _wchan(os.getpid())
+    except OSError:
+        pytest.skip("/proc/<pid>/wchan cannot be read here")
+    graph = chung_lu(400, 7.0, exponent=2.4, seed=3)
+    config = process_config()
+    prepared = prepare_data(graph, config)
+    plan = prepare_plan(get_pattern("demo"), prepared, config)
 
+    class Count:
+        rows = 0
 
-def test_a_worker_that_died_idle_does_not_end_the_drain(monkeypatch):
-    """One worker is dead and one chunk is owed — by a *live* worker, the
-    dead one held nothing: the drain goes on until that chunk is in."""
-    late = ScriptedResults([multiprocessing.TimeoutError, (0, "record")])
-    assert retire(late, 1, {4711: -9}, monkeypatch, quiet=30) == [
-        "stop", "close", "join",
-    ]
-    assert late.script == []
+        def emit_block(self, block):
+            self.rows += len(block)
 
+    def body():
+        killed = []
+        done = threading.Event()
 
-def test_chunks_that_died_with_their_worker_end_the_drain_by_silence(monkeypatch):
-    """Two chunks owed, one arrives, the other died with its worker: once
-    nothing has arrived for the quiet window, the pool is terminated."""
-    lost = ScriptedResults([(0, "record")])
-    assert retire(lost, 2, {4711: -9}, monkeypatch) == [
-        "stop", "terminate", "join",
-    ]
+        def killer():
+            while not killed and not done.is_set():
+                for child in multiprocessing.active_children():
+                    try:
+                        blocked = _wchan(child.pid) in BLOCKED_WRITES
+                    except OSError:
+                        continue
+                    if blocked:
+                        os.kill(child.pid, signal.SIGKILL)
+                        killed.append(child.pid)
+                        break
+                time.sleep(0.0005)
 
+        thread = threading.Thread(target=killer, daemon=True)
+        thread.start()
+        sink = Count()
+        try:
+            result = ProcessBackend(queue_chunksize=20).execute(
+                ExecutionRequest(
+                    plan=plan, graph=prepared.graph, config=config, sink=sink,
+                )
+            )
+        finally:
+            done.set()
+            thread.join()
+        assert killed
+        assert sink.rows == result.count == 4_643_015
+        assert result.worker_crashes == 1
+        assert result.tasks_retried == 20
+        assert multiprocessing.active_children() == []
 
-def test_an_exhausted_iterator_closes_the_pool(monkeypatch):
-    done = ScriptedResults([(0, "record"), StopIteration])
-    assert retire(done, 5, {}, monkeypatch) == ["stop", "close", "join"]
+    bounded(30, body)
