@@ -17,10 +17,12 @@ neither ``repro.telemetry.registry`` nor ``repro.telemetry.snapshot`` —
 not even lazily inside a function, nor their names through the
 ``repro.telemetry`` package.
 
-**One place binds a query to labels.**  Labelizing a plan and cutting
-its start vertices to the start label's pool is decided once, in
-``repro.lang.run``; outside ``labeled/`` no other module imports
-``labelize_plan`` or ``start_label_pool``.
+**One pool rewrite.**  Label pools and degree pools are one filter —
+``T := Intersect(S, POOL)`` before each ENU and compressed RES slot, the
+start vertices cut to u_{k1}'s pool — written once, in
+``repro.plan.pools.bind_pools``.  A rewrite that inserts instructions
+needs fresh temporaries, so outside ``plan/optimizer.py`` (which defines
+it) and ``plan/pools.py`` no module imports ``fresh_temp_index``.
 
 **One wire front door.**  Every op is served through one dispatcher,
 one stdio loop and one TCP server (``repro.service.protocol``) and every
@@ -92,10 +94,10 @@ LEDGER_LAYERS = ("storage/", "kernels/", "graph/", "plan/")
 #: The metric modules those layers must not reach.
 METRIC_MODULES = ("repro.telemetry.registry", "repro.telemetry.snapshot")
 
-#: Label-binding primitives, and the one module outside labeled/ that
-#: may import them.
-LABEL_BINDING = {"labelize_plan", "start_label_pool"}
-LABEL_BINDER = "lang/run.py"
+#: What every instruction-inserting rewrite needs, and the modules that
+#: may import it: its home and the one pool rewrite.
+FRESH_TEMPS = "fresh_temp_index"
+POOL_REWRITERS = ("plan/optimizer.py", "plan/pools.py")
 
 #: Transport module -> the one module that may import it.
 WIRE_DOORS = {
@@ -168,7 +170,6 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
     rel = path.relative_to(root).as_posix()
     labeled = rel.startswith("labeled/")
     ledger_layer = rel.startswith(LEDGER_LAYERS)
-    binder = labeled or rel == LABEL_BINDER
     package = module_package(path, root)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     violations = 0
@@ -177,8 +178,8 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
             violations += _lint_labeled(path, lineno, module, names, out)
         if ledger_layer:
             violations += _lint_ledger_layer(path, root, lineno, module, names, out)
-        if not binder:
-            violations += _lint_label_binding(path, lineno, module, names, out)
+        if rel not in POOL_REWRITERS:
+            violations += _lint_pool_rewrite(path, lineno, names, out)
         violations += _lint_wire_door(path, rel, lineno, module, out)
         violations += _lint_compute_form(path, rel, lineno, module, names, out)
         violations += _lint_numpy_path(path, rel, lineno, module, names, out)
@@ -231,15 +232,12 @@ def _lint_ledger_layer(path, root, lineno, module, names, out) -> int:
     return 1
 
 
-def _lint_label_binding(path, lineno, module, names, out) -> int:
-    if module not in ("repro.labeled", "repro.labeled.plans"):
-        return 0
-    bound = sorted(set(names) & LABEL_BINDING)
-    if not bound:
+def _lint_pool_rewrite(path, lineno, names, out) -> int:
+    if FRESH_TEMPS not in names:
         return 0
     print(
-        f"{path}:{lineno}: imports {bound} — bind label pools and start "
-        "vertices through repro.lang.run (bind_plan / execute_query)",
+        f"{path}:{lineno}: imports {FRESH_TEMPS!r} — one pool rewrite: "
+        "filter candidates by handing pools to repro.plan.pools.bind_pools",
         file=out,
     )
     return 1

@@ -479,9 +479,8 @@ def _explain_query(args: argparse.Namespace) -> int:
         )
         return 0
     data = _load_query_graph(args)
-    plan, _ = bind_plan(
-        lowered, *prepare_local(lowered, data, _config_from(args))
-    )
+    plan, _, labeled = prepare_local(lowered, data, _config_from(args))
+    plan, _ = bind_plan(lowered, plan, labeled)
     print("\nphysical plan:")
     print(plan)
     return 0

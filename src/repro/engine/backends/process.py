@@ -148,7 +148,7 @@ def _init_worker(
     """
     t0 = _time.perf_counter() if trace else 0.0
     _worker_state.clear()
-    _worker_state["compiled"] = compile_plan(plan, mode=mode, instrument=True)
+    _worker_state["compiled"] = compile_plan(plan, mode=mode)
     _worker_state["get_adj"] = graph.adjacency().__getitem__
     _worker_state["vset"] = frozenset(graph.vertices)
     _worker_state["tasks"] = tasks

@@ -79,12 +79,7 @@ class SimulatedBackend(ExecutionBackend):
     def _make_runner(self, request: ExecutionRequest, mode, profiler, tracer):
         """Compile the plan (the inline backend overrides this to interpret)."""
         with tracer.span("codegen") as span:
-            compiled = compile_plan(
-                request.plan,
-                mode=mode,
-                instrument=True,
-                profiler=profiler,
-            )
+            compiled = compile_plan(request.plan, mode=mode, profiler=profiler)
             span.args.update(
                 mode=mode, source_lines=compiled.source.count("\n")
             )

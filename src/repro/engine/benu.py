@@ -26,10 +26,10 @@ from ..graph.graph import Graph, Vertex
 from ..graph.order import invert_mapping, relabel_by_degree_order
 from ..pattern.pattern_graph import PatternGraph
 from ..plan.compression import compress_plan
-from ..plan.degree_filter import apply_degree_filter
 from ..plan.cost import DEFAULT_STATS, GraphStats, predict_instruction_counts
 from ..plan.generation import ExecutionPlan, generate_raw_plan
 from ..plan.optimizer import apply_generalized_clique_cache, optimize
+from ..plan.pools import bind_pools
 from ..plan.search import generate_best_plan
 from ..plan.validate import validate_plan
 from ..telemetry.runtime import Telemetry
@@ -56,7 +56,6 @@ def build_plan(
     optimization_level: int = 3,
     compressed: bool = False,
     generalized_clique_cache: bool = False,
-    degree_filter_data: Optional[Graph] = None,
     tracer=None,
 ) -> ExecutionPlan:
     """Build an execution plan, searched (default) or from a fixed order.
@@ -83,8 +82,6 @@ def build_plan(
         ).plan
     if generalized_clique_cache:
         apply_generalized_clique_cache(plan)
-    if degree_filter_data is not None:
-        plan = apply_degree_filter(plan, degree_filter_data)
     validate_plan(plan)
     # Remember what the §IV-C estimator expects each instruction type to
     # execute, so the run can report predicted-vs-actual q-errors.  Plan
@@ -119,6 +116,30 @@ class PreparedData:
         """``inverse`` in block form (see ``block_translator``), built once
         for every query that streams over this graph."""
         return block_translator(self.inverse)
+
+    def degree_pools(
+        self, pattern: PatternGraph
+    ) -> Tuple[Dict[Vertex, str], Dict[str, frozenset]]:
+        """The degree filter's pools for ``pattern`` on ``graph``.
+
+        Pattern vertex u of degree k ≥ 2 gets ``VDk = {v : d_G(v) ≥ k}``
+        (degree-1 vertices need none: every candidate has an edge).  Each
+        pool is built once per threshold and kept for every later query.
+        """
+        built = self.__dict__.setdefault("_degree_pools", {})
+        pools, constants = {}, {}
+        for u in pattern.vertices:
+            k = pattern.degree(u)
+            if k < 2:
+                continue
+            name = pools[u] = f"VD{k}"
+            if k not in built:
+                graph = self.graph
+                built[k] = frozenset(
+                    v for v in graph.vertices if graph.degree(v) >= k
+                )
+            constants[name] = built[k]
+        return pools, constants
 
 
 def prepare_data(
@@ -158,7 +179,6 @@ def prepare_plan(
         optimization_level=config.optimization_level,
         compressed=config.compressed,
         generalized_clique_cache=config.generalized_clique_cache,
-        degree_filter_data=prepared.graph if config.degree_filter else None,
         tracer=tracer,
     )
 
@@ -197,9 +217,15 @@ def execute_plan(
     completion; ``start_vertices`` restricts task generation to a slice of
     the start-vertex space (a shard's owned vertices).  The process
     backend's queue chunks depend only on the task count and
-    ``config.num_workers``.
+    ``config.num_workers``.  ``config.degree_filter`` binds the graph's
+    degree pools to ``plan`` here, per run, and drops the start vertices
+    of too small a degree.
     """
     config = config or BenuConfig()
+    if config.degree_filter:
+        plan, start_vertices = bind_pools(
+            plan, *prepared.degree_pools(plan.pattern), start_vertices
+        )
     backend_name = config.execution_backend
     if telemetry is None:
         telemetry = (

@@ -8,7 +8,7 @@ from .enumerate import (
 from .graphs import Label, LabeledGraph
 from .oracle import count_labeled_matches, enumerate_labeled_matches
 from .pattern import LabeledPatternGraph
-from .plans import label_constant_name, labelize_plan, start_label_pool
+from .plans import label_constant_name, label_pools, labelize_plan
 
 __all__ = [
     "count_labeled_subgraphs",
@@ -20,6 +20,6 @@ __all__ = [
     "enumerate_labeled_matches",
     "LabeledPatternGraph",
     "label_constant_name",
+    "label_pools",
     "labelize_plan",
-    "start_label_pool",
 ]

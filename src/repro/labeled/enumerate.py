@@ -2,10 +2,11 @@
 
 There is no labeled execution loop: a labeled run is the ordinary
 pipeline — :func:`~repro.engine.benu.prepare_plan` →
-:func:`~repro.labeled.plans.labelize_plan` (per-label candidate pools as
-plan constants) → :func:`~repro.engine.benu.execute_plan` with
-``start_vertices`` restricted to the start vertex's label pool — bound in
-one place, :func:`repro.lang.run.execute_query`.  Everything the shared
+:func:`~repro.plan.pools.bind_pools` with the pattern's
+:func:`~repro.labeled.plans.label_pools` (per-label candidate pools as
+plan constants, start vertices cut to the start vertex's pool) →
+:func:`~repro.engine.benu.execute_plan` — bound in one place,
+:func:`repro.lang.run.execute_query`.  Everything the shared
 path provides — the three execution backends, streaming sinks,
 cooperative control, result translation — therefore works for labeled
 patterns unchanged.

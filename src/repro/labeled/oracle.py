@@ -21,7 +21,7 @@ def enumerate_labeled_matches(
 
     Built on the unlabeled oracle with a label post-filter — slow but
     unquestionably correct, which is all an oracle needs.  A ``None``
-    pattern label is unconstrained, as in ``labelize_plan``.
+    pattern label is unconstrained, as in ``label_pools``.
     """
     conditions = pattern.symmetry_conditions if use_symmetry else ()
     vertices = pattern.vertices

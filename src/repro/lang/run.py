@@ -34,10 +34,11 @@ from ..engine.sinks import (
 from ..graph.graph import Graph, Vertex
 from ..labeled.graphs import LabeledGraph
 from ..labeled.pattern import LabeledPatternGraph
-from ..labeled.plans import labelize_plan, start_label_pool
+from ..labeled.plans import label_pools
 from ..pattern.pattern_graph import PatternGraph
 from ..plan.compression import expand_code
 from ..plan.generation import ExecutionPlan
+from ..plan.pools import bind_pools
 from .errors import QuerySemanticError
 from .lowering import LoweredQuery, lower_query
 
@@ -99,7 +100,6 @@ def _pattern(query: Query) -> PatternGraph:
 def bind_plan(
     query: Query,
     plan: ExecutionPlan,
-    prepared: PreparedData,
     labeled: Optional[LabeledGraph] = None,
     start_vertices: Optional[Sequence[Vertex]] = None,
 ) -> Tuple[ExecutionPlan, Optional[Sequence[Vertex]]]:
@@ -107,8 +107,9 @@ def bind_plan(
 
     ``start_vertices`` is the caller's base (a shard's owned slice; None
     = every vertex).  A labeled pattern's plan gets its label pools, and
-    only its start label's pool starts tasks; an unsatisfiable query
-    gets no start vertices, so it runs over zero tasks on any backend.
+    only its start label's pool starts tasks (the degree filter's pools
+    bind in ``execute_plan``); an unsatisfiable query gets no start
+    vertices, so it runs over zero tasks on any backend.
     """
     if isinstance(query, LoweredQuery) and query.unsatisfiable:
         return plan, []
@@ -119,13 +120,7 @@ def bind_plan(
         raise QuerySemanticError(
             "query uses label predicates but the data graph has no labels"
         )
-    plan = labelize_plan(plan, pattern, labeled)
-    pool = start_label_pool(plan, pattern, labeled)
-    if pool is not None:
-        if start_vertices is None:
-            start_vertices = prepared.graph.vertices
-        start_vertices = [v for v in start_vertices if v in pool]
-    return plan, start_vertices
+    return bind_pools(plan, *label_pools(pattern, labeled), start_vertices)
 
 
 def execute_query(
@@ -146,9 +141,7 @@ def execute_query(
     a compressed run's codes are expanded first.  ``runtime`` goes to
     ``execute_plan`` (telemetry, cluster, control, caches, progress).
     """
-    plan, start_vertices = bind_plan(
-        query, plan, prepared, labeled, start_vertices
-    )
+    plan, start_vertices = bind_plan(query, plan, labeled, start_vertices)
     group_sink = None
     if isinstance(query, LoweredQuery):
         if query.kind == "groups":

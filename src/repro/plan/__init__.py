@@ -13,7 +13,6 @@ from .cost import (
     order_communication_cost,
 )
 from .dependency import build_dependency_edges, ranked_topological_sort
-from .degree_filter import apply_degree_filter, degree_pools
 from .dot import dependency_graph_dot, plan_dot
 from .estimators import EmpiricalGraphStats, falling_factorial_moments
 from .generation import ExecutionPlan, eliminate_uni_operand, generate_raw_plan
@@ -37,6 +36,7 @@ from .optimizer import (
     optimize,
     reorder_instructions,
 )
+from .pools import bind_pools
 from .search import BestPlanResult, SearchStats, generate_best_plan
 from .validate import PlanValidationError, validate_plan
 
@@ -57,8 +57,6 @@ __all__ = [
     "estimate_plan_cost",
     "order_communication_cost",
     "build_dependency_edges",
-    "apply_degree_filter",
-    "degree_pools",
     "dependency_graph_dot",
     "plan_dot",
     "EmpiricalGraphStats",
@@ -83,6 +81,7 @@ __all__ = [
     "flatten_intersections",
     "optimize",
     "reorder_instructions",
+    "bind_pools",
     "BestPlanResult",
     "SearchStats",
     "generate_best_plan",

@@ -33,11 +33,10 @@ There is one compute form: ``get_adj`` serves hash sets (the data graph's
 own neighbour frozensets, whatever byte price the store puts on them),
 and every INT/TRC site is a C-level set expression over them.
 
-With ``instrument=True`` (default) the function counts INT/TRC/DBQ/ENU
-executions and triangle-cache misses — the quantities the paper's cost
-model and experiments are defined over.  Empty intersection results
-short-circuit the current branch, the backtracking early-stop of
-Section III-A.
+Every function counts INT/TRC/DBQ/ENU executions and triangle-cache
+misses — the quantities the paper's cost model and experiments are
+defined over.  Empty intersection results short-circuit the current
+branch, the backtracking early-stop of Section III-A.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ RESULTS = COUNTER_FIELDS.index("results")
 
 @dataclass(frozen=True)
 class TaskCounters:
-    """Counters from one local search task (all zero when uninstrumented)."""
+    """Counters from one local search task."""
 
     int_ops: int = 0
     trc_ops: int = 0
@@ -104,7 +103,6 @@ class CompiledPlan:
 
     plan: ExecutionPlan
     mode: str
-    instrumented: bool
     source: str
     _function: Callable
     #: True when sampling profiling probes were compiled in.
@@ -173,7 +171,6 @@ class _Emitter:
 def generate_source(
     plan: ExecutionPlan,
     mode: str = "count",
-    instrument: bool = True,
     function_name: str = "_benu_task",
     profile: bool = False,
 ) -> str:
@@ -197,14 +194,9 @@ def generate_source(
         f"def {function_name}(start, get_adj, vset, emit, tcache, c2_override):"
     )
     out.depth += 1
-    if instrument:
-        out.line("n_int = 0; n_trc = 0; n_trc_miss = 0; n_dbq = 0")
+    out.line("n_int = 0; n_trc = 0; n_trc_miss = 0; n_dbq = 0")
     out.line("n_enu = 0; n_res = 0")
-    counters = (
-        "(n_int, n_trc, n_trc_miss, n_dbq, n_enu, n_res)"
-        if instrument
-        else "(0, 0, 0, 0, n_enu, n_res)"
-    )
+    counters = "(n_int, n_trc, n_trc_miss, n_dbq, n_enu, n_res)"
 
     # The ENU of the second matching-order vertex accepts the task-splitting
     # override of its candidate set.
@@ -289,16 +281,14 @@ def generate_source(
         elif inst.type is InstructionType.DBQ:
             def dbq_body(inst=inst):
                 out.line(f"{inst.target} = get_adj({inst.operands[0]})")
-                if instrument:
-                    out.line("n_dbq += 1")
+                out.line("n_dbq += 1")
 
             profiled("DBQ", dbq_body)
 
         elif inst.type is InstructionType.INT:
             if count_tail(idx):
                 emit_count_tail(inst)
-                if instrument:
-                    out.line("n_int += 1")
+                out.line("n_int += 1")
                 out.line("n_enu += _c")
                 out.line("n_res += _c")
                 break
@@ -324,8 +314,7 @@ def generate_source(
                         out.line(f"{inst.target} = {ops[0]}")
                     else:
                         out.line(f"{inst.target} = " + " & ".join(ops))
-                if instrument:
-                    out.line("n_int += 1")
+                out.line("n_int += 1")
 
             profiled("INT", int_body)
             early_exit(inst.target)
@@ -344,11 +333,9 @@ def generate_source(
                 out.depth += 1
                 out.line(f"{inst.target} = {ai} & {aj}")
                 out.line(f"tcache[_k] = {inst.target}")
-                if instrument:
-                    out.line("n_trc_miss += 1")
+                out.line("n_trc_miss += 1")
                 out.depth -= 1
-                if instrument:
-                    out.line("n_trc += 1")
+                out.line("n_trc += 1")
 
             profiled("TRC", trc_body)
             early_exit(inst.target)
@@ -407,7 +394,6 @@ def generate_source(
 def compile_plan(
     plan: ExecutionPlan,
     mode: str = "count",
-    instrument: bool = True,
     profiler=None,
 ) -> CompiledPlan:
     """Compile a plan into an executable :class:`CompiledPlan`.
@@ -416,11 +402,11 @@ def compile_plan(
     sampling probes into every DBQ/INT/TRC site; None (the default)
     generates exactly the unprofiled source.
 
-    An instrumented, unprofiled compile — what every execution backend
-    asks for — is memoised on the plan per ``mode``, so a plan served
-    from a plan cache is generated and compiled once, not once per
-    query.  The memo entry remembers the instructions and constants it was
-    compiled from and is ignored once the plan no longer has them.
+    An unprofiled compile — what every execution backend asks for — is
+    memoised on the plan per ``mode``, so a plan served from a plan cache
+    is generated and compiled once, not once per query.  The memo entry
+    remembers the instructions and constants it was compiled from and is
+    ignored once the plan no longer has them.
 
     >>> from repro.graph.patterns import TRIANGLE
     >>> from repro.graph.graph import complete_graph
@@ -436,15 +422,13 @@ def compile_plan(
     4
     """
     memo = None
-    if instrument and profiler is None:
+    if profiler is None:
         compiled_from = (tuple(plan.instructions), dict(plan.constants))
         memo = plan.__dict__.setdefault("_compiled", {})
         hit = memo.get(mode)
         if hit is not None and hit[0] == compiled_from:
             return hit[1]
-    source = generate_source(
-        plan, mode=mode, instrument=instrument, profile=profiler is not None
-    )
+    source = generate_source(plan, mode=mode, profile=profiler is not None)
     namespace: Dict[str, object] = dict(plan.constants)
     if profiler is not None:
         namespace["_prof_tick"] = profiler.should_sample
@@ -456,7 +440,6 @@ def compile_plan(
     compiled = CompiledPlan(
         plan=plan,
         mode=mode,
-        instrumented=instrument,
         source=source,
         _function=function,
         profiled=profiler is not None,

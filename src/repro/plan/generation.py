@@ -48,8 +48,8 @@ class ExecutionPlan:
     compressed: bool = False
     #: Pattern vertices whose ENU was removed by VCBC compression.
     compressed_vertices: Tuple[Vertex, ...] = ()
-    #: Named constant sets available to instructions (e.g. the per-label
-    #: vertex pools of the property-graph extension).
+    #: Named constant sets available to instructions (the candidate pools
+    #: of :mod:`repro.plan.pools`).
     constants: Dict[str, frozenset] = field(default_factory=dict)
     #: Cost-model estimate of per-instruction-type execution counts
     #: (filled by ``build_plan`` against the target graph's stats);
@@ -62,11 +62,11 @@ class ExecutionPlan:
         return format_plan(self.instructions)
 
     def __getstate__(self) -> dict:
-        # ``compile_plan`` and ``labelize_plan`` park their memos on the
+        # ``compile_plan`` and ``bind_pools`` park their memos on the
         # instance; neither pickles nor belongs to a copy of the plan.
         state = dict(self.__dict__)
         state.pop("_compiled", None)
-        state.pop("_labelized", None)
+        state.pop("_pooled", None)
         return state
 
     # ------------------------------------------------------------------

@@ -61,9 +61,14 @@ class CatalogEntry:
         prepared: PreparedData,
         partition: Optional[PartitionInfo] = None,
         labeled: Optional[LabeledGraph] = None,
+        registration: int = 0,
     ) -> None:
         self.name = name
         self.prepared = prepared
+        #: This registration's serial in its catalog.  Plans are cached
+        #: per registration, so a graph replaced under the same name never
+        #: runs on an order picked from its predecessor's statistics.
+        self.registration = registration
         self.stats = GraphStats.of(prepared.graph)
         #: Execution-space labeled view (vertex labels following any
         #: relabeling), or None when the graph registered without labels.
@@ -182,6 +187,7 @@ class GraphCatalog:
         self._injector = injector
         self._entries: Dict[str, CatalogEntry] = {}
         self._clock = 0
+        self._registrations = 0
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -234,8 +240,10 @@ class GraphCatalog:
                 raise InvalidQueryError(
                     f"graph {name!r} is already registered (use replace)"
                 )
+            self._registrations += 1
             entry = CatalogEntry(
-                name, prepared, partition=partition, labeled=labeled
+                name, prepared, partition=partition, labeled=labeled,
+                registration=self._registrations,
             )
             self._clock += 1
             entry.last_used = self._clock

@@ -5,7 +5,10 @@ Plan search (paper §V, Algorithm 3) dominates latency for small queries
 and the data graph's statistics — not on how a client happened to label
 the pattern's vertices.  The cache therefore keys on the pattern's
 canonical form (:mod:`repro.pattern.canonical`) plus the config fields
-and data graph that influence the plan.
+that shape the plan and the data graph's *registration*, whose statistics
+picked the order: a graph replaced under the same name misses.  No cached
+plan carries a candidate pool — label and degree pools belong to the
+graph and are bound per run (:mod:`repro.plan.pools`).
 
 Cache levels on a hit:
 
@@ -28,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Hashable, Tuple
 
 from ..engine.benu import PreparedData, prepare_plan
 from ..engine.config import BenuConfig
@@ -43,21 +46,21 @@ class PlanCacheKey:
     """Everything a compiled plan's shape depends on."""
 
     pattern_key: str  # canonical-form digest (isomorphism class)
-    graph: str  # catalog name of the data graph (stats + degree filter)
+    graph: Hashable  # the data graph's registration (stats pick the order)
     optimization_level: int
     compressed: bool
     generalized_clique_cache: bool
-    degree_filter: bool
 
     @staticmethod
-    def of(pattern_key: str, graph: str, config: BenuConfig) -> "PlanCacheKey":
+    def of(
+        pattern_key: str, graph: Hashable, config: BenuConfig
+    ) -> "PlanCacheKey":
         return PlanCacheKey(
             pattern_key=pattern_key,
             graph=graph,
             optimization_level=config.optimization_level,
             compressed=config.compressed,
             generalized_clique_cache=config.generalized_clique_cache,
-            degree_filter=config.degree_filter,
         )
 
 
@@ -72,11 +75,11 @@ def _canonical_digest(canonical) -> str:
 def _exact_signature(pattern: PatternGraph) -> Tuple:
     """Per-exact-pattern memo key: edge set, plus vertex labels if any.
 
-    Labeled patterns compute label-aware symmetry conditions and carry
-    pool intersections, so a labeled pattern and its structural twin
-    must never share a built plan — the canonical (structure-only) cache
-    key may still share the winning matching *order* between them, which
-    is safe: the order only affects cost, never the match set.
+    Labeled patterns compute label-aware symmetry conditions, so a
+    labeled pattern and its structural twin must never share a built
+    plan — the canonical (structure-only) cache key may still share the
+    winning matching *order* between them, which is safe: the order only
+    affects cost, never the match set.
     """
     edges = tuple(sorted(tuple(sorted(e)) for e in pattern.graph.edges()))
     labels = getattr(pattern, "labels", None)
@@ -133,17 +136,17 @@ class PlanCache:
         self,
         pattern: PatternGraph,
         prepared: PreparedData,
-        graph_name: str,
+        graph: Hashable,
         config: BenuConfig,
         tracer=None,
     ) -> Tuple[ExecutionPlan, str]:
-        """The plan for ``pattern`` on ``graph_name`` under ``config``.
+        """The plan for ``pattern`` on registration ``graph`` under ``config``.
 
         Returns ``(plan, outcome)`` with outcome ``"exact"``,
         ``"isomorphic"`` (both hits — no plan search ran) or ``"miss"``.
         """
         canonical, to_canonical = canonical_form(pattern.graph)
-        key = PlanCacheKey.of(_canonical_digest(canonical), graph_name, config)
+        key = PlanCacheKey.of(_canonical_digest(canonical), graph, config)
         exact = _exact_signature(pattern)
 
         with self._lock:

@@ -409,7 +409,7 @@ class BenuService:
                     plan, outcome = self.plan_cache.get_or_build(
                         pattern,
                         entry.prepared,
-                        handle.graph_name,
+                        entry.registration,
                         config,
                         tracer=telemetry.tracer,
                     )
@@ -451,8 +451,8 @@ class BenuService:
                         telemetry=telemetry,
                         store=entry.store_for(config),
                     )
-                # The cached plan carries no label pools: they are bound
-                # per graph here, outside the cache.  A partitioned entry
+                # The cached plan carries no candidate pools: they are
+                # bound per run, outside the cache.  A partitioned entry
                 # runs only this shard's slice of the start vertices.
                 result, handle.lang_groups = execute_query(
                     lowered or pattern,

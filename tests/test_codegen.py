@@ -63,11 +63,11 @@ class TestGeneratedSource:
         with pytest.raises(ValueError):
             generate_source(plan, mode="stream")
 
-    def test_uninstrumented_source_has_no_counters(self):
-        plan = plan_for("triangle", [1, 2, 3])
-        src = generate_source(plan, instrument=False)
-        assert "n_int" not in src
-        assert "n_dbq" not in src
+    def test_every_source_counts(self):
+        """There is no uncounted compile: INT and DBQ sites count."""
+        src = generate_source(plan_for("triangle", [1, 2, 3]))
+        assert "n_int += 1" in src
+        assert "n_dbq += 1" in src
 
     def test_source_attached_to_compiled_plan(self):
         compiled = compile_plan(plan_for("triangle", [1, 2, 3]))
@@ -75,7 +75,7 @@ class TestGeneratedSource:
 
 
 class TestCompileMemo:
-    """An instrumented, unprofiled compile is memoised on the plan."""
+    """An unprofiled compile is memoised on the plan."""
 
     def test_one_compile_per_mode_and_layout(self):
         """One compute form: the memo is keyed on the mode alone."""
@@ -86,15 +86,12 @@ class TestCompileMemo:
         assert compile_plan(plan, mode="collect").mode == "collect"
         assert set(vars(plan)["_compiled"]) == {"count", "collect"}
 
-    def test_uninstrumented_and_profiled_compiles_bypass_it(self):
+    def test_profiled_compiles_bypass_it(self):
         from repro.telemetry import MetricsRegistry
         from repro.telemetry.profiler import SamplingProfiler
 
         plan = plan_for("triangle", [1, 2, 3])
         memoised = compile_plan(plan)
-        bare = compile_plan(plan, instrument=False)
-        assert bare is not memoised and not bare.instrumented
-        assert compile_plan(plan, instrument=False) is not bare
         profiler = SamplingProfiler(MetricsRegistry().histogram("h", labels=("instr",)))
         probed = compile_plan(plan, profiler=profiler)
         assert probed.profiled and probed is not memoised
@@ -146,16 +143,9 @@ class TestCountMode:
             collect_mode.run(v, data_graph.neighbors, vset=vset, emit=out.append)
         assert n_count == len(out)
 
-    def test_instrumented_and_fast_agree(self, data_graph):
-        plan = plan_for("q5", [1, 2, 3, 4, 5])
-        vset = frozenset(data_graph.vertices)
-        slow = compile_plan(plan, instrument=True)
-        fast = compile_plan(plan, instrument=False)
-        for v in list(data_graph.vertices)[:10]:
-            a = slow.run(v, data_graph.neighbors, vset=vset)
-            b = fast.run(v, data_graph.neighbors, vset=vset)
-            assert a.results == b.results
-            assert b.int_ops == 0  # uninstrumented
+    def test_every_compile_counts_like_the_interpreter(self, data_graph):
+        """Count and collect compiles both report all six counters."""
+        assert_all_modes_count_alike(plan_for("q5", [1, 2, 3, 4, 5]), data_graph)
 
 
 class TestAgainstInterpreter:

@@ -10,11 +10,12 @@ streaming) — the acceptance criteria of the service subsystem:
   in-flight queries.
 """
 
+import json
 import time
 
 import pytest
 
-from repro.engine.benu import run_benu
+from repro.engine.benu import count_subgraphs, run_benu
 from repro.engine.config import BenuConfig
 from repro.engine.control import (
     DeadlineExpired,
@@ -22,7 +23,7 @@ from repro.engine.control import (
     QueryCancelled,
 )
 from repro.graph.datasets import load_dataset
-from repro.graph.generators import chung_lu
+from repro.graph.generators import chung_lu, erdos_renyi
 from repro.graph.graph import Graph, complete_graph
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import PATTERNS, get_pattern
@@ -36,6 +37,7 @@ from repro.service import (
     UnknownGraphError,
     UnknownQueryError,
 )
+from repro.telemetry.events import EV_PLAN_RESOLVED
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.snapshot import (
     M_CATALOG_EVICTIONS,
@@ -218,6 +220,85 @@ class TestPlanCache:
             assert service.plan_cache.hits == 0
             assert {len(m) for m in tri} == {3}
             assert {len(m) for m in sq} == {4}
+
+
+def _star_plus_edge():
+    """A 6-vertex star on 0..5 with its leaves 1 and 2 joined: one triangle."""
+    return Graph([(0, v) for v in range(1, 6)] + [(1, 2)])
+
+
+def _plan_order(service, handle):
+    (resolved,) = service.events.events(
+        type=EV_PLAN_RESOLVED, query_id=handle.query_id
+    )
+    return resolved.fields["order"]
+
+
+class TestReplacedGraph:
+    """A graph replaced under its name runs on its own pools and order."""
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_degree_filter_runs_on_the_replacing_graph(self, relabel):
+        config = BenuConfig(degree_filter=True)
+        with BenuService() as service:
+            for graph in (_star_plus_edge(), complete_graph(6)):
+                service.register_graph(
+                    "g", graph, relabel=relabel, replace=True
+                )
+                handle = service.submit(
+                    "triangle", "g", config=config, stream=False
+                )
+                assert handle.result(timeout=60).count == count_subgraphs(
+                    get_pattern("triangle"), graph
+                )
+
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_degree_filter_over_the_wire(self, relabel):
+        from repro.service import ServiceProtocol
+
+        with BenuService() as service:
+            protocol = ServiceProtocol(service)
+
+            def ask(payload):
+                reply = json.loads(protocol.handle_line_json(json.dumps(payload)))
+                assert reply["ok"], reply
+                return reply
+
+            for graph in (_star_plus_edge(), complete_graph(6)):
+                ask({
+                    "op": "register", "name": "g", "replace": True,
+                    "relabel": relabel,
+                    "edges": [list(e) for e in graph.edges()],
+                })
+                query = ask({
+                    "op": "submit", "pattern": "triangle", "graph": "g",
+                    "stream": False, "config": {"degree_filter": True},
+                })["query"]
+                poll = ask({"op": "poll", "query": query, "wait": 60})
+                assert poll["done"]
+                assert poll["count"] == count_subgraphs(
+                    get_pattern("triangle"), graph
+                )
+
+    def test_the_plan_cache_keys_on_the_registration(self):
+        """A replaced graph misses, and gets the order a fresh service
+        picks from its own statistics."""
+        sparse = erdos_renyi(60, 0.05, seed=1)
+        dense = complete_graph(8)
+        with BenuService() as service:
+            service.register_graph("g", sparse, relabel=False)
+            first = service.submit("square", "g", stream=False)
+            first.wait(30)
+            service.register_graph("g", dense, relabel=False, replace=True)
+            replaced = service.submit("square", "g", stream=False)
+            replaced.wait(30)
+            assert (service.plan_cache.misses, service.plan_cache.hits) == (2, 0)
+            orders = [_plan_order(service, h) for h in (first, replaced)]
+        with BenuService() as fresh:
+            fresh.register_graph("g", dense, relabel=False)
+            handle = fresh.submit("square", "g", stream=False)
+            handle.wait(30)
+            assert orders[1] == _plan_order(fresh, handle) != orders[0]
 
 
 class TestAdmissionControl:
