@@ -24,6 +24,12 @@ start vertices cut to u_{k1}'s pool — written once, in
 needs fresh temporaries, so outside ``plan/optimizer.py`` (which defines
 it) and ``plan/pools.py`` no module imports ``fresh_temp_index``.
 
+**One ownership rule.**  A shard's slot is one ``PartitionInfo``, and
+its ``owned_vertices`` is the one rule for which start vertices the shard
+owns.  The hash under it is shared with the KV store's regions only, so
+outside ``storage/partition.py`` (which defines it) and
+``storage/kvstore.py`` no module imports ``partition_of``.
+
 **One wire front door.**  Every op is served through one dispatcher,
 one stdio loop and one TCP server (``repro.service.protocol``) and every
 client connection is a lease of one TCP client (``repro.shard.client``).
@@ -98,6 +104,11 @@ METRIC_MODULES = ("repro.telemetry.registry", "repro.telemetry.snapshot")
 #: may import it: its home and the one pool rewrite.
 FRESH_TEMPS = "fresh_temp_index"
 POOL_REWRITERS = ("plan/optimizer.py", "plan/pools.py")
+
+#: The ownership hash, and the modules that may import it: its home and
+#: the KV store's region placement.
+OWNERSHIP_HASH = "partition_of"
+HASH_USERS = ("storage/partition.py", "storage/kvstore.py")
 
 #: Transport module -> the one module that may import it.
 WIRE_DOORS = {
@@ -180,6 +191,8 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
             violations += _lint_ledger_layer(path, root, lineno, module, names, out)
         if rel not in POOL_REWRITERS:
             violations += _lint_pool_rewrite(path, lineno, names, out)
+        if rel not in HASH_USERS:
+            violations += _lint_ownership(path, lineno, names, out)
         violations += _lint_wire_door(path, rel, lineno, module, out)
         violations += _lint_compute_form(path, rel, lineno, module, names, out)
         violations += _lint_numpy_path(path, rel, lineno, module, names, out)
@@ -238,6 +251,17 @@ def _lint_pool_rewrite(path, lineno, names, out) -> int:
     print(
         f"{path}:{lineno}: imports {FRESH_TEMPS!r} — one pool rewrite: "
         "filter candidates by handing pools to repro.plan.pools.bind_pools",
+        file=out,
+    )
+    return 1
+
+
+def _lint_ownership(path, lineno, names, out) -> int:
+    if OWNERSHIP_HASH not in names:
+        return 0
+    print(
+        f"{path}:{lineno}: imports {OWNERSHIP_HASH!r} — one ownership rule: "
+        "a shard's start vertices are PartitionInfo.owned_vertices",
         file=out,
     )
     return 1

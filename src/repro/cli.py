@@ -374,7 +374,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         event_log_path=args.event_log,
         slow_query_seconds=args.slow_query_seconds,
     )
-    partition = identity.partition_info() if identity is not None else None
+    partition = identity.partition if identity is not None else None
     try:
         for spec in args.graph or []:
             name, dataset = _parse_graph_spec(spec)
@@ -687,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append every lifecycle event to FILE as JSON lines")
     p.add_argument("--slow-query-seconds", type=float, default=None,
                    help="log queries slower than this (stats.slow_queries "
-                        "and a slow_query event with a trace summary)")
+                        "and a slow_query event)")
     p.add_argument("--shard-index", type=int, default=None,
                    help="serve as shard I of a sharded deployment "
                         "(registrations keep only the owned task slice)")

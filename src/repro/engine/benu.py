@@ -224,7 +224,8 @@ def execute_plan(
     config = config or BenuConfig()
     if config.degree_filter:
         plan, start_vertices = bind_pools(
-            plan, *prepared.degree_pools(plan.pattern), start_vertices
+            plan, *prepared.degree_pools(plan.pattern), start_vertices,
+            stats=GraphStats.of(prepared.graph),
         )
     backend_name = config.execution_backend
     if telemetry is None:

@@ -19,7 +19,6 @@ from typing import FrozenSet, Iterator, List, Optional, Sequence
 from ..graph.graph import Graph, Vertex
 from ..plan.generation import ExecutionPlan
 from ..plan.instructions import InstructionType, fvar
-from ..storage.partition import partition_of
 from .local_task import LocalSearchTask
 
 
@@ -55,28 +54,6 @@ def split_slices(
     return [frozenset(ordered[i::num_slices]) for i in range(num_slices)]
 
 
-def partition_start_vertices(
-    data: Graph, shard_index: int, num_shards: int
-) -> Sequence[Vertex]:
-    """Shard ``shard_index``'s slice of the start-vertex task space.
-
-    BENU's task space is one local search task per data vertex
-    (Algorithm 2 line 4); the slices are assigned by the storage tier's
-    canonical hash rule (:func:`repro.storage.partition.partition_of`),
-    so they are disjoint, cover every vertex, and — crucially — every
-    node holding the same graph computes the same slice without
-    coordination.  Vertex order within a slice is preserved, keeping a
-    shard's enumeration order a subsequence of the single-node run's.
-    """
-    if not 0 <= shard_index < num_shards:
-        raise ValueError(
-            f"shard index {shard_index} out of range for {num_shards} shards"
-        )
-    return tuple(
-        v for v in data.vertices if partition_of(v, num_shards) == shard_index
-    )
-
-
 def generate_tasks(
     plan: ExecutionPlan,
     data: Graph,
@@ -88,9 +65,10 @@ def generate_tasks(
     With ``split_threshold=None`` every data vertex yields exactly one task
     (Algorithm 2 line 4).  ``start_vertices`` restricts task generation to
     a slice of the start-vertex space (a shard's owned vertices — see
-    :func:`partition_start_vertices`); splitting decisions depend only on
-    each start vertex's degree, so a sliced run yields exactly the tasks
-    the full run would for those vertices.
+    :meth:`repro.storage.partition.PartitionInfo.owned_vertices`);
+    splitting decisions depend only on each start vertex's degree, so a
+    sliced run yields exactly the tasks the full run would for those
+    vertices.
     """
     starts = data.vertices if start_vertices is None else start_vertices
     if split_threshold is None or not plan_supports_splitting(plan):

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from ..graph.graph import Vertex
+from ..plan.cost import GraphStats
 from ..plan.generation import ExecutionPlan
 from ..plan.pools import bind_pools
 from .graphs import LabeledGraph
@@ -51,4 +52,6 @@ def labelize_plan(
     data: LabeledGraph,
 ) -> ExecutionPlan:
     """``plan`` with ``pattern``'s label pools on ``data`` bound."""
-    return bind_pools(plan, *label_pools(pattern, data))[0]
+    return bind_pools(
+        plan, *label_pools(pattern, data), stats=GraphStats.of(data.graph)
+    )[0]

@@ -37,6 +37,7 @@ from ..labeled.pattern import LabeledPatternGraph
 from ..labeled.plans import label_pools
 from ..pattern.pattern_graph import PatternGraph
 from ..plan.compression import expand_code
+from ..plan.cost import GraphStats
 from ..plan.generation import ExecutionPlan
 from ..plan.pools import bind_pools
 from .errors import QuerySemanticError
@@ -120,7 +121,10 @@ def bind_plan(
         raise QuerySemanticError(
             "query uses label predicates but the data graph has no labels"
         )
-    return bind_pools(plan, *label_pools(pattern, labeled), start_vertices)
+    return bind_pools(
+        plan, *label_pools(pattern, labeled), start_vertices,
+        stats=GraphStats.of(labeled.graph),
+    )
 
 
 def execute_query(

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 from ..graph.graph import Vertex
+from .cost import GraphStats, predict_instruction_counts
 from .generation import ExecutionPlan
 from .instructions import Instruction, InstructionType, intersect, tvar
 from .optimizer import fresh_temp_index
@@ -33,17 +34,20 @@ def bind_pools(
     pools: Mapping[Vertex, str],
     constants: Mapping[str, frozenset],
     start_vertices: Optional[Sequence[Vertex]] = None,
+    *,
+    stats: GraphStats,
 ) -> Tuple[ExecutionPlan, Optional[Sequence[Vertex]]]:
     """``(plan with pools, start vertices in u_{k1}'s pool)``.
 
     ``pools`` maps a pattern vertex to the name of its pool in
     ``constants``; an absent vertex is unconstrained.  ``start_vertices``
     is the caller's base (a shard's owned slice; None = every vertex) and
-    comes back unchanged when u_{k1} has no pool.  The copy keeps the
-    plan's ``predicted_counts``.
+    comes back unchanged when u_{k1} has no pool.  The copy's
+    ``predicted_counts`` price it on ``stats`` (the data graph's), pool
+    intersections included, so a run's q-errors grade the plan it ran.
 
-    The copy is memoised on ``plan`` per pools, so a cached plan bound
-    again to the same graph's pools is the same plan and
+    The copy is memoised on ``plan`` per pools and stats, so a cached
+    plan bound again to the same graph's pools is the same plan and
     ``compile_plan``'s memo on it hits; another graph's pools miss.
     """
     if not pools:
@@ -56,8 +60,8 @@ def bind_pools(
             else [v for v in start_vertices if v in pool]
         )
     hit = plan.__dict__.get("_pooled")
-    if hit is not None and hit[0] == pools and hit[1] == constants:
-        return hit[2], start_vertices
+    if hit is not None and hit[:3] == (pools, constants, stats):
+        return hit[3], start_vertices
 
     out: List[Instruction] = []
     next_temp = fresh_temp_index(plan)
@@ -92,8 +96,8 @@ def bind_pools(
         compressed=plan.compressed,
         compressed_vertices=plan.compressed_vertices,
         constants={**plan.constants, **constants},
-        predicted_counts=plan.predicted_counts,
     )
     assert bound.defined_before_use()
-    plan.__dict__["_pooled"] = (dict(pools), dict(constants), bound)
+    bound.predicted_counts = predict_instruction_counts(bound, stats)
+    plan.__dict__["_pooled"] = (dict(pools), dict(constants), stats, bound)
     return bound, start_vertices

@@ -18,7 +18,7 @@ the service pins an entry for the duration of each query using it.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..engine.benu import PreparedData, prepare_data
 from ..engine.config import BenuConfig
@@ -69,6 +69,9 @@ class CatalogEntry:
         #: per registration, so a graph replaced under the same name never
         #: runs on an order picked from its predecessor's statistics.
         self.registration = registration
+        #: Set once the entry has left its catalog (replaced or evicted);
+        #: a query still running on it cleans up after itself.
+        self.retired = False
         self.stats = GraphStats.of(prepared.graph)
         #: Execution-space labeled view (vertex labels following any
         #: relabeling), or None when the graph registered without labels.
@@ -171,13 +174,16 @@ class CatalogEntry:
 class GraphCatalog:
     """Named, memory-accounted registry of prepared data graphs.
 
-    ``capacity_bytes=None`` disables eviction.  All methods are
-    thread-safe.
+    ``capacity_bytes=None`` disables eviction.  ``on_retire`` is called
+    with the registration serial of every entry that leaves the catalog
+    (replaced or evicted), so state keyed by registration goes with it.
+    All methods are thread-safe.
     """
 
     def __init__(
         self, capacity_bytes: Optional[int] = None, registry=None,
         events=NULL_EVENTS, injector=NULL_INJECTOR,
+        on_retire: Callable[[int], None] = lambda registration: None,
     ) -> None:
         if capacity_bytes is not None and capacity_bytes < 0:
             raise ValueError("capacity must be non-negative or None")
@@ -185,6 +191,7 @@ class GraphCatalog:
         self._registry = registry
         self._events = events
         self._injector = injector
+        self._on_retire = on_retire
         self._entries: Dict[str, CatalogEntry] = {}
         self._clock = 0
         self._registrations = 0
@@ -205,24 +212,13 @@ class GraphCatalog:
         The graph is degree-relabeled here, once, unless ``relabel`` is
         False (pre-relabeled sources like the bundled datasets).
         ``partition`` marks the entry as one shard's slice of a
-        partitioned deployment — queries against it enumerate only the
-        owned start vertices.  Halo-bounded partitions must register
-        with ``relabel=False``: shards relabeling different subgraphs
-        would disagree on execution ids (and so on ownership).
+        partitioned deployment — the entry stores every row, and queries
+        against it enumerate only the owned start vertices.
         ``labels`` (original-id vertex → label) attaches a labeled view
         so BENU-QL label predicates can run against this graph; vertices
         absent from the mapping are unlabeled (label ``None``) and never
         match a label predicate.
         """
-        if (
-            partition is not None
-            and partition.halo_hops is not None
-            and relabel
-        ):
-            raise InvalidQueryError(
-                "halo-bounded partitions require relabel=False; shards "
-                "relabeling different subgraphs would disagree on ownership"
-            )
         prepared = prepare_data(graph, BenuConfig(relabel=relabel))
         labeled = None
         if labels is not None:
@@ -247,7 +243,10 @@ class GraphCatalog:
             )
             self._clock += 1
             entry.last_used = self._clock
+            replaced = self._entries.get(name)
             self._entries[name] = entry
+        if replaced is not None:
+            self._retire(replaced)
         self._evict_over_capacity(protect=name)
         return entry
 
@@ -284,10 +283,9 @@ class GraphCatalog:
                 entry.pins -= 1
         self._evict_over_capacity()
 
-    def drop(self, name: str) -> None:
-        with self._lock:
-            self._entries.pop(name, None)
-        self._update_gauge()
+    def _retire(self, entry: CatalogEntry) -> None:
+        entry.retired = True
+        self._on_retire(entry.registration)
 
     def names(self) -> List[str]:
         with self._lock:
@@ -339,6 +337,7 @@ class GraphCatalog:
                 victim = min(victims, key=lambda e: e.last_used)
                 del self._entries[victim.name]
                 evicted += 1
+            self._retire(victim)
             if self._registry is not None:
                 self._registry.counter(
                     M_CATALOG_EVICTIONS, "graphs evicted from the catalog"

@@ -185,6 +185,9 @@ class PlanCache:
         self._count("miss")
         return plan, "miss"
 
-    def clear(self) -> None:
+    def forget(self, graph: Hashable) -> None:
+        """Drop every entry of registration ``graph``: it was replaced or
+        evicted, so no later query can hit them."""
         with self._lock:
-            self._entries.clear()
+            for key in [k for k in self._entries if k.graph == graph]:
+                del self._entries[key]

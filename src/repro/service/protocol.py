@@ -81,25 +81,18 @@ class ShardIdentity:
 
     ``epoch`` is the deployment generation: a router refuses to merge
     streams from shards that disagree on it (a stale node from a
-    previous rollout would silently double- or under-count).
+    previous rollout would silently double- or under-count).  The slot
+    itself is ``partition``, checked by building it.
     """
 
     shard_index: int
     shard_count: int
     epoch: int = 0
+    partition: PartitionInfo = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.shard_count < 1:
-            raise ValueError("shard_count must be >= 1")
-        if not 0 <= self.shard_index < self.shard_count:
-            raise ValueError(
-                f"shard_index {self.shard_index} out of range for "
-                f"{self.shard_count} shards"
-            )
-
-    def partition_info(self, halo_hops: Optional[int] = None) -> PartitionInfo:
-        return PartitionInfo(
-            index=self.shard_index, of=self.shard_count, halo_hops=halo_hops
+        object.__setattr__(
+            self, "partition", PartitionInfo(self.shard_index, self.shard_count)
         )
 
     def to_dict(self) -> dict:
@@ -622,7 +615,7 @@ class ServiceProtocol(WireProtocol):
         ):
             # A shard node partitions every registration by its identity
             # unless the client explicitly asked for a full copy.
-            partition = self.identity.partition_info()
+            partition = self.identity.partition
         return self.service.register_graph(
             args["name"],
             graph,

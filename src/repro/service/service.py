@@ -58,7 +58,7 @@ from ..telemetry.events import (
 )
 from ..telemetry.progress import QueryProgress
 from ..telemetry.registry import MetricsRegistry
-from ..telemetry.runtime import Telemetry, TelemetryConfig
+from ..telemetry.runtime import Telemetry
 from ..telemetry.snapshot import (
     H_QUERY_QERROR,
     H_QUERY_WALL_SECONDS,
@@ -91,7 +91,6 @@ class BenuService:
         catalog_capacity_bytes: Optional[int] = None,
         batch_size: int = 256,
         max_buffered_batches: int = 64,
-        trace_queries: bool = False,
         max_worker_processes: Optional[int] = None,
         event_log_capacity: int = 4096,
         event_log_path: Optional[str] = None,
@@ -100,7 +99,6 @@ class BenuService:
         self.default_config = config or BenuConfig()
         self.batch_size = batch_size
         self.max_buffered_batches = max_buffered_batches
-        self.trace_queries = trace_queries
         self.registry = MetricsRegistry()
         #: The service flight recorder: every query's lifecycle, ring-
         #: buffered in memory, optionally mirrored to a JSONL file.
@@ -123,13 +121,15 @@ class BenuService:
             resolve_faults(self.default_config.faults),
             on_fire=self._on_fault_fired,
         )
+        self.plan_cache = PlanCache(registry=self.registry)
+        # A replaced or evicted graph's plans can never hit again.
         self.catalog = GraphCatalog(
             capacity_bytes=catalog_capacity_bytes,
             registry=self.registry,
             events=self.events,
             injector=self.injector,
+            on_retire=self.plan_cache.forget,
         )
-        self.plan_cache = PlanCache(registry=self.registry)
         self.scheduler = QueryScheduler(
             max_concurrent=max_concurrent,
             max_queued=max_queued,
@@ -387,83 +387,65 @@ class BenuService:
         pool_key = pool = None
         granted_workers = 0
         events = self.events.bound(handle.query_id)
-        telemetry = Telemetry(
-            TelemetryConfig(trace=True) if self.trace_queries else None,
-            events=events,
-        )
+        telemetry = Telemetry(events=events)
         result = None
         try:
             handle._mark(QueryStatus.RUNNING)
             events.emit(EV_QUERY_STARTED)
             control.check()  # queued past the deadline → never runs
             entry = self.catalog.pin(handle.graph_name)
-            with telemetry.tracer.span(
-                "query",
-                args={
-                    "query_id": handle.query_id,
-                    "pattern": pattern.name,
-                    "graph": handle.graph_name,
-                },
-            ):
-                with telemetry.tracer.span("plan") as span:
-                    plan, outcome = self.plan_cache.get_or_build(
-                        pattern,
-                        entry.prepared,
-                        entry.registration,
-                        config,
-                        tracer=telemetry.tracer,
-                    )
-                    span.args["plan_cache"] = outcome
-                    span.args["query_id"] = handle.query_id
-                events.emit(
-                    EV_PLAN_RESOLVED,
-                    outcome=outcome,
-                    order=[str(v) for v in plan.order],
-                )
-                control.check()
+            plan, outcome = self.plan_cache.get_or_build(
+                pattern, entry.prepared, entry.registration, config
+            )
+            events.emit(
+                EV_PLAN_RESOLVED,
+                outcome=outcome,
+                order=[str(v) for v in plan.order],
+            )
+            control.check()
 
-                sink = None
-                if buffer is not None:
-                    sink = (
-                        LimitSink(buffer, handle.limit, control)
-                        if handle.limit is not None
-                        else buffer
-                    )
-                runtime = dict(
-                    telemetry=telemetry,
-                    control=control,
-                    progress=handle.progress,
+            sink = None
+            if buffer is not None:
+                sink = (
+                    LimitSink(buffer, handle.limit, control)
+                    if handle.limit is not None
+                    else buffer
                 )
-                if config.execution_backend == "process":
-                    # The cap is on *total* worker processes across all
-                    # in-flight queries: block until slots free up, and
-                    # run with however many this query was granted.
-                    granted_workers = self.worker_slots.acquire(
-                        config.num_workers, control=control
-                    )
-                    config = _replace(config, num_workers=granted_workers)
-                else:
-                    pool_key, pool = entry.checkout_pool(config)
-                    runtime["worker_caches"] = pool.caches
-                    runtime["cluster"] = SimulatedCluster(
-                        entry.prepared.graph,
-                        config,
-                        telemetry=telemetry,
-                        store=entry.store_for(config),
-                    )
-                # The cached plan carries no candidate pools: they are
-                # bound per run, outside the cache.  A partitioned entry
-                # runs only this shard's slice of the start vertices.
-                result, handle.lang_groups = execute_query(
-                    lowered or pattern,
-                    plan,
-                    entry.prepared,
+            runtime = dict(
+                telemetry=telemetry,
+                control=control,
+                progress=handle.progress,
+            )
+            if config.execution_backend == "process":
+                # The cap is on *total* worker processes across all
+                # in-flight queries: block until slots free up, and
+                # run with however many this query was granted.
+                granted_workers = self.worker_slots.acquire(
+                    config.num_workers, control=control
+                )
+                config = _replace(config, num_workers=granted_workers)
+            else:
+                pool_key, pool = entry.checkout_pool(config)
+                runtime["worker_caches"] = pool.caches
+                runtime["cluster"] = SimulatedCluster(
+                    entry.prepared.graph,
                     config,
-                    labeled=entry.labeled,
-                    start_vertices=entry.owned_start_vertices(),
-                    sink=sink,
-                    **runtime,
+                    telemetry=telemetry,
+                    store=entry.store_for(config),
                 )
+            # The cached plan carries no candidate pools: they are
+            # bound per run, outside the cache.  A partitioned entry
+            # runs only this shard's slice of the start vertices.
+            result, handle.lang_groups = execute_query(
+                lowered or pattern,
+                plan,
+                entry.prepared,
+                config,
+                labeled=entry.labeled,
+                start_vertices=entry.owned_start_vertices(),
+                sink=sink,
+                **runtime,
+            )
             handle._result = result
             handle.truncated = control.limit_reached
             status = QueryStatus.SUCCEEDED
@@ -483,6 +465,9 @@ class BenuService:
                 entry.checkin_pool(pool_key, pool)
             if entry is not None:
                 self.catalog.unpin(handle.graph_name)
+                if entry.retired:
+                    # Retired mid-query: drop what this query cached.
+                    self.plan_cache.forget(entry.registration)
             # Status before close: consumers at end-of-stream must see a
             # final state (and any error) the moment the stream ends.
             handle._mark(status)
@@ -497,9 +482,6 @@ class BenuService:
                 help="wall-clock seconds per service query",
                 labels=("status",),
             ).observe(wall, status=status.value)
-            # The per-query span tree (query → plan → execution …) stays
-            # reachable even when the run produced no result object.
-            handle.telemetry = telemetry
             self._account_query(handle, result, status, wall, events)
         return None
 
@@ -554,35 +536,9 @@ class BenuService:
                     else {}
                 ),
                 "q_errors": q_errors,
-                "trace": self._trace_summary(handle.telemetry),
             }
             self._slow_queries.append(entry)
             events.emit(EV_SLOW_QUERY, **entry)
-
-    @staticmethod
-    def _trace_summary(telemetry) -> list:
-        """Top-level span names + wall seconds (the slow-log trace view)."""
-        tracer = getattr(telemetry, "tracer", None)
-        if tracer is None or not tracer.enabled:
-            return []
-
-        def walk(span, depth):
-            rows = [
-                {
-                    "span": span.name,
-                    "depth": depth,
-                    "wall_seconds": span.wall_seconds,
-                }
-            ]
-            if depth < 2:
-                for child in span.children:
-                    rows.extend(walk(child, depth + 1))
-            return rows
-
-        out = []
-        for root in tracer.roots:
-            out.extend(walk(root, 0))
-        return out
 
     # ------------------------------------------------------------------
     def query(self, query_id: str) -> QueryHandle:

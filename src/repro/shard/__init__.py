@@ -8,8 +8,7 @@ three layers of that deployment:
 
 * :class:`ShardNode` — a full query service wearing one shard's
   identity; registration keeps only the owned start-vertex slice
-  (:class:`~repro.storage.partition.GraphPartitioner` is the underlying
-  splitter).
+  (:meth:`~repro.storage.partition.PartitionInfo.owned_vertices`).
 * :class:`ShardRouter` + :class:`RouterQuery` — the front-end: fans a
   query out to one replica per partition, merges the backpressured
   result streams into one deterministic client stream, enforces a

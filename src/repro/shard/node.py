@@ -62,7 +62,7 @@ class ShardNode:
             graph,
             relabel=relabel,
             replace=replace,
-            partition=self.identity.partition_info(),
+            partition=self.identity.partition,
         )
 
     def health(self) -> dict:

@@ -11,12 +11,7 @@ from .policies import (
     make_policy,
 )
 from .kvstore import DistributedKVStore, LatencyModel, QueryStats
-from .partition import (
-    GraphPartition,
-    GraphPartitioner,
-    PartitionInfo,
-    partition_of,
-)
+from .partition import PartitionInfo
 from .serialization import (
     adjacency_size_bytes,
     decode_adjacency,
@@ -41,10 +36,7 @@ __all__ = [
     "DistributedKVStore",
     "LatencyModel",
     "QueryStats",
-    "GraphPartition",
-    "GraphPartitioner",
     "PartitionInfo",
-    "partition_of",
     "adjacency_size_bytes",
     "decode_adjacency",
     "decode_varint",

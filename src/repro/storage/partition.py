@@ -1,46 +1,29 @@
-"""First-class hash partitioning of a data graph across shards.
+"""One shard's slot in a partitioned deployment, and the rule it owns by.
 
 The distributed KV store has always hash-partitioned adjacency rows
 across storage nodes (:class:`~repro.storage.kvstore.DistributedKVStore`
-``partition_of``); this module promotes that assignment to a shared,
-first-class rule the whole sharded serving tier agrees on:
+``partition_of``); the sharded serving tier splits BENU's task space by
+the same hash:
 
 * :func:`partition_of` — the canonical ``key → partition`` hash, used
-  identically by KV-store regions, shard ownership and the router;
-* :class:`PartitionInfo` — the metadata one shard carries ("I am shard
-  *i* of *N*, halo *h*"), JSON round-trippable so it travels in the
-  ``register`` op and lives on the catalog entry;
-* :class:`GraphPartitioner` — splits a data graph into N shard-local
-  :class:`GraphPartition`\\ s.
+  identically by KV-store regions and shard ownership;
+* :class:`PartitionInfo` — the one description of "shard *i* of *N*",
+  JSON round-trippable so it travels in the ``register`` op and lives on
+  the catalog entry; its :meth:`~PartitionInfo.owned_vertices` is the
+  one ownership rule.
 
-Ownership vs storage
---------------------
 A shard *owns* the vertices the hash rule assigns to it; ownership
 partitions the BENU task space (one local search task per owned start
 vertex — Algorithm 2 line 4), so N shards running their owned slices
-enumerate exactly the single-node match set, disjointly.
-
-What a shard *stores* is a separate knob, because a local search task
-rooted at an owned vertex walks adjacency rows of vertices it does not
-own (candidate sets intersect the rows of every matched vertex, and for
-non-adjacent matching-order pairs candidates range over all of V(G)):
-
-* ``halo_hops=None`` (the serving tier's default) replicates the full
-  row set on every shard — exact for every pattern, and the regime the
-  paper's shared distributed store provides anyway (each shard is a
-  full replica of the HBase stand-in, but runs only its task slice);
-* ``halo_hops=k`` stores only the rows of vertices within ``k`` hops of
-  the owned set — bounded storage, exact only for plans whose candidate
-  computations stay adjacency-driven within ``k`` hops of the start
-  vertex (e.g. triangles/cliques at ``k=1``).  Halo partitions must be
-  registered with ``relabel=False``: shards relabeling *different*
-  subgraphs would disagree on execution-space ids.
+enumerate exactly the single-node match set, disjointly.  Every shard
+stores the full row set: a task rooted at an owned vertex reads rows it
+does not own, as BENU's workers all read one shared store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Tuple
 
 from ..graph.graph import Graph, Vertex
 
@@ -48,9 +31,8 @@ from ..graph.graph import Graph, Vertex
 def partition_of(key: Vertex, num_partitions: int) -> int:
     """The canonical hash assignment of a key to one of N partitions.
 
-    Every layer that partitions by vertex (KV-store regions, shard
-    ownership, the router's task-slice accounting) uses this one rule,
-    so their assignments can never drift apart.
+    KV-store regions and shard ownership both use this one rule, so
+    their assignments can never drift apart.
 
     >>> [partition_of(v, 3) for v in range(6)]
     [0, 1, 2, 0, 1, 2]
@@ -61,17 +43,20 @@ def partition_of(key: Vertex, num_partitions: int) -> int:
 @dataclass(frozen=True)
 class PartitionInfo:
     """One shard's slot in a partitioned deployment: shard ``index`` of
-    ``of``, storing rows out to ``halo_hops`` (None = full replication).
+    ``of``.
 
-    The owned set is *derived*, never stored: ``owns(v)`` applies
-    :func:`partition_of` to execution-space vertex ids, so any two nodes
-    holding the same graph under the same info agree on ownership
-    without exchanging vertex lists.
+    The owned set is *derived*, never stored: :meth:`owned_vertices`
+    applies :func:`partition_of` to execution-space vertex ids, so any
+    two nodes holding the same graph under the same info agree on
+    ownership without exchanging vertex lists.
+
+    >>> from repro.graph.graph import complete_graph
+    >>> [PartitionInfo(i, 2).owned_vertices(complete_graph(4)) for i in (0, 1)]
+    [(2, 4), (1, 3)]
     """
 
     index: int
     of: int
-    halo_hops: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.of < 1:
@@ -80,112 +65,22 @@ class PartitionInfo:
             raise ValueError(
                 f"shard index {self.index} out of range for {self.of} shards"
             )
-        if self.halo_hops is not None and self.halo_hops < 0:
-            raise ValueError("halo_hops must be non-negative or None")
-
-    # ------------------------------------------------------------------
-    def owns(self, v: Vertex) -> bool:
-        return partition_of(v, self.of) == self.index
 
     def owned_vertices(self, graph: Graph) -> Tuple[Vertex, ...]:
         """This shard's start-vertex slice of ``graph``, in vertex order."""
-        return tuple(v for v in graph.vertices if self.owns(v))
+        return tuple(
+            v for v in graph.vertices if partition_of(v, self.of) == self.index
+        )
 
     # ------------------------------------------------------------- wire
     def to_dict(self) -> dict:
-        d: Dict[str, object] = {"index": self.index, "of": self.of}
-        if self.halo_hops is not None:
-            d["halo"] = self.halo_hops
-        return d
+        return {"index": self.index, "of": self.of}
 
     @classmethod
     def from_dict(cls, d: dict) -> "PartitionInfo":
-        try:
-            return cls(
-                index=int(d["index"]),
-                of=int(d["of"]),
-                halo_hops=int(d["halo"]) if d.get("halo") is not None else None,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+        if set(d) != {"index", "of"}:
             raise ValueError(
-                'partition metadata must be {"index": i, "of": N, "halo": h?}'
-            ) from exc
-
-
-@dataclass(frozen=True)
-class GraphPartition:
-    """One shard's slice of a split data graph: metadata + local subgraph.
-
-    ``graph`` holds the rows this shard stores (the full graph under
-    ``halo_hops=None``); ``owned`` is the task-space slice.  ``stored``
-    counts vertices whose full adjacency row the shard holds.
-    """
-
-    info: PartitionInfo
-    graph: Graph
-    owned: FrozenSet[Vertex]
-
-    @property
-    def stored(self) -> int:
-        return self.graph.num_vertices
-
-    def describe(self) -> dict:
-        return {
-            **self.info.to_dict(),
-            "owned_vertices": len(self.owned),
-            "stored_vertices": self.stored,
-            "stored_edges": self.graph.num_edges,
-        }
-
-
-class GraphPartitioner:
-    """Splits a data graph into N shard-local partitions.
-
-    >>> from repro.graph.graph import complete_graph
-    >>> parts = GraphPartitioner(2).split(complete_graph(4))
-    >>> sorted(v for p in parts for v in p.owned)
-    [1, 2, 3, 4]
-    >>> all(p.graph.num_edges == 6 for p in parts)  # full replication
-    True
-    """
-
-    def __init__(self, num_shards: int, halo_hops: Optional[int] = None) -> None:
-        if num_shards < 1:
-            raise ValueError("need at least one shard")
-        if halo_hops is not None and halo_hops < 0:
-            raise ValueError("halo_hops must be non-negative or None")
-        self.num_shards = num_shards
-        self.halo_hops = halo_hops
-
-    # ------------------------------------------------------------------
-    def info_for(self, index: int) -> PartitionInfo:
-        return PartitionInfo(index=index, of=self.num_shards, halo_hops=self.halo_hops)
-
-    def split(self, graph: Graph) -> List[GraphPartition]:
-        """All N partitions of ``graph``; ownership is disjoint and covers V."""
-        return [self.partition(graph, i) for i in range(self.num_shards)]
-
-    def partition(self, graph: Graph, index: int) -> GraphPartition:
-        """Shard ``index``'s partition of ``graph``."""
-        info = self.info_for(index)
-        owned = frozenset(info.owned_vertices(graph))
-        if self.halo_hops is None:
-            return GraphPartition(info=info, graph=graph, owned=owned)
-        closure = set(owned)
-        frontier = set(owned)
-        for _ in range(self.halo_hops):
-            frontier = {
-                u for v in frontier for u in graph.neighbors(v)
-            } - closure
-            if not frontier:
-                break
-            closure |= frontier
-        # The shard stores the *full* row of every closure vertex, so a
-        # task at an owned start vertex sees exact adjacency (and exact
-        # degrees) everywhere within halo_hops of its root.
-        edges = {
-            (min(v, u), max(v, u))
-            for v in closure
-            for u in graph.neighbors(v)
-        }
-        return GraphPartition(info=info, graph=Graph(edges), owned=owned)
+                'partition metadata must be {"index": i, "of": N}; got keys '
+                f"{sorted(d)}"
+            )
+        return cls(index=int(d["index"]), of=int(d["of"]))

@@ -26,6 +26,7 @@ from repro.labeled import (
 from repro.pattern.pattern_graph import PatternGraph
 from repro.plan.codegen import compile_plan
 from repro.plan.compression import compress_plan
+from repro.plan.cost import GraphStats, predict_instruction_counts, q_error
 from repro.plan.generation import generate_raw_plan
 from repro.plan.optimizer import optimize
 from repro.plan.pools import bind_pools
@@ -44,9 +45,16 @@ def plan_for(name, compressed=False):
     return compress_plan(plan) if compressed else plan
 
 
+def bind_degree_pools(plan, prepared):
+    return bind_pools(
+        plan, *prepared.degree_pools(plan.pattern),
+        stats=GraphStats.of(prepared.graph),
+    )[0]
+
+
 def degree_filtered(plan, data):
     """``plan`` with its degree pools on ``data`` bound."""
-    return bind_pools(plan, *PreparedData(data).degree_pools(plan.pattern))[0]
+    return bind_degree_pools(plan, PreparedData(data))
 
 
 class TestPools:
@@ -94,8 +102,8 @@ class TestTransformation:
     def test_rebinding_the_same_pools_is_memoised(self, data_graph):
         base = plan_for("q4")
         prepared = PreparedData(data_graph)
-        first, _ = bind_pools(base, *prepared.degree_pools(base.pattern))
-        again, _ = bind_pools(base, *prepared.degree_pools(base.pattern))
+        first = bind_degree_pools(base, prepared)
+        again = bind_degree_pools(base, prepared)
         assert again is first
         other, _ = relabel_by_degree_order(erdos_renyi(30, 0.3, seed=2))
         assert degree_filtered(base, other) is not first
@@ -185,6 +193,35 @@ class TestCorrectness:
         assert count_labeled_subgraphs(pattern, data, config) == (
             count_labeled_matches(pattern, data)
         )
+
+
+class TestPredictions:
+    """A pooled run's predictions price the plan that runs."""
+
+    def test_bound_plan_prices_its_pool_intersections(self, data_graph):
+        prepared = PreparedData(data_graph)
+        stats = GraphStats.of(data_graph)
+        base = prepare_plan(get_pattern("clique4"), prepared)
+        before = dict(base.predicted_counts)
+        bound = bind_degree_pools(base, prepared)
+        assert bound.predicted_counts == predict_instruction_counts(bound, stats)
+        assert bound.predicted_counts["INT"] > base.predicted_counts["INT"]
+        assert base.predicted_counts == before  # the cached plan is untouched
+
+    def test_degree_filtered_clique4_estimate(self):
+        graph = chung_lu(300, 5.0, exponent=2.2, seed=3)
+        pattern = get_pattern("clique4")
+        plain = run_benu(pattern, graph, BenuConfig())
+        filtered = run_benu(pattern, graph, BenuConfig(degree_filter=True))
+        # Without pools the run reports the plan's own estimates ...
+        prepared = prepare_data(graph, BenuConfig())
+        assert plain.telemetry.predicted_counts == (
+            prepare_plan(pattern, prepared).predicted_counts
+        )
+        # ... and with them the estimate covers the pool intersections.
+        predicted = filtered.telemetry.predicted_counts["INT"]
+        executed = filtered.telemetry.instruction_counts["INT"]
+        assert q_error(predicted, executed) <= 1.25
 
 
 class TestStartVertices:

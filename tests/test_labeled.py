@@ -18,6 +18,7 @@ from repro.labeled import (
     labelize_plan,
     run_labeled_benu,
 )
+from repro.plan.cost import GraphStats, predict_instruction_counts
 from repro.plan.generation import generate_raw_plan
 from repro.plan.instructions import InstructionType
 from repro.plan.optimizer import optimize
@@ -99,13 +100,17 @@ class TestLabelizePlan:
             complete_graph(3), {1: "A", 2: "A", 3: "B"}, "tri"
         )
         base = optimize(generate_raw_plan(pattern, [1, 2, 3]))
-        base.predicted_counts = {"ENU": 12.0, "INT": 30.0}
         plan = labelize_plan(base, pattern, data)
         pools = set(map(frozenset, plan.constants.values()))
         assert data.vertices_with_label("A") in pools
         assert data.vertices_with_label("B") in pools
-        # The copy keeps the cost model's predictions (q-error accounting).
-        assert plan.predicted_counts == base.predicted_counts
+        # The copy is priced as it runs, label intersections included
+        # (q-error accounting grades the plan that ran).
+        stats = GraphStats.of(data.graph)
+        assert plan.predicted_counts == predict_instruction_counts(plan, stats)
+        assert plan.predicted_counts["INT"] > (
+            predict_instruction_counts(base, stats)["INT"]
+        )
 
 
 class TestEndToEnd:

@@ -37,7 +37,7 @@ from repro.service import (
     UnknownGraphError,
     UnknownQueryError,
 )
-from repro.telemetry.events import EV_PLAN_RESOLVED
+from repro.telemetry.events import EV_PLAN_RESOLVED, EV_SLOW_QUERY
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.snapshot import (
     M_CATALOG_EVICTIONS,
@@ -299,6 +299,66 @@ class TestReplacedGraph:
             handle = fresh.submit("square", "g", stream=False)
             handle.wait(30)
             assert orders[1] == _plan_order(fresh, handle) != orders[0]
+
+    def test_replaced_registrations_leave_the_plan_cache(self):
+        with BenuService() as service:
+            for i in range(5):
+                service.register_graph(
+                    "g", complete_graph(6 + i), replace=True
+                )
+                service.submit("triangle", "g", stream=False).wait(30)
+            assert (len(service.plan_cache), len(service.catalog)) == (1, 1)
+
+    def test_a_registration_replaced_mid_query_leaves_the_plan_cache(self):
+        with BenuService() as service:
+            service.register_graph("g", complete_graph(6))
+            build = service.plan_cache.get_or_build
+
+            def replace_then_build(*args, **kwargs):
+                # The query has pinned the old entry; replace it before
+                # the query caches a plan for it.
+                service.plan_cache.get_or_build = build
+                service.register_graph("g", complete_graph(7), replace=True)
+                return build(*args, **kwargs)
+
+            service.plan_cache.get_or_build = replace_then_build
+            handle = service.submit("triangle", "g", stream=False)
+            assert handle.result(timeout=30).count == 20  # ran on K6
+            assert len(service.plan_cache) == 0
+
+    def test_evicted_registrations_leave_the_plan_cache(self):
+        g1, g2 = complete_graph(30), erdos_renyi(30, 0.5, seed=2)
+        with BenuService() as probe:
+            probe.register_graph("g1", g1, relabel=False)
+            probe.submit("triangle", "g1", stream=False).wait(30)
+            queried = probe.catalog.memory_bytes()
+        with BenuService(catalog_capacity_bytes=queried + 1) as service:
+            service.register_graph("g1", g1, relabel=False)
+            service.submit("triangle", "g1", stream=False).wait(30)
+            assert len(service.plan_cache) == 1
+            service.register_graph("g2", g2, relabel=False)
+            assert service.catalog.names() == ["g2"]  # g1 was evicted
+            assert len(service.plan_cache) == 0
+            service.submit("triangle", "g2", stream=False).wait(30)
+            assert len(service.plan_cache) == 1
+
+
+class TestSlowQueryLog:
+    def test_a_slow_query_is_logged_with_its_counts(self, workload):
+        with BenuService(slow_query_seconds=0.0) as service:
+            service.register_graph("g", workload, relabel=False)
+            handle = service.submit("triangle", "g", stream=False)
+            handle.wait(30)
+            (entry,) = service.stats()["slow_queries"]
+            (event,) = service.events.events(type=EV_SLOW_QUERY)
+        assert set(entry) == {
+            "query_id", "pattern", "graph", "status", "wall_seconds",
+            "threshold_seconds", "instruction_counts", "q_errors",
+        }
+        assert entry["query_id"] == handle.query_id
+        assert entry["status"] == "succeeded"
+        assert entry["instruction_counts"]["RES"] > 0
+        assert event.fields["wall_seconds"] == entry["wall_seconds"]
 
 
 class TestAdmissionControl:

@@ -17,13 +17,14 @@ import time
 
 import pytest
 
+from repro.engine.benu import PreparedData, prepare_plan
 from repro.engine.config import BenuConfig
 from repro.engine.control import DeadlineExpired, ExecutionControl
-from repro.engine.task_split import partition_start_vertices
+from repro.engine.task_split import generate_tasks
 from repro.graph.generators import chung_lu
 from repro.graph.graph import Graph
 from repro.graph.order import relabel_by_degree_order
-from repro.graph.patterns import PATTERNS
+from repro.graph.patterns import PATTERNS, get_pattern
 from repro.service import BenuService, InvalidQueryError
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -40,11 +41,7 @@ from repro.shard import (
     ShardUnavailable,
 )
 from repro.storage.kvstore import DistributedKVStore
-from repro.storage.partition import (
-    GraphPartitioner,
-    PartitionInfo,
-    partition_of,
-)
+from repro.storage.partition import PartitionInfo, partition_of
 from repro.telemetry.events import stitch_event_dicts
 from repro.telemetry.registry import merge_registry_dicts
 
@@ -110,44 +107,41 @@ def test_partition_of_matches_kvstore_rule(workload):
         assert store.partition_of(v) == partition_of(v, 4)
 
 
-def test_partitioner_split_covers_vertices_disjointly(workload):
-    partitioner = GraphPartitioner(num_shards=4)
-    parts = partitioner.split(workload)
-    owned = [set(p.owned) for p in parts]
-    assert set().union(*owned) == set(workload.vertices)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            assert not owned[i] & owned[j]
+def _slices(graph, n):
+    return [PartitionInfo(i, n).owned_vertices(graph) for i in range(n)]
 
 
-def test_partitioner_full_mode_keeps_whole_graph(workload):
-    part = GraphPartitioner(num_shards=3).partition(workload, 1)
-    assert part.graph is workload  # full-row replication: no copy
-    assert all(partition_of(v, 3) == 1 for v in part.owned)
+def test_owned_slices_are_disjoint_and_cover_v(workload):
+    for n in (1, 2, 3, 4):
+        slices = _slices(workload, n)
+        assert sum(map(len, slices)) == workload.num_vertices
+        assert set().union(*slices) == set(workload.vertices)
 
 
-def test_partitioner_halo_mode_bounds_storage(workload):
-    full = GraphPartitioner(num_shards=4)
-    halo = GraphPartitioner(num_shards=4, halo_hops=1)
-    part = halo.partition(workload, 0)
-    assert part.graph.num_edges <= workload.num_edges
-    # every owned vertex keeps its complete adjacency row
-    for v in part.owned:
-        assert set(part.graph.neighbors(v)) == set(workload.neighbors(v))
-    assert full.partition(workload, 0).owned == part.owned
+def test_owned_slices_keep_global_vertex_order(workload):
+    position = {v: i for i, v in enumerate(workload.vertices)}
+    for n in (1, 2, 3, 4):
+        for owned in _slices(workload, n):
+            ranks = [position[v] for v in owned]
+            assert ranks == sorted(ranks)
 
 
-def test_partition_start_vertices_slices_task_space(workload):
-    slices = [partition_start_vertices(workload, i, 3) for i in range(3)]
-    merged = sorted(v for s in slices for v in s)
-    assert merged == list(workload.vertices)
-    # slice order preserves global vertex order (determinism contract)
-    for s in slices:
-        assert list(s) == sorted(s)
+@pytest.mark.parametrize("tau", [None, 8])
+def test_sliced_task_generation_equals_the_full_run(workload, tau):
+    plan = prepare_plan(get_pattern("chordal_square"), PreparedData(workload))
+    full = list(generate_tasks(plan, workload, split_threshold=tau))
+    assert any(t.split_total > 1 for t in full) == (tau is not None)
+    for n in (1, 2, 3, 4):
+        for owned in _slices(workload, n):
+            sliced = list(generate_tasks(
+                plan, workload, split_threshold=tau, start_vertices=owned
+            ))
+            mine = set(owned)
+            assert sliced == [t for t in full if t.start in mine]
 
 
 def test_partition_info_validation_and_wire_format():
-    info = PartitionInfo(index=2, of=4, halo_hops=1)
+    info = PartitionInfo(index=2, of=4)
     assert PartitionInfo.from_dict(info.to_dict()) == info
     with pytest.raises(ValueError):
         PartitionInfo(index=4, of=4)
@@ -155,18 +149,48 @@ def test_partition_info_validation_and_wire_format():
         PartitionInfo(index=0, of=0)
     with pytest.raises(ValueError):
         PartitionInfo.from_dict({"index": 0})
+    with pytest.raises(ValueError, match="halo"):
+        PartitionInfo.from_dict({"index": 0, "of": 2, "halo": 1})
+    with pytest.raises(ValueError):
+        ShardIdentity(4, 4)  # the slot is checked by its PartitionInfo
+    assert ShardIdentity(1, 4, epoch=3).partition == PartitionInfo(1, 4)
 
 
-def test_catalog_rejects_halo_partition_with_relabel(workload):
-    service = BenuService()
+def test_partitioned_registration_stores_full_rows(workload, edges):
+    node = ShardNode(1, 3)
     try:
-        with pytest.raises(InvalidQueryError):
-            service.register_graph(
-                "g", workload, relabel=True,
-                partition=PartitionInfo(index=0, of=2, halo_hops=1),
-            )
+        reply = node.protocol().handle_line(json.dumps({
+            "op": "register", "name": "g", "edges": edges, "relabel": False,
+        }))
+        assert reply["ok"]
+        assert reply["edges"] == workload.num_edges
+        assert reply["partition"] == {
+            "index": 1, "of": 3,
+            "owned_vertices": len(PartitionInfo(1, 3).owned_vertices(workload)),
+        }
     finally:
-        service.close()
+        node.close()
+
+
+def test_register_with_halo_is_invalid_query(edges):
+    """A storage knob no code applies is refused, not echoed."""
+    nodes = [ShardNode(i, 2) for i in range(2)]
+    router = ShardRouter([LocalShardClient(node) for node in nodes])
+    request = json.dumps({
+        "op": "register", "name": "g", "edges": edges, "relabel": False,
+        "partition": {"index": 0, "of": 2, "halo": 1},
+    })
+    try:
+        for protocol in (nodes[0].protocol(), RouterProtocol(router)):
+            reply = protocol.handle_line(request)
+            assert not reply["ok"]
+            assert reply["error"] == "invalid_query"
+            assert "halo" in reply["message"]
+        assert all(node.service.catalog.names() == [] for node in nodes)
+    finally:
+        router.close()
+        for node in nodes:
+            node.close()
 
 
 # -------------------------------------------------------------- the matrix
