@@ -10,9 +10,10 @@ Two compilation modes:
 
 * ``count``   — the function returns how many RES executions happened
   (match count for uncompressed plans, code count for compressed ones).
-  Nothing observes the order candidates are visited in, so three rules
+  Nothing observes the order candidates are visited in, so six rules
   apply that ``collect`` must not use (they change how a counted step is
-  executed, never how many steps are counted):
+  executed, never how many steps are counted, and every ``get_adj`` call
+  still happens, in the same order):
 
   - *len() peephole*: an innermost loop ``for f in C: n += 1`` becomes
     ``n += len(C)``.
@@ -26,6 +27,19 @@ Two compilation modes:
   - *NE difference*: any other INT whose filters are all injectivity
     filters is the C-level ``S - {f1, f2}``, whose result iterates in a
     different order than the comprehension's.
+  - *lifted tail*: a membership-only count tail right under its loop
+    ``for f in C`` (``S`` cannot depend on ``f``; not the splitting
+    level) is summed in closed form: ``_c = _n * (len(S) - Σ(x in S)) -
+    len(C & S)`` with ``_n = len(C)``, and ``n_int += _n``.
+  - *hoisted bound*: a count tail bounding ``T = X & Y`` — an INT that
+    feeds only the tail — where ``X`` and every bound vertex are fixed
+    outside the innermost loop filters ``X`` once per pass of that loop
+    into ``_g`` (lazily: on the first iteration that reaches the tail),
+    counts ``len(_g & Y)``, and keeps the feeder only as its early exit,
+    ``X.isdisjoint(Y)``.
+  - *loop-head ticks*: a loop body runs straight until its first early
+    exit, so the DBQs before it and the INT or TRC that owns it tick
+    once per candidate; the loop head books them as ``+= _n``.
 * ``collect`` — every result is passed to an ``emit`` callback as a tuple
   indexed by sorted pattern vertex (compressed set slots are frozen).
 
@@ -137,6 +151,57 @@ class CompiledPlan:
         return TaskCounters.from_tuple(self.run_raw(*args, **kwargs))
 
 
+#: The counter one execution of an instruction ticks, where a loop head
+#: may book it (see ``emit_loop_head``).
+_TICKS = {
+    InstructionType.DBQ: "n_dbq",
+    InstructionType.INT: "n_int",
+    InstructionType.TRC: "n_trc",
+}
+
+
+def _hoisted_bound(
+    instructions: Sequence[Instruction], tail: int, loop: int
+) -> Optional[Tuple[int, str, str]]:
+    """(feeder index, X, Y) when the count tail at ``tail`` bounds ``T = X
+    & Y`` and the bounds can move onto ``X``, else None.
+
+    ``T`` must come from a filter-free two-operand INT inside the loop
+    (the ENU at ``loop``) that nothing but the tail reads; ``X`` and every
+    bound vertex must be defined before the loop.  Operands no instruction
+    defines (``V``, label pools) are fixed everywhere.
+    """
+    inst = instructions[tail]
+    bounds = [f for f in inst.filters if f.kind is not FilterKind.NE]
+    defined_at = {
+        other.target: i
+        for i, other in enumerate(instructions)
+        if other.type is not InstructionType.RES
+    }
+    feed = defined_at.get(inst.operands[0]) if len(inst.operands) == 1 else None
+    if not bounds or feed is None or feed < loop:
+        return None
+    feeder = instructions[feed]
+    if (
+        feeder.type is not InstructionType.INT
+        or feeder.filters
+        or len(feeder.operands) != 2
+        or any(defined_at.get(f.var, -1) >= loop for f in bounds)
+        or any(
+            feeder.target in other.operands
+            for i, other in enumerate(instructions)
+            if i not in (feed, tail)
+        )
+    ):
+        return None
+    fixed = [op for op in feeder.operands if defined_at.get(op, -1) < loop]
+    if not fixed:
+        return None
+    x_op = fixed[0]
+    y_op = feeder.operands[1 - feeder.operands.index(x_op)]
+    return feed, _operand_expr(x_op), _operand_expr(y_op)
+
+
 def _filter_expr(var: str, filters: Sequence[Filter]) -> str:
     """The comprehension condition realizing the filtering conditions."""
     parts = []
@@ -179,9 +244,9 @@ def generate_source(
     With ``profile=True`` every DBQ/INT/TRC site is emitted twice behind a
     sampling gate (``_prof_tick``): the gated branch wall-times the
     instruction and reports it via ``_prof_rec``, the other branch is the
-    plain instruction (a profiled compile keeps every INT site plain: no
-    count tail, no NE difference).  Without it no probe is emitted and the
-    default path pays zero overhead.
+    plain instruction (a profiled compile keeps every site plain: none of
+    count mode's order-blind rules).  Without it no probe is emitted and
+    the default path pays zero overhead.
     """
     if mode not in ("count", "collect"):
         raise ValueError(f"mode must be 'count' or 'collect', got {mode!r}")
@@ -235,65 +300,148 @@ def generate_source(
     # change candidate order; profiled compiles keep every site plain.
     unordered = mode == "count" and not profile
 
-    def count_tail(idx: int) -> bool:
-        # The INT at ``idx`` feeds only the last ENU, which only counts RES
-        # and is not the task-splitting level: its candidate set is never
-        # read, only measured, so ``emit_count_tail`` computes ``_c`` =
-        # its cardinality without building it.
-        if not unordered or idx + 1 != last_enu_index:
-            return False
-        enu = instructions[idx + 1]
-        return (
-            enu.operands[0] == instructions[idx].target
-            and enu.target != second_fvar
-            and all(
-                later.type is InstructionType.RES
-                for later in instructions[idx + 2 :]
-            )
-        )
+    def tail_operand(inst: Instruction) -> str:
+        # A multi-operand INT does its ``&`` once, in C.
+        ops = [_operand_expr(o) for o in inst.operands]
+        if len(ops) == 1:
+            return ops[0]
+        out.line("_s = " + " & ".join(ops))
+        return "_s"
 
     def emit_count_tail(inst: Instruction) -> None:
-        # A multi-operand INT does its ``&`` once, in C.  A
-        # partial match is injective, so the NE-excluded scalars are
+        # A partial match is injective, so the NE-excluded scalars are
         # pairwise distinct and each one found in the set (and inside the
         # GT/LT bounds) takes exactly one off the count.
-        ops = [_operand_expr(o) for o in inst.operands]
-        src = ops[0]
-        if len(ops) > 1:
-            src = "_s"
-            out.line("_s = " + " & ".join(ops))
         bounds = [f for f in inst.filters if f.kind is not FilterKind.NE]
         excluded = [f.var for f in inst.filters if f.kind is FilterKind.NE]
-        if bounds:
+        if hoist is not None:
+            # The bounds were applied to the invariant operand: ``_g``.
+            _, x_op, y_op = hoist
+            out.line(f"if _g is None: _g = {{v for v in {x_op} if "
+                     f"{_filter_expr('v', bounds)}}}")
+            terms = [f"len(_g & {y_op})"] + [
+                f"({x} in _g and {x} in {y_op})" for x in excluded
+            ]
+        elif bounds:
+            src = tail_operand(inst)
             cond = _filter_expr("v", bounds)
             terms = [f"len([v for v in {src} if {cond}])"] + [
                 f"({x} in {src} and {_filter_expr(x, bounds)})"
                 for x in excluded
             ]
         else:
+            src = tail_operand(inst)
             terms = [f"len({src})"] + [f"({x} in {src})" for x in excluded]
         out.line("_c = " + " - ".join(terms))
+
+    def emit_lifted_tail(inst: Instruction, f: str, candidates: str) -> None:
+        # The membership-only tail summed over ``for f in candidates``:
+        # every term but ``(f in S)`` is loop-invariant, and the ``(f in
+        # S)`` terms add up to ``len(candidates & S)``.
+        src = tail_operand(inst)
+        excluded = [flt.var for flt in inst.filters]
+        fixed = " - ".join(
+            [f"len({src})"] + [f"({x} in {src})" for x in excluded if x != f]
+        )
+        out.line(f"_n = len({candidates})")
+        out.line("n_enu += _n")
+        line = f"_c = _n * ({fixed})"
+        if f in excluded:
+            line += f" - len({candidates} & {src})"
+        out.line(line)
+        out.line("n_int += _n")
+        out.line("n_enu += _c")
+        out.line("n_res += _c")
+
+    # The count tail: the INT feeding only the last ENU, which only counts
+    # RES and is not the task-splitting level.  Its candidate set is never
+    # read, only measured, so ``emit_count_tail`` computes ``_c`` = its
+    # cardinality without building it.
+    tail = last_enu_index - 1
+    if not (
+        unordered
+        and tail >= 0
+        and instructions[tail].type is InstructionType.INT
+        and instructions[last_enu_index].operands[0] == instructions[tail].target
+        and instructions[last_enu_index].target != second_fvar
+        and all(
+            later.type is InstructionType.RES
+            for later in instructions[last_enu_index + 1 :]
+        )
+    ):
+        tail = None
+    # The innermost loop around the tail, and which of the two
+    # loop-invariant rewrites (module docstring) applies to it.
+    loop = lift = hoist = None
+    if tail is not None:
+        loop = max(
+            (i for i in range(tail) if instructions[i].type is InstructionType.ENU),
+            default=None,
+        )
+    if loop is not None:
+        # ``lift``: the tail sits right under its loop and only subtracts
+        # memberships, so the loop collapses to arithmetic on its size.
+        lift = (
+            loop == tail - 1
+            and instructions[loop].target != second_fvar
+            and all(f.kind is FilterKind.NE for f in instructions[tail].filters)
+        )
+        if not lift:
+            hoist = _hoisted_bound(instructions, tail, loop)
+
+    # Instructions whose ``+= 1`` the head of their loop books at once.
+    batched = set()
+
+    def tick(idx: int, counter: str) -> None:
+        if idx not in batched:
+            out.line(f"{counter} += 1")
+
+    def emit_loop_head(idx: int, candidates: str) -> None:
+        # A loop body runs straight until its first early exit: the DBQs
+        # before it, and the INT or TRC that owns it, execute once per
+        # candidate.  Counting only, their ticks become one ``+= _n``.
+        head: Dict[str, int] = {}
+        for j in range(idx + 1, len(instructions) if unordered else 0):
+            counter = _TICKS.get(instructions[j].type)
+            if counter is None:
+                break
+            batched.add(j)
+            head[counter] = head.get(counter, 0) + 1
+            if counter != "n_dbq":
+                break
+        if not head:
+            out.line(f"n_enu += len({candidates})")
+            return
+        out.line(f"_n = len({candidates})")
+        out.line("n_enu += _n")
+        for counter, times in head.items():
+            out.line(f"{counter} += {times} * _n" if times > 1 else f"{counter} += _n")
 
     for idx, inst in enumerate(instructions):
         if inst.type is InstructionType.INI:
             out.line(f"{inst.target} = start")
 
         elif inst.type is InstructionType.DBQ:
-            def dbq_body(inst=inst):
+            def dbq_body(inst=inst, idx=idx):
                 out.line(f"{inst.target} = get_adj({inst.operands[0]})")
-                out.line("n_dbq += 1")
+                tick(idx, "n_dbq")
 
             profiled("DBQ", dbq_body)
 
         elif inst.type is InstructionType.INT:
-            if count_tail(idx):
+            if hoist is not None and idx == hoist[0]:
+                # The hoisted tail's feeder: only its emptiness is read.
+                tick(idx, "n_int")
+                out.line(f"if {hoist[1]}.isdisjoint({hoist[2]}): continue")
+                continue
+            if idx == tail:
                 emit_count_tail(inst)
-                out.line("n_int += 1")
+                tick(idx, "n_int")
                 out.line("n_enu += _c")
                 out.line("n_res += _c")
                 break
 
-            def int_body(inst=inst):
+            def int_body(inst=inst, idx=idx):
                 ops = [_operand_expr(o) for o in inst.operands]
                 if inst.filters:
                     src = ops[0] if len(ops) == 1 else "(" + " & ".join(ops) + ")"
@@ -314,13 +462,13 @@ def generate_source(
                         out.line(f"{inst.target} = {ops[0]}")
                     else:
                         out.line(f"{inst.target} = " + " & ".join(ops))
-                out.line("n_int += 1")
+                tick(idx, "n_int")
 
             profiled("INT", int_body)
             early_exit(inst.target)
 
         elif inst.type is InstructionType.TRC:
-            def trc_body(inst=inst):
+            def trc_body(inst=inst, idx=idx):
                 keys = inst.operands[:-2]
                 ai, aj = inst.operands[-2:]
                 if len(keys) == 2:
@@ -335,7 +483,7 @@ def generate_source(
                 out.line(f"tcache[_k] = {inst.target}")
                 out.line("n_trc_miss += 1")
                 out.depth -= 1
-                out.line("n_trc += 1")
+                tick(idx, "n_trc")
 
             profiled("TRC", trc_body)
             early_exit(inst.target)
@@ -350,6 +498,9 @@ def generate_source(
                     f"else ({source_var} & c2_override)"
                 )
                 source_var = "_c2"
+            if lift and idx == loop:
+                emit_lifted_tail(instructions[tail], inst.target, source_var)
+                break
             # Peephole: an innermost loop whose body is just counting RES
             # collapses to a len().
             is_innermost_count = (
@@ -360,10 +511,13 @@ def generate_source(
                     for nxt in instructions[idx + 1 :]
                 )
             )
-            out.line(f"n_enu += len({source_var})")
             if is_innermost_count:
+                out.line(f"n_enu += len({source_var})")
                 out.line(f"n_res += len({source_var})")
                 break
+            emit_loop_head(idx, source_var)
+            if hoist is not None and idx == loop:
+                out.line("_g = None")
             out.line(f"for {inst.target} in {source_var}:")
             out.depth += 1
 

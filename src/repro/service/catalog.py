@@ -276,10 +276,12 @@ class GraphCatalog:
             entry.pins += 1
             return entry
 
-    def unpin(self, name: str) -> None:
+    def unpin(self, entry: CatalogEntry) -> None:
+        """Release a pin :meth:`pin` returned.  It takes the entry, not its
+        name: a registration may have replaced the name since, and the
+        replacement's pins belong to the queries running on it."""
         with self._lock:
-            entry = self._entries.get(name)
-            if entry is not None and entry.pins > 0:
+            if entry.pins > 0:
                 entry.pins -= 1
         self._evict_over_capacity()
 

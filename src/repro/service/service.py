@@ -464,7 +464,7 @@ class BenuService:
             if pool is not None and entry is not None:
                 entry.checkin_pool(pool_key, pool)
             if entry is not None:
-                self.catalog.unpin(handle.graph_name)
+                self.catalog.unpin(entry)
                 if entry.retired:
                     # Retired mid-query: drop what this query cached.
                     self.plan_cache.forget(entry.registration)

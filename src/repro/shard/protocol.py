@@ -78,6 +78,15 @@ class RouterProtocol(WireProtocol):
 
     # ------------------------------------------------------------------ ops
     def _op_register(self, args: dict) -> dict:
+        # Each shard slices a registration by its own identity.  A slot or
+        # a full copy named here would be broadcast to every shard alike,
+        # so all of them would own the same start vertices.
+        partition, unpartitioned = args.pop("partition"), args.pop("unpartitioned")
+        if partition is not None or unpartitioned:
+            raise InvalidQueryError(
+                "a router registers every shard's own slice: "
+                '"partition" and "unpartitioned" are shard-node fields'
+            )
         name = args.pop("name")
         return {"graph": name, "shards": self.router.register(name, **args)}
 

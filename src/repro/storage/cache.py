@@ -11,8 +11,11 @@ Compiled plans look up through :meth:`LRUDatabaseCache.uncounted_getter`
 and settle the hits per task from the DBQ count.  An *unbounded* cache
 (the paper's 30 GB default) never evicts: a hit is a plain dict lookup.
 A bounded LRU cache — the Fig. 8 regime — is an ``OrderedDict`` that is
-its own recency order: a hit is one probe and a ``move_to_end``, a victim
-a ``popitem(last=False)``.  FIFO, LFU and random keep a policy object.
+its own recency order, and its getter is one closure: a hit is one probe
+and a ``move_to_end``; a miss reads the store's priced record, books it
+on the cache, store and worker ledgers, evicts with
+``popitem(last=False)`` and inserts, all in the same frame.  FIFO, LFU
+and random keep a policy object and the method path.
 
 The triangle cache (Optimization 3) is just a dict created fresh per local
 search task: every key contains the task's start vertex, so entries cannot
@@ -143,13 +146,12 @@ class LRUDatabaseCache:
     def _miss(self, key: Vertex) -> FrozenSet[Vertex]:
         self.stats.misses += 1
         value = self.store.get(key, self.query_stats)
-        self._admit(key, value)
+        self._admit(key, value, self.store.records[key][1])
         return value
 
-    def _admit(self, key: Vertex, value: FrozenSet[Vertex]) -> None:
+    def _admit(self, key: Vertex, value: FrozenSet[Vertex], nbytes: int) -> None:
         if self.capacity_bytes == 0:
             return
-        nbytes = self.store.value_bytes(key)
         if self.capacity_bytes is not None:
             if nbytes > self.capacity_bytes:
                 return  # would evict everything and still not fit
@@ -187,8 +189,9 @@ class LRUDatabaseCache:
         The caller knows how many lookups it made (a task's DBQ count) and
         settles the hits with :meth:`credit_lookups`, so :attr:`stats`
         stays exact.  Unbounded, the getter is the entry table's own
-        ``__getitem__`` (its ``__missing__`` is the miss path); bounded,
-        it is one probe and, on a hit, the hit hook.
+        ``__getitem__`` (its ``__missing__`` is the miss path); a bounded
+        LRU cache gets :meth:`_lru_getter`'s one closure; any other bounded
+        cache gets one probe and, on a hit, the hit hook.
 
         >>> from repro.graph.graph import complete_graph
         >>> cache = LRUDatabaseCache(DistributedKVStore.from_graph(complete_graph(3)))
@@ -201,6 +204,8 @@ class LRUDatabaseCache:
         """
         if self.capacity_bytes is None:
             return self._entries.__getitem__
+        if self.capacity_bytes and self._policy is None:
+            return self._lru_getter()
         lookup, touch, miss = self._entries.get, self._touch, self._miss
 
         def get_adj(key: Vertex) -> FrozenSet[Vertex]:
@@ -209,6 +214,54 @@ class LRUDatabaseCache:
                 return miss(key)
             touch(key)
             return entry
+
+        return get_adj
+
+    def _lru_getter(self) -> Callable[[Vertex], FrozenSet[Vertex]]:
+        """The bounded LRU ``get_adj``: :meth:`get` less the hit count, with
+        :meth:`_miss` and :meth:`_admit` inlined.
+
+        A miss books the record ``store.get`` books, on the same ledgers in
+        the same order (the float adds are order-sensitive), then evicts
+        and inserts as ``_admit`` does.  Ledgers that a run may rebind
+        (``query_stats``, ``store.stats``, ``store.on_query``) are read
+        per miss.
+        """
+        entries, entry_bytes, store = self._entries, self._entry_bytes, self.store
+        lookup, touch, evict = entries.get, entries.move_to_end, entries.popitem
+        records, capacity = store.records, self.capacity_bytes
+
+        def get_adj(key: Vertex) -> FrozenSet[Vertex]:
+            entry = lookup(key)
+            if entry is not None:
+                touch(key)
+                return entry
+            stats = self.stats
+            stats.misses += 1
+            record = records.get(key)
+            if record is None:
+                raise KeyError(f"vertex {key} not stored")
+            value, nbytes, cost = record
+            ledger = store.stats
+            ledger.queries += 1
+            ledger.bytes_transferred += nbytes
+            ledger.simulated_seconds += cost
+            ledger = self.query_stats
+            ledger.queries += 1
+            ledger.bytes_transferred += nbytes
+            ledger.simulated_seconds += cost
+            if store.on_query is not None:
+                store.on_query(key, nbytes, cost)
+            if nbytes > capacity:
+                return value  # would evict everything and still not fit
+            used = self._used_bytes + nbytes
+            while used > capacity:
+                used -= entry_bytes.pop(evict(False)[0])
+                stats.evictions += 1
+            entries[key] = value
+            entry_bytes[key] = nbytes
+            self._used_bytes = used
+            return value
 
         return get_adj
 

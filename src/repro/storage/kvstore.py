@@ -12,12 +12,16 @@ faithfully for everything the paper measures:
 * values are the data graph's own adjacency frozensets — serialization
   cost is *accounted* rather than paid on every query, keeping the hot
   loop fast while byte numbers stay exact.
+
+``put`` prices a row once into a *record* ``(row, nbytes, cost)``; every
+query — :meth:`DistributedKVStore.get` and the database cache's miss
+path — reads that one record, so there is one accounting rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..graph.graph import Graph, Vertex
 from .partition import partition_of
@@ -25,6 +29,9 @@ from .serialization import adjacency_size_bytes, packed_size_bytes
 
 #: ``backend`` -> the byte price of one stored row.
 _PRICES = {"frozenset": adjacency_size_bytes, "csr": packed_size_bytes}
+
+#: One stored row, priced at ``put``: (row, byte price, query cost).
+Record = Tuple[FrozenSet[Vertex], int, float]
 
 
 @dataclass
@@ -93,7 +100,8 @@ class DistributedKVStore:
         self.backend = backend
         self._price = price
         self._partitions: list = [dict() for _ in range(num_partitions)]
-        self._value_bytes: Dict[Vertex, int] = {}
+        #: Every partition's records in one table: what a query reads.
+        self.records: Dict[Vertex, Record] = {}
         self.stats = QueryStats()
         #: Optional telemetry hook called as ``(key, nbytes, cost_seconds)``
         #: on every get; None (the default) keeps the hot path branch-cheap.
@@ -122,8 +130,10 @@ class DistributedKVStore:
     def put(self, key: Vertex, neighbors: FrozenSet[Vertex]) -> None:
         # ``frozenset`` of a frozenset is the same object: a graph's rows
         # are stored, not copied.
-        self._partitions[self.partition_of(key)][key] = frozenset(neighbors)
-        self._value_bytes[key] = self._price(neighbors)
+        nbytes = self._price(neighbors)
+        record = (frozenset(neighbors), nbytes, self.latency.query_cost(nbytes))
+        self._partitions[self.partition_of(key)][key] = record
+        self.records[key] = record
 
     # ------------------------------------------------------------------
     def get(
@@ -134,11 +144,10 @@ class DistributedKVStore:
         ``stats`` lets callers (worker machines) account to their own
         ledger; the store-wide ledger is always updated too.
         """
-        value = self._partitions[self.partition_of(key)].get(key)
-        if value is None:
+        record = self.records.get(key)
+        if record is None:
             raise KeyError(f"vertex {key} not stored")
-        nbytes = self._value_bytes[key]
-        cost = self.latency.query_cost(nbytes)
+        value, nbytes, cost = record
         self.stats.queries += 1
         self.stats.bytes_transferred += nbytes
         self.stats.simulated_seconds += cost
@@ -152,7 +161,7 @@ class DistributedKVStore:
 
     def value_bytes(self, key: Vertex) -> int:
         """Serialized size of one stored adjacency set."""
-        return self._value_bytes[key]
+        return self.records[key][1]
 
     def reset_stats(self) -> None:
         self.stats = QueryStats()
@@ -162,4 +171,4 @@ class DistributedKVStore:
 
     def total_bytes(self) -> int:
         """Serialized size of the whole stored graph (Fig. 8 denominator)."""
-        return sum(self._value_bytes.values())
+        return sum(record[1] for record in self.records.values())

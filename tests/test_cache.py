@@ -131,20 +131,28 @@ class TestUncountedGetter:
     """``uncounted_getter`` + per-task ``credit_lookups`` replay ``get``."""
 
     @staticmethod
-    def _replay(graph, capacity, policy, counted):
+    def _replay(graph, capacity, policy, counted, queried=None, clear_every=0):
+        """``queried`` (a list) turns telemetry on and collects every
+        ``on_query`` call; ``clear_every`` clears the cache before every
+        that-many-th task."""
         import random
 
         store = DistributedKVStore.from_graph(graph, backend="csr")
+        if queried is not None:
+            store.on_query = lambda *call: queried.append(call)
         cache = LRUDatabaseCache(store, capacity_bytes=capacity, policy=policy)
         rng = random.Random(11)
         # Skewed toward low ids, so some rows stay hot and some go cold.
         keys = [min(rng.choice(graph.vertices) for _ in range(2)) for _ in range(3000)]
         get = cache.get if counted else cache.uncounted_getter()
-        done = 0
+        done = tasks = 0
         while done < len(keys):
             # One task's lookups, settled the way a worker settles them.
             task = keys[done : done + rng.randint(1, 40)]
             done += len(task)
+            tasks += 1
+            if clear_every and tasks % clear_every == 0:
+                cache.clear()
             misses_before = cache.stats.misses
             for key in task:
                 assert len(get(key)) == graph.degree(key)
@@ -156,6 +164,17 @@ class TestUncountedGetter:
             astuple(store.stats),
             list(cache._entries),
         )
+
+    CAPACITIES = ["none", "zero", "row", "quarter"]
+
+    @staticmethod
+    def _capacity(graph, capacity):
+        return {
+            "none": None,
+            "zero": 0,
+            "row": 8 * max(graph.degree(v) for v in graph.vertices),
+            "quarter": 8 * 2 * graph.num_edges // 4,
+        }[capacity]
 
     @pytest.mark.parametrize("policy", sorted(POLICIES))
     @pytest.mark.parametrize("capacity", ["none", "zero", "row", "quarter"])
@@ -173,3 +192,42 @@ class TestUncountedGetter:
         assert got == want
         if capacity in ("row", "quarter"):
             assert want[0][2] > 0  # the trace really evicts
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("capacity", CAPACITIES)
+    def test_telemetry_sees_every_miss_as_get_does(self, policy, capacity):
+        """With ``on_query`` set, each miss reports the same
+        ``(key, nbytes, cost)`` as the counted ``get``, in the same order."""
+        graph = chung_lu(120, 5.0, exponent=2.3, seed=3)
+        capacity_bytes = self._capacity(graph, capacity)
+        want_calls, got_calls = [], []
+        want = self._replay(graph, capacity_bytes, policy, True, want_calls)
+        got = self._replay(graph, capacity_bytes, policy, False, got_calls)
+        assert got == want
+        assert got_calls == want_calls
+        assert len(got_calls) == want[0][1]  # one call per miss
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("capacity", CAPACITIES)
+    def test_clear_between_tasks(self, policy, capacity):
+        graph = chung_lu(120, 5.0, exponent=2.3, seed=3)
+        capacity_bytes = self._capacity(graph, capacity)
+        want = self._replay(graph, capacity_bytes, policy, True, clear_every=7)
+        got = self._replay(graph, capacity_bytes, policy, False, clear_every=7)
+        assert got == want
+
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    @pytest.mark.parametrize("capacity", CAPACITIES)
+    def test_missing_key_raises_as_the_store_does(self, policy, capacity):
+        graph = complete_graph(4)
+        store = DistributedKVStore.from_graph(graph)
+        with pytest.raises(KeyError) as want:
+            store.get(99)
+        cache = LRUDatabaseCache(
+            store, capacity_bytes=self._capacity(graph, capacity), policy=policy
+        )
+        get = cache.uncounted_getter()
+        with pytest.raises(KeyError) as got:
+            get(99)
+        assert str(got.value) == str(want.value)
+        assert get(1) == graph.neighbors(1)  # the cache still serves

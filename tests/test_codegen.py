@@ -1,5 +1,6 @@
 """Tests for the plan compiler (codegen) against the reference interpreter."""
 
+import os
 from dataclasses import astuple
 from itertools import combinations, permutations
 from pathlib import Path
@@ -362,6 +363,39 @@ class TestCountLoweringsDifferential:
         )
 
 
+class TestLoopInvariantLoweringsDifferential:
+    """The lifted tail, the hoisted bound and the loop-head ticks move no
+    counter, on the orders where they fire."""
+
+    @pytest.mark.parametrize(
+        "name,order",
+        [
+            ("q2", [1, 4, 3, 2, 5]),      # lifted tail
+            ("demo", [3, 5, 4, 1, 2, 6]),  # lifted tail under a TRC
+            ("q1", [1, 2, 3, 4, 5]),      # hoisted bound
+            ("q4", [2, 5, 1, 3, 4]),      # hoisted bound, excluded scalar
+            ("square", [1, 2, 4, 3]),     # hoisted bound, no NE term
+        ],
+    )
+    def test_the_orders_they_fire_on(self, name, order):
+        source = generate_source(plan_for(name, order))
+        assert "_g = None" in source or "_n * (" in source
+        for graph in (hub_graph(), relabel_by_degree_order(
+            erdos_renyi(40, 0.25, seed=7)
+        )[0]):
+            assert_all_modes_count_alike(plan_for(name, order), graph)
+            assert_all_modes_count_alike(plan_for(name, order, level=0), graph)
+
+    def test_split_tasks(self):
+        graph = hub_graph()
+        hub_row = sorted(graph.neighbors(0))
+        for name, order in (("q1", [1, 2, 3, 4, 5]), ("q4", [2, 5, 1, 3, 4])):
+            for override in (frozenset(hub_row[::2]), frozenset()):
+                assert_all_modes_count_alike(
+                    plan_for(name, order), graph, starts=[0], override=override
+                )
+
+
 class TestCountLoweringsSourceShape:
     Q2 = ("q2", [1, 2, 3, 4, 5])
 
@@ -373,10 +407,44 @@ class TestCountLoweringsSourceShape:
 
     def test_bounded_tail_keeps_one_comprehension_without_ne_terms(self):
         source = generate_source(plan_for("q1", [1, 2, 3, 4, 5]))
+        assert "if _g is None: _g = {v for v in T6 if v > f2}" in source
+        assert "_c = len(_g & A4) - (f3 in _g and f3 in A4)" in source
+
+    def test_membership_tail_under_its_loop_is_lifted(self):
+        """``for f2 in C2`` with an NE-only tail on A4 is arithmetic."""
+        source = generate_source(plan_for("q2", [1, 4, 3, 2, 5]))
+        assert "for f2 in" not in source
         assert (
-            "_c = len([v for v in T5 if v > f2]) - (f3 in T5 and f3 > f2)"
+            "_c = _n * (len(A4) - (f1 in A4) - (f3 in A4)) - len(C2 & A4)"
             in source
         )
+        assert "n_int += _n" in source
+
+    def test_bound_on_an_invariant_operand_is_hoisted(self):
+        """q1's tail bounds ``T4 = T6 & A4`` by f2, and T6, f2 are fixed
+        outside the f4 loop: the feeder is only an emptiness test."""
+        source = generate_source(plan_for("q1", [1, 2, 3, 4, 5]))
+        assert "if T6.isdisjoint(A4): continue" in source
+        assert "_g = None\n" + " " * 12 + "for f4 in C4:" in source
+        assert "T4 = " not in source and "[v for v in" not in source
+
+    def test_a_bound_on_the_loop_variable_is_not_hoisted(self):
+        source = generate_source(plan_for("clique4", [1, 2, 3, 4]))
+        assert "_g" not in source
+        assert "_c = len([v for v in T4 if v > f1 and v > f2 and v > f3])" in source
+
+    def test_loop_heads_book_straight_line_ticks(self):
+        """A DBQ and the INT after it tick once per candidate: the loop
+        head books both, and the body keeps only the conditional ticks."""
+        source = generate_source(plan_for(*self.Q2))
+        head = "_n = len(C3)\n" + "\n".join(
+            " " * 8 + tick for tick in ("n_enu += _n", "n_dbq += _n", "n_int += _n")
+        )
+        assert head in source
+        assert source.count("n_dbq += 1") == 1  # the start's own row
+        assert generate_source(plan_for(*self.Q2), mode="collect").count(
+            "n_dbq += 1"
+        ) == 4  # collect mode ticks where it executes
 
     def test_non_tail_ne_only_int_is_a_set_difference(self):
         source = generate_source(plan_for(*self.Q2))
@@ -435,15 +503,22 @@ except ImportError:  # pragma: no cover - CI installs pytest only
     HAVE_HYPOTHESIS = False
 
 
+#: Examples per run of the fuzzer below: tier-1 keeps a fixed budget, and
+#: ``BENU_FUZZ_EXAMPLES=500`` widens the sweep (CI runs that too).
+FUZZ_EXAMPLES = int(os.environ.get("BENU_FUZZ_EXAMPLES", "60"))
+
+
 @pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
 class TestCountEqualsCollectHypothesis:
-    """Random pattern × random graph with a planted hub: count == len(collect)."""
+    """Random pattern × random graph with a planted hub: count, collect and
+    the interpreter agree on all six counters, task by task, and count is
+    the number of collected rows."""
 
     if HAVE_HYPOTHESIS:
 
-        @settings(max_examples=60, deadline=None)
+        @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
         @given(
-            n_pattern=st.integers(3, 5),
+            n_pattern=st.integers(3, 6),
             density=st.floats(0.0, 0.8),
             pattern_seed=st.integers(0, 10_000),
             n=st.integers(6, 16),
@@ -465,13 +540,10 @@ class TestCountEqualsCollectHypothesis:
             plan = optimize(
                 generate_raw_plan(PatternGraph(pattern), order), rnd.choice((0, 3))
             )
+            assert_all_modes_count_alike(plan, graph)
             vset = frozenset(graph.vertices)
-            count = compile_plan(plan, mode="count")
             collect = compile_plan(plan, mode="collect")
             for v in graph.vertices:
                 rows = []
-                counted = count.run_raw(v, graph.neighbors, vset)
-                assert counted == collect.run_raw(
-                    v, graph.neighbors, vset, emit=rows.append
-                )
+                counted = collect.run_raw(v, graph.neighbors, vset, emit=rows.append)
                 assert counted[RESULTS] == len(rows)

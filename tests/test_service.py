@@ -632,11 +632,39 @@ class TestCatalog:
         bytes_each = probe.register("probe", g1, relabel=False).memory_bytes()
         catalog = GraphCatalog(capacity_bytes=int(bytes_each * 1.5))
         catalog.register("g1", g1, relabel=False)
-        catalog.pin("g1")
+        entry = catalog.pin("g1")
         catalog.register("g2", g2, relabel=False)
         assert catalog.names() == ["g1", "g2"]  # over budget, but pinned
-        catalog.unpin("g1")  # now evictable → back under budget
+        catalog.unpin(entry)  # now evictable → back under budget
         assert catalog.names() == ["g2"]
+
+    def test_unpin_releases_the_entry_it_pinned(self):
+        """A name replaced between pin and unpin keeps the new entry's pin."""
+        catalog = GraphCatalog()
+        catalog.register("g", complete_graph(4))
+        old = catalog.pin("g")
+        catalog.register("g", complete_graph(5), replace=True)
+        new = catalog.pin("g")
+        catalog.unpin(old)
+        assert (old.pins, new.pins) == (0, 1)
+        catalog.unpin(new)
+        assert new.pins == 0
+
+    def test_a_replaced_graph_keeps_its_running_query_pinned(self):
+        """The query on the new entry holds its pin while the query that
+        pinned the old entry finishes, so the new entry cannot be evicted
+        under it."""
+        g = complete_graph(30)
+        probe = GraphCatalog()
+        bytes_each = probe.register("probe", g, relabel=False).memory_bytes()
+        catalog = GraphCatalog(capacity_bytes=int(bytes_each * 1.5))
+        catalog.register("g", g, relabel=False)
+        old = catalog.pin("g")
+        catalog.register("g", complete_graph(30), relabel=False, replace=True)
+        new = catalog.pin("g")
+        catalog.unpin(old)
+        catalog.register("h", complete_graph(30), relabel=False)
+        assert "g" in catalog.names() and new.pins == 1
 
     def test_catalog_memory_accounting_grows_with_stores(self, workload):
         with BenuService() as service:

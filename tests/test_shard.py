@@ -193,6 +193,49 @@ def test_register_with_halo_is_invalid_query(edges):
             node.close()
 
 
+@pytest.mark.parametrize(
+    "field", [{"partition": {"index": 0, "of": 2}}, {"unpartitioned": True}]
+)
+def test_router_register_refuses_shard_node_fields(edges, field):
+    """Broadcast, either field would give every shard the same slice (a
+    triangle count on K8 read 68 or 112, not 56)."""
+    nodes = [ShardNode(i, 2) for i in range(2)]
+    router = ShardRouter([LocalShardClient(node) for node in nodes])
+    try:
+        reply = RouterProtocol(router).handle_line(json.dumps({
+            "op": "register", "name": "g", "edges": edges, "relabel": False,
+            **field,
+        }))
+        assert not reply["ok"]
+        assert reply["error"] == "invalid_query"
+        assert next(iter(field)) in reply["message"]
+        assert all(node.service.catalog.names() == [] for node in nodes)
+    finally:
+        router.close()
+        for node in nodes:
+            node.close()
+
+
+def test_router_register_counts_each_start_once():
+    from itertools import combinations
+
+    k8 = [list(e) for e in combinations(range(8), 2)]
+    nodes = [ShardNode(i, 2) for i in range(2)]
+    router = ShardRouter([LocalShardClient(node) for node in nodes])
+    protocol = RouterProtocol(router)
+    try:
+        reply = protocol.handle_line(json.dumps({
+            "op": "register", "name": "k8", "edges": k8, "relabel": False,
+        }))
+        assert reply["ok"]
+        query = router.submit("triangle", "k8", stream=False)
+        assert query.result()["count"] == 56
+    finally:
+        router.close()
+        for node in nodes:
+            node.close()
+
+
 # -------------------------------------------------------------- the matrix
 @pytest.mark.parametrize("pattern", sorted(PATTERNS))
 def test_router_matches_single_node_for_every_pattern(
