@@ -26,9 +26,8 @@ it) and ``plan/pools.py`` no module imports ``fresh_temp_index``.
 
 **One ownership rule.**  A shard's slot is one ``PartitionInfo``, and
 its ``owned_vertices`` is the one rule for which start vertices the shard
-owns.  The hash under it is shared with the KV store's regions only, so
-outside ``storage/partition.py`` (which defines it) and
-``storage/kvstore.py`` no module imports ``partition_of``.
+owns.  So outside ``storage/partition.py``, which defines the hash under
+it, no module imports ``partition_of``.
 
 **One wire front door.**  Every op is served through one dispatcher,
 one stdio loop and one TCP server (``repro.service.protocol``) and every
@@ -51,6 +50,12 @@ calls), and ``kernels/``, ``plan/`` and ``graph/`` import no ``numpy``
 symmetry-broken estimate, ``estimate_prefix_matches``, so the search and
 the plan walks cannot disagree on what a prefix costs.  So inside
 ``plan/`` only ``plan/cost.py`` calls ``estimate_matches``.
+
+**One store build.**  A run's distributed store carries its config's
+latency model and row price, built by ``build_store(graph, config)``.
+So outside ``storage/`` and ``engine/config.py`` (which defines
+``build_store``) no module calls ``DistributedKVStore(...)`` or
+``DistributedKVStore.from_graph``.
 
 **One pool.**  The process backend forks its own workers, one pipe
 each, so the parent knows which chunk died with which worker.  So no
@@ -105,10 +110,9 @@ METRIC_MODULES = ("repro.telemetry.registry", "repro.telemetry.snapshot")
 FRESH_TEMPS = "fresh_temp_index"
 POOL_REWRITERS = ("plan/optimizer.py", "plan/pools.py")
 
-#: The ownership hash, and the modules that may import it: its home and
-#: the KV store's region placement.
+#: The ownership hash, and the module that may import it: its home.
 OWNERSHIP_HASH = "partition_of"
-HASH_USERS = ("storage/partition.py", "storage/kvstore.py")
+HASH_USERS = ("storage/partition.py",)
 
 #: Transport module -> the one module that may import it.
 WIRE_DOORS = {
@@ -134,6 +138,11 @@ BORROWED_POOL = "multiprocessing.pool"
 #: The raw match estimate, which inside ``plan/`` only its module calls.
 ESTIMATE = "estimate_matches"
 ESTIMATE_FILE = "plan/cost.py"
+
+#: The store class, and where it may be built: its own layer and the
+#: module defining ``build_store``.
+STORE_CLASS = "DistributedKVStore"
+STORE_BUILDERS = ("storage/", "engine/config.py")
 
 
 def metric_names(root: Path) -> set:
@@ -199,6 +208,8 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
         violations += _lint_one_pool(path, lineno, module, names, out)
     if rel.startswith("plan/") and rel != ESTIMATE_FILE:
         violations += _lint_one_estimate(path, tree, out)
+    if not rel.startswith(STORE_BUILDERS):
+        violations += _lint_one_store_build(path, tree, out)
     return violations
 
 
@@ -348,6 +359,27 @@ def _lint_one_estimate(path, tree, out) -> int:
             f"{path}:{node.lineno}: calls {ESTIMATE!r} — one estimate: price "
             "a prefix with repro.plan.cost.estimate_prefix_matches, which "
             "applies the symmetry share",
+            file=out,
+        )
+        violations += 1
+    return violations
+
+
+def _lint_one_store_build(path, tree, out) -> int:
+    violations = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "from_graph":
+            func = func.value
+        if STORE_CLASS not in (
+            getattr(func, "id", None), getattr(func, "attr", None)
+        ):
+            continue
+        print(
+            f"{path}:{node.lineno}: builds a {STORE_CLASS} — one store "
+            "build: call repro.engine.config.build_store(graph, config)",
             file=out,
         )
         violations += 1

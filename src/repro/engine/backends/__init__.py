@@ -32,7 +32,7 @@ from .base import (
 )
 from .inline import InlineBackend, InterpretedPlan
 from .process import ProcessBackend
-from .simulated import SimulatedBackend, build_store
+from .simulated import SimulatedBackend
 
 #: Registry keyed by ``BenuConfig.execution_backend`` value.
 EXECUTION_BACKENDS: Dict[str, Type[ExecutionBackend]] = {
@@ -63,7 +63,6 @@ __all__ = [
     "ProcessBackend",
     "SimulatedBackend",
     "WorkerLedger",
-    "build_store",
     "finish_run",
     "get_backend",
     "mirror",

@@ -28,9 +28,10 @@ import time as _time
 from array import array
 
 from ...plan.codegen import ENU_STEPS, INT_OPS, RESULTS, compile_plan
-from ...storage.kvstore import DistributedKVStore
+from ...storage.cache import CachePool
 from ...telemetry.registry import DEFAULT_BYTES_BUCKETS, MetricsRegistry
 from ...telemetry.snapshot import H_DB_QUERY_BYTES
+from ..config import build_store
 from ..sinks import BLOCK_ROWS, block_emitter, row_blocks
 from ..worker import Worker
 from ...telemetry.events import EV_TASK_DISPATCHED, EV_TASK_FINISHED
@@ -55,19 +56,6 @@ from .base import (
 #: budget plus one task.
 CHUNK_WORK = 20_000
 TASK_WORK = 32
-
-
-def build_store(request: ExecutionRequest) -> DistributedKVStore:
-    """The request's store, building a fresh one when no owner handed one in."""
-    if request.store is not None:
-        return request.store
-    config = request.config
-    return DistributedKVStore.from_graph(
-        request.graph,
-        num_partitions=config.num_partitions,
-        latency=config.latency,
-        backend=config.adjacency_backend,
-    )
 
 
 class SimulatedBackend(ExecutionBackend):
@@ -167,7 +155,9 @@ class SimulatedBackend(ExecutionBackend):
         registry = MetricsRegistry()
         wall0 = _time.perf_counter()
 
-        store = build_store(request)
+        store = request.store
+        if store is None:
+            store = build_store(request.graph, config)
         vset = frozenset(request.graph.vertices)
         tasks = resolve_tasks(request, tracer)
         request.progress.set_total_tasks(len(tasks))
@@ -191,20 +181,21 @@ class SimulatedBackend(ExecutionBackend):
         worker_caches = request.worker_caches
         try:
             with tracer.span("execution") as exec_span:
-                if worker_caches is not None and len(worker_caches) != config.num_workers:
+                if worker_caches is None:
+                    worker_caches = CachePool(
+                        store,
+                        config.num_workers,
+                        capacity_bytes=config.cache_capacity_bytes,
+                        policy=config.cache_policy,
+                    ).caches
+                elif len(worker_caches) != config.num_workers:
                     raise ValueError(
                         f"need one cache per worker: got {len(worker_caches)} "
                         f"for {config.num_workers} workers"
                     )
                 workers = [
-                    Worker(
-                        i,
-                        store,
-                        config,
-                        tracer=tracer,
-                        cache=worker_caches[i] if worker_caches else None,
-                    )
-                    for i in range(config.num_workers)
+                    Worker(i, cache, config, tracer=tracer)
+                    for i, cache in enumerate(worker_caches)
                 ]
                 self._run_chunks(
                     request, tasks, workers, runner, vset, emit_block

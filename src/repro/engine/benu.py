@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..graph.graph import Graph, Vertex
 from ..graph.order import invert_mapping, relabel_by_degree_order
@@ -34,11 +34,13 @@ from ..plan.search import generate_best_plan
 from ..plan.validate import validate_plan
 from ..telemetry.runtime import Telemetry
 from .backends import ExecutionRequest, get_backend
-from .cluster import SimulatedCluster
 from .config import BenuConfig
 from .control import ExecutionControl
 from .results import BenuResult
 from .sinks import TranslatingSink, block_translator
+
+if TYPE_CHECKING:  # the cluster runs plans through execute_plan
+    from .cluster import SimulatedCluster
 
 PatternLike = Union[Graph, PatternGraph]
 
@@ -188,7 +190,7 @@ def execute_plan(
     prepared: PreparedData,
     config: Optional[BenuConfig] = None,
     telemetry: Optional[Telemetry] = None,
-    cluster: Optional[SimulatedCluster] = None,
+    cluster: Optional["SimulatedCluster"] = None,
     sink=None,
     control: Optional[ExecutionControl] = None,
     tasks=None,
@@ -199,11 +201,12 @@ def execute_plan(
     """Run ``plan`` over prepared data and translate results back.
 
     The runtime is ``config.execution_backend``: the in-process backends
-    (simulated / inline) run over a distributed store — ``cluster`` reuses
-    an existing :class:`SimulatedCluster`'s store and config, otherwise
-    one is built — while the process backend fans tasks out over OS
-    worker processes against the raw graph (``cluster``/``worker_caches``
-    are ignored there).
+    (simulated / inline) run over a distributed store — ``cluster`` lends
+    an existing :class:`SimulatedCluster`'s store (and its telemetry when
+    none is given; the run keeps ``config``), otherwise one is built —
+    while the process backend fans tasks out over OS worker processes
+    against the raw graph (the store and ``worker_caches`` are ignored
+    there).
 
     ``worker_caches`` keeps worker database caches warm across calls;
     ``sink`` streams matches instead of collecting them (``collect=True``
@@ -227,15 +230,11 @@ def execute_plan(
             plan, *prepared.degree_pools(plan.pattern), start_vertices,
             stats=GraphStats.of(prepared.graph),
         )
-    backend_name = config.execution_backend
-    if telemetry is None:
-        telemetry = (
-            cluster.telemetry if cluster is not None else Telemetry(config.telemetry)
-        )
     store = None
-    if cluster is not None and backend_name != "process":
-        # The in-process backends run on the cluster's config and store.
-        config, store = cluster.config, cluster.store
+    if cluster is not None:
+        store = cluster.store
+        if telemetry is None:
+            telemetry = cluster.telemetry
     request = ExecutionRequest(
         plan=plan,
         graph=prepared.graph,
@@ -257,7 +256,7 @@ def execute_plan(
         request.sink = TranslatingSink(
             request.sink, prepared.inverse, prepared.inverse_blocks
         )
-    result = get_backend(backend_name).execute(request)
+    result = get_backend(config.execution_backend).execute(request)
     if prepared.relabeled:
         result.id_mapping = prepared.inverse
     return result

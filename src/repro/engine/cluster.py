@@ -1,10 +1,9 @@
 """The simulated shared-nothing cluster (Fig. 2's architecture).
 
-The task loop lives in :mod:`repro.engine.backends`;
-:class:`SimulatedCluster` is the façade the rest of the repo —
-experiments, benchmarks, the labeled-matching layer, the query service —
-drives: it owns the distributed KV store for one data graph
-and runs plans through whichever in-process backend the config selects.
+:class:`SimulatedCluster` is the façade experiments, benchmarks and the
+query service drive: it owns the distributed KV store for one data
+graph, and :meth:`~SimulatedCluster.run_plan` runs a plan on that store
+through :func:`~repro.engine.benu.execute_plan`, the one run path.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ from ..graph.graph import Graph
 from ..plan.generation import ExecutionPlan
 from ..storage.kvstore import DistributedKVStore
 from ..telemetry.runtime import Telemetry
-from .backends import ExecutionRequest, get_backend
-from .config import BenuConfig
+from .benu import PreparedData, execute_plan
+from .config import BenuConfig, build_store
 from .control import ExecutionControl
 from .local_task import LocalSearchTask
 from .results import BenuResult
@@ -39,16 +38,13 @@ class SimulatedCluster:
         store: Optional[DistributedKVStore] = None,
     ) -> None:
         self.config = config or BenuConfig()
-        self.data = data
+        #: ``data`` as it runs (no relabeling): its degree pools are built
+        #: once per cluster.
+        self.prepared = PreparedData(data)
         self.telemetry = (
             telemetry if telemetry is not None else Telemetry(self.config.telemetry)
         )
-        self.store = store if store is not None else DistributedKVStore.from_graph(
-            data,
-            num_partitions=self.config.num_partitions,
-            latency=self.config.latency,
-            backend=self.config.adjacency_backend,
-        )
+        self.store = build_store(data, self.config) if store is None else store
 
     # ------------------------------------------------------------------
     def run_plan(
@@ -61,43 +57,18 @@ class SimulatedCluster:
         progress=None,
         start_vertices=None,
     ) -> BenuResult:
-        """Execute one plan over the whole data graph.
-
-        ``tasks`` overrides task generation (Exp-4 uses this to compare
-        splitting on/off over identical plans).  ``sink`` (see
-        :mod:`repro.engine.sinks`) is handed the results as row blocks
-        instead of collecting them in memory; when given, the result's
-        ``matches``/``codes`` stay None regardless of ``config.collect``
-        (which is itself a :class:`~repro.engine.sinks.CollectSink`).
-
-        ``control`` is checked once per chunk of tasks (see
-        :data:`repro.engine.backends.simulated.CHUNK_WORK`): a cancel or an
-        expired deadline raises the corresponding typed
-        :class:`~repro.engine.control.ExecutionInterrupted` out of this
-        method (no partial result is returned).  ``worker_caches`` hands
-        each worker an existing database cache to keep warm across runs
-        (one per worker, see :class:`~repro.storage.cache.CachePool`).
-        """
-        name = self.config.execution_backend
-        if name == "process":
-            raise ValueError(
-                "the process backend runs against the raw graph, not a "
-                "simulated store — use run_benu/execute_plan, which "
-                "dispatch on config.execution_backend"
-            )
-        backend = get_backend(name)
-        request = ExecutionRequest(
-            plan=plan,
-            graph=self.data,
-            config=self.config,
-            telemetry=self.telemetry,
-            tasks=tasks,
+        """Execute one plan over the whole data graph under the cluster's
+        config: :func:`~repro.engine.benu.execute_plan` with ``cluster=self``,
+        which documents the arguments."""
+        return execute_plan(
+            plan,
+            self.prepared,
+            self.config,
+            cluster=self,
             sink=sink,
             control=control,
-            store=self.store,
+            tasks=tasks,
             worker_caches=worker_caches,
+            progress=progress,
             start_vertices=start_vertices,
         )
-        if progress is not None:
-            request.progress = progress
-        return backend.execute(request)

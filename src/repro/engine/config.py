@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..faults import FaultConfig
-from ..storage.kvstore import LatencyModel
+from ..graph.graph import Graph
+from ..storage.kvstore import DistributedKVStore, LatencyModel
 from ..telemetry.runtime import TelemetryConfig
 
 #: The row prices a store can charge (``BenuConfig.adjacency_backend``).
@@ -108,8 +109,6 @@ class BenuConfig:
     #: Relabel the data graph by the (degree, id) total order first.
     #: Disable when the graph is already relabeled (the bundled datasets are).
     relabel: bool = True
-    #: Storage partitions of the distributed KV store.
-    num_partitions: int = 16
     #: Database latency model.
     latency: LatencyModel = field(default_factory=LatencyModel)
     #: Per-operation simulated costs.
@@ -158,3 +157,15 @@ class BenuConfig:
                 f"unknown cache policy {self.cache_policy!r}; "
                 f"options: {sorted(POLICIES)}"
             )
+
+
+def build_store(graph: Graph, config: BenuConfig) -> DistributedKVStore:
+    """The distributed store ``config`` describes, loaded with ``graph``.
+
+    The one store build: the cluster, the simulated backend and the
+    service's catalog all call it, so a store's latency and row price
+    are always the config's.
+    """
+    return DistributedKVStore.from_graph(
+        graph, latency=config.latency, backend=config.adjacency_backend
+    )

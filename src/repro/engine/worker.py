@@ -1,10 +1,11 @@
 """A simulated worker machine (one of the paper's reducers).
 
-Each worker owns a byte-bounded LRU database cache shared by its working
-threads, a communication ledger, and per-thread simulated clocks.  Task
-execution is real (the compiled plan actually runs); *time* is simulated
-deterministically from the measured instruction counters and the latency
-model, so scalability and skew figures are reproducible run to run.
+Each worker runs its tasks on a byte-bounded LRU database cache shared
+by its working threads, and keeps a communication ledger and per-thread
+simulated clocks.  Task execution is real (the compiled plan actually
+runs); *time* is simulated deterministically from the measured
+instruction counters and the latency model, so scalability and skew
+figures are reproducible run to run.
 
 Running a task records only what cannot be recomputed — its raw counters,
 the DB round-trip seconds it caused, its wall time.  Simulated seconds,
@@ -21,7 +22,7 @@ from typing import Callable, FrozenSet, List, Optional, Tuple
 
 from ..plan.codegen import DBQ_OPS, RESULTS, CompiledPlan, TaskCounters
 from ..storage.cache import CacheStats, LRUDatabaseCache
-from ..storage.kvstore import DistributedKVStore, QueryStats
+from ..storage.kvstore import QueryStats
 from .config import BenuConfig
 from .local_task import LocalSearchTask
 
@@ -46,30 +47,20 @@ class Worker:
     def __init__(
         self,
         worker_id: int,
-        store: DistributedKVStore,
+        cache: LRUDatabaseCache,
         config: BenuConfig,
         tracer=None,
-        cache: Optional[LRUDatabaseCache] = None,
     ) -> None:
         self.worker_id = worker_id
         self.config = config
+        # The cache may outlive the run (the query service keeps one per
+        # worker slot per graph): rebind its ledger so this run's store
+        # traffic is accounted here, and remember its running totals so
+        # ``cache_stats`` stays per-run.
         self.query_stats = QueryStats()
-        if cache is not None:
-            # Adopt a warm cache owned by a longer-lived holder (the query
-            # service keeps one per worker slot per graph).  Rebind its
-            # ledger so this run's store traffic is accounted here, and
-            # remember the running totals so ``cache_stats`` stays per-run.
-            cache.query_stats = self.query_stats
-            self.cache = cache
-            self._cache_base = cache.stats.copy()
-        else:
-            self.cache = LRUDatabaseCache(
-                store,
-                capacity_bytes=config.cache_capacity_bytes,
-                query_stats=self.query_stats,
-                policy=config.cache_policy,
-            )
-            self._cache_base = CacheStats()
+        cache.query_stats = self.query_stats
+        self.cache = cache
+        self._cache_base = cache.stats.copy()
         # Compiled plans get a lookup that counts only misses; the hits
         # are settled per task from the DBQ count (see ``uncounted_getter``).
         self._get_adj = self.cache.uncounted_getter()
@@ -110,6 +101,8 @@ class Worker:
             self._get_adj,
             vset=vset,
             emit=emit,
+            # A fresh triangle cache per task: every key holds the start
+            # vertex, so no other task could hit it.
             tcache={},
             candidate_override=task.candidate_slice,
         )

@@ -6,7 +6,7 @@ and every subsequent query reuses:
 
 * the degree-relabeled graph and its id translation (``PreparedData``);
 * the distributed KV store built from it (one per storage profile —
-  adjacency backend × partitions × latency model);
+  adjacency backend × latency model);
 * warm per-worker database caches (:class:`~repro.storage.cache.CachePool`),
   checked out exclusively per running query and returned warm.
 
@@ -21,7 +21,7 @@ import threading
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..engine.benu import PreparedData, prepare_data
-from ..engine.config import BenuConfig
+from ..engine.config import BenuConfig, build_store
 from ..faults import NULL_INJECTOR, SITE_CATALOG_EVICT
 from ..graph.graph import Graph
 from ..labeled.graphs import LabeledGraph
@@ -34,13 +34,13 @@ from ..telemetry.snapshot import G_CATALOG_BYTES, M_CATALOG_EVICTIONS
 from .errors import InvalidQueryError, UnknownGraphError
 
 #: Identifies which distributed store a config needs.
-StoreKey = Tuple[str, int, object]
+StoreKey = Tuple[str, object]
 #: Identifies which warm cache pool a config needs (on top of a store).
 PoolKey = Tuple[StoreKey, int, Optional[int], str]
 
 
 def _store_key(config: BenuConfig) -> StoreKey:
-    return (config.adjacency_backend, config.num_partitions, config.latency)
+    return (config.adjacency_backend, config.latency)
 
 
 def _pool_key(config: BenuConfig) -> PoolKey:
@@ -117,13 +117,9 @@ class CatalogEntry:
         with self._lock:
             store = self._stores.get(key)
             if store is None:
-                store = DistributedKVStore.from_graph(
-                    self.prepared.graph,
-                    num_partitions=config.num_partitions,
-                    latency=config.latency,
-                    backend=config.adjacency_backend,
+                store = self._stores[key] = build_store(
+                    self.prepared.graph, config
                 )
-                self._stores[key] = store
             return store
 
     def checkout_pool(self, config: BenuConfig) -> Tuple[PoolKey, CachePool]:

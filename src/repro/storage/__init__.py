@@ -1,11 +1,10 @@
 """Storage substrate: distributed KV store, caches, serialization."""
 
-from .cache import CacheStats, LRUDatabaseCache, new_triangle_cache
+from .cache import CacheStats, LRUDatabaseCache
 from .policies import (
     POLICIES,
     FIFOPolicy,
     LFUPolicy,
-    LRUPolicy,
     RandomPolicy,
     ReplacementPolicy,
     make_policy,
@@ -27,12 +26,10 @@ __all__ = [
     "POLICIES",
     "FIFOPolicy",
     "LFUPolicy",
-    "LRUPolicy",
     "RandomPolicy",
     "ReplacementPolicy",
     "make_policy",
     "LRUDatabaseCache",
-    "new_triangle_cache",
     "DistributedKVStore",
     "LatencyModel",
     "QueryStats",

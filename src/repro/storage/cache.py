@@ -1,4 +1,4 @@
-"""The local database cache and the per-thread triangle cache (Section V-A).
+"""The local database cache (Section V-A).
 
 Each worker machine runs one :class:`LRUDatabaseCache` shared by all of its
 working threads.  It holds adjacency sets fetched from the distributed
@@ -16,10 +16,6 @@ and a ``move_to_end``; a miss reads the store's priced record, books it
 on the cache, store and worker ledgers, evicts with
 ``popitem(last=False)`` and inserts, all in the same frame.  FIFO, LFU
 and random keep a policy object and the method path.
-
-The triangle cache (Optimization 3) is just a dict created fresh per local
-search task: every key contains the task's start vertex, so entries cannot
-help any other task and the dict's lifetime bounds its size by d(start).
 """
 
 from __future__ import annotations
@@ -176,12 +172,7 @@ class LRUDatabaseCache:
         self._entry_bytes.clear()
         self._used_bytes = 0
         policy = make_policy(self.policy_name)  # rejects an unknown name
-        evicts_by_policy = self.capacity_bytes is not None and self.policy_name != "lru"
-        self._policy = policy if evicts_by_policy else None
-
-    def as_getter(self) -> Callable[[Vertex], FrozenSet[Vertex]]:
-        """The ``get_adj`` callable handed to compiled plans."""
-        return self.get
+        self._policy = policy if self.capacity_bytes is not None else None
 
     def uncounted_getter(self) -> Callable[[Vertex], FrozenSet[Vertex]]:
         """A ``get_adj`` that counts misses but not hits.
@@ -318,7 +309,3 @@ class CachePool:
     def __len__(self) -> int:
         return len(self.caches)
 
-
-def new_triangle_cache() -> dict:
-    """A fresh per-task triangle cache (see module docstring)."""
-    return {}

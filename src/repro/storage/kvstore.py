@@ -1,11 +1,11 @@
-"""A hash-partitioned distributed key-value store (the HBase stand-in).
+"""The distributed key-value store (the HBase stand-in).
 
 BENU stores the data graph's adjacency sets in a distributed database and
-queries them on demand (Section III).  This module simulates that database
-faithfully for everything the paper measures:
+queries them on demand (Section III).  BENU touches that database only
+through ``GetAdj``, and this module simulates what the paper measures of
+it:
 
-* keys (vertex ids) are hash-partitioned across a configurable number of
-  storage nodes, like HBase regions;
+* one table of priced rows, keyed by vertex id;
 * every ``get`` is accounted: query count, bytes transferred (serialized
   adjacency size), and simulated latency (per-query overhead + per-byte
   transfer time on the paper's 1 Gbps Ethernet);
@@ -20,11 +20,10 @@ path — reads that one record, so there is one accounting rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..graph.graph import Graph, Vertex
-from .partition import partition_of
 from .serialization import adjacency_size_bytes, packed_size_bytes
 
 #: ``backend`` -> the byte price of one stored row.
@@ -68,7 +67,7 @@ class LatencyModel:
 
 
 class DistributedKVStore:
-    """Adjacency sets of a data graph, hash-partitioned over storage nodes.
+    """Adjacency sets of a data graph, one priced row per vertex.
 
     Every value is a frozenset.  ``backend`` picks only the byte price
     of a value, which is what the cache capacity and the communication
@@ -77,7 +76,7 @@ class DistributedKVStore:
     int64 posting list.
 
     >>> from repro.graph.graph import complete_graph
-    >>> store = DistributedKVStore.from_graph(complete_graph(3), num_partitions=2)
+    >>> store = DistributedKVStore.from_graph(complete_graph(3))
     >>> sorted(store.get(1))
     [2, 3]
     >>> store.stats.queries
@@ -85,22 +84,15 @@ class DistributedKVStore:
     """
 
     def __init__(
-        self,
-        num_partitions: int = 16,
-        latency: LatencyModel = LatencyModel(),
-        backend: str = "frozenset",
+        self, latency: LatencyModel = LatencyModel(), backend: str = "frozenset"
     ) -> None:
-        if num_partitions < 1:
-            raise ValueError("need at least one partition")
         price = _PRICES.get(backend)
         if price is None:
             raise ValueError(f"unknown adjacency backend {backend!r}")
-        self.num_partitions = num_partitions
         self.latency = latency
         self.backend = backend
         self._price = price
-        self._partitions: list = [dict() for _ in range(num_partitions)]
-        #: Every partition's records in one table: what a query reads.
+        #: The priced rows: what a query reads.
         self.records: Dict[Vertex, Record] = {}
         self.stats = QueryStats()
         #: Optional telemetry hook called as ``(key, nbytes, cost_seconds)``
@@ -112,28 +104,22 @@ class DistributedKVStore:
     def from_graph(
         cls,
         graph: Graph,
-        num_partitions: int = 16,
         latency: LatencyModel = LatencyModel(),
         backend: str = "frozenset",
     ) -> "DistributedKVStore":
         """Load a data graph — the preprocessing step of Algorithm 2 line 1."""
-        store = cls(num_partitions, latency, backend=backend)
+        store = cls(latency, backend=backend)
         for v in graph.vertices:
             store.put(v, graph.neighbors(v))
         return store
-
-    def partition_of(self, key: Vertex) -> int:
-        # The canonical hash rule shared with shard ownership (see
-        # repro.storage.partition) — regions and shards can never drift.
-        return partition_of(key, self.num_partitions)
 
     def put(self, key: Vertex, neighbors: FrozenSet[Vertex]) -> None:
         # ``frozenset`` of a frozenset is the same object: a graph's rows
         # are stored, not copied.
         nbytes = self._price(neighbors)
-        record = (frozenset(neighbors), nbytes, self.latency.query_cost(nbytes))
-        self._partitions[self.partition_of(key)][key] = record
-        self.records[key] = record
+        self.records[key] = (
+            frozenset(neighbors), nbytes, self.latency.query_cost(nbytes)
+        )
 
     # ------------------------------------------------------------------
     def get(
@@ -167,7 +153,7 @@ class DistributedKVStore:
         self.stats = QueryStats()
 
     def __len__(self) -> int:
-        return sum(len(p) for p in self._partitions)
+        return len(self.records)
 
     def total_bytes(self) -> int:
         """Serialized size of the whole stored graph (Fig. 8 denominator)."""

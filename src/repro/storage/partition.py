@@ -1,12 +1,9 @@
 """One shard's slot in a partitioned deployment, and the rule it owns by.
 
-The distributed KV store has always hash-partitioned adjacency rows
-across storage nodes (:class:`~repro.storage.kvstore.DistributedKVStore`
-``partition_of``); the sharded serving tier splits BENU's task space by
-the same hash:
+The sharded serving tier splits BENU's task space by a hash of the start
+vertex:
 
-* :func:`partition_of` — the canonical ``key → partition`` hash, used
-  identically by KV-store regions and shard ownership;
+* :func:`partition_of` — the canonical ``key → partition`` hash;
 * :class:`PartitionInfo` — the one description of "shard *i* of *N*",
   JSON round-trippable so it travels in the ``register`` op and lives on
   the catalog entry; its :meth:`~PartitionInfo.owned_vertices` is the
@@ -28,16 +25,13 @@ from typing import Tuple
 from ..graph.graph import Graph, Vertex
 
 
-def partition_of(key: Vertex, num_partitions: int) -> int:
-    """The canonical hash assignment of a key to one of N partitions.
-
-    KV-store regions and shard ownership both use this one rule, so
-    their assignments can never drift apart.
+def partition_of(key: Vertex, shards: int) -> int:
+    """The canonical hash assignment of a key to one of ``shards`` shards.
 
     >>> [partition_of(v, 3) for v in range(6)]
     [0, 1, 2, 0, 1, 2]
     """
-    return hash(key) % num_partitions
+    return hash(key) % shards
 
 
 @dataclass(frozen=True)

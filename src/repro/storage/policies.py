@@ -6,7 +6,9 @@ policy pluggable.  This module provides the classic alternatives so the
 choice can be ablated (see ``benchmarks/bench_ablation_cache_policy.py``):
 
 * **LRU** — evict the least-recently-used entry (the paper's choice;
-  matches backtracking's revisit-recent-neighborhood locality);
+  matches backtracking's revisit-recent-neighborhood locality).  A
+  bounded cache's entry table is an ``OrderedDict`` that is its own
+  recency order, so LRU needs no policy object;
 * **FIFO** — evict the oldest entry regardless of use;
 * **LFU** — evict the least-frequently-used entry;
 * **RANDOM** — evict a (deterministically seeded) random entry.
@@ -36,26 +38,6 @@ class ReplacementPolicy:
     def victim(self) -> Hashable:
         """The key to evict next.  Undefined when empty."""
         raise NotImplementedError
-
-
-class LRUPolicy(ReplacementPolicy):
-    """Least recently used — the paper's default (a bounded database cache
-    keeps its own order instead: its entry table is an ``OrderedDict``)."""
-
-    def __init__(self) -> None:
-        self._order: "OrderedDict[Hashable, None]" = OrderedDict()
-
-    def on_insert(self, key: Hashable) -> None:
-        self._order[key] = None
-
-    def on_hit(self, key: Hashable) -> None:
-        self._order.move_to_end(key)
-
-    def on_evict(self, key: Hashable) -> None:
-        self._order.pop(key, None)
-
-    def victim(self) -> Hashable:
-        return next(iter(self._order))
 
 
 class FIFOPolicy(ReplacementPolicy):
@@ -130,18 +112,20 @@ class RandomPolicy(ReplacementPolicy):
 
 
 POLICIES = {
-    "lru": LRUPolicy,
+    "lru": None,  # a bounded LRU table is its own recency order
     "fifo": FIFOPolicy,
     "lfu": LFUPolicy,
     "random": RandomPolicy,
 }
 
 
-def make_policy(name: str, seed: int = 0) -> ReplacementPolicy:
-    """Instantiate a replacement policy by name.
+def make_policy(name: str, seed: int = 0) -> Optional[ReplacementPolicy]:
+    """Instantiate a replacement policy by name; None for ``"lru"``.
 
-    >>> make_policy("lru").__class__.__name__
-    'LRUPolicy'
+    >>> make_policy("fifo").__class__.__name__
+    'FIFOPolicy'
+    >>> make_policy("lru") is None
+    True
     """
     try:
         cls = POLICIES[name]
@@ -149,6 +133,8 @@ def make_policy(name: str, seed: int = 0) -> ReplacementPolicy:
         raise KeyError(
             f"unknown replacement policy {name!r}; options: {sorted(POLICIES)}"
         ) from None
+    if cls is None:
+        return None
     if cls is RandomPolicy:
         return cls(seed=seed)
     return cls()

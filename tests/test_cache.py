@@ -6,7 +6,7 @@ import pytest
 
 from repro.graph.generators import chung_lu
 from repro.graph.graph import complete_graph, star_graph
-from repro.storage.cache import CacheStats, LRUDatabaseCache, new_triangle_cache
+from repro.storage.cache import CacheStats, LRUDatabaseCache
 from repro.storage.kvstore import DistributedKVStore
 from repro.storage.policies import POLICIES
 
@@ -107,12 +107,6 @@ class TestCapacity:
 
 
 class TestInterfaces:
-    def test_as_getter(self):
-        g = complete_graph(3)
-        cache = LRUDatabaseCache(store_for(g))
-        get = cache.as_getter()
-        assert get(2) == g.neighbors(2)
-
     def test_query_stats_ledger_counts_misses_only(self):
         from repro.storage.kvstore import QueryStats
 
@@ -121,10 +115,6 @@ class TestInterfaces:
         cache.get(1)
         cache.get(1)
         assert ledger.queries == 1
-
-    def test_new_triangle_cache_is_fresh_dict(self):
-        a, b = new_triangle_cache(), new_triangle_cache()
-        assert a == {} and a is not b
 
 
 class TestUncountedGetter:

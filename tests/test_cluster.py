@@ -13,6 +13,7 @@ from repro.pattern.pattern_graph import PatternGraph
 from repro.plan.codegen import compile_plan
 from repro.plan.generation import generate_raw_plan
 from repro.plan.optimizer import optimize
+from repro.storage.cache import LRUDatabaseCache
 from repro.storage.kvstore import DistributedKVStore
 
 
@@ -31,7 +32,7 @@ class TestWorker:
     def test_executes_and_accounts(self, data_graph):
         config = BenuConfig(num_workers=1, threads_per_worker=2, relabel=False)
         store = DistributedKVStore.from_graph(data_graph)
-        worker = Worker(0, store, config)
+        worker = Worker(0, LRUDatabaseCache(store), config)
         compiled = compile_plan(plan_for("triangle"))
         vset = frozenset(data_graph.vertices)
         for v in data_graph.vertices:
@@ -46,7 +47,7 @@ class TestWorker:
     def test_thread_load_balancing(self, data_graph):
         config = BenuConfig(num_workers=1, threads_per_worker=4, relabel=False)
         store = DistributedKVStore.from_graph(data_graph)
-        worker = Worker(0, store, config)
+        worker = Worker(0, LRUDatabaseCache(store), config)
         compiled = compile_plan(plan_for("triangle"))
         vset = frozenset(data_graph.vertices)
         for v in data_graph.vertices:
@@ -64,7 +65,7 @@ class TestWorker:
         assignments = []
         for _ in range(2):
             store = DistributedKVStore.from_graph(data_graph)
-            worker = Worker(0, store, config)
+            worker = Worker(0, LRUDatabaseCache(store), config)
             for v in data_graph.vertices:
                 worker.execute_task(compiled, LocalSearchTask(v), vset)
             assignments.append([r.thread_id for r in worker.reports])
@@ -154,3 +155,51 @@ class TestCluster:
         ).run_plan(plan)
         assert without.communication.queries > with_cache.communication.queries
         assert without.count == with_cache.count
+
+
+class TestOneRunPath:
+    """``run_plan`` is ``execute_plan(..., cluster=)``, and a cluster lends
+    its store to ``execute_plan`` without overriding the caller's config."""
+
+    @pytest.fixture(scope="class")
+    def skewed(self):
+        return chung_lu(300, 5.0, exponent=2.2, seed=3)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            BenuConfig(degree_filter=True),
+            BenuConfig(degree_filter=True, cache_capacity_bytes=2000),
+            BenuConfig(degree_filter=True, execution_backend="inline"),
+            BenuConfig(execution_backend="process", num_workers=2),
+        ],
+        ids=["degree-filter", "degree-filter-bounded", "inline", "process"],
+    )
+    def test_run_plan_reads_what_execute_plan_reads(self, skewed, config):
+        from repro.engine.benu import PreparedData, build_plan, execute_plan
+
+        plan = build_plan(get_pattern("clique4"), skewed)
+        ran = SimulatedCluster(skewed, config).run_plan(plan)
+        executed = execute_plan(plan, PreparedData(skewed), config)
+        assert ran.count == executed.count == 373
+        assert ran.num_tasks == executed.num_tasks
+        assert ran.counters == executed.counters
+        assert ran.communication == executed.communication
+        assert ran.cache == executed.cache
+
+    @pytest.mark.parametrize("backend", ["simulated", "inline"])
+    def test_execute_plan_keeps_the_callers_config(self, backend):
+        from repro.engine.benu import PreparedData, build_plan, execute_plan
+        from repro.graph.graph import complete_graph
+
+        prepared = PreparedData(complete_graph(6))
+        cluster = SimulatedCluster(prepared.graph, BenuConfig())
+        config = BenuConfig(collect=True, execution_backend=backend)
+        plan = build_plan(get_pattern("triangle"), prepared.graph)
+        result = execute_plan(plan, prepared, config, cluster=cluster)
+        assert sorted(result.matches) == sorted(
+            (a, b, c)
+            for a in range(1, 7)
+            for b in range(a + 1, 7)
+            for c in range(b + 1, 7)
+        )

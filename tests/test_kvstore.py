@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.graph.graph import complete_graph, star_graph
+from repro.graph.graph import complete_graph
 from repro.storage.kvstore import DistributedKVStore, LatencyModel, QueryStats
 from repro.storage.serialization import adjacency_size_bytes
 
@@ -22,17 +22,6 @@ class TestBasics:
     def test_len_counts_keys(self):
         store = DistributedKVStore.from_graph(complete_graph(5))
         assert len(store) == 5
-
-    def test_partitioning_spreads_keys(self):
-        g = star_graph(63)  # 64 vertices
-        store = DistributedKVStore.from_graph(g, num_partitions=4)
-        sizes = [len(p) for p in store._partitions]
-        assert sum(sizes) == 64
-        assert all(s > 0 for s in sizes)
-
-    def test_bad_partition_count(self):
-        with pytest.raises(ValueError):
-            DistributedKVStore(num_partitions=0)
 
 
 class TestAccounting:

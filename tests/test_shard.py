@@ -40,8 +40,7 @@ from repro.shard import (
     ShardRouter,
     ShardUnavailable,
 )
-from repro.storage.kvstore import DistributedKVStore
-from repro.storage.partition import PartitionInfo, partition_of
+from repro.storage.partition import PartitionInfo
 from repro.telemetry.events import stitch_event_dicts
 from repro.telemetry.registry import merge_registry_dicts
 
@@ -101,12 +100,6 @@ def _match_bytes(matches):
 
 
 # --------------------------------------------------------------- partitioner
-def test_partition_of_matches_kvstore_rule(workload):
-    store = DistributedKVStore.from_graph(workload, num_partitions=4)
-    for v in workload.vertices:
-        assert store.partition_of(v) == partition_of(v, 4)
-
-
 def _slices(graph, n):
     return [PartitionInfo(i, n).owned_vertices(graph) for i in range(n)]
 
