@@ -466,6 +466,7 @@ def _load_query_graph(args: argparse.Namespace):
 def _explain_query(args: argparse.Namespace) -> int:
     from .lang import lower_query, pretty_tree
     from .lang.run import bind_plan, prepare_local
+    from .plan.cost import GraphStats
 
     lowered = lower_query(args.text)
     print("logical tree:")
@@ -479,8 +480,10 @@ def _explain_query(args: argparse.Namespace) -> int:
         )
         return 0
     data = _load_query_graph(args)
-    plan, _, labeled = prepare_local(lowered, data, _config_from(args))
-    plan, _ = bind_plan(lowered, plan, labeled)
+    plan, prepared, labeled = prepare_local(lowered, data, _config_from(args))
+    plan, _ = bind_plan(
+        lowered, plan, labeled, stats=GraphStats.of(prepared.graph)
+    )
     print("\nphysical plan:")
     print(plan)
     return 0

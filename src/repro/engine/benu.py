@@ -26,7 +26,12 @@ from ..graph.graph import Graph, Vertex
 from ..graph.order import invert_mapping, relabel_by_degree_order
 from ..pattern.pattern_graph import PatternGraph
 from ..plan.compression import compress_plan
-from ..plan.cost import DEFAULT_STATS, GraphStats, predict_instruction_counts
+from ..plan.cost import (
+    DEFAULT_STATS,
+    GraphStats,
+    estimate_computation_cost,
+    predict_instruction_counts,
+)
 from ..plan.generation import ExecutionPlan, generate_raw_plan
 from ..plan.optimizer import apply_generalized_clique_cache, optimize
 from ..plan.pools import bind_pools
@@ -34,6 +39,7 @@ from ..plan.search import generate_best_plan
 from ..plan.validate import validate_plan
 from ..telemetry.runtime import Telemetry
 from .backends import ExecutionRequest, get_backend
+from .backends.base import run_mode
 from .config import BenuConfig
 from .control import ExecutionControl
 from .results import BenuResult
@@ -68,31 +74,74 @@ def build_plan(
     :class:`repro.telemetry.Tracer`) records the search's phases as spans.
     """
     pattern = _as_pattern(pattern)
-    stats = GraphStats.of(data) if data is not None else None
+    stats = GraphStats.of(data) if data is not None else DEFAULT_STATS
     if order is not None:
         plan = optimize(generate_raw_plan(pattern, order), optimization_level)
         if compressed:
             plan = compress_plan(plan)
     else:
-        kwargs = {"stats": stats} if stats is not None else {}
         plan = generate_best_plan(
             pattern,
+            stats,
             optimization_level=optimization_level,
             compressed=compressed,
             tracer=tracer,
-            **kwargs,
         ).plan
+    return _finish_plan(plan, optimization_level, generalized_clique_cache, stats)
+
+
+def _finish_plan(
+    plan: ExecutionPlan,
+    optimization_level: int,
+    generalized_clique_cache: bool,
+    stats: GraphStats,
+) -> ExecutionPlan:
+    """``build_plan``'s last steps: clique cache, validation, prediction."""
     if generalized_clique_cache:
         apply_generalized_clique_cache(plan)
     validate_plan(plan)
+    plan.built_with = (optimization_level, generalized_clique_cache)
     # Remember what the §IV-C estimator expects each instruction type to
     # execute, so the run can report predicted-vs-actual q-errors.  Plan
     # shape and codegen are untouched — compiled sources stay
     # byte-identical with or without the predictions.
-    plan.predicted_counts = predict_instruction_counts(
-        plan, stats if stats is not None else DEFAULT_STATS
-    )
+    plan.predicted_counts = predict_instruction_counts(plan, stats)
     return plan
+
+
+def count_plan(plan: ExecutionPlan, stats: GraphStats) -> ExecutionPlan:
+    """The plan a count-only run of ``plan`` should execute.
+
+    A count keeps no representative row, so any valid symmetry-breaking
+    conditions give it the same answer.  The twin keeps ``plan``'s order
+    and anchors the conditions along it (the earliest vertex of each
+    non-trivial orbit of the pattern's own group), so candidates are cut
+    at the first level that can cut them.  It is built like ``plan`` and
+    returned only when its estimated computation cost on ``stats`` is
+    strictly lower; otherwise ``plan`` itself.  Compressed plans, plans
+    with pools bound and hand-assembled plans stay as they are.
+
+    The choice is memoised on ``plan`` per ``stats``: a cached plan
+    derives its twin at its first count run, and every later run (and
+    ``compile_plan``'s memo on the twin) hits.
+    """
+    if plan.compressed or plan.constants or plan.built_with is None:
+        return plan
+    hit = plan.__dict__.get("_counting")
+    if hit is not None and hit[0] == stats:
+        return hit[1]
+    chosen = plan
+    conditions = tuple(plan.pattern.anchored_conditions(plan.order))
+    if conditions != plan.conditions:
+        level, clique_cache = plan.built_with
+        raw = generate_raw_plan(plan.pattern, plan.order, conditions)
+        twin = _finish_plan(optimize(raw, level), level, clique_cache, stats)
+        if estimate_computation_cost(twin, stats) < estimate_computation_cost(
+            plan, stats
+        ):
+            chosen = twin
+    plan.__dict__["_counting"] = chosen.__dict__["_counting"] = (stats, chosen)
+    return chosen
 
 
 @dataclass
@@ -222,13 +271,17 @@ def execute_plan(
     backend's queue chunks depend only on the task count and
     ``config.num_workers``.  ``config.degree_filter`` binds the graph's
     degree pools to ``plan`` here, per run, and drops the start vertices
-    of too small a degree.
+    of too small a degree.  A count-only run (no sink, no ``collect``)
+    first swaps in :func:`count_plan`'s choice, before any pool binds.
     """
     config = config or BenuConfig()
+    stats = GraphStats.of(prepared.graph)
+    if run_mode(config, sink) == "count":
+        plan = count_plan(plan, stats)
     if config.degree_filter:
         plan, start_vertices = bind_pools(
             plan, *prepared.degree_pools(plan.pattern), start_vertices,
-            stats=GraphStats.of(prepared.graph),
+            stats=stats,
         )
     store = None
     if cluster is not None:

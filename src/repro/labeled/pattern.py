@@ -2,9 +2,11 @@
 
 A labeled pattern's automorphisms must preserve labels — the symmetry
 group can only shrink, so the Grochow–Kellis partial order computed on the
-label-preserving subgroup still bijects matches and subgraphs.  Syntactic
-equivalence is refined by label for the same reason (dual orders must be
-label-isomorphic to really be duals).
+label-preserving subgroup still bijects matches and subgraphs.  Overriding
+``automorphisms`` is all it takes: :class:`PatternGraph` computes every
+condition set from that group.  Syntactic equivalence is refined by label
+for the same reason (dual orders must be label-isomorphic to really be
+duals).
 """
 
 from __future__ import annotations
@@ -13,10 +15,9 @@ from functools import cached_property
 from typing import Dict, List, Mapping
 
 from ..graph.graph import Graph, Vertex
-from ..pattern.automorphism import automorphisms, stabilizer
+from ..pattern.automorphism import automorphisms
 from ..pattern.equivalence import equivalence_classes, syntactically_equivalent
 from ..pattern.pattern_graph import PatternGraph
-from ..pattern.symmetry import Condition
 from .graphs import Label
 
 
@@ -59,23 +60,6 @@ class LabeledPatternGraph(PatternGraph):
     @cached_property
     def num_automorphisms(self) -> int:
         return len(self.automorphisms)
-
-    @cached_property
-    def symmetry_conditions(self) -> List[Condition]:
-        """Grochow–Kellis over the label-preserving subgroup."""
-        group = self.automorphisms
-        conditions: List[Condition] = []
-        while len(group) > 1:
-            orbit_of: Dict[Vertex, set] = {}
-            for v in self.vertices:
-                orbit_of[v] = {g[v] for g in group}
-            candidates = [v for v in self.vertices if len(orbit_of[v]) > 1]
-            anchor = max(candidates, key=lambda v: (len(orbit_of[v]), -v))
-            for other in sorted(orbit_of[anchor]):
-                if other != anchor:
-                    conditions.append((anchor, other))
-            group = stabilizer(group, anchor)
-        return conditions
 
     @cached_property
     def se_classes(self) -> List[List[Vertex]]:

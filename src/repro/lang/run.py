@@ -15,6 +15,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..engine.benu import (
     PreparedData,
+    count_plan,
     execute_plan,
     prepare_data,
     prepare_plan,
@@ -103,17 +104,24 @@ def bind_plan(
     plan: ExecutionPlan,
     labeled: Optional[LabeledGraph] = None,
     start_vertices: Optional[Sequence[Vertex]] = None,
+    *,
+    stats: GraphStats,
 ) -> Tuple[ExecutionPlan, Optional[Sequence[Vertex]]]:
     """The plan half: ``(plan, start_vertices)`` for ``query``.
 
     ``start_vertices`` is the caller's base (a shard's owned slice; None
-    = every vertex).  A labeled pattern's plan gets its label pools, and
-    only its start label's pool starts tasks (the degree filter's pools
-    bind in ``execute_plan``); an unsatisfiable query gets no start
-    vertices, so it runs over zero tasks on any backend.
+    = every vertex); ``stats`` are the data graph's.  A ``COUNT(*)``
+    query runs :func:`~repro.engine.benu.count_plan`'s choice.  A labeled
+    pattern's plan then gets its label pools, and only its start label's
+    pool starts tasks (the degree filter's pools bind in
+    ``execute_plan``); an unsatisfiable query gets no start vertices, so
+    it runs over zero tasks on any backend.
     """
-    if isinstance(query, LoweredQuery) and query.unsatisfiable:
-        return plan, []
+    if isinstance(query, LoweredQuery):
+        if query.unsatisfiable:
+            return plan, []
+        if query.kind == "count":
+            plan = count_plan(plan, stats)
     pattern = _pattern(query)
     if not isinstance(pattern, LabeledPatternGraph):
         return plan, start_vertices
@@ -122,8 +130,7 @@ def bind_plan(
             "query uses label predicates but the data graph has no labels"
         )
     return bind_pools(
-        plan, *label_pools(pattern, labeled), start_vertices,
-        stats=GraphStats.of(labeled.graph),
+        plan, *label_pools(pattern, labeled), start_vertices, stats=stats
     )
 
 
@@ -145,7 +152,10 @@ def execute_query(
     a compressed run's codes are expanded first.  ``runtime`` goes to
     ``execute_plan`` (telemetry, cluster, control, caches, progress).
     """
-    plan, start_vertices = bind_plan(query, plan, labeled, start_vertices)
+    plan, start_vertices = bind_plan(
+        query, plan, labeled, start_vertices,
+        stats=GraphStats.of(prepared.graph),
+    )
     group_sink = None
     if isinstance(query, LoweredQuery):
         if query.kind == "groups":

@@ -13,7 +13,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 from ..graph.graph import Graph, Vertex
 from .automorphism import automorphism_count, automorphisms
 from .equivalence import class_index, equivalence_classes
-from .symmetry import Condition, symmetry_breaking_conditions
+from .symmetry import Condition, along, grochow_kellis
 from .vertex_cover import cover_prefix_length, minimum_vertex_cover
 
 
@@ -72,8 +72,18 @@ class PatternGraph:
 
     @cached_property
     def symmetry_conditions(self) -> List[Condition]:
-        """Partial order (lo, hi) pairs: f(lo) ≺ f(hi)."""
-        return symmetry_breaking_conditions(self.graph)
+        """Partial order (lo, hi) pairs: f(lo) ≺ f(hi), over the pattern's
+        own automorphism group with the default anchors."""
+        return grochow_kellis(self.vertices, self.automorphisms)
+
+    def anchored_conditions(self, order: Sequence[Vertex]) -> List[Condition]:
+        """Grochow–Kellis over the same group, anchored along ``order``.
+
+        >>> from repro.graph.patterns import TRIANGLE
+        >>> PatternGraph(TRIANGLE).anchored_conditions([2, 3, 1])
+        [(2, 1), (2, 3), (3, 1)]
+        """
+        return grochow_kellis(self.vertices, self.automorphisms, along(order))
 
     @cached_property
     def se_classes(self) -> List[List[Vertex]]:

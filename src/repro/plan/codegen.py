@@ -10,7 +10,7 @@ Two compilation modes:
 
 * ``count``   — the function returns how many RES executions happened
   (match count for uncompressed plans, code count for compressed ones).
-  Nothing observes the order candidates are visited in, so six rules
+  Nothing observes the order candidates are visited in, so seven rules
   apply that ``collect`` must not use (they change how a counted step is
   executed, never how many steps are counted, and every ``get_adj`` call
   still happens, in the same order):
@@ -31,6 +31,10 @@ Two compilation modes:
     ``for f in C`` (``S`` cannot depend on ``f``; not the splitting
     level) is summed in closed form: ``_c = _n * (len(S) - Σ(x in S)) -
     len(C & S)`` with ``_n = len(C)``, and ``n_int += _n``.
+  - *pair tail*: a count tail right under its loop ``for f in S`` whose
+    one filter bounds its own loop's set by ``f`` (``> f`` or ``< f``;
+    not the splitting level) counts each unordered pair of ``S`` once:
+    ``_c = _n * (_n - 1) // 2`` with ``_n = len(S)``.
   - *hoisted bound*: a count tail bounding ``T = X & Y`` — an INT that
     feeds only the tail — where ``X`` and every bound vertex are fixed
     outside the innermost loop filters ``X`` once per pass of that loop
@@ -42,6 +46,10 @@ Two compilation modes:
     once per candidate; the loop head books them as ``+= _n``.
 * ``collect`` — every result is passed to an ``emit`` callback as a tuple
   indexed by sorted pattern vertex (compressed set slots are frozen).
+
+In both modes a bound filter that the plan's conditions already imply is
+not emitted: once ``f1 < f2`` holds for the mapped vertices, ``v > f1 and
+v > f2`` is ``v > f2``.  The same elements pass, in the same order.
 
 There is one compute form: ``get_adj`` serves hash sets (the data graph's
 own neighbour frozensets, whatever byte price the store puts on them),
@@ -57,7 +65,17 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from .generation import ExecutionPlan
 from .instructions import (
@@ -202,6 +220,50 @@ def _hoisted_bound(
     return feed, _operand_expr(x_op), _operand_expr(y_op)
 
 
+def _without_implied_bounds(plan: ExecutionPlan) -> List[Instruction]:
+    """``plan.instructions`` less every bound filter another bound of the
+    same INT implies under the conditions between mapped vertices.
+
+    Each mapped vertex was drawn from a set that honours its conditions
+    with the vertices mapped before it, so the transitive closure of the
+    conditions among the mapped ones holds: ``> fa`` goes when ``> fb``
+    stays and ``fa < fb``; ``< fb`` goes when ``< fa`` stays.
+    """
+    mapped: Set[str] = set()
+    out: List[Instruction] = []
+    for inst in plan.instructions:
+        bounds = [f for f in inst.filters if f.kind is not FilterKind.NE]
+        if len(bounds) > 1:
+            below = _closure(
+                (fvar(lo), fvar(hi)) for lo, hi in plan.conditions
+                if fvar(lo) in mapped and fvar(hi) in mapped
+            )
+
+            def implied(f: Filter) -> bool:
+                for g in bounds:
+                    if g.kind is f.kind:
+                        gt = f.kind is FilterKind.GT
+                        if ((f.var, g.var) if gt else (g.var, f.var)) in below:
+                            return True
+                return False
+
+            inst = inst.with_filters([f for f in inst.filters if not implied(f)])
+        if inst.type in (InstructionType.INI, InstructionType.ENU):
+            mapped.add(inst.target)
+        out.append(inst)
+    return out
+
+
+def _closure(pairs: Iterable[Tuple[str, str]]) -> Set[Tuple[str, str]]:
+    """The transitive closure of a relation given as pairs."""
+    closed = set(pairs)
+    while True:
+        more = {(a, d) for a, b in closed for c, d in closed if b == c} - closed
+        if not more:
+            return closed
+        closed |= more
+
+
 def _filter_expr(var: str, filters: Sequence[Filter]) -> str:
     """The comprehension condition realizing the filtering conditions."""
     parts = []
@@ -253,7 +315,7 @@ def generate_source(
     if not plan.defined_before_use():
         raise ValueError("plan uses variables before definition")
 
-    instructions = plan.instructions
+    instructions = _without_implied_bounds(plan)
     out = _Emitter()
     out.line(
         f"def {function_name}(start, get_adj, vset, emit, tcache, c2_override):"
@@ -353,6 +415,16 @@ def generate_source(
         out.line("n_enu += _c")
         out.line("n_res += _c")
 
+    def emit_pair_tail(candidates: str) -> None:
+        # ``for f in S: _c = len([v for v in S if v > f])`` counts every
+        # unordered pair of S once (``<`` as well).
+        out.line(f"_n = len({candidates})")
+        out.line("n_enu += _n")
+        out.line("n_int += _n")
+        out.line("_c = _n * (_n - 1) // 2")
+        out.line("n_enu += _c")
+        out.line("n_res += _c")
+
     # The count tail: the INT feeding only the last ENU, which only counts
     # RES and is not the task-splitting level.  Its candidate set is never
     # read, only measured, so ``emit_count_tail`` computes ``_c`` = its
@@ -370,9 +442,9 @@ def generate_source(
         )
     ):
         tail = None
-    # The innermost loop around the tail, and which of the two
+    # The innermost loop around the tail, and which of the three
     # loop-invariant rewrites (module docstring) applies to it.
-    loop = lift = hoist = None
+    loop = lift = pair = hoist = None
     if tail is not None:
         loop = max(
             (i for i in range(tail) if instructions[i].type is InstructionType.ENU),
@@ -381,12 +453,18 @@ def generate_source(
     if loop is not None:
         # ``lift``: the tail sits right under its loop and only subtracts
         # memberships, so the loop collapses to arithmetic on its size.
-        lift = (
-            loop == tail - 1
-            and instructions[loop].target != second_fvar
-            and all(f.kind is FilterKind.NE for f in instructions[tail].filters)
+        under = loop == tail - 1 and instructions[loop].target != second_fvar
+        filters = instructions[tail].filters
+        lift = under and all(f.kind is FilterKind.NE for f in filters)
+        # ``pair``: the tail bounds its own loop's set by the loop vertex.
+        pair = (
+            under
+            and instructions[tail].operands == instructions[loop].operands
+            and len(filters) == 1
+            and filters[0].kind is not FilterKind.NE
+            and filters[0].var == instructions[loop].target
         )
-        if not lift:
+        if not (lift or pair):
             hoist = _hoisted_bound(instructions, tail, loop)
 
     # Instructions whose ``+= 1`` the head of their loop books at once.
@@ -500,6 +578,9 @@ def generate_source(
                 source_var = "_c2"
             if lift and idx == loop:
                 emit_lifted_tail(instructions[tail], inst.target, source_var)
+                break
+            if pair and idx == loop:
+                emit_pair_tail(source_var)
                 break
             # Peephole: an innermost loop whose body is just counting RES
             # collapses to a len().

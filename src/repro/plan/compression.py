@@ -109,6 +109,7 @@ def compress_plan(plan: ExecutionPlan) -> ExecutionPlan:
             pattern=plan.pattern,
             order=plan.order,
             instructions=list(plan.instructions),
+            conditions=plan.conditions,
             compressed=True,
             compressed_vertices=(),
             constants=dict(plan.constants),
@@ -145,6 +146,7 @@ def compress_plan(plan: ExecutionPlan) -> ExecutionPlan:
         pattern=plan.pattern,
         order=plan.order,
         instructions=out,
+        conditions=plan.conditions,
         compressed=True,
         compressed_vertices=dropped,
         constants=dict(plan.constants),
@@ -166,7 +168,7 @@ def expand_code(
     pos_of = {u: i for i, u in enumerate(vertices)}
     conditions = [
         (pos_of[lo], pos_of[hi])
-        for lo, hi in plan.pattern.symmetry_conditions
+        for lo, hi in plan.conditions
         if lo in plan.compressed_vertices or hi in plan.compressed_vertices
     ]
     code = CompressedCode(vertices, tuple(code_slots))

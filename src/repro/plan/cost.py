@@ -17,10 +17,11 @@ with n' vertices and m' edges has
 subgraphs).  Disconnected partial patterns multiply their components'
 estimates, as the paper prescribes.
 
-A plan cuts every partial match that breaks a §II-A symmetry-breaking
-condition, so each prefix P_i is priced at its symmetry-broken estimate
-(:func:`estimate_prefix_matches`): orders that bound early beat their
-automorphic twins.
+A plan cuts every partial match that breaks one of its §II-A
+symmetry-breaking conditions (``plan.conditions``), so each prefix P_i is
+priced at its symmetry-broken estimate (:func:`estimate_prefix_matches`):
+orders that bound early beat their automorphic twins, and of two condition
+sets for one order, the one that bounds earlier costs less.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..graph.graph import Graph, Vertex
 from ..pattern.symmetry import Condition, symmetry_breaking_conditions
@@ -188,7 +189,7 @@ def _walk(plan: ExecutionPlan, stats: GraphStats):
     ENUs were deleted.
     """
     pattern = plan.pattern.graph
-    conditions = plan.pattern.symmetry_conditions
+    conditions = plan.conditions
     prefix: list = []
     cur_num = 0.0
     for inst in plan.instructions:
@@ -260,16 +261,21 @@ def estimate_plan_cost(
 
 
 def order_communication_cost(
-    pattern: Graph, order: Sequence[Vertex], stats: GraphStats = DEFAULT_STATS
+    pattern: Graph,
+    order: Sequence[Vertex],
+    stats: GraphStats = DEFAULT_STATS,
+    conditions: Optional[Sequence[Condition]] = None,
 ) -> float:
     """Communication cost of a matching order, plan-free (Algorithm 3 logic).
 
     A DBQ is generated for position i exactly when u_{k_i} still has an
     unused neighbor; its multiplicity is the symmetry-broken estimate of
-    P_i, under the conditions ``pattern`` itself yields.  Optimizations
-    never move DBQs across ENUs, so this depends on the order alone.
+    P_i, under ``conditions`` (by default the ones ``pattern`` itself
+    yields; a plan passes its own).  Optimizations never move DBQs across
+    ENUs, so this depends on the order and the conditions alone.
     """
-    conditions = symmetry_breaking_conditions(pattern)
+    if conditions is None:
+        conditions = symmetry_breaking_conditions(pattern)
     used: list = []
     remaining = set(order)
     cost = 0.0

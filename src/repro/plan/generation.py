@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..graph.graph import Vertex
 from ..pattern.pattern_graph import PatternGraph
+from ..pattern.symmetry import Condition
 from .instructions import (
     VG,
     Filter,
@@ -45,6 +46,9 @@ class ExecutionPlan:
     pattern: PatternGraph
     order: Tuple[Vertex, ...]
     instructions: List[Instruction]
+    #: The symmetry-breaking conditions ``(lo, hi)`` its filters encode:
+    #: the pattern's own, or (a count plan) a set anchored along ``order``.
+    conditions: Tuple[Condition, ...]
     compressed: bool = False
     #: Pattern vertices whose ENU was removed by VCBC compression.
     compressed_vertices: Tuple[Vertex, ...] = ()
@@ -55,6 +59,10 @@ class ExecutionPlan:
     #: (filled by ``build_plan`` against the target graph's stats);
     #: confronted with the exact executed counts for q-error accounting.
     predicted_counts: Optional[Dict[str, float]] = None
+    #: ``(optimization_level, generalized_clique_cache)`` when
+    #: ``build_plan`` built the plan, so its count twin is built alike;
+    #: None for a plan assembled by hand.
+    built_with: Optional[Tuple[int, bool]] = None
 
     def __str__(self) -> str:
         from .instructions import format_plan
@@ -62,11 +70,11 @@ class ExecutionPlan:
         return format_plan(self.instructions)
 
     def __getstate__(self) -> dict:
-        # ``compile_plan`` and ``bind_pools`` park their memos on the
-        # instance; neither pickles nor belongs to a copy of the plan.
+        # ``compile_plan``, ``bind_pools`` and ``count_plan`` park their
+        # memos on the instance; none pickles or belongs to a copy.
         state = dict(self.__dict__)
-        state.pop("_compiled", None)
-        state.pop("_pooled", None)
+        for memo in ("_compiled", "_pooled", "_counting"):
+            state.pop(memo, None)
         return state
 
     # ------------------------------------------------------------------
@@ -100,7 +108,7 @@ class ExecutionPlan:
 
 
 def _symmetry_filter(
-    conditions: Sequence[Tuple[Vertex, Vertex]], earlier: Vertex, current: Vertex
+    conditions: Sequence[Condition], earlier: Vertex, current: Vertex
 ) -> Optional[Filter]:
     """The symmetry filter ``current``'s candidates owe to ``earlier``.
 
@@ -116,9 +124,14 @@ def _symmetry_filter(
 
 
 def generate_raw_plan(
-    pattern: PatternGraph, order: Sequence[Vertex]
+    pattern: PatternGraph,
+    order: Sequence[Vertex],
+    conditions: Optional[Sequence[Condition]] = None,
 ) -> ExecutionPlan:
     """Generate the raw (unoptimized) plan of Section IV-A.
+
+    ``conditions`` are the symmetry-breaking conditions its filters
+    encode, the pattern's own by default.
 
     >>> from repro.graph.patterns import TRIANGLE
     >>> from repro.pattern.pattern_graph import PatternGraph
@@ -139,7 +152,9 @@ def generate_raw_plan(
         raise ValueError(
             f"matching order {order} is not a permutation of {pattern.vertices}"
         )
-    conditions = pattern.symmetry_conditions
+    if conditions is None:
+        conditions = pattern.symmetry_conditions
+    conditions = tuple(conditions)
     position = {u: i for i, u in enumerate(order)}
     instructions: List[Instruction] = []
 
@@ -180,7 +195,7 @@ def generate_raw_plan(
 
     instructions.append(res([fvar(u) for u in pattern.vertices]))
 
-    plan = ExecutionPlan(pattern, order, instructions)
+    plan = ExecutionPlan(pattern, order, instructions, conditions)
     eliminate_uni_operand(plan)
     return plan
 

@@ -323,6 +323,7 @@ def optimize(plan: ExecutionPlan, level: int = LEVEL_TRIANGLE) -> ExecutionPlan:
         pattern=plan.pattern,
         order=plan.order,
         instructions=list(plan.instructions),
+        conditions=plan.conditions,
         compressed=plan.compressed,
         compressed_vertices=plan.compressed_vertices,
         constants=dict(plan.constants),

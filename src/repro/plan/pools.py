@@ -93,6 +93,7 @@ def bind_pools(
         pattern=plan.pattern,
         order=plan.order,
         instructions=out,
+        conditions=plan.conditions,
         compressed=plan.compressed,
         compressed_vertices=plan.compressed_vertices,
         constants={**plan.constants, **constants},

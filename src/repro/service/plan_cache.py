@@ -18,9 +18,12 @@ Cache levels on a hit:
 * **isomorphic** — a relabeled twin was seen: the cached *matching
   order* is translated through the canonical mapping and the plan is
   regenerated for the submitted labels, skipping Algorithm 3 entirely.
-  The emitted match set is unchanged either way: it is determined by the
-  pattern's symmetry-breaking conditions, which are independent of the
-  matching order.
+
+Rows follow the pattern's symmetry-breaking conditions, which are
+independent of the matching order, so they are the same on every hit
+path.  Counts follow the plan's: a count run executes the cached plan's
+:func:`~repro.engine.benu.count_plan` twin (anchored along its order),
+derived at its first count run and memoised on the plan.
 
 Hits and misses are counted in the service telemetry registry
 (``benu_service_plan_cache_{hits,misses}_total``), hits labeled by kind.
@@ -79,7 +82,8 @@ def _exact_signature(pattern: PatternGraph) -> Tuple:
     labeled pattern and its structural twin must never share a built
     plan — the canonical (structure-only) cache key may still share the
     winning matching *order* between them, which is safe: the order only
-    affects cost, never the match set.
+    affects cost, never the rows (and a count twin anchors in the
+    labeled pattern's own group).
     """
     edges = tuple(sorted(tuple(sorted(e)) for e in pattern.graph.edges()))
     labels = getattr(pattern, "labels", None)

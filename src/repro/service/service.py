@@ -468,11 +468,6 @@ class BenuService:
                 if entry.retired:
                     # Retired mid-query: drop what this query cached.
                     self.plan_cache.forget(entry.registration)
-            # Status before close: consumers at end-of-stream must see a
-            # final state (and any error) the moment the stream ends.
-            handle._mark(status)
-            if buffer is not None:
-                buffer.close()
             wall = time.perf_counter() - t0
             self.registry.counter(
                 M_SERVICE_QUERIES, "queries by final status", ("status",)
@@ -482,7 +477,17 @@ class BenuService:
                 help="wall-clock seconds per service query",
                 labels=("status",),
             ).observe(wall, status=status.value)
-            self._account_query(handle, result, status, wall, events)
+            try:
+                # Account before marking: a caller woken by ``wait()``
+                # finds its slow-query entry and finish event in place.
+                self._account_query(handle, result, status, wall, events)
+            finally:
+                # Status before close: consumers at end-of-stream must
+                # see a final state (and any error) the moment the
+                # stream ends.
+                handle._mark(status)
+                if buffer is not None:
+                    buffer.close()
         return None
 
     def _account_query(
@@ -491,7 +496,8 @@ class BenuService:
         """End-of-query observability: q-error, slow-query log, finish event.
 
         Isolated so a reporting hiccup can never change a query's
-        outcome; runs after the handle is marked and the stream closed.
+        outcome; runs before the handle is marked and the stream closed,
+        so whoever waits on the handle reads the accounts complete.
         """
         # A LIMIT's counters stop at its cut: no estimate to grade.
         q_errors = (

@@ -7,14 +7,21 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.benu import build_plan
+from repro.engine.config import BenuConfig
 from repro.engine.interpreter import interpret_plan
+from repro.engine.sinks import CollectSink
 from repro.graph.generators import erdos_renyi, random_connected_graph
 from repro.graph.graph import Graph, complete_graph
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import PATTERNS, get_pattern
 from repro.labeled.graphs import LabeledGraph
+from repro.labeled.oracle import count_labeled_matches
 from repro.labeled.pattern import LabeledPatternGraph
 from repro.labeled.plans import labelize_plan
+from repro.lang import lower_query, pattern_to_query
+from repro.lang.run import execute_query, prepare_local
+from repro.pattern.isomorphism import enumerate_matches
 from repro.pattern.pattern_graph import PatternGraph
 from repro.plan.codegen import (
     RESULTS,
@@ -375,6 +382,8 @@ class TestLoopInvariantLoweringsDifferential:
             ("q1", [1, 2, 3, 4, 5]),      # hoisted bound
             ("q4", [2, 5, 1, 3, 4]),      # hoisted bound, excluded scalar
             ("square", [1, 2, 4, 3]),     # hoisted bound, no NE term
+            ("chordal_square", [1, 3, 2, 4]),  # pair tail, ``> f2``
+            ("chordal_square", [1, 3, 4, 2]),  # pair tail, ``< f4``
         ],
     )
     def test_the_orders_they_fire_on(self, name, order):
@@ -431,7 +440,22 @@ class TestCountLoweringsSourceShape:
     def test_a_bound_on_the_loop_variable_is_not_hoisted(self):
         source = generate_source(plan_for("clique4", [1, 2, 3, 4]))
         assert "_g" not in source
-        assert "_c = len([v for v in T4 if v > f1 and v > f2 and v > f3])" in source
+        assert "_c = len([v for v in T4 if v > f3])" in source
+
+    def test_implied_bounds_are_not_emitted_in_either_mode(self):
+        """f1 < f2 < f3 hold once mapped: only the last bound is checked."""
+        for mode in ("count", "collect"):
+            source = generate_source(plan_for("clique4", [1, 2, 3, 4]), mode=mode)
+            assert "C3 = {v for v in T5 if v > f2}" in source
+            assert "v > f1 and" not in source and "v > f2 and" not in source
+
+    @pytest.mark.parametrize("order", [[1, 3, 2, 4], [1, 3, 4, 2]])
+    def test_a_tail_bounding_its_own_loop_counts_pairs(self, order):
+        """``for f in T5`` over ``{v in T5 : v > f}`` (or ``<``) is
+        |T5| choose 2."""
+        source = generate_source(plan_for("chordal_square", order))
+        assert "_c = _n * (_n - 1) // 2" in source
+        assert "for f2 in" not in source and "for f4 in" not in source
 
     def test_loop_heads_book_straight_line_ticks(self):
         """A DBQ and the INT after it tick once per candidate: the loop
@@ -547,3 +571,71 @@ class TestCountEqualsCollectHypothesis:
                 rows = []
                 counted = collect.run_raw(v, graph.neighbors, vset, emit=rows.append)
                 assert counted[RESULTS] == len(rows)
+
+
+@pytest.mark.skipif(not HAVE_HYPOTHESIS, reason="hypothesis unavailable")
+class TestCountPlanHypothesis:
+    """Random pattern (labels on or off) × random matching order × random
+    graph with a planted hub: the count run, on its own symmetry breaking,
+    counts what collect returns and what the oracle finds — and so does
+    the twin anchored along the order, whether the estimate picks it or
+    not."""
+
+    if HAVE_HYPOTHESIS:
+
+        @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+        @given(
+            n_pattern=st.integers(3, 6),
+            density=st.floats(0.0, 0.8),
+            pattern_seed=st.integers(0, 10_000),
+            n=st.integers(6, 16),
+            p=st.floats(0.1, 0.5),
+            graph_seed=st.integers(0, 10_000),
+            hub_reach=st.floats(0.5, 1.0),
+            labeled=st.booleans(),
+            rnd=st.randoms(use_true_random=False),
+        )
+        def test_count_is_len_collect_is_oracle(
+            self, n_pattern, density, pattern_seed, n, p, graph_seed,
+            hub_reach, labeled, rnd,
+        ):
+            shape = random_connected_graph(n_pattern, density, seed=pattern_seed)
+            base = erdos_renyi(n, p, seed=graph_seed)
+            hub = n + 1
+            spokes = [(hub, v) for v in base.vertices if rnd.random() < hub_reach]
+            graph = Graph(list(base.edges()) + spokes, vertices=base.vertices)
+            if labeled:
+                data = LabeledGraph(
+                    graph.edges(), {v: rnd.choice("AB") for v in graph.vertices},
+                    vertices=graph.vertices,
+                )
+                pattern = LabeledPatternGraph(
+                    shape, {u: rnd.choice(("A", "B", None)) for u in shape.vertices}
+                )
+                want = count_labeled_matches(pattern, data)
+            else:
+                data, pattern = graph, PatternGraph(shape)
+                want = sum(1 for _ in enumerate_matches(
+                    shape, graph, partial_order=pattern.symmetry_conditions
+                ))
+            config = BenuConfig()
+            count_query = lower_query(pattern_to_query(pattern, "count"))
+            rows_query = lower_query(pattern_to_query(pattern))
+            _, prepared, view = prepare_local(rows_query, data, config)
+            order = list(count_query.pattern.vertices)
+            rnd.shuffle(order)
+            plan = build_plan(
+                count_query.pattern, prepared.graph, order=order,
+                optimization_level=rnd.choice((0, 3)),
+            )
+            twin = optimize(generate_raw_plan(
+                plan.pattern, order, plan.pattern.anchored_conditions(order)
+            ))
+            rows = CollectSink()
+            execute_query(rows_query, plan, prepared, config, view, sink=rows)
+            assert len(rows.results) == want
+            for counted in (plan, twin):
+                result, _ = execute_query(
+                    count_query, counted, prepared, config, view
+                )
+                assert result.count == want

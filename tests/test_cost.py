@@ -128,6 +128,12 @@ class TestPlanCost:
             from_plan = estimate_communication_cost(plan, stats)
             from_order = order_communication_cost(pg.graph, order, stats)
             assert from_plan == pytest.approx(from_order)
+            # A plan on other conditions is priced on its own.
+            anchored = pg.anchored_conditions(order)
+            twin = generate_raw_plan(pg, order, anchored)
+            assert estimate_communication_cost(twin, stats) == pytest.approx(
+                order_communication_cost(pg.graph, order, stats, anchored)
+            )
 
     def test_compressed_plan_still_estimable(self):
         """The cost walk reads enumerated vertices off instruction targets,

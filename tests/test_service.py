@@ -11,6 +11,7 @@ streaming) — the acceptance criteria of the service subsystem:
 """
 
 import json
+import sys
 import time
 
 import pytest
@@ -359,6 +360,22 @@ class TestSlowQueryLog:
         assert entry["status"] == "succeeded"
         assert entry["instruction_counts"]["RES"] > 0
         assert event.fields["wall_seconds"] == entry["wall_seconds"]
+
+    def test_the_entry_is_in_place_when_wait_returns(self):
+        """The log is written before the handle is marked finished."""
+        data = complete_graph(6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the waiter run the moment it wakes
+        try:
+            with BenuService(slow_query_seconds=0.0) as service:
+                service.register_graph("g", data, relabel=False)
+                for _ in range(50):
+                    handle = service.submit("triangle", "g", stream=False)
+                    assert handle.wait(30)
+                    logged = service.stats()["slow_queries"]
+                    assert handle.query_id in {e["query_id"] for e in logged}
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestAdmissionControl:
