@@ -12,14 +12,10 @@ Run:  python examples/property_graph_queries.py
 
 import random
 
+from repro.engine.benu import count_subgraphs, enumerate_subgraphs
 from repro.engine.config import BenuConfig
 from repro.graph.graph import Graph, complete_graph
-from repro.labeled import (
-    LabeledGraph,
-    LabeledPatternGraph,
-    count_labeled_subgraphs,
-    enumerate_labeled_subgraphs,
-)
+from repro.labeled import LabeledGraph, LabeledPatternGraph
 from repro.metrics import format_table
 
 
@@ -77,12 +73,12 @@ def main() -> None:
     config = BenuConfig(num_workers=2)
     rows = []
     for name, pattern in queries.items():
-        count = count_labeled_subgraphs(pattern, platform, config)
+        count = count_subgraphs(pattern, platform, config)
         rows.append([name, pattern.n, len(pattern.symmetry_conditions), count])
     print()
     print(format_table(["query", "vertices", "sym conditions", "results"], rows))
 
-    sample = enumerate_labeled_subgraphs(
+    sample = enumerate_subgraphs(
         queries["co-liked page"], platform, BenuConfig(collect=True)
     )[:3]
     print("\nsample co-liked-page matches (user, user, page):", sample)

@@ -24,6 +24,12 @@ start vertices cut to u_{k1}'s pool — written once, in
 needs fresh temporaries, so outside ``plan/optimizer.py`` (which defines
 it) and ``plan/pools.py`` no module imports ``fresh_temp_index``.
 
+**One pool binding.**  Which pools a run's plan carries is decided in
+one place, ``repro.engine.benu.bind_run``, which ``execute_plan`` calls:
+the count twin, then the label pools, then the degree pools.  So
+outside ``plan/pools.py`` (which defines it) and ``engine/benu.py`` no
+module calls ``bind_pools``.
+
 **One ownership rule.**  A shard's slot is one ``PartitionInfo``, and
 its ``owned_vertices`` is the one rule for which start vertices the shard
 owns.  So outside ``storage/partition.py``, which defines the hash under
@@ -109,6 +115,11 @@ METRIC_MODULES = ("repro.telemetry.registry", "repro.telemetry.snapshot")
 #: may import it: its home and the one pool rewrite.
 FRESH_TEMPS = "fresh_temp_index"
 POOL_REWRITERS = ("plan/optimizer.py", "plan/pools.py")
+
+#: The one pool rewrite, and the modules that may call it: its home and
+#: the one binding step.
+BIND_POOLS = "bind_pools"
+POOL_BINDERS = ("plan/pools.py", "engine/benu.py")
 
 #: The ownership hash, and the module that may import it: its home.
 OWNERSHIP_HASH = "partition_of"
@@ -210,6 +221,8 @@ def lint_file(path: Path, root: Path, out=sys.stdout) -> int:
         violations += _lint_one_estimate(path, tree, out)
     if not rel.startswith(STORE_BUILDERS):
         violations += _lint_one_store_build(path, tree, out)
+    if rel not in POOL_BINDERS:
+        violations += _lint_one_binding(path, tree, out)
     return violations
 
 
@@ -362,6 +375,22 @@ def _lint_one_estimate(path, tree, out) -> int:
             file=out,
         )
         violations += 1
+    return violations
+
+
+def _lint_one_binding(path, tree, out) -> int:
+    violations = 0
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and BIND_POOLS in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        ):
+            print(
+                f"{path}:{node.lineno}: calls {BIND_POOLS!r} — one pool "
+                "binding: execute_plan binds every pool through "
+                "repro.engine.benu.bind_run",
+                file=out,
+            )
+            violations += 1
     return violations
 
 

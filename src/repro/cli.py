@@ -464,9 +464,8 @@ def _load_query_graph(args: argparse.Namespace):
 
 
 def _explain_query(args: argparse.Namespace) -> int:
+    from .engine.benu import bind_run, prepare_data, prepare_plan
     from .lang import lower_query, pretty_tree
-    from .lang.run import bind_plan, prepare_local
-    from .plan.cost import GraphStats
 
     lowered = lower_query(args.text)
     print("logical tree:")
@@ -479,10 +478,11 @@ def _explain_query(args: argparse.Namespace) -> int:
             "it returns an empty result without executing"
         )
         return 0
-    data = _load_query_graph(args)
-    plan, prepared, labeled = prepare_local(lowered, data, _config_from(args))
-    plan, _ = bind_plan(
-        lowered, plan, labeled, stats=GraphStats.of(prepared.graph)
+    config = _config_from(args)
+    prepared = prepare_data(_load_query_graph(args), config)
+    plan, _ = bind_run(
+        prepare_plan(lowered.pattern, prepared, config), prepared, config,
+        counting=lowered.kind == "count",
     )
     print("\nphysical plan:")
     print(plan)

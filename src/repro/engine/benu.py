@@ -8,12 +8,16 @@ translate results back to the original vertex ids.
 The pipeline is factored into reusable stages so a resident query
 service can pay each cost once instead of per query:
 
-* :func:`prepare_data` — relabel a data graph and remember the mapping;
+* :func:`prepare_data` — relabel a data graph (and its vertex labels)
+  and remember the mapping;
 * :func:`prepare_plan` — plan search/generation for a prepared graph;
+* :func:`bind_run` — the plan a run executes: count twin, label pools,
+  degree pools, start vertices;
 * :func:`execute_plan` — run a plan on a (possibly pre-built, warm)
   cluster, with optional streaming sink and cooperative control.
 
-Convenience wrappers: ``count_subgraphs`` and ``enumerate_subgraphs``.
+Convenience wrappers: ``count_subgraphs`` and ``enumerate_subgraphs``,
+which take a labeled pattern on a labeled graph as well.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..graph.graph import Graph, Vertex
 from ..graph.order import invert_mapping, relabel_by_degree_order
+from ..labeled.graphs import Label, LabeledGraph
+from ..labeled.pattern import LabeledPatternGraph
 from ..pattern.pattern_graph import PatternGraph
 from ..plan.compression import compress_plan
 from ..plan.cost import (
@@ -49,6 +55,8 @@ if TYPE_CHECKING:  # the cluster runs plans through execute_plan
     from .cluster import SimulatedCluster
 
 PatternLike = Union[Graph, PatternGraph]
+#: A data graph, plain or with one label per vertex.
+DataGraph = Union[Graph, LabeledGraph]
 
 
 def _as_pattern(pattern: PatternLike, name: str = "pattern") -> PatternGraph:
@@ -151,12 +159,14 @@ class PreparedData:
     ``graph`` carries execution-space ids (relabeled under the (degree,
     id) total order when the source wasn't already); ``mapping`` /
     ``inverse`` translate original ↔ execution ids, both None when no
-    relabeling happened.
+    relabeling happened.  ``label_index`` maps each vertex label to the
+    execution-space vertices carrying it, None for an unlabeled graph.
     """
 
     graph: Graph
     mapping: Optional[Dict[Vertex, Vertex]] = None
     inverse: Optional[Dict[Vertex, Vertex]] = None
+    label_index: Optional[Dict[Label, frozenset]] = None
 
     @property
     def relabeled(self) -> bool:
@@ -192,20 +202,61 @@ class PreparedData:
             constants[name] = built[k]
         return pools, constants
 
+    def label_pools(
+        self, pattern: LabeledPatternGraph
+    ) -> Tuple[Dict[Vertex, str], Dict[str, frozenset]]:
+        """A labeled pattern's pools on ``graph``.
+
+        The i-th label the pattern uses (sorted by repr) is pool ``VLi``,
+        the vertices carrying it; a ``None`` label is unconstrained.
+        """
+        if self.label_index is None:
+            raise ValueError(
+                "the pattern has vertex labels but the data graph has none"
+            )
+        labels = sorted(set(pattern.labels.values()) - {None}, key=repr)
+        names = {label: f"VL{i}" for i, label in enumerate(labels)}
+        pools = {
+            u: names[label]
+            for u, label in pattern.labels.items()
+            if label is not None
+        }
+        constants = {
+            name: self.label_index.get(label, frozenset())
+            for label, name in names.items()
+        }
+        return pools, constants
+
 
 def prepare_data(
-    data: Graph, config: Optional[BenuConfig] = None, tracer=None
+    data: DataGraph, config: Optional[BenuConfig] = None, tracer=None
 ) -> PreparedData:
-    """Relabel ``data`` per ``config.relabel`` and keep the translation."""
+    """Relabel ``data`` per ``config.relabel`` and keep the translation.
+
+    A :class:`LabeledGraph`'s labels follow their vertices into execution
+    space here, the one place they are mapped (``label_index``).
+    """
     config = config or BenuConfig()
+    labels = data.labels if isinstance(data, LabeledGraph) else None
+    graph = data if labels is None else data.graph
     if not config.relabel:
-        return PreparedData(data)
-    if tracer is not None:
-        with tracer.span("relabel"):
-            relabeled, mapping = relabel_by_degree_order(data)
+        prepared = PreparedData(graph)
     else:
-        relabeled, mapping = relabel_by_degree_order(data)
-    return PreparedData(relabeled, mapping, invert_mapping(mapping))
+        if tracer is not None:
+            with tracer.span("relabel"):
+                relabeled, mapping = relabel_by_degree_order(graph)
+        else:
+            relabeled, mapping = relabel_by_degree_order(graph)
+        prepared = PreparedData(relabeled, mapping, invert_mapping(mapping))
+    if labels is not None:
+        original = prepared.inverse or {}
+        buckets: Dict[Label, set] = {}
+        for v in prepared.graph.vertices:
+            buckets.setdefault(labels[original.get(v, v)], set()).add(v)
+        prepared.label_index = {
+            label: frozenset(vs) for label, vs in buckets.items()
+        }
+    return prepared
 
 
 def prepare_plan(
@@ -232,6 +283,38 @@ def prepare_plan(
         generalized_clique_cache=config.generalized_clique_cache,
         tracer=tracer,
     )
+
+
+def bind_run(
+    plan: ExecutionPlan,
+    prepared: PreparedData,
+    config: BenuConfig,
+    counting: bool,
+    start_vertices: Optional[Sequence[Vertex]] = None,
+) -> Tuple[ExecutionPlan, Optional[Sequence[Vertex]]]:
+    """The plan a run of ``plan`` executes, and its start vertices.
+
+    The one place that decides it, in this order: :func:`count_plan`'s
+    choice when the run ``counting``; a labeled pattern's label pools on
+    ``prepared``; the degree pools under ``config.degree_filter``.  Each
+    pool bound on u_{k1} cuts the start vertices (``start_vertices`` is
+    the caller's base, None = every vertex) to that pool.  Pools belong
+    to one data graph, so a cached plan carries none and gets them here.
+    """
+    stats = GraphStats.of(prepared.graph)
+    if counting:
+        plan = count_plan(plan, stats)
+    if isinstance(plan.pattern, LabeledPatternGraph):
+        plan, start_vertices = bind_pools(
+            plan, *prepared.label_pools(plan.pattern), start_vertices,
+            stats=stats,
+        )
+    if config.degree_filter:
+        plan, start_vertices = bind_pools(
+            plan, *prepared.degree_pools(plan.pattern), start_vertices,
+            stats=stats,
+        )
+    return plan, start_vertices
 
 
 def execute_plan(
@@ -269,20 +352,15 @@ def execute_plan(
     completion; ``start_vertices`` restricts task generation to a slice of
     the start-vertex space (a shard's owned vertices).  The process
     backend's queue chunks depend only on the task count and
-    ``config.num_workers``.  ``config.degree_filter`` binds the graph's
-    degree pools to ``plan`` here, per run, and drops the start vertices
-    of too small a degree.  A count-only run (no sink, no ``collect``)
-    first swaps in :func:`count_plan`'s choice, before any pool binds.
+    ``config.num_workers``.  ``plan`` carries no pools: :func:`bind_run`
+    decides the plan that runs, a count-only run (no sink, no
+    ``collect``) counting.
     """
     config = config or BenuConfig()
-    stats = GraphStats.of(prepared.graph)
-    if run_mode(config, sink) == "count":
-        plan = count_plan(plan, stats)
-    if config.degree_filter:
-        plan, start_vertices = bind_pools(
-            plan, *prepared.degree_pools(plan.pattern), start_vertices,
-            stats=stats,
-        )
+    plan, start_vertices = bind_run(
+        plan, prepared, config, run_mode(config, sink) == "count",
+        start_vertices,
+    )
     store = None
     if cluster is not None:
         store = cluster.store
@@ -317,7 +395,7 @@ def execute_plan(
 
 def run_benu(
     pattern: PatternLike,
-    data: Graph,
+    data: DataGraph,
     config: Optional[BenuConfig] = None,
     plan: Optional[ExecutionPlan] = None,
 ) -> BenuResult:
@@ -325,7 +403,9 @@ def run_benu(
 
     The data graph is relabeled by the (degree, id) total order unless
     ``config.relabel`` is False (the bundled datasets are pre-relabeled);
-    collected matches are translated back to the original ids.
+    collected matches are translated back to the original ids.  A
+    :class:`LabeledPatternGraph` on a :class:`LabeledGraph` matches only
+    label-preserving embeddings (paper §VIII's property graphs).
     """
     config = config or BenuConfig()
     pattern = _as_pattern(pattern)
@@ -354,7 +434,7 @@ def run_benu(
 
 
 def count_subgraphs(
-    pattern: PatternLike, data: Graph, config: Optional[BenuConfig] = None
+    pattern: PatternLike, data: DataGraph, config: Optional[BenuConfig] = None
 ) -> int:
     """Number of subgraphs of ``data`` isomorphic to ``pattern``.
 
@@ -365,6 +445,15 @@ def count_subgraphs(
     >>> from repro.graph.patterns import TRIANGLE
     >>> count_subgraphs(TRIANGLE, complete_graph(4))
     4
+
+    A labeled pattern counts label-preserving instances:
+
+    >>> data = LabeledGraph(
+    ...     complete_graph(4).edges(), {1: "A", 2: "A", 3: "B", 4: "B"}
+    ... )
+    >>> tri = LabeledPatternGraph(complete_graph(3), {1: "A", 2: "A", 3: "B"})
+    >>> count_subgraphs(tri, data)  # choose the A-pair and one B
+    2
     """
     config = config or BenuConfig()
     if config.compressed:
@@ -373,7 +462,7 @@ def count_subgraphs(
 
 
 def enumerate_subgraphs(
-    pattern: PatternLike, data: Graph, config: Optional[BenuConfig] = None
+    pattern: PatternLike, data: DataGraph, config: Optional[BenuConfig] = None
 ) -> List[Tuple[Vertex, ...]]:
     """All matches ``(f_1, ..., f_n)`` of ``pattern`` in ``data``.
 

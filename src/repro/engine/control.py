@@ -136,23 +136,3 @@ class ExecutionControl:
             raise QueryCancelled(self._reason)
         if self.expired:
             raise DeadlineExpired(self.deadline_seconds)
-
-    def wait(self, seconds: float, interval: float = 0.05) -> None:
-        """A control-checked sleep: backoff that still honors cancel/deadline.
-
-        Sleeps ``seconds`` in ``interval``-sized slices, calling
-        :meth:`check` between slices so a retry backoff can never outlive
-        a cancel request or the deadline.
-        """
-        end = time.monotonic() + seconds
-        while True:
-            self.check()
-            left = end - time.monotonic()
-            if left <= 0:
-                return
-            if self._cancelled.wait(min(interval, left)):
-                self.check()
-
-
-#: A control that never stops anything — callers may use it instead of None.
-NO_CONTROL = ExecutionControl()

@@ -105,10 +105,13 @@ def interpret_plan(
             env[inst.target] = get_adj(env[inst.operands[0]])
         elif kind is InstructionType.INT:
             counters.int_ops += 1
+            # Operands meet in operand order, as codegen emits ``a & b &
+            # …``: a copied hash set may iterate in another order, and the
+            # candidate order is the row order.
             sets = [value_of(op) for op in inst.operands]
-            result = set(sets[0])
+            result = sets[0]
             for s in sets[1:]:
-                result.intersection_update(s)
+                result = result & s
             if inst.filters:
                 result = _apply_filters(result, env, inst.filters)
             env[inst.target] = result
@@ -120,8 +123,8 @@ def interpret_plan(
             cached = cache.get(key)
             if cached is None:
                 counters.trc_misses += 1
-                cached = frozenset(value_of(inst.operands[-2])).intersection(
-                    value_of(inst.operands[-1])
+                cached = value_of(inst.operands[-2]) & value_of(
+                    inst.operands[-1]
                 )
                 cache[key] = cached
             env[inst.target] = cached
@@ -130,7 +133,7 @@ def interpret_plan(
         elif kind is InstructionType.ENU:
             pool = value_of(inst.operands[0])
             if inst.target == second_fvar and candidate_override is not None:
-                pool = set(pool) & candidate_override
+                pool = pool & candidate_override
             for v in pool:
                 counters.enu_steps += 1
                 env[inst.target] = v

@@ -1,25 +1,20 @@
-"""Property-graph extension: labeled subgraph enumeration (paper §VIII)."""
+"""Property-graph extension: labeled subgraph enumeration (paper §VIII).
 
-from .enumerate import (
-    count_labeled_subgraphs,
-    enumerate_labeled_subgraphs,
-    run_labeled_benu,
-)
+A :class:`LabeledPatternGraph` on a :class:`LabeledGraph` runs through
+the ordinary pipeline (``count_subgraphs`` / ``enumerate_subgraphs`` /
+``run_benu``, or a BENU-QL ``WHERE`` clause): ``prepare_data`` maps the
+labels into execution space and ``execute_plan`` binds them as candidate
+pools.
+"""
+
 from .graphs import Label, LabeledGraph
 from .oracle import count_labeled_matches, enumerate_labeled_matches
 from .pattern import LabeledPatternGraph
-from .plans import label_constant_name, label_pools, labelize_plan
 
 __all__ = [
-    "count_labeled_subgraphs",
-    "enumerate_labeled_subgraphs",
-    "run_labeled_benu",
     "Label",
     "LabeledGraph",
     "count_labeled_matches",
     "enumerate_labeled_matches",
     "LabeledPatternGraph",
-    "label_constant_name",
-    "label_pools",
-    "labelize_plan",
 ]

@@ -18,7 +18,7 @@ The design reuses the unlabeled machinery end to end:
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Tuple, Union
 
 from ..graph.graph import Edge, Graph, Vertex
 
@@ -28,6 +28,9 @@ Label = Hashable
 class LabeledGraph:
     """An undirected simple graph with one label per vertex.
 
+    ``edges`` may also be a :class:`Graph`, which is labeled as it is:
+    its adjacency is shared, not rebuilt (``vertices`` is then ignored).
+
     >>> g = LabeledGraph([(1, 2), (2, 3)], {1: "A", 2: "B", 3: "A"})
     >>> sorted(g.vertices_with_label("A"))
     [1, 3]
@@ -35,11 +38,13 @@ class LabeledGraph:
 
     def __init__(
         self,
-        edges: Iterable[Edge],
+        edges: Union[Graph, Iterable[Edge]],
         labels: Mapping[Vertex, Label],
         vertices: Iterable[Vertex] = (),
     ) -> None:
-        self.graph = Graph(edges, vertices=vertices)
+        self.graph = (
+            edges if isinstance(edges, Graph) else Graph(edges, vertices=vertices)
+        )
         missing = [v for v in self.graph.vertices if v not in labels]
         if missing:
             raise ValueError(f"vertices without labels: {missing[:5]}")

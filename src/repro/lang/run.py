@@ -1,11 +1,13 @@
 """Bind a BENU-QL query (or a bare pattern) to the shared plan pipeline.
 
-:func:`execute_query` is the one place a query meets Algorithm 2: label
-pools and start vertices (:func:`bind_plan`, the plan half), zero tasks
-for an unsatisfiable query, projection or GROUP BY as sinks, then
-``execute_plan``.  Callers differ only in where the plan comes from —
-``prepare_plan`` here (:func:`run_query`, the labeled API), the plan
-cache in ``BenuService`` — and in the runtime they bring.
+:func:`execute_query` is the one place a query meets Algorithm 2.  It
+adds only query semantics: zero start vertices for an unsatisfiable
+query, projection or GROUP BY as sinks, VCBC expansion, and a typed
+error for label predicates on an unlabeled graph; ``execute_plan`` binds
+the plan that runs (count twin, label and degree pools).  Callers differ
+only in where the plan comes from — ``prepare_plan`` here
+(:func:`run_query`), the plan cache in ``BenuService`` — and in the
+runtime they bring.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from ..engine.benu import (
+    DataGraph,
     PreparedData,
-    count_plan,
     execute_plan,
     prepare_data,
     prepare_plan,
@@ -32,19 +34,14 @@ from ..engine.sinks import (
     RowBlock,
     block_emitter,
 )
-from ..graph.graph import Graph, Vertex
-from ..labeled.graphs import LabeledGraph
+from ..graph.graph import Vertex
 from ..labeled.pattern import LabeledPatternGraph
-from ..labeled.plans import label_pools
 from ..pattern.pattern_graph import PatternGraph
 from ..plan.compression import expand_code
-from ..plan.cost import GraphStats
 from ..plan.generation import ExecutionPlan
-from ..plan.pools import bind_pools
 from .errors import QuerySemanticError
 from .lowering import LoweredQuery, lower_query
 
-DataGraph = Union[Graph, LabeledGraph]
 #: A lowered BENU-QL query, or a bare pattern (rows or count by sink).
 Query = Union[LoweredQuery, PatternGraph]
 #: GROUP BY key → match count, in original ids.
@@ -99,47 +96,11 @@ def _pattern(query: Query) -> PatternGraph:
     return query.pattern if isinstance(query, LoweredQuery) else query
 
 
-def bind_plan(
-    query: Query,
-    plan: ExecutionPlan,
-    labeled: Optional[LabeledGraph] = None,
-    start_vertices: Optional[Sequence[Vertex]] = None,
-    *,
-    stats: GraphStats,
-) -> Tuple[ExecutionPlan, Optional[Sequence[Vertex]]]:
-    """The plan half: ``(plan, start_vertices)`` for ``query``.
-
-    ``start_vertices`` is the caller's base (a shard's owned slice; None
-    = every vertex); ``stats`` are the data graph's.  A ``COUNT(*)``
-    query runs :func:`~repro.engine.benu.count_plan`'s choice.  A labeled
-    pattern's plan then gets its label pools, and only its start label's
-    pool starts tasks (the degree filter's pools bind in
-    ``execute_plan``); an unsatisfiable query gets no start vertices, so
-    it runs over zero tasks on any backend.
-    """
-    if isinstance(query, LoweredQuery):
-        if query.unsatisfiable:
-            return plan, []
-        if query.kind == "count":
-            plan = count_plan(plan, stats)
-    pattern = _pattern(query)
-    if not isinstance(pattern, LabeledPatternGraph):
-        return plan, start_vertices
-    if labeled is None:
-        raise QuerySemanticError(
-            "query uses label predicates but the data graph has no labels"
-        )
-    return bind_pools(
-        plan, *label_pools(pattern, labeled), start_vertices, stats=stats
-    )
-
-
 def execute_query(
     query: Query,
     plan: ExecutionPlan,
     prepared: PreparedData,
     config: BenuConfig,
-    labeled: Optional[LabeledGraph] = None,
     start_vertices: Optional[Sequence[Vertex]] = None,
     sink=None,
     **runtime,
@@ -149,15 +110,23 @@ def execute_query(
     ``sink`` is the caller's inner sink (None = count only); projection
     narrows rows before it, GROUP BY counts them in its own sink instead
     (``groups``: key → count in original ids; None for other kinds), and
-    a compressed run's codes are expanded first.  ``runtime`` goes to
-    ``execute_plan`` (telemetry, cluster, control, caches, progress).
+    a compressed run's codes are expanded first.  ``start_vertices`` is
+    the caller's base (a shard's owned slice; None = every vertex); an
+    unsatisfiable query gets none, so it runs over zero tasks on any
+    backend.  ``runtime`` goes to ``execute_plan`` (telemetry, cluster,
+    control, caches, progress).
     """
-    plan, start_vertices = bind_plan(
-        query, plan, labeled, start_vertices,
-        stats=GraphStats.of(prepared.graph),
-    )
+    if (
+        isinstance(_pattern(query), LabeledPatternGraph)
+        and prepared.label_index is None
+    ):
+        raise QuerySemanticError(
+            "query uses label predicates but the data graph has no labels"
+        )
     group_sink = None
     if isinstance(query, LoweredQuery):
+        if query.unsatisfiable:
+            start_vertices = []
         if query.kind == "groups":
             sink = group_sink = GroupCountSink(query.group_by)
         elif sink is not None and query.projection is not None:
@@ -171,21 +140,6 @@ def execute_query(
     return result, None if group_sink is None else dict(group_sink.counts)
 
 
-def prepare_local(
-    query: Query, data: DataGraph, config: BenuConfig
-) -> Tuple[ExecutionPlan, PreparedData, Optional[LabeledGraph]]:
-    """In-process ``(plan, prepared graph, labeled view)`` for ``query``.
-
-    The labeled view is in execution space: labels follow their vertices
-    through the relabeling.
-    """
-    labeled = data if isinstance(data, LabeledGraph) else None
-    prepared = prepare_data(data if labeled is None else data.graph, config)
-    if labeled is not None and prepared.relabeled:
-        labeled = labeled.relabel_vertices(prepared.mapping)
-    return prepare_plan(_pattern(query), prepared, config), prepared, labeled
-
-
 def run_local(
     query: Query,
     data: DataGraph,
@@ -195,9 +149,10 @@ def run_local(
 ) -> Tuple[BenuResult, Optional[Groups]]:
     """Plan ``query`` for ``data`` and run it in-process."""
     config = config or BenuConfig()
-    plan, prepared, labeled = prepare_local(query, data, config)
+    prepared = prepare_data(data, config)
+    plan = prepare_plan(_pattern(query), prepared, config)
     return execute_query(
-        query, plan, prepared, config, labeled, sink=sink, control=control
+        query, plan, prepared, config, sink=sink, control=control
     )
 
 

@@ -151,7 +151,11 @@ def canonical_key(graph: Graph) -> str:
     Isomorphic graphs (any vertex labels) get equal keys; non-isomorphic
     ones collide only if sha256 does.
     """
-    canonical, _ = canonical_form(graph)
+    return canonical_digest(canonical_form(graph)[0])
+
+
+def canonical_digest(canonical: Graph) -> str:
+    """The hex digest of an already-canonical graph (see :func:`canonical_key`)."""
     payload = ";".join(
         f"{a},{b}" for a, b in sorted(tuple(sorted(e)) for e in canonical.edges())
     )

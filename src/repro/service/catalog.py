@@ -4,7 +4,8 @@ A one-shot ``run_benu`` pays graph relabeling and distributed-store
 construction on every call; a resident service registers a graph once
 and every subsequent query reuses:
 
-* the degree-relabeled graph and its id translation (``PreparedData``);
+* the degree-relabeled graph, its id translation and its vertex labels
+  in execution space (``PreparedData``);
 * the distributed KV store built from it (one per storage profile —
   adjacency backend × latency model);
 * warm per-worker database caches (:class:`~repro.storage.cache.CachePool`),
@@ -60,7 +61,6 @@ class CatalogEntry:
         name: str,
         prepared: PreparedData,
         partition: Optional[PartitionInfo] = None,
-        labeled: Optional[LabeledGraph] = None,
         registration: int = 0,
     ) -> None:
         self.name = name
@@ -73,10 +73,6 @@ class CatalogEntry:
         #: a query still running on it cleans up after itself.
         self.retired = False
         self.stats = GraphStats.of(prepared.graph)
-        #: Execution-space labeled view (vertex labels following any
-        #: relabeling), or None when the graph registered without labels.
-        #: BENU-QL label predicates require it.
-        self.labeled = labeled
         #: This node's slot in a sharded deployment (shard *i* of *N*);
         #: None for an unpartitioned, single-node registration.  Queries
         #: over a partitioned entry run only the owned start-vertex slice.
@@ -210,23 +206,16 @@ class GraphCatalog:
         ``partition`` marks the entry as one shard's slice of a
         partitioned deployment — the entry stores every row, and queries
         against it enumerate only the owned start vertices.
-        ``labels`` (original-id vertex → label) attaches a labeled view
-        so BENU-QL label predicates can run against this graph; vertices
+        ``labels`` (original-id vertex → label) gives the graph vertex
+        labels, so BENU-QL label predicates can run against it; vertices
         absent from the mapping are unlabeled (label ``None``) and never
         match a label predicate.
         """
-        prepared = prepare_data(graph, BenuConfig(relabel=relabel))
-        labeled = None
         if labels is not None:
-            to_exec = prepared.mapping or {}
-            exec_labels = {
-                to_exec.get(v, v): labels.get(v) for v in graph.vertices
-            }
-            labeled = LabeledGraph(
-                prepared.graph.edges(),
-                exec_labels,
-                vertices=prepared.graph.vertices,
+            graph = LabeledGraph(
+                graph, {v: labels.get(v) for v in graph.vertices}
             )
+        prepared = prepare_data(graph, BenuConfig(relabel=relabel))
         with self._lock:
             if name in self._entries and not replace:
                 raise InvalidQueryError(
@@ -234,7 +223,7 @@ class GraphCatalog:
                 )
             self._registrations += 1
             entry = CatalogEntry(
-                name, prepared, partition=partition, labeled=labeled,
+                name, prepared, partition=partition,
                 registration=self._registrations,
             )
             self._clock += 1

@@ -31,14 +31,13 @@ Hits and misses are counted in the service telemetry registry
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Tuple
 
 from ..engine.benu import PreparedData, prepare_plan
 from ..engine.config import BenuConfig
-from ..pattern.canonical import canonical_form
+from ..pattern.canonical import canonical_digest, canonical_form
 from ..pattern.pattern_graph import PatternGraph
 from ..plan.generation import ExecutionPlan
 from ..telemetry.snapshot import M_PLAN_CACHE_HITS, M_PLAN_CACHE_MISSES
@@ -65,14 +64,6 @@ class PlanCacheKey:
             compressed=config.compressed,
             generalized_clique_cache=config.generalized_clique_cache,
         )
-
-
-def _canonical_digest(canonical) -> str:
-    payload = ";".join(
-        f"{a},{b}" for a, b in sorted(tuple(sorted(e)) for e in canonical.edges())
-    )
-    text = f"n={canonical.num_vertices}|{payload}"
-    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def _exact_signature(pattern: PatternGraph) -> Tuple:
@@ -150,7 +141,7 @@ class PlanCache:
         ``"isomorphic"`` (both hits — no plan search ran) or ``"miss"``.
         """
         canonical, to_canonical = canonical_form(pattern.graph)
-        key = PlanCacheKey.of(_canonical_digest(canonical), graph, config)
+        key = PlanCacheKey.of(canonical_digest(canonical), graph, config)
         exact = _exact_signature(pattern)
 
         with self._lock:

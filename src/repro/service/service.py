@@ -175,8 +175,8 @@ class BenuService:
         queries enumerate only the owned start vertices, so N shards
         holding the same graph under complementary partitions cover the
         single-node match set exactly, disjointly.  ``labels`` (vertex →
-        label, original ids) attaches a labeled view for BENU-QL label
-        predicates.
+        label, original ids) gives the graph vertex labels for BENU-QL
+        label predicates.
         """
         entry = self.catalog.register(
             name, graph, relabel=relabel, replace=replace,
@@ -187,7 +187,7 @@ class BenuService:
             "vertices": entry.graph.num_vertices,
             "edges": entry.graph.num_edges,
             "relabeled": entry.prepared.relabeled,
-            "labeled": entry.labeled is not None,
+            "labeled": entry.prepared.label_index is not None,
         }
         if entry.partition is not None:
             out["partition"] = {
@@ -336,7 +336,7 @@ class BenuService:
         if lowered.is_labeled:
             # Fail fast, synchronously: label predicates need a labeled
             # registration (register_graph(..., labels=...)).
-            if self.catalog.get(graph).labeled is None:
+            if self.catalog.get(graph).prepared.label_index is None:
                 raise QuerySemanticError(
                     f"query uses label predicates but graph {graph!r} was "
                     "registered without labels"
@@ -441,7 +441,6 @@ class BenuService:
                 plan,
                 entry.prepared,
                 config,
-                labeled=entry.labeled,
                 start_vertices=entry.owned_start_vertices(),
                 sink=sink,
                 **runtime,

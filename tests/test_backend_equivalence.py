@@ -7,7 +7,8 @@ bundled pattern library:
   counts and identical match multisets;
 * interpreter (the literal oracle) vs compiled plans under the csr price;
 * the execution-backend matrix — simulated / inline / process ×
-  frozenset / csr, byte-identical match sets for every bundled pattern;
+  frozenset / csr, byte-identical match sets for every bundled pattern,
+  and one full row sequence across simulated, inline and process×2;
 * the same matrix through the service for a streamed, a projected, a
   limited and a grouped BENU-QL query — packed row blocks end to end
   must deliver the rows list-flat blocks deliver, in their order.
@@ -140,6 +141,36 @@ class TestExecutionBackendMatrix:
             for backend in ("simulated", "process")
         }
         assert counts["simulated"] == counts["process"]
+
+
+class TestOneRowSequence:
+    """Simulated, inline and process×2 emit one row sequence, not only one
+    row set: the interpreter meets operands in the order codegen does, and
+    a copied hash set could iterate in another order."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return chung_lu(300, 5, 2.5, seed=2019)
+
+    @pytest.mark.parametrize("name", (
+        "triangle", "square", "chordal_square", "clique4", "clique5",
+        "q1", "q3", "q4", "q5", "demo",
+    ))
+    def test_full_rows_are_one_sequence(self, name, small):
+        sequences = {
+            execution: run_benu(PATTERNS[name], small, BenuConfig(
+                collect=True, execution_backend=execution, num_workers=2,
+            )).matches
+            for execution in ("simulated", "inline", "process")
+        }
+        want = sequences.pop("simulated")
+        assert want
+        for execution, rows in sequences.items():
+            first = next(
+                (i for i, (a, b) in enumerate(zip(rows, want)) if a != b),
+                None,
+            )
+            assert len(rows) == len(want) and first is None, (execution, first)
 
 
 class TestStreamedQueryMatrix:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.benu import build_plan
+from repro.engine.benu import bind_run, build_plan, prepare_data
 from repro.engine.config import BenuConfig
 from repro.engine.interpreter import interpret_plan
 from repro.engine.sinks import CollectSink
@@ -18,9 +18,8 @@ from repro.graph.patterns import PATTERNS, get_pattern
 from repro.labeled.graphs import LabeledGraph
 from repro.labeled.oracle import count_labeled_matches
 from repro.labeled.pattern import LabeledPatternGraph
-from repro.labeled.plans import labelize_plan
 from repro.lang import lower_query, pattern_to_query
-from repro.lang.run import execute_query, prepare_local
+from repro.lang.run import execute_query
 from repro.pattern.isomorphism import enumerate_matches
 from repro.pattern.pattern_graph import PatternGraph
 from repro.plan.codegen import (
@@ -342,8 +341,10 @@ class TestCountLoweringsDifferential:
         pattern = LabeledPatternGraph(
             get_pattern("q2"), {1: "A", 2: "B", 3: "A", 4: "B", 5: "A"}
         )
-        plan = labelize_plan(
-            optimize(generate_raw_plan(pattern, [1, 2, 3, 4, 5]), 3), pattern, data
+        config = BenuConfig(relabel=False)
+        plan, _ = bind_run(
+            optimize(generate_raw_plan(pattern, [1, 2, 3, 4, 5]), 3),
+            prepare_data(data, config), config, counting=False,
         )
         source = generate_source(plan)
         assert "_s = C5 & VL0" in source and "_c = len(_s)" in source
@@ -621,7 +622,7 @@ class TestCountPlanHypothesis:
             config = BenuConfig()
             count_query = lower_query(pattern_to_query(pattern, "count"))
             rows_query = lower_query(pattern_to_query(pattern))
-            _, prepared, view = prepare_local(rows_query, data, config)
+            prepared = prepare_data(data, config)
             order = list(count_query.pattern.vertices)
             rnd.shuffle(order)
             plan = build_plan(
@@ -632,10 +633,8 @@ class TestCountPlanHypothesis:
                 plan.pattern, order, plan.pattern.anchored_conditions(order)
             ))
             rows = CollectSink()
-            execute_query(rows_query, plan, prepared, config, view, sink=rows)
+            execute_query(rows_query, plan, prepared, config, sink=rows)
             assert len(rows.results) == want
             for counted in (plan, twin):
-                result, _ = execute_query(
-                    count_query, counted, prepared, config, view
-                )
+                result, _ = execute_query(count_query, counted, prepared, config)
                 assert result.count == want

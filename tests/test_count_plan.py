@@ -17,6 +17,7 @@ import pytest
 
 from repro.baselines.wcoj import run_wcoj
 from repro.engine.benu import (
+    bind_run,
     build_plan,
     count_plan,
     execute_plan,
@@ -31,7 +32,7 @@ from repro.labeled.graphs import LabeledGraph
 from repro.labeled.oracle import count_labeled_matches
 from repro.labeled.pattern import LabeledPatternGraph
 from repro.lang import lower_query, pattern_to_query
-from repro.lang.run import bind_plan, prepare_local, run_query
+from repro.lang.run import run_query
 from repro.pattern.pattern_graph import PatternGraph
 from repro.plan.codegen import (
     COUNTER_FIELDS,
@@ -170,13 +171,12 @@ def test_every_labeled_numbering_matches_the_oracle(name, labels):
             numbering, {v: full[u] for v, u in back.items()}
         )
         count_query = lower_query(pattern_to_query(pattern, "count"))
-        plan, prepared, labeled = prepare_local(count_query, data, config)
+        prepared = prepare_data(data, config)
+        plan = prepare_plan(count_query.pattern, prepared, config)
         if counting is None:
             counting = Counting(prepared.graph, base.num_vertices)
-        stats = GraphStats.of(prepared.graph)
-        counted, starts = bind_plan(count_query, plan, labeled, stats=stats)
-        rows_query = lower_query(pattern_to_query(pattern))
-        rows, row_starts = bind_plan(rows_query, plan, labeled, stats=stats)
+        counted, starts = bind_run(plan, prepared, config, counting=True)
+        rows, row_starts = bind_run(plan, prepared, config, counting=False)
         key = counting.key(counted, back, starts)
         if key not in queried:  # the whole query path, once per code
             queried.add(key)

@@ -21,7 +21,6 @@ from repro.labeled import (
     LabeledGraph,
     LabeledPatternGraph,
     count_labeled_matches,
-    count_labeled_subgraphs,
 )
 from repro.pattern.pattern_graph import PatternGraph
 from repro.plan.codegen import compile_plan
@@ -190,7 +189,7 @@ class TestCorrectness:
         config = BenuConfig(
             degree_filter=True, execution_backend=backend, num_workers=workers
         )
-        assert count_labeled_subgraphs(pattern, data, config) == (
+        assert count_subgraphs(pattern, data, config) == (
             count_labeled_matches(pattern, data)
         )
 

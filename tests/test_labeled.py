@@ -4,6 +4,13 @@ import random
 
 import pytest
 
+from repro.engine.benu import (
+    bind_run,
+    count_subgraphs,
+    enumerate_subgraphs,
+    prepare_data,
+    run_benu,
+)
 from repro.engine.config import BenuConfig
 from repro.graph.generators import erdos_renyi
 from repro.graph.graph import Graph, complete_graph, cycle_graph, star_graph
@@ -12,11 +19,7 @@ from repro.labeled import (
     LabeledGraph,
     LabeledPatternGraph,
     count_labeled_matches,
-    count_labeled_subgraphs,
     enumerate_labeled_matches,
-    enumerate_labeled_subgraphs,
-    labelize_plan,
-    run_labeled_benu,
 )
 from repro.plan.cost import GraphStats, predict_instruction_counts
 from repro.plan.generation import generate_raw_plan
@@ -81,13 +84,19 @@ class TestLabeledPattern:
             LabeledPatternGraph(complete_graph(3), {1: "A"})
 
 
-class TestLabelizePlan:
+def bind_labels(plan, data):
+    """``plan`` with its label pools on ``data`` bound, ids as given."""
+    config = BenuConfig(relabel=False)
+    return bind_run(plan, prepare_data(data, config), config, counting=False)[0]
+
+
+class TestLabelPools:
     def test_adds_label_intersections(self, data):
         pattern = LabeledPatternGraph(
             complete_graph(3), {1: "A", 2: "A", 3: "B"}, "tri"
         )
         base = optimize(generate_raw_plan(pattern, [1, 2, 3]))
-        plan = labelize_plan(base, pattern, data)
+        plan = bind_labels(base, data)
         validate_plan(plan)
         # Every ENU now loops over a label-filtered temp.
         for inst in plan.instructions:
@@ -100,7 +109,7 @@ class TestLabelizePlan:
             complete_graph(3), {1: "A", 2: "A", 3: "B"}, "tri"
         )
         base = optimize(generate_raw_plan(pattern, [1, 2, 3]))
-        plan = labelize_plan(base, pattern, data)
+        plan = bind_labels(base, data)
         pools = set(map(frozenset, plan.constants.values()))
         assert data.vertices_with_label("A") in pools
         assert data.vertices_with_label("B") in pools
@@ -119,7 +128,7 @@ class TestEndToEnd:
             complete_graph(4).edges(), {1: "A", 2: "A", 3: "B", 4: "B"}
         )
         tri = LabeledPatternGraph(complete_graph(3), {1: "A", 2: "A", 3: "B"})
-        assert count_labeled_subgraphs(tri, data) == 2
+        assert count_subgraphs(tri, data) == 2
 
     @pytest.mark.parametrize(
         "edges,labels",
@@ -135,7 +144,7 @@ class TestEndToEnd:
     def test_matches_oracle(self, edges, labels, data):
         pattern = LabeledPatternGraph(Graph(edges), labels)
         cfg = BenuConfig(relabel=False)
-        got = sorted(enumerate_labeled_subgraphs(pattern, data, cfg))
+        got = sorted(enumerate_subgraphs(pattern, data, cfg))
         want = sorted(enumerate_labeled_matches(pattern, data))
         assert got == want
 
@@ -146,7 +155,7 @@ class TestEndToEnd:
                 cycle_graph(4), dict(zip([1, 2, 3, 4], alphabet * 2))
             )
             cfg = BenuConfig(relabel=False)
-            assert count_labeled_subgraphs(pattern, data, cfg) == (
+            assert count_subgraphs(pattern, data, cfg) == (
                 count_labeled_matches(pattern, data)
             )
 
@@ -156,9 +165,9 @@ class TestEndToEnd:
             {1: "A", 2: "B", 3: "A", 4: "B"},
         )
         cfg = BenuConfig(relabel=False, collect=True)
-        plain = sorted(enumerate_labeled_subgraphs(pattern, data, cfg))
+        plain = sorted(enumerate_subgraphs(pattern, data, cfg))
         compressed = sorted(
-            enumerate_labeled_subgraphs(
+            enumerate_subgraphs(
                 pattern,
                 data,
                 BenuConfig(relabel=False, collect=True, compressed=True),
@@ -173,7 +182,7 @@ class TestEndToEnd:
             g.edges(), {v: rng.choice("AB") for v in g.vertices}, g.vertices
         )
         pattern = LabeledPatternGraph(complete_graph(3), {1: "A", 2: "A", 3: "B"})
-        result = run_labeled_benu(pattern, data, BenuConfig(collect=True))
+        result = run_benu(pattern, data, BenuConfig(collect=True))
         for match in result.matches:
             assert all(v >= 500 for v in match)
             # label preservation in original id space
@@ -186,7 +195,7 @@ class TestEndToEnd:
             complete_graph(3), {1: "A", 2: "A", 3: "B"}
         )
         cfg = BenuConfig(relabel=False)
-        result = run_labeled_benu(pattern, data, cfg)
+        result = run_benu(pattern, data, cfg)
         start_label = pattern.label_of(result.plan.order[0])
         assert result.num_tasks <= len(data.vertices_with_label(start_label)) * 4
 
@@ -194,4 +203,4 @@ class TestEndToEnd:
         pattern = LabeledPatternGraph(
             complete_graph(3), {1: "Z", 2: "Z", 3: "Z"}
         )
-        assert count_labeled_subgraphs(pattern, data, BenuConfig(relabel=False)) == 0
+        assert count_subgraphs(pattern, data, BenuConfig(relabel=False)) == 0

@@ -22,10 +22,6 @@ from repro.engine.config import BenuConfig
 from repro.graph.generators import chung_lu
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import PATTERNS
-from repro.labeled.enumerate import (
-    count_labeled_subgraphs,
-    enumerate_labeled_subgraphs,
-)
 from repro.labeled.graphs import LabeledGraph
 from repro.labeled.pattern import LabeledPatternGraph
 from repro.lang import lower_query, pattern_to_query, run_query
@@ -116,13 +112,13 @@ def test_labeled_query_equals_labeled_path(name, labeled_workload):
     text = pattern_to_query(pattern)
     assert ".label" in text
     config = _config()
-    expected = enumerate_labeled_subgraphs(pattern, labeled_workload, config)
+    expected = enumerate_subgraphs(pattern, labeled_workload, config)
     result = run_query(text, labeled_workload, config)
     assert _canonical(result.matches) == _canonical(expected)
     count_result = run_query(
         pattern_to_query(pattern, select="count"), labeled_workload, config
     )
-    assert count_result.count == count_labeled_subgraphs(
+    assert count_result.count == count_subgraphs(
         pattern, labeled_workload, config
     )
 

@@ -3,8 +3,8 @@
 Each ``tests/golden/<name>.txt`` pins the full front-end trace of one
 query: the parsed logical tree, the optimized tree, the optimizer rules
 that fired, and the physical plan the lowered pattern compiles to
-(labelized against a small fixed labeled graph when the query carries
-label predicates).  Any change to the grammar, the algebra printers, a
+(its label pools bound on a small fixed labeled graph when the query
+carries label predicates).  Any change to the grammar, the algebra printers, a
 rewrite rule or plan generation shows up as a readable diff against
 these files.
 
@@ -18,14 +18,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.benu import build_plan
+from repro.engine.benu import bind_run, build_plan, prepare_data
+from repro.engine.config import BenuConfig
 from repro.labeled.graphs import LabeledGraph
-from repro.labeled.plans import labelize_plan
 from repro.lang import fire_rules, lower_query, parse_query, pretty_tree
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-#: The fixed labeled graph golden plans are labelized against.
+#: The fixed labeled graph golden plans bind their label pools on.
 GOLDEN_GRAPH = LabeledGraph(
     [(1, 2), (2, 3), (1, 3), (3, 4)],
     {1: "A", 2: "B", 3: "A", 4: "B"},
@@ -75,7 +75,9 @@ def render_case(query: str) -> str:
     else:
         plan = build_plan(lowered.pattern)
         if lowered.is_labeled:
-            plan = labelize_plan(plan, lowered.pattern, GOLDEN_GRAPH)
+            config = BenuConfig(relabel=False)
+            prepared = prepare_data(GOLDEN_GRAPH, config)
+            plan, _ = bind_run(plan, prepared, config, counting=False)
         parts += ["", "-- plan", str(plan)]
     return "\n".join(parts) + "\n"
 

@@ -224,11 +224,7 @@ def test_clique_cache_never_changes_results(pattern, data):
 def test_labels_restrict_and_uniform_label_is_identity(
     pattern, data, num_labels, seed
 ):
-    from repro.labeled import (
-        LabeledGraph,
-        LabeledPatternGraph,
-        count_labeled_subgraphs,
-    )
+    from repro.labeled import LabeledGraph, LabeledPatternGraph
 
     rng = random.Random(seed)
     alphabet = [f"L{i}" for i in range(num_labels)]
@@ -238,7 +234,7 @@ def test_labels_restrict_and_uniform_label_is_identity(
     labeled_pattern = LabeledPatternGraph(pattern, pattern_labels)
 
     unlabeled = count_subgraphs(pattern, data, BenuConfig(relabel=False))
-    labeled = count_labeled_subgraphs(
+    labeled = count_subgraphs(
         labeled_pattern, labeled_data, BenuConfig(relabel=False)
     )
     assert labeled <= unlabeled
