@@ -10,8 +10,8 @@ queries.  ``scripts/perf_guard.py`` gates on those speedups (any key
 starting with ``speedup``) exactly like it gates ops/sec.
 
 The process backend is measured once, chunked by its one rule (a fixed
-number of queue pulls per worker); ``mean_task_wall_seconds`` is
-recorded per pattern as a measurement.
+number of queue pulls per worker, cut to equal static weight);
+``mean_task_wall_seconds`` is recorded per pattern as a measurement.
 """
 
 import os

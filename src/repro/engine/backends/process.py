@@ -20,7 +20,13 @@ Design notes
   attempt)`` chunk — a range of the inherited task list — and ``send``s
   its record, holding at most one chunk, so a worker that drew cheap
   tasks pulls again while another grinds through a hub vertex.  One
-  chunk rule: :meth:`ProcessBackend._chunksize`.
+  chunk rule, :meth:`ProcessBackend._chunk_stops`: chunks are cut by
+  work, not by count.  A task weighs its start vertex's degree (a split
+  slice, its candidate count), and each chunk holds about
+  ``1 / (workers × PULLS_PER_WORKER)`` of the total weight — the degree
+  relabel puts every hub task in the tail, so equal task counts would
+  hand one worker the whole tail.  A boundary is a pure function of the
+  task list, the graph's degrees and the worker count.
 * A chunk record is flat: counters as one ``array('q')``, walls as one
   ``array('d')``, matches as one buffer of fixed-width rows — an
   ``array('q')`` when ``packs_rows`` (serialization is a buffer copy), a
@@ -46,7 +52,7 @@ import threading
 import time as _time
 from array import array
 from multiprocessing.connection import wait
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ...faults import (
     InjectedFault,
@@ -256,22 +262,46 @@ class ProcessBackend(ExecutionBackend):
     name = "process"
 
     def __init__(self, queue_chunksize: Optional[int] = None) -> None:
-        #: Tasks handed to a worker per chunk; small values keep the
-        #: pulls adaptive, larger ones amortize IPC.  None = auto.
+        #: Tasks handed to a worker per chunk, uniformly; small values
+        #: keep the pulls adaptive, larger ones amortize IPC.  None = cut
+        #: by weight (:meth:`_chunk_stops`).
         self.queue_chunksize = queue_chunksize
 
-    def _chunksize(self, num_tasks: int, num_workers: int) -> int:
-        """Tasks per chunk: ``PULLS_PER_WORKER`` pulls per worker, unless
-        an explicit ``queue_chunksize`` says otherwise.
+    def _chunk_stops(self, weights: Sequence[int], num_workers: int) -> List[int]:
+        """Where each chunk of the task list ends: contiguous, never empty.
 
-        >>> ProcessBackend()._chunksize(2400, 2)
-        150
-        >>> ProcessBackend()._chunksize(3, 8)  # never zero
-        1
+        A chunk closes as soon as the running weight crosses the next
+        multiple of ``total / (num_workers × PULLS_PER_WORKER)``, so one
+        heavy task is a chunk of its own and a run of light ones shares
+        one.  An explicit ``queue_chunksize`` cuts uniformly instead.
+
+        >>> ProcessBackend()._chunk_stops([1] * 8, 1)  # equal weights
+        [1, 2, 3, 4, 5, 6, 7, 8]
+        >>> ProcessBackend()._chunk_stops([1] * 14 + [10, 20], 1)  # a hub tail
+        [6, 11, 15, 16]
+        >>> ProcessBackend(queue_chunksize=5)._chunk_stops([1] * 12, 2)
+        [5, 10, 12]
         """
+        num_tasks = len(weights)
         if self.queue_chunksize is not None:
-            return max(1, self.queue_chunksize)
-        return max(1, num_tasks // (num_workers * PULLS_PER_WORKER))
+            size = max(1, self.queue_chunksize)
+            return [
+                min(base + size, num_tasks) for base in range(0, num_tasks, size)
+            ]
+        # Integer arithmetic: running × pulls against k × total.
+        pulls = num_workers * PULLS_PER_WORKER
+        total = sum(weights) or 1
+        stops: List[int] = []
+        running = 0
+        mark = total
+        for stop, weight in enumerate(weights, 1):
+            running += weight * pulls
+            if running >= mark:
+                stops.append(stop)
+                mark = (running // total + 1) * total
+        if num_tasks and (not stops or stops[-1] < num_tasks):
+            stops.append(num_tasks)
+        return stops
 
     # ------------------------------------------------------------------
     def _execute(self, request: ExecutionRequest):
@@ -320,9 +350,16 @@ class ProcessBackend(ExecutionBackend):
             if num_workers == 1:
                 self._run_inline(init_args, len(tasks), control, consume, events)
             else:
+                # A task's weight is static and known before the fork: its
+                # start vertex's degree, or a split slice's candidate count.
+                weights = [
+                    graph.degree(task.start) if task.candidate_slice is None
+                    else len(task.candidate_slice)
+                    for task in tasks
+                ]
                 recovery = self._run_pool(
-                    init_args, len(tasks), control, consume, num_workers,
-                    events, config.task_retries,
+                    init_args, self._chunk_stops(weights, num_workers),
+                    control, consume, num_workers, events, config.task_retries,
                 )
             exec_span.args["tasks"] = len(tasks)
 
@@ -348,11 +385,13 @@ class ProcessBackend(ExecutionBackend):
                 events.emit(EV_TASK_DISPATCHED, task_id=i)
             consume(i, _run_tasks(i, i + 1))
 
+    @staticmethod
     def _run_pool(
-        self, init_args, num_tasks, control, consume, num_workers, events,
+        init_args, stops, control, consume, num_workers, events,
         task_retries: int = 0,
     ) -> Tuple[int, int]:
-        """Run every chunk on ``num_workers`` forked workers, exactly once.
+        """Run every chunk — ``stops`` ends one each — on ``num_workers``
+        forked workers, exactly once.
 
         The parent feeds idle workers the lowest pending chunk, waits on
         every pipe with a 0.1 s timeout (so a cancel or a deadline is
@@ -368,15 +407,15 @@ class ProcessBackend(ExecutionBackend):
         ``(worker crashes, tasks retried)``.
         """
         ctx = mp.get_context("fork") if hasattr(os, "fork") else mp.get_context()
-        size = self._chunksize(num_tasks, num_workers)
+        num_tasks = stops[-1] if stops else 0
         todo: List[_TaskChunk] = [
-            (base, min(base + size, num_tasks), 0)
-            for base in range(0, num_tasks, size)
+            (base, stop, 0) for base, stop in zip([0] + stops, stops)
         ]
         if events.enabled:
             for base, stop, _ in todo:
                 events.emit(EV_TASK_DISPATCHED, task_id=base, tasks=stop - base)
-        held: Dict[int, _ChunkRecord] = {}
+        #: Early arrivals, by first task: (the chunk's stop, its record).
+        held: Dict[int, Tuple[int, _ChunkRecord]] = {}
         next_base = 0
         crashes: Dict[int, int] = {}
         tasks_retried = 0
@@ -448,11 +487,12 @@ class ProcessBackend(ExecutionBackend):
                     if isinstance(record, str):
                         retry(chunk)
                     else:
-                        held[chunk[0]] = record
+                        held[chunk[0]] = (chunk[1], record)
                     feed(conn)  # before the sink gets its turn
                     while next_base in held and not limited():
-                        consume(next_base, held.pop(next_base))
-                        next_base += size
+                        stop, record = held.pop(next_base)
+                        consume(next_base, record)
+                        next_base = stop
         finally:
             for proc, _ in workers.values():
                 proc.kill()

@@ -22,6 +22,7 @@ which take a labeled pattern on a labeled graph as well.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
@@ -171,6 +172,14 @@ class PreparedData:
     @property
     def relabeled(self) -> bool:
         return self.mapping is not None
+
+    def pool_bytes(self) -> int:
+        """Resident bytes of the vertex pools kept beside ``graph``: the
+        label index and the memoised degree pools (each frozenset's own
+        table; the vertex ids are the graph's)."""
+        pools = list((self.label_index or {}).values())
+        pools += list(self.__dict__.get("_degree_pools", {}).values())
+        return sum(map(sys.getsizeof, pools))
 
     @cached_property
     def inverse_blocks(self):

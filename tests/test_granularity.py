@@ -2,14 +2,18 @@
 
 Three layers pinned here:
 
-* the chunk-size rule — ``ProcessBackend._chunksize`` hands each worker
-  ``PULLS_PER_WORKER`` queue pulls (never an empty chunk), and an
-  explicit ``queue_chunksize`` overrides it;
-* chunk boundaries are a function of the task count and the worker
-  count alone: cold and warm runs, count and collect mode, cheap and
-  expensive patterns, and repeated service queries all dispatch the same
-  ``(task_id, tasks)`` sequence.  ``mean_task_wall_seconds`` is measured
-  and reported, never fed back;
+* the chunk rule — ``ProcessBackend._chunk_stops`` cuts chunks by work,
+  not by count.  A task weighs its start vertex's degree (a split
+  slice, its candidate count); a chunk closes as soon as the running
+  weight crosses the next multiple of ``total / (workers ×
+  PULLS_PER_WORKER)``.  Chunks tile the task list, none is empty, and
+  an explicit ``queue_chunksize`` still cuts uniformly;
+* chunk boundaries are a function of the task list, the graph's degrees
+  and the worker count alone: cold and warm runs, count and collect
+  mode, cheap and expensive patterns, and repeated service queries all
+  dispatch the same ``(task_id, tasks)`` sequence.
+  ``mean_task_wall_seconds`` is measured and reported, never fed back;
+  on a degree-sorted hub graph no chunk carries most of the rows;
 * ``_run_chunk``'s contract — the parent hands each worker one
   ``(base, stop, attempt)`` range of the task list its workers
   inherited at a time; chunk arrival order never affects the rows or
@@ -28,14 +32,21 @@ from repro.engine.backends.process import (
     ProcessBackend,
     _run_chunk,
 )
-from repro.engine.benu import execute_plan, prepare_data, prepare_plan, run_benu
+from repro.engine.benu import (
+    bind_run,
+    execute_plan,
+    prepare_data,
+    prepare_plan,
+    run_benu,
+)
 from repro.engine.config import BenuConfig
+from repro.engine.task_split import generate_tasks
 from repro.graph.generators import chung_lu
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import get_pattern
 from repro.plan.codegen import COUNTER_FIELDS, TaskCounters
 from repro.service import BenuService
-from repro.telemetry.events import EV_TASK_DISPATCHED, EventLog
+from repro.telemetry.events import EV_TASK_DISPATCHED, EV_TASK_FINISHED, EventLog
 from repro.telemetry.runtime import Telemetry
 
 
@@ -52,13 +63,28 @@ def _process_config(**overrides):
     )
 
 
-def _rule_chunks(num_tasks, num_workers):
-    """The ``(first task, tasks)`` boundaries the rule prescribes."""
-    size = ProcessBackend()._chunksize(num_tasks, num_workers)
+def _weights(pattern, graph, config):
+    """Each task's static weight, for the tasks a run of ``pattern``
+    generates: its start vertex's degree, or a split slice's size."""
+    prepared = prepare_data(graph, config)
+    plan = prepare_plan(get_pattern(pattern), prepared, config)
+    plan, starts = bind_run(plan, prepared, config, counting=not config.collect)
+    tasks = generate_tasks(plan, prepared.graph, config.split_threshold, starts)
     return [
-        (first, min(size, num_tasks - first))
-        for first in range(0, num_tasks, size)
+        len(t.candidate_slice) if t.is_split else prepared.graph.degree(t.start)
+        for t in tasks
     ]
+
+
+def _as_chunks(stops):
+    """``(first task, tasks)`` pairs from a list of chunk stops."""
+    return [(base, stop - base) for base, stop in zip([0] + stops, stops)]
+
+
+def _rule_chunks(pattern, graph, config):
+    """The ``(first task, tasks)`` boundaries the rule prescribes."""
+    weights = _weights(pattern, graph, config)
+    return _as_chunks(ProcessBackend()._chunk_stops(weights, config.num_workers))
 
 
 def _dispatched(events):
@@ -69,9 +95,9 @@ def _dispatched(events):
     ]
 
 
-def _run_logged(pattern, workload, config):
+def _run_logged(pattern, workload, config, log=None):
     """One process-backend run: ``(result, dispatched chunks)``."""
-    log = EventLog()
+    log = log if log is not None else EventLog()
     prepared = prepare_data(workload, config)
     plan = prepare_plan(get_pattern(pattern), prepared, config)
     result = execute_plan(
@@ -80,32 +106,55 @@ def _run_logged(pattern, workload, config):
     return result, _dispatched(log.events())
 
 
+def _assert_tiles(stops, num_tasks):
+    """Chunks cover ``[0, num_tasks)`` exactly once, none empty."""
+    chunks = _as_chunks(stops)
+    assert all(size > 0 for _, size in chunks)
+    assert sum(size for _, size in chunks) == num_tasks
+
+
 class TestChunkSizeMath:
     def test_fallback_is_pulls_per_worker(self):
-        rule = ProcessBackend()._chunksize
-        assert rule(2400, 2) == 2400 // (2 * PULLS_PER_WORKER)
-        assert rule(3, 8) == 1  # never zero
+        # Equal weights cut into equal chunks, PULLS_PER_WORKER per worker.
+        rule = ProcessBackend()._chunk_stops
+        size = 2400 // (2 * PULLS_PER_WORKER)
+        assert rule([1] * 2400, 2) == list(range(size, 2401, size))
+        assert rule([5] * 3, 8) == [1, 2, 3]  # never empty
+        assert rule([], 2) == []
 
-    def test_measured_targets_the_budget(self):
-        # No time budget: the pull count is the target.  Every worker
-        # gets at least PULLS_PER_WORKER pulls, and never twice as many.
-        for num_tasks in (16, 100, 2371, 10_000):
+    def test_measured_targets_the_budget(self, workload):
+        # At most one chunk per pull (plus one for trailing weightless
+        # tasks); a chunk closes as soon as it has crossed the next
+        # multiple of the target, so all of it but its last task weighs
+        # less than one target.
+        skewed = _weights("triangle", workload, _process_config())
+        for weights in ([1] * 2371, [3] * 100, skewed, skewed[::-1], [0] * 9):
+            total = sum(weights)
             for num_workers in (1, 2, 3, 8):
-                if num_tasks < num_workers * PULLS_PER_WORKER:
-                    continue
-                pulls = len(_rule_chunks(num_tasks, num_workers))
-                budget = num_workers * PULLS_PER_WORKER
-                assert budget <= pulls <= 2 * budget
+                pulls = num_workers * PULLS_PER_WORKER
+                stops = ProcessBackend()._chunk_stops(weights, num_workers)
+                _assert_tiles(stops, len(weights))
+                assert len(stops) <= pulls + (weights[-1:] == [0])
+                for base, stop in zip([0] + stops, stops):
+                    assert sum(weights[base:stop - 1]) * pulls < max(total, 1)
 
-    def test_measured_clamped_by_balance(self):
-        # The balance floor is the whole rule now: as_sim's 2,371 triangle
-        # tasks over 2 workers go out 148 per pull.
-        assert ProcessBackend()._chunksize(2371, 2) == 148
+    def test_measured_clamped_by_balance(self, workload):
+        # The degree relabel puts the hubs last: weighted chunks shrink
+        # toward the tail instead of lumping it into one chunk.
+        weights = _weights("triangle", workload, _process_config())
+        stops = ProcessBackend()._chunk_stops(weights, 2)
+        sizes = [size for _, size in _as_chunks(stops)]
+        assert sizes[0] > 10 * sizes[-1]
+        target = sum(weights) / (2 * PULLS_PER_WORKER)
+        for base, stop in zip([0] + stops, stops):
+            assert sum(weights[base:stop]) < target + max(weights[base:stop])
 
     def test_measured_heavy_tasks_go_fine_grained(self):
+        # A task heavier than a target is a chunk of its own.
+        rule = ProcessBackend()._chunk_stops
+        assert rule([1] * 14 + [10, 20], 1) == [6, 11, 15, 16]
         # Fewer tasks than pulls: one task per pull.
-        assert ProcessBackend()._chunksize(15, 2) == 1
-        assert _rule_chunks(5, 4) == [(i, 1) for i in range(5)]
+        assert rule([1] * 5, 4) == [1, 2, 3, 4, 5]
 
     def test_no_hint_falls_back(self, workload):
         # No cost hint rides along anywhere: the rule is all there is.
@@ -116,14 +165,19 @@ class TestChunkSizeMath:
         with pytest.raises(TypeError):
             execute_plan(plan, prepared, config, task_cost_hint=0.001)
         with pytest.raises(TypeError):
-            ProcessBackend()._chunksize(2400, 2, 0.001)
+            ProcessBackend()._chunk_stops([1] * 10, 2, 0.001)
 
     def test_backend_precedence_explicit_then_hint_then_fallback(self):
-        assert ProcessBackend(queue_chunksize=7)._chunksize(1000, 2) == 7
-        assert ProcessBackend(queue_chunksize=0)._chunksize(1000, 2) == 1
-        assert ProcessBackend()._chunksize(1000, 2) == 1000 // (
-            2 * PULLS_PER_WORKER
+        # An explicit queue_chunksize cuts uniformly, whatever the weights.
+        skewed = [1] * 990 + [500] * 10
+        explicit = ProcessBackend(queue_chunksize=7)._chunk_stops(skewed, 2)
+        assert explicit == [min(s, 1000) for s in range(7, 1007, 7)]
+        assert ProcessBackend(queue_chunksize=0)._chunk_stops(skewed, 2) == list(
+            range(1, 1001)
         )
+        weighted = ProcessBackend()._chunk_stops(skewed, 2)
+        _assert_tiles(weighted, 1000)
+        assert weighted[-10:] == list(range(991, 1001))
 
 
 class TestTaskCostProfile:
@@ -135,17 +189,22 @@ class TestTaskCostProfile:
         cold, cold_chunks = _run_logged("triangle", workload, config)
         warm, warm_chunks = _run_logged("triangle", workload, config)
         assert cold.mean_task_wall_seconds > 0
-        assert cold_chunks == warm_chunks == _rule_chunks(cold.num_tasks, 2)
+        assert cold_chunks == warm_chunks == _rule_chunks(
+            "triangle", workload, config
+        )
+        assert sum(size for _, size in cold_chunks) == cold.num_tasks
         assert warm.counters == cold.counters
 
     def test_nonpositive_measurements_ignored(self, workload):
-        # A cheap and an expensive pattern over the same task count split
-        # identically: task cost is no input.
+        # A cheap and an expensive pattern over the same task list split
+        # identically: measured task cost is no input.
         config = _process_config(split_threshold=None)
         cheap, cheap_chunks = _run_logged("triangle", workload, config)
         heavy, heavy_chunks = _run_logged("clique4", workload, config)
         assert cheap.num_tasks == heavy.num_tasks
-        assert cheap_chunks == heavy_chunks == _rule_chunks(cheap.num_tasks, 2)
+        assert cheap_chunks == heavy_chunks == _rule_chunks(
+            "triangle", workload, config
+        )
 
     def test_alpha_validated(self):
         # The per-pull time budget knob is gone, not merely unused.
@@ -158,11 +217,11 @@ class TestTaskCostProfile:
         _, collect_chunks = _run_logged(
             "triangle", workload, _process_config(collect=True)
         )
-        _, three_chunks = _run_logged(
-            "triangle", workload, _process_config(num_workers=3)
-        )
+        three = _process_config(num_workers=3)
+        _, three_chunks = _run_logged("triangle", workload, three)
         assert count_chunks == collect_chunks
-        assert three_chunks == _rule_chunks(count.num_tasks, 3) != count_chunks
+        assert three_chunks == _rule_chunks("triangle", workload, three)
+        assert three_chunks != count_chunks
 
 
 class TestMeasuredFeedback:
@@ -184,19 +243,43 @@ class TestMeasuredFeedback:
     def test_service_records_costs_per_plan_profile(self, workload):
         # The service keeps no cost record: a repeated query re-chunks
         # exactly as the first did.
+        config = _process_config()
         with BenuService() as service:
             service.register_graph("g", workload, relabel=False)
             runs = []
             for _ in range(2):
                 handle = service.submit(
-                    pattern=get_pattern("triangle"), graph="g",
-                    config=_process_config(),
+                    pattern=get_pattern("triangle"), graph="g", config=config,
                 )
-                result = handle.result(timeout=120)
+                handle.result(timeout=120)
                 runs.append(
                     _dispatched(service.events.events(query_id=handle.query_id))
                 )
-            assert runs[0] == runs[1] == _rule_chunks(result.num_tasks, 2)
+            assert runs[0] == runs[1] == _rule_chunks("triangle", workload, config)
+
+
+class TestSkewedChunks:
+    """Hub tasks spread over many chunks, so both workers get work."""
+
+    #: The most of a run's rows one chunk may carry.  The uniform
+    #: equal-count cut put 85 % of them in the last chunk on this graph.
+    MAX_CHUNK_SHARE = 0.5
+
+    def test_no_chunk_carries_most_rows_on_a_hub_graph(self):
+        graph, _ = relabel_by_degree_order(
+            chung_lu(400, 6.0, exponent=2.4, seed=2019)
+        )
+        log = EventLog()
+        result, chunks = _run_logged(
+            "chordal_square", graph, _process_config(collect=True), log
+        )
+        rows = [
+            e.fields["embeddings"] for e in log.events()
+            if e.type == EV_TASK_FINISHED
+        ]
+        assert len(rows) == len(chunks) > 2
+        assert sum(rows) == result.count == len(result.matches) > 0
+        assert max(rows) <= self.MAX_CHUNK_SHARE * sum(rows)
 
 
 class TestChunkContract:

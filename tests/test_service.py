@@ -692,6 +692,22 @@ class TestCatalog:
             # The store and a warm cache pool are now resident.
             assert service.catalog.memory_bytes() > before
 
+    def test_catalog_memory_counts_the_vertex_pools(self):
+        # The label index and the memoised degree pools stay resident
+        # beside the graph, so the entry's bytes include them.
+        graph = chung_lu(300, 5.0, exponent=2.5, seed=2019)
+        catalog = GraphCatalog()
+        plain = catalog.register("plain", graph).memory_bytes()
+        entry = catalog.register(
+            "labeled", graph, labels={v: v % 3 for v in graph.vertices}
+        )
+        index = entry.prepared.label_index.values()
+        assert entry.memory_bytes() - plain >= sum(map(sys.getsizeof, index)) > 0
+        before = entry.memory_bytes()
+        _, pools = entry.prepared.degree_pools(get_pattern("clique4"))
+        grown = sum(map(sys.getsizeof, pools.values()))
+        assert entry.memory_bytes() - before >= grown > 0
+
     def test_warm_pools_are_reused(self, workload):
         with BenuService() as service:
             service.register_graph("g", workload, relabel=False)
