@@ -66,6 +66,22 @@ def test_smoke_snapshot_parity(traced_result):
     assert snap.instruction_counts["RES"] == traced_result.count
 
 
+def _spy_on_records(monkeypatch):
+    """The chunk records the process backend's parent receives, as they
+    arrive: every record passes ``ProcessBackend._account`` once."""
+    from repro.engine.backends.process import ProcessBackend
+
+    seen = []
+    original = ProcessBackend._account
+
+    def spy(record, *rest):
+        seen.append(record)
+        return original(record, *rest)
+
+    monkeypatch.setattr(ProcessBackend, "_account", staticmethod(spy))
+    return seen
+
+
 class TestTelemetryOffIsFree:
     """The zero-overhead contract: observability off must cost nothing."""
 
@@ -87,46 +103,37 @@ class TestTelemetryOffIsFree:
 
     def test_untraced_ipc_records_are_exact_four_tuples(self, monkeypatch):
         """Tracing off → chunk records carry zero extra payload bytes."""
-        from repro.engine.backends import process as proc
-
-        seen = []
-        original = proc._run_tasks
-
-        def spy(*chunk):
-            record = original(*chunk)
-            seen.append(record)
-            return record
-
-        monkeypatch.setattr(proc, "_run_tasks", spy)
+        seen = _spy_on_records(monkeypatch)
         pattern = get_pattern("triangle")
         data = erdos_renyi(30, 0.2, seed=5)
-        config = BenuConfig(num_workers=1, execution_backend="process")
-        run_benu(pattern, data, config)
-        records = list(seen)
-        assert records
-        assert all(len(r) == 4 for r in records)
-        # Explicitly: the serialized record IS the bare 4-tuple.
-        assert all(
-            pickle.dumps(r) == pickle.dumps(tuple(r[:4])) for r in records
-        )
-        # Tracing on appends exactly one trailing element (the spans).
-        seen.clear()
-        run_benu(
-            pattern,
-            data,
-            BenuConfig(
-                num_workers=1,
-                execution_backend="process",
-                telemetry=TelemetryConfig(trace=True),
-            ),
-        )
-        traced = list(seen)
-        assert traced and all(len(r) == 5 for r in traced)
+        for workers in (1, 2):
+            seen.clear()
+            config = BenuConfig(num_workers=workers, execution_backend="process")
+            run_benu(pattern, data, config)
+            records = list(seen)
+            assert records
+            assert all(len(r) == 4 for r in records)
+            # Explicitly: the serialized record IS the bare 4-tuple.
+            assert all(
+                pickle.dumps(r) == pickle.dumps(tuple(r[:4])) for r in records
+            )
+            # Tracing on appends exactly one trailing element (the spans).
+            seen.clear()
+            run_benu(
+                pattern,
+                data,
+                BenuConfig(
+                    num_workers=workers,
+                    execution_backend="process",
+                    telemetry=TelemetryConfig(trace=True),
+                ),
+            )
+            traced = list(seen)
+            assert traced and all(len(r) == 5 for r in traced)
 
     def test_faults_off_is_free(self, monkeypatch):
         """No schedule configured → the null injector, no fault metrics,
         and the same bare 4-tuple IPC records."""
-        from repro.engine.backends import process as proc
         from repro.faults import FAULTS_ENV, NULL_INJECTOR, get_injector
         from repro.telemetry.snapshot import (
             M_FAULTS_INJECTED,
@@ -137,28 +144,22 @@ class TestTelemetryOffIsFree:
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         assert get_injector(None) is NULL_INJECTOR
 
-        seen = []
-        original = proc._run_tasks
-
-        def spy(*chunk):
-            record = original(*chunk)
-            seen.append(record)
-            return record
-
-        monkeypatch.setattr(proc, "_run_tasks", spy)
-        result = run_benu(
-            get_pattern("triangle"),
-            erdos_renyi(30, 0.2, seed=5),
-            BenuConfig(num_workers=1, execution_backend="process"),
-        )
-        records = list(seen)
-        assert records and all(
-            pickle.dumps(r) == pickle.dumps(tuple(r[:4])) for r in records
-        )
-        registry = result.telemetry.registry
-        for metric in (M_WORKER_CRASHES, M_TASK_RETRIES, M_FAULTS_INJECTED):
-            assert registry.get(metric) is None
-        assert result.worker_crashes == 0 and result.tasks_retried == 0
+        seen = _spy_on_records(monkeypatch)
+        for workers in (1, 2):
+            seen.clear()
+            result = run_benu(
+                get_pattern("triangle"),
+                erdos_renyi(30, 0.2, seed=5),
+                BenuConfig(num_workers=workers, execution_backend="process"),
+            )
+            records = list(seen)
+            assert records and all(
+                pickle.dumps(r) == pickle.dumps(tuple(r[:4])) for r in records
+            )
+            registry = result.telemetry.registry
+            for metric in (M_WORKER_CRASHES, M_TASK_RETRIES, M_FAULTS_INJECTED):
+                assert registry.get(metric) is None
+            assert result.worker_crashes == 0 and result.tasks_retried == 0
 
     def test_predictions_leave_compiled_source_byte_identical(self):
         from repro.engine.benu import build_plan

@@ -42,7 +42,7 @@ EXECUTION_BACKENDS: Dict[str, Type[ExecutionBackend]] = {
 }
 
 
-def get_backend(name: str, **options) -> ExecutionBackend:
+def get_backend(name: str) -> ExecutionBackend:
     """Instantiate the execution backend registered under ``name``."""
     try:
         cls = EXECUTION_BACKENDS[name]
@@ -51,7 +51,7 @@ def get_backend(name: str, **options) -> ExecutionBackend:
             f"unknown execution backend {name!r}; "
             f"options: {sorted(EXECUTION_BACKENDS)}"
         ) from None
-    return cls(**options)
+    return cls()
 
 
 __all__ = [

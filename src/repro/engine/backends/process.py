@@ -10,12 +10,15 @@ backend emits.
 Design notes
 ------------
 * A fork pool of our own: ``num_workers`` forked processes, one duplex
-  pipe each.  Compiled closures cannot be pickled, so a worker compiles
-  the plan once, when it starts.  It inherits the graph's neighbour
-  frozensets and the parent's resolved task list at fork, split tasks'
-  ``candidate_slice`` frozensets included, so a task visits its
-  candidates in the parent's order (only fork runs are order-identical:
-  a frozenset rebuilt from a pickle may iterate differently).
+  pipe each — one worker is a pool of one, so every worker count takes
+  one path and the parent never runs a task itself: a run's worker
+  state lives and dies in its workers.  Compiled closures cannot be
+  pickled, so a worker compiles the plan once, when it starts.  It
+  inherits the graph's neighbour frozensets and the parent's resolved
+  task list at fork, split tasks' ``candidate_slice`` frozensets
+  included, so a task visits its candidates in the parent's order (only
+  fork runs are order-identical: a frozenset rebuilt from a pickle may
+  iterate differently).
 * The parent hands out work: a worker ``recv``s one ``(base, stop,
   attempt)`` chunk — a range of the inherited task list — and ``send``s
   its record, holding at most one chunk, so a worker that drew cheap
@@ -35,9 +38,9 @@ Design notes
   buffer holds early arrivals), so every backend's sink sees one row
   sequence and a LIMIT keeps the same prefix.
 * The parent knows which chunk each worker holds: a death — EOF or a
-  broken pipe — puts back exactly that chunk, and a kill mid-write only
-  damages the pipe thrown away with it.  Every way out of a run kills
-  and joins every worker.
+  broken pipe; an injected ``crash`` is always ``os._exit`` — puts back
+  exactly that chunk, and a kill mid-write only damages the pipe thrown
+  away with it.  Every way out of a run kills and joins every worker.
 * Workers own the whole graph locally, so the ledgers record zero
   distributed-store queries and every adjacency lookup as a cache hit —
   same metric names, values reflecting this backend's reality.
@@ -52,7 +55,7 @@ import threading
 import time as _time
 from array import array
 from multiprocessing.connection import wait
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ...faults import (
     InjectedFault,
@@ -104,9 +107,6 @@ PULLS_PER_WORKER = 8
 #: the attempt it runs as.
 _TaskChunk = Tuple[int, int, int]
 
-# Globals populated inside each worker process by ``_init_worker``.
-_worker_state: dict = {}
-
 #: Exit code an injected ``crash`` uses inside a pool worker — distinct
 #: from negative signal codes, so a crash report tells the two apart.
 _CRASH_EXIT_CODE = 70
@@ -143,8 +143,9 @@ class WorkerCrashed(RuntimeError):
 def _init_worker(
     plan, graph, mode: str, tasks, trace: bool = False, pack: bool = False,
     faults=None,
-) -> None:
-    """Build per-process state: compiled plan + adjacency access.
+) -> dict:
+    """A worker's state: compiled plan, adjacency access, the inherited
+    task list.
 
     ``pack`` picks collect mode's match buffer: an ``array('q')`` (the
     parent decides eligibility once) or a list.  With ``trace`` on, the
@@ -153,43 +154,45 @@ def _init_worker(
     for the first chunk record to carry home.
     """
     t0 = _time.perf_counter() if trace else 0.0
-    _worker_state.clear()
-    _worker_state["compiled"] = compile_plan(plan, mode=mode)
-    _worker_state["get_adj"] = graph.adjacency().__getitem__
-    _worker_state["vset"] = frozenset(graph.vertices)
-    _worker_state["tasks"] = tasks
-    _worker_state["collect"] = mode == "collect"
-    _worker_state["pack"] = pack
-    _worker_state["trace"] = trace
-    # Deterministic fault injection: one injector per attempt, so each
-    # worker replays the schedule against its own per-site hit counters
-    # and rules stay attempt-scoped (a retried chunk runs attempt-0 rules
-    # clean).  A ``crash`` rule hard-kills a pool worker (``_serve`` sets
-    # ``crash``); inline it degrades to raising.
-    _worker_state["faults"] = faults
-    _worker_state["injectors"] = {}
-    _worker_state["crash"] = None
+    state = {
+        "compiled": compile_plan(plan, mode=mode),
+        "get_adj": graph.adjacency().__getitem__,
+        "vset": frozenset(graph.vertices),
+        "tasks": tasks,
+        "collect": mode == "collect",
+        "pack": pack,
+        "trace": trace,
+        # Deterministic fault injection: one injector per attempt, so each
+        # worker replays the schedule against its own per-site hit
+        # counters and rules stay attempt-scoped (a retried chunk runs
+        # attempt-0 rules clean).
+        "faults": faults,
+        "injectors": {},
+    }
     if trace:
-        _worker_state["pending_spans"] = [{
+        state["pending_spans"] = [{
             "name": "worker-init", "t0": t0, "t1": _time.perf_counter(),
             "category": "worker", "args": {"mode": mode},
         }]
+    return state
 
 
-def _injector(attempt: int):
-    """This worker's fault injector for chunks run as ``attempt``."""
-    injectors = _worker_state["injectors"]
-    if attempt not in injectors:
-        injectors[attempt] = get_injector(_worker_state["faults"], attempt=attempt)
-    return injectors[attempt]
+def _crash() -> None:
+    """What an injected ``crash`` does: end this pool worker at once."""
+    os._exit(_CRASH_EXIT_CODE)
 
 
-def _run_tasks(base: int, stop: int, attempt: int = 0) -> _ChunkRecord:
+def _run_tasks(
+    state: dict, base: int, stop: int, attempt: int
+) -> Union[_ChunkRecord, str]:
     """Execute tasks ``[base, stop)`` of the inherited list; return their
-    one flat record."""
-    state = _worker_state
-    injector = _injector(attempt)
-    crash = state["crash"]
+    one flat record, or a lost-chunk marker (a plain string — a healthy
+    record keeps its exact wire shape) when an injected fault ate the
+    chunk's work, which the parent then runs again."""
+    injectors = state["injectors"]
+    if attempt not in injectors:
+        injectors[attempt] = get_injector(state["faults"], attempt=attempt)
+    injector = injectors[attempt]
     run = state["compiled"].run_raw
     get_adj = state["get_adj"]
     vset = state["vset"]
@@ -208,50 +211,40 @@ def _run_tasks(base: int, stop: int, attempt: int = 0) -> _ChunkRecord:
         state["pending_spans"] = []
     counters = array("q")
     walls = array("d")
-    for task in state["tasks"][base:stop]:
-        if injector.enabled:
-            injector.hit(SITE_WORKER_TASK, crash=crash)
-        t0 = _time.perf_counter()
-        raw = run(
-            task.start, get_adj, vset=vset, emit=emit_cb, tcache={},
-            candidate_override=task.candidate_slice,
-        )
-        t1 = _time.perf_counter()
-        counters.extend(raw)
-        walls.append(t1 - t0)
-        if spans is not None:
-            spans.append({
-                "name": f"task[{task.start}]", "t0": t0, "t1": t1,
-                "category": "task", "args": {"results": raw[RESULTS]},
-            })
-    record = (os.getpid(), counters, walls, matches)
-    return record if spans is None else record + (spans,)
-
-
-def _run_chunk(base: int, stop: int, attempt: int) -> Union[_ChunkRecord, str]:
-    """One chunk's record, or a lost-chunk marker (a plain string — a
-    healthy record keeps its exact wire shape) when an injected fault
-    ate the chunk's work, which the parent then runs again."""
     try:
-        out = _run_tasks(base, stop, attempt)
-        injector = _injector(attempt)
+        for task in state["tasks"][base:stop]:
+            if injector.enabled:
+                injector.hit(SITE_WORKER_TASK, crash=_crash)
+            t0 = _time.perf_counter()
+            raw = run(
+                task.start, get_adj, vset=vset, emit=emit_cb, tcache={},
+                candidate_override=task.candidate_slice,
+            )
+            t1 = _time.perf_counter()
+            counters.extend(raw)
+            walls.append(t1 - t0)
+            if spans is not None:
+                spans.append({
+                    "name": f"task[{task.start}]", "t0": t0, "t1": t1,
+                    "category": "task", "args": {"results": raw[RESULTS]},
+                })
         if injector.enabled:
             # The IPC-send site: an injected error here simulates a result
             # message lost between a finished worker and the parent.
-            injector.hit(SITE_WORKER_IPC, crash=_worker_state["crash"])
+            injector.hit(SITE_WORKER_IPC, crash=_crash)
     except InjectedFault as exc:
         return str(exc)
-    return out
+    record = (os.getpid(), counters, walls, matches)
+    return record if spans is None else record + (spans,)
 
 
 def _serve(conn, *init_args) -> None:
     """A pool worker's life: build the state once, then answer chunks
     until the parent goes away (or kills it)."""
-    _init_worker(*init_args)
-    _worker_state["crash"] = lambda: os._exit(_CRASH_EXIT_CODE)
+    state = _init_worker(*init_args)
     try:
         while True:
-            conn.send(_run_chunk(*conn.recv()))
+            conn.send(_run_tasks(state, *conn.recv()))
     except (EOFError, OSError):
         pass
 
@@ -261,33 +254,20 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, queue_chunksize: Optional[int] = None) -> None:
-        #: Tasks handed to a worker per chunk, uniformly; small values
-        #: keep the pulls adaptive, larger ones amortize IPC.  None = cut
-        #: by weight (:meth:`_chunk_stops`).
-        self.queue_chunksize = queue_chunksize
-
-    def _chunk_stops(self, weights: Sequence[int], num_workers: int) -> List[int]:
+    @staticmethod
+    def _chunk_stops(weights: Sequence[int], num_workers: int) -> List[int]:
         """Where each chunk of the task list ends: contiguous, never empty.
 
         A chunk closes as soon as the running weight crosses the next
         multiple of ``total / (num_workers × PULLS_PER_WORKER)``, so one
         heavy task is a chunk of its own and a run of light ones shares
-        one.  An explicit ``queue_chunksize`` cuts uniformly instead.
+        one.
 
-        >>> ProcessBackend()._chunk_stops([1] * 8, 1)  # equal weights
+        >>> ProcessBackend._chunk_stops([1] * 8, 1)  # equal weights
         [1, 2, 3, 4, 5, 6, 7, 8]
-        >>> ProcessBackend()._chunk_stops([1] * 14 + [10, 20], 1)  # a hub tail
+        >>> ProcessBackend._chunk_stops([1] * 14 + [10, 20], 1)  # a hub tail
         [6, 11, 15, 16]
-        >>> ProcessBackend(queue_chunksize=5)._chunk_stops([1] * 12, 2)
-        [5, 10, 12]
         """
-        num_tasks = len(weights)
-        if self.queue_chunksize is not None:
-            size = max(1, self.queue_chunksize)
-            return [
-                min(base + size, num_tasks) for base in range(0, num_tasks, size)
-            ]
         # Integer arithmetic: running × pulls against k × total.
         pulls = num_workers * PULLS_PER_WORKER
         total = sum(weights) or 1
@@ -299,8 +279,8 @@ class ProcessBackend(ExecutionBackend):
             if running >= mark:
                 stops.append(stop)
                 mark = (running // total + 1) * total
-        if num_tasks and (not stops or stops[-1] < num_tasks):
-            stops.append(num_tasks)
+        if weights and (not stops or stops[-1] < len(weights)):
+            stops.append(len(weights))
         return stops
 
     # ------------------------------------------------------------------
@@ -333,7 +313,6 @@ class ProcessBackend(ExecutionBackend):
         faults = resolve_faults(config.faults)
 
         records: List[_ChunkRecord] = []
-        recovery = (0, 0)
 
         def consume(base: int, record: _ChunkRecord) -> None:
             """The next chunk in task order: deliver its matches, keep the
@@ -345,22 +324,19 @@ class ProcessBackend(ExecutionBackend):
                     emit_block(block)
             self._account(record, base, events, progress)
 
-        init_args = (plan, graph, mode, tasks, trace, pack, faults)
         with tracer.span("execution") as exec_span:
-            if num_workers == 1:
-                self._run_inline(init_args, len(tasks), control, consume, events)
-            else:
-                # A task's weight is static and known before the fork: its
-                # start vertex's degree, or a split slice's candidate count.
-                weights = [
-                    graph.degree(task.start) if task.candidate_slice is None
-                    else len(task.candidate_slice)
-                    for task in tasks
-                ]
-                recovery = self._run_pool(
-                    init_args, self._chunk_stops(weights, num_workers),
-                    control, consume, num_workers, events, config.task_retries,
-                )
+            # A task's weight is static and known before the fork: its
+            # start vertex's degree, or a split slice's candidate count.
+            weights = [
+                graph.degree(task.start) if task.candidate_slice is None
+                else len(task.candidate_slice)
+                for task in tasks
+            ]
+            recovery = self._run_pool(
+                (plan, graph, mode, tasks, trace, pack, faults),
+                self._chunk_stops(weights, num_workers),
+                control, consume, num_workers, events, config.task_retries,
+            )
             exec_span.args["tasks"] = len(tasks)
 
         return self._finalize(
@@ -368,23 +344,6 @@ class ProcessBackend(ExecutionBackend):
         )
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _run_inline(init_args, num_tasks, control, consume, events) -> None:
-        """Degenerate one-worker run in this very process (no fork).
-
-        Every task is its own chunk, so the control is checked — and a
-        packed block flushed — at every task boundary.
-        """
-        _init_worker(*init_args)
-        for i in range(num_tasks):
-            if control is not None:
-                control.check()
-                if control.limit_reached:
-                    break
-            if events.enabled:
-                events.emit(EV_TASK_DISPATCHED, task_id=i)
-            consume(i, _run_tasks(i, i + 1))
-
     @staticmethod
     def _run_pool(
         init_args, stops, control, consume, num_workers, events,

@@ -173,13 +173,15 @@ class PreparedData:
     def relabeled(self) -> bool:
         return self.mapping is not None
 
-    def pool_bytes(self) -> int:
-        """Resident bytes of the vertex pools kept beside ``graph``: the
-        label index and the memoised degree pools (each frozenset's own
-        table; the vertex ids are the graph's)."""
-        pools = list((self.label_index or {}).values())
-        pools += list(self.__dict__.get("_degree_pools", {}).values())
-        return sum(map(sys.getsizeof, pools))
+    def resident_bytes(self) -> int:
+        """Resident bytes kept beside ``graph``: the id translation
+        (``mapping`` and ``inverse``), the label index and the memoised
+        degree pools (each table's own size; the vertex ids are the
+        graph's)."""
+        tables = [t for t in (self.mapping, self.inverse) if t is not None]
+        tables += (self.label_index or {}).values()
+        tables += self.__dict__.get("_degree_pools", {}).values()
+        return sum(map(sys.getsizeof, tables))
 
     @cached_property
     def inverse_blocks(self):

@@ -9,7 +9,6 @@ accordingly while keeping every ratio meaningful.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,11 +25,6 @@ ADJACENCY_BACKENDS = ("frozenset", "csr")
 #: cluster simulation; "inline" — the literal plan interpreter on the
 #: simulated task loop; "process" — real OS worker processes.
 EXECUTION_BACKENDS = ("simulated", "inline", "process")
-
-
-def _default_process_workers() -> int:
-    """All cores but one — the process backend's conventional default."""
-    return max(1, (os.cpu_count() or 2) - 1)
 
 
 @dataclass(frozen=True)

@@ -98,8 +98,9 @@ SITES = (
     SITE_CATALOG_EVICT,
 )
 
-#: What a fired rule does: kill the process (pool workers; elsewhere it
-#: degrades to ``error``), raise :class:`InjectedFault`, or sleep.
+#: What a fired rule does: kill the process (the engine's worker sites
+#: always run in a pool worker; outside the engine it degrades to
+#: ``error``), raise :class:`InjectedFault`, or sleep.
 ACTIONS = ("crash", "error", "delay")
 
 #: Environment variable carrying a fault schedule for CI / chaos runs.
@@ -276,9 +277,9 @@ class FaultInjector:
 
     ``on_fire(site, action, hit)`` is the observability hook — the
     service wires it to a ``fault_injected`` lifecycle event.  ``crash``
-    passed to :meth:`hit` is what a crash rule does *here* (pool workers
-    pass ``os._exit``); without one, crash degrades to raising
-    :class:`InjectedFault`.
+    passed to :meth:`hit` is what a crash rule does *here* (pool workers,
+    where every worker site runs, pass ``os._exit``); without one —
+    outside the engine — crash degrades to raising :class:`InjectedFault`.
 
     >>> inj = FaultInjector(FaultConfig.parse("shard.read:error@2"))
     >>> inj.hit("shard.read")

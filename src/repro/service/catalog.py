@@ -148,14 +148,14 @@ class CatalogEntry:
 
     # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
-        """Resident bytes: graph adjacency + vertex pools (label index,
-        degree pools) + stores + idle warm caches.
+        """Resident bytes: graph adjacency + id translation + vertex pools
+        (label index, degree pools) + stores + idle warm caches.
 
         Checked-out pools are counted by their owner query, not here.
         """
         with self._lock:
             total = self.prepared.graph.memory_bytes()
-            total += self.prepared.pool_bytes()
+            total += self.prepared.resident_bytes()
             total += sum(store.total_bytes() for store in self._stores.values())
             total += sum(
                 pool.memory_bytes()

@@ -51,3 +51,22 @@ def all_pattern_names():
 
 def pattern_graph(name: str) -> PatternGraph:
     return PatternGraph(get_pattern(name), name=name)
+
+
+@pytest.fixture
+def chunks_of(monkeypatch):
+    """``chunks_of(size)`` makes the process backend cut its task list into
+    chunks of ``size`` tasks (the last one may be shorter) instead of by
+    weight, for the rest of the test."""
+    from repro.engine.backends.process import ProcessBackend
+
+    def cut(size):
+        def stops(weights, num_workers):
+            return [
+                min(base + size, len(weights))
+                for base in range(0, len(weights), size)
+            ]
+
+        monkeypatch.setattr(ProcessBackend, "_chunk_stops", staticmethod(stops))
+
+    return cut

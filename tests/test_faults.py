@@ -216,9 +216,14 @@ def crash_reference(crash_workload):
     }
 
 
-def _crash_config(schedule, retries=2):
+#: Every recovery case runs on a pool of one and a pool of two: one
+#: worker forks like any other, so it recovers the same way.
+POOL_SIZES = (1, 2)
+
+
+def _crash_config(schedule, workers, retries=2):
     return BenuConfig(
-        num_workers=2,
+        num_workers=workers,
         execution_backend="process",
         collect=True,
         relabel=False,
@@ -233,49 +238,52 @@ def test_worker_crash_recovers_with_identical_results(
     """kill -9 (os._exit) of a pool worker mid-query: the chunk it held
     re-executes on a replacement worker and the final match set and
     counters are byte-identical to the fault-free run."""
-    result = run_benu(
-        get_pattern("triangle"),
-        crash_workload,
-        _crash_config("worker.task:crash@3"),
-    )
-    assert result.count == crash_reference["count"]
-    assert sorted(result.matches) == crash_reference["matches"]
-    assert (
-        dict(result.telemetry.instruction_counts)
-        == crash_reference["instructions"]
-    )
-    assert result.worker_crashes >= 1
-    assert result.tasks_retried >= 1
+    for workers in POOL_SIZES:
+        result = run_benu(
+            get_pattern("triangle"),
+            crash_workload,
+            _crash_config("worker.task:crash@3", workers),
+        )
+        assert result.count == crash_reference["count"]
+        assert sorted(result.matches) == crash_reference["matches"]
+        assert (
+            dict(result.telemetry.instruction_counts)
+            == crash_reference["instructions"]
+        )
+        assert result.worker_crashes >= 1
+        assert result.tasks_retried >= 1
 
 
 def test_ipc_send_fault_retries_only_lost_slices(
     crash_workload, crash_reference
 ):
-    result = run_benu(
-        get_pattern("triangle"),
-        crash_workload,
-        _crash_config("worker.ipc_send:error@2"),
-    )
-    assert result.count == crash_reference["count"]
-    assert sorted(result.matches) == crash_reference["matches"]
-    assert result.tasks_retried >= 1
-    assert result.worker_crashes == 0  # the worker lived; the send died
+    for workers in POOL_SIZES:
+        result = run_benu(
+            get_pattern("triangle"),
+            crash_workload,
+            _crash_config("worker.ipc_send:error@2", workers),
+        )
+        assert result.count == crash_reference["count"]
+        assert sorted(result.matches) == crash_reference["matches"]
+        assert result.tasks_retried >= 1
+        assert result.worker_crashes == 0  # the worker lived; the send died
 
 
 def test_retry_exhaustion_raises_typed_worker_crashed(crash_workload):
     """A worker that crashes on *every* attempt ('#*') exhausts the
     bounded retry budget and surfaces as the typed WorkerCrashed."""
-    with pytest.raises(WorkerCrashed) as info:
-        run_benu(
-            get_pattern("triangle"),
-            crash_workload,
-            _crash_config("worker.task:crash@1#*", retries=1),
-        )
-    exc = info.value
-    assert exc.code == "worker_crashed"
-    assert exc.dead  # pid -> exit code of every crashed worker
-    assert exc.lost_tasks  # the unacknowledged task ids
-    assert exc.attempts == 2  # initial + 1 retry
+    for workers in POOL_SIZES:
+        with pytest.raises(WorkerCrashed) as info:
+            run_benu(
+                get_pattern("triangle"),
+                crash_workload,
+                _crash_config("worker.task:crash@1#*", workers, retries=1),
+            )
+        exc = info.value
+        assert exc.code == "worker_crashed"
+        assert exc.dead  # pid -> exit code of every crashed worker
+        assert exc.lost_tasks  # the unacknowledged task ids
+        assert exc.attempts == 2  # initial + 1 retry
 
 
 def test_crash_recovery_is_deterministic_across_runs(crash_workload):
@@ -284,11 +292,11 @@ def test_crash_recovery_is_deterministic_across_runs(crash_workload):
     pinned: a replacement worker starts with fresh attempt-0 hit
     counters, so how many processes die depends on which chunks each
     one drew — the results never are."""
-    def once():
+    def once(workers):
         result = run_benu(
             get_pattern("triangle"),
             crash_workload,
-            _crash_config("seed=7,worker.task:crash@3"),
+            _crash_config("seed=7,worker.task:crash@3", workers),
         )
         assert result.worker_crashes >= 1
         return (
@@ -297,37 +305,39 @@ def test_crash_recovery_is_deterministic_across_runs(crash_workload):
             dict(result.telemetry.instruction_counts),
         )
 
-    assert once() == once()
+    for workers in POOL_SIZES:
+        assert once(workers) == once(workers)
 
 
 def test_service_emits_crash_and_retry_events(crash_workload):
     """Through the service, a crashed worker shows up in the event log:
     fault_injected at admission sites, worker_crashed + task_retried
     from the recovery loop, and the stats() fault summary."""
-    service = BenuService(
-        config=BenuConfig(
-            num_workers=2,
-            execution_backend="process",
-            relabel=False,
-            task_retries=2,
-            faults="worker.task:crash@3,scheduler.admit:delay@1~0",
+    for workers in POOL_SIZES:
+        service = BenuService(
+            config=BenuConfig(
+                num_workers=workers,
+                execution_backend="process",
+                relabel=False,
+                task_retries=2,
+                faults="worker.task:crash@3,scheduler.admit:delay@1~0",
+            )
         )
-    )
-    try:
-        service.register_graph("g", crash_workload, relabel=False)
-        handle = service.submit("triangle", "g", stream=False)
-        handle.wait()
-        result = handle.result()
-        assert result.worker_crashes >= 1
-        types = {e["type"] for e in service.events.as_dicts()}
-        assert EV_WORKER_CRASHED in types
-        assert EV_TASK_RETRIED in types
-        assert EV_FAULT_INJECTED in types  # the admission delay rule
-        stats = service.stats()
-        assert stats["faults"]["enabled"]
-        assert stats["faults"]["injected"] >= 1
-    finally:
-        service.close()
+        try:
+            service.register_graph("g", crash_workload, relabel=False)
+            handle = service.submit("triangle", "g", stream=False)
+            handle.wait()
+            result = handle.result()
+            assert result.worker_crashes >= 1
+            types = {e["type"] for e in service.events.as_dicts()}
+            assert EV_WORKER_CRASHED in types
+            assert EV_TASK_RETRIED in types
+            assert EV_FAULT_INJECTED in types  # the admission delay rule
+            stats = service.stats()
+            assert stats["faults"]["enabled"]
+            assert stats["faults"]["injected"] >= 1
+        finally:
+            service.close()
 
 
 # ------------------------------------------------- scheduler/catalog sites

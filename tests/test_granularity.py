@@ -6,15 +6,14 @@ Three layers pinned here:
   not by count.  A task weighs its start vertex's degree (a split
   slice, its candidate count); a chunk closes as soon as the running
   weight crosses the next multiple of ``total / (workers ×
-  PULLS_PER_WORKER)``.  Chunks tile the task list, none is empty, and
-  an explicit ``queue_chunksize`` still cuts uniformly;
+  PULLS_PER_WORKER)``.  Chunks tile the task list and none is empty;
 * chunk boundaries are a function of the task list, the graph's degrees
   and the worker count alone: cold and warm runs, count and collect
   mode, cheap and expensive patterns, and repeated service queries all
   dispatch the same ``(task_id, tasks)`` sequence.
   ``mean_task_wall_seconds`` is measured and reported, never fed back;
   on a degree-sorted hub graph no chunk carries most of the rows;
-* ``_run_chunk``'s contract — the parent hands each worker one
+* ``_run_tasks``'s contract — the parent hands each worker one
   ``(base, stop, attempt)`` range of the task list its workers
   inherited at a time; chunk arrival order never affects the rows or
   the accounting (records are self-contained and delivered in task
@@ -30,7 +29,8 @@ from repro.engine.backends.base import ExecutionRequest
 from repro.engine.backends.process import (
     PULLS_PER_WORKER,
     ProcessBackend,
-    _run_chunk,
+    _init_worker,
+    _run_tasks,
 )
 from repro.engine.benu import (
     bind_run,
@@ -168,13 +168,8 @@ class TestChunkSizeMath:
             ProcessBackend()._chunk_stops([1] * 10, 2, 0.001)
 
     def test_backend_precedence_explicit_then_hint_then_fallback(self):
-        # An explicit queue_chunksize cuts uniformly, whatever the weights.
+        # The weight rule is the only rule: ten heavy tasks, ten chunks.
         skewed = [1] * 990 + [500] * 10
-        explicit = ProcessBackend(queue_chunksize=7)._chunk_stops(skewed, 2)
-        assert explicit == [min(s, 1000) for s in range(7, 1007, 7)]
-        assert ProcessBackend(queue_chunksize=0)._chunk_stops(skewed, 2) == list(
-            range(1, 1001)
-        )
         weighted = ProcessBackend()._chunk_stops(skewed, 2)
         _assert_tiles(weighted, 1000)
         assert weighted[-10:] == list(range(991, 1001))
@@ -283,7 +278,7 @@ class TestSkewedChunks:
 
 
 class TestChunkContract:
-    """_run_chunk's manual-chunking and packed-buffer invariants."""
+    """_run_tasks's manual-chunking and packed-buffer invariants."""
 
     def _simulated(self, workload, **config):
         return run_benu(
@@ -305,7 +300,9 @@ class TestChunkContract:
         assert result.matches == oracle.matches
         assert result.counters == oracle.counters
 
-    def test_worker_restarts_cannot_corrupt_packed_accounting(self, workload):
+    def test_worker_restarts_cannot_corrupt_packed_accounting(
+        self, workload, chunks_of
+    ):
         # Every worker crashes on its first attempt-0 task, so every
         # one-task chunk runs on a fresh process — the harshest
         # interleaving: arrival order is scrambled and every chunk is
@@ -321,8 +318,8 @@ class TestChunkContract:
         )
         prepared = prepare_data(workload, config)
         plan = prepare_plan(get_pattern("triangle"), prepared, config)
-        backend = ProcessBackend(queue_chunksize=1)
-        result = backend.execute(
+        chunks_of(1)
+        result = ProcessBackend().execute(
             ExecutionRequest(plan=plan, graph=prepared.graph, config=config)
         )
         assert result.tasks_retried == result.num_tasks > 0
@@ -331,18 +328,13 @@ class TestChunkContract:
         assert result.counters == oracle.counters
 
     def _run_range(self, plan, graph, config, tasks, base, stop):
-        # Worker-side unit check, run in-process via the inline path's
-        # initializer state: _run_chunk(base, stop, attempt) must run
-        # exactly tasks[base:stop] of the inherited list, in order.
-        from repro.engine.backends.process import _init_worker, _worker_state
+        # Worker-side unit check, run in-process on the state a worker
+        # builds: _run_tasks(state, base, stop, attempt) must run exactly
+        # tasks[base:stop] of the inherited list, in order.
         from repro.engine.backends.simulated import SimulatedBackend
 
-        _init_worker(plan, graph, "collect", tasks)
-        try:
-            record = _run_chunk(base, stop, 0)
-        finally:
-            _worker_state.clear()
-        _pid, counters, walls, matches = record
+        state = _init_worker(plan, graph, "collect", tasks)
+        _pid, counters, walls, matches = _run_tasks(state, base, stop, 0)
         assert len(walls) == stop - base
         assert len(counters) == (stop - base) * len(COUNTER_FIELDS)
         want = SimulatedBackend().execute(

@@ -7,6 +7,9 @@ restart-robust aggregation (per-chunk records — a pool recycling its
 workers mid-run can neither drop nor double-count a chunk).
 """
 
+import gc
+import threading
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -18,7 +21,7 @@ from repro.engine.benu import (
     count_subgraphs,
     execute_plan,
 )
-from repro.engine.config import BenuConfig, _default_process_workers
+from repro.engine.config import BenuConfig
 from repro.graph.generators import chung_lu
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import get_pattern
@@ -80,9 +83,9 @@ class TestCorrectness:
         assert result.makespan_seconds > 0
 
     def test_runner_defaults(self, plan, data_graph):
-        # The conventional process-backend pool: all cores but one.
-        result = process_count(plan, data_graph, _default_process_workers())
-        assert result.num_workers >= 1
+        # A pool of two reports its size and the one-worker count.
+        result = process_count(plan, data_graph, 2)
+        assert result.num_workers == 2
         assert result.count == process_count(plan, data_graph, 1).count
 
 
@@ -99,7 +102,7 @@ class TestCsrBackend:
         result = process_count(plan, data_graph, num_workers=1, backend="csr")
         reference = process_count(plan, data_graph, num_workers=1)
         assert result.count == reference.count
-        # One transport: the inline worker reads the graph's frozensets.
+        # One transport: the one worker reads the graph's frozensets.
         assert result.shm_bytes == 0
 
     def test_snapshot_records_no_kernel_or_shm_metric(self, plan, data_graph):
@@ -122,7 +125,9 @@ class TestRestartRobustAccounting:
     totals."""
 
     @pytest.mark.parametrize("adjacency", ["frozenset", "csr"])
-    def test_pool_restarts_do_not_skew_totals(self, data_graph, adjacency):
+    def test_pool_restarts_do_not_skew_totals(
+        self, data_graph, adjacency, chunks_of
+    ):
         plan = build_plan(get_pattern("clique4"), data_graph, optimization_level=0)
         config = BenuConfig(
             num_workers=2,
@@ -137,13 +142,13 @@ class TestRestartRobustAccounting:
                 ExecutionRequest(plan=plan, graph=data_graph, config=config)
             )
 
-        # Every worker crashes on its first attempt-0 task, so every
-        # chunk lands in a fresh worker process: maximal churn.
-        churned = run(
-            ProcessBackend(queue_chunksize=1),
-            replace(config, faults="worker.task:crash@1"),
-        )
         stable = run(ProcessBackend(), config)
+        # Every worker crashes on its first attempt-0 task, so every
+        # one-task chunk lands in a fresh worker process: maximal churn.
+        chunks_of(1)
+        churned = run(
+            ProcessBackend(), replace(config, faults="worker.task:crash@1")
+        )
         assert churned.tasks_retried == churned.num_tasks > 0
         assert churned.count == stable.count
         assert churned.counters == stable.counters
@@ -164,3 +169,43 @@ class TestSpeedup:
         busy = [seconds for seconds in two.per_worker_busy_seconds if seconds > 0]
         assert len(busy) > 1
         assert max(busy) < sum(one.per_worker_busy_seconds)
+
+
+class TestOneWorkerIsAPoolOfOne:
+    """A one-worker run forks its worker like any pool: its state lives
+    and dies there, never in the parent."""
+
+    def test_concurrent_one_worker_runs_stay_exact(self, data_graph):
+        plans = {
+            name: build_plan(get_pattern(name), data_graph)
+            for name in ("triangle", "square")
+        }
+        want = {
+            name: process_count(plan, data_graph, 2).count
+            for name, plan in plans.items()
+        }
+        got = []
+
+        def run(name):
+            for _ in range(3):
+                got.append(
+                    (name, process_count(plans[name], data_graph, 1).count)
+                )
+
+        threads = [threading.Thread(target=run, args=(n,)) for n in plans]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+            assert not thread.is_alive()
+        assert sorted(got) == sorted(
+            (name, want[name]) for name in plans for _ in range(3)
+        )
+
+    def test_the_parent_keeps_no_run_alive(self, data_graph):
+        plan = build_plan(get_pattern("triangle"), data_graph)
+        assert process_count(plan, data_graph, 1).count > 0
+        ref = weakref.ref(plan)
+        del plan
+        gc.collect()
+        assert ref() is None

@@ -197,14 +197,17 @@ class KillIdleWorkers:
         self.rows += len(block)
 
 
-def test_idle_workers_killed_mid_run_do_not_hang_the_wind_down(graph):
+def test_idle_workers_killed_mid_run_do_not_hang_the_wind_down(
+    graph, chunks_of
+):
     """The chaos smoke's rare hang: a worker SIGKILLed while idle took
     the old pool's task queue lock with it, and the pool's wind-down
     waited on that lock forever."""
     config = process_config(num_workers=3)
     prepared = prepare_data(graph, config)
     plan = prepare_plan(get_pattern("triangle"), prepared, config)
-    backend = ProcessBackend(queue_chunksize=10**6)
+    backend = ProcessBackend()
+    chunks_of(10**6)
 
     def body():
         for _ in range(5):
@@ -266,7 +269,7 @@ def _wchan(pid):
         return f.read().strip()
 
 
-def test_a_worker_killed_mid_write_loses_only_its_chunk():
+def test_a_worker_killed_mid_write_loses_only_its_chunk(chunks_of):
     """A worker SIGKILLed while it writes a record leaves half a message
     behind.  The old pool's result thread waited on that message forever;
     now only the dead worker's pipe is thrown away, and its one chunk
@@ -279,6 +282,7 @@ def test_a_worker_killed_mid_write_loses_only_its_chunk():
     config = process_config()
     prepared = prepare_data(graph, config)
     plan = prepare_plan(get_pattern("demo"), prepared, config)
+    chunks_of(20)
 
     class Count:
         rows = 0
@@ -307,7 +311,7 @@ def test_a_worker_killed_mid_write_loses_only_its_chunk():
         thread.start()
         sink = Count()
         try:
-            result = ProcessBackend(queue_chunksize=20).execute(
+            result = ProcessBackend().execute(
                 ExecutionRequest(
                     plan=plan, graph=prepared.graph, config=config, sink=sink,
                 )
@@ -322,3 +326,48 @@ def test_a_worker_killed_mid_write_loses_only_its_chunk():
         assert multiprocessing.active_children() == []
 
     bounded(30, body)
+
+
+class NestedCount:
+    """A sink whose first block runs a whole one-worker square count."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.rows = 0
+        self.inner = None
+
+    def emit_block(self, block):
+        if self.inner is None:
+            self.inner = run_benu(
+                get_pattern("square"), self.graph,
+                process_config(num_workers=1, relabel=False),
+            ).count
+        self.rows += len(block)
+
+
+def test_a_sink_that_runs_a_query_leaves_the_outer_run_exact():
+    """A one-worker run's state belongs to its own worker, so a query
+    started from inside another one's sink cannot overwrite it: both
+    answers stay exact."""
+    graph = chung_lu(400, 6.0, exponent=2.4, seed=3)
+    config = process_config(num_workers=1, relabel=False)
+    prepared = prepare_data(graph, config)
+    plan = prepare_plan(get_pattern("triangle"), prepared, config)
+    reference = BenuConfig(relabel=False)
+
+    def body():
+        sink = NestedCount(graph)
+        result = ProcessBackend().execute(
+            ExecutionRequest(
+                plan=plan, graph=prepared.graph, config=config, sink=sink,
+            )
+        )
+        assert result.count == sink.rows == run_benu(
+            get_pattern("triangle"), graph, reference
+        ).count
+        assert sink.inner == run_benu(
+            get_pattern("square"), graph, reference
+        ).count
+        assert multiprocessing.active_children() == []
+
+    bounded(60, body)

@@ -708,6 +708,21 @@ class TestCatalog:
         grown = sum(map(sys.getsizeof, pools.values()))
         assert entry.memory_bytes() - before >= grown > 0
 
+    def test_catalog_memory_counts_the_id_translation(self):
+        # A relabeled entry keeps ``mapping`` and ``inverse`` resident
+        # beside its graph; the same graph registered as-is keeps neither.
+        graph = chung_lu(300, 5.0, exponent=2.5, seed=2019)
+        catalog = GraphCatalog()
+        as_is = catalog.register("as_is", graph, relabel=False)
+        relabeled = catalog.register("relabeled", graph)
+        prepared = relabeled.prepared
+        assert as_is.prepared.mapping is None and prepared.relabeled
+        translation = sum(
+            map(sys.getsizeof, (prepared.mapping, prepared.inverse))
+        )
+        assert translation > 0
+        assert relabeled.memory_bytes() - as_is.memory_bytes() == translation
+
     def test_warm_pools_are_reused(self, workload):
         with BenuService() as service:
             service.register_graph("g", workload, relabel=False)
