@@ -16,6 +16,12 @@ GROUP BY done here with a ``Counter``):
    queries fan out through ``ShardRouter.submit_query`` and the merged
    counts / group sums / match sets must equal the oracle exactly.
 
+Both phases also stream every full row of a square query on a seeded
+Chung–Lu graph (:data:`BIG_EDGES`) in 1,024-row pages — at least
+:data:`MIN_FULL_PAGES` of them full, the packed int64 pages a node
+formats straight from their buffer — and compare the rows with the
+oracle's.
+
 Exit status is non-zero on any divergence — this is the deployment-level
 acceptance for the declarative front-end (real processes, real sockets),
 complementing the in-process equivalence sweep in
@@ -34,6 +40,8 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = str(REPO / "src")
 sys.path.insert(0, SRC)
 
+from repro.graph.generators import chung_lu  # noqa: E402
+from repro.graph.graph import Graph  # noqa: E402
 from repro.graph.order import (  # noqa: E402
     degree_order_relabeling,
     invert_mapping,
@@ -62,9 +70,16 @@ Q_UNSAT = (
 )
 Q_BROKEN = "MATCH (a)-(b), RETURN COUNT(*)"
 
+#: An unlabeled seeded Chung–Lu graph with 20,401 squares: a full-row
+#: stream of many 1,024-row pages.
+BIG_EDGES = sorted(chung_lu(400, 8.0, exponent=2.4, seed=2019).edges())
+Q_FULL_ROWS = "MATCH (a)-(b), (b)-(c), (c)-(d), (a)-(d) RETURN *"
+PAGE = 1024
+MIN_FULL_PAGES = 5
 
-def brute_force_rows(text):
-    """Every match of a labeled query, found by exhaustive search.
+
+def brute_force_rows(text, edges=EDGES, labels=LABELS):
+    """Every match of a query, found by exhaustive search.
 
     The graph is renumbered under the degree order first, so the
     oracle's integer symmetry breaking keeps the same representative of
@@ -73,15 +88,15 @@ def brute_force_rows(text):
     lowered = lower_query(text)
     if lowered.unsatisfiable:
         return lowered, []
-    data = LabeledGraph(EDGES, LABELS)
-    mapping = degree_order_relabeling(data.graph)
-    ranked = data.relabel_vertices(mapping)
+    graph = Graph(edges)
+    mapping = degree_order_relabeling(graph)
     pattern = lowered.pattern
     if lowered.is_labeled:
+        ranked = LabeledGraph(graph, labels).relabel_vertices(mapping)
         found = enumerate_labeled_matches(pattern, ranked)
     else:
         found = enumerate_matches(
-            pattern.graph, ranked.graph,
+            pattern.graph, graph.relabel(mapping),
             partial_order=pattern.symmetry_conditions,
         )
     inverse = invert_mapping(mapping)
@@ -102,7 +117,22 @@ def oracle():
             for k, v in Counter(row[groups.group_by] for row in grouped).items()
         },
         "unsat": len(brute_force_rows(Q_UNSAT)[1]),
+        "full_rows": sorted(brute_force_rows(Q_FULL_ROWS, BIG_EDGES)[1]),
     }
+
+
+def check_full_rows(where, pages, expected):
+    """The big stream's verdict: its rows equal the oracle's, and at
+    least ``MIN_FULL_PAGES`` of its pages were full."""
+    rows = sorted(tuple(row) for page in pages for row in page)
+    full = sum(len(page) == PAGE for page in pages)
+    ok = rows == expected["full_rows"] and full >= MIN_FULL_PAGES
+    print(
+        f"{'OK  ' if ok else 'FAIL'} full-row stream{where}: {len(rows)} rows "
+        f"in {len(pages)} pages, {full} of them full",
+        flush=True,
+    )
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------- phase 1
@@ -218,6 +248,28 @@ def phase_stdio(expected):
             flush=True,
         )
         failures += 0 if ok else 1
+
+        registered = service.ask({
+            "op": "register", "name": "big",
+            "edges": [list(e) for e in BIG_EDGES],
+        })
+        assert registered.get("ok"), registered
+        submitted = service.ask(
+            {"op": "query", "text": Q_FULL_ROWS, "graph": "big"}
+        )
+        assert submitted.get("ok"), submitted
+        pages, cursor = [], 0
+        while True:
+            page = service.ask({
+                "op": "poll", "query": submitted["query"], "limit": PAGE,
+                "cursor": cursor, "wait": 10.0,
+            })
+            assert page.get("ok"), page
+            pages.append(page["matches"])
+            cursor = page["cursor"]
+            if page["done"]:
+                break
+        failures += check_full_rows("", pages, expected)
     finally:
         service.close()
     return failures
@@ -300,6 +352,16 @@ def phase_routed(expected, num_shards=2):
             flush=True,
         )
         failures += 0 if ok else 1
+
+        router.register("big", edges=[list(e) for e in BIG_EDGES])
+        query = router.submit_query(Q_FULL_ROWS, "big")
+        pages = []
+        while True:
+            page = query.fetch(limit=PAGE)
+            pages.append(list(page.matches))
+            if page.done:
+                break
+        failures += check_full_rows(" (routed)", pages, expected)
 
         router.shutdown()
         router.close()

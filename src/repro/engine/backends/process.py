@@ -32,15 +32,18 @@ Design notes
   task list, the graph's degrees and the worker count.
 * A chunk record is flat: counters as one ``array('q')``, walls as one
   ``array('d')``, matches as one buffer of fixed-width rows — an
-  ``array('q')`` when ``packs_rows`` (serialization is a buffer copy), a
-  list otherwise — handed to the sink as
-  :class:`~repro.engine.sinks.RowBlock` objects in task order (a reorder
-  buffer holds early arrivals), so every backend's sink sees one row
-  sequence and a LIMIT keeps the same prefix.
+  ``array('q')`` when ``packs_rows`` (serialization is a buffer copy;
+  RES extends a list, packed into it once per task), a list otherwise —
+  handed to the sink as :class:`~repro.engine.sinks.RowBlock` objects in
+  task order (a reorder buffer holds early arrivals), so every backend's
+  sink sees one row sequence and a LIMIT keeps the same prefix.
 * The parent knows which chunk each worker holds: a death — EOF or a
   broken pipe; an injected ``crash`` is always ``os._exit`` — puts back
   exactly that chunk, and a kill mid-write only damages the pipe thrown
-  away with it.  Every way out of a run kills and joins every worker.
+  away with it.  Every way out of a run kills and joins every worker, and
+  a worker closes every parent-side pipe end it inherits, its own
+  included, so it reads EOF and exits once a parent killed outright is
+  gone.
 * Workers own the whole graph locally, so the ledgers record zero
   distributed-store queries and every adjacency lookup as a cache hit —
   same metric names, values reflecting this backend's reality.
@@ -113,8 +116,15 @@ _CRASH_EXIT_CODE = 70
 
 #: Held from ``Pipe()`` until the parent has closed the child's end, so a
 #: worker forked meanwhile for a concurrent query never inherits that end
-#: (a dead worker's pipe would never read EOF).
+#: (a dead worker's pipe would never read EOF).  It also guards
+#: :data:`_PARENT_ENDS`.
 _FORK_LOCK = threading.Lock()
+
+#: Every open parent-side pipe end in this process, over all concurrent
+#: runs.  A forked worker closes the copies it inherits, its own
+#: included, so a worker's ``recv`` reads EOF once the parent is gone —
+#: even a parent killed with SIGKILL.
+_PARENT_ENDS: set = set()
 
 
 class WorkerCrashed(RuntimeError):
@@ -177,6 +187,14 @@ def _init_worker(
     return state
 
 
+def _close_parent_end(conn) -> None:
+    """Close a parent-side pipe end and forget it, under the fork lock: a
+    worker forked meanwhile must not close a reused descriptor."""
+    with _FORK_LOCK:
+        _PARENT_ENDS.discard(conn)
+        conn.close()
+
+
 def _crash() -> None:
     """What an injected ``crash`` does: end this pool worker at once."""
     os._exit(_CRASH_EXIT_CODE)
@@ -196,13 +214,15 @@ def _run_tasks(
     run = state["compiled"].run_raw
     get_adj = state["get_adj"]
     vset = state["vset"]
-    matches = emit_cb = None
+    pack = state["pack"]
+    matches = staged = emit_cb = None
     if state["collect"]:
-        # Flat fixed-width rows: RES's tuple extends the buffer.  An int64
-        # array pickles as one machine-format byte string instead of
-        # per-value opcodes.
-        matches = array("q") if state["pack"] else []
-        emit_cb = matches.extend
+        # Flat fixed-width rows: RES's tuple extends a list, packed into
+        # the int64 buffer once per task.  An int64 array pickles as one
+        # machine-format byte string instead of per-value opcodes.
+        matches = array("q") if pack else []
+        staged = [] if pack else matches
+        emit_cb = staged.extend
     spans = None
     if state["trace"]:
         # Whatever spans are parked (the init span) ride this record out,
@@ -220,6 +240,9 @@ def _run_tasks(
                 task.start, get_adj, vset=vset, emit=emit_cb, tcache={},
                 candidate_override=task.candidate_slice,
             )
+            if pack and staged:
+                matches.fromlist(staged)
+                staged.clear()
             t1 = _time.perf_counter()
             counters.extend(raw)
             walls.append(t1 - t0)
@@ -241,6 +264,9 @@ def _run_tasks(
 def _serve(conn, *init_args) -> None:
     """A pool worker's life: build the state once, then answer chunks
     until the parent goes away (or kills it)."""
+    for end in _PARENT_ENDS:
+        end.close()  # this process's copies only: the parent keeps its own
+    _PARENT_ENDS.clear()
     state = _init_worker(*init_args)
     try:
         while True:
@@ -390,6 +416,7 @@ class ProcessBackend(ExecutionBackend):
                 proc = ctx.Process(
                     target=_serve, args=(child,) + init_args, daemon=True
                 )
+                _PARENT_ENDS.add(conn)
                 proc.start()
                 child.close()
             workers[conn] = [proc, None]
@@ -415,7 +442,7 @@ class ProcessBackend(ExecutionBackend):
 
         def bury(conn) -> None:
             proc, chunk = workers.pop(conn)
-            conn.close()
+            _close_parent_end(conn)
             proc.kill()  # a no-op on the dead; its exit code stands
             proc.join()
             crashes[proc.pid] = proc.exitcode
@@ -457,7 +484,7 @@ class ProcessBackend(ExecutionBackend):
                 proc.kill()
             for conn, (proc, _) in workers.items():
                 proc.join()
-                conn.close()
+                _close_parent_end(conn)
         return len(crashes), tasks_retried
 
     @staticmethod

@@ -85,10 +85,11 @@ class SimulatedBackend(ExecutionBackend):
         row buffer holds :data:`~repro.engine.sinks.BLOCK_ROWS` rows — so
         where the boundaries fall is a pure function of (graph, plan), a
         heavy task is its own chunk, and buffered rows stay bounded.  RES
-        flattens each match into the buffer (``extend``: an
-        ``array('q')`` when the run ``packs_rows``, a list otherwise), and
-        ``emit_block`` — None when the run has no sink — gets it as row
-        blocks.  The control is
+        flattens each match into a list (``extend``); when the run
+        ``packs_rows`` that list is packed into the chunk's
+        ``array('q')`` once per task (one ``fromlist``) and cleared, and
+        ``emit_block`` — None when the run has no sink — gets the buffer
+        as row blocks.  The control is
         checked, the ``task_dispatched``/``task_finished`` events emitted,
         the progress ticked and the row buffer flushed once per chunk; a
         LIMIT its rows filled ends the loop at the next boundary.  A stop
@@ -119,13 +120,17 @@ class SimulatedBackend(ExecutionBackend):
                 events.emit(EV_TASK_DISPATCHED, task_id=first)
                 db_before = db_seconds()
             rows = array("q") if pack else []
-            emit = rows.extend if emit_block is not None else None
+            staged = [] if pack else rows
+            emit = staged.extend if emit_block is not None else None
             raws = []
             work = 0
             while i < num_tasks:
                 raw = workers[i % num_workers].execute_task(
                     runner, tasks[i], vset, emit
                 )
+                if pack and staged:
+                    rows.fromlist(staged)
+                    staged.clear()
                 i += 1
                 raws.append(raw)
                 work += raw[INT_OPS] + raw[ENU_STEPS] + TASK_WORK

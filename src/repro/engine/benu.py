@@ -362,8 +362,10 @@ def execute_plan(
     is updated at the same granularity, so a concurrent poller sees live
     completion; ``start_vertices`` restricts task generation to a slice of
     the start-vertex space (a shard's owned vertices).  The process
-    backend's queue chunks depend only on the task count and
-    ``config.num_workers``.  ``plan`` carries no pools: :func:`bind_run`
+    backend cuts its chunks by work — a task weighs its start vertex's
+    degree, a split slice its candidate count — so they depend only on
+    the task list, the graph's degrees and ``config.num_workers``.
+    ``plan`` carries no pools: :func:`bind_run`
     decides the plan that runs, a count-only run (no sink, no
     ``collect``) counting.
     """

@@ -50,11 +50,13 @@ import json
 import socketserver
 import sys
 import threading
+from array import array
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, Optional, TextIO, Tuple
 
 from ..engine.control import ExecutionInterrupted
+from ..engine.sinks import RowBlock
 from ..faults import InjectedFault
 from ..graph.datasets import DATASET_ORDER, DATASET_SPECS, load_dataset
 from ..graph.graph import Graph
@@ -134,21 +136,63 @@ class EncodedRows:
         return list(map(tuple, rows)) if isinstance(key, slice) else tuple(rows)
 
 
+#: Values one ``%`` formats at most: a page is formatted in pieces of
+#: this many, joined.  Small pieces keep every string the formatting
+#: allocates small: a two-client stream of 1,024-row pages read the
+#: server's peak RSS 5 MB higher with pieces of 16,384 values, and the
+#: same as ``json.dumps`` with pieces of 256, which format no slower.
+_TEMPLATE_VALUES = 256
+
+
+@lru_cache(maxsize=16)
+def _row_template(width: int) -> Tuple[int, str]:
+    """``(rows, text)``: ``rows`` rows of ``width`` ``%d`` slots as
+    ``json.dumps`` writes a row list, without its outer brackets — a
+    piece of fewer rows formats a prefix of ``text``."""
+    rows = max(1, _TEMPLATE_VALUES // width)
+    row = "[" + ", ".join(["%d"] * width) + "]"
+    return rows, ", ".join([row] * rows)
+
+
+def _packed_rows_text(block: RowBlock) -> str:
+    """``json.dumps(list(block))`` of an int64 block, byte for byte,
+    formatted straight from its flat buffer: no row becomes a tuple.
+
+    >>> _packed_rows_text(RowBlock(array("q", [1, -2, 3, 2**63 - 1]), 2))
+    '[[1, -2], [3, 9223372036854775807]]'
+    """
+    width = block.width
+    rows, template = _row_template(width)
+    row_chars = 4 * width + 2  # "[%d, ..., %d]" and the ", " after it
+    flat = block.flat
+    step = rows * width
+    return "[" + ", ".join(
+        template[: len(piece) // width * row_chars - 2] % tuple(piece)
+        for piece in (flat[i : i + step] for i in range(0, len(flat), step))
+    ) + "]"
+
+
 def encode_response(response: dict) -> str:
     """The one wire encoding of a response, serve and route alike.
 
-    A page (``matches``) goes last behind its ``rows`` count; rows that
-    arrived as :class:`EncodedRows` pass through as the text they are.
+    A page (``matches``) goes last behind its ``rows`` count.  This is
+    where a page's rows become text: an int64
+    :class:`~repro.engine.sinks.RowBlock` is formatted from its flat
+    buffer, rows that arrived as :class:`EncodedRows` pass through as the
+    text they are, and anything else (list-flat blocks of string ids or
+    VCBC sets, a router's sliced page) goes through ``json.dumps``.
     """
     matches = response.get("matches")
     if matches is None:
         return json.dumps(response)
     head = {k: v for k, v in response.items() if k != "matches"}
     head["rows"] = len(matches)
-    body = (
-        matches.text if isinstance(matches, EncodedRows)
-        else json.dumps(matches)
-    )
+    if isinstance(matches, EncodedRows):
+        body = matches.text
+    elif isinstance(matches, RowBlock) and isinstance(matches.flat, array):
+        body = _packed_rows_text(matches)
+    else:
+        body = json.dumps(list(matches))
     return json.dumps(head)[:-1] + MATCHES_KEY + body + "}"
 
 
@@ -539,9 +583,8 @@ class ServiceProtocol(WireProtocol):
                 limit=args["limit"], cursor=args["cursor"], wait=wait
             )
             response.update(
-                # The one page becomes row tuples here (a packed page in
-                # one C-level pass) and encode_response does the rest.
-                matches=list(page.matches),
+                # The page stays a block: encode_response formats it.
+                matches=page.matches,
                 cursor=page.cursor,
                 done=page.done,
                 status=handle.status.value,  # may have finished during fetch

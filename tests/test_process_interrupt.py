@@ -18,9 +18,11 @@ import faulthandler
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -371,3 +373,69 @@ def test_a_sink_that_runs_a_query_leaves_the_outer_run_exact():
         assert multiprocessing.active_children() == []
 
     bounded(60, body)
+
+
+#: A parent that forks a two-worker pool, prints its workers' pids from
+#: the sink's first block and then sleeps there, mid-run.
+_SLEEPING_PARENT = """
+import multiprocessing, time
+from repro.engine.benu import execute_plan, prepare_data, prepare_plan
+from repro.engine.config import BenuConfig
+from repro.graph.generators import chung_lu
+from repro.graph.patterns import get_pattern
+
+class Sleepy:
+    def emit_block(self, block):
+        pids = [p.pid for p in multiprocessing.active_children()]
+        print(" ".join(map(str, pids)), flush=True)
+        time.sleep(600)
+
+config = BenuConfig(execution_backend="process", num_workers=2)
+prepared = prepare_data(chung_lu(1800, 10.0, exponent=2.4, seed=2019), config)
+plan = prepare_plan(get_pattern("chordal_square"), prepared, config)
+execute_plan(plan, prepared, config, sink=Sleepy())
+"""
+
+
+def _alive(pid):
+    """Whether ``pid`` runs: a zombie nobody reaped yet counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            state = f.read().rpartition(")")[2].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+def test_workers_die_with_a_parent_killed_by_sigkill():
+    """A worker closes every parent-side pipe end it inherits at fork, its
+    own included, so its ``recv`` reads EOF once the parent is gone —
+    even a parent that had no chance to clean up."""
+    if not _alive(os.getpid()):
+        pytest.skip("/proc/<pid>/stat cannot be read here")
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _SLEEPING_PARENT],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE, text=True,
+    )
+    workers = []
+    try:
+        line = bounded(60, parent.stdout.readline)
+        workers = [int(pid) for pid in line.split()]
+        assert len(workers) == 2, line
+        parent.kill()
+        parent.wait()
+        give_up = time.monotonic() + 5.0
+        while any(map(_alive, workers)) and time.monotonic() < give_up:
+            time.sleep(0.05)
+        assert not [pid for pid in workers if _alive(pid)]
+    finally:
+        parent.kill()
+        parent.wait()
+        parent.stdout.close()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)

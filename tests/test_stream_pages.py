@@ -3,6 +3,9 @@ drain, and the blocking ``fetch`` underneath.
 
 * ``encode_response`` / ``decode_response`` round trip — a page's rows
   travel last, as text, and come back as the rows they were;
+* an int64 page formatted from its flat buffer is byte for byte the
+  ``json.dumps`` text of its rows, and the ledger's row streams keep the
+  wire text pinned for them;
 * the merged row sequence is the partition-order concatenation of the
   shard streams whatever page limits the client asks for, including a
   limit that shrinks below the page already in flight;
@@ -17,12 +20,14 @@ drain, and the blocking ``fetch`` underneath.
   dispatcher), and abandoned connections are quiet and rare.
 """
 
+import hashlib
 import json
 import random
 import socket
 import sys
 import threading
 import time
+from array import array
 
 import pytest
 
@@ -37,8 +42,11 @@ from repro.graph.generators import chung_lu
 from repro.graph.graph import Graph
 from repro.graph.order import relabel_by_degree_order
 from repro.graph.patterns import PATTERNS
+from repro.service import BenuService
 from repro.service.protocol import (
+    MATCHES_KEY,
     EncodedRows,
+    ServiceProtocol,
     ServiceTCPServer,
     encode_response,
     serve_connection,
@@ -114,6 +122,117 @@ def test_reply_without_rows_falls_back_to_a_full_parse():
     assert decode_response(nested) == json.loads(nested)
     inner = '{"rows": 3, "x": {"a": 1, "matches": [1]}}'
     assert decode_response(inner) == json.loads(inner)
+
+
+#: Ids an int64 page must carry through the formatter unchanged: small,
+#: negative, past float precision (2^53) and at both ends of int64.
+_EDGE_IDS = (
+    0, 1, -1, 7, -42, 2**53, 2**53 + 1, -(2**53) - 1,
+    2**63 - 1, -(2**63 - 1), -(2**63),
+)
+
+
+def _page_line(matches):
+    return encode_response(
+        {"query": "q-1", "cursor": 9, "done": False, "ok": True,
+         "matches": matches}
+    )
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 4097])
+@pytest.mark.parametrize("width", range(1, 9))
+def test_packed_page_text_is_json_dumps_of_its_rows(width, rows):
+    rng = random.Random(f"page:{width}:{rows}")
+    flat = array("q", (
+        rng.choice(_EDGE_IDS) if rng.random() < 0.3
+        else rng.randrange(-(2**63), 2**63)
+        for _ in range(width * rows)
+    ))
+    block = RowBlock(flat, width)
+    listed = list(block)
+    line = _page_line(block)
+    # Byte for byte what the list path (json.dumps of the rows) writes.
+    assert line == _page_line(listed)
+    assert line.endswith(MATCHES_KEY + json.dumps(listed) + "}")
+    assert json.loads(line)["rows"] == rows
+    decoded = decode_response(line)
+    assert list(decoded["matches"]) == listed
+    # A forwarding hop splices the text back untouched.
+    assert _page_line(decoded["matches"]) == line
+
+
+def test_list_flat_pages_keep_the_json_dumps_path():
+    strings = RowBlock(["a", 'b"', "é", ', "matches": '], 2)
+    assert _page_line(strings) == _page_line(list(strings))
+    assert json.loads(_page_line(strings))["matches"] == [
+        ["a", 'b"'], ["é", ', "matches": ']
+    ]
+    vcbc = RowBlock([1, frozenset({2, 3}), 4, frozenset()], 2)
+    with pytest.raises(TypeError, match="frozenset"):
+        _page_line(list(vcbc))
+    with pytest.raises(TypeError, match="frozenset"):
+        _page_line(vcbc)
+
+
+#: The ledger's row streams (``benchmarks/ledger/inputs.py``
+#: ``STREAM_TEMPLATES``) on its ``rows`` graph: full rows naming every
+#: column, a projection and ``RETURN *``.
+LEDGER_STREAMS = (
+    "MATCH (a)-(b), (b)-(c), (c)-(d), (a)-(d), (a)-(c) RETURN a, b, c, d",
+    "MATCH (a)-(b), (a)-(c), (a)-(d), (b)-(c), (b)-(d), (c)-(d) RETURN a, b",
+    "MATCH (a)-(b), (b)-(c), (a)-(c) RETURN *",
+)
+
+#: sha256 of every non-empty page's row count and ``matches`` text, in
+#: stream order, per registration: the wire text the row-tuple encoder
+#: wrote, which the packed one must keep.
+LEDGER_STREAM_SHA256 = {
+    True: "4bb00fae0ffbb64e9c36a0f70f7618db3dbe72b7d05e84a30cabcda1fb106f8d",
+    False: "eee4fb6aa5d54803c57649ee69982095838859ec15fbeccc6c2771f084eadb00",
+}
+
+
+@pytest.mark.parametrize("relabel", [True, False])
+def test_ledger_streams_keep_their_wire_text(relabel):
+    graph = chung_lu(1800, 10.0, exponent=2.4, seed=2019)
+    # One batch per page: page boundaries are a function of the stream.
+    service = BenuService(batch_size=1024)
+    protocol = ServiceProtocol(service)
+
+    def ask(request):
+        return protocol.handle_line_json(json.dumps(request))
+
+    try:
+        edges = [list(edge) for edge in sorted(graph.edges())]
+        assert json.loads(ask({
+            "op": "register", "name": "rows", "edges": edges,
+            "relabel": relabel,
+        }))["ok"]
+        digest = hashlib.sha256()
+        total = 0
+        for text in LEDGER_STREAMS:
+            query = json.loads(
+                ask({"op": "query", "text": text, "graph": "rows"})
+            )["query"]
+            cursor = 0
+            while True:
+                line = ask({
+                    "op": "poll", "query": query, "limit": 1024,
+                    "cursor": cursor, "wait": 30.0,
+                })
+                head, _, body = line.rpartition(MATCHES_KEY)
+                page = json.loads(head + "}")
+                assert page["ok"], page
+                if page["rows"]:
+                    digest.update(f"{page['rows']}{body}\n".encode())
+                    total += page["rows"]
+                cursor = page["cursor"]
+                if page["done"]:
+                    break
+        assert total == 246_240 + 11_343 + 9_002
+        assert digest.hexdigest() == LEDGER_STREAM_SHA256[relabel]
+    finally:
+        service.close()
 
 
 # ------------------------------------------------------- routed deployments
